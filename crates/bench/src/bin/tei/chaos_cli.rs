@@ -23,6 +23,7 @@
 use crate::{fabric_cli, USAGE};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use tei_core::campaign::JOURNAL_BATCH;
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::{failpoint, CampaignResult, CampaignSpec, FabricConfig, TeiError};
 
@@ -129,6 +130,21 @@ fn run_once(
     tei_core::run_fabric_campaign(spec, &cfg, &mut fabric_cli::print_event)
 }
 
+/// Journal traffic of one chaos worker, for sizing seeded journal faults:
+/// `(batch commits, runs per batch)`. The fleet splits the runs into
+/// `workers × leases_per_worker` leases; a worker's fair share of them,
+/// each committed in batches of up to [`JOURNAL_BATCH`] runs on its one
+/// campaign thread.
+fn worker_journal_traffic(runs: u64, workers: usize) -> (u64, u64) {
+    let per_worker = FabricConfig::new(Vec::new(), PathBuf::new()).leases_per_worker as u64;
+    let lease_runs = runs.div_ceil((workers as u64 * per_worker).max(1)).max(1);
+    let batch = JOURNAL_BATCH as u64;
+    (
+        per_worker * lease_runs.div_ceil(batch),
+        lease_runs.min(batch),
+    )
+}
+
 /// The byte-identity fingerprint: the full serialized result (outcome
 /// counts, AVM inputs, quarantine list) — every field is deterministic.
 fn canonical(result: &CampaignResult) -> String {
@@ -170,10 +186,11 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
     let ref_json = canonical(&reference);
     let _ = std::fs::remove_dir_all(&clean_dir);
 
+    let (commits, batch_runs) = worker_journal_traffic(ca.spec.runs, ca.workers);
     let mut reports: Vec<SeedReport> = Vec::new();
     let mut failures = 0usize;
     for &seed in &ca.seeds {
-        let schedule = failpoint::seeded_schedule(seed, ca.spec.runs);
+        let schedule = failpoint::seeded_schedule(seed, commits, batch_runs);
         eprintln!("[chaos] seed {seed}: {schedule}");
         let dir = ca.journal_base.join(format!("s{seed}"));
         let _ = std::fs::remove_dir_all(&dir);

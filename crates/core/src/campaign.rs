@@ -20,9 +20,11 @@
 //! second panic **quarantines** the run (recording its `(seed, target,
 //! mask)` repro triple) instead of tearing down the worker pool.
 //! [`run_campaign_durable`] additionally write-ahead-logs every completed
-//! run to a [`Journal`](crate::journal::Journal), drains workers on
-//! SIGINT/SIGTERM, and resumes interrupted sweeps with final
-//! [`OutcomeCounts`] byte-identical to an uninterrupted campaign.
+//! run to a [`Journal`](crate::journal::Journal) in group commits of
+//! [`JOURNAL_BATCH`] runs (one fsync per batch; a run counts once its
+//! batch is fsync'd), drains workers on SIGINT/SIGTERM, and resumes
+//! interrupted sweeps with final [`OutcomeCounts`] byte-identical to an
+//! uninterrupted campaign.
 
 // Orchestration must degrade to typed errors, never panic mid-sweep
 // (clippy.toml bans the panicking extractors here).
@@ -228,8 +230,9 @@ pub struct Chaos {
     /// Per-run sleep in milliseconds — slows a sweep down so external
     /// kill-and-resume tests reliably interrupt it mid-flight.
     pub throttle_ms: u64,
-    /// Stop scheduling new runs once this many journal appends happened
-    /// (simulates an interrupt at a deterministic point).
+    /// Stop scheduling new runs once this many runs were queued for the
+    /// journal (simulates an interrupt at a deterministic point; each
+    /// thread commits its queued batch before it stops).
     pub stop_after_appends: Option<u64>,
 }
 
@@ -504,7 +507,10 @@ struct Runner<'a, M: ?Sized> {
     model: &'a M,
     plan: &'a CellPlan,
     timeout_steps: u64,
-    /// Reusable core for checkpoint restores; `None` in from-zero mode.
+    /// Checkpointed (fork-replay) mode rather than from-zero replay.
+    checkpointed: bool,
+    /// Reusable core for checkpoint restores, built on the first replay
+    /// (a worker whose runs are all journaled never needs one).
     fork: Option<FuncCore>,
     cache: Option<&'a MemoCache>,
 }
@@ -518,30 +524,21 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
         mode: ReplayMode,
         cache: Option<&'a MemoCache>,
     ) -> Runner<'a, M> {
-        let fork = match mode {
-            ReplayMode::FromZero => None,
-            ReplayMode::Checkpointed { .. } => {
-                Some(FuncCore::with_memory(&golden.program, golden.mem_bytes))
-            }
-        };
         Runner {
             golden,
             model,
             plan,
             timeout_steps,
-            fork,
+            checkpointed: matches!(mode, ReplayMode::Checkpointed { .. }),
+            fork: None,
             cache,
         }
     }
 
-    /// Rebuild the fork core after a panic may have left it mid-replay.
+    /// Drop the fork core after a panic may have left it mid-replay; the
+    /// next replay builds a fresh one.
     fn reset_fork(&mut self) {
-        if self.fork.is_some() {
-            self.fork = Some(FuncCore::with_memory(
-                &self.golden.program,
-                self.golden.mem_bytes,
-            ));
-        }
+        self.fork = None;
     }
 
     /// Re-derive the run's draw from its seed without replaying anything.
@@ -627,49 +624,48 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
     /// Replay the corrupted execution and classify it.
     fn replay(&mut self, target: u64, mask: u64) -> (Outcome, bool) {
         let golden = self.golden;
-        match &mut self.fork {
-            // Checkpointed fork-replay with early-convergence cutoff.
-            Some(core) => {
-                let inj = golden
-                    .checkpoints
-                    .run_injected(core, self.timeout_steps, target, mask);
-                let outcome = match inj.exit {
-                    InjectedExit::Converged {
-                        output_matches,
-                        instructions,
-                        checkpoint_instructions,
-                    } => {
-                        // The rest of the run is identical to the golden
-                        // suffix; apply the timeout criterion to the
-                        // implied full instruction count.
-                        let total = instructions + (golden.instructions - checkpoint_instructions);
-                        if total > self.timeout_steps {
-                            Outcome::Timeout
-                        } else if output_matches {
-                            Outcome::Masked
-                        } else {
-                            Outcome::Sdc
-                        }
-                    }
-                    InjectedExit::Finished(r) => classify(r.exit, &core.output, &golden.output),
-                };
-                (outcome, inj.fired)
-            }
+        if !self.checkpointed {
             // Reference engine: full functional replay from instruction 0.
-            None => {
-                let mut core = FuncCore::with_memory(&golden.program, golden.mem_bytes);
-                let mut injected = false;
-                let r = core.run_with_hook(self.timeout_steps, &mut |ev| {
-                    if ev.index == target {
-                        injected = true;
-                        ev.result ^ mask
-                    } else {
-                        ev.result
-                    }
-                });
-                (classify(r.exit, &core.output, &golden.output), injected)
-            }
+            let mut core = FuncCore::with_memory(&golden.program, golden.mem_bytes);
+            let mut injected = false;
+            let r = core.run_with_hook(self.timeout_steps, &mut |ev| {
+                if ev.index == target {
+                    injected = true;
+                    ev.result ^ mask
+                } else {
+                    ev.result
+                }
+            });
+            return (classify(r.exit, &core.output, &golden.output), injected);
         }
+        // Checkpointed fork-replay with early-convergence cutoff.
+        let core = self
+            .fork
+            .get_or_insert_with(|| FuncCore::with_memory(&golden.program, golden.mem_bytes));
+        let inj = golden
+            .checkpoints
+            .run_injected(core, self.timeout_steps, target, mask);
+        let outcome = match inj.exit {
+            InjectedExit::Converged {
+                output_matches,
+                instructions,
+                checkpoint_instructions,
+            } => {
+                // The rest of the run is identical to the golden suffix;
+                // apply the timeout criterion to the implied full
+                // instruction count.
+                let total = instructions + (golden.instructions - checkpoint_instructions);
+                if total > self.timeout_steps {
+                    Outcome::Timeout
+                } else if output_matches {
+                    Outcome::Masked
+                } else {
+                    Outcome::Sdc
+                }
+            }
+            InjectedExit::Finished(r) => classify(r.exit, &core.output, &golden.output),
+        };
+        (outcome, inj.fired)
     }
 }
 
@@ -862,6 +858,12 @@ pub(crate) fn absorb_record(
     }
 }
 
+/// Runs per journal group commit: each campaign thread fsyncs its
+/// completed runs once per this many (and at the end of its run range or
+/// on a stop), so a crash loses at most this many uncommitted runs per
+/// thread. Count-only, so failpoint hit ordering stays deterministic.
+pub const JOURNAL_BATCH: usize = 32;
+
 /// Everything a cell execution produces: merged tallies, quarantine
 /// reports, and whether a cooperative stop cut the sweep short.
 struct CellOutcome {
@@ -880,12 +882,12 @@ pub struct LeaseOutcome {
     pub counts: OutcomeCounts,
     /// Quarantined runs within the lease, sorted by run index.
     pub quarantined: Vec<QuarantinedRun>,
-    /// A shutdown signal cut the lease short (the journal still holds
-    /// every completed run).
+    /// A shutdown signal cut the lease short (every run tallied in
+    /// `counts` is committed to the journal).
     pub interrupted: bool,
     /// Disk exhaustion paused the lease: the named journal hit `ENOSPC`,
-    /// in-flight runs were drained, and everything acknowledged is
-    /// durable — resumable once space is freed.
+    /// the failed batch was dropped untallied, and everything
+    /// acknowledged is durable — resumable once space is freed.
     pub disk_full: Option<PathBuf>,
 }
 
@@ -893,7 +895,8 @@ pub struct LeaseOutcome {
 /// [`run_campaign_durable`], and the fabric's [`execute_lease`]: shard
 /// `span` across workers, skip runs already journaled, isolate panics,
 /// and (when a journal is present) write-ahead-log every completed run
-/// before tallying it.
+/// before tallying it, one group commit per [`JOURNAL_BATCH`] runs per
+/// thread.
 fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     golden: &GoldenRun,
     model: &M,
@@ -901,7 +904,6 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     span: std::ops::Range<usize>,
     skip: &HashSet<u64>,
     journal: Option<&Mutex<Journal>>,
-    appends: &AtomicU64,
 ) -> Result<CellOutcome, TeiError> {
     let timeout_steps = (golden.instructions as f64 * cfg.timeout_factor).ceil() as u64;
     let seed = cell_seed(cfg, model);
@@ -919,6 +921,9 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     // stops scheduling new runs and drains, leaving the journal intact.
     let enospc_hit = AtomicBool::new(false);
     let enospc_path: Mutex<Option<PathBuf>> = Mutex::new(None);
+    // Runs queued for the journal so far, for the `stop_after_appends`
+    // chaos hook.
+    let appends = AtomicU64::new(0);
     let stop_requested = || {
         crate::shutdown::requested()
             || enospc_hit.load(Ordering::Relaxed)
@@ -927,11 +932,50 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
                 .is_some_and(|cap| appends.load(Ordering::Relaxed) >= cap)
     };
 
+    // Group commit of one thread's pending batch. The batch's tallies
+    // reach `local` only once the whole batch is fsync'd. Disk exhaustion
+    // degrades gracefully: the batch was never acknowledged, so dropping
+    // it costs nothing (resume re-executes it); the ENOSPC flag then
+    // drains every worker. `Ok(false)` reports that drop; anything else
+    // stays fatal.
+    let commit = |journal: &Mutex<Journal>,
+                  pending: &mut Vec<RunRecord>,
+                  pending_counts: &mut OutcomeCounts,
+                  local: &mut OutcomeCounts|
+     -> Result<bool, TeiError> {
+        let batch = std::mem::take(pending_counts);
+        let mut j = match journal.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let result = j.append_batch(pending);
+        pending.clear();
+        match result {
+            Ok(()) => {
+                local.merge(&batch);
+                Ok(true)
+            }
+            Err(TeiError::Io { source, .. }) if crate::failpoint::is_enospc(&source) => {
+                let mut p = match enospc_path.lock() {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                p.get_or_insert_with(|| j.path().to_path_buf());
+                enospc_hit.store(true, Ordering::Relaxed);
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    };
+
     type WorkerResult = Result<(OutcomeCounts, Vec<QuarantinedRun>, bool), TeiError>;
     let worker = |lo: usize, hi: usize| -> WorkerResult {
         let mut local = OutcomeCounts::default();
         let mut quarantined = Vec::new();
         let mut interrupted = false;
+        // This thread's uncommitted batch and the sum of its tallies.
+        let mut pending: Vec<RunRecord> = Vec::new();
+        let mut pending_counts = OutcomeCounts::default();
         let mut runner = Runner::new(
             golden,
             model,
@@ -957,36 +1001,30 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
                 quarantined.push(q.clone());
             }
             let (record, tally_counts) = record_of(isolated, golden.instructions);
-            // WAL discipline: the run only counts once it is durably on
-            // disk, so a crash between here and the final tally can at
-            // worst lose in-flight runs, never double-count.
-            if let Some(journal) = journal {
-                let mut j = match journal.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                if let Err(e) = j.append(&record) {
-                    // Disk exhaustion degrades gracefully: pause + drain
-                    // + resumable journal. This run was not acknowledged,
-                    // so losing its record costs nothing — re-running
-                    // executes it again. Anything else stays fatal.
-                    if matches!(&e, TeiError::Io { source, .. }
-                        if crate::failpoint::is_enospc(source))
-                    {
-                        let mut p = match enospc_path.lock() {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        p.get_or_insert_with(|| j.path().to_path_buf());
-                        enospc_hit.store(true, Ordering::Relaxed);
-                        interrupted = true;
-                        break;
-                    }
-                    return Err(e);
-                }
-                appends.fetch_add(1, Ordering::Relaxed);
+            // WAL discipline: the run only counts once its batch is
+            // durably on disk, so a crash can at worst lose uncommitted
+            // runs, never double-count.
+            let Some(journal) = journal else {
+                local.merge(&tally_counts);
+                continue;
+            };
+            pending.push(record);
+            pending_counts.merge(&tally_counts);
+            appends.fetch_add(1, Ordering::Relaxed);
+            if pending.len() >= JOURNAL_BATCH
+                && !commit(journal, &mut pending, &mut pending_counts, &mut local)?
+            {
+                interrupted = true;
+                break;
             }
-            local.merge(&tally_counts);
+        }
+        // The range ended or a stop drained it: commit the partial batch.
+        if let Some(journal) = journal {
+            if !pending.is_empty()
+                && !commit(journal, &mut pending, &mut pending_counts, &mut local)?
+            {
+                interrupted = true;
+            }
         }
         Ok((local, quarantined, interrupted))
     };
@@ -1030,18 +1068,19 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     })
 }
 
-/// Execute the leased run range `[lo, hi)` of a campaign cell, appending
+/// Execute the leased run range `[lo, hi)` of a campaign cell, committing
 /// every completed run to `journal` before tallying it — the fabric
-/// worker's entry point. Runs in `skip` (already in this worker's
-/// journal) are not re-executed. Outcomes are identical to the same runs
-/// executed by [`run_campaign_durable`]: the per-run derived seed depends
-/// only on the cell seed and the run index, never on which process or
-/// lease executed it.
+/// worker's entry point. It returns only after the lease's final batch
+/// commit, so a completed lease is wholly durable. Runs in `skip`
+/// (already in this worker's journal) are not re-executed. Outcomes are
+/// identical to the same runs executed by [`run_campaign_durable`]: the
+/// per-run derived seed depends only on the cell seed and the run index,
+/// never on which process or lease executed it.
 ///
 /// # Errors
 ///
 /// [`TeiError::Config`] for unusable sizing knobs or an out-of-range
-/// lease, [`TeiError::Io`] when a journal append fails, and
+/// lease, [`TeiError::Io`] when a journal commit fails, and
 /// [`TeiError::WorkerPool`] if the in-process pool cannot be joined.
 pub fn execute_lease<M: InjectionModel + Sync + ?Sized>(
     golden: &GoldenRun,
@@ -1059,7 +1098,6 @@ pub fn execute_lease<M: InjectionModel + Sync + ?Sized>(
             reason: format!("range [{lo}, {hi}) is empty or outside 0..{}", cfg.runs),
         });
     }
-    let appends = AtomicU64::new(0);
     let cell = execute_cell(
         golden,
         model,
@@ -1067,7 +1105,6 @@ pub fn execute_lease<M: InjectionModel + Sync + ?Sized>(
         lo as usize..hi as usize,
         skip,
         Some(journal),
-        &appends,
     )?;
     Ok(LeaseOutcome {
         counts: cell.counts,
@@ -1093,15 +1130,7 @@ pub fn run_campaign_checked<M: InjectionModel + Sync + ?Sized>(
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, TeiError> {
     cfg.validate()?;
-    let cell = execute_cell(
-        golden,
-        model,
-        cfg,
-        0..cfg.runs,
-        &HashSet::new(),
-        None,
-        &AtomicU64::new(0),
-    )?;
+    let cell = execute_cell(golden, model, cfg, 0..cfg.runs, &HashSet::new(), None)?;
     Ok(CampaignResult {
         benchmark: benchmark_name.to_string(),
         model: model.name().to_string(),
@@ -1163,9 +1192,10 @@ pub fn campaign_manifest<M: InjectionModel + ?Sized>(
 }
 
 /// [`run_campaign`] with durability: every completed run is write-ahead-
-/// logged to a journal under `journal_dir` before it counts, an existing
-/// journal for the same manifest resumes the sweep (skipping completed
-/// runs), and SIGINT/SIGTERM drain the workers and flush the journal
+/// logged to a journal under `journal_dir` before it counts (group
+/// commits of [`JOURNAL_BATCH`] runs per thread), an existing journal for
+/// the same manifest resumes the sweep (skipping completed runs), and
+/// SIGINT/SIGTERM drain the workers and commit their pending batches
 /// instead of losing progress. The final [`OutcomeCounts`] of a resumed
 /// campaign are byte-identical to an uninterrupted one.
 ///
@@ -1233,16 +1263,7 @@ pub fn run_campaign_durable<M: InjectionModel + Sync + ?Sized>(
     }
 
     let journal = Mutex::new(journal);
-    let appends = AtomicU64::new(0);
-    let cell = execute_cell(
-        golden,
-        model,
-        cfg,
-        0..cfg.runs,
-        &skip,
-        Some(&journal),
-        &appends,
-    )?;
+    let cell = execute_cell(golden, model, cfg, 0..cfg.runs, &skip, Some(&journal))?;
     counts.merge(&cell.counts);
     quarantined.extend(cell.quarantined);
     quarantined.sort_by_key(|q| q.run);
@@ -1258,8 +1279,8 @@ pub fn run_campaign_durable<M: InjectionModel + Sync + ?Sized>(
         });
     }
     if cell.interrupted && counts.total() < cfg.runs as u64 {
-        // Workers drained; the journal holds every completed run. fsync'd
-        // appends mean there is nothing further to flush.
+        // Workers drained and committed their pending batches; the
+        // journal holds every tallied run.
         return Err(TeiError::Interrupted {
             completed: counts.total(),
             requested: cfg.runs as u64,

@@ -73,13 +73,15 @@ pub enum TeiError {
         found: u64,
     },
     /// The filesystem under a journal ran out of space. The campaign
-    /// paused scheduling, drained in-flight runs, and flushed what fit —
-    /// the journal is intact and resumable once space is freed, never a
-    /// corrupt artifact.
+    /// paused scheduling, dropped the batch whose commit failed, and
+    /// drained — the journal is intact and resumable once space is
+    /// freed, never a corrupt artifact.
     DiskFull {
         /// Journal (or artifact) path that hit `ENOSPC`.
         path: PathBuf,
-        /// Runs durably recorded before the pause.
+        /// Runs committed and tallied before the pause. The journal may
+        /// also hold whole records of the failed batch; resume counts
+        /// them.
         completed: u64,
         /// Total runs the campaign wants.
         requested: u64,

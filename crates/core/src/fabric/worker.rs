@@ -2,11 +2,12 @@
 //!
 //! A worker connects to its coordinator, introduces itself with the
 //! spawn token, and then executes whatever leases it is granted,
-//! appending every completed run to its own per-worker journal before
-//! acknowledging the lease. Campaign contexts (golden run, checkpoint
-//! pool, model, journal handle) are cached per campaign, and golden
-//! runs are additionally cached per `(benchmark, scale)` so a `tei
-//! serve` fleet keeps its checkpoints warm across queued campaigns.
+//! committing every completed run to its own per-worker journal (in
+//! fsync'd batches) before acknowledging the lease. Campaign contexts
+//! (golden run, checkpoint pool, model, journal handle) are cached per
+//! campaign, and golden runs are additionally cached per `(benchmark,
+//! scale)` so a `tei serve` fleet keeps its checkpoints warm across
+//! queued campaigns.
 //!
 //! Robustness posture:
 //!
@@ -16,10 +17,11 @@
 //!   per-connection campaign contexts are rebuilt from the Launch
 //!   replay the coordinator sends on Hello, and the reopened journal's
 //!   skip set makes any re-granted lease idempotent.
-//! * **Beacon while busy.** A detached heartbeat thread sends
+//! * **Beacon while busy.** A heartbeat thread sends
 //!   [`Message::Heartbeat`] every ~500 ms over the shared writer, so
 //!   the coordinator can tell a worker grinding through a long lease
-//!   from a SIGSTOPped or wedged one in seconds.
+//!   from a SIGSTOPped or wedged one in seconds. It stops as soon as the
+//!   connection ends, so teardown never waits out a beacon period.
 //! * **Degrade on disk-full.** A lease that drains on `ENOSPC` reports
 //!   a typed [`TeiError::DiskFull`] (journal intact, resumable) instead
 //!   of dying mid-frame.
@@ -33,7 +35,7 @@ use crate::models::DaModel;
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tei_workloads::build;
@@ -162,18 +164,15 @@ fn serve_connection(
 
     // Heartbeat beacon. Sends through its own failpoint site
     // (`wire.heartbeat`) so chaos schedules aimed at control frames
-    // (`wire.send`) don't have their hit counts consumed by beacons.
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // (`wire.send`) don't have their hit counts consumed by beacons. It
+    // waits on a channel rather than sleeping, so dropping the sender
+    // stops it at once instead of up to one period later.
+    let (hb_stop, hb_wait) = mpsc::channel::<()>();
     let hb = {
         let writer = Arc::clone(&writer);
         let peer = peer.clone();
-        let stop = Arc::clone(&hb_stop);
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(HEARTBEAT_INTERVAL);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = hb_wait.recv_timeout(HEARTBEAT_INTERVAL) {
                 let mut w = match writer.lock() {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
@@ -201,7 +200,7 @@ fn serve_connection(
         journal_dir,
         golden_cache,
     );
-    hb_stop.store(true, Ordering::Relaxed);
+    drop(hb_stop);
     let _ = hb.join();
     result
 }
@@ -223,15 +222,16 @@ fn connection_loop(
                 Ok(FrameStep::Idle) => {
                     if crate::shutdown::requested() {
                         // Idle and signalled: nothing in flight, every
-                        // completed run is fsync'd.
+                        // completed lease is committed.
                         return Err(TeiError::Interrupted {
                             completed: 0,
                             requested: 0,
                         });
                     }
                 }
-                // Coordinator gone: nothing to clean up — journals are
-                // fsync'd per append, so everything durable is on disk.
+                // Coordinator gone: nothing to clean up — a lease returns
+                // only after its final batch commit, so every acknowledged
+                // run is on disk.
                 Ok(FrameStep::Eof) => return Ok(()),
                 Err(e) => {
                     return Err(TeiError::Fabric {
@@ -319,8 +319,8 @@ fn connection_loop(
                     });
                 }
                 if outcome.interrupted {
-                    // A shutdown signal reached this worker; everything
-                    // completed is journaled. Exit and let the
+                    // A shutdown signal reached this worker; every
+                    // tallied run is committed. Exit and let the
                     // coordinator reassign the remainder.
                     return Err(TeiError::Interrupted {
                         completed: job.done.len() as u64,

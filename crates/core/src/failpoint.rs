@@ -575,8 +575,8 @@ pub fn is_enospc(e: &std::io::Error) -> bool {
 /// with the failure archetype it exercises. Kept in one place so the
 /// chaos matrix and DESIGN.md's failure-mode table stay in sync.
 const CATALOG: &[&str] = &[
-    // Torn mid-frame journal write in one worker: torn-tail recovery +
-    // graceful ENOSPC drain + resume.
+    // Torn journal batch write in one worker: torn-tail recovery (whole
+    // frames before the tear survive) + graceful ENOSPC drain + resume.
     "w0/journal.append.write=torn:{K}@hit:{N}",
     // Journal fsync fails with disk-full: typed DiskFull, resumable.
     "w0/journal.append.sync=enospc@hit:{N}",
@@ -603,17 +603,22 @@ const CATALOG: &[&str] = &[
 
 /// Derive schedule `seed` of the chaos matrix: pick a catalog entry and
 /// instantiate its trigger parameters deterministically from the seed
-/// and the campaign size. Same seed + same sizing ⇒ same schedule.
-pub fn seeded_schedule(seed: u64, runs: u64) -> String {
+/// and the journal traffic of one chaos worker, which makes `commits`
+/// batch commits of `batch_runs` run records each. Same seed + same
+/// sizing ⇒ same schedule.
+pub fn seeded_schedule(seed: u64, commits: u64, batch_runs: u64) -> String {
     let pick = |salt: u64| splitmix64(seed.wrapping_mul(0x9e37).wrapping_add(salt));
     let entry = CATALOG[(pick(0) % CATALOG.len() as u64) as usize];
     // Parameter ranges sized so the fault lands inside the campaign:
-    // {N} within the run count, {M}/{A} within the first few control
-    // frames / leases, {K} inside one 55-byte journal frame.
-    let n = 1 + pick(1) % runs.max(2);
+    // {N} within the worker's batch commits (a `hit` on the journal
+    // sites counts commits, not runs), {M}/{A} within the first few
+    // control frames / leases, {K} inside one batch, so a tear may land
+    // after some whole frames or inside the first.
+    let batch_bytes = batch_runs.max(1) * crate::journal::RUN_FRAME_LEN as u64;
+    let n = 1 + pick(1) % commits.max(1);
     let m = 2 + pick(2) % 5;
     let a = 1 + pick(3) % 3;
-    let k = 1 + pick(4) % 54;
+    let k = 1 + pick(4) % (batch_bytes - 1);
     let d = 50 + pick(5) % 350;
     let s = pick(6);
     entry
@@ -706,8 +711,8 @@ mod tests {
     #[test]
     fn seeded_schedules_parse_and_are_stable() {
         for seed in 0..32 {
-            let s1 = seeded_schedule(seed, 48);
-            let s2 = seeded_schedule(seed, 48);
+            let s1 = seeded_schedule(seed, 4, 6);
+            let s2 = seeded_schedule(seed, 4, 6);
             assert_eq!(s1, s2);
             let parsed = parse_schedule(&s1).expect("catalog entry parses");
             assert_eq!(parsed.len(), 1, "schedule {s1:?}");
@@ -715,7 +720,7 @@ mod tests {
         // Seeds spread across the catalog, not one entry.
         let distinct: std::collections::HashSet<String> = (0..32)
             .map(|s| {
-                seeded_schedule(s, 48)
+                seeded_schedule(s, 4, 6)
                     .split('=')
                     .next()
                     .unwrap_or_default()

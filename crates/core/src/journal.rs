@@ -4,14 +4,23 @@
 //! A paper-scale sweep is 1068 injection runs per (benchmark, VR, model)
 //! cell; losing hours of completed runs to one OOM kill or ctrl-C is not
 //! acceptable. Following the ZOFI principle that a fault-injection tool
-//! must tolerate the chaos it creates, every completed run is appended to
+//! must tolerate the chaos it creates, every completed run is written to
 //! an on-disk journal *before* it counts, as a length-prefixed,
-//! checksummed record behind an fsync'd append path:
+//! checksummed record:
 //!
 //! ```text
 //! file   := magic "TEIJRNL1" record*
 //! record := len:u32le payload:[u8; len] fnv64(payload):u64le
 //! ```
+//!
+//! Records are **group-committed**: [`Journal::append_batch`] frames a
+//! batch of runs into one buffer, writes it once and fsyncs once. A run
+//! counts only after its batch's fsync returned, so a crash can lose the
+//! one batch each campaign thread was filling or committing (at most
+//! [`JOURNAL_BATCH`](crate::campaign::JOURNAL_BATCH) = 32 runs per
+//! thread), never a run that was tallied. Resume re-executes the lost
+//! runs, which are a pure function of `(cell seed, run index)`, so the
+//! final tally is unchanged.
 //!
 //! The first record is the campaign **manifest** — a canonical JSON
 //! identity of (benchmark, model fingerprint, VR, run count, seed,
@@ -289,9 +298,17 @@ const TAG_MANIFEST: u8 = 0;
 const TAG_RUN: u8 = 1;
 const NO_TARGET: u64 = u64::MAX;
 
+/// Payload bytes of one run record: tag, four `u64` fields, outcome and
+/// flag bytes, and the golden instruction count.
+const RUN_PAYLOAD_LEN: usize = 1 + 8 * 4 + 2 + 8;
+
+/// On-disk bytes of one framed run record (length prefix + payload +
+/// checksum).
+pub const RUN_FRAME_LEN: usize = 4 + RUN_PAYLOAD_LEN + 8;
+
 impl RunRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(1 + 8 * 5 + 2);
+        let mut p = Vec::with_capacity(RUN_PAYLOAD_LEN);
         p.push(TAG_RUN);
         p.extend_from_slice(&self.run.to_le_bytes());
         p.extend_from_slice(&self.seed.to_le_bytes());
@@ -315,7 +332,7 @@ impl RunRecord {
     }
 
     fn decode(payload: &[u8]) -> Option<RunRecord> {
-        if payload.len() != 1 + 8 * 4 + 2 + 8 || payload[0] != TAG_RUN {
+        if payload.len() != RUN_PAYLOAD_LEN || payload[0] != TAG_RUN {
             return None;
         }
         // Indexing cannot fail: the payload length was checked above.
@@ -349,12 +366,11 @@ impl RunRecord {
     }
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 12);
+/// Append `payload` to `out` as one `len | payload | fnv64` frame.
+fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&fnv64(payload).to_le_bytes());
-    out
 }
 
 /// Largest frame recovery will accept; anything bigger is a corrupt
@@ -525,7 +541,7 @@ impl Journal {
         header.extend_from_slice(MAGIC);
         let mut payload = vec![TAG_MANIFEST];
         payload.extend_from_slice(&manifest.canonical_bytes());
-        header.extend_from_slice(&frame(&payload));
+        frame_into(&mut header, &payload);
         atomic_write(path, &header)?;
         let file = OpenOptions::new()
             .append(true)
@@ -580,24 +596,34 @@ impl Journal {
         })
     }
 
-    /// Durably append one run record (write + fsync before returning, so
-    /// a record that `append` acknowledged survives any crash).
+    /// Durably commit a batch of run records: frame them all into one
+    /// buffer, write it in one `write_all`, then fsync once. A record
+    /// counts only after `append_batch` returns `Ok`; a crash or error
+    /// before that may leave any prefix of the batch's frames on disk
+    /// (plus a torn tail that recovery truncates), never a reordered or
+    /// partial record. An empty batch is a no-op.
     ///
     /// # Errors
     ///
     /// [`TeiError::Io`] when the write or sync fails.
-    pub fn append(&mut self, rec: &RunRecord) -> Result<(), TeiError> {
-        let framed = frame(&rec.encode());
+    pub fn append_batch(&mut self, recs: &[RunRecord]) -> Result<(), TeiError> {
+        if recs.is_empty() {
+            return Ok(());
+        }
+        let mut framed = Vec::with_capacity(recs.len() * RUN_FRAME_LEN);
+        for rec in recs {
+            frame_into(&mut framed, &rec.encode());
+        }
         crate::failpoint::write_all("journal.append.write", &mut self.file, &framed)
-            .map_err(|e| TeiError::io("append journal record", &self.path, e))?;
+            .map_err(|e| TeiError::io("append journal records", &self.path, e))?;
         crate::failpoint::io_check("journal.append.sync")
             .and_then(|()| self.file.sync_data())
-            .map_err(|e| TeiError::io("sync journal record", &self.path, e))?;
-        self.appended += 1;
+            .map_err(|e| TeiError::io("sync journal records", &self.path, e))?;
+        self.appended += recs.len() as u64;
         Ok(())
     }
 
-    /// Records appended through this handle (excludes replayed ones).
+    /// Records committed through this handle (excludes replayed ones).
     pub fn appended(&self) -> u64 {
         self.appended
     }
@@ -666,9 +692,11 @@ mod tests {
         let m = manifest();
         let mut r = Journal::open_or_create(&dir, &m).expect("create");
         assert!(r.completed.is_empty());
-        for i in 0..5 {
-            r.journal.append(&rec(i)).expect("append");
-        }
+        let batch: Vec<RunRecord> = (0..5).map(rec).collect();
+        r.journal.append_batch(&batch[..2]).expect("append");
+        r.journal.append_batch(&batch[2..]).expect("append");
+        r.journal.append_batch(&[]).expect("empty batch");
+        assert_eq!(r.journal.appended(), 5);
         drop(r);
         let r2 = Journal::open_or_create(&dir, &m).expect("resume");
         assert_eq!(r2.completed.len(), 5);

@@ -1,12 +1,14 @@
 //! Cooperative shutdown for long-running sweeps.
 //!
 //! Durable campaigns install SIGINT/SIGTERM handlers that set a process-
-//! wide flag; workers poll it between injection runs, drain, and the
-//! campaign flushes its journal before returning
+//! wide flag; workers poll it between injection runs, commit their
+//! pending journal batch, and drain before the campaign returns
 //! [`TeiError::Interrupted`](crate::TeiError::Interrupted). A second
 //! ctrl-C therefore still kills the process the ordinary way — the
-//! journal's fsync'd append path makes even that safe, losing at most the
-//! in-flight runs.
+//! journal's group-commit contract (a run counts once its batch is
+//! fsync'd) makes even that safe: it loses at most the uncommitted batch
+//! of each campaign thread, [`JOURNAL_BATCH`](crate::campaign::JOURNAL_BATCH)
+//! runs at most, which resume re-executes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,6 +1,9 @@
 //! Durability integration tests: torn-write recovery, checksum
-//! corruption, manifest mismatch refusal, panic quarantine, and
-//! kill-at-a-random-point resume with byte-identical final tallies.
+//! corruption, manifest mismatch refusal, panic quarantine,
+//! kill-at-a-random-point resume with byte-identical final tallies, and
+//! the group-commit invariant (the journal holds exactly the tallied
+//! runs). Torn mid-batch commits need the failpoint registry and live in
+//! `failpoints.rs`.
 
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -308,6 +311,32 @@ fn unparsable_sidecar_is_corrupt_and_missing_sidecar_is_legacy() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Group-commit invariant: stop a durable sweep at an arbitrary point
+    /// on 1–4 threads; the journal then holds exactly the `completed`
+    /// runs the interrupted campaign tallied, each once. No run counts
+    /// without being on disk, and no committed run goes uncounted.
+    #[test]
+    fn interrupted_journal_holds_exactly_the_tallied_runs(
+        stop in 1u64..(RUNS as u64 - 4),
+        threads in 1usize..5,
+    ) {
+        let dir = scratch_dir("batch-wal");
+        let mut c = cfg(threads);
+        c.chaos.stop_after_appends = Some(stop);
+        let completed = match campaign::run_campaign_durable("sobel", golden(), &model(), &c, &dir) {
+            Err(TeiError::Interrupted { completed, .. }) => completed,
+            Ok(_) => panic!("sweep with stop_after_appends={stop} was not interrupted"),
+            Err(e) => panic!("unexpected error: {e}"),
+        };
+        let manifest = campaign::campaign_manifest("sobel", golden(), &model(), &c);
+        let records = Journal::replay_readonly(&journal_file(&dir, &c), &manifest)
+            .expect("replay journal");
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(records.len() as u64, completed);
+        let distinct: std::collections::HashSet<u64> = records.iter().map(|r| r.run).collect();
+        prop_assert_eq!(distinct.len(), records.len());
+    }
 
     /// Kill the sweep after an arbitrary number of completed runs, on an
     /// arbitrary thread count, resume on another arbitrary thread count:
