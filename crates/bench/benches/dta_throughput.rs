@@ -17,9 +17,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
-    dta_campaign_predictive, dta_campaign_tuned, dta_campaign_with_threads, dta_engine,
-    fit_surrogate, random_operand_pairs, resolve_lanes, resolve_prune, safe_bit_counts, DtaTuning,
-    KernelBackend, PrunePolicy, SurrogateMode, SurrogateRun, PRUNE_MIN_SAFE_FRACTION,
+    dta_campaign_predictive, dta_campaign_tuned, dta_engine, fit_surrogate, random_operand_pairs,
+    resolve_lanes, resolve_prune, safe_bit_counts, DtaTuning, KernelBackend, PrunePolicy,
+    SurrogateMode, SurrogateRun, PRUNE_MIN_SAFE_FRACTION,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -70,7 +70,7 @@ fn pairs_per_sec(mut run_batch: impl FnMut() -> usize, min_secs: f64) -> f64 {
 }
 
 /// The pre-kernel per-pair loop: interpreted netlist walk with a fresh
-/// `Vec<bool>` encode per pair (what `dta_campaign` used to do).
+/// `Vec<bool>` encode per pair (the campaign loop before the kernel).
 fn sim_batch(unit: &FpuUnit, dta: &tei_netlist::Netlist, pairs: &[(u64, u64)]) -> usize {
     let mut buf = TwoVectorResult::default();
     let mut prev = unit.encode_inputs(pairs[0].0, pairs[0].1);
@@ -160,7 +160,7 @@ fn campaign_rate(
     pairs_per_sec(
         || {
             criterion::black_box(
-                dta_campaign_with_threads(unit, pairs, clk, &LEVELS, threads)
+                dta_campaign_tuned(unit, pairs, clk, &LEVELS, threads, DtaTuning::default())
                     .expect("DTA campaign"),
             );
             pairs.len() - 1
@@ -172,10 +172,6 @@ fn campaign_rate(
 fn bench_dta_throughput(c: &mut Criterion) {
     let measured = bench_mode();
     let smoke = std::env::var("TEI_SCALING_SMOKE").is_ok_and(|v| v == "1");
-    // The codegen ablation rows intentionally measure the generated
-    // kernel at *every* lane width, including W=1 where the default
-    // dispatch falls back to the faster interpreter — pin it.
-    std::env::set_var("TEI_KERNEL_FORCE", "1");
     let (unit, spec) = dmul_unit();
     let n_pairs = if measured { 8192 } else { 32 };
     let min_secs = if measured { 1.0 } else { 0.0 };
@@ -225,7 +221,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
     for threads in scaling_threads.iter().copied() {
         group.bench_function(BenchmarkId::new("campaign_threads", threads), |b| {
             b.iter(|| {
-                dta_campaign_with_threads(&unit, &pairs, spec.clk, &LEVELS, threads)
+                dta_campaign_tuned(&unit, &pairs, spec.clk, &LEVELS, threads, campaign_tuning)
                     .expect("DTA campaign")
             });
         });

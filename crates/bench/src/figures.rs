@@ -4,7 +4,9 @@ use crate::artifacts::{Artifacts, LEVELS, MEM};
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 use tei_core::journal::atomic_write_checksummed;
-use tei_core::{campaign, dev, power, stats, InjectionModel, ModelKind, StatModel, TeiError};
+use tei_core::{
+    campaign, config, dev, power, stats, DtaTuning, InjectionModel, ModelKind, StatModel, TeiError,
+};
 use tei_softfloat::{FpOp, Precision};
 use tei_timing::{PathCensus, VoltageReduction};
 use tei_workloads::BenchmarkId;
@@ -137,12 +139,15 @@ pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
                 if t.len() < 2 {
                     continue;
                 }
-                let s = dev::dta_campaign(bank.unit(op), t, spec.clk, &[vr])?
-                    .pop()
-                    .ok_or_else(|| TeiError::EmptyDta {
-                        op: op.to_string(),
-                        vr: vr.label(),
-                    })?;
+                let threads = config::default_threads();
+                let tuning = DtaTuning::default();
+                let s =
+                    dev::dta_campaign_tuned(bank.unit(op), t, spec.clk, &[vr], threads, tuning)?
+                        .pop()
+                        .ok_or_else(|| TeiError::EmptyDta {
+                            op: op.to_string(),
+                            vr: vr.label(),
+                        })?;
                 for (&k, &v) in &s.flip_hist {
                     let slot = k.min(4) - 1;
                     hist[slot] += v;
@@ -199,7 +204,8 @@ pub fn fig6(arts: &Artifacts) -> Result<Report, TeiError> {
     let full = full_trace.of(op);
     let unit = bank.unit(op);
     let vr = VoltageReduction::VR20;
-    let reference = dev::dta_campaign(unit, full, spec.clk, &[vr])?
+    let (threads, tuning) = (config::default_threads(), DtaTuning::default());
+    let reference = dev::dta_campaign_tuned(unit, full, spec.clk, &[vr], threads, tuning)?
         .pop()
         .ok_or_else(|| TeiError::EmptyDta {
             op: op.to_string(),
@@ -224,13 +230,21 @@ pub fn fig6(arts: &Artifacts) -> Result<Report, TeiError> {
     }
     for frac in [100usize, 10, 3, 1] {
         let k = ((full.len() - 1) / frac).max(1);
-        let ber = dev::dta_campaign_sampled(unit, full, &order[..k], spec.clk, &[vr])?
-            .pop()
-            .ok_or_else(|| TeiError::EmptyDta {
-                op: op.to_string(),
-                vr: vr.label(),
-            })?
-            .ber();
+        let ber = dev::dta_campaign_sampled_tuned(
+            unit,
+            full,
+            &order[..k],
+            spec.clk,
+            &[vr],
+            threads,
+            tuning,
+        )?
+        .pop()
+        .ok_or_else(|| TeiError::EmptyDta {
+            op: op.to_string(),
+            vr: vr.label(),
+        })?
+        .ber();
         let ae = dev::average_absolute_error(&reference, &ber);
         let _ = writeln!(text, "{k:9} {ae:9.4}");
         rows.push(json!({ "k": k, "ae": ae, "ber": ber }));

@@ -169,20 +169,18 @@ pub fn default_backend() -> crate::dev::KernelBackend {
 /// `filter` skips only transitions the fitted surrogate classifies as
 /// confidently safe (byte-identical-or-refuse; a seeded audit fraction
 /// still runs exact, and any audit miscalibration falls back loudly to
-/// exact DTA), `full` trusts the surrogate's predicted masks wherever it
-/// is confident (approximate; for sweep-scale exploration). Override with
-/// `TEI_SURROGATE`. Unrecognized values warn once and fall back to `off`.
+/// exact DTA). Override with `TEI_SURROGATE`. Unrecognized values warn
+/// once and fall back to `off`.
 pub fn default_surrogate() -> crate::dev::SurrogateMode {
     use crate::dev::SurrogateMode;
     match std::env::var("TEI_SURROGATE") {
         Ok(v) => match v.trim() {
             "off" => SurrogateMode::Off,
             "filter" => SurrogateMode::Filter,
-            "full" => SurrogateMode::Full,
             other => {
                 warn_once(
                     "TEI_SURROGATE",
-                    &format!("unknown mode {other:?} (supported: off, filter, full), using off"),
+                    &format!("unknown mode {other:?} (supported: off, filter), using off"),
                 );
                 SurrogateMode::Off
             }
@@ -193,15 +191,6 @@ pub fn default_surrogate() -> crate::dev::SurrogateMode {
             SurrogateMode::Off
         }
     }
-}
-
-/// True when `TEI_KERNEL_FORCE=1` pins the requested kernel backend even
-/// where a measured-faster one exists (currently: `TEI_KERNEL=codegen` at
-/// lane width 1, where the interpreter is faster — see BENCH_dta.json).
-/// Any other value counts as unset; campaign statistics are bit-identical
-/// either way.
-pub fn kernel_force() -> bool {
-    std::env::var("TEI_KERNEL_FORCE").is_ok_and(|v| v.trim() == "1")
 }
 
 /// Bounds for `TEI_FABRIC_TICK` (milliseconds): below 10 ms the tick
@@ -334,19 +323,10 @@ pub fn validate_env() -> Result<(), TeiError> {
     }
     if let Ok(v) = std::env::var("TEI_SURROGATE") {
         let v = v.trim();
-        if !matches!(v, "off" | "filter" | "full") {
+        if !matches!(v, "off" | "filter") {
             return Err(TeiError::Config {
                 knob: "TEI_SURROGATE".to_string(),
-                reason: format!("unknown mode {v:?} (supported: off, filter, full)"),
-            });
-        }
-    }
-    if let Ok(v) = std::env::var("TEI_KERNEL_FORCE") {
-        let v = v.trim();
-        if !matches!(v, "0" | "1") {
-            return Err(TeiError::Config {
-                knob: "TEI_KERNEL_FORCE".to_string(),
-                reason: format!("unknown value {v:?} (supported: 0, 1)"),
+                reason: format!("unknown mode {v:?} (supported: off, filter)"),
             });
         }
     }
@@ -440,24 +420,12 @@ mod tests {
         std::env::set_var("TEI_SURROGATE", "filter");
         assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Filter);
         assert!(validate_env().is_ok());
+        // `full` is not a mode: refused, and read as off.
         std::env::set_var("TEI_SURROGATE", "full");
-        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Full);
-        assert!(validate_env().is_ok());
+        assert!(validate_env().is_err());
+        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Off);
         std::env::remove_var("TEI_SURROGATE");
         assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Off);
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_KERNEL_FORCE", "yes");
-        let err = validate_env().unwrap_err();
-        assert!(err.to_string().contains("TEI_KERNEL_FORCE"));
-        assert!(!kernel_force());
-        std::env::set_var("TEI_KERNEL_FORCE", "1");
-        assert!(kernel_force());
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_KERNEL_FORCE", "0");
-        assert!(!kernel_force());
-        assert!(validate_env().is_ok());
-        std::env::remove_var("TEI_KERNEL_FORCE");
-        assert!(!kernel_force());
         assert!(validate_env().is_ok());
     }
 }

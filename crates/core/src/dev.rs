@@ -224,11 +224,7 @@ pub enum KernelBackend {
     Interpreter,
     /// Require the generated kernel; campaigns over units without a
     /// fresh generated kernel fail with a config error instead of
-    /// silently degrading (`TEI_KERNEL=codegen`). Exception: at lane
-    /// width 1 the generated kernel is the measured *loser* (0.79x vs
-    /// the interpreter, BENCH_dta.json), so [`dta_engine`] warns once
-    /// and runs the interpreter instead — results are bit-identical —
-    /// unless `TEI_KERNEL_FORCE=1` pins the requested backend.
+    /// silently degrading (`TEI_KERNEL=codegen`), at every lane width.
     Generated,
 }
 
@@ -306,18 +302,20 @@ pub fn resolve_prune(
     }
 }
 
-/// Measured lane-width preference of the interpreted kernel, best
-/// first (`BENCH_dta.json` lanes ablation: W4 119k, W8 115k, W1 77k
-/// pairs/s — W8's extra settle planes thrash the interpreter's cache).
-pub const INTERP_LANE_ORDER: [usize; 3] = [4, 8, 1];
+/// Auto lane width of the interpreted kernel. The current
+/// `BENCH_dta.json` lanes ablation has W4 at 113k and W8 at 120k
+/// pairs/s; the measurement this width was picked from had W4 ahead
+/// (119k vs 115k). The two committed measurements rank W4 and W8 in
+/// opposite orders, so the gap is within noise and W4 keeps the
+/// smaller settle planes.
+pub const INTERP_LANES: usize = 4;
 
-/// Measured lane-width preference of the generated kernel, best first
-/// (`BENCH_dta.json` codegen ablation: W8 263k, W4 142k, W1 61k
-/// pairs/s — the specialized dense sweep keeps scaling past W4).
-pub const CODEGEN_LANE_ORDER: [usize; 3] = [8, 4, 1];
+/// Auto lane width of the generated kernel (`BENCH_dta.json` codegen
+/// ablation: W8 257k pairs/s, 2.1x the interpreter at the same width).
+pub const CODEGEN_LANES: usize = 8;
 
 /// Resolve a requested lane width (`None` = auto) to a concrete one by
-/// consulting the measured per-backend ordering: the engine that will
+/// consulting the measured per-backend best width: the engine that will
 /// actually run decides, so auto no longer hands the interpreter's
 /// best width to the generated kernel or vice versa. `fresh_kernel` is
 /// whether [`tei_kernels::registry`] holds a fingerprint-fresh kernel
@@ -337,9 +335,9 @@ pub fn resolve_lanes(
         KernelBackend::Interpreter => false,
     };
     if generated {
-        CODEGEN_LANE_ORDER[0]
+        CODEGEN_LANES
     } else {
-        INTERP_LANE_ORDER[0]
+        INTERP_LANES
     }
 }
 
@@ -366,9 +364,9 @@ pub struct DtaTuning {
     /// Surrogate tiering mode (see [`SurrogateMode`]). Defaults to
     /// [`config::default_surrogate`] (`TEI_SURROGATE`, off when unset).
     /// Only [`dta_campaign_predictive`] consults it — the exact campaign
-    /// entry points ignore the field entirely, so `filter`'s
-    /// byte-identical contract (and `full`'s approximation) can never
-    /// leak into a caller that did not opt into the predictive path.
+    /// entry points ignore the field entirely, so `filter`'s skips can
+    /// never leak into a caller that did not opt into the predictive
+    /// path.
     pub surrogate: SurrogateMode,
 }
 
@@ -396,10 +394,6 @@ pub enum SurrogateMode {
     /// miscalibration triggers a loud fallback to the full exact
     /// campaign, so the returned statistics are never silently wrong.
     Filter,
-    /// Additionally trust the surrogate's predicted error masks wherever
-    /// it is confident (approximate; audited the same way). For
-    /// sweep-scale exploration, not for model building.
-    Full,
 }
 
 /// Construct the arrival engine that drives DTA over `unit` at `lanes`
@@ -433,27 +427,13 @@ pub fn dta_engine<'u>(
         // beats the specialized kernel's always-dense sweep (~0.8x in
         // the BENCH_dta.json `codegen` ablation); at W >= 4 the union
         // is dense and the generated kernel wins (1.2x at 4, 2.2x at
-        // 8). `TEI_KERNEL=codegen` still forces the generated kernel
-        // at any width.
+        // 8). `TEI_KERNEL=codegen` forces the generated kernel at any
+        // width.
         KernelBackend::Auto if lanes < 4 => Ok(interp()),
         KernelBackend::Auto => Ok(tei_kernels::registry()
             .make_engine(unit, lanes)
             .map(|e| e as Box<dyn ArrivalEngine + 'u>)
             .unwrap_or_else(interp)),
-        // At W = 1 the generated kernel is the measured loser (0.79x,
-        // BENCH_dta.json codegen ablation): honoring `codegen` literally
-        // would silently run the slow path. Warn once and use the
-        // interpreter — bit-identical results — unless the caller pins
-        // the backend with TEI_KERNEL_FORCE=1 (ablation benches do).
-        KernelBackend::Generated if lanes == 1 && !config::kernel_force() => {
-            config::warn_once(
-                "TEI_KERNEL",
-                "codegen at lane width 1 is measured slower than the interpreter \
-                 (0.79x, BENCH_dta.json); running the interpreted backend instead \
-                 (bit-identical results; set TEI_KERNEL_FORCE=1 to pin codegen)",
-            );
-            Ok(interp())
-        }
         KernelBackend::Generated => tei_kernels::registry()
             .make_engine(unit, lanes)
             .map(|e| e as Box<dyn ArrivalEngine + 'u>)
@@ -492,7 +472,7 @@ fn live_bits(
 }
 
 /// Output bits per VR level that the static slack oracle proves safe for
-/// `unit` at clock period `clk` — the work [`DtaTuning::prune_safe_bits`]
+/// `unit` at clock period `clk` — the work [`DtaTuning::prune`]
 /// removes from every transition of a campaign.
 pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<usize> {
     let compiled = unit.dta_compiled();
@@ -509,9 +489,8 @@ pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) ->
         .collect()
 }
 
-/// Per-transition stats accumulation shared by the full and sampled
-/// campaigns (and every shard of the parallel paths): threshold the
-/// settle time of each live output bit at every requested corner and
+/// Per-transition stats accumulation of the exact-DTA walker: threshold
+/// the settle time of each live output bit at every requested corner and
 /// update counts, the mask library, and the flip histogram.
 ///
 /// At the nominal corner the fabricated design meets timing by
@@ -621,6 +600,10 @@ const DTA_POOL: &str = "DTA campaign";
 struct EngineScratch<'u> {
     engine: Box<dyn ArrivalEngine + 'u>,
     flat: Vec<bool>,
+    /// The current window's segments (see [`pack_window`]).
+    segs: Vec<Segment>,
+    /// The current window's keep mask, one bit per local transition.
+    keep: Vec<u64>,
 }
 
 /// One chunk's finished statistics, published exactly once by whichever
@@ -706,49 +689,200 @@ fn run_chunked<S>(
     Ok(merged)
 }
 
+/// A non-empty run of consecutive transitions `lo..hi` for
+/// [`walk_runs`]; transition `t` is `states[t] → states[t + 1]`. An
+/// `audit` run is one the surrogate classified safe: every transition in
+/// it must come back error-free.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lo: usize,
+    hi: usize,
+    audit: bool,
+}
+
+/// Transitions `t..t + n` of one run, placed in a window so that
+/// states `t..=t + n` fill window vectors `first..=first + n` and
+/// transition `t + j` sits at local offset `first + j`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    t: usize,
+    n: usize,
+    first: usize,
+    audit: bool,
+}
+
+/// Packing position: a run index and the next transition of that run.
+type Cursor = (usize, usize);
+
+/// Pack the window that starts at `at` into `segs` and return the
+/// position after it. A segment that picks up at the state the previous
+/// one ended on shares that vector, so a contiguous run costs one vector
+/// per transition; any other segment costs one more for its `prev`
+/// state, and the seam transition into it is never evaluated.
+fn pack_window(
+    runs: &[Run],
+    mut at: Cursor,
+    window_vectors: usize,
+    segs: &mut Vec<Segment>,
+) -> Cursor {
+    segs.clear();
+    while let Some(run) = runs.get(at.0) {
+        let t = at.1;
+        let first = match segs.last() {
+            Some(s) if s.t + s.n == t => s.first + s.n,
+            Some(s) => s.first + s.n + 1,
+            None => 0,
+        };
+        let n = (run.hi - t).min(window_vectors.saturating_sub(first + 1));
+        if n == 0 {
+            break;
+        }
+        segs.push(Segment {
+            t,
+            n,
+            first,
+            audit: run.audit,
+        });
+        at = if t + n == run.hi {
+            (at.0 + 1, runs.get(at.0 + 1).map_or(0, |r| r.lo))
+        } else {
+            (at.0, t + n)
+        };
+    }
+    at
+}
+
+/// The exact-DTA walk behind every campaign: evaluate the transitions
+/// of `runs`, in run order, at every requested VR level.
+///
+/// Runs pack into bit-sliced windows (see [`pack_window`]) and every
+/// [`CHUNK_WINDOWS`] windows form one chunk of work for the
+/// `threads`-worker pool. Chunks merge in chunk order, so the statistics
+/// — mask library order included — are byte-identical to a serial walk
+/// at any thread count, lane width, or backend. Returns the finalized
+/// statistics and the number of `audit` transitions that came back
+/// erroneous.
+///
+/// # Errors
+///
+/// [`TeiError::Config`] for a lane width outside
+/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
+/// [`TeiError::WorkerPool`] when a campaign worker panics.
+fn walk_runs(
+    unit: &FpuUnit,
+    states: &[(u64, u64)],
+    runs: &[Run],
+    clk: f64,
+    levels: &[VoltageReduction],
+    threads: usize,
+    tuning: DtaTuning,
+) -> Result<(Vec<OpErrorStats>, u64), TeiError> {
+    // Resolve the tuning into an engine once up front so config errors
+    // surface before any worker threads spawn; workers then build their
+    // own engine from the validated tuning.
+    let lanes = resolve_lanes(
+        tuning.lanes,
+        tuning.backend,
+        tei_kernels::registry().covers(unit),
+    );
+    drop(dta_engine(unit, lanes, tuning.backend)?);
+    let outputs = unit.result_port().to_vec();
+    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
+    let prune = resolve_prune(unit, clk, levels, tuning.prune);
+    let live = live_bits(unit.dta_compiled(), &outputs, &factors, clk, prune.enabled);
+    let width = unit.input_width();
+    let window_vectors = lanes * 64;
+
+    // Chunk plan: where each chunk's first window starts. Packing is
+    // arithmetic per run, so a contiguous campaign (one run) plans in
+    // O(windows) with no per-transition state.
+    let mut starts: Vec<Cursor> = Vec::new();
+    let mut at = (0, runs.first().map_or(0, |r| r.lo));
+    let mut segs = Vec::new();
+    while at.0 < runs.len() {
+        starts.push(at);
+        for _ in 0..CHUNK_WINDOWS {
+            at = pack_window(runs, at, window_vectors, &mut segs);
+        }
+    }
+
+    let audit_errors = std::sync::atomic::AtomicU64::new(0);
+    let make_scratch = || EngineScratch {
+        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
+        flat: vec![false; window_vectors * width],
+        segs: Vec::new(),
+        keep: vec![0; lanes],
+    };
+    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
+        let EngineScratch {
+            engine,
+            flat,
+            segs,
+            keep,
+        } = scratch;
+        let mut stats = empty_stats(unit, levels, outputs.len());
+        let mut at = starts[ci];
+        for _ in 0..CHUNK_WINDOWS {
+            at = pack_window(runs, at, window_vectors, segs);
+            let Some(last) = segs.last() else { break };
+            let count = last.first + last.n + 1;
+            keep.fill(0);
+            for s in segs.iter() {
+                for (v, &(a, b)) in (s.first..).zip(&states[s.t..=s.t + s.n]) {
+                    unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
+                }
+                for local in s.first..s.first + s.n {
+                    keep[local >> 6] |= 1 << (local & 63);
+                }
+            }
+            // Seam transitions between segments are dense garbage
+            // toggles; the keep mask drops them from the settle batches.
+            engine.set_window_keep_mask(keep);
+            engine.load_window(&flat[..count * width], count);
+            for s in segs.iter() {
+                for local in s.first..s.first + s.n {
+                    engine.select_transition(local);
+                    let any = accumulate_transition(
+                        &mut stats,
+                        &factors,
+                        &live,
+                        &outputs,
+                        clk,
+                        engine.as_ref(),
+                    );
+                    if s.audit && any != 0 {
+                        audit_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        stats
+    };
+
+    let mut stats = run_chunked(
+        starts.len(),
+        threads,
+        make_scratch,
+        || empty_stats(unit, levels, outputs.len()),
+        run_chunk,
+    )?;
+    finalize_masks(&mut stats);
+    Ok((stats, audit_errors.into_inner()))
+}
+
 /// Run a DTA campaign for one unit over an operand-pair stream, producing
 /// stats for every requested VR level in one pass (uniform derating lets a
 /// single settle computation be re-thresholded per corner).
 ///
 /// The first pair only establishes circuit state; transition `k` is
 /// `pairs[k] → pairs[k+1]`, the chained access pattern the compiled
-/// [`ArrivalKernel`] advances without re-evaluating unchanged cones.
-/// Work is distributed in chunks across `TEI_THREADS` worker threads
-/// (default: all cores); the parallel output is byte-identical to the
-/// single-threaded one.
-///
-/// # Errors
-///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_with_threads(unit, pairs, clk, levels, config::default_threads())
-}
-
-/// [`dta_campaign`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_with_threads(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-    threads: usize,
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_tuned(unit, pairs, clk, levels, threads, DtaTuning::default())
-}
-
-/// [`dta_campaign_with_threads`] with explicit [`DtaTuning`]. Tuning
-/// never changes the produced statistics — only how much work the inner
-/// loop performs, how wide its lane words are, and which engine backend
-/// runs it; the default (safe-bit pruning on, `TEI_LANES` lane words,
-/// `TEI_KERNEL` backend) is what every other entry point uses.
+/// [`tei_timing::ArrivalKernel`] advances without re-evaluating
+/// unchanged cones. Work is distributed in chunks across `threads`
+/// worker threads; the output is byte-identical to the single-threaded
+/// one. Tuning never changes the produced statistics — only how much
+/// work the inner loop performs, how wide its lane words are, and which
+/// engine backend runs it; callers without a preference pass
+/// `DtaTuning::default()` (`TEI_LANES`, `TEI_KERNEL`, auto pruning).
 ///
 /// # Errors
 ///
@@ -763,131 +897,30 @@ pub fn dta_campaign_tuned(
     threads: usize,
     tuning: DtaTuning,
 ) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Resolve the tuning into an engine once up front so config errors
-    // surface before any worker threads spawn; workers then build their
-    // own engine from the validated tuning.
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    if pairs.len() < 2 {
-        return Ok(empty_stats(unit, levels, outputs.len()));
-    }
-    let compiled = unit.dta_compiled();
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
-
-    // Transition t is pairs[t] → pairs[t+1]. Chunk ci covers the
-    // contiguous transitions [ci*span, (ci+1)*span), each chunk
-    // re-establishing circuit state from its first pair (a one-pair
-    // overlap with the previous chunk), so merging chunk results in
-    // index order reproduces the serial walk.
-    let transitions = pairs.len() - 1;
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let span = CHUNK_WINDOWS * (window_vectors - 1);
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
+    let transitions = pairs.len().saturating_sub(1);
+    let run = Run {
+        lo: 0,
+        hi: transitions,
+        audit: false,
     };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let lo = ci * span;
-        let hi = ((ci + 1) * span).min(transitions);
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        // Bit-sliced windows over the chunk's vectors, overlapping one
-        // vector so every transition lo..hi is covered exactly once.
-        let mut start = lo;
-        while start < hi {
-            let count = (hi - start + 1).min(window_vectors);
-            for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-                unit.encode_inputs_into(a, b, &mut scratch.flat[v * width..(v + 1) * width]);
-            }
-            scratch
-                .engine
-                .load_window(&scratch.flat[..count * width], count);
-            for t in 0..count - 1 {
-                scratch.engine.select_transition(t);
-                accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-            }
-            start += count - 1;
-        }
-        stats
-    };
-
-    let mut stats = run_chunked(
-        transitions.div_ceil(span),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-    finalize_masks(&mut stats);
-    Ok(stats)
+    let runs: &[Run] = if transitions == 0 { &[] } else { &[run] };
+    Ok(walk_runs(unit, pairs, runs, clk, levels, threads, tuning)?.0)
 }
 
 /// DTA over a *sampled subset* of a trace: each sampled index `i ≥ 1`
 /// is analyzed as the transition `trace[i-1] → trace[i]`, preserving the
 /// true previous circuit state of every sampled dynamic instruction (the
-/// paper's "randomly extracted" characterization). Chunks across
-/// `TEI_THREADS` worker threads with output identical to the serial walk.
+/// paper's "randomly extracted" characterization). Statistics follow
+/// the order of `indices` and are byte-identical at any thread count or
+/// tuning.
+///
+/// # Panics
+///
+/// Panics when an index is 0 or past the end of `trace`.
 ///
 /// # Errors
 ///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_sampled(
-    unit: &FpuUnit,
-    trace: &[(u64, u64)],
-    indices: &[usize],
-    clk: f64,
-    levels: &[VoltageReduction],
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_sampled_with_threads(unit, trace, indices, clk, levels, config::default_threads())
-}
-
-/// [`dta_campaign_sampled`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_sampled_with_threads(
-    unit: &FpuUnit,
-    trace: &[(u64, u64)],
-    indices: &[usize],
-    clk: f64,
-    levels: &[VoltageReduction],
-    threads: usize,
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Sampled campaigns follow the default tuning (`TEI_LANES`,
-    // `TEI_KERNEL`); the result is bit-identical for every setting.
-    dta_campaign_sampled_tuned(
-        unit,
-        trace,
-        indices,
-        clk,
-        levels,
-        threads,
-        DtaTuning::default(),
-    )
-}
-
-/// [`dta_campaign_sampled_with_threads`] with explicit [`DtaTuning`].
-///
-/// # Errors
-///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
+/// As for [`dta_campaign_tuned`].
 pub fn dta_campaign_sampled_tuned(
     unit: &FpuUnit,
     trace: &[(u64, u64)],
@@ -897,78 +930,18 @@ pub fn dta_campaign_sampled_tuned(
     threads: usize,
     tuning: DtaTuning,
 ) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Validate up front (and fail instead of silently coercing an
-    // unsupported lane width); workers build from the validated tuning.
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    let compiled = unit.dta_compiled();
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
-
-    // Sampled transitions are disjoint, so each window packs
-    // `prev, cur` vector pairs and analyzes the even transitions only
-    // (odd lanes straddle unrelated samples). Chunk ci covers a
-    // contiguous run of sample indices; index order is preserved.
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let samples_per_window = window_vectors / 2;
-    let span = CHUNK_WINDOWS * samples_per_window;
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
-    };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let slice = &indices[ci * span..((ci + 1) * span).min(indices.len())];
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        for chunk in slice.chunks(samples_per_window) {
-            let count = chunk.len() * 2;
-            for (j, &i) in chunk.iter().enumerate() {
-                assert!(i >= 1 && i < trace.len(), "sample index out of range");
-                let lo = (2 * j) * width;
-                unit.encode_inputs_into(
-                    trace[i - 1].0,
-                    trace[i - 1].1,
-                    &mut scratch.flat[lo..lo + width],
-                );
-                unit.encode_inputs_into(
-                    trace[i].0,
-                    trace[i].1,
-                    &mut scratch.flat[lo + width..lo + 2 * width],
-                );
+    let runs: Vec<Run> = indices
+        .iter()
+        .map(|&i| {
+            assert!(i >= 1 && i < trace.len(), "sample index out of range");
+            Run {
+                lo: i - 1,
+                hi: i,
+                audit: false,
             }
-            scratch
-                .engine
-                .load_window(&scratch.flat[..count * width], count);
-            for j in 0..chunk.len() {
-                scratch.engine.select_transition(2 * j);
-                accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-            }
-        }
-        stats
-    };
-
-    let mut stats = run_chunked(
-        indices.len().div_ceil(span),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-    finalize_masks(&mut stats);
-    Ok(stats)
+        })
+        .collect();
+    Ok(walk_runs(unit, trace, &runs, clk, levels, threads, tuning)?.0)
 }
 
 // ---------------------------------------------------------------------
@@ -982,13 +955,13 @@ pub fn dta_campaign_sampled_tuned(
 /// caught within a few thousand transitions.
 pub const DEFAULT_AUDIT_FRACTION: f64 = 1.0 / 32.0;
 
-/// Audit policy of the predictive campaign: which surrogate-handled
+/// Audit policy of the predictive campaign: which safe-classified
 /// transitions are *also* exact-evaluated to cross-check the model.
 /// The draw is a pure function of `(audit_seed, transition index)`, so
 /// it is independent of lane width, thread count, and chunk boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateRun {
-    /// Fraction of surrogate-handled transitions audited (0 disables
+    /// Fraction of safe-classified transitions audited (0 disables
     /// auditing — ablation use only; the default is
     /// [`DEFAULT_AUDIT_FRACTION`]).
     pub audit_fraction: f64,
@@ -1034,15 +1007,13 @@ fn splitmix64(x: u64) -> u64 {
 /// whether the audit tripped a fallback.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SurrogateReport {
-    /// Tiering mode that ran (`off`, `filter`, `full`).
+    /// Tiering mode that ran (`off` or `filter`).
     pub mode: String,
     /// Total transitions in the campaign.
     pub transitions: u64,
-    /// Transitions skipped as confidently safe (filter mode; they
-    /// contribute only their sample count).
+    /// Transitions skipped as confidently safe (they contribute only
+    /// their sample count).
     pub safe_skipped: u64,
-    /// Transitions resolved from predicted masks (full mode only).
-    pub predicted: u64,
     /// Transitions exact DTA evaluated (uncertain band + audits).
     pub exact_evaluated: u64,
     /// Surrogate-handled transitions exact-evaluated as audits.
@@ -1064,7 +1035,6 @@ impl SurrogateReport {
             mode: mode.to_string(),
             transitions,
             safe_skipped: 0,
-            predicted: 0,
             exact_evaluated: transitions,
             audited: 0,
             audit_errors: 0,
@@ -1211,9 +1181,9 @@ pub fn load_surrogate(
 }
 
 /// Predict-then-verify DTA campaign: the surrogate classifies every
-/// transition, exact DTA runs on the uncertain band plus a seeded audit
-/// fraction of the surrogate-handled band, and the results merge into
-/// statistics plus a [`SurrogateReport`].
+/// transition, exact DTA runs on the rest plus a seeded audit fraction
+/// of the confidently-safe band, and the results merge into statistics
+/// plus a [`SurrogateReport`].
 ///
 /// **Filter mode is byte-identical-or-refuse.** Only confidently-safe
 /// transitions are skipped, and a skipped transition contributes exactly
@@ -1254,204 +1224,49 @@ pub fn dta_campaign_predictive(
             SurrogateReport::exact_only("off", transitions as u64),
         ));
     }
-    let mode_label = match tuning.surrogate {
-        SurrogateMode::Filter => "filter",
-        SurrogateMode::Full => "full",
-        SurrogateMode::Off => unreachable!(),
-    };
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let k_max = factors.iter().fold(0.0f64, |a, &k| a.max(k));
+    let k_max = levels
+        .iter()
+        .fold(0.0f64, |a, vr| a.max(vr.derating_factor()));
     model
         .validate(unit.tag(), unit.dta_compiled().fingerprint(), clk, k_max)
         .map_err(|reason| TeiError::SurrogateStale {
             unit: unit.tag().to_string(),
             reason,
         })?;
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    if transitions == 0 {
-        return Ok((
-            empty_stats(unit, levels, outputs.len()),
-            SurrogateReport::exact_only(mode_label, 0),
-        ));
-    }
-    let compiled = unit.dta_compiled();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
 
     // --- Tier 1: classification pass (serial; tens of ns/transition).
-    // `exact_jobs` collects, in increasing transition order, everything
-    // that must run exact DTA: `(transition, audit expectation)`. An
-    // audit expectation is the OR-mask the surrogate implies — 0 for a
-    // safe skip, the predicted OR for a full-mode prediction — and any
-    // exact result contradicting it counts as a miscalibration.
-    let mut exact_jobs: Vec<(usize, Option<u64>)> = Vec::new();
-    let mut predicted_stats = empty_stats(unit, levels, outputs.len());
+    // Everything that must run exact DTA — the uncertain band and the
+    // audited part of the safe band — goes into maximal runs of
+    // consecutive transitions with the same audit flag, in increasing
+    // transition order. The uncertain band clusters (bursts of novel
+    // operands), so a run of L transitions costs L + 1 window vectors,
+    // exactly like the contiguous walk; runs that abut share their
+    // boundary state, so an audit flag change costs nothing.
+    let mut runs: Vec<Run> = Vec::new();
     let mut safe_skipped = 0u64;
-    let mut predicted = 0u64;
     let mut audited = 0u64;
     for t in 0..transitions {
-        let (prev, cur) = (pairs[t], pairs[t + 1]);
-        match tuning.surrogate {
-            SurrogateMode::Filter => {
-                if model.classify(prev, cur, k_max) == tei_timing::SurrogateClass::Safe {
-                    if run.audited(t) {
-                        audited += 1;
-                        exact_jobs.push((t, Some(0)));
-                    } else {
-                        safe_skipped += 1;
-                        // A confidently-safe transition contributes what an
-                        // error-free transition contributes: one sample.
-                        for s in &mut predicted_stats {
-                            s.samples += 1;
-                        }
-                    }
-                } else {
-                    exact_jobs.push((t, None));
-                }
-            }
-            SurrogateMode::Full => {
-                let masks: Option<Vec<u64>> = factors
-                    .iter()
-                    .map(|&k| model.predict_mask(prev, cur, k))
-                    .collect();
-                match masks {
-                    Some(masks) if run.audited(t) => {
-                        audited += 1;
-                        let or = masks.iter().fold(0u64, |a, &m| a | m);
-                        exact_jobs.push((t, Some(or)));
-                    }
-                    Some(masks) => {
-                        predicted += 1;
-                        for (s, &mask) in predicted_stats.iter_mut().zip(&masks) {
-                            s.samples += 1;
-                            if mask != 0 {
-                                s.faulty += 1;
-                                for bit in 0..outputs.len() {
-                                    if mask & (1 << bit) != 0 {
-                                        s.bit_errors[bit] += 1;
-                                    }
-                                }
-                                *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
-                                s.masks.push(mask);
-                            }
-                        }
-                    }
-                    None => exact_jobs.push((t, None)),
-                }
-            }
-            SurrogateMode::Off => unreachable!(),
+        let audit =
+            model.classify(pairs[t], pairs[t + 1], k_max) == tei_timing::SurrogateClass::Safe;
+        if audit && !run.audited(t) {
+            // A confidently-safe transition contributes what an
+            // error-free transition contributes: one sample.
+            safe_skipped += 1;
+            continue;
+        }
+        audited += u64::from(audit);
+        match runs.last_mut() {
+            Some(r) if r.hi == t && r.audit == audit => r.hi += 1,
+            _ => runs.push(Run {
+                lo: t,
+                hi: t + 1,
+                audit,
+            }),
         }
     }
 
-    // --- Tier 2: exact DTA over the uncertain band + audits. The
-    // uncertain band clusters (bursts of novel operands), so exact
-    // transitions are packed as *contiguous runs*: a run of L
-    // consecutive transitions shares its interior states and costs
-    // L + 1 window vectors, exactly like the full campaign's walk —
-    // only isolated transitions pay the 2-vector price. Windows (and
-    // the transitions inside them) are built in increasing transition
-    // order and chunks merge in index order, preserving the exact
-    // campaign's mask sequence.
-    let audit_errors = std::sync::atomic::AtomicU64::new(0);
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    struct ExactWindow {
-        /// Trace state indices loaded as window vectors, in order.
-        states: Vec<usize>,
-        /// `(local transition offset, index into exact_jobs)` to run;
-        /// offsets at run seams are absent, never evaluated.
-        trans: Vec<(usize, usize)>,
-    }
-    let mut windows: Vec<ExactWindow> = Vec::new();
-    {
-        let mut states: Vec<usize> = Vec::new();
-        let mut trans: Vec<(usize, usize)> = Vec::new();
-        let mut prev_t: Option<usize> = None;
-        for (ji, &(t, _)) in exact_jobs.iter().enumerate() {
-            let extends_run = prev_t == Some(t.wrapping_sub(1))
-                && !states.is_empty()
-                && states.len() < window_vectors;
-            if extends_run {
-                // The run's last state *is* this transition's `prev`.
-                trans.push((states.len() - 1, ji));
-                states.push(t + 1);
-            } else {
-                if states.len() + 2 > window_vectors {
-                    windows.push(ExactWindow {
-                        states: std::mem::take(&mut states),
-                        trans: std::mem::take(&mut trans),
-                    });
-                }
-                trans.push((states.len(), ji));
-                states.push(t);
-                states.push(t + 1);
-            }
-            prev_t = Some(t);
-        }
-        if !states.is_empty() {
-            windows.push(ExactWindow { states, trans });
-        }
-    }
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
-    };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let chunk = &windows[ci * CHUNK_WINDOWS..((ci + 1) * CHUNK_WINDOWS).min(windows.len())];
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        let mut keep = vec![0u64; lanes];
-        for w in chunk {
-            for (v, &st) in w.states.iter().enumerate() {
-                unit.encode_inputs_into(
-                    pairs[st].0,
-                    pairs[st].1,
-                    &mut scratch.flat[v * width..(v + 1) * width],
-                );
-            }
-            // Seam transitions between packed runs are dense garbage
-            // toggles; mask them out of the settle batches entirely.
-            keep.iter_mut().for_each(|word| *word = 0);
-            for &(local, _) in &w.trans {
-                keep[local >> 6] |= 1u64 << (local & 63);
-            }
-            scratch.engine.set_window_keep_mask(&keep);
-            scratch
-                .engine
-                .load_window(&scratch.flat[..w.states.len() * width], w.states.len());
-            for &(local, ji) in &w.trans {
-                scratch.engine.select_transition(local);
-                let or_mask = accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-                if let Some(expected) = exact_jobs[ji].1 {
-                    if or_mask != expected {
-                        audit_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        stats
-    };
-    let exact_stats = run_chunked(
-        windows.len().div_ceil(CHUNK_WINDOWS),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-
-    let audit_errors = audit_errors.load(Ordering::Relaxed);
+    // --- Tier 2: exact DTA over the runs, audits checked on the way.
+    let (mut stats, audit_errors) = walk_runs(unit, pairs, &runs, clk, levels, threads, tuning)?;
     if audit_errors > 0 {
         // The surrogate lied about at least one transition it handled.
         // The filtered statistics are unsound — discard them and run the
@@ -1464,30 +1279,26 @@ pub fn dta_campaign_predictive(
         );
         eprintln!("warning: {reason}");
         let exact = dta_campaign_tuned(unit, pairs, clk, levels, threads, tuning)?;
-        let mut report = SurrogateReport::exact_only(mode_label, transitions as u64);
+        let mut report = SurrogateReport::exact_only("filter", transitions as u64);
         report.audited = audited;
         report.audit_errors = audit_errors;
         report.fallback = Some(reason);
         return Ok((exact, report));
     }
 
-    // Merge: surrogate-handled contributions first, exact contributions
-    // after, then the seeded reservoir cap. In filter mode the surrogate
-    // contributes only sample counts (no masks), so the mask sequence —
-    // and the reservoir — is exactly the exact campaign's.
-    let mut stats = predicted_stats;
-    for (dst, src) in stats.iter_mut().zip(&exact_stats) {
-        dst.merge(src);
+    // Skipped transitions contribute only their sample count, so the
+    // mask sequence — and the seeded reservoir over it — is exactly the
+    // exact campaign's.
+    for s in &mut stats {
+        s.samples += safe_skipped;
     }
-    finalize_masks(&mut stats);
     Ok((
         stats,
         SurrogateReport {
-            mode: mode_label.to_string(),
+            mode: "filter".to_string(),
             transitions: transitions as u64,
             safe_skipped,
-            predicted,
-            exact_evaluated: exact_jobs.len() as u64,
+            exact_evaluated: transitions as u64 - safe_skipped,
             audited,
             audit_errors: 0,
             fallback: None,
@@ -1496,9 +1307,8 @@ pub fn dta_campaign_predictive(
 }
 
 /// Held-out fidelity of a surrogate model against exact DTA: per-pair
-/// classification outcomes, full-mode mask agreement, and per-bit
-/// confusion counts at the requested corners.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// classification outcomes at the requested corners.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SurrogateFidelity {
     /// Transitions evaluated.
     pub transitions: u64,
@@ -1512,54 +1322,11 @@ pub struct SurrogateFidelity {
     /// any corner — each one is a filter-mode skip the audit must catch;
     /// 0 means filter mode was byte-identical on this set.
     pub false_safe: u64,
-    /// Transitions where the model offered a mask prediction at every
-    /// corner (the full-mode fast path).
-    pub predicted: u64,
-    /// Predicted transitions whose masks matched exact DTA at every
-    /// corner exactly.
-    pub masks_exact: u64,
-    /// Per-bit confusion counts over predicted transitions and corners.
-    pub bit_true_pos: u64,
-    /// Bits predicted erroneous that exact DTA cleared.
-    pub bit_false_pos: u64,
-    /// Bits exact DTA flagged that the prediction missed.
-    pub bit_false_neg: u64,
-}
-
-impl SurrogateFidelity {
-    /// Fraction of predicted transitions with exactly matching masks.
-    pub fn mask_accuracy(&self) -> f64 {
-        if self.predicted == 0 {
-            0.0
-        } else {
-            self.masks_exact as f64 / self.predicted as f64
-        }
-    }
-
-    /// Bit-level precision of predicted error bits.
-    pub fn bit_precision(&self) -> f64 {
-        let denom = self.bit_true_pos + self.bit_false_pos;
-        if denom == 0 {
-            1.0
-        } else {
-            self.bit_true_pos as f64 / denom as f64
-        }
-    }
-
-    /// Bit-level recall of predicted error bits.
-    pub fn bit_recall(&self) -> f64 {
-        let denom = self.bit_true_pos + self.bit_false_neg;
-        if denom == 0 {
-            1.0
-        } else {
-            self.bit_true_pos as f64 / denom as f64
-        }
-    }
 }
 
 /// Measure a surrogate model's fidelity against exact DTA over held-out
-/// `pairs` (serial walk; every transition is exact-evaluated with the
-/// full output scan, pruning off, so the reference masks are complete).
+/// `pairs` (serial walk; every safe-classified transition is checked
+/// with the full output scan, pruning off, so no false-safe is missed).
 ///
 /// # Errors
 ///
@@ -1587,19 +1354,8 @@ pub fn surrogate_fidelity(
         tei_kernels::registry().covers(unit),
     );
     let mut engine = dta_engine(unit, lanes, tuning.backend)?;
-    let outputs = unit.result_port().to_vec();
-    let mut fid = SurrogateFidelity {
-        transitions: 0,
-        classified_safe: 0,
-        classified_erroneous: 0,
-        classified_uncertain: 0,
-        false_safe: 0,
-        predicted: 0,
-        masks_exact: 0,
-        bit_true_pos: 0,
-        bit_false_pos: 0,
-        bit_false_neg: 0,
-    };
+    let outputs = unit.result_port();
+    let mut fid = SurrogateFidelity::default();
     if pairs.len() < 2 {
         return Ok(fid);
     }
@@ -1616,46 +1372,20 @@ pub fn surrogate_fidelity(
         engine.load_window(&flat[..count * width], count);
         for t in 0..count - 1 {
             engine.select_transition(t);
-            let (prev, cur) = (pairs[start + t], pairs[start + t + 1]);
             fid.transitions += 1;
-            // Exact per-corner masks from the full output scan.
-            let exact: Vec<u64> = factors
-                .iter()
-                .map(|&k| {
-                    let mut mask = 0u64;
-                    for (bit, &net) in outputs.iter().enumerate() {
-                        if engine.settle_of(net).min(clk) * k > clk {
-                            mask |= 1 << bit;
-                        }
-                    }
-                    mask
-                })
-                .collect();
-            let exact_or = exact.iter().fold(0u64, |a, &m| a | m);
-            match model.classify(prev, cur, k_max) {
+            match model.classify(pairs[start + t], pairs[start + t + 1], k_max) {
                 tei_timing::SurrogateClass::Safe => {
                     fid.classified_safe += 1;
-                    if exact_or != 0 {
-                        fid.false_safe += 1;
-                    }
+                    // Full output scan at every corner, pruning off.
+                    let erroneous = factors.iter().any(|&k| {
+                        outputs
+                            .iter()
+                            .any(|&net| engine.settle_of(net).min(clk) * k > clk)
+                    });
+                    fid.false_safe += u64::from(erroneous);
                 }
                 tei_timing::SurrogateClass::Erroneous => fid.classified_erroneous += 1,
                 tei_timing::SurrogateClass::Uncertain => fid.classified_uncertain += 1,
-            }
-            let preds: Option<Vec<u64>> = factors
-                .iter()
-                .map(|&k| model.predict_mask(prev, cur, k))
-                .collect();
-            if let Some(preds) = preds {
-                fid.predicted += 1;
-                if preds == exact {
-                    fid.masks_exact += 1;
-                }
-                for (&p, &e) in preds.iter().zip(&exact) {
-                    fid.bit_true_pos += (p & e).count_ones() as u64;
-                    fid.bit_false_pos += (p & !e).count_ones() as u64;
-                    fid.bit_false_neg += (!p & e).count_ones() as u64;
-                }
             }
         }
         start += count - 1;
@@ -1759,7 +1489,15 @@ pub fn calibrate_da(
             return Ok(None);
         }
         let take = trace.len().min(per_op_cap);
-        dta_campaign_with_threads(bank.unit(op), &trace[..take], spec.clk, levels, 1).map(Some)
+        dta_campaign_tuned(
+            bank.unit(op),
+            &trace[..take],
+            spec.clk,
+            levels,
+            1,
+            DtaTuning::default(),
+        )
+        .map(Some)
     })?;
     let mut totals = vec![(0u64, 0u64); levels.len()]; // (faulty, samples)
     for stats in per_op {
@@ -1941,33 +1679,28 @@ mod tests {
                 }
             }
         }
-        // Auto picks the head of the measured order for the engine that
-        // will actually run: the interpreter's best is W4 (W8 was the
-        // measured regression), the generated kernel's best is W8.
+        // Auto picks the measured-best width for the engine that will
+        // actually run.
         assert_eq!(
             resolve_lanes(None, KernelBackend::Interpreter, true),
-            INTERP_LANE_ORDER[0]
+            INTERP_LANES
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Auto, false),
-            INTERP_LANE_ORDER[0],
+            INTERP_LANES,
             "auto without a fresh kernel runs the interpreter"
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Auto, true),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Generated, false),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
-        // The dispatch tables themselves must stay permutations of the
-        // supported widths — a typo here would silently break auto.
-        for order in [INTERP_LANE_ORDER, CODEGEN_LANE_ORDER] {
-            let mut sorted = order;
-            sorted.sort_unstable();
-            assert_eq!(sorted, config::SUPPORTED_LANES);
-        }
+        // A typo here would silently break auto.
+        assert!(config::SUPPORTED_LANES.contains(&INTERP_LANES));
+        assert!(config::SUPPORTED_LANES.contains(&CODEGEN_LANES));
         // The shipped bank has fresh kernels, so the default tuning on
         // a fresh registry resolves to the codegen-best width.
         let (bank, _) = default_bank();
@@ -1979,7 +1712,7 @@ mod tests {
                 KernelBackend::Auto,
                 tei_kernels::registry().covers(unit)
             ),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
     }
 

@@ -7,8 +7,8 @@
 #![deny(clippy::disallowed_methods)]
 
 use crate::dev::{
-    dta_campaign_with_threads, per_op_parallel, random_operand_pairs, DaCalibration, OpErrorStats,
-    TraceSet,
+    dta_campaign_tuned, per_op_parallel, random_operand_pairs, DaCalibration, DtaTuning,
+    OpErrorStats, TraceSet,
 };
 use crate::error::TeiError;
 use rand::Rng;
@@ -253,12 +253,19 @@ impl StatModel {
     ) -> Result<Self, TeiError> {
         let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
             let pairs = random_operand_pairs(op, samples_per_op, seed);
-            dta_campaign_with_threads(bank.unit(op), &pairs, spec.clk, &[vr], 1)?
-                .pop()
-                .ok_or_else(|| TeiError::EmptyDta {
-                    op: op.to_string(),
-                    vr: vr.label(),
-                })
+            dta_campaign_tuned(
+                bank.unit(op),
+                &pairs,
+                spec.clk,
+                &[vr],
+                1,
+                DtaTuning::default(),
+            )?
+            .pop()
+            .ok_or_else(|| TeiError::EmptyDta {
+                op: op.to_string(),
+                vr: vr.label(),
+            })
         })?
         .into_iter()
         .collect::<Result<_, _>>()?;
@@ -321,12 +328,19 @@ impl StatModel {
         let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
             let t = trace.of(op);
             let take = t.len().min(per_op_cap);
-            dta_campaign_with_threads(bank.unit(op), &t[..take], spec.clk, &[vr], 1)?
-                .pop()
-                .ok_or_else(|| TeiError::EmptyDta {
-                    op: op.to_string(),
-                    vr: vr.label(),
-                })
+            dta_campaign_tuned(
+                bank.unit(op),
+                &t[..take],
+                spec.clk,
+                &[vr],
+                1,
+                DtaTuning::default(),
+            )?
+            .pop()
+            .ok_or_else(|| TeiError::EmptyDta {
+                op: op.to_string(),
+                vr: vr.label(),
+            })
         })?
         .into_iter()
         .collect::<Result<_, _>>()?;

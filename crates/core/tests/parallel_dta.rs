@@ -8,9 +8,8 @@
 
 use std::collections::BTreeMap;
 use tei_core::dev::{
-    dta_campaign_sampled_tuned, dta_campaign_sampled_with_threads, dta_campaign_tuned,
-    dta_campaign_with_threads, random_operand_pairs, safe_bit_counts, DtaTuning, KernelBackend,
-    OpErrorStats, PrunePolicy,
+    dta_campaign_sampled_tuned, dta_campaign_tuned, random_operand_pairs, safe_bit_counts,
+    DtaTuning, KernelBackend, OpErrorStats, PrunePolicy,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -29,13 +28,14 @@ fn test_unit() -> (&'static FpuUnit, FpuTimingSpec) {
     (unit, spec)
 }
 
-/// Ground-truth mini-campaign: walk every transition with the
-/// interpreted [`ArrivalSim`] and accumulate the same per-corner
-/// statistics the kernel campaigns produce (nominal clamp included).
-/// No reservoir cap is applied — callers keep the pair count under it.
+/// Ground-truth mini-campaign: evaluate every `(prev, cur)` transition
+/// with the interpreted [`ArrivalSim`] and accumulate the same
+/// per-corner statistics the kernel campaigns produce (nominal clamp
+/// included). No reservoir cap is applied — callers keep the transition
+/// count under it.
 fn sim_reference(
     unit: &FpuUnit,
-    pairs: &[(u64, u64)],
+    transitions: impl Iterator<Item = ((u64, u64), (u64, u64))>,
     clk: f64,
     levels: &[VoltageReduction],
 ) -> Vec<OpErrorStats> {
@@ -53,9 +53,9 @@ fn sim_reference(
             flip_hist: BTreeMap::new(),
         })
         .collect();
-    let mut prev = unit.encode_inputs(pairs[0].0, pairs[0].1);
-    for &(a, b) in &pairs[1..] {
-        let cur = unit.encode_inputs(a, b);
+    for (prev, cur) in transitions {
+        let prev = unit.encode_inputs(prev.0, prev.1);
+        let cur = unit.encode_inputs(cur.0, cur.1);
         let r = ArrivalSim::run(&nl, &prev, &cur);
         for (s, vr) in stats.iter_mut().zip(levels) {
             let k = vr.derating_factor();
@@ -73,24 +73,35 @@ fn sim_reference(
                 s.masks.push(mask);
             }
         }
-        prev = cur;
     }
     stats
+}
+
+/// The contiguous transitions `pairs[t] → pairs[t + 1]`.
+fn chained(pairs: &[(u64, u64)]) -> impl Iterator<Item = ((u64, u64), (u64, u64))> + '_ {
+    pairs.windows(2).map(|w| (w[0], w[1]))
 }
 
 #[test]
 fn parallel_campaign_equals_serial_byte_for_byte() {
     let (unit, spec) = test_unit();
     let pairs = random_operand_pairs(unit.op(), 403, 0xd7a_cafe);
-    let serial =
-        dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, 1).expect("serial campaign");
+    let serial = dta_campaign_tuned(unit, &pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
+        .expect("serial campaign");
     assert!(
         serial.iter().any(|s| s.faulty > 0),
         "campaign should observe errors for the comparison to be meaningful"
     );
     for threads in [2usize, 3, 8] {
-        let parallel = dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, threads)
-            .expect("parallel campaign");
+        let parallel = dta_campaign_tuned(
+            unit,
+            &pairs,
+            spec.clk,
+            &LEVELS,
+            threads,
+            DtaTuning::default(),
+        )
+        .expect("parallel campaign");
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize serial"),
             serde_json::to_string(&parallel).expect("serialize parallel"),
@@ -112,8 +123,9 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
     let (unit, spec) = test_unit();
     for seed in [0xd7a_cafeu64, 0x51ced] {
         let pairs = random_operand_pairs(unit.op(), 403, seed);
-        let reference = serde_json::to_string(&sim_reference(unit, &pairs, spec.clk, &LEVELS))
-            .expect("serialize reference");
+        let reference =
+            serde_json::to_string(&sim_reference(unit, chained(&pairs), spec.clk, &LEVELS))
+                .expect("serialize reference");
         for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
             for lanes in [1usize, 4, 8] {
                 for threads in [1usize, 3] {
@@ -151,12 +163,20 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
     let trace = random_operand_pairs(unit.op(), 300, 0x5a5a);
     // An arbitrary non-monotonic sample pattern over valid indices.
     let indices: Vec<usize> = (1..trace.len()).filter(|i| i % 3 != 0).collect();
-    let serial = dta_campaign_sampled_with_threads(unit, &trace, &indices, spec.clk, &LEVELS, 1)
-        .expect("serial sampled campaign");
+    let sampled = |threads: usize| {
+        dta_campaign_sampled_tuned(
+            unit,
+            &trace,
+            &indices,
+            spec.clk,
+            &LEVELS,
+            threads,
+            DtaTuning::default(),
+        )
+    };
+    let serial = sampled(1).expect("serial sampled campaign");
     for threads in [2usize, 5] {
-        let parallel =
-            dta_campaign_sampled_with_threads(unit, &trace, &indices, spec.clk, &LEVELS, threads)
-                .expect("parallel sampled campaign");
+        let parallel = sampled(threads).expect("parallel sampled campaign");
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize serial"),
             serde_json::to_string(&parallel).expect("serialize parallel"),
@@ -184,6 +204,57 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
             "sampled campaign on {backend:?} diverged from serial"
         );
     }
+}
+
+/// The sampled walk against the ground truth: isolated indices, a run
+/// of more than 64 consecutive indices (it crosses a `W = 1` window and
+/// packs as one contiguous segment) and a repeated index, on both
+/// backends at every lane width, serial and parallel.
+#[test]
+fn sampled_walk_matches_arrival_sim() {
+    let (unit, spec) = test_unit();
+    let trace = random_operand_pairs(unit.op(), 300, 0x5a3d);
+    let mut indices: Vec<usize> = vec![250, 3, 17];
+    indices.extend(40..150);
+    indices.extend([200, 200, 9, 299, 151]);
+    let reference = serde_json::to_string(&sim_reference(
+        unit,
+        indices.iter().map(|&i| (trace[i - 1], trace[i])),
+        spec.clk,
+        &LEVELS,
+    ))
+    .expect("serialize reference");
+    for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
+        for lanes in [1usize, 4, 8] {
+            for threads in [1usize, 3] {
+                let tuning = DtaTuning {
+                    lanes: Some(lanes),
+                    backend,
+                    ..DtaTuning::default()
+                };
+                let got = dta_campaign_sampled_tuned(
+                    unit, &trace, &indices, spec.clk, &LEVELS, threads, tuning,
+                )
+                .expect("sampled campaign");
+                assert_eq!(
+                    serde_json::to_string(&got).expect("serialize sampled"),
+                    reference,
+                    "backend={backend:?} lanes={lanes} threads={threads} diverged from ArrivalSim"
+                );
+            }
+        }
+    }
+    // Sampling every index is the contiguous campaign.
+    let all: Vec<usize> = (1..trace.len()).collect();
+    let tuning = DtaTuning::default();
+    let sampled = dta_campaign_sampled_tuned(unit, &trace, &all, spec.clk, &LEVELS, 2, tuning)
+        .expect("sampled campaign");
+    let contiguous =
+        dta_campaign_tuned(unit, &trace, spec.clk, &LEVELS, 2, tuning).expect("campaign");
+    assert_eq!(
+        serde_json::to_string(&sampled).expect("serialize sampled"),
+        serde_json::to_string(&contiguous).expect("serialize contiguous"),
+    );
 }
 
 #[test]
@@ -238,10 +309,11 @@ fn thread_count_overshoot_is_clamped() {
     let (unit, spec) = test_unit();
     let pairs = random_operand_pairs(unit.op(), 6, 1);
     // More threads than chunks: workers clamp without panicking.
+    let tuning = DtaTuning::default();
     let stats =
-        dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, 64).expect("clamped campaign");
+        dta_campaign_tuned(unit, &pairs, spec.clk, &LEVELS, 64, tuning).expect("clamped campaign");
     assert_eq!(stats[0].samples, 5);
-    let empty =
-        dta_campaign_with_threads(unit, &pairs[..1], spec.clk, &LEVELS, 4).expect("empty campaign");
+    let empty = dta_campaign_tuned(unit, &pairs[..1], spec.clk, &LEVELS, 4, tuning)
+        .expect("empty campaign");
     assert_eq!(empty[0].samples, 0, "single pair only establishes state");
 }

@@ -245,49 +245,6 @@ fn stale_or_corrupt_artifacts_are_refused_typed() {
 }
 
 #[test]
-fn full_mode_predicts_and_stays_sound_on_safe_trace() {
-    let (unit, spec) = test_unit();
-    // A pure steady-state trace: every transition is the same safe bucket.
-    let one = 0x3ff0_0000_0000_0000u64;
-    let pairs: Vec<(u64, u64)> = std::iter::repeat_n((one, one), 64).collect();
-    let model = fit_surrogate(unit, &pairs, spec.clk, DtaTuning::default()).expect("fit");
-    let exact = dta_campaign_tuned(unit, &pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
-        .expect("exact campaign");
-    let (stats, report) = dta_campaign_predictive(
-        unit,
-        &pairs,
-        spec.clk,
-        &LEVELS,
-        1,
-        DtaTuning {
-            surrogate: SurrogateMode::Full,
-            ..DtaTuning::default()
-        },
-        &model,
-        &SurrogateRun::default(),
-    )
-    .expect("full-mode campaign");
-    assert!(
-        report.predicted > 0,
-        "full mode predicted nothing: {report:?}"
-    );
-    assert!(
-        report.fallback.is_none(),
-        "sound predictions fell back: {report:?}"
-    );
-    assert_eq!(
-        report.predicted + report.exact_evaluated,
-        report.transitions,
-        "transition accounting leak: {report:?}"
-    );
-    assert_eq!(
-        serde_json::to_string(&stats).expect("serialize full-mode"),
-        serde_json::to_string(&exact).expect("serialize exact"),
-        "error-free steady state must be reproduced exactly"
-    );
-}
-
-#[test]
 fn mode_off_is_the_exact_campaign() {
     let (unit, spec) = test_unit();
     let (pairs, model) = fitted();

@@ -15,6 +15,18 @@ fn bank() -> &'static (FpuBank, FpuTimingSpec) {
 
 const MEM: usize = 8 << 20;
 
+/// Exact DTA at one VR level with the default tuning on all cores.
+fn dta(
+    unit: &tei_fpu::FpuUnit,
+    pairs: &[(u64, u64)],
+    clk: f64,
+    vr: VoltageReduction,
+) -> Vec<dev::OpErrorStats> {
+    let threads = tei_core::config::default_threads();
+    dev::dta_campaign_tuned(unit, pairs, clk, &[vr], threads, dev::DtaTuning::default())
+        .expect("campaign")
+}
+
 #[test]
 fn ia_model_matches_paper_structure() {
     let (bank, spec) = bank();
@@ -83,8 +95,7 @@ fn flip_histogram_shows_multibit_errors() {
     let (bank, spec) = bank();
     let op = FpOp::new(FpOpKind::Mul, Precision::Double);
     let pairs = dev::random_operand_pairs(op, 2500, 7);
-    let stats = dev::dta_campaign(bank.unit(op), &pairs, spec.clk, &[VoltageReduction::VR20])
-        .expect("campaign");
+    let stats = dta(bank.unit(op), &pairs, spec.clk, VoltageReduction::VR20);
     let s = &stats[0];
     assert!(s.faulty > 0, "need faulty samples to histogram");
     let multi: u64 = s
@@ -115,14 +126,12 @@ fn ber_estimate_converges_with_sample_count() {
         full.len()
     );
     let unit = bank.unit(op);
-    let reference = dev::dta_campaign(unit, full, spec.clk, &[VoltageReduction::VR20])
-        .expect("campaign")
+    let reference = dta(unit, full, spec.clk, VoltageReduction::VR20)
         .pop()
         .unwrap()
         .ber();
     let ae_of = |k: usize| {
-        let sub = dev::dta_campaign(unit, &full[..k], spec.clk, &[VoltageReduction::VR20])
-            .expect("campaign")
+        let sub = dta(unit, &full[..k], spec.clk, VoltageReduction::VR20)
             .pop()
             .unwrap()
             .ber();

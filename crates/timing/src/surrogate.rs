@@ -11,21 +11,18 @@
 //!   previous circuit state (how much of the datapath toggles at all;
 //!   `hd = 0` settles instantly), and the mantissa densities of both
 //!   operands (partial-product and sticky-logic activity). This tier
-//!   generalizes across operands and carries the per-bit statistics that
-//!   drive mask prediction.
+//!   generalizes across operands.
 //! * A **fine structural tier** keyed by the sign, the exact exponent,
 //!   and the top mantissa bits of each operand plus the hamming band.
 //!   Near-threshold units (the double multiplier's worst path fills
 //!   97.8 % of the nominal clock) have settle distributions that hug the
 //!   derated threshold, where density bands cannot separate safe from
 //!   violating transitions but the concrete operand structure can. This
-//!   tier is classification-only and consulted first.
+//!   tier is consulted first.
 //!
 //! Per bucket the fitter records the sample count, the worst settle time
-//! ever observed (max over output bits, max over samples), the *best*
-//! worst-bit settle (min over samples), and — for coarse buckets that can
-//! matter at any derating factor up to `k_ceiling` — per-bit running
-//! max/sum.
+//! ever observed (max over output bits, max over samples), and the *best*
+//! worst-bit settle (min over samples).
 //!
 //! Classification at derating factor `k` against clock period `clk`:
 //!
@@ -47,8 +44,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Schema tag embedded in persisted model artifacts. v2 added the fine
-/// structural tier; v1 artifacts are refused typed and refit.
-pub const SURROGATE_SCHEMA: &str = "tei-surrogate-v2";
+/// structural tier; v3 dropped the coarse tier's per-bit mask-prediction
+/// statistics. Older artifacts are refused typed and refit.
+pub const SURROGATE_SCHEMA: &str = "tei-surrogate-v3";
 
 /// Number of coarse feature-key bits: ea(3) | eb(3) | hd(3) | ma(2) | mb(2).
 pub const KEY_BITS: u32 = 13;
@@ -218,16 +216,9 @@ struct Bucket {
     /// Best per-sample worst-bit settle time (min over samples of the max
     /// over bits): `min_worst · k > clk` ⇒ every sample violated.
     min_worst: f64,
-    /// Per-output-bit maximum settle; empty for buckets provably cold at
-    /// every factor up to `k_ceiling` (pruned at [`SurrogateFitter::finish`]).
-    bit_max: Vec<f64>,
-    /// Per-output-bit settle sum (for mean-mask prediction); pruned with
-    /// `bit_max`.
-    bit_sum: Vec<f64>,
 }
 
-/// One occupied fine-tier bucket: classification statistics only (mask
-/// prediction always comes from the coarse tier's per-bit data).
+/// One occupied fine-tier bucket.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct FineBucket {
     /// Feature key (see [`fine_key`]).
@@ -292,8 +283,7 @@ impl SurrogateModel {
     ///
     /// # Panics
     ///
-    /// Panics if `k` exceeds the calibrated `k_ceiling` — the cold-bucket
-    /// pruning in [`SurrogateFitter::finish`] is only sound below it.
+    /// Panics if `k` exceeds the calibrated `k_ceiling`.
     #[must_use]
     pub fn classify(&self, prev: (u64, u64), cur: (u64, u64), k: f64) -> SurrogateClass {
         assert!(
@@ -324,45 +314,6 @@ impl SurrogateModel {
         } else {
             SurrogateClass::Uncertain
         }
-    }
-
-    /// Predict the per-bit error mask at factor `k` from the bucket's mean
-    /// per-bit settle times, or `None` when the model has no confident
-    /// basis (unseen/under-sampled bucket, or a hot bucket whose per-bit
-    /// statistics straddle the threshold with too few samples).
-    #[must_use]
-    pub fn predict_mask(&self, prev: (u64, u64), cur: (u64, u64), k: f64) -> Option<u64> {
-        assert!(
-            k <= self.k_ceiling,
-            "derating factor {k} above calibrated ceiling {}",
-            self.k_ceiling
-        );
-        if let Some(f) = self.fine_bucket(fine_key(&self.format, prev, cur)) {
-            if f.count >= self.min_count && f.max_settle * k <= self.clk {
-                return Some(0);
-            }
-        }
-        let b = self.bucket(bucket_key(&self.format, prev, cur))?;
-        if b.count < self.min_count {
-            return None;
-        }
-        if b.max_settle * k <= self.clk {
-            return Some(0);
-        }
-        if b.bit_max.is_empty() {
-            // Cold-pruned bucket queried above its safe threshold: the fit
-            // discarded the per-bit data because this could not happen at
-            // any k ≤ k_ceiling. Refuse rather than guess.
-            return None;
-        }
-        let mut mask = 0u64;
-        for (bit, sum) in b.bit_sum.iter().enumerate() {
-            let mean = sum / f64::from(b.count);
-            if mean * k > self.clk {
-                mask |= 1u64 << bit;
-            }
-        }
-        Some(mask)
     }
 
     /// Check this model against the unit it is about to predict for.
@@ -419,25 +370,12 @@ impl SurrogateModel {
         self.buckets.len()
     }
 
-    /// Number of buckets retaining per-bit statistics (hot at some
-    /// `k ≤ k_ceiling`).
-    #[must_use]
-    pub fn hot_buckets(&self) -> usize {
-        self.buckets
-            .iter()
-            .filter(|b| !b.bit_max.is_empty())
-            .count()
-    }
-
     /// Number of occupied fine-tier buckets.
     #[must_use]
     pub fn fine_buckets(&self) -> usize {
         self.fine.len()
     }
 }
-
-// Per-bucket fit-time per-bit accumulators: (running max, running sum).
-type BitAccum = Box<(Vec<f64>, Vec<f64>)>;
 
 /// Streaming fitter: feed exact-DTA per-bit settle times, then
 /// [`finish`](SurrogateFitter::finish) into a [`SurrogateModel`].
@@ -448,7 +386,6 @@ pub struct SurrogateFitter {
     counts: Vec<u32>,
     max_settle: Vec<f64>,
     min_worst: Vec<f64>,
-    bits: Vec<Option<BitAccum>>,
     // Sparse fine-tier table keyed by [`fine_key`]; sorted at finish.
     fine: std::collections::HashMap<u64, FineBucket>,
 }
@@ -480,7 +417,6 @@ impl SurrogateFitter {
             counts: vec![0; N_BUCKETS],
             max_settle: vec![0.0; N_BUCKETS],
             min_worst: vec![f64::INFINITY; N_BUCKETS],
-            bits: (0..N_BUCKETS).map(|_| None).collect(),
             fine: std::collections::HashMap::new(),
         }
     }
@@ -495,12 +431,6 @@ impl SurrogateFitter {
         self.counts[key] += 1;
         self.max_settle[key] = self.max_settle[key].max(worst);
         self.min_worst[key] = self.min_worst[key].min(worst);
-        let slot = self.bits[key]
-            .get_or_insert_with(|| Box::new((vec![0.0; settles.len()], vec![0.0; settles.len()])));
-        for (bit, &s) in settles.iter().enumerate() {
-            slot.0[bit] = slot.0[bit].max(s);
-            slot.1[bit] += s;
-        }
         let fk = fine_key(&self.model.format, prev, cur);
         let fb = self.fine.entry(fk).or_insert(FineBucket {
             key: fk,
@@ -514,30 +444,19 @@ impl SurrogateFitter {
         self.model.fit_pairs += 1;
     }
 
-    /// Compact into the sparse model: drop per-bit statistics for buckets
-    /// provably cold at every factor up to `k_ceiling` (their masks are
-    /// always zero) and keep them for hot buckets. Buckets are emitted in
-    /// ascending key order, the lookup invariant.
+    /// Compact into the sparse model, emitting occupied buckets in
+    /// ascending key order (the lookup invariant).
     #[must_use]
     pub fn finish(mut self) -> SurrogateModel {
         for key in 0..N_BUCKETS {
             if self.counts[key] == 0 {
                 continue;
             }
-            let hot = self.max_settle[key] * self.model.k_ceiling > self.model.clk;
-            let (bit_max, bit_sum) = if hot {
-                let slot = self.bits[key].take().expect("occupied bucket has bit data");
-                (slot.0, slot.1)
-            } else {
-                (Vec::new(), Vec::new())
-            };
             self.model.buckets.push(Bucket {
                 key: key as u32,
                 count: self.counts[key],
                 max_settle: self.max_settle[key],
                 min_worst: self.min_worst[key],
-                bit_max,
-                bit_sum,
             });
         }
         let mut fine: Vec<FineBucket> = self.fine.into_values().collect();
@@ -591,11 +510,9 @@ mod tests {
         let samples: Vec<_> = (0..4).map(|_| (p, fast, vec![1.0, 1.5])).collect();
         let m = fit(&samples);
         assert_eq!(m.classify(p, fast, 1.52), SurrogateClass::Safe);
-        assert_eq!(m.predict_mask(p, fast, 1.52), Some(0));
         // Unseen state class → Uncertain.
         let other = (0xffff_ffff_ffff_ffffu64, 0x1234u64);
         assert_eq!(m.classify(p, other, 1.52), SurrogateClass::Uncertain);
-        assert_eq!(m.predict_mask(p, other, 1.52), None);
     }
 
     #[test]
@@ -614,8 +531,6 @@ mod tests {
         let samples: Vec<_> = (0..4).map(|_| (p, c, vec![4.4, 2.0])).collect();
         let m = fit(&samples);
         assert_eq!(m.classify(p, c, 1.52), SurrogateClass::Erroneous);
-        // Mean settle of bit 0 is 4.4 → predicted mask flags bit 0 only.
-        assert_eq!(m.predict_mask(p, c, 1.52), Some(0b01));
     }
 
     #[test]
@@ -627,21 +542,6 @@ mod tests {
         let m = fit(&samples);
         // max_settle=4.4 (unsafe at k=1.52), min_worst=0.5 (safe) → mixed.
         assert_eq!(m.classify(p, c, 1.52), SurrogateClass::Uncertain);
-    }
-
-    #[test]
-    fn cold_buckets_drop_bit_statistics() {
-        let p = (1u64, 2u64);
-        let c = (3u64, 2u64);
-        // worst 1.0 * k_ceiling 2.0 = 2.0 ≤ 4.5 → cold.
-        let samples: Vec<_> = (0..4).map(|_| (p, c, vec![1.0, 0.5])).collect();
-        let m = fit(&samples);
-        assert_eq!(m.occupied_buckets(), 1);
-        assert_eq!(m.hot_buckets(), 0);
-        // Hot sample keeps its bits.
-        let samples: Vec<_> = (0..4).map(|_| (p, c, vec![4.0, 0.5])).collect();
-        let m = fit(&samples);
-        assert_eq!(m.hot_buckets(), 1);
     }
 
     #[test]
@@ -697,7 +597,6 @@ mod tests {
         // tier alone would say Uncertain for both; the fine tier resolves
         // each to its own confident verdict.
         assert_eq!(m.classify(p, fast, 1.52), SurrogateClass::Safe);
-        assert_eq!(m.predict_mask(p, fast, 1.52), Some(0));
         assert_eq!(m.classify(p, slow, 1.52), SurrogateClass::Erroneous);
         // A corrupt (unsorted) fine table is refused.
         let mut m = m;
