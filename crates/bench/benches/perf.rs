@@ -73,20 +73,33 @@ fn bench_functional_core(c: &mut Criterion) {
     group.finish();
 }
 
-/// Detailed out-of-order core speed (cycles/second).
+/// Detailed out-of-order core speed (cycles/second) on the programs of
+/// the benchmark's `cell-wa` workload — cg, k-means and is at Small
+/// scale — one by one and as one golden-run set.
 fn bench_ooo_core(c: &mut Criterion) {
-    let bench = build(BenchmarkId::Sobel, Scale::Test);
-    let mut probe = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
-    probe.run(u64::MAX);
-    let cycles = probe.stats.cycles;
+    let programs: Vec<_> = [BenchmarkId::Cg, BenchmarkId::Kmeans, BenchmarkId::Is]
+        .into_iter()
+        .map(|id| build(id, Scale::Small))
+        .collect();
+    let run = |program: &tei_isa::Program| {
+        let mut core = OooCore::with_memory(program, OooConfig::default(), 8 << 20);
+        core.run(u64::MAX);
+        core.stats.cycles
+    };
     let mut group = c.benchmark_group("simulators");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(cycles));
-    group.bench_function("ooo_sobel_test", |b| {
-        b.iter(|| {
-            let mut core = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
-            core.run(u64::MAX)
+    let mut total = 0;
+    for bench in &programs {
+        let cycles = run(&bench.program);
+        total += cycles;
+        group.throughput(Throughput::Elements(cycles));
+        group.bench_function(CritId::new("ooo_small", bench.id.name()), |b| {
+            b.iter(|| run(&bench.program));
         });
+    }
+    group.throughput(Throughput::Elements(total));
+    group.bench_function(CritId::new("ooo_small", "cg+k-means+is"), |b| {
+        b.iter(|| programs.iter().map(|p| run(&p.program)).sum::<u64>());
     });
     group.finish();
 }

@@ -1535,10 +1535,16 @@ pub fn lint_bank(bank: &FpuBank) -> Result<(), TeiError> {
 }
 
 /// Generate (or regenerate) the calibrated FPU bank used across the
-/// toolflow, honoring `TEI_DTA_SAMPLES` for campaign sizing decisions.
+/// toolflow. The twelve units are built on the per-op worker pool
+/// (`TEI_THREADS`); the bank equals [`FpuBank::generate`]'s.
 pub fn default_bank() -> (FpuBank, FpuTimingSpec) {
     let spec = FpuTimingSpec::paper_calibrated();
-    (FpuBank::generate(&spec), spec)
+    let bank = match per_op_parallel(|op| FpuUnit::generate(op, &spec)) {
+        Ok(units) => FpuBank::from_units(units),
+        // A worker panicked: rebuild serially so the panic surfaces here.
+        Err(_) => FpuBank::generate(&spec),
+    };
+    (bank, spec)
 }
 
 /// The default DTA sample budget (see [`config::default_dta_samples`]).

@@ -381,12 +381,26 @@ pub struct FpuBank {
 impl FpuBank {
     /// Generate all twelve units under `spec`.
     pub fn generate(spec: &FpuTimingSpec) -> Self {
-        FpuBank {
-            units: FpOp::all()
+        Self::from_units(
+            FpOp::all()
                 .into_iter()
                 .map(|op| FpuUnit::generate(op, spec))
                 .collect(),
-        }
+        )
+    }
+
+    /// A bank of already generated units, one per operation in
+    /// [`FpOp::all`] order.
+    ///
+    /// # Panics
+    ///
+    /// If `units` is not exactly one unit per operation in that order.
+    pub fn from_units(units: Vec<FpuUnit>) -> Self {
+        assert!(
+            units.iter().map(FpuUnit::op).eq(FpOp::all()),
+            "FpuBank::from_units needs one unit per op in FpOp::all() order"
+        );
+        FpuBank { units }
     }
 
     /// The unit implementing `op`.
