@@ -1,7 +1,6 @@
 //! Injection-campaign throughput: the original replay-from-zero engine
 //! versus checkpointed fork-replay (snapshot restore + early-convergence
-//! cutoff) and the additional `(target, mask)` memoization layer, on a
-//! long benchmark cell. All three engines are asserted to produce
+//! cutoff), on a long benchmark cell. Both engines are asserted to produce
 //! byte-identical `OutcomeCounts` before anything is timed. Under
 //! `cargo bench` the measured runs/sec are also written to
 //! `BENCH_campaign.json` at the workspace root so the perf trajectory is
@@ -21,10 +20,9 @@ fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
-const MODES: [(&str, ReplayMode); 3] = [
+const MODES: [(&str, ReplayMode); 2] = [
     ("from_zero", ReplayMode::FromZero),
-    ("checkpointed", ReplayMode::Checkpointed { memoize: false }),
-    ("memoized", ReplayMode::Checkpointed { memoize: true }),
+    ("checkpointed", ReplayMode::Checkpointed),
 ];
 
 fn cfg_for(runs: usize, mode: ReplayMode) -> CampaignConfig {
@@ -109,17 +107,15 @@ fn bench_campaign_throughput(c: &mut Criterion) {
         .iter()
         .map(|&(_, mode)| runs_per_sec(&golden, &da, runs, mode, min_secs).0)
         .collect();
-    let (zero, chk, memo) = (rates[0], rates[1], rates[2]);
+    let (zero, chk) = (rates[0], rates[1]);
     println!(
         "campaign_throughput summary ({} {scale:?}, {} instr, {} checkpoints @ {} FP ops): \
-         from_zero {zero:.0} runs/s, checkpointed {chk:.0} runs/s ({:.1}x), \
-         +memoization {memo:.0} runs/s ({:.1}x)",
+         from_zero {zero:.0} runs/s, checkpointed {chk:.0} runs/s ({:.1}x)",
         bench.id.name(),
         golden.instructions,
         golden.checkpoints.len(),
         golden.checkpoints.interval(),
         chk / zero,
-        memo / zero,
     );
     if measured {
         let cfg = cfg_for(runs, ReplayMode::default());
@@ -136,9 +132,7 @@ fn bench_campaign_throughput(c: &mut Criterion) {
             "checkpoint_pool_bytes": golden.checkpoints.footprint_bytes(),
             "from_zero_runs_per_sec": zero,
             "checkpointed_runs_per_sec": chk,
-            "memoized_runs_per_sec": memo,
             "checkpointed_speedup": chk / zero,
-            "memoized_speedup": memo / zero,
             "outcome_counts_identical": true,
         });
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");

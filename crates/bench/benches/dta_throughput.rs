@@ -9,9 +9,10 @@
 //! is written.
 //!
 //! Setting `TEI_SCALING_SMOKE=1` additionally asserts that the
-//! campaign at `TEI_THREADS` workers beats the single-thread campaign
-//! by at least 1.3x (skipped, with a message, on machines with fewer
-//! than two cores — the CI runners this smoke targets have more).
+//! campaign at `TEI_THREADS` workers and lane width 4 beats the
+//! single-thread campaign by at least 1.3x (skipped, with a message, on
+//! machines with fewer than two cores — the CI runners this smoke
+//! targets have more).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
@@ -155,12 +156,13 @@ fn campaign_rate(
     pairs: &[(u64, u64)],
     clk: f64,
     threads: usize,
+    tuning: DtaTuning,
     min_secs: f64,
 ) -> f64 {
     pairs_per_sec(
         || {
             criterion::black_box(
-                dta_campaign_tuned(unit, pairs, clk, &LEVELS, threads, DtaTuning::default())
+                dta_campaign_tuned(unit, pairs, clk, &LEVELS, threads, tuning)
                     .expect("DTA campaign"),
             );
             pairs.len() - 1
@@ -259,7 +261,10 @@ fn bench_dta_throughput(c: &mut Criterion) {
     // records the thread count it actually ran with.
     let scaling_curve: Vec<(usize, f64)> = scaling_threads
         .iter()
-        .map(|&t| (t, campaign_rate(&unit, &pairs, spec.clk, t, min_secs)))
+        .map(|&t| {
+            let rate = campaign_rate(&unit, &pairs, spec.clk, t, campaign_tuning, min_secs);
+            (t, rate)
+        })
         .collect();
     // Pruning ablation: the same serial campaign with the slack-oracle
     // safe-bit pruning *forced* on and off (the default campaign runs
@@ -471,8 +476,12 @@ fn bench_dta_throughput(c: &mut Criterion) {
             // Re-measure with a fixed floor so the smoke is meaningful
             // even in `cargo test` quick mode (min_secs = 0 there).
             let smoke_secs = min_secs.max(0.5);
-            let serial = campaign_rate(&unit, &pairs, spec.clk, 1, smoke_secs);
-            let parallel = campaign_rate(&unit, &pairs, spec.clk, threads, smoke_secs);
+            let tuning = DtaTuning {
+                lanes: Some(4),
+                ..DtaTuning::default()
+            };
+            let serial = campaign_rate(&unit, &pairs, spec.clk, 1, tuning, smoke_secs);
+            let parallel = campaign_rate(&unit, &pairs, spec.clk, threads, tuning, smoke_secs);
             let scaling = parallel / serial;
             println!(
                 "TEI_SCALING_SMOKE: x1 {serial:.0} -> x{threads} {parallel:.0} pairs/s \

@@ -1,5 +1,5 @@
 //! Predict-then-verify tiering benchmark: exact DTA versus the
-//! surrogate-filtered campaign (`TEI_SURROGATE=filter`) over the operand
+//! surrogate-filtered campaign (`SurrogateMode::Filter`) over the operand
 //! traces of every seed workload, written to `BENCH_surrogate.json`
 //! (with a `.fnv` checksum sidecar) at the workspace root.
 //!

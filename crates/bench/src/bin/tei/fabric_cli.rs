@@ -7,6 +7,7 @@ use crate::USAGE;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use tei_core::fabric::coordinator::{DEFAULT_LEASE_TIMEOUT, DEFAULT_TICK};
 use tei_core::fabric::{wire, ChaosKill, Message};
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::{CampaignResult, CampaignSpec, FabricConfig, FabricEvent, TeiError};
@@ -67,8 +68,8 @@ fn parse_args(cmd: &str, args: &[String]) -> FabricArgs {
         spec: CampaignSpec::new(""),
         workers: 2,
         leases_per_worker: 4,
-        lease_timeout: tei_core::config::default_lease_timeout(),
-        tick: tei_core::config::default_fabric_tick(),
+        lease_timeout: DEFAULT_LEASE_TIMEOUT,
+        tick: DEFAULT_TICK,
         heartbeat_timeout: Duration::from_secs(5),
         journal_dir: tei_core::config::default_journal_dir(),
         out: None,
@@ -161,7 +162,9 @@ pub(crate) fn self_worker_cmd() -> Result<Vec<String>, TeiError> {
     ])
 }
 
-fn fleet_config(fa: &FabricArgs) -> Result<FabricConfig, TeiError> {
+/// The fleet configuration the flags describe; invalid fleet timing is
+/// a usage error (exit 2) before anything spawns.
+fn fleet_config(cmd: &str, fa: &FabricArgs) -> Result<FabricConfig, TeiError> {
     let mut cfg = FabricConfig::new(self_worker_cmd()?, fa.journal_dir.clone());
     cfg.workers = fa.workers;
     cfg.leases_per_worker = fa.leases_per_worker;
@@ -170,6 +173,10 @@ fn fleet_config(fa: &FabricArgs) -> Result<FabricConfig, TeiError> {
     cfg.heartbeat_timeout = fa.heartbeat_timeout;
     cfg.chaos_kill_worker = fa.chaos;
     cfg.chaos_stop_worker = fa.chaos_stop;
+    if let Err(e) = cfg.validate() {
+        eprintln!("tei {cmd}: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
     Ok(cfg)
 }
 
@@ -208,8 +215,7 @@ pub(crate) fn print_event(ev: &FabricEvent) {
     }
 }
 
-/// Print the merged result in the same shape the single-process
-/// `campaign` binary uses, so diffs between the two are trivial.
+/// Print the merged result summary line.
 fn print_result(result: &CampaignResult) {
     let f = result.fractions();
     println!(
@@ -246,18 +252,22 @@ fn write_result(
 }
 
 /// `tei campaign`: one-shot multi-process campaign over a locally
-/// spawned worker fleet; merged result byte-identical to 1 process.
+/// spawned worker fleet (in process at `--workers 0`); the result is
+/// byte-identical at every worker count.
 pub(crate) fn campaign(args: &[String]) -> Result<(), TeiError> {
     let fa = parse_args("campaign", args);
     require_spec("campaign", &fa.spec);
-    let cfg = fleet_config(&fa)?;
+    let cfg = fleet_config("campaign", &fa)?;
+    let fleet = match cfg.workers {
+        0 => format!("in process, {} threads", fa.spec.threads_per_worker.max(1)),
+        n => format!("{n} workers"),
+    };
     eprintln!(
-        "[fabric] {} × {} × {} ({} runs, {} workers, journal {})",
+        "[fabric] {} × {} × {} ({} runs, {fleet}, journal {})",
         fa.spec.benchmark,
         fa.spec.model,
         fa.spec.vr,
         fa.spec.runs,
-        cfg.workers,
         cfg.journal_dir.display()
     );
     let result = tei_core::run_fabric_campaign(&fa.spec, &cfg, &mut print_event)?;
@@ -268,7 +278,7 @@ pub(crate) fn campaign(args: &[String]) -> Result<(), TeiError> {
 /// `tei serve`: resident coordinator + worker fleet; returns on signal.
 pub(crate) fn serve(args: &[String]) -> Result<(), TeiError> {
     let fa = parse_args("serve", args);
-    let cfg = fleet_config(&fa)?;
+    let cfg = fleet_config("serve", &fa)?;
     tei_core::serve(&fa.listen, &cfg, &mut print_event)
 }
 

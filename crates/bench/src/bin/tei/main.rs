@@ -12,7 +12,8 @@
 //!
 //! * `tei campaign --workers N` — one-shot lease-partitioned
 //!   multi-process injection campaign; byte-identical to the
-//!   single-process run and resumable after any crash.
+//!   single-process run (`--workers 0`, in process) and resumable
+//!   after any crash.
 //! * `tei serve` — resident coordinator: keeps one worker fleet and its
 //!   golden/checkpoint caches warm across queued campaigns.
 //! * `tei submit` — queue a campaign on a running server and stream its
@@ -42,6 +43,7 @@ static verification:
 campaign fabric:
   tei campaign --benchmark <name> [--workers <n>] [options]
                                         one-shot multi-process campaign
+                                        (--workers 0: in process)
   tei serve [--listen <addr>] [--workers <n>] [options]
                                         resident coordinator + worker fleet
   tei submit --connect <addr> --benchmark <name> [options]
@@ -60,17 +62,17 @@ campaign options:
   --runs <n>               injection runs (default 120)
   --seed <n>               base RNG seed (default 1)
   --timeout-factor <x>     timeout as a multiple of golden instructions
-  --threads-per-worker <n> threads inside each worker process (default 1)
+  --threads-per-worker <n> threads inside each worker process, or in
+                           this process at --workers 0 (default 1)
   --throttle-ms <n>        per-run sleep, for kill tests (default 0)
   --out <file>             result JSON (default results/fabric-<bench>.json)
 
 fleet options:
-  --workers <n>            worker processes (default 2)
+  --workers <n>            worker processes (default 2; 0 runs in process)
   --leases-per-worker <n>  lease granularity when partitioning (default 4)
-  --lease-timeout-s <n>    hung-worker lease expiry backstop
-                           (default TEI_LEASE_TIMEOUT or 600)
-  --tick-ms <n>            scheduler timer period (default TEI_FABRIC_TICK or 200)
-  --heartbeat-timeout-s <n>  silent-worker dead-peer detection (default 5)
+  --lease-timeout-s <n>    hung-worker lease expiry backstop, >= 1 (default 600)
+  --tick-ms <n>            scheduler timer period, 10..=60000 (default 200)
+  --heartbeat-timeout-s <n>  silent-worker dead-peer detection, >= 1 (default 5)
   --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
   --listen <addr>          serve address (default 127.0.0.1:2017)
   --chaos-kill-worker <w>:<n>  test hook: SIGKILL worker w after n leases

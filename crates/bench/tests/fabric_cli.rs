@@ -1,6 +1,9 @@
 //! Process-level fabric tests over the real `tei` binary: a 2-worker
 //! campaign with a chaos SIGKILL mid-lease must reassign the dead
-//! worker's leases and still merge to the exact serial result, and a
+//! worker's leases and still merge to the exact serial result, the
+//! in-process campaign (`--workers 0`) must write the same result file
+//! as a 2-worker fleet, invalid fleet timing must be refused as a usage
+//! error, and a
 //! `tei serve` + `tei submit` round trip must stream that same result
 //! (twice — the second submission answers from the journals without
 //! re-executing). These are the CI smoke tests of DESIGN.md's
@@ -106,6 +109,86 @@ fn two_worker_campaign_with_chaos_kill_matches_serial() {
         "kill-and-reassign changed the merged result"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run `tei campaign` over the test spec with extra flags; return its
+/// result file verbatim.
+fn campaign_result_file(dir: &Path, tag: &str, extra: &[&str]) -> String {
+    let out = dir.join(format!("{tag}.json"));
+    let output = Command::new(tei_bin())
+        .args([
+            "campaign",
+            "--benchmark",
+            "sobel",
+            "--runs",
+            "64",
+            "--seed",
+            "1",
+        ])
+        .args(extra)
+        .arg("--journal-dir")
+        .arg(dir.join(format!("journal-{tag}")))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("run tei campaign");
+    assert!(
+        output.status.success(),
+        "tei campaign {extra:?} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    std::fs::read_to_string(&out).expect("result file")
+}
+
+#[test]
+fn in_process_campaign_matches_two_worker_fleet_byte_for_byte() {
+    let dir = scratch_dir("inproc");
+    let in_process = campaign_result_file(
+        &dir,
+        "in-process",
+        &["--workers", "0", "--threads-per-worker", "2"],
+    );
+    let fleet = campaign_result_file(&dir, "fleet", &["--workers", "2"]);
+    assert_eq!(
+        in_process, fleet,
+        "--workers 0 and --workers 2 wrote different result files"
+    );
+    let parsed: CampaignResult = serde_json::from_str(&in_process).expect("parse result");
+    assert_eq!(
+        serde_json::to_string(&parsed).expect("re-serialize result"),
+        reference_json(),
+        "in-process campaign diverged from the serial reference"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn invalid_fleet_timing_is_a_usage_error() {
+    for (flag, value, field) in [
+        ("--tick-ms", "0", "tick"),
+        ("--tick-ms", "60001", "tick"),
+        ("--lease-timeout-s", "0", "lease_timeout"),
+        ("--heartbeat-timeout-s", "0", "heartbeat_timeout"),
+    ] {
+        let dir = scratch_dir("timing");
+        let output = Command::new(tei_bin())
+            .args(["campaign", "--benchmark", "sobel", flag, value])
+            .arg("--journal-dir")
+            .arg(dir.join("journal"))
+            .output()
+            .expect("run tei campaign");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}:\n{stderr}");
+        assert!(
+            stderr.contains(field),
+            "{flag} {value} not named:\n{stderr}"
+        );
+        assert!(
+            !dir.join("journal").exists(),
+            "{flag} {value} was refused only after the journal was created"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[cfg(unix)]

@@ -36,7 +36,7 @@ use crate::models::InjectionModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,20 +108,16 @@ pub struct GoldenRun {
 }
 
 impl GoldenRun {
-    /// Execute the golden detailed + functional runs with the default
-    /// checkpoint interval (`TEI_CHECKPOINT_INTERVAL`, auto when unset).
+    /// Execute the golden detailed + functional runs with the recorder's
+    /// auto checkpoint policy (a dense initial interval with adaptive
+    /// thinning under a fixed snapshot cap).
     ///
     /// # Errors
     ///
     /// [`TeiError::GoldenRun`] if the error-free benchmark does not
     /// complete successfully or the two cores disagree.
     pub fn capture(bench: &Benchmark, mem_bytes: usize, max_cycles: u64) -> Result<Self, TeiError> {
-        Self::capture_with_checkpoints(
-            bench,
-            mem_bytes,
-            max_cycles,
-            crate::config::default_checkpoint_interval(),
-        )
+        Self::capture_with_checkpoints(bench, mem_bytes, max_cycles, 0)
     }
 
     /// [`GoldenRun::capture`] with an explicit checkpoint spacing in
@@ -195,26 +191,16 @@ impl GoldenRun {
 }
 
 /// How each injection run replays the corrupted execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReplayMode {
     /// Fresh core per run, full re-execution from instruction zero (the
-    /// original engine; kept as the reference baseline).
+    /// original engine; kept as the reference the replay tests compare
+    /// against).
     FromZero,
     /// Fork from the nearest golden checkpoint, fast-forward hook-free to
     /// the target, and cut the run short on state re-convergence.
-    /// `memoize` additionally dedupes repeated `(target, mask)` draws
-    /// behind a per-cell concurrent map (outcomes are deterministic given
-    /// the pair, so only unique pairs are replayed).
-    Checkpointed {
-        /// Enable the `(target, mask)` outcome cache.
-        memoize: bool,
-    },
-}
-
-impl Default for ReplayMode {
-    fn default() -> Self {
-        ReplayMode::Checkpointed { memoize: true }
-    }
+    #[default]
+    Checkpointed,
 }
 
 /// Test-only chaos hooks, used to exercise the fault-tolerance machinery
@@ -455,23 +441,6 @@ impl CellPlan {
     }
 }
 
-/// Per-cell memoization of replay outcomes: given the same `(target FP
-/// index, XOR mask)` pair the corrupted execution is deterministic, so
-/// repeated draws across a cell's runs replay only once. The `bool`
-/// records whether the target event fired.
-type MemoCache = Mutex<HashMap<(u64, u64), (Outcome, bool)>>;
-
-/// Lock a memo-cache mutex, tolerating poisoning: entries are inserted
-/// atomically, so a panic in another worker never leaves a torn map.
-fn lock_cache(
-    cache: &MemoCache,
-) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), (Outcome, bool)>> {
-    match cache.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// What a run's seeded RNG draw selected, before any replay happens.
 /// Pure and panic-free, so quarantine reporting can re-derive the repro
 /// triple of a run that panicked mid-replay.
@@ -500,8 +469,8 @@ struct RunTally {
     mask: u64,
 }
 
-/// Per-worker replay context: the reusable fork core (checkpointed mode)
-/// plus a reference to the shared memo cache.
+/// Per-worker replay context: the cell plan plus the reusable fork core
+/// (checkpointed mode).
 struct Runner<'a, M: ?Sized> {
     golden: &'a GoldenRun,
     model: &'a M,
@@ -512,7 +481,6 @@ struct Runner<'a, M: ?Sized> {
     /// Reusable core for checkpoint restores, built on the first replay
     /// (a worker whose runs are all journaled never needs one).
     fork: Option<FuncCore>,
-    cache: Option<&'a MemoCache>,
 }
 
 impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
@@ -522,16 +490,14 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
         plan: &'a CellPlan,
         timeout_steps: u64,
         mode: ReplayMode,
-        cache: Option<&'a MemoCache>,
     ) -> Runner<'a, M> {
         Runner {
             golden,
             model,
             plan,
             timeout_steps,
-            checkpointed: matches!(mode, ReplayMode::Checkpointed { .. }),
+            checkpointed: mode == ReplayMode::Checkpointed,
             fork: None,
-            cache,
         }
     }
 
@@ -597,19 +563,7 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
             Draw::Inject { target, mask } => (target, mask),
         };
 
-        let (outcome, fired) = if let Some(cache) = self.cache {
-            let hit = lock_cache(cache).get(&(target, mask)).copied();
-            match hit {
-                Some(memoized) => memoized,
-                None => {
-                    let fresh = self.replay(target, mask);
-                    lock_cache(cache).insert((target, mask), fresh);
-                    fresh
-                }
-            }
-        } else {
-            self.replay(target, mask)
-        };
+        let (outcome, fired) = self.replay(target, mask);
         debug_assert!(fired, "target FP event {target} never fired");
         RunTally {
             outcome,
@@ -739,9 +693,8 @@ fn run_isolated<M: InjectionModel + ?Sized>(
         match result {
             Ok(tally) => return IsolatedRun::Tally(tally, attempt > 0, r as u64, seed),
             Err(payload) => {
-                // The panic may have left the reusable fork core (and in
-                // principle the memo cache lock) mid-operation; rebuild
-                // before the retry touches them.
+                // The panic may have left the reusable fork core
+                // mid-replay; rebuild it before the retry touches it.
                 runner.reset_fork();
                 if attempt == 1 {
                     let message = payload
@@ -908,10 +861,6 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     let timeout_steps = (golden.instructions as f64 * cfg.timeout_factor).ceil() as u64;
     let seed = cell_seed(cfg, model);
     let plan = CellPlan::new(golden, model);
-    let cache: Option<MemoCache> = match cfg.mode {
-        ReplayMode::Checkpointed { memoize: true } => Some(Mutex::new(HashMap::new())),
-        _ => None,
-    };
     let span_len = span.len();
     let threads = cfg.threads.clamp(1, span_len.max(1));
     let chunk = span_len.div_ceil(threads).max(1);
@@ -976,14 +925,7 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
         // This thread's uncommitted batch and the sum of its tallies.
         let mut pending: Vec<RunRecord> = Vec::new();
         let mut pending_counts = OutcomeCounts::default();
-        let mut runner = Runner::new(
-            golden,
-            model,
-            &plan,
-            timeout_steps,
-            cfg.mode,
-            cache.as_ref(),
-        );
+        let mut runner = Runner::new(golden, model, &plan, timeout_steps, cfg.mode);
         for r in lo..hi {
             if skip.contains(&(r as u64)) {
                 continue;

@@ -224,7 +224,7 @@ pub enum KernelBackend {
     Interpreter,
     /// Require the generated kernel; campaigns over units without a
     /// fresh generated kernel fail with a config error instead of
-    /// silently degrading (`TEI_KERNEL=codegen`), at every lane width.
+    /// silently degrading, at every lane width.
     Generated,
 }
 
@@ -343,8 +343,10 @@ pub fn resolve_lanes(
 
 /// Tuning knobs of the DTA campaign inner loop. Tuning never changes
 /// the produced statistics — only how much work the inner loop performs
-/// and how wide its windows are.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// and how wide its windows are. The default is what every shipped flow
+/// runs: auto pruning, auto lane width, auto backend, no surrogate; a
+/// caller that wants another value sets the field.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DtaTuning {
     /// Safe-bit pruning policy (see [`PrunePolicy`]; the default
     /// [`PrunePolicy::Auto`] prunes only past the measured break-even
@@ -353,32 +355,19 @@ pub struct DtaTuning {
     /// Window lane words of the bit-sliced kernel: 1, 4, or 8 `u64`s
     /// per net, i.e. 64 / 256 / 512 input vectors per whole-circuit
     /// evaluation pass (see [`tei_timing::ArrivalKernel`]). `None`
-    /// (the default unless `TEI_LANES` forces a width) picks the
-    /// measured-best width for the backend that will actually run —
-    /// see [`resolve_lanes`]. Campaign statistics are bit-identical at
-    /// every width.
+    /// (the default) picks the measured-best width for the backend
+    /// that will actually run — see [`resolve_lanes`]. Campaign
+    /// statistics are bit-identical at every width.
     pub lanes: Option<usize>,
-    /// Arrival-engine backend (see [`KernelBackend`]). Defaults to
-    /// [`config::default_backend`] (`TEI_KERNEL`, auto when unset).
+    /// Arrival-engine backend (see [`KernelBackend`]; default
+    /// [`KernelBackend::Auto`]).
     pub backend: KernelBackend,
-    /// Surrogate tiering mode (see [`SurrogateMode`]). Defaults to
-    /// [`config::default_surrogate`] (`TEI_SURROGATE`, off when unset).
-    /// Only [`dta_campaign_predictive`] consults it — the exact campaign
-    /// entry points ignore the field entirely, so `filter`'s skips can
-    /// never leak into a caller that did not opt into the predictive
-    /// path.
+    /// Surrogate tiering mode (see [`SurrogateMode`]; default
+    /// [`SurrogateMode::Off`]). Only [`dta_campaign_predictive`]
+    /// consults it — the exact campaign entry points ignore the field
+    /// entirely, so `filter`'s skips can never leak into a caller that
+    /// did not opt into the predictive path.
     pub surrogate: SurrogateMode,
-}
-
-impl Default for DtaTuning {
-    fn default() -> Self {
-        DtaTuning {
-            prune: PrunePolicy::Auto,
-            lanes: config::default_lanes(),
-            backend: config::default_backend(),
-            surrogate: config::default_surrogate(),
-        }
-    }
 }
 
 /// Tiering mode of the predict-then-verify DTA pipeline
@@ -413,7 +402,7 @@ pub fn dta_engine<'u>(
 ) -> Result<Box<dyn ArrivalEngine + 'u>, TeiError> {
     if !config::SUPPORTED_LANES.contains(&lanes) {
         return Err(TeiError::Config {
-            knob: "TEI_LANES".to_string(),
+            knob: "lanes".to_string(),
             reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
         });
     }
@@ -427,8 +416,7 @@ pub fn dta_engine<'u>(
         // beats the specialized kernel's always-dense sweep (~0.8x in
         // the BENCH_dta.json `codegen` ablation); at W >= 4 the union
         // is dense and the generated kernel wins (1.2x at 4, 2.2x at
-        // 8). `TEI_KERNEL=codegen` forces the generated kernel at any
-        // width.
+        // 8). `Generated` forces the generated kernel at any width.
         KernelBackend::Auto if lanes < 4 => Ok(interp()),
         KernelBackend::Auto => Ok(tei_kernels::registry()
             .make_engine(unit, lanes)
@@ -438,7 +426,7 @@ pub fn dta_engine<'u>(
             .make_engine(unit, lanes)
             .map(|e| e as Box<dyn ArrivalEngine + 'u>)
             .ok_or_else(|| TeiError::Config {
-                knob: "TEI_KERNEL".to_string(),
+                knob: "backend".to_string(),
                 reason: format!(
                     "no fresh generated kernel for unit {} (stale fingerprint or \
                      unregistered netlist); use `auto` or `interp`",
@@ -882,7 +870,7 @@ fn walk_runs(
 /// one. Tuning never changes the produced statistics — only how much
 /// work the inner loop performs, how wide its lane words are, and which
 /// engine backend runs it; callers without a preference pass
-/// `DtaTuning::default()` (`TEI_LANES`, `TEI_KERNEL`, auto pruning).
+/// `DtaTuning::default()` (every setting auto, no surrogate).
 ///
 /// # Errors
 ///

@@ -118,7 +118,7 @@ pub enum TeiError {
     /// fingerprint, different clock, or a derating factor above its
     /// calibrated ceiling). The predict-then-verify pipeline refuses
     /// rather than risk silently wrong skips — re-fit the model or run
-    /// with `TEI_SURROGATE=off`.
+    /// `tei sweep --surrogate off`.
     SurrogateStale {
         /// The FPU unit the prediction was requested for.
         unit: String,
@@ -195,7 +195,7 @@ impl fmt::Display for TeiError {
             TeiError::SurrogateStale { unit, reason } => write!(
                 f,
                 "surrogate model unusable for {unit}: {reason}; \
-                 re-fit the model or run with TEI_SURROGATE=off"
+                 re-fit the model or run `tei sweep --surrogate off`"
             ),
             TeiError::NetlistLint {
                 design,

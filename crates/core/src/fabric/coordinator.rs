@@ -82,10 +82,25 @@ fn sigstop(_pid: u32) -> bool {
     false
 }
 
+/// Default hung-worker lease expiry backstop
+/// ([`FabricConfig::lease_timeout`]).
+pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// Default scheduler tick ([`FabricConfig::tick`]).
+pub const DEFAULT_TICK: Duration = Duration::from_millis(200);
+
+/// Bounds for [`FabricConfig::tick`] in milliseconds: below 10 ms the
+/// tick thread busy-spins, above a minute the fabric's liveness
+/// machinery (lease expiry, heartbeat checks, child reaping) is
+/// effectively off.
+pub const FABRIC_TICK_RANGE_MS: (u64, u64) = (10, 60_000);
+
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Worker processes to spawn.
+    /// Worker processes to spawn. 0 runs a [`run_fabric_campaign`] in
+    /// this process instead, through
+    /// [`run_campaign_durable`](crate::campaign::run_campaign_durable).
     pub workers: usize,
     /// Journal directory shared by the fleet.
     pub journal_dir: PathBuf,
@@ -116,20 +131,51 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// A config with defaults for everything but the worker command and
-    /// journal directory. `lease_timeout` and `tick` honour the
-    /// `TEI_LEASE_TIMEOUT` / `TEI_FABRIC_TICK` env knobs.
+    /// journal directory: 2 workers, 4 leases per worker,
+    /// [`DEFAULT_LEASE_TIMEOUT`], [`DEFAULT_TICK`] and a 5 s heartbeat
+    /// timeout.
     pub fn new(worker_cmd: Vec<String>, journal_dir: PathBuf) -> Self {
         FabricConfig {
             workers: 2,
             journal_dir,
             leases_per_worker: 4,
-            lease_timeout: crate::config::default_lease_timeout(),
-            tick: crate::config::default_fabric_tick(),
+            lease_timeout: DEFAULT_LEASE_TIMEOUT,
+            tick: DEFAULT_TICK,
             heartbeat_timeout: Duration::from_secs(5),
             worker_cmd,
             chaos_kill_worker: None,
             chaos_stop_worker: None,
         }
+    }
+
+    /// Refuse timing settings that would break the fleet's liveness
+    /// machinery: a tick outside [`FABRIC_TICK_RANGE_MS`] (a zero tick
+    /// starves the scheduler), and a zero lease or heartbeat timeout
+    /// (every lease or every worker would be presumed dead at once).
+    ///
+    /// # Errors
+    ///
+    /// [`TeiError::Config`] naming the offending field.
+    pub fn validate(&self) -> Result<(), TeiError> {
+        let bad = |knob: &str, reason: String| TeiError::Config {
+            knob: knob.to_string(),
+            reason,
+        };
+        let (lo, hi) = FABRIC_TICK_RANGE_MS;
+        let tick_ms = self.tick.as_millis();
+        if !(u128::from(lo)..=u128::from(hi)).contains(&tick_ms) {
+            return Err(bad(
+                "tick",
+                format!("{tick_ms} ms is outside [{lo}, {hi}] ms"),
+            ));
+        }
+        if self.lease_timeout.is_zero() {
+            return Err(bad("lease_timeout", "must be positive".into()));
+        }
+        if self.heartbeat_timeout.is_zero() {
+            return Err(bad("heartbeat_timeout", "must be positive".into()));
+        }
+        Ok(())
     }
 }
 
@@ -1115,19 +1161,35 @@ impl<'a> Coordinator<'a> {
 
 /// Run one campaign over a locally spawned worker fleet and return the
 /// merged result (`tei campaign --workers N`). If the journals already
-/// cover every run, the merge happens without spawning anything.
+/// cover every run, the merge happens without spawning anything. With
+/// `cfg.workers == 0` the campaign runs in this process instead, with
+/// the spec's `threads_per_worker` threads, journaling to the same
+/// directory through [`crate::campaign::run_campaign_durable`]; the
+/// result is the same.
 ///
 /// # Errors
 ///
-/// [`TeiError::Fabric`] / [`TeiError::Protocol`] for fleet failures,
-/// [`TeiError::Interrupted`] on SIGINT/SIGTERM (journals and lease
-/// table are flushed; re-running resumes), plus anything campaign
-/// resolution or the merge surfaces.
+/// [`TeiError::Config`] for an invalid `cfg` (see
+/// [`FabricConfig::validate`]), [`TeiError::Fabric`] /
+/// [`TeiError::Protocol`] for fleet failures, [`TeiError::Interrupted`]
+/// on SIGINT/SIGTERM (journals and lease table are flushed; re-running
+/// resumes), plus anything campaign resolution or the merge surfaces.
 pub fn run_fabric_campaign(
     spec: &CampaignSpec,
     cfg: &FabricConfig,
     on_event: &mut dyn FnMut(&FabricEvent),
 ) -> Result<CampaignResult, TeiError> {
+    cfg.validate()?;
+    if cfg.workers == 0 {
+        let resolved = spec.resolve()?;
+        return crate::campaign::run_campaign_durable(
+            &resolved.bench.id.to_string(),
+            &resolved.golden,
+            &resolved.model,
+            &resolved.cfg,
+            &cfg.journal_dir,
+        );
+    }
     crate::config::validate_env()?;
     crate::failpoint::set_role("coord");
     crate::failpoint::configure_from_env()?;
@@ -1160,13 +1222,16 @@ pub fn run_fabric_campaign(
 ///
 /// # Errors
 ///
-/// [`TeiError::Fabric`] when the fleet collapses;
-/// [`TeiError::Interrupted`] is the *normal* signal-driven exit.
+/// [`TeiError::Config`] for an invalid `cfg` (see
+/// [`FabricConfig::validate`]), [`TeiError::Fabric`] when the fleet
+/// collapses; [`TeiError::Interrupted`] is the *normal* signal-driven
+/// exit.
 pub fn serve(
     listen: &str,
     cfg: &FabricConfig,
     on_event: &mut dyn FnMut(&FabricEvent),
 ) -> Result<(), TeiError> {
+    cfg.validate()?;
     crate::config::validate_env()?;
     crate::failpoint::set_role("coord");
     crate::failpoint::configure_from_env()?;
@@ -1183,5 +1248,49 @@ pub fn serve(
     match run {
         Err(e) if e.is_interrupted() => Ok(()),
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refusal(edit: impl FnOnce(&mut FabricConfig)) -> String {
+        let mut cfg = FabricConfig::new(Vec::new(), PathBuf::from("journal"));
+        edit(&mut cfg);
+        match cfg.validate() {
+            Err(e @ TeiError::Config { .. }) => e.to_string(),
+            other => panic!("expected a config refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_the_tick_bounds() {
+        let mut cfg = FabricConfig::new(Vec::new(), PathBuf::from("journal"));
+        assert!(cfg.validate().is_ok());
+        for ms in [FABRIC_TICK_RANGE_MS.0, FABRIC_TICK_RANGE_MS.1] {
+            cfg.tick = Duration::from_millis(ms);
+            assert!(cfg.validate().is_ok(), "{ms} ms is inside the range");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_tick_outside_the_range() {
+        for ms in [0, FABRIC_TICK_RANGE_MS.0 - 1, FABRIC_TICK_RANGE_MS.1 + 1] {
+            let msg = refusal(|c| c.tick = Duration::from_millis(ms));
+            assert!(msg.contains("tick"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_zero_lease_timeout() {
+        let msg = refusal(|c| c.lease_timeout = Duration::ZERO);
+        assert!(msg.contains("lease_timeout"), "{msg}");
+    }
+
+    #[test]
+    fn validate_refuses_a_zero_heartbeat_timeout() {
+        let msg = refusal(|c| c.heartbeat_timeout = Duration::ZERO);
+        assert!(msg.contains("heartbeat_timeout"), "{msg}");
     }
 }

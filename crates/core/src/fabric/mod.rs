@@ -3,9 +3,9 @@
 //!
 //! The paper's methodology is embarrassingly parallel — every injection
 //! run is independent given the campaign manifest — but a single process
-//! caps throughput at one machine's worth of threads sharing one memo
-//! cache and one allocator. The fabric turns the durable journal
-//! substrate into a coordinator/worker architecture:
+//! caps throughput at one machine's worth of threads sharing one
+//! allocator. The fabric turns the durable journal substrate into a
+//! coordinator/worker architecture:
 //!
 //! * The **coordinator** ([`run_fabric_campaign`], [`serve`]) partitions
 //!   a campaign's run-index space into **leases** ([`lease::LeaseTable`],

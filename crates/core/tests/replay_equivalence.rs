@@ -1,5 +1,5 @@
-//! Fork-replay engine equivalence: checkpoint-restored (and memoized)
-//! campaigns must produce **byte-identical** `OutcomeCounts` to the
+//! Fork-replay engine equivalence: checkpoint-restored campaigns must
+//! produce **byte-identical** `OutcomeCounts` to the
 //! original replay-from-zero path, across benchmarks, thread counts, and
 //! checkpoint intervals. This is the executable contract behind defaulting
 //! `CampaignConfig::mode` to the checkpointed engine.
@@ -66,11 +66,7 @@ fn campaign_counts(
 fn assert_all_modes_equivalent(golden: &GoldenRun, model: &(impl InjectionModel + Sync)) {
     let reference = campaign_counts(golden, model, ReplayMode::FromZero, 1);
     for threads in [1usize, 3] {
-        for mode in [
-            ReplayMode::FromZero,
-            ReplayMode::Checkpointed { memoize: false },
-            ReplayMode::Checkpointed { memoize: true },
-        ] {
+        for mode in [ReplayMode::FromZero, ReplayMode::Checkpointed] {
             let counts = campaign_counts(golden, model, mode, threads);
             assert_eq!(
                 counts,

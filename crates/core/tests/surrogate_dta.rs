@@ -69,7 +69,7 @@ fn fitted() -> &'static (Vec<(u64, u64)>, tei_timing::SurrogateModel) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The acceptance-criteria matrix: `TEI_SURROGATE=filter` campaign
+    /// The acceptance-criteria matrix: `SurrogateMode::Filter` campaign
     /// results are byte-identical to exact DTA over lanes × threads ×
     /// pruning.
     #[test]
@@ -256,7 +256,7 @@ fn mode_off_is_the_exact_campaign() {
         spec.clk,
         &LEVELS,
         2,
-        DtaTuning::default(), // surrogate: Off unless TEI_SURROGATE overrides
+        DtaTuning::default(), // surrogate: Off
         model,
         &SurrogateRun::default(),
     )
