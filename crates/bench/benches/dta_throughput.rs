@@ -18,9 +18,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
-    dta_campaign_predictive, dta_campaign_tuned, dta_engine, fit_surrogate, random_operand_pairs,
-    resolve_lanes, resolve_prune, safe_bit_counts, DtaTuning, KernelBackend, PrunePolicy,
-    SurrogateMode, SurrogateRun, PRUNE_MIN_SAFE_FRACTION,
+    dta_campaign_tuned, dta_engine, random_operand_pairs, resolve_lanes, resolve_prune,
+    safe_bit_counts, DtaTuning, KernelBackend, PrunePolicy, PRUNE_MIN_SAFE_FRACTION,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -290,95 +289,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
         prune: PrunePolicy::ForceOn,
         ..campaign_tuning
     });
-    // Surrogate tiering ablation (filter mode, byte-identical by
-    // contract): on the uniform-random trace — the classifier's worst
-    // case, almost everything lands in cold buckets and runs exact —
-    // and on a workload-shaped trace with steady-state operand reruns,
-    // where the confidently-safe skip band lives. Per-benchmark numbers
-    // land in BENCH_surrogate.json; these rows keep the ablation
-    // comparable with the codegen/lanes/pruning rows above.
-    let mixed_pairs: Vec<(u64, u64)> = {
-        let one = 0x3ff0_0000_0000_0000u64; // f64 1.0: a fast-settling steady state
-        let mut v = Vec::new();
-        for chunk in pairs.chunks(16) {
-            v.extend_from_slice(chunk);
-            v.extend(std::iter::repeat_n((one, one), 48));
-        }
-        v
-    };
-    let filter_tuning = DtaTuning {
-        surrogate: SurrogateMode::Filter,
-        ..campaign_tuning
-    };
-    let audit = SurrogateRun::default();
-    let exact_rate = |trace: &[(u64, u64)]| {
-        pairs_per_sec(
-            || {
-                criterion::black_box(
-                    dta_campaign_tuned(&unit, trace, spec.clk, &LEVELS, 1, campaign_tuning)
-                        .expect("DTA campaign"),
-                );
-                trace.len() - 1
-            },
-            min_secs,
-        )
-    };
-    let filter_rate = |trace: &[(u64, u64)], model: &tei_timing::SurrogateModel| {
-        pairs_per_sec(
-            || {
-                criterion::black_box(
-                    dta_campaign_predictive(
-                        &unit,
-                        trace,
-                        spec.clk,
-                        &LEVELS,
-                        1,
-                        filter_tuning,
-                        model,
-                        &audit,
-                    )
-                    .expect("predictive campaign"),
-                );
-                trace.len() - 1
-            },
-            min_secs,
-        )
-    };
-    let surrogate_row = |trace: &[(u64, u64)]| {
-        let mut model =
-            fit_surrogate(&unit, trace, spec.clk, campaign_tuning).expect("surrogate fit");
-        // Self-fit soundness holds at any bucket count (the bucket max
-        // bounds every member); the min-count floor is for held-out use.
-        model.min_count = 1;
-        let (_, report) = dta_campaign_predictive(
-            &unit,
-            trace,
-            spec.clk,
-            &LEVELS,
-            1,
-            filter_tuning,
-            &model,
-            &audit,
-        )
-        .expect("predictive campaign");
-        assert!(
-            report.fallback.is_none(),
-            "self-fit model fell back: {report:?}"
-        );
-        let exact = exact_rate(trace);
-        let filtered = filter_rate(trace, &model);
-        serde_json::json!({
-            "transitions": report.transitions,
-            "safe_skipped": report.safe_skipped,
-            "exact_evaluated": report.exact_evaluated,
-            "audited": report.audited,
-            "exact_pairs_per_sec": exact,
-            "filter_pairs_per_sec": filtered,
-            "filter_speedup": filtered / exact,
-        })
-    };
-    let surrogate_random = surrogate_row(&pairs);
-    let surrogate_workload = surrogate_row(&mixed_pairs);
     let speedup = kernel_w1 / sim_rate;
     let pruning_speedup = campaign_pruned / campaign_unpruned;
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
@@ -440,12 +350,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "thread_scaling_requested": SCALING_THREADS.to_vec(),
             "thread_scaling_degraded": scaling_plan.degraded(),
             "thread_scaling_degraded_reason": scaling_plan.degraded_reason(),
-            "surrogate": serde_json::json!({
-                "mode": "filter",
-                "audit_fraction": audit.audit_fraction,
-                "random_trace": surrogate_random,
-                "workload_shaped_trace": surrogate_workload,
-            }),
             "pruning": serde_json::json!({
                 "campaign_1_thread_pruned_pairs_per_sec": campaign_pruned,
                 "campaign_1_thread_unpruned_pairs_per_sec": campaign_unpruned,

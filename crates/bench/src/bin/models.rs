@@ -11,7 +11,7 @@
 //! ```
 
 use tei_bench::Artifacts;
-use tei_core::journal::atomic_write_checksummed;
+use tei_core::journal::{atomic_write_checksummed, verify_checksummed};
 use tei_core::{InjectionModel, StatModel, TeiError};
 use tei_softfloat::FpOp;
 use tei_timing::VoltageReduction;
@@ -34,7 +34,10 @@ fn main() {
                 eprintln!("{USAGE}");
                 std::process::exit(2);
             };
-            show(std::path::Path::new(path));
+            if let Err(e) = show(std::path::Path::new(path)) {
+                eprintln!("models: {e}");
+                std::process::exit(1);
+            }
         }
         _ => {
             eprintln!("{USAGE}");
@@ -72,8 +75,13 @@ fn save<M: serde::Serialize>(dir: &std::path::Path, name: &str, model: &M) -> Re
     Ok(())
 }
 
-fn show(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path).expect("read model file");
+/// Print a saved model. The file is checked against its `.fnv` sidecar
+/// first (when one exists), so a truncated or edited model is refused
+/// rather than summarized.
+fn show(path: &std::path::Path) -> Result<(), TeiError> {
+    verify_checksummed(path)?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| TeiError::io("read model file", path, e))?;
     // DA models are small ({vr, er}); statistical models carry per-op data.
     if let Ok(m) = serde_json::from_str::<StatModel>(&text) {
         println!("{} at {}", m.name(), m.vr().label());
@@ -114,7 +122,10 @@ fn show(path: &std::path::Path) {
             m.fixed_er()
         );
     } else {
-        eprintln!("unrecognized model file {}", path.display());
-        std::process::exit(1);
+        return Err(TeiError::Config {
+            knob: "model file".into(),
+            reason: format!("{} is neither a statistical nor a DA model", path.display()),
+        });
     }
+    Ok(())
 }

@@ -84,10 +84,10 @@ chaos options (tei chaos):
 
 voltage sweep:
   tei sweep --benchmark <name> [--grid <n>] [options]
-                                        continuous-Vdd AVM sweep: DTA at an
-                                        interpolated derating per grid point,
-                                        then AVM per point and the minimum
-                                        Vdd meeting --avm-target
+                                        continuous-Vdd AVM sweep: exact DTA
+                                        at an interpolated derating per grid
+                                        point, then AVM per point and the
+                                        minimum Vdd meeting --avm-target
 
 sweep options:
   --grid <n>               Vdd grid points (default 12, min 2)
@@ -95,8 +95,6 @@ sweep options:
   --vdd-max <v>            highest Vdd, volts (default nominal)
   --avm-target <x>         AVM threshold for min-Vdd (default 0.01)
   --dta-cap <n>            per-op transition cap for DTA (default 4000)
-  --surrogate off|filter   predict-then-verify mode (default filter)
-  --model-dir <dir>        surrogate artifact dir (default results/surrogate-models)
   --out <file>             result JSON (default results/sweep-<bench>.json)
   (--scale, --runs, --seed as for campaigns)";
 

@@ -9,20 +9,18 @@
 //! campaign at each — reporting AVM(Vdd) and the minimum voltage that
 //! still meets an AVM target.
 //!
-//! The DTA tier is the predict-then-verify pipeline by default
-//! (`--surrogate filter`): fitted surrogate artifacts are loaded from
-//! `--model-dir` when fresh (stale or corrupt ones are refused typed
-//! and refit), and every campaign's audit verdict is recorded in the
-//! output. Results land in `results/sweep-<benchmark>.json` with a
-//! `.fnv` checksum sidecar.
+//! Every transition runs exact DTA, so a sweep's numbers depend only on
+//! its own flags, never on what ran before it in the same directory.
+//! Results land in `results/sweep-<benchmark>.json` with a `.fnv`
+//! checksum sidecar.
 
 use crate::USAGE;
 use std::path::PathBuf;
 use tei_core::journal::atomic_write_checksummed;
+use tei_core::power::min_vdd_meeting;
 use tei_core::{
-    dev, dta_campaign_predictive, fit_surrogate, load_surrogate, save_surrogate, CampaignConfig,
-    DtaTuning, GoldenRun, MaskSampling, ModelKind, OpErrorStats, StatModel, SurrogateMode,
-    SurrogateReport, SurrogateRun, TeiError,
+    dev, CampaignConfig, DtaTuning, GoldenRun, MaskSampling, ModelKind, OpErrorStats, StatModel,
+    TeiError,
 };
 use tei_softfloat::FpOp;
 use tei_timing::VoltageReduction;
@@ -41,8 +39,6 @@ struct SweepArgs {
     runs: usize,
     seed: u64,
     dta_cap: usize,
-    surrogate: String,
-    model_dir: PathBuf,
     out: Option<PathBuf>,
 }
 
@@ -64,8 +60,6 @@ fn parse_args(args: &[String]) -> SweepArgs {
         runs: 120,
         seed: 1,
         dta_cap: 4000,
-        surrogate: "filter".to_string(),
-        model_dir: PathBuf::from("results/surrogate-models"),
         out: None,
     };
     let mut it = args.iter();
@@ -86,8 +80,6 @@ fn parse_args(args: &[String]) -> SweepArgs {
             "--runs" => sa.runs = parse_or_exit(flag, &val()),
             "--seed" => sa.seed = parse_or_exit(flag, &val()),
             "--dta-cap" => sa.dta_cap = parse_or_exit(flag, &val()),
-            "--surrogate" => sa.surrogate = val().to_ascii_lowercase(),
-            "--model-dir" => sa.model_dir = PathBuf::from(val()),
             "--out" => sa.out = Some(PathBuf::from(val())),
             other => {
                 eprintln!("tei sweep: unknown flag {other:?}\n{USAGE}");
@@ -138,14 +130,6 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
             std::process::exit(2);
         }
     };
-    let mode = match sa.surrogate.as_str() {
-        "off" => SurrogateMode::Off,
-        "filter" => SurrogateMode::Filter,
-        other => {
-            eprintln!("tei sweep: unknown surrogate mode {other:?} (off|filter)\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
 
     let bench = build(id, scale);
     let (bank, spec) = dev::default_bank();
@@ -154,20 +138,16 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         .map(|i| sa.vdd_min + (sa.vdd_max - sa.vdd_min) * i as f64 / (sa.grid - 1) as f64)
         .collect();
     let levels: Vec<VoltageReduction> = grid.iter().map(|&v| VoltageReduction::Vdd(v)).collect();
-    let k_max = levels
-        .iter()
-        .fold(0.0f64, |a, vr| a.max(vr.derating_factor()));
 
     eprintln!(
         "tei sweep: {} ({}), {} grid points over Vdd [{:.3}, {:.3}] V, \
-         {} runs/point, surrogate {}",
+         {} runs/point",
         id.name(),
         sa.scale,
         sa.grid,
         sa.vdd_min,
         sa.vdd_max,
         sa.runs,
-        sa.surrogate,
     );
 
     // One settle pass per op covers every grid voltage: the DTA engine
@@ -175,52 +155,20 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
     // single walk, so the sweep's circuit cost is independent of the
     // grid resolution.
     let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, sa.dta_cap);
-    let tuning = DtaTuning {
-        surrogate: mode,
-        ..DtaTuning::default()
-    };
-    let audit = SurrogateRun::default();
     let mut per_level: Vec<Vec<OpErrorStats>> = vec![Vec::new(); levels.len()];
-    let mut reports: Vec<SurrogateReport> = Vec::new();
     for op in FpOp::all() {
         let pairs = trace.of(op);
         if pairs.len() < 2 {
             continue;
         }
-        let unit = bank.unit(op);
-        let (stats, report) = if mode == SurrogateMode::Off {
-            let stats = dev::dta_campaign_tuned(unit, pairs, spec.clk, &levels, threads, tuning)?;
-            (
-                stats,
-                SurrogateReport::exact_only("off", (pairs.len() - 1) as u64),
-            )
-        } else {
-            // Reuse a persisted artifact when it matches this netlist,
-            // clock, and ceiling; anything stale is refused typed and
-            // refit from this trace.
-            let model = match load_surrogate(&sa.model_dir, unit, spec.clk, k_max) {
-                Ok(model) => model,
-                Err(TeiError::SurrogateStale { unit: u, reason }) => {
-                    eprintln!("tei sweep: refit {u}: stale artifact ({reason})");
-                    let model = fit_surrogate(unit, pairs, spec.clk, tuning)?;
-                    save_surrogate(&model, &sa.model_dir)?;
-                    model
-                }
-                Err(TeiError::Io { .. }) => {
-                    let model = fit_surrogate(unit, pairs, spec.clk, tuning)?;
-                    save_surrogate(&model, &sa.model_dir)?;
-                    model
-                }
-                Err(e) => return Err(e),
-            };
-            dta_campaign_predictive(
-                unit, pairs, spec.clk, &levels, threads, tuning, &model, &audit,
-            )?
-        };
-        if let Some(reason) = &report.fallback {
-            eprintln!("tei sweep: {} fell back to exact DTA: {reason}", unit.tag());
-        }
-        reports.push(report);
+        let stats = dev::dta_campaign_tuned(
+            bank.unit(op),
+            pairs,
+            spec.clk,
+            &levels,
+            threads,
+            DtaTuning::default(),
+        )?;
         for (slot, s) in per_level.iter_mut().zip(stats) {
             slot.push(s);
         }
@@ -236,7 +184,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         ..CampaignConfig::default()
     };
     let mut rows = Vec::new();
-    let mut min_vdd = None;
+    let mut points = Vec::new();
     println!("      Vdd    factor       AVM   masked      sdc    crash  timeout");
     for (i, (&vdd, level)) in grid.iter().zip(&levels).enumerate() {
         let model = StatModel::from_campaign_stats(
@@ -256,9 +204,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
             c.crash,
             c.timeout
         );
-        if avm <= sa.avm_target && min_vdd.is_none() {
-            min_vdd = Some(vdd);
-        }
+        points.push((vdd, avm));
         rows.push(format!(
             "{{\"vdd\": {vdd}, \"derating_factor\": {}, \"avm\": {avm}, \
              \"masked\": {}, \"sdc\": {}, \"crash\": {}, \"timeout\": {}}}",
@@ -269,6 +215,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
             c.timeout
         ));
     }
+    let min_vdd = min_vdd_meeting(&points, sa.avm_target);
     match min_vdd {
         Some(v) => println!(
             "minimum Vdd at AVM <= {}: {v:.3} V ({:.1}% below nominal)",
@@ -281,17 +228,6 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         ),
     }
 
-    let fallbacks: Vec<&SurrogateReport> =
-        reports.iter().filter(|r| r.fallback.is_some()).collect();
-    let skipped: u64 = reports.iter().map(|r| r.safe_skipped).sum();
-    let total: u64 = reports.iter().map(|r| r.transitions).sum();
-    if mode != SurrogateMode::Off {
-        println!(
-            "surrogate: {skipped}/{total} transitions skipped safe, {} audit fallback(s)",
-            fallbacks.len()
-        );
-    }
-
     let out = sa
         .out
         .unwrap_or_else(|| PathBuf::from(format!("results/sweep-{}.json", id.name())));
@@ -299,19 +235,15 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         std::fs::create_dir_all(dir).map_err(|e| TeiError::io("create results dir", dir, e))?;
     }
     let json = format!(
-        "{{\n  \"schema\": \"tei-sweep-v1\",\n  \"benchmark\": {:?},\n  \"scale\": {:?},\n  \
+        "{{\n  \"schema\": \"tei-sweep-v2\",\n  \"benchmark\": {:?},\n  \"scale\": {:?},\n  \
          \"clk_ns\": {},\n  \"runs\": {},\n  \"seed\": {},\n  \"dta_pairs_cap\": {},\n  \
-         \"surrogate\": {{\"mode\": {:?}, \"safe_skipped\": {skipped}, \"transitions\": {total}, \
-         \"audit_fallbacks\": {}}},\n  \"avm_target\": {},\n  \"min_vdd_at_target\": {},\n  \
-         \"grid\": [\n    {}\n  ]\n}}\n",
+         \"avm_target\": {},\n  \"min_vdd_at_target\": {},\n  \"grid\": [\n    {}\n  ]\n}}\n",
         id.name(),
         sa.scale,
         spec.clk,
         sa.runs,
         sa.seed,
         sa.dta_cap,
-        sa.surrogate,
-        fallbacks.len(),
         sa.avm_target,
         min_vdd.map_or("null".to_string(), |v| v.to_string()),
         rows.join(",\n    ")

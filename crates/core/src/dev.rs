@@ -379,9 +379,9 @@ pub enum SurrogateMode {
     Off,
     /// Skip only transitions the surrogate classifies as confidently
     /// safe; everything else — and a seeded audit fraction of the safe
-    /// band — runs exact DTA. Byte-identical-or-refuse: any audit
-    /// miscalibration triggers a loud fallback to the full exact
-    /// campaign, so the returned statistics are never silently wrong.
+    /// band — runs exact DTA. An audit miscalibration triggers a loud
+    /// fallback to the full exact campaign; an unaudited false-safe skip
+    /// goes unnoticed (DESIGN.md §11).
     Filter,
 }
 
@@ -933,8 +933,9 @@ pub fn dta_campaign_sampled_tuned(
 }
 
 // ---------------------------------------------------------------------
-// Predict-then-verify tiering: surrogate fit, predictive campaign,
-// fidelity measurement, and fingerprint-checked model persistence.
+// Predict-then-verify tiering: surrogate fit, predictive campaign, and
+// fingerprint-checked model persistence. No shipped flow runs it (see
+// DESIGN.md §11); it stays as a library for the end-to-end benchmark.
 // ---------------------------------------------------------------------
 
 /// Default audit fraction of surrogate-skipped transitions that run
@@ -1110,7 +1111,7 @@ pub fn fit_surrogate(
 }
 
 /// Artifact path of a unit's persisted surrogate model under `dir`.
-pub fn surrogate_model_path(dir: &std::path::Path, unit_tag: &str) -> std::path::PathBuf {
+fn surrogate_model_path(dir: &std::path::Path, unit_tag: &str) -> std::path::PathBuf {
     dir.join(format!("surrogate-{unit_tag}.json"))
 }
 
@@ -1173,17 +1174,20 @@ pub fn load_surrogate(
 /// of the confidently-safe band, and the results merge into statistics
 /// plus a [`SurrogateReport`].
 ///
-/// **Filter mode is byte-identical-or-refuse.** Only confidently-safe
-/// transitions are skipped, and a skipped transition contributes exactly
-/// what an error-free transition contributes to exact DTA: one sample
+/// **Filter mode is byte-identical when its skips are sound.** Only
+/// confidently-safe transitions are skipped, and a skipped transition
+/// contributes exactly what an error-free transition contributes to
+/// exact DTA: one sample
 /// and nothing else. Exact transitions are evaluated in increasing
 /// transition order (chunks merge in index order), so the mask library
 /// sequence — and therefore the seeded reservoir cap — matches the
 /// exact campaign bit-for-bit whenever the skip decisions are sound.
-/// Soundness is continuously audited: if exact DTA contradicts the
+/// Soundness is audited on a sample: if exact DTA contradicts the
 /// surrogate on any audited transition, the campaign discards the
 /// filtered statistics and loudly re-runs full exact DTA, recording the
-/// fallback in the report. See DESIGN.md §11.
+/// fallback in the report. A safe verdict the audit does not draw is
+/// never checked, so a model queried outside the trace it was fitted on
+/// can change the statistics silently; see DESIGN.md §11.
 ///
 /// With `tuning.surrogate == SurrogateMode::Off` the model is ignored
 /// and this is exactly [`dta_campaign_tuned`].
@@ -1292,93 +1296,6 @@ pub fn dta_campaign_predictive(
             fallback: None,
         },
     ))
-}
-
-/// Held-out fidelity of a surrogate model against exact DTA: per-pair
-/// classification outcomes at the requested corners.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SurrogateFidelity {
-    /// Transitions evaluated.
-    pub transitions: u64,
-    /// Classified confidently safe at the largest requested factor.
-    pub classified_safe: u64,
-    /// Classified confidently erroneous.
-    pub classified_erroneous: u64,
-    /// Classified uncertain (would run exact DTA in filter mode).
-    pub classified_uncertain: u64,
-    /// Safe-classified transitions where exact DTA found an error at
-    /// any corner — each one is a filter-mode skip the audit must catch;
-    /// 0 means filter mode was byte-identical on this set.
-    pub false_safe: u64,
-}
-
-/// Measure a surrogate model's fidelity against exact DTA over held-out
-/// `pairs` (serial walk; every safe-classified transition is checked
-/// with the full output scan, pruning off, so no false-safe is missed).
-///
-/// # Errors
-///
-/// [`TeiError::SurrogateStale`] when the model does not match the unit,
-/// clock, or corners; [`TeiError::Config`] for unsatisfiable tuning.
-pub fn surrogate_fidelity(
-    unit: &FpuUnit,
-    model: &tei_timing::SurrogateModel,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-    tuning: DtaTuning,
-) -> Result<SurrogateFidelity, TeiError> {
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let k_max = factors.iter().fold(0.0f64, |a, &k| a.max(k));
-    model
-        .validate(unit.tag(), unit.dta_compiled().fingerprint(), clk, k_max)
-        .map_err(|reason| TeiError::SurrogateStale {
-            unit: unit.tag().to_string(),
-            reason,
-        })?;
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    let mut engine = dta_engine(unit, lanes, tuning.backend)?;
-    let outputs = unit.result_port();
-    let mut fid = SurrogateFidelity::default();
-    if pairs.len() < 2 {
-        return Ok(fid);
-    }
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let mut flat = vec![false; window_vectors * width];
-    let transitions = pairs.len() - 1;
-    let mut start = 0usize;
-    while start < transitions {
-        let count = (transitions - start + 1).min(window_vectors);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        engine.load_window(&flat[..count * width], count);
-        for t in 0..count - 1 {
-            engine.select_transition(t);
-            fid.transitions += 1;
-            match model.classify(pairs[start + t], pairs[start + t + 1], k_max) {
-                tei_timing::SurrogateClass::Safe => {
-                    fid.classified_safe += 1;
-                    // Full output scan at every corner, pruning off.
-                    let erroneous = factors.iter().any(|&k| {
-                        outputs
-                            .iter()
-                            .any(|&net| engine.settle_of(net).min(clk) * k > clk)
-                    });
-                    fid.false_safe += u64::from(erroneous);
-                }
-                tei_timing::SurrogateClass::Erroneous => fid.classified_erroneous += 1,
-                tei_timing::SurrogateClass::Uncertain => fid.classified_uncertain += 1,
-            }
-        }
-        start += count - 1;
-    }
-    Ok(fid)
 }
 
 /// Average absolute BER estimation error (paper eq. 3) between a

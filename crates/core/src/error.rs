@@ -55,7 +55,8 @@ pub enum TeiError {
         source: std::io::Error,
     },
     /// A journal file failed structural validation beyond simple tail
-    /// truncation (bad magic, unreadable manifest).
+    /// truncation (bad magic, unreadable manifest), or a checksummed
+    /// artifact no longer matches its `.fnv` sidecar.
     JournalCorrupt {
         /// Journal path.
         path: PathBuf,
@@ -117,8 +118,8 @@ pub enum TeiError {
     /// was asked to predict for (wrong unit tag, stale netlist
     /// fingerprint, different clock, or a derating factor above its
     /// calibrated ceiling). The predict-then-verify pipeline refuses
-    /// rather than risk silently wrong skips — re-fit the model or run
-    /// `tei sweep --surrogate off`.
+    /// rather than risk silently wrong skips — re-fit the model with
+    /// `fit_surrogate`, or run the exact campaign (`dta_campaign_tuned`).
     SurrogateStale {
         /// The FPU unit the prediction was requested for.
         unit: String,
@@ -156,7 +157,7 @@ impl fmt::Display for TeiError {
                 write!(f, "could not {op} {}: {source}", path.display())
             }
             TeiError::JournalCorrupt { path, reason } => {
-                write!(f, "journal {} is corrupt: {reason}", path.display())
+                write!(f, "{} is corrupt: {reason}", path.display())
             }
             TeiError::ManifestMismatch {
                 path,
@@ -195,7 +196,7 @@ impl fmt::Display for TeiError {
             TeiError::SurrogateStale { unit, reason } => write!(
                 f,
                 "surrogate model unusable for {unit}: {reason}; \
-                 re-fit the model or run `tei sweep --surrogate off`"
+                 re-fit the model or run exact DTA instead"
             ),
             TeiError::NetlistLint {
                 design,

@@ -69,9 +69,8 @@ pub use campaign::{
 };
 pub use dev::{
     dta_campaign_predictive, fit_surrogate, load_surrogate, operand_format_of, save_surrogate,
-    surrogate_fidelity, surrogate_model_path, DaCalibration, DtaTuning, KernelBackend,
-    OpErrorStats, PruneDecision, PrunePolicy, SurrogateFidelity, SurrogateMode, SurrogateReport,
-    SurrogateRun, TraceSet,
+    DaCalibration, DtaTuning, KernelBackend, OpErrorStats, PruneDecision, PrunePolicy,
+    SurrogateMode, SurrogateReport, SurrogateRun, TraceSet,
 };
 pub use error::TeiError;
 pub use fabric::{run_fabric_campaign, serve, CampaignSpec, FabricConfig, FabricEvent};

@@ -30,21 +30,41 @@ pub fn power_savings(vr: VoltageReduction) -> f64 {
     1.0 - power_ratio(vr)
 }
 
-/// AVM-guided operating point: the deepest voltage reduction whose AVM
-/// does not exceed `threshold` (0 = strictly error-free operation).
-/// `avm_by_vr` must be sorted by increasing reduction and include the
-/// nominal point implicitly (AVM 0 by construction).
+/// The minimum supply voltage meeting an AVM target on a measured grid:
+/// the lowest `vdd` in `avm_by_vdd` (pairs of `(vdd, avm)`, any order)
+/// whose own AVM and the AVM of every higher grid point are at most
+/// `target`. A point that passes below a failing one is not trusted, so
+/// a non-monotone grid never yields a voltage under a failure. `None`
+/// when even the highest point fails (or the grid is empty); a NaN AVM
+/// fails.
+pub fn min_vdd_meeting(avm_by_vdd: &[(f64, f64)], target: f64) -> Option<f64> {
+    let mut points = avm_by_vdd.to_vec();
+    points.sort_by(|a, b| b.0.total_cmp(&a.0));
+    points
+        .iter()
+        .take_while(|&&(_, avm)| avm <= target)
+        .last()
+        .map(|&(vdd, _)| vdd)
+}
+
+/// AVM-guided operating point: the deepest voltage reduction that
+/// [`min_vdd_meeting`] accepts at `threshold` (0 = strictly error-free
+/// operation). The nominal point is included implicitly (AVM 0 by
+/// construction) and is the answer when no listed level qualifies.
 pub fn select_operating_point(
     avm_by_vr: &[(VoltageReduction, f64)],
     threshold: f64,
 ) -> VoltageReduction {
-    let mut best = VoltageReduction::Nominal;
-    for &(vr, avm) in avm_by_vr {
-        if avm <= threshold && vr.fraction() > best.fraction() {
-            best = vr;
-        }
-    }
-    best
+    let points: Vec<(f64, f64)> = avm_by_vr
+        .iter()
+        .map(|&(vr, avm)| (vr.vdd(), avm))
+        .chain([(VoltageReduction::Nominal.vdd(), 0.0)])
+        .collect();
+    let vdd = min_vdd_meeting(&points, threshold);
+    avm_by_vr
+        .iter()
+        .find(|&&(vr, _)| Some(vr.vdd()) == vdd)
+        .map_or(VoltageReduction::Nominal, |&(vr, _)| vr)
 }
 
 /// Energy accounting for the clock-stretch error-prevention technique:
@@ -109,6 +129,32 @@ mod tests {
         assert_eq!(select_operating_point(&none, 0.0), Nominal);
         // A tolerance threshold admits low-AVM points.
         assert_eq!(select_operating_point(&mid, 0.35), VR20);
+        // Passing at VR20 does not count while VR15 above it fails.
+        let dip = [(VR15, 0.2), (VR20, 0.0)];
+        assert_eq!(select_operating_point(&dip, 0.0), Nominal);
+    }
+
+    #[test]
+    fn min_vdd_needs_every_higher_point_to_pass() {
+        // A planted non-monotone grid (unsorted): 0.90 V passes, but
+        // 0.95 V above it fails, so the answer is 1.00 V, not 0.90 V.
+        let grid = [
+            (1.00, 0.0),
+            (0.90, 0.005),
+            (1.10, 0.0),
+            (0.95, 0.04),
+            (0.85, 0.30),
+        ];
+        assert_eq!(min_vdd_meeting(&grid, 0.01), Some(1.00));
+        // Monotone grid: the lowest passing point.
+        let mono = [(0.9, 0.0), (1.0, 0.0), (1.1, 0.0), (0.8, 0.5)];
+        assert_eq!(min_vdd_meeting(&mono, 0.01), Some(0.9));
+        // The highest point fails: no voltage qualifies.
+        let fails = [(1.0, 0.0), (1.1, 0.02)];
+        assert_eq!(min_vdd_meeting(&fails, 0.01), None);
+        assert_eq!(min_vdd_meeting(&[], 0.01), None);
+        // A NaN AVM is a failure, not a pass.
+        assert_eq!(min_vdd_meeting(&[(1.0, 0.0), (1.1, f64::NAN)], 0.01), None);
     }
 
     #[test]

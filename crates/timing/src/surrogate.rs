@@ -33,8 +33,9 @@
 //! * otherwise (or bucket unseen / under-sampled) → **uncertain**.
 //!
 //! The tiered DTA pipeline in `tei_core::dev` sends only the uncertain
-//! band (plus a seeded audit fraction of the "safe" band) to exact DTA;
-//! see DESIGN.md §11 for the byte-identical-or-refuse contract.
+//! band (plus a seeded audit fraction of the "safe" band) to exact DTA.
+//! No shipped flow uses it: DESIGN.md §11 records why (held-out
+//! false-safe verdicts, and a net loss end to end).
 //!
 //! The model is a plain serde struct with a fingerprint of the compiled
 //! netlist it was fitted against; loading it for a different netlist,
