@@ -23,7 +23,9 @@ use tei_core::dev::{
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{ArrivalEngine, ArrivalKernel, ArrivalSim, TwoVectorResult, VoltageReduction};
+use tei_timing::{
+    ArrivalEngine, ArrivalKernel, ArrivalSim, SpecializedKernel, TwoVectorResult, VoltageReduction,
+};
 
 const LEVELS: [VoltageReduction; 2] = [VoltageReduction::VR15, VoltageReduction::VR20];
 
@@ -134,15 +136,25 @@ fn engine_batch(
     pairs.len() - 1
 }
 
-/// Best-of-three pairs/sec of a backend at one lane width.
-fn engine_rate(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    lanes: usize,
-    backend: KernelBackend,
-    min_secs: f64,
-) -> f64 {
-    let mut engine = dta_engine(unit, lanes, backend).expect("engine for ablation");
+/// The table-driven kernel over `unit`'s program at `lanes`: through
+/// the auto dispatch at W4 and W8, built directly at W1 (where auto
+/// runs the interpreter).
+fn table_engine(unit: &FpuUnit, lanes: usize) -> Box<dyn ArrivalEngine + '_> {
+    if lanes == 1 {
+        return Box::new(SpecializedKernel::<_, 1>::new(unit.dta_program()));
+    }
+    let engine = dta_engine(unit, lanes, KernelBackend::Auto).expect("table kernel");
+    assert_eq!(
+        engine.name(),
+        "codegen",
+        "auto runs the table kernel at W{lanes}"
+    );
+    engine
+}
+
+/// Best-of-three pairs/sec of the table-driven kernel at one lane width.
+fn table_rate(unit: &FpuUnit, pairs: &[(u64, u64)], lanes: usize, min_secs: f64) -> f64 {
+    let mut engine = table_engine(unit, lanes);
     let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
     pairs_per_sec(
         || engine_batch(engine.as_mut(), unit, &mut flat, pairs),
@@ -183,9 +195,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
     // What the default tuning actually resolves to on this host: the
     // lane auto-pick consults the engine that will run, and the prune
     // auto-decision consults the slack oracle's measured safe fraction.
-    let fresh_kernel = tei_kernels::registry().covers(&unit);
-    let campaign_lanes =
-        resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, fresh_kernel);
+    let campaign_lanes = resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, true);
     let prune_decision = resolve_prune(&unit, spec.clk, &LEVELS, campaign_tuning.prune);
     // An honest scaling curve never oversubscribes; the shared plan
     // drops unmeasurable counts and words the degraded flag (the same
@@ -213,8 +223,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
     });
     for lanes in [1usize, 4, 8] {
         group.bench_function(BenchmarkId::new("codegen_kernel_w", lanes), |b| {
-            let mut engine =
-                dta_engine(&unit, lanes, KernelBackend::Generated).expect("generated kernel");
+            let mut engine = table_engine(&unit, lanes);
             let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
             b.iter(|| engine_batch(engine.as_mut(), &unit, &mut flat, &pairs));
         });
@@ -251,11 +260,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let kernel_w1 = pairs_per_sec(|| kernel_batch::<1>(&unit, &pairs), min_secs);
     let kernel_w4 = pairs_per_sec(|| kernel_batch::<4>(&unit, &pairs), min_secs);
     let kernel_w8 = pairs_per_sec(|| kernel_batch::<8>(&unit, &pairs), min_secs);
-    // Backend ablation: the generated straight-line kernel against the
-    // interpreted kernel at every lane width, same windowed walk.
-    let codegen_w1 = engine_rate(&unit, &pairs, 1, KernelBackend::Generated, min_secs);
-    let codegen_w4 = engine_rate(&unit, &pairs, 4, KernelBackend::Generated, min_secs);
-    let codegen_w8 = engine_rate(&unit, &pairs, 8, KernelBackend::Generated, min_secs);
+    // Backend ablation: the table-driven kernel against the interpreted
+    // kernel at every lane width, same windowed walk.
+    let codegen_w1 = table_rate(&unit, &pairs, 1, min_secs);
+    let codegen_w4 = table_rate(&unit, &pairs, 4, min_secs);
+    let codegen_w8 = table_rate(&unit, &pairs, 8, min_secs);
     // Campaign scaling curve over the honest thread counts: each point
     // records the thread count it actually ran with.
     let scaling_curve: Vec<(usize, f64)> = scaling_threads

@@ -4,9 +4,6 @@
 //!
 //! * `tei lint` — structural netlist lints over Verilog files or the
 //!   generated FPU bank.
-//! * `tei codegen` — staleness + interpreter-equivalence checks of the
-//!   shipped netlist-specialized kernels, and re-emission of their
-//!   sources.
 //!
 //! Campaign fabric (see DESIGN.md, "Campaign fabric"):
 //!
@@ -37,8 +34,6 @@ const USAGE: &str = "usage: tei <subcommand> [args]
 
 static verification:
   tei lint --fpu | <file.v> ...         structural netlist lints
-  tei codegen --check [tag ...]         shipped-kernel staleness + equivalence
-  tei codegen --emit <dir> [tag ...]    re-emit specialized kernel sources
 
 campaign fabric:
   tei campaign --benchmark <name> [--workers <n>] [options]
@@ -112,13 +107,6 @@ fn main() {
     let code = match cmd.as_str() {
         "lint" => {
             if checks::lint(rest) {
-                0
-            } else {
-                1
-            }
-        }
-        "codegen" => {
-            if checks::codegen(rest) {
                 0
             } else {
                 1

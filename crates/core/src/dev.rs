@@ -14,7 +14,9 @@ use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_isa::Program;
 use tei_netlist::NetId;
 use tei_softfloat::{FpOp, FpOpKind};
-use tei_timing::{interpreted_engine, ArrivalEngine, CompiledNetlist, VoltageReduction};
+use tei_timing::{
+    interpreted_engine, ArrivalEngine, CompiledNetlist, SpecializedKernel, VoltageReduction,
+};
 use tei_uarch::FuncCore;
 
 /// Per-operation operand trace: consecutive `(a, b)` raw-bit pairs in
@@ -206,26 +208,20 @@ const MASK_CAP: usize = 50_000;
 
 /// Which arrival-engine implementation drives a campaign's inner loop.
 /// A pure throughput knob: both engines are proven byte-identical (the
-/// generated kernel is emitted from the same [`CompiledNetlist`] the
+/// table program is built from the same [`CompiledNetlist`] the
 /// interpreter walks, and the equivalence suite asserts bit-exact
 /// settle times), so statistics never depend on the choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
-    /// Use the netlist-specialized generated kernel where it is the
-    /// measured winner (lane width >= 4) and a fresh one is registered
-    /// for the unit (tag *and* netlist fingerprint match), falling
-    /// back to the interpreted [`tei_timing::ArrivalKernel`] otherwise
-    /// (including always at `W = 1`, where the interpreter's sparse
-    /// walk wins — see [`dta_engine`]).
+    /// The table-driven [`SpecializedKernel`] over the unit's
+    /// [`FpuUnit::dta_program`] at lane width >= 4, where it is the
+    /// measured winner, and the interpreted
+    /// [`tei_timing::ArrivalKernel`] at `W = 1`, where the
+    /// interpreter's sparse walk wins (see [`dta_engine`]).
     #[default]
     Auto,
-    /// Always the interpreted kernel — the universal fallback that
-    /// handles runtime-parsed netlists and the `interp` ablation side.
+    /// Always the interpreted kernel (the `interp` ablation side).
     Interpreter,
-    /// Require the generated kernel; campaigns over units without a
-    /// fresh generated kernel fail with a config error instead of
-    /// silently degrading, at every lane width.
-    Generated,
 }
 
 /// Policy for the static-slack safe-bit skip of the DTA inner loop.
@@ -310,34 +306,28 @@ pub fn resolve_prune(
 /// smaller settle planes.
 pub const INTERP_LANES: usize = 4;
 
-/// Auto lane width of the generated kernel (`BENCH_dta.json` codegen
-/// ablation: W8 257k pairs/s, 2.1x the interpreter at the same width).
+/// Auto lane width of the table-driven kernel (`BENCH_dta.json`
+/// `codegen` ablation: W8 is its fastest width, about 2x the
+/// interpreter at the same width).
 pub const CODEGEN_LANES: usize = 8;
 
 /// Resolve a requested lane width (`None` = auto) to a concrete one by
 /// consulting the measured per-backend best width: the engine that will
-/// actually run decides, so auto no longer hands the interpreter's
-/// best width to the generated kernel or vice versa. `fresh_kernel` is
-/// whether [`tei_kernels::registry`] holds a fingerprint-fresh kernel
-/// for the unit (i.e. whether [`KernelBackend::Auto`] dispatches to
-/// the generated kernel at W >= 4).
+/// actually run decides, so auto never hands the interpreter's best
+/// width to the table-driven kernel or vice versa.
+///
+/// `_fresh_kernel` no longer affects the result: every unit has its
+/// table program. The parameter stays for callers written against the
+/// old signature.
 pub fn resolve_lanes(
     requested: Option<usize>,
     backend: KernelBackend,
-    fresh_kernel: bool,
+    _fresh_kernel: bool,
 ) -> usize {
-    if let Some(lanes) = requested {
-        return lanes;
-    }
-    let generated = match backend {
-        KernelBackend::Generated => true,
-        KernelBackend::Auto => fresh_kernel,
-        KernelBackend::Interpreter => false,
-    };
-    if generated {
-        CODEGEN_LANES
-    } else {
-        INTERP_LANES
+    match (requested, backend) {
+        (Some(lanes), _) => lanes,
+        (None, KernelBackend::Auto) => CODEGEN_LANES,
+        (None, KernelBackend::Interpreter) => INTERP_LANES,
     }
 }
 
@@ -387,14 +377,13 @@ pub enum SurrogateMode {
 
 /// Construct the arrival engine that drives DTA over `unit` at `lanes`
 /// lane words under the given backend policy — the single dispatch
-/// point shared by the campaign entry points, the throughput bench's
-/// backend ablation, and the `tei codegen` CLI checks.
+/// point shared by the campaign entry points and the throughput
+/// bench's backend ablation.
 ///
 /// # Errors
 ///
 /// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`], or when [`KernelBackend::Generated`] is
-/// requested but no fresh generated kernel exists for the unit.
+/// [`config::SUPPORTED_LANES`].
 pub fn dta_engine<'u>(
     unit: &'u FpuUnit,
     lanes: usize,
@@ -406,34 +395,17 @@ pub fn dta_engine<'u>(
             reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
         });
     }
-    let interp =
-        || interpreted_engine(unit.dta_compiled(), lanes).expect("lane width validated above");
-    match backend {
-        KernelBackend::Interpreter => Ok(interp()),
-        // Auto picks the measured winner per lane width: at W = 1 a
-        // single-transition batch toggles ~40% of the nets, under the
-        // interpreter's sparse-walk threshold, so its changed-list walk
-        // beats the specialized kernel's always-dense sweep (~0.8x in
-        // the BENCH_dta.json `codegen` ablation); at W >= 4 the union
-        // is dense and the generated kernel wins (1.2x at 4, 2.2x at
-        // 8). `Generated` forces the generated kernel at any width.
-        KernelBackend::Auto if lanes < 4 => Ok(interp()),
-        KernelBackend::Auto => Ok(tei_kernels::registry()
-            .make_engine(unit, lanes)
-            .map(|e| e as Box<dyn ArrivalEngine + 'u>)
-            .unwrap_or_else(interp)),
-        KernelBackend::Generated => tei_kernels::registry()
-            .make_engine(unit, lanes)
-            .map(|e| e as Box<dyn ArrivalEngine + 'u>)
-            .ok_or_else(|| TeiError::Config {
-                knob: "backend".to_string(),
-                reason: format!(
-                    "no fresh generated kernel for unit {} (stale fingerprint or \
-                     unregistered netlist); use `auto` or `interp`",
-                    unit.tag()
-                ),
-            }),
-    }
+    // Auto picks the measured winner per lane width: at W = 1 a
+    // single-transition batch toggles ~40% of the nets, under the
+    // interpreter's sparse-walk threshold, so its changed-list walk
+    // beats the table kernel's always-dense sweep (the BENCH_dta.json
+    // `codegen` ablation); at W >= 4 the union is dense and the table
+    // kernel wins.
+    Ok(match (backend, lanes) {
+        (KernelBackend::Auto, 4) => Box::new(SpecializedKernel::<_, 4>::new(unit.dta_program())),
+        (KernelBackend::Auto, 8) => Box::new(SpecializedKernel::<_, 8>::new(unit.dta_program())),
+        _ => interpreted_engine(unit.dta_compiled(), lanes).expect("lane width validated above"),
+    })
 }
 
 /// Per-corner live output bits: the `(bit, net)` pairs the inner loop
@@ -754,7 +726,7 @@ fn pack_window(
 /// # Errors
 ///
 /// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
+/// [`config::SUPPORTED_LANES`];
 /// [`TeiError::WorkerPool`] when a campaign worker panics.
 fn walk_runs(
     unit: &FpuUnit,
@@ -768,11 +740,7 @@ fn walk_runs(
     // Resolve the tuning into an engine once up front so config errors
     // surface before any worker threads spawn; workers then build their
     // own engine from the validated tuning.
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
+    let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
     drop(dta_engine(unit, lanes, tuning.backend)?);
     let outputs = unit.result_port().to_vec();
     let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
@@ -875,7 +843,7 @@ fn walk_runs(
 /// # Errors
 ///
 /// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
+/// [`config::SUPPORTED_LANES`];
 /// [`TeiError::WorkerPool`] when a campaign worker panics.
 pub fn dta_campaign_tuned(
     unit: &FpuUnit,
@@ -1062,18 +1030,14 @@ pub fn operand_format_of(op: FpOp) -> tei_timing::OperandFormat {
 ///
 /// # Errors
 ///
-/// [`TeiError::Config`] for an unsatisfiable lane width or backend.
+/// [`TeiError::Config`] for an unsupported lane width.
 pub fn fit_surrogate(
     unit: &FpuUnit,
     pairs: &[(u64, u64)],
     clk: f64,
     tuning: DtaTuning,
 ) -> Result<tei_timing::SurrogateModel, TeiError> {
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
+    let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
     let mut engine = dta_engine(unit, lanes, tuning.backend)?;
     let outputs = unit.result_port().to_vec();
     let mut fitter = tei_timing::SurrogateFitter::new(
@@ -1579,11 +1543,7 @@ mod tests {
     #[test]
     fn lane_auto_pick_follows_measured_per_backend_order() {
         // Explicit requests always win, whatever the backend.
-        for backend in [
-            KernelBackend::Interpreter,
-            KernelBackend::Generated,
-            KernelBackend::Auto,
-        ] {
+        for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
             for fresh in [false, true] {
                 for lanes in [1usize, 4, 8] {
                     assert_eq!(resolve_lanes(Some(lanes), backend, fresh), lanes);
@@ -1591,40 +1551,39 @@ mod tests {
             }
         }
         // Auto picks the measured-best width for the engine that will
-        // actually run.
-        assert_eq!(
-            resolve_lanes(None, KernelBackend::Interpreter, true),
-            INTERP_LANES
-        );
-        assert_eq!(
-            resolve_lanes(None, KernelBackend::Auto, false),
-            INTERP_LANES,
-            "auto without a fresh kernel runs the interpreter"
-        );
-        assert_eq!(
-            resolve_lanes(None, KernelBackend::Auto, true),
-            CODEGEN_LANES
-        );
-        assert_eq!(
-            resolve_lanes(None, KernelBackend::Generated, false),
-            CODEGEN_LANES
-        );
+        // actually run; the third argument no longer matters.
+        for fresh in [false, true] {
+            assert_eq!(
+                resolve_lanes(None, KernelBackend::Interpreter, fresh),
+                INTERP_LANES
+            );
+            assert_eq!(
+                resolve_lanes(None, KernelBackend::Auto, fresh),
+                CODEGEN_LANES
+            );
+        }
         // A typo here would silently break auto.
         assert!(config::SUPPORTED_LANES.contains(&INTERP_LANES));
         assert!(config::SUPPORTED_LANES.contains(&CODEGEN_LANES));
-        // The shipped bank has fresh kernels, so the default tuning on
-        // a fresh registry resolves to the codegen-best width.
+    }
+
+    #[test]
+    fn auto_runs_the_table_kernel_from_w4_and_the_interpreter_at_w1() {
         let (bank, _) = default_bank();
         let unit = bank.unit(FpOp::new(FpOpKind::Add, Precision::Single));
-        assert!(tei_kernels::registry().covers(unit));
-        assert_eq!(
-            resolve_lanes(
-                None,
-                KernelBackend::Auto,
-                tei_kernels::registry().covers(unit)
-            ),
-            CODEGEN_LANES
-        );
+        for (lanes, auto, interp) in [
+            (1, "interp", "interp"),
+            (4, "codegen", "interp"),
+            (8, "codegen", "interp"),
+        ] {
+            let name = |backend| dta_engine(unit, lanes, backend).expect("engine").name();
+            assert_eq!(name(KernelBackend::Auto), auto, "auto at W{lanes}");
+            assert_eq!(
+                name(KernelBackend::Interpreter),
+                interp,
+                "interp at W{lanes}"
+            );
+        }
     }
 
     #[test]
@@ -1668,23 +1627,18 @@ mod tests {
         let unit = bank.unit(op);
         let pairs = random_operand_pairs(op, 300, 11);
         let levels = [VoltageReduction::VR15, VoltageReduction::VR20];
-        let runs: Vec<String> = [
-            KernelBackend::Interpreter,
-            KernelBackend::Generated,
-            KernelBackend::Auto,
-        ]
-        .into_iter()
-        .map(|backend| {
-            let tuning = DtaTuning {
-                backend,
-                ..DtaTuning::default()
-            };
-            let stats = dta_campaign_tuned(unit, &pairs, spec.clk, &levels, 2, tuning)
-                .expect("campaign succeeds");
-            serde_json::to_string(&stats).expect("stats serialize")
-        })
-        .collect();
-        assert_eq!(runs[0], runs[1], "interpreter vs generated kernel");
-        assert_eq!(runs[0], runs[2], "interpreter vs auto dispatch");
+        let runs: Vec<String> = [KernelBackend::Interpreter, KernelBackend::Auto]
+            .into_iter()
+            .map(|backend| {
+                let tuning = DtaTuning {
+                    backend,
+                    ..DtaTuning::default()
+                };
+                let stats = dta_campaign_tuned(unit, &pairs, spec.clk, &levels, 2, tuning)
+                    .expect("campaign succeeds");
+                serde_json::to_string(&stats).expect("stats serialize")
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "interpreter vs auto dispatch");
     }
 }

@@ -112,10 +112,10 @@ fn parallel_campaign_equals_serial_byte_for_byte() {
 
 /// The tentpole equivalence matrix: every supported lane width, serial
 /// and parallel, with and without safe-bit pruning, on **both** engine
-/// backends (interpreted `ArrivalKernel` and the netlist-specialized
-/// generated kernel), must reproduce the interpreted `ArrivalSim`
-/// reference byte for byte — a 3-way interpreter/codegen/`ArrivalSim`
-/// agreement. Under the `sanitize-arrivals` feature the campaign inner
+/// backends (interpreted `ArrivalKernel`, and auto, which runs the
+/// table-driven kernel at W4 and W8), must reproduce the interpreted
+/// `ArrivalSim` reference byte for byte — a 3-way
+/// interpreter/table/`ArrivalSim` agreement. Under the `sanitize-arrivals` feature the campaign inner
 /// loop additionally cross-checks every pruned mask against a full bit
 /// scan.
 #[test]
@@ -126,7 +126,7 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
         let reference =
             serde_json::to_string(&sim_reference(unit, chained(&pairs), spec.clk, &LEVELS))
                 .expect("serialize reference");
-        for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
+        for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
             for lanes in [1usize, 4, 8] {
                 for threads in [1usize, 3] {
                     for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
@@ -183,8 +183,8 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
             "{threads}-thread sampled campaign diverged from serial"
         );
     }
-    // The generated backend must reproduce the same sampled statistics.
-    for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
+    // Both backends must reproduce the same sampled statistics.
+    for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
         let tuned = dta_campaign_sampled_tuned(
             unit,
             &trace,
@@ -224,7 +224,7 @@ fn sampled_walk_matches_arrival_sim() {
         &LEVELS,
     ))
     .expect("serialize reference");
-    for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
+    for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
         for lanes in [1usize, 4, 8] {
             for threads in [1usize, 3] {
                 let tuning = DtaTuning {

@@ -34,9 +34,7 @@ mod core_blocks;
 mod cvt;
 mod div;
 mod mul;
-mod registry;
 mod unit;
 
 pub use core_blocks::{whole_core, AGEN_TARGET, ALU_TARGET, BRANCH_TARGET, DECODE_TARGET};
-pub use registry::{KernelEntry, KernelRegistry};
 pub use unit::{build_datapath, short_tag, FpuBank, FpuTimingSpec, FpuUnit};

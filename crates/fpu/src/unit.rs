@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tei_netlist::{CellLibrary, NetId, Netlist};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{CompiledNetlist, Sta};
+use tei_timing::{CompiledNetlist, DynProgram, Sta};
 
 /// Calibration targets: the nominal critical delay of each FPU datapath,
 /// in nanoseconds, plus the core clock period.
@@ -125,8 +125,10 @@ pub struct FpuUnit {
     a_width: usize,
     b_width: usize,
     /// Lazily compiled γ-scaled DTA netlist, shared by every campaign
-    /// touching this unit (cloning the unit restarts the cache).
+    /// touching this unit.
     dta_compiled: OnceLock<CompiledNetlist>,
+    /// Lazily built table program over `dta_compiled`.
+    dta_program: OnceLock<DynProgram>,
 }
 
 /// Safety margin keeping workload operands that settle slightly later than
@@ -165,6 +167,7 @@ impl FpuUnit {
             a_width,
             b_width,
             dta_compiled: OnceLock::new(),
+            dta_program: OnceLock::new(),
         };
         // Dynamic calibration: measure the arrival-engine settle maximum on
         // the reference ensemble and derive γ.
@@ -213,6 +216,21 @@ impl FpuUnit {
     pub fn dta_compiled(&self) -> &CompiledNetlist {
         self.dta_compiled
             .get_or_init(|| CompiledNetlist::compile(&self.dta_netlist()))
+    }
+
+    /// The table program DTA runs on: [`FpuUnit::dta_compiled`] with its
+    /// settle plan compacted around the result port, the only nets whose
+    /// settle times a campaign reads. Built on first use (about 1 ms for
+    /// the largest unit) and cached for the lifetime of the unit.
+    pub fn dta_program(&self) -> &DynProgram {
+        self.dta_program.get_or_init(|| {
+            let keep: Vec<u32> = self
+                .result_port()
+                .iter()
+                .map(|n| n.index() as u32)
+                .collect();
+            DynProgram::compacted(self.dta_compiled(), &keep)
+        })
     }
 
     /// The modeled operation.

@@ -1,7 +1,8 @@
-//! The generated kernels are only trustworthy if they are (a) emitted
-//! from the netlists this build actually ships and (b) byte-identical
-//! to the interpreted `ArrivalKernel` on real operand traffic. Both are
-//! asserted here against a freshly regenerated bank.
+//! Every shipped unit's DTA table program ([`FpuUnit::dta_program`])
+//! must be byte-identical to the interpreted `ArrivalKernel` on real
+//! operand traffic: every net's value and toggle flag at every
+//! transition, and the settle time of every net the program exposes,
+//! which must include the whole result port.
 //!
 //! Debug builds drive a reduced matrix (fewer units × lane widths ×
 //! windows) to keep `cargo test -q` quick; release builds sweep every
@@ -10,8 +11,8 @@
 use std::sync::OnceLock;
 
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
-use tei_kernels::registry;
-use tei_timing::interpreted_engine;
+use tei_netlist::NetId;
+use tei_timing::{interpreted_engine, ArrivalEngine, SpecializedKernel};
 
 fn bank() -> &'static FpuBank {
     static BANK: OnceLock<FpuBank> = OnceLock::new();
@@ -30,44 +31,44 @@ impl SplitMix {
     }
 }
 
-/// Every registry entry must carry the fingerprint of the unit's
-/// *current* compiled netlist — i.e. the shipped kernels were emitted
-/// from exactly the circuits this build generates. A mismatch here
-/// means the generated sources are stale relative to the datapath
-/// builders or calibration.
-#[test]
-fn registry_is_fresh_for_regenerated_bank() {
-    for unit in bank().iter() {
-        let entry = registry()
-            .entry_for_tag(unit.tag())
-            .unwrap_or_else(|| panic!("no generated kernel registered for {}", unit.tag()));
-        assert_eq!(
-            entry.fingerprint,
-            unit.dta_compiled().fingerprint(),
-            "generated kernel for {} is stale (regenerate tei-kernels)",
-            unit.tag()
-        );
-        assert!(registry().covers(unit));
+/// The table-driven kernel over `unit`'s cached program at `lanes`.
+fn table_engine(unit: &FpuUnit, lanes: usize) -> Box<dyn ArrivalEngine + '_> {
+    let program = unit.dta_program();
+    match lanes {
+        1 => Box::new(SpecializedKernel::<_, 1>::new(program)),
+        4 => Box::new(SpecializedKernel::<_, 4>::new(program)),
+        8 => Box::new(SpecializedKernel::<_, 8>::new(program)),
+        _ => panic!("unsupported lane width {lanes}"),
     }
 }
 
-/// Drive the interpreted and generated engines through the same
+/// The program is built once per unit and then shared.
+#[test]
+fn dta_program_is_built_once() {
+    for unit in bank().iter() {
+        assert!(
+            std::ptr::eq(unit.dta_program(), unit.dta_program()),
+            "{}: dta_program rebuilt",
+            unit.tag()
+        );
+    }
+}
+
+/// Drive the interpreted and table-driven engines through the same
 /// operand windows and require bit-exact agreement at every
 /// transition: every net's value and toggle flag, and the settle time
-/// of every net the generated kernel exposes — which must include the
-/// full result port, the set the campaign thresholds (internal nets
-/// have their settle slots recycled by the emitter's liveness
-/// compaction; see `tei_timing::codegen`).
+/// of every net the program exposes — which must include the full
+/// result port, the set the campaign thresholds (internal nets have
+/// their settle slots recycled by the liveness compaction; see
+/// `tei_timing::codegen`).
 fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64) {
     let compiled = unit.dta_compiled();
     let mut interp = interpreted_engine(compiled, lanes).expect("supported lane width");
-    let mut gen = registry()
-        .make_engine(unit, lanes)
-        .unwrap_or_else(|| panic!("no fresh kernel for {} at W={lanes}", unit.tag()));
-    assert_eq!(gen.lanes(), lanes);
+    let mut table = table_engine(unit, lanes);
+    assert_eq!(table.lanes(), lanes);
     for &net in unit.result_port() {
         assert!(
-            gen.settle_exposed(net),
+            table.settle_exposed(net),
             "{}: result-port net {} must stay exposed",
             unit.tag(),
             net.index()
@@ -76,7 +77,7 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
 
     let width = unit.input_width();
     let vectors = interp.window_vectors();
-    assert_eq!(vectors, gen.window_vectors());
+    assert_eq!(vectors, table.window_vectors());
     let mut rng = SplitMix(seed);
     let mut flat = vec![false; vectors * width];
     for _ in 0..windows {
@@ -85,29 +86,29 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
             unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
         }
         interp.load_window(&flat, vectors);
-        gen.load_window(&flat, vectors);
-        assert_eq!(interp.window_transitions(), gen.window_transitions());
+        table.load_window(&flat, vectors);
+        assert_eq!(interp.window_transitions(), table.window_transitions());
         for t in 0..interp.window_transitions() {
             interp.select_transition(t);
-            gen.select_transition(t);
+            table.select_transition(t);
             for net in 0..compiled.len() {
-                let id = tei_netlist::NetId::from_index(net);
+                let id = NetId::from_index(net);
                 assert_eq!(
                     interp.cur(id),
-                    gen.cur(id),
+                    table.cur(id),
                     "{} W={lanes} t={t} net {net}: value",
                     unit.tag()
                 );
                 assert_eq!(
                     interp.changed(id),
-                    gen.changed(id),
+                    table.changed(id),
                     "{} W={lanes} t={t} net {net}: toggle",
                     unit.tag()
                 );
-                if gen.settle_exposed(id) {
+                if table.settle_exposed(id) {
                     assert_eq!(
                         interp.settle_of(id).to_bits(),
-                        gen.settle_of(id).to_bits(),
+                        table.settle_of(id).to_bits(),
                         "{} W={lanes} t={t} net {net}: settle",
                         unit.tag()
                     );
@@ -118,23 +119,14 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
 }
 
 #[test]
-fn generated_kernels_match_interpreter_bit_exactly() {
-    let (units, lane_widths, windows): (&[&str], &[usize], usize) = if cfg!(debug_assertions) {
-        (&["fp-add-s", "i2f-s", "f2i-s"], &[1, 4], 1)
-    } else {
-        (
-            &[
-                "fp-add-s", "fp-add-d", "fp-sub-s", "fp-sub-d", "fp-mul-s", "fp-mul-d", "fp-div-s",
-                "fp-div-d", "i2f-s", "i2f-d", "f2i-s", "f2i-d",
-            ],
-            &[1, 4, 8],
-            2,
-        )
-    };
-    for unit in bank().iter() {
-        if !units.contains(&unit.tag()) {
-            continue;
-        }
+fn dta_programs_match_interpreter_bit_exactly() {
+    let debug = cfg!(debug_assertions);
+    let (lane_widths, windows): (&[usize], usize) =
+        if debug { (&[1, 4], 1) } else { (&[1, 4, 8], 2) };
+    let units = bank()
+        .iter()
+        .filter(|u| !debug || ["fp-add-s", "i2f-s", "f2i-s"].contains(&u.tag()));
+    for unit in units {
         for (k, &lanes) in lane_widths.iter().enumerate() {
             assert_engines_match(unit, lanes, windows, 0xD7A5_0000 + k as u64);
         }

@@ -1,83 +1,24 @@
 //! # tei-kernels
 //!
-//! Netlist-specialized arrival kernels for the shipped FPU bank.
-//!
-//! The build script regenerates the bank from `tei-fpu`, runs the
-//! `tei_timing::codegen` emitter over each unit's compiled DTA netlist,
-//! and compiles the result into this crate: one module per unit
-//! (`fp_add_d`, `fp_mul_s`, …) holding a table-compiled [`Program`] —
-//! opcode/pin/delay tables baked into static data, with the settle
-//! pass slot-allocated at emission time so internal nets recycle
-//! scratch storage and only the unit's observable outputs keep
-//! dedicated slots (see `tei_timing::codegen` for the design and the
-//! measured case against straight-line unrolling).
-//!
-//! Consumers never name the generated modules directly — they go
-//! through [`registry()`], which returns a fingerprint-checked
-//! [`KernelRegistry`]: a kernel is only handed out when the structural
-//! fingerprint of the unit's *current* compiled netlist matches the one
-//! the kernel was emitted from, so stale kernels degrade to the
-//! interpreted fallback instead of computing against the wrong circuit.
-//!
-//! [`Program`]: tei_timing::NetlistProgram
+//! Compatibility shim for callers that still ask whether a shipped FPU
+//! unit has a specialized DTA kernel. Every unit now builds its table
+//! program at runtime ([`FpuUnit::dta_program`]), so the answer is
+//! always yes and nothing here is generated or checked.
 
-use std::sync::OnceLock;
+use tei_fpu::FpuUnit;
 
-use tei_fpu::KernelRegistry;
-use tei_timing::{ArrivalEngine, NetlistProgram, SpecializedKernel};
+/// The answer to "which units have a specialized kernel": all of them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Registry;
 
-include!(concat!(env!("OUT_DIR"), "/registry.rs"));
-
-/// Boxed specialized engine over program `P` at `lanes` lane words —
-/// the `make` constructor every generated registry entry points at.
-/// Returns `None` for lane widths the kernel surface does not support
-/// (anything outside {1, 4, 8}).
-pub fn specialized_engine<P: NetlistProgram + Default + 'static>(
-    lanes: usize,
-) -> Option<Box<dyn ArrivalEngine>> {
-    match lanes {
-        1 => Some(Box::new(SpecializedKernel::<P, 1>::new(P::default()))),
-        4 => Some(Box::new(SpecializedKernel::<P, 4>::new(P::default()))),
-        8 => Some(Box::new(SpecializedKernel::<P, 8>::new(P::default()))),
-        _ => None,
+impl Registry {
+    /// Whether `unit` has a specialized kernel: always `true`.
+    pub fn covers(&self, _unit: &FpuUnit) -> bool {
+        true
     }
 }
 
-/// The process-wide registry of generated kernels, one entry per
-/// shipped FPU unit, built on first use.
-pub fn registry() -> &'static KernelRegistry {
-    static REGISTRY: OnceLock<KernelRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(build_registry)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_has_one_entry_per_unit_with_unique_tags() {
-        let reg = registry();
-        let entries = reg.entries();
-        assert_eq!(entries.len(), 12, "twelve shipped FPU units");
-        for (i, e) in entries.iter().enumerate() {
-            assert!(
-                entries[..i].iter().all(|prev| prev.tag != e.tag),
-                "duplicate registry tag {}",
-                e.tag
-            );
-        }
-    }
-
-    #[test]
-    fn every_entry_constructs_supported_widths_only() {
-        for e in registry().entries() {
-            for lanes in [1usize, 4, 8] {
-                let engine = (e.make)(lanes).expect("supported lane width");
-                assert_eq!(engine.lanes(), lanes);
-                assert_eq!(engine.name(), "codegen");
-            }
-            assert!((e.make)(2).is_none());
-            assert!((e.make)(0).is_none());
-        }
-    }
+/// The process-wide [`Registry`].
+pub fn registry() -> &'static Registry {
+    &Registry
 }

@@ -116,9 +116,7 @@ impl Netlist {
     /// Per-net logic depth: inputs and constants at level 0, every
     /// other gate one past its deepest fanin. Computed in one pass over
     /// the (topologically ordered) gate list, so the result is a
-    /// deterministic function of the netlist structure — the stable
-    /// gate/level order the codegen emitter annotates its straight-line
-    /// blocks with.
+    /// deterministic function of the netlist structure.
     pub fn levelize(&self) -> Vec<u32> {
         let mut levels = vec![0u32; self.gates.len()];
         for (i, g) in self.gates.iter().enumerate() {

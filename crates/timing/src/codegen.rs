@@ -1,26 +1,27 @@
-//! Netlist-specialized codegen backend for the arrival kernel.
+//! Table-driven specialized backend for the arrival kernel.
 //!
-//! For the *shipped* FPU units the netlist is known at build time, so
-//! the per-window work can be specialized against it. [`emit_program`]
-//! compiles a [`CompiledNetlist`] into a Rust module of static tables
-//! implementing [`NetlistProgram`]; the shared [`SpecializedKernel`]
-//! harness wraps any program in the window protocol of
-//! [`ArrivalEngine`], driving two table-driven passes
+//! [`DynProgram::compacted`] compiles a [`CompiledNetlist`] at runtime
+//! into flat opcode/pin/delay tables plus a liveness-compacted settle
+//! plan, behind the [`NetlistProgram`] trait; the shared
+//! [`SpecializedKernel`] harness wraps any program in the window
+//! protocol of [`ArrivalEngine`], driving two table-driven passes
 //! ([`table_plane_pass`], [`table_settle_pass`]) that are bit-identical
-//! to the interpreter.
+//! to the interpreter. Building the tables is cheap: the plans for all
+//! twelve shipped FPU units take about 3 ms, so each unit builds its
+//! program once on first use (`FpuUnit::dta_program` in `tei-fpu`).
 //!
 //! **What specialization buys.** The settle pass dominates DTA
 //! throughput and is cache-bandwidth bound: the interpreter's dense
 //! batch streams a net-indexed `[f64; W]` settle array (411 KB for the
 //! d-mul netlist at `W = 4`, 823 KB at 8) plus full `[u64; W]` diff
-//! lanes per gate per batch. The emitter instead performs a liveness
-//! analysis over the settle dataflow and allocates *recycled scratch
-//! slots*: a net's slot is freed at its last fanout reader and reused
-//! (LIFO, so the hottest line is reused first), while nets in the
-//! `keep` set — the unit's observable outputs — hold dedicated slots
-//! for the campaign's [`settle_of`](ArrivalEngine::settle_of) queries.
-//! The scratch footprint drops from `N` nets to the netlist's cut
-//! width, and the harness transposes diff lanes word-major once per
+//! lanes per gate per batch. [`SettlePlan::compacted`] instead performs
+//! a liveness analysis over the settle dataflow and allocates *recycled
+//! scratch slots*: a net's slot is freed at its last fanout reader and
+//! reused (LIFO, so the hottest line is reused first), while nets in
+//! the `keep` set — the unit's observable outputs — hold dedicated
+//! slots for the campaign's [`settle_of`](ArrivalEngine::settle_of)
+//! queries. The scratch footprint drops from `N` nets to the netlist's
+//! cut width, and the harness transposes diff lanes word-major once per
 //! window so each settle batch reads 8 bytes of toggle bits per gate
 //! instead of `8 * W`. The interpreter cannot do this: its net-indexed
 //! settle array *is* its public contract (`settle_of` on every net,
@@ -29,15 +30,15 @@
 //! **How the settle loop is driven.** Table validation happens once,
 //! in [`SpecializedKernel::new`], against owned copies of the
 //! program's tables; each batch then runs an unchecked loop over a
-//! packed 16-byte [`GateRec`] per gate (re-validating per batch
+//! packed 16-byte `GateRec` per gate (re-validating per batch
 //! measurably costs as much as the settle arithmetic itself — see
-//! [`table_settle_pass`]). On x86-64 with AVX-512F, `W = 8` sweeps
+//! [`table_settle_pass`]). On x86-64 CPUs with AVX-512F, `W = 8` sweeps
 //! *two* adjacent batches at once (the `zmm` module): one ZMM
 //! register per batch per net, the toggle byte used directly as the
 //! `maskz` write mask, and one record + one diff-word load amortized
 //! across both batches — measured at ~2.2× the interpreted `W = 4`
-//! walk on d-mul. `TEI_NO_AVX512` forces the generic path for A/B
-//! runs or downclock-sensitive hosts.
+//! walk on d-mul. Other CPUs run the generic pass; a unit test holds
+//! the two bit-identical.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
@@ -45,10 +46,13 @@
 //! ran 6.5× *slower* than the interpreter: ~1 MB of instructions per
 //! settle batch streams through the i-cache, which loses decisively to
 //! a resident loop over compact tables — and cost half an hour of LLVM
-//! time per build. The shipped design keeps the specialization where
-//! it pays (the slot allocation, delays as exact `f64` bit constants,
-//! pins resolved to slots at emission) and executes it with the same
-//! few hundred bytes of loop code for every unit.
+//! time per build. A later version emitted the same tables as static
+//! Rust source at build time; it measured no faster than tables built
+//! at runtime (0.95–1.07× on d-div and d-mul at `W = 8`), because the
+//! harness copies the tables it runs over anyway, so it was retired.
+//! The shipped design keeps the specialization where it pays (the slot
+//! allocation, packed records, pins resolved to slots) and executes it
+//! with the same few hundred bytes of loop code for every unit.
 //!
 //! **Exposure contract.** After a settle pass, only nets whose slot
 //! was never recycled still hold their settle time: every net in
@@ -59,30 +63,27 @@
 //! `accumulate_transition` in `tei-core`), which are always kept;
 //! full-fidelity programs ([`DynProgram::new`]) expose every net.
 //!
-//! **Emission-order determinism:** gates are emitted in compiled
+//! **Determinism and equivalence.** Gates run in compiled
 //! (topological) index order, the same order the interpreter sweeps,
 //! and the slot allocator is deterministic (LIFO free list, one linear
-//! scan), so regenerating from an identical netlist reproduces the
-//! source byte for byte; the embedded
-//! [`CompiledNetlist::fingerprint`] ties a generated program to the
-//! exact netlist it came from. Equivalence is enforced three ways: the
-//! `kernel_equiv` proptests drive this harness over [`DynProgram`]
-//! (full and compacted plans) on random DAGs against the reference
-//! simulator, [`SettlePlan`] self-verifies every allocation by replay,
-//! and the `tei-kernels` crate checks every generated unit kernel
-//! transition-for-transition against the interpreter.
+//! scan), so a given `(netlist, keep)` pair always yields the same
+//! plan. Equivalence is enforced three ways: the `kernel_equiv`
+//! proptests drive this harness over [`DynProgram`] (full and
+//! compacted plans) on random DAGs against the reference simulator,
+//! [`SettlePlan`] self-verifies every allocation by replay, and
+//! `tei-fpu`'s `dta_program_equiv` suite checks every shipped unit's
+//! program transition-for-transition against the interpreter.
 
 use crate::engine::ArrivalEngine;
 use crate::kernel::{lane_bit, CompiledNetlist, Lanes};
 use crate::sim::TwoVectorResult;
-use std::fmt::Write as _;
 use tei_netlist::{GateKind, NetId};
 
-/// The compiled shape of one specialized netlist program: static (or
-/// runtime-built) tables the [`SpecializedKernel`] harness drives with
-/// [`table_plane_pass`] and [`table_settle_pass`]. Implemented by
-/// generated code (via [`emit_program`]) and, for arbitrary netlists,
-/// by [`DynProgram`].
+/// The compiled shape of one specialized netlist program: the tables
+/// the [`SpecializedKernel`] harness drives with [`table_plane_pass`]
+/// and [`table_settle_pass`]. Implemented by [`DynProgram`], and by any
+/// shared reference to a program, so a kernel can run over a program
+/// it does not own.
 ///
 /// Table invariants (checked by [`SpecializedKernel::new`]): `kinds`
 /// and `delay_bits` hold one entry per gate, `pins`/`spins` three;
@@ -95,10 +96,6 @@ pub trait NetlistProgram: Send + Sync {
     /// Primary input nets in declaration order.
     fn input_nets(&self) -> &[u32];
 
-    /// Fingerprint of the [`CompiledNetlist`] this program was emitted
-    /// from (see [`CompiledNetlist::fingerprint`]).
-    fn fingerprint(&self) -> u64;
-
     /// Gate opcodes (compiled `GateKind` discriminants), topological
     /// order.
     fn kinds(&self) -> &[u8];
@@ -107,8 +104,7 @@ pub trait NetlistProgram: Send + Sync {
     /// (the plane pass operand table).
     fn pins(&self) -> &[u32];
 
-    /// Per-gate propagation delays as raw `f64` bits (exact
-    /// round-trip through emitted source).
+    /// Per-gate propagation delays as raw `f64` bits.
     fn delay_bits(&self) -> &[u64];
 
     /// Settle scratch slots, including the reserved constant-zero
@@ -534,15 +530,7 @@ mod zmm {
     /// Whether the running CPU supports the W = 8 ZMM settle pass.
     #[inline]
     pub fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            // Escape hatch for A/B measurement and for hosts where
-            // 512-bit license downclocking hurts the surrounding
-            // workload more than the wider settle pass helps.
-            std::env::var_os("TEI_NO_AVX512").is_none()
-                && std::arch::is_x86_feature_detected!("avx512f")
-        })
+        std::arch::is_x86_feature_detected!("avx512f")
     }
 
     /// # Safety
@@ -639,9 +627,8 @@ mod zmm {
 
 /// A slot allocation for the settle pass of one netlist: where each
 /// gate writes, where each fanin pin reads, and which nets remain
-/// exposed afterwards. Produced at emission time ([`emit_program`])
-/// or at runtime ([`DynProgram`]); every allocation is self-verified
-/// by replay before use.
+/// exposed afterwards. Built by [`DynProgram`]; every allocation is
+/// self-verified by replay before use.
 #[derive(Debug, Clone)]
 pub struct SettlePlan {
     /// Writing slot per gate (never 0, the zero sentinel).
@@ -770,8 +757,7 @@ impl SettlePlan {
 
     /// Replay the allocation and assert every settle-pass read hits
     /// the slot that currently holds that fanin — the safety argument
-    /// for trusting a plan (and the shipped static tables emitted from
-    /// one) without per-pass checks.
+    /// for trusting a plan without per-pass checks.
     fn verify(&self, c: &CompiledNetlist) {
         let n = c.len();
         let pins = c.pins();
@@ -839,10 +825,15 @@ pub struct SpecializedKernel<P, const W: usize> {
     /// index fits `u16` (always, for the shipped bank).
     packed: Option<Vec<GateRec>>,
     lut: Box<[Lanes<W>]>,
-    /// Batch-pair mode (see [`zmm::settle_w8_pair_packed`]): the
-    /// settle pass covers `2 * W` transitions per sweep and `scratch`
-    /// holds `2 * slot_count` lane arrays in the interleaved pair
-    /// layout. Decided once at construction.
+    /// Whether batches run the AVX-512 passes of the `zmm` module
+    /// (`W == 8` on a CPU with AVX-512F). Decided once at
+    /// construction.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    zmm: bool,
+    /// Batch-pair mode (see `zmm::settle_w8_pair_packed`): the settle
+    /// pass covers `2 * W` transitions per sweep and `scratch` holds
+    /// `2 * slot_count` lane arrays in the interleaved pair layout.
+    /// Decided once at construction.
     pair: bool,
     width: usize,
     /// One-shot per-transition keep mask for the next `load_window`
@@ -866,6 +857,17 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
     /// invariants (wrong strides, slot indices out of range, a gate
     /// writing the zero sentinel).
     pub fn new(program: P) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = zmm::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        Self::with_avx512(program, avx512)
+    }
+
+    /// [`SpecializedKernel::new`] with the AVX-512 choice made by the
+    /// caller: `false` runs the generic passes on any CPU; `true`
+    /// requires AVX-512F.
+    fn with_avx512(program: P, avx512: bool) -> Self {
         let n = program.gate_count();
         let width = program.input_nets().len();
         let m = program.slot_count();
@@ -887,10 +889,8 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
             "spin slot out of range"
         );
         let packed = pack_records(program.slots(), program.spins(), program.delay_bits());
-        #[cfg(target_arch = "x86_64")]
-        let pair = W == 8 && packed.is_some() && zmm::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let pair = false;
+        let zmm = W == 8 && avx512;
+        let pair = zmm && packed.is_some();
         SpecializedKernel {
             plane: vec![[0; W]; n],
             diffs: vec![[0; W]; n],
@@ -901,6 +901,7 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
             delay_bits: program.delay_bits().to_vec(),
             packed,
             lut: lane_lut::<W>(),
+            zmm,
             pair,
             program,
             width,
@@ -1023,12 +1024,12 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
         let dw = &self.diffs_t[lw * n..lw * n + n];
         let ls = base & 63;
         // SAFETY: `slots`/`spins`/`delay_bits` (and their `packed`
-        // form) are the owned copies validated in `new` (strides,
+        // form) are the owned copies validated at construction (strides,
         // non-zero slots, every index below the slot count; paired
         // scratch holds twice that); `dw` is one word per gate and
         // `lut` holds `1 << W` entries by construction.
         #[cfg(target_arch = "x86_64")]
-        if W == 8 && zmm::available() {
+        if self.zmm {
             // SAFETY (cast): `W == 8` here, so `[[f64; W]]` and
             // `[[f64; 8]]` are the same layout.
             let scratch8 = unsafe {
@@ -1039,9 +1040,10 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
             };
             unsafe {
                 match &self.packed {
-                    // `pair` is true whenever records packed (see
-                    // `new`), so the packed arm is always the pair
-                    // sweep and `ls` is a multiple of 16 (<= 48).
+                    // `pair` is true whenever `zmm` is and records
+                    // packed (see `with_avx512`), so the packed arm is
+                    // always the pair sweep and `ls` is a multiple of
+                    // 16 (<= 48).
                     Some(recs) => zmm::settle_w8_pair_packed(recs, scratch8, dw, ls),
                     None => {
                         zmm::settle_w8(&self.slots, &self.spins, &self.delay_bits, scratch8, dw, ls)
@@ -1119,19 +1121,17 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
     }
 }
 
-/// [`NetlistProgram`] built at runtime from a [`CompiledNetlist`]: the
-/// same table shapes generated code ships as statics, materialized on
-/// the fly. [`DynProgram::new`] uses the full (identity) plan — every
-/// net exposed — and is the property-test control for the
-/// [`SpecializedKernel`] harness; [`DynProgram::compacted`] exercises
-/// the same liveness-compacted allocation the emitter bakes into
-/// shipped kernels, for netlists that have no generated module.
+/// [`NetlistProgram`] built at runtime from a [`CompiledNetlist`].
+/// [`DynProgram::new`] uses the full (identity) plan — every net
+/// exposed — and is the property-test control for the
+/// [`SpecializedKernel`] harness; [`DynProgram::compacted`] is the
+/// liveness-compacted program every shipped FPU unit's DTA runs on.
+#[derive(Debug, Clone)]
 pub struct DynProgram {
     kinds: Vec<u8>,
     pins: Vec<u32>,
     delay_bits: Vec<u64>,
     inputs: Vec<u32>,
-    fingerprint: u64,
     plan: SettlePlan,
 }
 
@@ -1154,7 +1154,6 @@ impl DynProgram {
             pins: compiled.pins().to_vec(),
             delay_bits: compiled.delays().iter().map(|d| d.to_bits()).collect(),
             inputs: compiled.input_nets().to_vec(),
-            fingerprint: compiled.fingerprint(),
             plan,
         }
     }
@@ -1172,10 +1171,6 @@ impl NetlistProgram for DynProgram {
 
     fn input_nets(&self) -> &[u32] {
         &self.inputs
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     fn kinds(&self) -> &[u8] {
@@ -1207,132 +1202,42 @@ impl NetlistProgram for DynProgram {
     }
 }
 
-/// Emit the netlist-specialized Rust source for `c` as a `pub mod
-/// {module_name}` implementing [`NetlistProgram`] on a zero-sized
-/// `Program` type over static tables, with the settle plan compacted
-/// around the `keep` set (the unit's observable outputs).
-///
-/// `levels` is the per-net logic depth (from
-/// [`Netlist::levelize`](tei_netlist::Netlist::levelize), computed on
-/// the same netlist `c` was compiled from) and is used only for the
-/// header annotation; emission order is the compiled topological index
-/// order and the slot allocator is deterministic, which makes
-/// regeneration byte-for-byte reproducible. The emitted module
-/// references this crate as `tei_timing` (the generated-kernels crate
-/// compiles it via `include!`).
-///
-/// # Panics
-///
-/// Panics if `levels.len()` differs from the netlist's gate count,
-/// `module_name` is not a lowercase identifier, or `keep` names a net
-/// outside the netlist.
-pub fn emit_program(
-    c: &CompiledNetlist,
-    levels: &[u32],
-    module_name: &str,
-    tag: &str,
-    keep: &[u32],
-) -> String {
-    let n = c.len();
-    assert_eq!(levels.len(), n, "level table must cover every net");
-    assert!(
-        !module_name.is_empty()
-            && module_name
-                .chars()
-                .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '_')
-            && !module_name.starts_with(|ch: char| ch.is_ascii_digit()),
-        "module name {module_name:?} must be a lowercase identifier"
-    );
-    let inputs = c.input_nets();
-    let max_level = levels.iter().copied().max().unwrap_or(0);
-    let plan = SettlePlan::compacted(c, keep);
+impl<P: NetlistProgram + ?Sized> NetlistProgram for &P {
+    fn gate_count(&self) -> usize {
+        (**self).gate_count()
+    }
 
-    let mut s = String::with_capacity(32 * n + 4096);
-    let _ = writeln!(
-        s,
-        "// @generated by tei-timing codegen — do not edit; regenerate from the netlist."
-    );
-    let _ = writeln!(
-        s,
-        "// unit: {tag} · gates: {n} · inputs: {} · logic levels: {max_level} · settle slots: \
-         {} ({:.1}% of dense)",
-        inputs.len(),
-        plan.slot_count,
-        100.0 * plan.slot_count as f64 / (n + 1) as f64
-    );
-    let _ = writeln!(s, "pub mod {module_name} {{");
-    let _ = writeln!(s, "    #![allow(clippy::all)]");
-    let _ = writeln!(s, "    use tei_timing::codegen::NetlistProgram;");
-    let _ = writeln!(s, "    /// Gate count of the specialized netlist.");
-    let _ = writeln!(s, "    pub const N: usize = {n};");
-    let _ = writeln!(
-        s,
-        "    /// Fingerprint of the `CompiledNetlist` this was emitted from."
-    );
-    let _ = writeln!(
-        s,
-        "    pub const FINGERPRINT: u64 = 0x{:016X};",
-        c.fingerprint()
-    );
-    let _ = writeln!(
-        s,
-        "    /// Settle scratch slots (liveness-compacted; slot 0 is the zero sentinel)."
-    );
-    let _ = writeln!(s, "    pub const SLOT_COUNT: usize = {};", plan.slot_count);
-    emit_u32_array(&mut s, "INPUTS", inputs.len(), inputs.iter().copied());
-    let _ = write!(s, "    static KINDS: [u8; {n}] = [");
-    for (k, v) in c.kinds().iter().enumerate() {
-        if k % 32 == 0 {
-            let _ = write!(s, "\n        ");
-        }
-        let _ = write!(s, "{v}, ");
+    fn input_nets(&self) -> &[u32] {
+        (**self).input_nets()
     }
-    let _ = writeln!(s, "\n    ];");
-    emit_u32_array(&mut s, "PINS", 3 * n, c.pins().iter().copied());
-    emit_u32_array(&mut s, "SLOTS", n, plan.slots.iter().copied());
-    emit_u32_array(&mut s, "SPINS", 3 * n, plan.spins.iter().copied());
-    emit_u32_array(&mut s, "EXPOSED", n, plan.exposed.iter().copied());
-    let _ = write!(s, "    static DELAYS: [u64; {n}] = [");
-    for (k, d) in c.delays().iter().enumerate() {
-        if k % 4 == 0 {
-            let _ = write!(s, "\n        ");
-        }
-        let _ = write!(s, "0x{:016X}, ", d.to_bits());
-    }
-    let _ = writeln!(s, "\n    ];");
-    let _ = writeln!(s, "    /// Table-compiled specialized program for `{tag}`.");
-    let _ = writeln!(s, "    #[derive(Debug, Clone, Copy, Default)]");
-    let _ = writeln!(s, "    pub struct Program;");
-    let _ = writeln!(s, "    impl NetlistProgram for Program {{");
-    let _ = writeln!(s, "        fn gate_count(&self) -> usize {{ N }}");
-    let _ = writeln!(s, "        fn input_nets(&self) -> &[u32] {{ &INPUTS }}");
-    let _ = writeln!(s, "        fn fingerprint(&self) -> u64 {{ FINGERPRINT }}");
-    let _ = writeln!(s, "        fn kinds(&self) -> &[u8] {{ &KINDS }}");
-    let _ = writeln!(s, "        fn pins(&self) -> &[u32] {{ &PINS }}");
-    let _ = writeln!(s, "        fn delay_bits(&self) -> &[u64] {{ &DELAYS }}");
-    let _ = writeln!(s, "        fn slot_count(&self) -> usize {{ SLOT_COUNT }}");
-    let _ = writeln!(s, "        fn slots(&self) -> &[u32] {{ &SLOTS }}");
-    let _ = writeln!(s, "        fn spins(&self) -> &[u32] {{ &SPINS }}");
-    let _ = writeln!(
-        s,
-        "        fn settle_slot(&self, net: usize) -> u32 {{ EXPOSED[net] }}"
-    );
-    let _ = writeln!(s, "    }}");
-    let _ = writeln!(s, "}}");
-    s
-}
 
-/// Append `static {name}: [u32; {len}] = [...];` with 16 values per
-/// line (indented for the emitted module body).
-fn emit_u32_array(s: &mut String, name: &str, len: usize, vals: impl Iterator<Item = u32>) {
-    let _ = write!(s, "    static {name}: [u32; {len}] = [");
-    for (k, v) in vals.enumerate() {
-        if k % 16 == 0 {
-            let _ = write!(s, "\n        ");
-        }
-        let _ = write!(s, "{v}, ");
+    fn kinds(&self) -> &[u8] {
+        (**self).kinds()
     }
-    let _ = writeln!(s, "\n    ];");
+
+    fn pins(&self) -> &[u32] {
+        (**self).pins()
+    }
+
+    fn delay_bits(&self) -> &[u64] {
+        (**self).delay_bits()
+    }
+
+    fn slot_count(&self) -> usize {
+        (**self).slot_count()
+    }
+
+    fn slots(&self) -> &[u32] {
+        (**self).slots()
+    }
+
+    fn spins(&self) -> &[u32] {
+        (**self).spins()
+    }
+
+    fn settle_slot(&self, net: usize) -> u32 {
+        (**self).settle_slot(net)
+    }
 }
 
 #[cfg(test)]
@@ -1401,6 +1306,80 @@ mod tests {
         );
     }
 
+    /// A random topologically ordered DAG over `n_inputs` inputs and
+    /// `n_gates` logic gates, with the last 16 nets as its output bus.
+    fn random_dag(n_inputs: usize, n_gates: usize, seed: u64) -> Netlist {
+        let mut rng = seed;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut nl = Netlist::new("dag", CellLibrary::nangate45_like());
+        let mut nets: Vec<NetId> = (0..n_inputs).map(|_| nl.add_input_bit()).collect();
+        let kinds = GateKind::all_logic();
+        for _ in 0..n_gates {
+            let kind = kinds[next() as usize % kinds.len()];
+            let pins: Vec<NetId> = (0..kind.arity())
+                .map(|_| nets[next() as usize % nets.len()])
+                .collect();
+            nets.push(nl.add_gate(kind, &pins));
+        }
+        nl.mark_output_bus("r", &nets[nets.len() - 16..]);
+        nl
+    }
+
+    /// The AVX-512 pair pass and the generic W = 8 pass must produce
+    /// bit-identical settle times on every exposed net, over full and
+    /// partial windows, for both the full and the compacted plan.
+    #[test]
+    fn zmm_pair_pass_matches_generic_w8_pass() {
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = zmm::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        if !avx512 {
+            eprintln!("zmm_pair_pass_matches_generic_w8_pass: no avx512f on this CPU, skipped");
+            return;
+        }
+        let nl = random_dag(24, 600, 0x9e37_79b9_7f4a_7c15);
+        let c = CompiledNetlist::compile(&nl);
+        let keep: Vec<u32> = (c.len() as u32 - 16..c.len() as u32).collect();
+        let width = c.input_nets().len();
+        for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
+            let mut zmm = SpecializedKernel::<_, 8>::with_avx512(&program, true);
+            let mut generic = SpecializedKernel::<_, 8>::with_avx512(&program, false);
+            assert!(zmm.pair && !generic.zmm, "one pair pass, one generic pass");
+            let mut rng = 0x0dd_ba11u64;
+            let mut flat = vec![false; 512 * width];
+            for count in [512usize, 301] {
+                for bit in flat.iter_mut() {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    *bit = rng & 1 == 1;
+                }
+                zmm.load_window(&flat[..count * width], count);
+                generic.load_window(&flat[..count * width], count);
+                for t in 0..count - 1 {
+                    zmm.select_transition(t);
+                    generic.select_transition(t);
+                    for net in (0..c.len()).map(NetId::from_index) {
+                        if zmm.settle_exposed(net) {
+                            assert_eq!(
+                                zmm.settle_of(net).to_bits(),
+                                generic.settle_of(net).to_bits(),
+                                "window of {count}, t={t}, net {}",
+                                net.index()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn full_plan_exposes_every_net() {
         let nl = tiny();
@@ -1408,30 +1387,5 @@ mod tests {
         let plan = SettlePlan::full(&c);
         assert_eq!(plan.slot_count, c.len() + 1);
         assert!(plan.exposed.iter().all(|&e| e != u32::MAX));
-    }
-
-    #[test]
-    fn emitted_source_is_deterministic_and_carries_fingerprint() {
-        let nl = tiny();
-        let c = CompiledNetlist::compile(&nl);
-        let levels = nl.levelize();
-        let keep: Vec<u32> = vec![2, 3];
-        let a = emit_program(&c, &levels, "tiny", "tiny", &keep);
-        let b = emit_program(&c, &levels, "tiny", "tiny", &keep);
-        assert_eq!(a, b, "emission must be deterministic");
-        assert!(a.contains(&format!("0x{:016X}", c.fingerprint())));
-        assert!(a.contains("pub mod tiny {"));
-        assert!(a.contains("static SLOTS"));
-        assert!(a.contains("static SPINS"));
-        assert!(a.contains("SLOT_COUNT"));
-    }
-
-    #[test]
-    #[should_panic(expected = "lowercase identifier")]
-    fn emit_rejects_bad_module_names() {
-        let nl = tiny();
-        let c = CompiledNetlist::compile(&nl);
-        let levels = nl.levelize();
-        emit_program(&c, &levels, "Bad-Name", "tiny", &[]);
     }
 }

@@ -9,16 +9,15 @@
 //! * the interpreted [`ArrivalKernel`] over a [`CompiledNetlist`]
 //!   ([`InterpretedEngine`]) — works for any netlist, including ones
 //!   parsed or generated at runtime; and
-//! * a netlist-specialized generated kernel
-//!   ([`SpecializedKernel`](crate::SpecializedKernel)) — slot-compacted
-//!   tables emitted once per shipped FPU unit by
-//!   [`codegen`](crate::codegen), selected when its structural
-//!   fingerprint matches the unit's compiled netlist.
+//! * the table-driven [`SpecializedKernel`](crate::SpecializedKernel)
+//!   over a slot-compacted [`DynProgram`](crate::DynProgram), built
+//!   at runtime from the same compiled netlist (see
+//!   [`codegen`](crate::codegen)).
 //!
 //! Both implementations are bit-identical for identical input streams
 //! on every net the engine exposes (enforced by the `kernel_equiv`
-//! proptests and the generated-kernel equivalence suite), so engine
-//! choice is a pure throughput knob. Generated kernels recycle settle
+//! proptests and `tei-fpu`'s per-unit equivalence suite), so engine
+//! choice is a pure throughput knob. Compacted programs recycle settle
 //! storage for internal nets (see [`codegen`](crate::codegen)); the
 //! campaign only reads output-port settles, which every engine
 //! exposes — check [`settle_exposed`](ArrivalEngine::settle_exposed)
@@ -29,8 +28,8 @@ use crate::sim::TwoVectorResult;
 use tei_netlist::NetId;
 
 /// Object-safe window-mode arrival engine: the exact protocol the DTA
-/// campaign inner loop drives, dispatchable over interpreted and
-/// generated kernels. All engines are bit-identical; see the module
+/// campaign inner loop drives, dispatchable over the interpreted and
+/// the table-driven kernels. All engines are bit-identical; see the module
 /// docs.
 pub trait ArrivalEngine: Send {
     /// Short engine label for reports and benchmarks (`"interp"`,
@@ -119,9 +118,9 @@ pub trait ArrivalEngine: Send {
 }
 
 /// The interpreted [`ArrivalKernel`] behind the [`ArrivalEngine`]
-/// surface: the universal fallback that works for any
-/// [`CompiledNetlist`], including runtime-parsed ones no generated
-/// kernel exists for.
+/// surface: works for any [`CompiledNetlist`], exposes every net's
+/// settle time, and is the reference the table-driven kernel is
+/// checked against.
 pub struct InterpretedEngine<'c, const W: usize> {
     compiled: &'c CompiledNetlist,
     kernel: ArrivalKernel<W>,

@@ -296,11 +296,8 @@ impl CompiledNetlist {
     /// evaluates: gate count, opcodes, pin table, exact delay bits, and
     /// the primary-input order. Two compiled netlists with equal
     /// fingerprints produce identical kernel results for identical input
-    /// streams, which is what lets a generated specialized kernel (see
-    /// [`codegen`](crate::codegen)) prove at runtime that it was emitted
-    /// from *this* netlist — a mismatch (changed datapath builder,
-    /// recalibrated delays) falls back to the interpreter instead of
-    /// silently computing against a stale circuit.
+    /// streams, which is what lets a saved surrogate model prove it was
+    /// fitted on *this* netlist.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -333,22 +330,23 @@ impl CompiledNetlist {
         h
     }
 
-    /// Per-gate opcodes (`GateKind as u8`), for the codegen emitter.
+    /// Per-gate opcodes (`GateKind as u8`), for [`DynProgram`](crate::DynProgram).
     pub(crate) fn kinds(&self) -> &[u8] {
         &self.kinds
     }
 
-    /// The padded stride-3 pin table, for the codegen emitter.
+    /// The padded stride-3 pin table, for [`DynProgram`](crate::DynProgram).
     pub(crate) fn pins(&self) -> &[u32] {
         &self.pins
     }
 
-    /// The compiled per-gate delays, for the codegen emitter.
+    /// The compiled per-gate delays, for [`DynProgram`](crate::DynProgram).
     pub(crate) fn delays(&self) -> &[f64] {
         &self.delays
     }
 
-    /// Primary input nets in declaration order, for the codegen emitter.
+    /// Primary input nets in declaration order, for
+    /// [`DynProgram`](crate::DynProgram).
     pub(crate) fn input_nets(&self) -> &[u32] {
         &self.inputs
     }

@@ -57,7 +57,7 @@ mod sta;
 pub mod surrogate;
 mod vcd;
 
-pub use codegen::{emit_program, DynProgram, NetlistProgram, SettlePlan, SpecializedKernel};
+pub use codegen::{DynProgram, NetlistProgram, SettlePlan, SpecializedKernel};
 pub use derating::{
     overclock_factor, AgingModel, AlphaPowerLaw, DeratingModel, InterpolatedDerating,
     OperatingPoint, TemperatureModel, VoltageReduction,

@@ -5,9 +5,10 @@
 //! access pattern, where each pair reuses the previous circuit state).
 //!
 //! The final property widens this into the 3-way engine matrix: the
-//! interpreted engine and the codegen runtime (a [`SpecializedKernel`]
-//! over [`DynProgram`], the exact `ops`/plane/settle pipeline emitted
-//! kernels run) against `ArrivalSim`, at every supported lane width.
+//! interpreted engine and the table-driven runtime (a
+//! [`SpecializedKernel`] over [`DynProgram`], the pipeline every
+//! shipped unit's DTA runs) against `ArrivalSim`, at every supported
+//! lane width.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
