@@ -57,18 +57,39 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
-/// Functional-core simulation speed (instructions/second).
+/// The programs of the benchmark's `cell-wa` workload: cg, k-means and
+/// is at Small scale.
+fn cell_wa_programs() -> Vec<tei_workloads::Benchmark> {
+    [BenchmarkId::Cg, BenchmarkId::Kmeans, BenchmarkId::Is]
+        .into_iter()
+        .map(|id| build(id, Scale::Small))
+        .collect()
+}
+
+/// Functional-core simulation speed (instructions/second) on the
+/// `cell-wa` programs, one by one and as one set. This is the interpreter
+/// every injection replay runs, so its rate explains the campaign's
+/// runs/s.
 fn bench_functional_core(c: &mut Criterion) {
-    let bench = build(BenchmarkId::Sobel, Scale::Test);
-    let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
-    let total = core.run(u64::MAX).instructions;
+    let programs = cell_wa_programs();
+    let run = |program: &tei_isa::Program| {
+        let mut core = FuncCore::with_memory(program, 8 << 20);
+        core.run(u64::MAX).instructions
+    };
     let mut group = c.benchmark_group("simulators");
-    group.throughput(Throughput::Elements(total));
-    group.bench_function("functional_sobel_test", |b| {
-        b.iter(|| {
-            let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
-            core.run(u64::MAX)
+    group.sample_size(10);
+    let mut total = 0;
+    for bench in &programs {
+        let instructions = run(&bench.program);
+        total += instructions;
+        group.throughput(Throughput::Elements(instructions));
+        group.bench_function(CritId::new("functional_small", bench.id.name()), |b| {
+            b.iter(|| run(&bench.program));
         });
+    }
+    group.throughput(Throughput::Elements(total));
+    group.bench_function(CritId::new("functional_small", "cg+k-means+is"), |b| {
+        b.iter(|| programs.iter().map(|p| run(&p.program)).sum::<u64>());
     });
     group.finish();
 }
@@ -77,10 +98,7 @@ fn bench_functional_core(c: &mut Criterion) {
 /// the benchmark's `cell-wa` workload — cg, k-means and is at Small
 /// scale — one by one and as one golden-run set.
 fn bench_ooo_core(c: &mut Criterion) {
-    let programs: Vec<_> = [BenchmarkId::Cg, BenchmarkId::Kmeans, BenchmarkId::Is]
-        .into_iter()
-        .map(|id| build(id, Scale::Small))
-        .collect();
+    let programs = cell_wa_programs();
     let run = |program: &tei_isa::Program| {
         let mut core = OooCore::with_memory(program, OooConfig::default(), 8 << 20);
         core.run(u64::MAX);

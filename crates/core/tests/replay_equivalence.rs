@@ -3,6 +3,12 @@
 //! original replay-from-zero path, across benchmarks, thread counts, and
 //! checkpoint intervals. This is the executable contract behind defaulting
 //! `CampaignConfig::mode` to the checkpointed engine.
+//!
+//! Both engines share one interpreter, so equivalence alone cannot catch a
+//! change to the interpreter's values. The replay-from-zero tallies are
+//! therefore also pinned to fixed numbers: injected runs feed NaN,
+//! infinite and subnormal operands to the FPU, the cases the host-FPU
+//! fast path hands back to softfloat.
 
 use rand::Rng;
 use tei_core::{
@@ -63,8 +69,31 @@ fn campaign_counts(
     r.counts
 }
 
-fn assert_all_modes_equivalent(golden: &GoldenRun, model: &(impl InjectionModel + Sync)) {
+/// A pinned tally; `mistargeted` and `quarantined` are always 0.
+fn tally(
+    masked: u64,
+    sdc: u64,
+    crash: u64,
+    timeout: u64,
+    masked_wrong_path: u64,
+) -> campaign::OutcomeCounts {
+    campaign::OutcomeCounts {
+        masked,
+        sdc,
+        crash,
+        timeout,
+        masked_wrong_path,
+        ..Default::default()
+    }
+}
+
+fn assert_all_modes_equivalent(
+    golden: &GoldenRun,
+    model: &(impl InjectionModel + Sync),
+    pinned: campaign::OutcomeCounts,
+) {
     let reference = campaign_counts(golden, model, ReplayMode::FromZero, 1);
+    assert_eq!(reference, pinned, "{} tally moved", model.name());
     for threads in [1usize, 3] {
         for mode in [ReplayMode::FromZero, ReplayMode::Checkpointed] {
             let counts = campaign_counts(golden, model, mode, threads);
@@ -87,7 +116,7 @@ fn checkpointed_replay_matches_from_zero_across_intervals() {
     // the recorder's adaptive thinning.
     for interval in [0u64, 1, 37, 1 << 30] {
         let golden = GoldenRun::capture_with_checkpoints(&bench, MEM, u64::MAX, interval).unwrap();
-        assert_all_modes_equivalent(&golden, &da);
+        assert_all_modes_equivalent(&golden, &da, tally(15, 24, 9, 0, 0));
     }
 }
 
@@ -95,9 +124,27 @@ fn checkpointed_replay_matches_from_zero_across_intervals() {
 fn checkpointed_replay_matches_from_zero_multibit() {
     let bench = build(BenchmarkId::Sobel, Scale::Test);
     let golden = GoldenRun::capture(&bench, MEM, u64::MAX).unwrap();
-    assert_all_modes_equivalent(&golden, &MultiBitModel);
+    assert_all_modes_equivalent(&golden, &MultiBitModel, tally(38, 6, 4, 0, 0));
     let da = DaModel::from_fixed(VoltageReduction::VR20, 5e-3);
-    assert_all_modes_equivalent(&golden, &da);
+    assert_all_modes_equivalent(&golden, &da, tally(41, 6, 1, 0, 0));
+}
+
+#[test]
+fn multibit_tallies_are_pinned_per_benchmark() {
+    let pinned = [
+        (BenchmarkId::Sobel, tally(38, 6, 4, 0, 0)),
+        (BenchmarkId::Cg, tally(31, 17, 0, 0, 0)),
+        (BenchmarkId::Kmeans, tally(48, 0, 0, 0, 11)),
+        (BenchmarkId::SradV1, tally(32, 15, 1, 0, 2)),
+        (BenchmarkId::Hotspot, tally(20, 25, 3, 0, 0)),
+        (BenchmarkId::Is, tally(10, 21, 17, 0, 0)),
+        (BenchmarkId::Mg, tally(22, 26, 0, 0, 0)),
+    ];
+    for (id, want) in pinned {
+        let golden = GoldenRun::capture(&build(id, Scale::Test), MEM, u64::MAX).unwrap();
+        let got = campaign_counts(&golden, &MultiBitModel, ReplayMode::FromZero, 1);
+        assert_eq!(got, want, "{} tally moved", id.name());
+    }
 }
 
 #[test]

@@ -343,6 +343,7 @@ pub enum Instr {
 impl Instr {
     /// If this instruction is one of the twelve modeled FPU operations,
     /// return it — the hook the timing-error injector keys on.
+    #[inline(always)]
     pub fn fp_op(&self) -> Option<FpOp> {
         use FpOpKind::*;
         use Precision::*;

@@ -27,7 +27,7 @@ mod arith;
 mod convert;
 mod ops;
 
-pub use ops::{apply as apply_op, FpOp, FpOpKind, Precision};
+pub use ops::{apply as apply_op, apply_fast, FpOp, FpOpKind, Precision};
 
 use serde::{Deserialize, Serialize};
 

@@ -175,6 +175,77 @@ pub fn apply(op: FpOp, a: u64, b: u64, cfg: FpuConfig, flags: &mut Flags) -> u64
     }
 }
 
+/// The host FPU's result of `op`, when it is provably bit-identical to
+/// [`apply`] under every [`FpuConfig`] and [`apply`] would raise neither
+/// `invalid` nor `div_by_zero`; `None` sends the caller to [`apply`].
+/// The host FPU runs in its default round-to-nearest-even mode with
+/// subnormals enabled, which Rust assumes and nothing here changes.
+///
+/// The guard, per kind:
+/// - add/sub/mul/div: both operands normal (biased exponent in
+///   `1..max`) and the result's biased exponent in `2..max`. Normal
+///   operands cannot raise `invalid` or `div_by_zero`, and flush-to-zero
+///   input handling does not touch them. A rounded result of exponent
+///   `>= 2` is at least twice the smallest normal, so the exact result
+///   was not tiny and [`apply`], which detects tininess before rounding,
+///   neither flushes nor denormalizes it. Exponent 1 is excluded: the
+///   host can round a tiny exact result up to the smallest normal, which
+///   flush-to-zero turns into zero.
+/// - int→float: always (round-to-nearest-even, never subnormal).
+/// - float→int: finite `|x| < 9.0e18` (double) or `< 2.0e9` (single), so
+///   the truncated value fits the integer; NaN, infinities and larger
+///   values raise `invalid` and go to [`apply`].
+#[inline(always)]
+pub fn apply_fast(op: FpOp, a: u64, b: u64) -> Option<u64> {
+    match (op.kind, op.precision) {
+        (FpOpKind::ItoF, Precision::Double) => Some((a as i64 as f64).to_bits()),
+        (FpOpKind::ItoF, Precision::Single) => Some((a as u32 as i32 as f32).to_bits() as u64),
+        (FpOpKind::FtoI, Precision::Double) => {
+            let x = f64::from_bits(a);
+            (x.abs() < 9.0e18).then_some(x as i64 as u64)
+        }
+        (FpOpKind::FtoI, Precision::Single) => {
+            let x = f32::from_bits(a as u32);
+            (x.abs() < 2.0e9).then_some(x as i32 as u32 as u64)
+        }
+        (kind, Precision::Double) => {
+            let exp = |bits: u64| (bits >> 52) & 0x7ff;
+            if !(1..0x7ff).contains(&exp(a)) || !(1..0x7ff).contains(&exp(b)) {
+                return None;
+            }
+            let r = host_binary(kind, f64::from_bits(a), f64::from_bits(b)).to_bits();
+            (2..0x7ff).contains(&exp(r)).then_some(r)
+        }
+        (kind, Precision::Single) => {
+            let exp = |bits: u32| (bits >> 23) & 0xff;
+            let (a, b) = (a as u32, b as u32);
+            if !(1..0xff).contains(&exp(a)) || !(1..0xff).contains(&exp(b)) {
+                return None;
+            }
+            let r = host_binary(kind, f32::from_bits(a), f32::from_bits(b)).to_bits();
+            (2..0xff).contains(&exp(r)).then_some(r as u64)
+        }
+    }
+}
+
+/// One host-FPU add/sub/mul/div (round-to-nearest-even).
+#[inline(always)]
+fn host_binary<T>(kind: FpOpKind, a: T, b: T) -> T
+where
+    T: std::ops::Add<Output = T>
+        + std::ops::Sub<Output = T>
+        + std::ops::Mul<Output = T>
+        + std::ops::Div<Output = T>,
+{
+    match kind {
+        FpOpKind::Add => a + b,
+        FpOpKind::Sub => a - b,
+        FpOpKind::Mul => a * b,
+        FpOpKind::Div => a / b,
+        FpOpKind::ItoF | FpOpKind::FtoI => unreachable!("conversions are not binary"),
+    }
+}
+
 fn i2f_dispatch(fmt: Format, x: i64, cfg: FpuConfig, flags: &mut Flags, _p: Precision) -> u64 {
     convert::i2f(fmt, x, cfg, flags)
 }
@@ -272,5 +343,46 @@ mod tests {
         let r = apply(FpOp::new(FpOpKind::FtoI, s), big, 0, cfg, &mut flags);
         assert_eq!(r as u32 as i32, i32::MAX);
         assert!(flags.invalid);
+    }
+
+    #[test]
+    fn fast_path_refuses_the_tininess_round_up() {
+        // The exact product lies just below the smallest normal. The host
+        // rounds it up to -MIN_POSITIVE (biased exponent 1); flush-to-zero
+        // softfloat detects tininess before rounding and returns -0.
+        let op = FpOp::new(FpOpKind::Mul, Precision::Double);
+        let (a, b) = (0x002f_ffff_ffff_ffff, 0xbfd0_0000_0000_0000);
+        let host = f64::from_bits(a) * f64::from_bits(b);
+        assert_eq!(host, -f64::MIN_POSITIVE);
+        let mut flags = Flags::default();
+        let ftz = apply(op, a, b, FpuConfig { ftz: true }, &mut flags);
+        assert_eq!(ftz, (-0.0f64).to_bits());
+        assert_eq!(apply_fast(op, a, b), None);
+    }
+
+    #[test]
+    fn fast_path_answers_ordinary_operands_and_refuses_special_ones() {
+        let cfg = FpuConfig { ftz: true };
+        for op in FpOp::all() {
+            let (a, b) = match (op.kind, op.precision) {
+                (FpOpKind::ItoF, _) => ((-7i64) as u64, 0),
+                (_, Precision::Double) => ((-6.5f64).to_bits(), 1.25f64.to_bits()),
+                (_, Precision::Single) => ((-6.5f32).to_bits() as u64, 1.25f32.to_bits() as u64),
+            };
+            let mut flags = Flags::default();
+            assert_eq!(
+                apply_fast(op, a, b),
+                Some(apply(op, a, b, cfg, &mut flags)),
+                "{op}"
+            );
+        }
+        let d = |kind| FpOp::new(kind, Precision::Double);
+        let one = 1.0f64.to_bits();
+        for special in [0, 1, f64::INFINITY.to_bits(), f64::NAN.to_bits()] {
+            assert_eq!(apply_fast(d(FpOpKind::Add), special, one), None);
+            assert_eq!(apply_fast(d(FpOpKind::Div), one, special), None);
+        }
+        assert_eq!(apply_fast(d(FpOpKind::FtoI), 1e19f64.to_bits(), 0), None);
+        assert_eq!(apply_fast(d(FpOpKind::FtoI), f64::NAN.to_bits(), 0), None);
     }
 }

@@ -267,6 +267,7 @@ impl FuncCore {
 }
 
 /// FP source register bits + integer source for an FP-domain instruction.
+#[inline(always)]
 pub(crate) fn fp_sources(state: &ArchState, i: &Instr) -> (u64, u64, u64) {
     use Instr::*;
     match *i {
@@ -293,6 +294,7 @@ pub(crate) fn fp_sources(state: &ArchState, i: &Instr) -> (u64, u64, u64) {
 }
 
 /// Write an FP-domain instruction's result to its destination register.
+#[inline(always)]
 pub(crate) fn write_fp_dest(state: &mut ArchState, i: &Instr, bits: u64) {
     use Instr::*;
     match *i {

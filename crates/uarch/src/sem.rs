@@ -2,7 +2,7 @@
 //! out-of-order cores so the two can never disagree on values.
 
 use tei_isa::{FReg, Instr, Reg};
-use tei_softfloat::{apply_op, Flags, FpOp, FpuConfig};
+use tei_softfloat::{apply_fast, apply_op, Flags, FpOp, FpuConfig};
 
 /// Destination register class of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +96,7 @@ pub fn write_kind(i: &Instr) -> DestKind {
 /// # Panics
 ///
 /// Panics if called on a non-ALU instruction (programming error).
+#[inline(always)]
 pub fn int_op(i: &Instr, a: u64, b: u64) -> u64 {
     use Instr::*;
     match i {
@@ -138,6 +139,7 @@ pub fn int_op(i: &Instr, a: u64, b: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if called on a non-branch instruction.
+#[inline(always)]
 pub fn branch_taken(i: &Instr, a: u64, b: u64) -> bool {
     use Instr::*;
     match i {
@@ -156,6 +158,7 @@ pub fn branch_taken(i: &Instr, a: u64, b: u64) -> bool {
 /// # Panics
 ///
 /// Panics on non-memory instructions.
+#[inline(always)]
 pub fn mem_width(i: &Instr) -> (usize, bool) {
     use Instr::*;
     match i {
@@ -169,6 +172,7 @@ pub fn mem_width(i: &Instr) -> (usize, bool) {
 }
 
 /// Sign/zero-extend a loaded value per the load instruction.
+#[inline(always)]
 pub fn extend_load(i: &Instr, raw: u64) -> u64 {
     let (w, signed) = mem_width(i);
     if !signed {
@@ -198,12 +202,16 @@ pub struct FpOutcome {
 /// compare). `fa`/`fb` are the FP source register bits; `xa` is the integer
 /// source value (conversions and `fmv.d.x`).
 ///
+/// Modeled operations take the host FPU through [`apply_fast`] when its
+/// guard proves the result bit-identical to softfloat, and softfloat
+/// otherwise.
+///
 /// # Panics
 ///
 /// Panics on non-FP instructions.
+#[inline(always)]
 pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome {
     use Instr::*;
-    let mut flags = Flags::default();
     let modeled = i.fp_op();
     if let Some(op) = modeled {
         // Operand mapping: conversions take the integer or float operand
@@ -213,12 +221,19 @@ pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome 
             FcvtLD { .. } | FcvtWS { .. } => (fa, 0),
             _ => (fa, fb),
         };
-        let bits = apply_op(op, a, b, cfg, &mut flags);
+        let (bits, trap) = match apply_fast(op, a, b) {
+            Some(bits) => (bits, false),
+            None => {
+                let mut flags = Flags::default();
+                let bits = apply_op(op, a, b, cfg, &mut flags);
+                (bits, flags.invalid || flags.div_by_zero)
+            }
+        };
         return FpOutcome {
             bits,
             modeled,
             operands: (a, b),
-            trap: flags.invalid || flags.div_by_zero,
+            trap,
         };
     }
     let bits = match i {
