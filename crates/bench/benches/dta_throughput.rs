@@ -1,12 +1,14 @@
-//! DTA throughput: the interpreted `ArrivalSim` walk versus the
-//! compiled `ArrivalKernel` at every supported lane width (W = 1/4/8
-//! words, 64/256/512 vectors per window), plus a campaign
-//! thread-scaling curve, all on the double-precision multiplier (the
-//! unit that dominates model-development wall-clock). Under
+//! DTA throughput on the double-precision multiplier (the unit that
+//! dominates model-development wall-clock): the table kernel every
+//! campaign runs, at every supported lane width (W = 1/4/8 words,
+//! 64/256/512 vectors per window), against two per-pair baselines —
+//! the `ArrivalSim` netlist walk and chained `ArrivalKernel::advance`
+//! calls (the path γ calibration runs) — plus a campaign
+//! thread-scaling curve and the forced-pruning ablation. Under
 //! `cargo bench` the measured pairs/sec are also written to
 //! `BENCH_dta.json` at the workspace root so the perf trajectory is
-//! tracked across PRs; under `cargo test` (quick smoke mode) nothing
-//! is written.
+//! tracked across changes; under `cargo test` (quick smoke mode)
+//! nothing is written.
 //!
 //! Setting `TEI_SCALING_SMOKE=1` additionally asserts that the
 //! campaign at `TEI_THREADS` workers and lane width 4 beats the
@@ -19,15 +21,17 @@ use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
     dta_campaign_tuned, dta_engine, random_operand_pairs, resolve_lanes, resolve_prune,
-    safe_bit_counts, DtaTuning, KernelBackend, PrunePolicy, PRUNE_MIN_SAFE_FRACTION,
+    safe_bit_counts, DtaTuning, PrunePolicy, PRUNE_MIN_SAFE_FRACTION,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{
-    ArrivalEngine, ArrivalKernel, ArrivalSim, SpecializedKernel, TwoVectorResult, VoltageReduction,
-};
+use tei_timing::{ArrivalEngine, ArrivalKernel, ArrivalSim, TwoVectorResult, VoltageReduction};
 
 const LEVELS: [VoltageReduction; 2] = [VoltageReduction::VR15, VoltageReduction::VR20];
+
+/// Operand pairs per measured batch, and their seed.
+const MEASURED_PAIRS: usize = 8192;
+const PAIR_SEED: u64 = 0xbe9c;
 
 /// Worker-thread counts of the campaign scaling curve.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -85,34 +89,26 @@ fn sim_batch(unit: &FpuUnit, dta: &tei_netlist::Netlist, pairs: &[(u64, u64)]) -
     pairs.len() - 1
 }
 
-/// The compiled path at lane width `W`: cached SoA netlist,
-/// allocation-free encode, bit-sliced windows of up to `W * 64` vectors
-/// (the same inner loop the campaign chunks run).
-fn kernel_batch<const W: usize>(unit: &FpuUnit, pairs: &[(u64, u64)]) -> usize {
+/// The per-pair kernel: cached SoA netlist, allocation-free encode,
+/// one `reset` and then one chained `advance` per pair.
+fn advance_batch(unit: &FpuUnit, pairs: &[(u64, u64)]) -> usize {
     let compiled = unit.dta_compiled();
-    let width = unit.input_width();
-    let mut kernel = ArrivalKernel::<W>::default();
-    let mut flat = vec![false; ArrivalKernel::<W>::WINDOW_VECTORS * width];
-    let mut start = 0usize;
-    while start + 1 < pairs.len() {
-        let count = (pairs.len() - start).min(ArrivalKernel::<W>::WINDOW_VECTORS);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        kernel.load_window(compiled, &flat[..count * width], count);
-        for t in 0..count - 1 {
-            kernel.select_transition(compiled, t);
-            criterion::black_box(&kernel);
-        }
-        start += count - 1;
+    let mut kernel = ArrivalKernel::new();
+    let mut cur = vec![false; unit.input_width()];
+    unit.encode_inputs_into(pairs[0].0, pairs[0].1, &mut cur);
+    kernel.reset(compiled, &cur);
+    for &(a, b) in &pairs[1..] {
+        unit.encode_inputs_into(a, b, &mut cur);
+        kernel.advance(compiled, &cur);
+        criterion::black_box(&kernel);
     }
     pairs.len() - 1
 }
 
-/// One batch through an [`ArrivalEngine`] — the backend-ablation twin
-/// of [`kernel_batch`], driving the interpreted or generated kernel
-/// through the same windowed transition walk behind the engine trait.
-fn engine_batch(
+/// One batch through the table kernel at its lane width: bit-sliced
+/// windows of up to `W * 64` vectors, consecutive windows overlapping
+/// by one vector (the same walk a campaign chunk runs).
+fn table_batch(
     engine: &mut dyn ArrivalEngine,
     unit: &FpuUnit,
     flat: &mut [bool],
@@ -136,28 +132,12 @@ fn engine_batch(
     pairs.len() - 1
 }
 
-/// The table-driven kernel over `unit`'s program at `lanes`: through
-/// the auto dispatch at W4 and W8, built directly at W1 (where auto
-/// runs the interpreter).
-fn table_engine(unit: &FpuUnit, lanes: usize) -> Box<dyn ArrivalEngine + '_> {
-    if lanes == 1 {
-        return Box::new(SpecializedKernel::<_, 1>::new(unit.dta_program()));
-    }
-    let engine = dta_engine(unit, lanes, KernelBackend::Auto).expect("table kernel");
-    assert_eq!(
-        engine.name(),
-        "codegen",
-        "auto runs the table kernel at W{lanes}"
-    );
-    engine
-}
-
-/// Best-of-three pairs/sec of the table-driven kernel at one lane width.
+/// Best-of-three pairs/sec of the table kernel at one lane width.
 fn table_rate(unit: &FpuUnit, pairs: &[(u64, u64)], lanes: usize, min_secs: f64) -> f64 {
-    let mut engine = table_engine(unit, lanes);
+    let mut engine = dta_engine(unit, lanes).expect("supported lane width");
     let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
     pairs_per_sec(
-        || engine_batch(engine.as_mut(), unit, &mut flat, pairs),
+        || table_batch(engine.as_mut(), unit, &mut flat, pairs),
         min_secs,
     )
 }
@@ -186,15 +166,15 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let measured = bench_mode();
     let smoke = std::env::var("TEI_SCALING_SMOKE").is_ok_and(|v| v == "1");
     let (unit, spec) = dmul_unit();
-    let n_pairs = if measured { 8192 } else { 32 };
+    let n_pairs = if measured { MEASURED_PAIRS } else { 32 };
     let min_secs = if measured { 1.0 } else { 0.0 };
-    let pairs = random_operand_pairs(unit.op(), n_pairs, 0xbe9c);
+    let pairs = random_operand_pairs(unit.op(), n_pairs, PAIR_SEED);
     let dta = unit.dta_netlist();
     let cores = detected_cores();
     let campaign_tuning = DtaTuning::default();
-    // What the default tuning actually resolves to on this host: the
-    // lane auto-pick consults the engine that will run, and the prune
-    // auto-decision consults the slack oracle's measured safe fraction.
+    // What the default tuning actually resolves to: the auto lane
+    // width, and the prune auto-decision from the slack oracle's
+    // measured safe fraction.
     let campaign_lanes = resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, true);
     let prune_decision = resolve_prune(&unit, spec.clk, &LEVELS, campaign_tuning.prune);
     // An honest scaling curve never oversubscribes; the shared plan
@@ -212,20 +192,14 @@ fn bench_dta_throughput(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("arrival_sim"), |b| {
         b.iter(|| sim_batch(&unit, &dta, &pairs));
     });
-    group.bench_function(BenchmarkId::from_parameter("arrival_kernel_w1"), |b| {
-        b.iter(|| kernel_batch::<1>(&unit, &pairs));
-    });
-    group.bench_function(BenchmarkId::from_parameter("arrival_kernel_w4"), |b| {
-        b.iter(|| kernel_batch::<4>(&unit, &pairs));
-    });
-    group.bench_function(BenchmarkId::from_parameter("arrival_kernel_w8"), |b| {
-        b.iter(|| kernel_batch::<8>(&unit, &pairs));
+    group.bench_function(BenchmarkId::from_parameter("arrival_kernel_advance"), |b| {
+        b.iter(|| advance_batch(&unit, &pairs));
     });
     for lanes in [1usize, 4, 8] {
-        group.bench_function(BenchmarkId::new("codegen_kernel_w", lanes), |b| {
-            let mut engine = table_engine(&unit, lanes);
+        group.bench_function(BenchmarkId::new("table_kernel_w", lanes), |b| {
+            let mut engine = dta_engine(&unit, lanes).expect("supported lane width");
             let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
-            b.iter(|| engine_batch(engine.as_mut(), &unit, &mut flat, &pairs));
+            b.iter(|| table_batch(engine.as_mut(), &unit, &mut flat, &pairs));
         });
     }
     for threads in scaling_threads.iter().copied() {
@@ -257,14 +231,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
     // Machine-readable summary (measured mode only, so `cargo test`
     // smoke runs never overwrite real numbers).
     let sim_rate = pairs_per_sec(|| sim_batch(&unit, &dta, &pairs), min_secs);
-    let kernel_w1 = pairs_per_sec(|| kernel_batch::<1>(&unit, &pairs), min_secs);
-    let kernel_w4 = pairs_per_sec(|| kernel_batch::<4>(&unit, &pairs), min_secs);
-    let kernel_w8 = pairs_per_sec(|| kernel_batch::<8>(&unit, &pairs), min_secs);
-    // Backend ablation: the table-driven kernel against the interpreted
-    // kernel at every lane width, same windowed walk.
-    let codegen_w1 = table_rate(&unit, &pairs, 1, min_secs);
-    let codegen_w4 = table_rate(&unit, &pairs, 4, min_secs);
-    let codegen_w8 = table_rate(&unit, &pairs, 8, min_secs);
+    let advance_rate = pairs_per_sec(|| advance_batch(&unit, &pairs), min_secs);
+    let table: Vec<(usize, f64)> = [1usize, 4, 8]
+        .into_iter()
+        .map(|lanes| (lanes, table_rate(&unit, &pairs, lanes, min_secs)))
+        .collect();
     // Campaign scaling curve over the honest thread counts: each point
     // records the thread count it actually ran with.
     let scaling_curve: Vec<(usize, f64)> = scaling_threads
@@ -298,20 +269,23 @@ fn bench_dta_throughput(c: &mut Criterion) {
         prune: PrunePolicy::ForceOn,
         ..campaign_tuning
     });
-    let speedup = kernel_w1 / sim_rate;
     let pruning_speedup = campaign_pruned / campaign_unpruned;
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
-    let codegen_best = codegen_w1.max(codegen_w4).max(codegen_w8);
     println!(
-        "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, kernel w1 \
-         {kernel_w1:.0} ({speedup:.1}x) / w4 {kernel_w4:.0} ({:.1}x) / w8 {kernel_w8:.0} \
-         ({:.1}x of w1), codegen w1 {codegen_w1:.0} / w4 {codegen_w4:.0} ({:.2}x of interp \
-         w4) / w8 {codegen_w8:.0}, campaign lanes={campaign_lanes} (auto={}) scaling {:?}, \
-         forced-prune x1 {campaign_pruned:.0} vs unpruned {campaign_unpruned:.0} pairs/s \
-         ({pruning_speedup:.2}x, safe bits {safe_bits:?}, auto prune {})",
-        kernel_w4 / kernel_w1,
-        kernel_w8 / kernel_w1,
-        codegen_w4 / kernel_w4,
+        "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, advance \
+         {advance_rate:.0} ({:.1}x of sim), table {:?}, campaign lanes={campaign_lanes} \
+         (auto={}) scaling {:?}, forced-prune x1 {campaign_pruned:.0} vs unpruned \
+         {campaign_unpruned:.0} pairs/s ({pruning_speedup:.2}x, safe bits {safe_bits:?}, \
+         auto prune {})",
+        advance_rate / sim_rate,
+        table
+            .iter()
+            .map(|&(w, r)| format!(
+                "w{w}: {r:.0} ({:.1}x sim, {:.2}x advance)",
+                r / sim_rate,
+                r / advance_rate
+            ))
+            .collect::<Vec<_>>(),
         campaign_tuning.lanes.is_none(),
         scaling_curve
             .iter()
@@ -320,6 +294,19 @@ fn bench_dta_throughput(c: &mut Criterion) {
         if prune_decision.enabled { "on" } else { "off" },
     );
     if measured {
+        let table_json = serde_json::Value::Object(
+            table
+                .iter()
+                .flat_map(|&(w, r)| {
+                    [
+                        (format!("w{w}_pairs_per_sec"), r),
+                        (format!("w{w}_speedup_over_sim"), r / sim_rate),
+                        (format!("w{w}_speedup_over_advance"), r / advance_rate),
+                    ]
+                })
+                .map(|(k, v)| (k, serde_json::Value::Float(v)))
+                .collect(),
+        );
         let report = serde_json::json!({
             "bench": "dta_throughput",
             "unit": "d-mul",
@@ -327,29 +314,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "vr_levels": LEVELS.len(),
             "detected_cores": cores,
             "arrival_sim_pairs_per_sec": sim_rate,
-            "arrival_kernel_pairs_per_sec": kernel_w1,
-            "kernel_speedup": speedup,
-            "lanes": serde_json::json!({
-                "w1_pairs_per_sec": kernel_w1,
-                "w4_pairs_per_sec": kernel_w4,
-                "w8_pairs_per_sec": kernel_w8,
-                "w4_speedup_over_w1": kernel_w4 / kernel_w1,
-                "w8_speedup_over_w1": kernel_w8 / kernel_w1,
-            }),
-            "codegen": serde_json::json!({
-                "w1_pairs_per_sec": codegen_w1,
-                "w4_pairs_per_sec": codegen_w4,
-                "w8_pairs_per_sec": codegen_w8,
-                "w1_speedup_over_interp_w1": codegen_w1 / kernel_w1,
-                "w4_speedup_over_interp_w4": codegen_w4 / kernel_w4,
-                "w8_speedup_over_interp_w8": codegen_w8 / kernel_w8,
-                "best_speedup_over_interp_w4": codegen_best / kernel_w4,
-            }),
+            "arrival_kernel_advance_pairs_per_sec": advance_rate,
+            "advance_speedup_over_sim": advance_rate / sim_rate,
+            "table_kernel": table_json,
             "campaign_lanes": campaign_lanes,
             "campaign_lanes_auto": campaign_tuning.lanes.is_none(),
-            "campaign_backend": dta_engine(&unit, campaign_lanes, campaign_tuning.backend)
-                .expect("campaign engine")
-                .name(),
             "thread_scaling": scaling_curve
                 .iter()
                 .map(|&(t, r)| {
@@ -387,14 +356,19 @@ fn bench_dta_throughput(c: &mut Criterion) {
             );
         } else {
             // Re-measure with a fixed floor so the smoke is meaningful
-            // even in `cargo test` quick mode (min_secs = 0 there).
+            // even in `cargo test` quick mode (min_secs = 0 there), and
+            // on the measured-mode stream: quick mode's 32 pairs fill
+            // one campaign chunk, which only one worker can run.
             let smoke_secs = min_secs.max(0.5);
+            let smoke_pairs = random_operand_pairs(unit.op(), MEASURED_PAIRS, PAIR_SEED);
             let tuning = DtaTuning {
                 lanes: Some(4),
                 ..DtaTuning::default()
             };
-            let serial = campaign_rate(&unit, &pairs, spec.clk, 1, tuning, smoke_secs);
-            let parallel = campaign_rate(&unit, &pairs, spec.clk, threads, tuning, smoke_secs);
+            let rate =
+                |threads| campaign_rate(&unit, &smoke_pairs, spec.clk, threads, tuning, smoke_secs);
+            let serial = rate(1);
+            let parallel = rate(threads);
             let scaling = parallel / serial;
             println!(
                 "TEI_SCALING_SMOKE: x1 {serial:.0} -> x{threads} {parallel:.0} pairs/s \

@@ -131,6 +131,9 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         }
     };
 
+    // Refuse a malformed TEI_THREADS/TEI_RUNS before minutes of work,
+    // as `tei campaign` does.
+    tei_core::config::validate_env()?;
     let bench = build(id, scale);
     let (bank, spec) = dev::default_bank();
     let threads = tei_core::config::default_threads();

@@ -103,3 +103,22 @@ fn removed_surrogate_flags_are_usage_errors() {
     assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_thread_knob_is_refused_before_any_work() {
+    let dir = scratch_dir("bad-threads");
+    let out = Command::new(env!("CARGO_BIN_EXE_tei"))
+        .current_dir(&dir)
+        .env("TEI_THREADS", "abc")
+        .args(["sweep", "--benchmark", "sobel"])
+        .output()
+        .expect("spawn tei");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.lines().any(|l| l.contains("TEI_THREADS")),
+        "no line names the knob: {stderr}"
+    );
+    assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

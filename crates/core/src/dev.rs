@@ -14,9 +14,7 @@ use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_isa::Program;
 use tei_netlist::NetId;
 use tei_softfloat::{FpOp, FpOpKind};
-use tei_timing::{
-    interpreted_engine, ArrivalEngine, CompiledNetlist, SpecializedKernel, VoltageReduction,
-};
+use tei_timing::{ArrivalEngine, CompiledNetlist, SpecializedKernel, VoltageReduction};
 use tei_uarch::FuncCore;
 
 /// Per-operation operand trace: consecutive `(a, b)` raw-bit pairs in
@@ -206,22 +204,16 @@ impl OpErrorStats {
 /// over-weight early-trace behavior).
 const MASK_CAP: usize = 50_000;
 
-/// Which arrival-engine implementation drives a campaign's inner loop.
-/// A pure throughput knob: both engines are proven byte-identical (the
-/// table program is built from the same [`CompiledNetlist`] the
-/// interpreter walks, and the equivalence suite asserts bit-exact
-/// settle times), so statistics never depend on the choice.
+/// The arrival-engine backend of a campaign. There is one: the
+/// table-driven [`SpecializedKernel`] over the unit's
+/// [`FpuUnit::dta_program`] (see [`dta_engine`]). The type stays only
+/// because the end-to-end benchmark package reads
+/// [`DtaTuning::backend`]; it goes with that package's next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
-    /// The table-driven [`SpecializedKernel`] over the unit's
-    /// [`FpuUnit::dta_program`] at lane width >= 4, where it is the
-    /// measured winner, and the interpreted
-    /// [`tei_timing::ArrivalKernel`] at `W = 1`, where the
-    /// interpreter's sparse walk wins (see [`dta_engine`]).
+    /// The table-driven kernel.
     #[default]
     Auto,
-    /// Always the interpreted kernel (the `interp` ablation side).
-    Interpreter,
 }
 
 /// Policy for the static-slack safe-bit skip of the DTA inner loop.
@@ -233,10 +225,9 @@ pub enum KernelBackend {
 /// it *pays* is a different question: when the oracle proves almost
 /// nothing safe (the shipped FPU adders at VR15/VR20 prove 2 of 128
 /// result bits), the filtered live-bit lists are nearly full-length and
-/// the bookkeeping overhead eats the savings — the `pruning` ablation
-/// in `BENCH_dta.json` measured 0.995x, a regression dressed up as an
-/// optimization. [`PrunePolicy::Auto`] therefore consults the measured
-/// break-even fraction instead of pruning unconditionally.
+/// the skip saves little: forced pruning measures 1.00x–1.03x on d-mul
+/// (see [`PRUNE_MIN_SAFE_FRACTION`]). [`PrunePolicy::Auto`] prunes only
+/// past that fraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrunePolicy {
     /// Prune only when the oracle proves at least
@@ -250,11 +241,13 @@ pub enum PrunePolicy {
 }
 
 /// Minimum fraction of (bit, corner) threshold work the static oracle
-/// must eliminate for [`PrunePolicy::Auto`] to enable pruning. Below
-/// this the filtered list is effectively the full list and the skip is
-/// measured overhead, not savings (`pruning_speedup` 0.995x at 1.6%
-/// safe in `BENCH_dta.json`); one-sixteenth is comfortably past
-/// break-even while still letting genuinely prunable corners benefit.
+/// must eliminate for [`PrunePolicy::Auto`] to enable pruning.
+/// One-sixteenth was picked when forced pruning measured 0.995x on
+/// d-mul at 1.6 % safe. `BENCH_dta.json` now measures forced pruning on
+/// the same unit and fraction at 1.00x, 1.03x and 1.01x over three
+/// runs: never a loss, and a gain inside run-to-run noise. The
+/// threshold is an open question (ROADMAP item 5), not a measured
+/// break-even.
 pub const PRUNE_MIN_SAFE_FRACTION: f64 = 1.0 / 16.0;
 
 /// The resolved pruning choice for one campaign, recorded so benches
@@ -298,43 +291,26 @@ pub fn resolve_prune(
     }
 }
 
-/// Auto lane width of the interpreted kernel. The current
-/// `BENCH_dta.json` lanes ablation has W4 at 113k and W8 at 120k
-/// pairs/s; the measurement this width was picked from had W4 ahead
-/// (119k vs 115k). The two committed measurements rank W4 and W8 in
-/// opposite orders, so the gap is within noise and W4 keeps the
-/// smaller settle planes.
-pub const INTERP_LANES: usize = 4;
-
-/// Auto lane width of the table-driven kernel (`BENCH_dta.json`
-/// `codegen` ablation: W8 is its fastest width, about 2x the
-/// interpreter at the same width).
+/// Auto lane width of the table kernel: its fastest width in the
+/// `BENCH_dta.json` `table_kernel` rows.
 pub const CODEGEN_LANES: usize = 8;
 
-/// Resolve a requested lane width (`None` = auto) to a concrete one by
-/// consulting the measured per-backend best width: the engine that will
-/// actually run decides, so auto never hands the interpreter's best
-/// width to the table-driven kernel or vice versa.
+/// Resolve a requested lane width (`None` = auto, [`CODEGEN_LANES`]).
 ///
-/// `_fresh_kernel` no longer affects the result: every unit has its
-/// table program. The parameter stays for callers written against the
-/// old signature.
+/// The last two parameters affect nothing. They stay for the
+/// end-to-end benchmark package, which calls this signature.
 pub fn resolve_lanes(
     requested: Option<usize>,
-    backend: KernelBackend,
+    _backend: KernelBackend,
     _fresh_kernel: bool,
 ) -> usize {
-    match (requested, backend) {
-        (Some(lanes), _) => lanes,
-        (None, KernelBackend::Auto) => CODEGEN_LANES,
-        (None, KernelBackend::Interpreter) => INTERP_LANES,
-    }
+    requested.unwrap_or(CODEGEN_LANES)
 }
 
 /// Tuning knobs of the DTA campaign inner loop. Tuning never changes
 /// the produced statistics — only how much work the inner loop performs
 /// and how wide its windows are. The default is what every shipped flow
-/// runs: auto pruning, auto lane width, auto backend, no surrogate; a
+/// runs: auto pruning, auto lane width, no surrogate; a
 /// caller that wants another value sets the field.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DtaTuning {
@@ -344,13 +320,11 @@ pub struct DtaTuning {
     pub prune: PrunePolicy,
     /// Window lane words of the bit-sliced kernel: 1, 4, or 8 `u64`s
     /// per net, i.e. 64 / 256 / 512 input vectors per whole-circuit
-    /// evaluation pass (see [`tei_timing::ArrivalKernel`]). `None`
-    /// (the default) picks the measured-best width for the backend
-    /// that will actually run — see [`resolve_lanes`]. Campaign
-    /// statistics are bit-identical at every width.
+    /// evaluation pass (see [`SpecializedKernel`]). `None` (the
+    /// default) picks the measured-best width — see [`resolve_lanes`].
+    /// Campaign statistics are bit-identical at every width.
     pub lanes: Option<usize>,
-    /// Arrival-engine backend (see [`KernelBackend`]; default
-    /// [`KernelBackend::Auto`]).
+    /// Arrival-engine backend; [`KernelBackend`] has one variant.
     pub backend: KernelBackend,
     /// Surrogate tiering mode (see [`SurrogateMode`]; default
     /// [`SurrogateMode::Off`]). Only [`dta_campaign_predictive`]
@@ -375,36 +349,26 @@ pub enum SurrogateMode {
     Filter,
 }
 
-/// Construct the arrival engine that drives DTA over `unit` at `lanes`
-/// lane words under the given backend policy — the single dispatch
-/// point shared by the campaign entry points and the throughput
-/// bench's backend ablation.
+/// The table kernel over `unit`'s [`FpuUnit::dta_program`] at `lanes`
+/// lane words — the one engine every DTA campaign runs, and the single
+/// place the lane width turns into a type.
 ///
 /// # Errors
 ///
 /// [`TeiError::Config`] for a lane width outside
 /// [`config::SUPPORTED_LANES`].
-pub fn dta_engine<'u>(
-    unit: &'u FpuUnit,
-    lanes: usize,
-    backend: KernelBackend,
-) -> Result<Box<dyn ArrivalEngine + 'u>, TeiError> {
-    if !config::SUPPORTED_LANES.contains(&lanes) {
-        return Err(TeiError::Config {
-            knob: "lanes".to_string(),
-            reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
-        });
-    }
-    // Auto picks the measured winner per lane width: at W = 1 a
-    // single-transition batch toggles ~40% of the nets, under the
-    // interpreter's sparse-walk threshold, so its changed-list walk
-    // beats the table kernel's always-dense sweep (the BENCH_dta.json
-    // `codegen` ablation); at W >= 4 the union is dense and the table
-    // kernel wins.
-    Ok(match (backend, lanes) {
-        (KernelBackend::Auto, 4) => Box::new(SpecializedKernel::<_, 4>::new(unit.dta_program())),
-        (KernelBackend::Auto, 8) => Box::new(SpecializedKernel::<_, 8>::new(unit.dta_program())),
-        _ => interpreted_engine(unit.dta_compiled(), lanes).expect("lane width validated above"),
+pub fn dta_engine(unit: &FpuUnit, lanes: usize) -> Result<Box<dyn ArrivalEngine + '_>, TeiError> {
+    let program = unit.dta_program();
+    Ok(match lanes {
+        1 => Box::new(SpecializedKernel::<1>::new(program)),
+        4 => Box::new(SpecializedKernel::<4>::new(program)),
+        8 => Box::new(SpecializedKernel::<8>::new(program)),
+        _ => {
+            return Err(TeiError::Config {
+                knob: "lanes".to_string(),
+                reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
+            })
+        }
     })
 }
 
@@ -719,7 +683,7 @@ fn pack_window(
 /// [`CHUNK_WINDOWS`] windows form one chunk of work for the
 /// `threads`-worker pool. Chunks merge in chunk order, so the statistics
 /// — mask library order included — are byte-identical to a serial walk
-/// at any thread count, lane width, or backend. Returns the finalized
+/// at any thread count or lane width. Returns the finalized
 /// statistics and the number of `audit` transitions that came back
 /// erroneous.
 ///
@@ -741,7 +705,7 @@ fn walk_runs(
     // surface before any worker threads spawn; workers then build their
     // own engine from the validated tuning.
     let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
-    drop(dta_engine(unit, lanes, tuning.backend)?);
+    drop(dta_engine(unit, lanes)?);
     let outputs = unit.result_port().to_vec();
     let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
     let prune = resolve_prune(unit, clk, levels, tuning.prune);
@@ -764,7 +728,7 @@ fn walk_runs(
 
     let audit_errors = std::sync::atomic::AtomicU64::new(0);
     let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
+        engine: dta_engine(unit, lanes).expect("tuning validated above"),
         flat: vec![false; window_vectors * width],
         segs: Vec::new(),
         keep: vec![0; lanes],
@@ -831,13 +795,13 @@ fn walk_runs(
 /// single settle computation be re-thresholded per corner).
 ///
 /// The first pair only establishes circuit state; transition `k` is
-/// `pairs[k] → pairs[k+1]`, the chained access pattern the compiled
-/// [`tei_timing::ArrivalKernel`] advances without re-evaluating
-/// unchanged cones. Work is distributed in chunks across `threads`
-/// worker threads; the output is byte-identical to the single-threaded
-/// one. Tuning never changes the produced statistics — only how much
-/// work the inner loop performs, how wide its lane words are, and which
-/// engine backend runs it; callers without a preference pass
+/// `pairs[k] → pairs[k+1]`. The table kernel ([`dta_engine`])
+/// evaluates the stream in bit-sliced windows of `lanes * 64` vectors,
+/// consecutive windows overlapping by one vector. Work is distributed
+/// in chunks across `threads` worker threads; the output is
+/// byte-identical to the single-threaded one. Tuning never changes the
+/// produced statistics — only how much work the inner loop performs
+/// and how wide its lane words are; callers without a preference pass
 /// `DtaTuning::default()` (every setting auto, no surrogate).
 ///
 /// # Errors
@@ -1038,7 +1002,7 @@ pub fn fit_surrogate(
     tuning: DtaTuning,
 ) -> Result<tei_timing::SurrogateModel, TeiError> {
     let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
-    let mut engine = dta_engine(unit, lanes, tuning.backend)?;
+    let mut engine = dta_engine(unit, lanes)?;
     let outputs = unit.result_port().to_vec();
     let mut fitter = tei_timing::SurrogateFitter::new(
         unit.tag(),
@@ -1541,48 +1505,31 @@ mod tests {
     }
 
     #[test]
-    fn lane_auto_pick_follows_measured_per_backend_order() {
-        // Explicit requests always win, whatever the backend.
-        for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
-            for fresh in [false, true] {
-                for lanes in [1usize, 4, 8] {
-                    assert_eq!(resolve_lanes(Some(lanes), backend, fresh), lanes);
-                }
-            }
-        }
-        // Auto picks the measured-best width for the engine that will
-        // actually run; the third argument no longer matters.
+    fn lane_auto_pick_is_the_table_kernel_width() {
         for fresh in [false, true] {
-            assert_eq!(
-                resolve_lanes(None, KernelBackend::Interpreter, fresh),
-                INTERP_LANES
-            );
+            for lanes in [1usize, 4, 8] {
+                assert_eq!(
+                    resolve_lanes(Some(lanes), KernelBackend::Auto, fresh),
+                    lanes
+                );
+            }
             assert_eq!(
                 resolve_lanes(None, KernelBackend::Auto, fresh),
                 CODEGEN_LANES
             );
         }
         // A typo here would silently break auto.
-        assert!(config::SUPPORTED_LANES.contains(&INTERP_LANES));
         assert!(config::SUPPORTED_LANES.contains(&CODEGEN_LANES));
     }
 
     #[test]
-    fn auto_runs_the_table_kernel_from_w4_and_the_interpreter_at_w1() {
+    fn dta_engine_builds_every_supported_width() {
         let (bank, _) = default_bank();
         let unit = bank.unit(FpOp::new(FpOpKind::Add, Precision::Single));
-        for (lanes, auto, interp) in [
-            (1, "interp", "interp"),
-            (4, "codegen", "interp"),
-            (8, "codegen", "interp"),
-        ] {
-            let name = |backend| dta_engine(unit, lanes, backend).expect("engine").name();
-            assert_eq!(name(KernelBackend::Auto), auto, "auto at W{lanes}");
-            assert_eq!(
-                name(KernelBackend::Interpreter),
-                interp,
-                "interp at W{lanes}"
-            );
+        for lanes in config::SUPPORTED_LANES {
+            let engine = dta_engine(unit, lanes).expect("engine");
+            assert_eq!(engine.lanes(), lanes);
+            assert_eq!(engine.window_vectors(), lanes * 64);
         }
     }
 
@@ -1618,27 +1565,5 @@ mod tests {
             })
             .collect();
         assert_eq!(stats[0], stats[1], "pruning must never change statistics");
-    }
-
-    #[test]
-    fn every_backend_produces_identical_stats() {
-        let (bank, spec) = default_bank();
-        let op = FpOp::new(FpOpKind::Add, Precision::Single);
-        let unit = bank.unit(op);
-        let pairs = random_operand_pairs(op, 300, 11);
-        let levels = [VoltageReduction::VR15, VoltageReduction::VR20];
-        let runs: Vec<String> = [KernelBackend::Interpreter, KernelBackend::Auto]
-            .into_iter()
-            .map(|backend| {
-                let tuning = DtaTuning {
-                    backend,
-                    ..DtaTuning::default()
-                };
-                let stats = dta_campaign_tuned(unit, &pairs, spec.clk, &levels, 2, tuning)
-                    .expect("campaign succeeds");
-                serde_json::to_string(&stats).expect("stats serialize")
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "interpreter vs auto dispatch");
     }
 }

@@ -3,13 +3,13 @@
 //! of thread count, lane width, or safe-bit pruning. Chunk results
 //! merge in chunk-index (= transition) order and the mask reservoir is
 //! seeded per `(op, vr)` cell, so the JSON encodings compare equal
-//! exactly; a reference campaign driven by the interpreted
+//! exactly; a reference campaign driven by the per-pair
 //! [`ArrivalSim`] pins all of them to the ground-truth engine.
 
 use std::collections::BTreeMap;
 use tei_core::dev::{
     dta_campaign_sampled_tuned, dta_campaign_tuned, random_operand_pairs, safe_bit_counts,
-    DtaTuning, KernelBackend, OpErrorStats, PrunePolicy,
+    DtaTuning, OpErrorStats, PrunePolicy,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -110,14 +110,11 @@ fn parallel_campaign_equals_serial_byte_for_byte() {
     }
 }
 
-/// The tentpole equivalence matrix: every supported lane width, serial
-/// and parallel, with and without safe-bit pruning, on **both** engine
-/// backends (interpreted `ArrivalKernel`, and auto, which runs the
-/// table-driven kernel at W4 and W8), must reproduce the interpreted
-/// `ArrivalSim` reference byte for byte — a 3-way
-/// interpreter/table/`ArrivalSim` agreement. Under the `sanitize-arrivals` feature the campaign inner
-/// loop additionally cross-checks every pruned mask against a full bit
-/// scan.
+/// The equivalence matrix: every supported lane width of the table
+/// kernel, serial and parallel, with and without safe-bit pruning, must
+/// reproduce the `ArrivalSim` reference byte for byte. Under the
+/// `sanitize-arrivals` feature the campaign inner loop additionally
+/// cross-checks every pruned mask against a full bit scan.
 #[test]
 fn lane_widths_match_arrival_sim_byte_for_byte() {
     let (unit, spec) = test_unit();
@@ -126,31 +123,28 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
         let reference =
             serde_json::to_string(&sim_reference(unit, chained(&pairs), spec.clk, &LEVELS))
                 .expect("serialize reference");
-        for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
-            for lanes in [1usize, 4, 8] {
-                for threads in [1usize, 3] {
-                    for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
-                        let got = dta_campaign_tuned(
-                            unit,
-                            &pairs,
-                            spec.clk,
-                            &LEVELS,
-                            threads,
-                            DtaTuning {
-                                prune,
-                                lanes: Some(lanes),
-                                backend,
-                                ..DtaTuning::default()
-                            },
-                        )
-                        .expect("campaign");
-                        assert_eq!(
-                            serde_json::to_string(&got).expect("serialize campaign"),
-                            reference,
-                            "backend={backend:?} lanes={lanes} threads={threads} \
-                             prune={prune:?} seed={seed:#x} diverged from ArrivalSim"
-                        );
-                    }
+        for lanes in [1usize, 4, 8] {
+            for threads in [1usize, 3] {
+                for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
+                    let got = dta_campaign_tuned(
+                        unit,
+                        &pairs,
+                        spec.clk,
+                        &LEVELS,
+                        threads,
+                        DtaTuning {
+                            prune,
+                            lanes: Some(lanes),
+                            ..DtaTuning::default()
+                        },
+                    )
+                    .expect("campaign");
+                    assert_eq!(
+                        serde_json::to_string(&got).expect("serialize campaign"),
+                        reference,
+                        "lanes={lanes} threads={threads} prune={prune:?} seed={seed:#x} \
+                         diverged from ArrivalSim"
+                    );
                 }
             }
         }
@@ -183,33 +177,12 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
             "{threads}-thread sampled campaign diverged from serial"
         );
     }
-    // Both backends must reproduce the same sampled statistics.
-    for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
-        let tuned = dta_campaign_sampled_tuned(
-            unit,
-            &trace,
-            &indices,
-            spec.clk,
-            &LEVELS,
-            3,
-            DtaTuning {
-                backend,
-                ..DtaTuning::default()
-            },
-        )
-        .expect("tuned sampled campaign");
-        assert_eq!(
-            serde_json::to_string(&serial).expect("serialize serial"),
-            serde_json::to_string(&tuned).expect("serialize tuned"),
-            "sampled campaign on {backend:?} diverged from serial"
-        );
-    }
 }
 
 /// The sampled walk against the ground truth: isolated indices, a run
 /// of more than 64 consecutive indices (it crosses a `W = 1` window and
-/// packs as one contiguous segment) and a repeated index, on both
-/// backends at every lane width, serial and parallel.
+/// packs as one contiguous segment) and a repeated index, at every lane
+/// width, serial and parallel.
 #[test]
 fn sampled_walk_matches_arrival_sim() {
     let (unit, spec) = test_unit();
@@ -224,24 +197,21 @@ fn sampled_walk_matches_arrival_sim() {
         &LEVELS,
     ))
     .expect("serialize reference");
-    for backend in [KernelBackend::Interpreter, KernelBackend::Auto] {
-        for lanes in [1usize, 4, 8] {
-            for threads in [1usize, 3] {
-                let tuning = DtaTuning {
-                    lanes: Some(lanes),
-                    backend,
-                    ..DtaTuning::default()
-                };
-                let got = dta_campaign_sampled_tuned(
-                    unit, &trace, &indices, spec.clk, &LEVELS, threads, tuning,
-                )
-                .expect("sampled campaign");
-                assert_eq!(
-                    serde_json::to_string(&got).expect("serialize sampled"),
-                    reference,
-                    "backend={backend:?} lanes={lanes} threads={threads} diverged from ArrivalSim"
-                );
-            }
+    for lanes in [1usize, 4, 8] {
+        for threads in [1usize, 3] {
+            let tuning = DtaTuning {
+                lanes: Some(lanes),
+                ..DtaTuning::default()
+            };
+            let got = dta_campaign_sampled_tuned(
+                unit, &trace, &indices, spec.clk, &LEVELS, threads, tuning,
+            )
+            .expect("sampled campaign");
+            assert_eq!(
+                serde_json::to_string(&got).expect("serialize sampled"),
+                reference,
+                "lanes={lanes} threads={threads} diverged from ArrivalSim"
+            );
         }
     }
     // Sampling every index is the contiguous campaign.

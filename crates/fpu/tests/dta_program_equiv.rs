@@ -1,5 +1,5 @@
 //! Every shipped unit's DTA table program ([`FpuUnit::dta_program`])
-//! must be byte-identical to the interpreted `ArrivalKernel` on real
+//! must be byte-identical to the per-pair `ArrivalKernel` on real
 //! operand traffic: every net's value and toggle flag at every
 //! transition, and the settle time of every net the program exposes,
 //! which must include the whole result port.
@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_netlist::NetId;
-use tei_timing::{interpreted_engine, ArrivalEngine, SpecializedKernel};
+use tei_timing::{ArrivalEngine, ArrivalKernel, SpecializedKernel};
 
 fn bank() -> &'static FpuBank {
     static BANK: OnceLock<FpuBank> = OnceLock::new();
@@ -35,9 +35,9 @@ impl SplitMix {
 fn table_engine(unit: &FpuUnit, lanes: usize) -> Box<dyn ArrivalEngine + '_> {
     let program = unit.dta_program();
     match lanes {
-        1 => Box::new(SpecializedKernel::<_, 1>::new(program)),
-        4 => Box::new(SpecializedKernel::<_, 4>::new(program)),
-        8 => Box::new(SpecializedKernel::<_, 8>::new(program)),
+        1 => Box::new(SpecializedKernel::<1>::new(program)),
+        4 => Box::new(SpecializedKernel::<4>::new(program)),
+        8 => Box::new(SpecializedKernel::<8>::new(program)),
         _ => panic!("unsupported lane width {lanes}"),
     }
 }
@@ -54,16 +54,17 @@ fn dta_program_is_built_once() {
     }
 }
 
-/// Drive the interpreted and table-driven engines through the same
-/// operand windows and require bit-exact agreement at every
-/// transition: every net's value and toggle flag, and the settle time
-/// of every net the program exposes — which must include the full
-/// result port, the set the campaign thresholds (internal nets have
-/// their settle slots recycled by the liveness compaction; see
-/// `tei_timing::codegen`).
+/// Drive the table-driven engine through operand windows and replay
+/// each window through the per-pair kernel (`reset` on its first
+/// vector, then one chained `advance` per transition), requiring
+/// bit-exact agreement at every transition: every net's value and
+/// toggle flag, and the settle time of every net the program exposes —
+/// which must include the full result port, the set the campaign
+/// thresholds (internal nets have their settle slots recycled by the
+/// liveness compaction; see `tei_timing::codegen`).
 fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64) {
     let compiled = unit.dta_compiled();
-    let mut interp = interpreted_engine(compiled, lanes).expect("supported lane width");
+    let mut kernel = ArrivalKernel::new();
     let mut table = table_engine(unit, lanes);
     assert_eq!(table.lanes(), lanes);
     for &net in unit.result_port() {
@@ -76,8 +77,7 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
     }
 
     let width = unit.input_width();
-    let vectors = interp.window_vectors();
-    assert_eq!(vectors, table.window_vectors());
+    let vectors = table.window_vectors();
     let mut rng = SplitMix(seed);
     let mut flat = vec![false; vectors * width];
     for _ in 0..windows {
@@ -85,29 +85,29 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
             let (a, b) = (rng.next(), rng.next());
             unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
         }
-        interp.load_window(&flat, vectors);
         table.load_window(&flat, vectors);
-        assert_eq!(interp.window_transitions(), table.window_transitions());
-        for t in 0..interp.window_transitions() {
-            interp.select_transition(t);
+        assert_eq!(table.window_transitions(), vectors - 1);
+        kernel.reset(compiled, &flat[..width]);
+        for t in 0..vectors - 1 {
             table.select_transition(t);
+            kernel.advance(compiled, &flat[(t + 1) * width..(t + 2) * width]);
             for net in 0..compiled.len() {
                 let id = NetId::from_index(net);
                 assert_eq!(
-                    interp.cur(id),
+                    kernel.cur(id),
                     table.cur(id),
                     "{} W={lanes} t={t} net {net}: value",
                     unit.tag()
                 );
                 assert_eq!(
-                    interp.changed(id),
+                    kernel.changed(id),
                     table.changed(id),
                     "{} W={lanes} t={t} net {net}: toggle",
                     unit.tag()
                 );
                 if table.settle_exposed(id) {
                     assert_eq!(
-                        interp.settle_of(id).to_bits(),
+                        kernel.settle_of(id).to_bits(),
                         table.settle_of(id).to_bits(),
                         "{} W={lanes} t={t} net {net}: settle",
                         unit.tag()
@@ -119,7 +119,7 @@ fn assert_engines_match(unit: &FpuUnit, lanes: usize, windows: usize, seed: u64)
 }
 
 #[test]
-fn dta_programs_match_interpreter_bit_exactly() {
+fn dta_programs_match_per_pair_kernel_bit_exactly() {
     let debug = cfg!(debug_assertions);
     let (lane_widths, windows): (&[usize], usize) =
         if debug { (&[1, 4], 1) } else { (&[1, 4, 8], 2) };

@@ -1,129 +1,97 @@
-//! Table-driven specialized backend for the arrival kernel.
+//! The table-driven window kernel: the one engine every DTA campaign
+//! runs.
 //!
 //! [`DynProgram::compacted`] compiles a [`CompiledNetlist`] at runtime
 //! into flat opcode/pin/delay tables plus a liveness-compacted settle
-//! plan, behind the [`NetlistProgram`] trait; the shared
-//! [`SpecializedKernel`] harness wraps any program in the window
-//! protocol of [`ArrivalEngine`], driving two table-driven passes
-//! ([`table_plane_pass`], [`table_settle_pass`]) that are bit-identical
-//! to the interpreter. Building the tables is cheap: the plans for all
-//! twelve shipped FPU units take about 3 ms, so each unit builds its
-//! program once on first use (`FpuUnit::dta_program` in `tei-fpu`).
+//! plan; [`SpecializedKernel`] drives a borrowed program through the
+//! window protocol of [`ArrivalEngine`] with two table-driven passes
+//! ([`table_plane_pass`] and the settle pass) that are bit-identical to
+//! the per-pair [`ArrivalKernel`](crate::ArrivalKernel). Building the
+//! tables is cheap: the plans for all twelve shipped FPU units take
+//! about 3 ms, so each unit builds its program once on first use
+//! (`FpuUnit::dta_program` in `tei-fpu`).
 //!
-//! **What specialization buys.** The settle pass dominates DTA
-//! throughput and is cache-bandwidth bound: the interpreter's dense
-//! batch streams a net-indexed `[f64; W]` settle array (411 KB for the
-//! d-mul netlist at `W = 4`, 823 KB at 8) plus full `[u64; W]` diff
-//! lanes per gate per batch. [`SettlePlan::compacted`] instead performs
-//! a liveness analysis over the settle dataflow and allocates *recycled
-//! scratch slots*: a net's slot is freed at its last fanout reader and
-//! reused (LIFO, so the hottest line is reused first), while nets in
-//! the `keep` set — the unit's observable outputs — hold dedicated
-//! slots for the campaign's [`settle_of`](ArrivalEngine::settle_of)
-//! queries. The scratch footprint drops from `N` nets to the netlist's
-//! cut width, and the harness transposes diff lanes word-major once per
-//! window so each settle batch reads 8 bytes of toggle bits per gate
-//! instead of `8 * W`. The interpreter cannot do this: its net-indexed
-//! settle array *is* its public contract (`settle_of` on every net,
-//! snapshots, the event-driven cross-checks).
+//! **Bit-sliced windows.** Each net carries a [`Lanes`] array of `W`
+//! `u64` words, so one whole-circuit pass evaluates the steady state of
+//! `W * 64` input vectors; the fixed-size-array lane ops autovectorize
+//! to AVX2 (`W = 4`) and AVX-512 (`W = 8`) bitwise instructions. Settle
+//! times are then computed `W` transitions per batch as `[f64; W]` lane
+//! arrays, masked to `+0.0` in lanes where a gate does not toggle.
+//!
+//! **What the settle plan buys.** The settle pass dominates DTA
+//! throughput and is cache-bandwidth bound: a net-indexed `[f64; W]`
+//! settle array is 411 KB for the d-mul netlist at `W = 4` and 823 KB
+//! at 8. [`SettlePlan::compacted`] instead performs a liveness analysis
+//! over the settle dataflow and allocates *recycled scratch slots*: a
+//! net's slot is freed at its last fanout reader and reused (LIFO, so
+//! the hottest line is reused first), while nets in the `keep` set —
+//! the unit's observable outputs — hold dedicated slots for the
+//! campaign's [`settle_of`](ArrivalEngine::settle_of) queries. The
+//! scratch footprint drops from `N` nets to the netlist's cut width,
+//! and the harness transposes diff lanes word-major once per window so
+//! each settle batch reads 8 bytes of toggle bits per gate instead of
+//! `8 * W`.
 //!
 //! **How the settle loop is driven.** Table validation happens once,
-//! in [`SpecializedKernel::new`], against owned copies of the
-//! program's tables; each batch then runs an unchecked loop over a
-//! packed 16-byte `GateRec` per gate (re-validating per batch
-//! measurably costs as much as the settle arithmetic itself — see
-//! [`table_settle_pass`]). On x86-64 CPUs with AVX-512F, `W = 8` sweeps
-//! *two* adjacent batches at once (the `zmm` module): one ZMM
-//! register per batch per net, the toggle byte used directly as the
-//! `maskz` write mask, and one record + one diff-word load amortized
-//! across both batches — measured at ~2.2× the interpreted `W = 4`
-//! walk on d-mul. Other CPUs run the generic pass; a unit test holds
-//! the two bit-identical.
+//! in [`SpecializedKernel::new`]; each batch then runs an unchecked
+//! loop over a packed 16-byte `GateRec` per gate (re-validating per
+//! batch measurably costs as much as the settle arithmetic itself). On
+//! x86-64 CPUs with AVX-512F, `W = 8` sweeps *two* adjacent batches at
+//! once (the `zmm` module): one ZMM register per batch per net, the
+//! toggle byte used directly as the `maskz` write mask, and one record
+//! load and one diff-word load amortized across both batches. Other
+//! CPUs run the generic pass; a unit test holds the two bit-identical.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
 //! inline constants, levels unrolled). Measured on d-mul at `W = 4` it
-//! ran 6.5× *slower* than the interpreter: ~1 MB of instructions per
-//! settle batch streams through the i-cache, which loses decisively to
-//! a resident loop over compact tables — and cost half an hour of LLVM
-//! time per build. A later version emitted the same tables as static
-//! Rust source at build time; it measured no faster than tables built
-//! at runtime (0.95–1.07× on d-div and d-mul at `W = 8`), because the
-//! harness copies the tables it runs over anyway, so it was retired.
-//! The shipped design keeps the specialization where it pays (the slot
-//! allocation, packed records, pins resolved to slots) and executes it
-//! with the same few hundred bytes of loop code for every unit.
+//! ran 6.5× *slower* than the then-interpreted window kernel: ~1 MB of
+//! instructions per settle batch streams through the i-cache, which
+//! loses decisively to a resident loop over compact tables — and cost
+//! half an hour of LLVM time per build. A later version emitted the
+//! same tables as static Rust source at build time; it measured no
+//! faster than tables built at runtime (0.95–1.07× on d-div and d-mul
+//! at `W = 8`), so it was retired. The shipped design keeps the
+//! specialization where it pays (the slot allocation, packed records,
+//! pins resolved to slots) and executes it with the same few hundred
+//! bytes of loop code for every unit.
 //!
 //! **Exposure contract.** After a settle pass, only nets whose slot
 //! was never recycled still hold their settle time: every net in
-//! `keep`, plus any net whose slot happened not to be reused.
-//! [`NetlistProgram::settle_slot`] reports `u32::MAX` for the rest,
-//! and the engine's [`settle_exposed`](ArrivalEngine::settle_exposed)
-//! surfaces that. The DTA campaign only reads output-port settles (see
+//! `keep`, plus any net whose slot happened not to be reused. The
+//! plan's `exposed` table holds `u32::MAX` for the rest, and the
+//! engine's [`settle_exposed`](ArrivalEngine::settle_exposed) surfaces
+//! that. The DTA campaign only reads output-port settles (see
 //! `accumulate_transition` in `tei-core`), which are always kept;
 //! full-fidelity programs ([`DynProgram::new`]) expose every net.
 //!
 //! **Determinism and equivalence.** Gates run in compiled
-//! (topological) index order, the same order the interpreter sweeps,
-//! and the slot allocator is deterministic (LIFO free list, one linear
-//! scan), so a given `(netlist, keep)` pair always yields the same
-//! plan. Equivalence is enforced three ways: the `kernel_equiv`
-//! proptests drive this harness over [`DynProgram`] (full and
-//! compacted plans) on random DAGs against the reference simulator,
-//! [`SettlePlan`] self-verifies every allocation by replay, and
-//! `tei-fpu`'s `dta_program_equiv` suite checks every shipped unit's
-//! program transition-for-transition against the interpreter.
+//! (topological) index order and the slot allocator is deterministic
+//! (LIFO free list, one linear scan), so a given `(netlist, keep)` pair
+//! always yields the same plan. Equivalence is enforced three ways: the
+//! `kernel_equiv` proptests drive this harness over [`DynProgram`]
+//! (full and compacted plans) on random DAGs against the reference
+//! simulator, [`SettlePlan`] self-verifies every allocation by replay,
+//! and `tei-fpu`'s `dta_program_equiv` suite checks every shipped
+//! unit's program transition-for-transition against chained
+//! [`ArrivalKernel::advance`](crate::ArrivalKernel::advance) calls.
 
 use crate::engine::ArrivalEngine;
-use crate::kernel::{lane_bit, CompiledNetlist, Lanes};
+use crate::kernel::CompiledNetlist;
 use crate::sim::TwoVectorResult;
 use tei_netlist::{GateKind, NetId};
 
-/// The compiled shape of one specialized netlist program: the tables
-/// the [`SpecializedKernel`] harness drives with [`table_plane_pass`]
-/// and [`table_settle_pass`]. Implemented by [`DynProgram`], and by any
-/// shared reference to a program, so a kernel can run over a program
-/// it does not own.
-///
-/// Table invariants (checked by [`SpecializedKernel::new`]): `kinds`
-/// and `delay_bits` hold one entry per gate, `pins`/`spins` three;
-/// every slot index is below [`slot_count`](Self::slot_count); no gate
-/// writes slot 0 (the constant-zero sentinel).
-pub trait NetlistProgram: Send + Sync {
-    /// Number of nets (== gates) in the specialized netlist.
-    fn gate_count(&self) -> usize;
+/// The multi-word window lane of one net: bit `v` of word `v / 64`
+/// holds the net's steady-state value under the window's `v`-th input
+/// vector. Written as fixed-size-array ops so the compiler
+/// autovectorizes `W = 4` to AVX2-width and `W = 8` to AVX-512-width
+/// bitwise instructions.
+pub type Lanes<const W: usize> = [u64; W];
 
-    /// Primary input nets in declaration order.
-    fn input_nets(&self) -> &[u32];
-
-    /// Gate opcodes (compiled `GateKind` discriminants), topological
-    /// order.
-    fn kinds(&self) -> &[u8];
-
-    /// Net-indexed fanin pins, fixed stride 3, padded by repetition
-    /// (the plane pass operand table).
-    fn pins(&self) -> &[u32];
-
-    /// Per-gate propagation delays as raw `f64` bits.
-    fn delay_bits(&self) -> &[u64];
-
-    /// Settle scratch slots, including the reserved constant-zero
-    /// slot 0.
-    fn slot_count(&self) -> usize;
-
-    /// Scratch slot each gate's settle lanes are written to (never 0).
-    fn slots(&self) -> &[u32];
-
-    /// Slot-resolved fanin pins for the settle pass, stride 3: the
-    /// slot holding each fanin's settle value at this gate's position
-    /// in the sweep, or 0 (the zero sentinel) for self/forward padding
-    /// pins.
-    fn spins(&self) -> &[u32];
-
-    /// Slot still holding `net`'s settle value *after* the pass, or
-    /// `u32::MAX` if it was recycled for a later gate (the net is not
-    /// exposed; see the module docs).
-    fn settle_slot(&self, net: usize) -> u32;
+/// Bit `v` of a multi-word lane.
+#[inline(always)]
+fn lane_bit<const W: usize>(lane: &Lanes<W>, v: usize) -> bool {
+    (lane[v >> 6] >> (v & 63)) & 1 == 1
 }
 
 /// Inlined lane/settle primitives used by the table passes. Kept tiny
@@ -223,14 +191,8 @@ pub mod ops {
         from_fn(|w| (a[w] & b[w]) | (a[w] & c[w]) | (b[w] & c[w]))
     }
 
-    /// Two-operand settle fold, the interpreter's comparison chain
-    /// (never NaN, so this is exactly `f64::max`).
-    #[inline(always)]
-    pub fn m2<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
-        from_fn(|j| if a[j] > b[j] { a[j] } else { b[j] })
-    }
-
-    /// Three-operand settle fold in the interpreter's order.
+    /// Three-operand settle fold in the per-pair kernel's order (never
+    /// NaN, so this is exactly `f64::max`).
     #[inline(always)]
     pub fn m3<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
         from_fn(|j| {
@@ -265,7 +227,7 @@ pub mod ops {
 
     /// Masked settle lanes: `latest + delay` in lanes where `keep` is
     /// all-ones (the gate toggles), bit-exact `+0.0` elsewhere — the
-    /// same keep-mask arithmetic as the interpreter's batch.
+    /// identity the per-pair kernel's unchanged nets hold.
     #[inline(always)]
     pub fn stl<const W: usize>(latest: [f64; W], delay: f64, keep: Lanes<W>) -> [f64; W] {
         from_fn(|j| f64::from_bits((latest[j] + delay).to_bits() & keep[j]))
@@ -325,54 +287,18 @@ pub fn table_plane_pass<const W: usize>(
     }
 }
 
-/// Settle pass over a slot-allocated plan: the interpreter's dense
-/// batch with every net's `[f64; W]` settle lanes written to its
-/// scratch slot in topological order, masked to `+0.0` in lanes where
-/// the net does not toggle. Slot 0 is the constant-zero sentinel read
-/// by self/forward padding pins (re-zeroed here, so a poisoned scratch
-/// cannot leak). `dw` holds each gate's toggle word for the batch's
-/// lane word (the harness's word-major transpose); `ls` is the batch's
-/// bit offset within it.
+/// Settle pass over a slot-allocated plan: every net's `[f64; W]`
+/// settle lanes written to its scratch slot in topological order,
+/// masked to `+0.0` in lanes where the net does not toggle. Slot 0 is
+/// the constant-zero sentinel read by self/forward padding pins
+/// (re-zeroed here, so a poisoned scratch cannot leak). `dw` holds each
+/// gate's toggle word for the batch's lane word (the harness's
+/// word-major transpose); `ls` is the batch's bit offset within it.
 ///
 /// A gate may legally write the slot one of its own fanins just
 /// vacated (the allocator frees at last use *before* reassigning):
-/// all three operand lanes are loaded before the store.
-pub fn table_settle_pass<const W: usize>(
-    slots: &[u32],
-    spins: &[u32],
-    delay_bits: &[u64],
-    scratch: &mut [[f64; W]],
-    dw: &[u64],
-    lut: &[Lanes<W>],
-    ls: usize,
-) {
-    let n = slots.len();
-    assert_eq!(spins.len(), 3 * n, "spin table stride");
-    assert_eq!(delay_bits.len(), n, "delay table length");
-    assert!(dw.len() >= n, "toggle word slice");
-    assert_eq!(lut.len(), 1 << W, "keep-mask table covers W index bits");
-    let m = scratch.len() as u32;
-    // Branchless folds, not `all()`: the short-circuit in `all()`
-    // compiles to a scalar 4-bytes-per-iteration loop, and these
-    // sweeps cover the whole slot/spin tables — measured at ~24 us per
-    // batch on d-mul, i.e. as expensive as the settle loop itself. The
-    // folds vectorize.
-    assert!(
-        slots.iter().fold(true, |ok, &s| ok & (s != 0) & (s < m)),
-        "settle slot out of range"
-    );
-    assert!(
-        spins.iter().fold(true, |ok, &s| ok & (s < m)),
-        "spin slot out of range"
-    );
-    // SAFETY: the sweeps above establish every slot/spin index is
-    // below `scratch.len()`; the length asserts cover the table reads.
-    unsafe { table_settle_unchecked(slots, spins, delay_bits, scratch, dw, lut, ls) }
-}
-
-/// [`table_settle_pass`] without the per-call table validation — the
-/// per-batch entry point for [`SpecializedKernel`], which validates its
-/// owned tables once at construction.
+/// all three operand lanes are loaded before the store. Runs unchecked;
+/// [`SpecializedKernel::new`] validates the program's tables once.
 ///
 /// # Safety
 ///
@@ -520,7 +446,7 @@ unsafe fn packed_settle_unchecked<const W: usize>(
 /// write mask — no keep-mask table load at all.
 ///
 /// Bit-exact with the generic pass: `_mm512_max_pd(a, b)` returns `a`
-/// iff `a > b` (else `b`), exactly the interpreter's comparison chain
+/// iff `a > b` (else `b`), exactly the per-pair kernel's comparison chain
 /// for never-NaN settle times, and `maskz` zeroes are the same `+0.0`
 /// the keep-mask AND produces.
 #[cfg(target_arch = "x86_64")]
@@ -644,7 +570,7 @@ pub struct SettlePlan {
 
 impl SettlePlan {
     /// The trivial full-fidelity plan: gate `i` owns slot `i + 1`
-    /// forever, so every net stays exposed. Matches the interpreter's
+    /// forever, so every net stays exposed. Matches the per-pair kernel's
     /// net-indexed settle array with one extra zero slot.
     pub fn full(c: &CompiledNetlist) -> Self {
         let n = c.len();
@@ -713,7 +639,7 @@ impl SettlePlan {
             // Free fanins at their last use *before* allocating, so a
             // gate can inherit a dying fanin's (cache-hot) slot — the
             // pass loads operands before it stores (see
-            // `table_settle_pass`).
+            // `table_settle_unchecked`).
             for s in 0..3 {
                 let p = pins[i * 3 + s] as usize;
                 if p < i && last_use[p] == i as u32 && !kept[p] && slot_of[p] != NONE {
@@ -796,15 +722,18 @@ impl SettlePlan {
     }
 }
 
-/// The window-protocol harness shared by every specialized program:
-/// owns the lane planes, the word-major toggle transpose, and the
-/// slot-allocated settle scratch; packs input windows and drives the
-/// table passes. Implements [`ArrivalEngine`] bit-identically to the
-/// interpreted kernel on every exposed net (see the module docs for
-/// the exposure contract and why the always-dense settle batch is
-/// exact).
-pub struct SpecializedKernel<P, const W: usize> {
-    program: P,
+/// The window-protocol harness over a borrowed [`DynProgram`]: owns the
+/// lane planes, the word-major toggle transpose, and the slot-allocated
+/// settle scratch; packs input windows and drives the table passes.
+/// Implements [`ArrivalEngine`] bit-identically to the per-pair
+/// [`ArrivalKernel`](crate::ArrivalKernel) on every exposed net (see
+/// the module docs for the exposure contract).
+pub struct SpecializedKernel<'p, const W: usize> {
+    /// The program's tables, validated once in
+    /// [`SpecializedKernel::new`]. The per-batch hot loop runs
+    /// unchecked over them; the shared borrow keeps them fixed for the
+    /// kernel's lifetime.
+    program: &'p DynProgram,
     plane: Vec<Lanes<W>>,
     diffs: Vec<Lanes<W>>,
     /// Word-major toggle transpose: `diffs_t[w * n + i]` is net `i`'s
@@ -812,17 +741,8 @@ pub struct SpecializedKernel<P, const W: usize> {
     /// gate instead of a strided `[u64; W]`.
     diffs_t: Vec<u64>,
     scratch: AlignedLanes<W>,
-    /// Owned copies of the program's settle tables, validated once in
-    /// [`SpecializedKernel::new`]. The per-batch hot loop runs
-    /// unchecked over these — a `NetlistProgram` impl that returned
-    /// different (out-of-range) tables on a later call cannot reach
-    /// it, and re-validating per batch measurably costs as much as the
-    /// settle loop itself.
-    slots: Vec<u32>,
-    spins: Vec<u32>,
-    delay_bits: Vec<u64>,
-    /// [`GateRec`] packing of the three tables above, when every slot
-    /// index fits `u16` (always, for the shipped bank).
+    /// [`GateRec`] packing of the program's settle tables, when every
+    /// slot index fits `u16` (always, for the shipped bank).
     packed: Option<Vec<GateRec>>,
     lut: Box<[Lanes<W>]>,
     /// Whether batches run the AVX-512 passes of the `zmm` module
@@ -835,28 +755,27 @@ pub struct SpecializedKernel<P, const W: usize> {
     /// `2 * slot_count` lane arrays in the interleaved pair layout.
     /// Decided once at construction.
     pair: bool,
-    width: usize,
     /// One-shot per-transition keep mask for the next `load_window`
     /// (empty = keep everything); see
-    /// [`ArrivalKernel::set_window_keep_mask`](crate::kernel::ArrivalKernel::set_window_keep_mask).
+    /// [`ArrivalEngine::set_window_keep_mask`].
     win_mask: Vec<u64>,
     win_count: usize,
     view_t: usize,
     batch_base: usize,
 }
 
-impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
+impl<'p, const W: usize> SpecializedKernel<'p, W> {
     /// Vectors per bit-sliced window at this lane width.
     pub const WINDOW_VECTORS: usize = W * 64;
 
-    /// A kernel for `program` with all buffers pre-sized.
+    /// A kernel over `program` with all buffers pre-sized.
     ///
     /// # Panics
     ///
-    /// Panics if the program's tables violate the [`NetlistProgram`]
-    /// invariants (wrong strides, slot indices out of range, a gate
-    /// writing the zero sentinel).
-    pub fn new(program: P) -> Self {
+    /// Panics if the program's tables are inconsistent (wrong strides,
+    /// pin or slot indices out of range, a gate writing the zero
+    /// sentinel).
+    pub fn new(program: &'p DynProgram) -> Self {
         #[cfg(target_arch = "x86_64")]
         let avx512 = zmm::available();
         #[cfg(not(target_arch = "x86_64"))]
@@ -867,54 +786,44 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
     /// [`SpecializedKernel::new`] with the AVX-512 choice made by the
     /// caller: `false` runs the generic passes on any CPU; `true`
     /// requires AVX-512F.
-    fn with_avx512(program: P, avx512: bool) -> Self {
-        let n = program.gate_count();
-        let width = program.input_nets().len();
-        let m = program.slot_count();
-        assert_eq!(program.kinds().len(), n, "kind table length");
-        assert_eq!(program.pins().len(), 3 * n, "pin table stride");
-        assert_eq!(program.delay_bits().len(), n, "delay table length");
-        assert_eq!(program.slots().len(), n, "slot table length");
-        assert_eq!(program.spins().len(), 3 * n, "spin table stride");
+    fn with_avx512(program: &'p DynProgram, avx512: bool) -> Self {
+        let n = program.kinds.len();
+        let plan = &program.plan;
+        let m = plan.slot_count;
+        assert_eq!(program.pins.len(), 3 * n, "pin table stride");
+        assert_eq!(program.delay_bits.len(), n, "delay table length");
+        assert_eq!(plan.slots.len(), n, "slot table length");
+        assert_eq!(plan.spins.len(), 3 * n, "spin table stride");
         assert!(
-            program.pins().iter().all(|&p| (p as usize) < n),
+            program.pins.iter().all(|&p| (p as usize) < n),
             "pin index out of range"
         );
         assert!(
-            program.slots().iter().all(|&s| s != 0 && (s as usize) < m),
+            plan.slots.iter().all(|&s| s != 0 && (s as usize) < m),
             "settle slot out of range"
         );
         assert!(
-            program.spins().iter().all(|&s| (s as usize) < m),
+            plan.spins.iter().all(|&s| (s as usize) < m),
             "spin slot out of range"
         );
-        let packed = pack_records(program.slots(), program.spins(), program.delay_bits());
+        let packed = pack_records(&plan.slots, &plan.spins, &program.delay_bits);
         let zmm = W == 8 && avx512;
         let pair = zmm && packed.is_some();
         SpecializedKernel {
+            program,
             plane: vec![[0; W]; n],
             diffs: vec![[0; W]; n],
             diffs_t: vec![0; W * n],
             scratch: AlignedLanes::zeroed(if pair { 2 * m } else { m }),
-            slots: program.slots().to_vec(),
-            spins: program.spins().to_vec(),
-            delay_bits: program.delay_bits().to_vec(),
             packed,
             lut: lane_lut::<W>(),
             zmm,
             pair,
-            program,
-            width,
             win_mask: Vec::new(),
             win_count: 0,
             view_t: 0,
             batch_base: usize::MAX,
         }
-    }
-
-    /// The wrapped program.
-    pub fn program(&self) -> &P {
-        &self.program
     }
 
     /// Settle value of `slot` at `lane` transitions past `batch_base`,
@@ -932,11 +841,7 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
     }
 }
 
-impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W> {
-    fn name(&self) -> &'static str {
-        "codegen"
-    }
-
+impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
     fn lanes(&self) -> usize {
         W
     }
@@ -947,17 +852,17 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
     }
 
     fn load_window(&mut self, flat: &[bool], count: usize) {
+        let width = self.program.inputs.len();
         assert!((1..=Self::WINDOW_VECTORS).contains(&count), "window size");
-        assert_eq!(flat.len(), count * self.width, "window buffer size");
+        assert_eq!(flat.len(), count * width, "window buffer size");
         self.win_count = count;
         self.view_t = 0;
         self.batch_base = usize::MAX;
 
-        // Pack each input's window values into its bit lane (same
-        // layout as the interpreter's load_window).
-        for (k, &net) in self.program.input_nets().iter().enumerate() {
+        // Pack each input's window values into its bit lane.
+        for (k, &net) in self.program.inputs.iter().enumerate() {
             let mut lane = [0u64; W];
-            for (v, chunk) in flat.chunks_exact(self.width).enumerate() {
+            for (v, chunk) in flat.chunks_exact(width).enumerate() {
                 lane[v >> 6] |= u64::from(chunk[k]) << (v & 63);
             }
             self.plane[net as usize] = lane;
@@ -984,8 +889,8 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
         });
         self.win_mask.clear();
         table_plane_pass(
-            self.program.kinds(),
-            self.program.pins(),
+            &self.program.kinds,
+            &self.program.pins,
             &mut self.plane,
             &mut self.diffs,
             tmask,
@@ -1016,17 +921,92 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
             return;
         }
         self.batch_base = base;
-        // `base` is a multiple of the sweep width and the sweep width
-        // divides 64, so the sweep's bits live in one word of each
-        // net's diff lanes.
-        let n = self.program.gate_count();
+        self.settle_pass(base);
+        #[cfg(feature = "sanitize-arrivals")]
+        for (net, &slot) in self.program.plan.exposed.iter().enumerate() {
+            if slot == u32::MAX {
+                continue;
+            }
+            let bound = self.program.bounds[net];
+            for lane in 0..sweep {
+                let s = self.settle_at(slot as usize, lane);
+                assert!(
+                    s <= bound + 1e-9,
+                    "sanitize-arrivals: net n{net} settled at {s} past its static bound \
+                     {bound} (transition {})",
+                    base + lane
+                );
+            }
+        }
+    }
+
+    fn cur(&self, net: NetId) -> bool {
+        lane_bit(&self.plane[net.index()], self.view_t + 1)
+    }
+
+    fn prev(&self, net: NetId) -> bool {
+        lane_bit(&self.plane[net.index()], self.view_t)
+    }
+
+    fn changed(&self, net: NetId) -> bool {
+        lane_bit(&self.diffs[net.index()], self.view_t)
+    }
+
+    fn settle_exposed(&self, net: NetId) -> bool {
+        self.program.plan.exposed[net.index()] != u32::MAX
+    }
+
+    fn settle_of(&self, net: NetId) -> f64 {
+        let slot = self.program.plan.exposed[net.index()];
+        assert!(
+            slot != u32::MAX,
+            "settle of net {} was recycled (not in this program's keep set)",
+            net.index()
+        );
+        self.settle_at(slot as usize, self.view_t - self.batch_base)
+    }
+
+    fn snapshot_into(&self, out: &mut TwoVectorResult) {
+        let n = self.plane.len();
+        let lane = self.view_t - self.batch_base;
+        out.settle.clear();
+        out.settle
+            .extend(self.program.plan.exposed.iter().map(|&slot| {
+                // Recycled nets report 0.0; full-fidelity programs
+                // expose every net, so snapshots over them are exact.
+                if slot == u32::MAX {
+                    0.0
+                } else {
+                    self.settle_at(slot as usize, lane)
+                }
+            }));
+        out.prev.clear();
+        out.cur.clear();
+        out.prev.reserve(n);
+        out.cur.reserve(n);
+        for i in 0..n {
+            out.cur.push(lane_bit(&self.plane[i], self.view_t + 1));
+            out.prev.push(lane_bit(&self.plane[i], self.view_t));
+        }
+    }
+}
+
+impl<const W: usize> SpecializedKernel<'_, W> {
+    /// Compute the settle lanes of the sweep starting at transition
+    /// `base` (a multiple of the sweep width, so the sweep's bits live
+    /// in one word of each net's diff lanes, because the sweep width
+    /// divides 64).
+    fn settle_pass(&mut self, base: usize) {
+        let n = self.plane.len();
         let lw = base >> 6;
         let dw = &self.diffs_t[lw * n..lw * n + n];
         let ls = base & 63;
-        // SAFETY: `slots`/`spins`/`delay_bits` (and their `packed`
-        // form) are the owned copies validated at construction (strides,
-        // non-zero slots, every index below the slot count; paired
-        // scratch holds twice that); `dw` is one word per gate and
+        let program = self.program;
+        let plan = &program.plan;
+        // SAFETY: the program's tables (and their `packed` form) were
+        // validated at construction (strides, non-zero slots, every
+        // index below the slot count; paired scratch holds twice that)
+        // and stay fixed while borrowed; `dw` is one word per gate and
         // `lut` holds `1 << W` entries by construction.
         #[cfg(target_arch = "x86_64")]
         if self.zmm {
@@ -1045,9 +1025,14 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
                     // always the pair sweep and `ls` is a multiple of
                     // 16 (<= 48).
                     Some(recs) => zmm::settle_w8_pair_packed(recs, scratch8, dw, ls),
-                    None => {
-                        zmm::settle_w8(&self.slots, &self.spins, &self.delay_bits, scratch8, dw, ls)
-                    }
+                    None => zmm::settle_w8(
+                        &plan.slots,
+                        &plan.spins,
+                        &program.delay_bits,
+                        scratch8,
+                        dw,
+                        ls,
+                    ),
                 }
             };
             return;
@@ -1058,9 +1043,9 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
                     packed_settle_unchecked(recs, self.scratch.as_mut(), dw, &self.lut, ls)
                 }
                 None => table_settle_unchecked(
-                    &self.slots,
-                    &self.spins,
-                    &self.delay_bits,
+                    &plan.slots,
+                    &plan.spins,
+                    &program.delay_bits,
                     self.scratch.as_mut(),
                     dw,
                     &self.lut,
@@ -1069,70 +1054,31 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
             }
         };
     }
-
-    fn cur(&self, net: NetId) -> bool {
-        lane_bit(&self.plane[net.index()], self.view_t + 1)
-    }
-
-    fn prev(&self, net: NetId) -> bool {
-        lane_bit(&self.plane[net.index()], self.view_t)
-    }
-
-    fn changed(&self, net: NetId) -> bool {
-        lane_bit(&self.diffs[net.index()], self.view_t)
-    }
-
-    fn settle_exposed(&self, net: NetId) -> bool {
-        self.program.settle_slot(net.index()) != u32::MAX
-    }
-
-    fn settle_of(&self, net: NetId) -> f64 {
-        let slot = self.program.settle_slot(net.index());
-        assert!(
-            slot != u32::MAX,
-            "settle of net {} was recycled (not in this program's keep set)",
-            net.index()
-        );
-        self.settle_at(slot as usize, self.view_t - self.batch_base)
-    }
-
-    fn snapshot_into(&self, out: &mut TwoVectorResult) {
-        let n = self.plane.len();
-        let lane = self.view_t - self.batch_base;
-        out.settle.clear();
-        out.settle.extend((0..n).map(|i| {
-            let slot = self.program.settle_slot(i);
-            // Recycled nets report 0.0; full-fidelity programs expose
-            // every net, so snapshots over them are exact.
-            if slot == u32::MAX {
-                0.0
-            } else {
-                self.settle_at(slot as usize, lane)
-            }
-        }));
-        out.prev.clear();
-        out.cur.clear();
-        out.prev.reserve(n);
-        out.cur.reserve(n);
-        for i in 0..n {
-            out.cur.push(lane_bit(&self.plane[i], self.view_t + 1));
-            out.prev.push(lane_bit(&self.plane[i], self.view_t));
-        }
-    }
 }
 
-/// [`NetlistProgram`] built at runtime from a [`CompiledNetlist`].
+/// A table program built at runtime from a [`CompiledNetlist`]: the
+/// opcode, pin and delay tables plus a [`SettlePlan`].
 /// [`DynProgram::new`] uses the full (identity) plan — every net
 /// exposed — and is the property-test control for the
 /// [`SpecializedKernel`] harness; [`DynProgram::compacted`] is the
 /// liveness-compacted program every shipped FPU unit's DTA runs on.
 #[derive(Debug, Clone)]
 pub struct DynProgram {
+    /// Gate opcodes (compiled `GateKind` discriminants), topological
+    /// order.
     kinds: Vec<u8>,
+    /// Net-indexed fanin pins, fixed stride 3, padded by repetition
+    /// (the plane pass operand table).
     pins: Vec<u32>,
+    /// Per-gate propagation delays as raw `f64` bits.
     delay_bits: Vec<u64>,
+    /// Primary input nets in declaration order.
     inputs: Vec<u32>,
     plan: SettlePlan,
+    /// Static arrival bound per net, asserted against every exposed
+    /// settle time under `sanitize-arrivals`.
+    #[cfg(feature = "sanitize-arrivals")]
+    bounds: Vec<f64>,
 }
 
 impl DynProgram {
@@ -1155,88 +1101,14 @@ impl DynProgram {
             delay_bits: compiled.delays().iter().map(|d| d.to_bits()).collect(),
             inputs: compiled.input_nets().to_vec(),
             plan,
+            #[cfg(feature = "sanitize-arrivals")]
+            bounds: compiled.static_bounds().to_vec(),
         }
     }
 
     /// The program's settle plan.
     pub fn plan(&self) -> &SettlePlan {
         &self.plan
-    }
-}
-
-impl NetlistProgram for DynProgram {
-    fn gate_count(&self) -> usize {
-        self.kinds.len()
-    }
-
-    fn input_nets(&self) -> &[u32] {
-        &self.inputs
-    }
-
-    fn kinds(&self) -> &[u8] {
-        &self.kinds
-    }
-
-    fn pins(&self) -> &[u32] {
-        &self.pins
-    }
-
-    fn delay_bits(&self) -> &[u64] {
-        &self.delay_bits
-    }
-
-    fn slot_count(&self) -> usize {
-        self.plan.slot_count
-    }
-
-    fn slots(&self) -> &[u32] {
-        &self.plan.slots
-    }
-
-    fn spins(&self) -> &[u32] {
-        &self.plan.spins
-    }
-
-    fn settle_slot(&self, net: usize) -> u32 {
-        self.plan.exposed[net]
-    }
-}
-
-impl<P: NetlistProgram + ?Sized> NetlistProgram for &P {
-    fn gate_count(&self) -> usize {
-        (**self).gate_count()
-    }
-
-    fn input_nets(&self) -> &[u32] {
-        (**self).input_nets()
-    }
-
-    fn kinds(&self) -> &[u8] {
-        (**self).kinds()
-    }
-
-    fn pins(&self) -> &[u32] {
-        (**self).pins()
-    }
-
-    fn delay_bits(&self) -> &[u64] {
-        (**self).delay_bits()
-    }
-
-    fn slot_count(&self) -> usize {
-        (**self).slot_count()
-    }
-
-    fn slots(&self) -> &[u32] {
-        (**self).slots()
-    }
-
-    fn spins(&self) -> &[u32] {
-        (**self).spins()
-    }
-
-    fn settle_slot(&self, net: usize) -> u32 {
-        (**self).settle_slot(net)
     }
 }
 
@@ -1348,8 +1220,8 @@ mod tests {
         let keep: Vec<u32> = (c.len() as u32 - 16..c.len() as u32).collect();
         let width = c.input_nets().len();
         for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
-            let mut zmm = SpecializedKernel::<_, 8>::with_avx512(&program, true);
-            let mut generic = SpecializedKernel::<_, 8>::with_avx512(&program, false);
+            let mut zmm = SpecializedKernel::<8>::with_avx512(&program, true);
+            let mut generic = SpecializedKernel::<8>::with_avx512(&program, false);
             assert!(zmm.pair && !generic.zmm, "one pair pass, one generic pass");
             let mut rng = 0x0dd_ba11u64;
             let mut flat = vec![false; 512 * width];

@@ -40,13 +40,13 @@
 //!   latest-fanin fold is a plain branch-free `max` over all three pin
 //!   slots — unchanged fanins contribute `0.0`, the fold's identity.
 //!
-//! For campaign streams the kernel additionally batches vectors into
-//! **bit-sliced windows**: each net carries a [`Lanes`] array of `W`
-//! `u64` words (`W * 64` vectors evaluated per whole-circuit pass), and
-//! the per-transition settle pass walks a transposed per-transition
-//! gate bitmask. `W` is a const parameter of [`ArrivalKernel`]; the
-//! fixed-size-array lane ops autovectorize to AVX2 (`W = 4`) and
-//! AVX-512 (`W = 8`) bitwise instructions.
+//! Campaign streams do not run here: the bit-sliced window kernel
+//! ([`SpecializedKernel`](crate::SpecializedKernel), see
+//! [`codegen`](crate::codegen)) evaluates `W * 64` vectors per
+//! whole-circuit pass over tables built from the same
+//! [`CompiledNetlist`]. This kernel is the per-pair path — γ
+//! calibration in `tei-fpu` — and the reference the window kernel's
+//! equivalence suites replay every transition through.
 //!
 //! The kernel is bit-for-bit and settle-time-exact against
 //! [`ArrivalSim`](crate::ArrivalSim), whichever strategy runs. Values
@@ -60,64 +60,6 @@
 
 use crate::sim::TwoVectorResult;
 use tei_netlist::{GateKind, NetId, Netlist};
-
-// Dense `u8` opcodes for the bit-sliced window dispatch.
-const K_INPUT: u8 = GateKind::Input as u8;
-const K_CONST0: u8 = GateKind::Const0 as u8;
-const K_CONST1: u8 = GateKind::Const1 as u8;
-const K_BUF: u8 = GateKind::Buf as u8;
-const K_NOT: u8 = GateKind::Not as u8;
-const K_AND2: u8 = GateKind::And2 as u8;
-const K_OR2: u8 = GateKind::Or2 as u8;
-const K_NAND2: u8 = GateKind::Nand2 as u8;
-const K_NOR2: u8 = GateKind::Nor2 as u8;
-const K_XOR2: u8 = GateKind::Xor2 as u8;
-const K_XNOR2: u8 = GateKind::Xnor2 as u8;
-const K_MUX2: u8 = GateKind::Mux2 as u8;
-const K_MAJ3: u8 = GateKind::Maj3 as u8;
-
-/// Input-pin count per opcode, indexed by `GateKind as u8`. Kept (and
-/// checked against `GateKind::arity` in tests) as documentation of the
-/// pin-padding layout even though compile reads arities dynamically.
-#[cfg(test)]
-const ARITY: [u8; 13] = [0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3];
-
-/// Vectors per lane *word*: one per bit of a `u64`. A kernel with `W`
-/// lane words holds `W * WINDOW_VECTORS` vectors per window (see
-/// [`ArrivalKernel::WINDOW_VECTORS`]); the plain name is kept as the
-/// single-word (`W = 1`) window size for existing callers.
-pub const WINDOW_VECTORS: usize = 64;
-
-/// The multi-word window lane of one net: bit `v` of word `v / 64`
-/// holds the net's steady-state value under the window's `v`-th input
-/// vector. Written as fixed-size-array ops so the compiler
-/// autovectorizes `W = 4` to AVX2-width and `W = 8` to AVX-512-width
-/// bitwise instructions.
-pub type Lanes<const W: usize> = [u64; W];
-
-/// Bit `v` of a multi-word lane.
-#[inline(always)]
-pub(crate) fn lane_bit<const W: usize>(lane: &Lanes<W>, v: usize) -> bool {
-    (lane[v >> 6] >> (v & 63)) & 1 == 1
-}
-
-/// Transpose a 64×64 bit matrix in place: afterwards, bit `c` of
-/// `a[r]` is what bit `r` of `a[c]` was (LSB-first rows both ways).
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
 
 /// 8-entry truth tables indexed by `GateKind as u8`; output bit at
 /// index `v0 | v1<<1 | v2<<2`. Tables for gates with fewer than three
@@ -144,13 +86,6 @@ const TRUTH: [u8; 13] = [
 /// `advance` switches from the frontier walk to the dense sweep.
 const DENSE_TOGGLE_DIVISOR: usize = 8;
 
-/// Window mode: once a settle batch's changed-net union covers more
-/// than 1/2 of all nets, the batch is computed by a full topological
-/// sweep instead of the bitmask walk — at that density the sweep's
-/// sequential stores and branch-free inner loop beat the per-set-bit
-/// scan plus changed-list bookkeeping.
-const DENSE_BATCH_DIVISOR: usize = 2;
-
 /// A netlist lowered to structure-of-arrays form for the arrival kernel:
 /// per-gate truth-table bytes, a fixed-stride pin table, a flat delay
 /// array, and fanout adjacency in CSR layout to drive the sparse-path
@@ -158,7 +93,7 @@ const DENSE_BATCH_DIVISOR: usize = 2;
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     n: usize,
-    /// `GateKind as u8` per gate (drives the bit-sliced window eval).
+    /// `GateKind as u8` per gate (the table program's opcodes).
     kinds: Vec<u8>,
     /// Truth-table byte per gate (see [`TRUTH`]).
     tt: Vec<u8>,
@@ -375,17 +310,12 @@ impl CompiledNetlist {
 /// steady-state values, per-net settle times (0 for unchanged nets), and
 /// the Razor-style latched-value error test.
 ///
-/// The const parameter `W` selects the window lane width: each net
-/// carries `W` `u64` words, i.e. `W * 64` input vectors per bit-sliced
-/// window ([`load_window`](ArrivalKernel::load_window)), and settle
-/// times are computed `W` transitions per batch as `[f64; W]` lane
-/// arrays. `W = 1` is the historical single-word engine; `W = 4` /
-/// `W = 8` widen both the steady-state evaluation and the settle folds
-/// to AVX2/AVX-512 vector registers. Results are bit-identical for
-/// every width (each lane's fold order matches the scalar pass); width
-/// only changes throughput.
+/// The kernel is the per-pair reference for the table-driven window
+/// kernel ([`SpecializedKernel`](crate::SpecializedKernel)): γ
+/// calibration drives it directly, and the equivalence suites replay
+/// every window transition through it.
 #[derive(Debug, Clone, Default)]
-pub struct ArrivalKernel<const W: usize = 1> {
+pub struct ArrivalKernel {
     /// Steady-state value (0/1) of every net under the *current* input
     /// vector.
     val: Vec<u8>,
@@ -394,29 +324,6 @@ pub struct ArrivalKernel<const W: usize = 1> {
     /// plain `max` fold over all pin slots reproduces the changed-only
     /// fold.
     settle: Vec<f64>,
-    /// Window mode: per-net settle times of the current *batch* of `W`
-    /// consecutive transitions, lane `j` = transition `batch_base + j`.
-    /// After a sparse batch the all-zero-outside-`changed_list`
-    /// invariant of `settle` holds (`changed_list` is the union of the
-    /// batch's changed nets); after a dense batch every entry is
-    /// freshly written instead (see `batch_dense`).
-    settle_w: Vec<[f64; W]>,
-    /// First transition of the batch `settle_w` currently holds
-    /// (`usize::MAX` = none computed yet for this window).
-    batch_base: usize,
-    /// Whether the current batch was computed by the dense sweep, which
-    /// writes *every* net's lanes (so `changed_list` is empty and the
-    /// all-zero-outside-the-list invariant is suspended until the next
-    /// sparse batch restores it with a full clear).
-    batch_dense: bool,
-    /// Window mode: pin table for the dense settle sweep — a copy of
-    /// `CompiledNetlist::pins` with self/forward pins redirected to the
-    /// zero sentinel at index `n`, so the sweep needs no per-pin
-    /// bounds/self checks. Rebuilt by every `load_window`.
-    dense_pins: Vec<u32>,
-    /// Lane-mask table: entry `m` holds all-ones in lane `j` iff bit
-    /// `j` of `m` is set (`2^W` entries, built once; only for `W <= 8`).
-    lane_masks: Vec<Lanes<W>>,
     /// Epoch stamp: net changed in the last `advance` iff `== epoch`.
     changed_mark: Vec<u32>,
     /// Nets changed in the last `advance` occupy `[..changed_len]`;
@@ -427,42 +334,14 @@ pub struct ArrivalKernel<const W: usize = 1> {
     /// Dirty bitset scheduling gates for re-evaluation on the frontier
     /// path, one bit per gate, consumed (cleared) by the scan.
     dirty: Vec<u64>,
-    /// Window mode: steady-state bit lanes, `W` words per net, bit `v`
-    /// of word `v / 64` = value under the window's `v`-th input vector.
-    plane: Vec<Lanes<W>>,
-    /// Window mode: per-net transition lanes (`plane ^ plane >> 1` as a
-    /// `W * 64`-bit shift, masked to valid transitions).
-    diffs: Vec<Lanes<W>>,
-    /// Window mode: `diffs` transposed into per-transition gate
-    /// bitmasks; transition `t` owns words `[t*words .. (t+1)*words)`.
-    diff_t: Vec<u64>,
-    /// One-shot per-transition keep mask for the next `load_window`
-    /// (empty = keep everything): bit `t` of word `t / 64` retains
-    /// transition `t`'s diff lanes, cleared bits zero them. Purely an
-    /// optimization for sparsely-packed windows — masked transitions
-    /// must simply never be selected.
-    win_mask: Vec<u64>,
-    /// Vectors loaded in the current window (0 = no window).
-    win_count: usize,
-    /// Transition selected by `select_transition`.
-    view_t: usize,
-    /// True between `load_window` and the next `reset`.
-    window_mode: bool,
 }
 
 impl ArrivalKernel {
-    /// A single-word (`W = 1`) kernel with empty scratch; buffers size
-    /// themselves on `reset`. Wider kernels are built with
-    /// `ArrivalKernel::<W>::default()`.
+    /// A kernel with empty scratch; buffers size themselves on
+    /// `reset`.
     pub fn new() -> Self {
         ArrivalKernel::default()
     }
-}
-
-impl<const W: usize> ArrivalKernel<W> {
-    /// Vectors per bit-sliced window at this lane width: one per bit
-    /// of the `W`-word lane.
-    pub const WINDOW_VECTORS: usize = W * 64;
 
     /// Establish circuit state: full functional evaluation of `inputs`,
     /// all settle times zero, no nets marked changed.
@@ -472,18 +351,10 @@ impl<const W: usize> ArrivalKernel<W> {
     /// Panics if `inputs.len()` differs from the design's input count.
     pub fn reset(&mut self, c: &CompiledNetlist, inputs: &[bool]) {
         assert_eq!(inputs.len(), c.inputs.len(), "input width");
-        self.window_mode = false;
-        self.win_count = 0;
         self.val.clear();
         self.val.resize(c.n, 0);
         self.settle.clear();
         self.settle.resize(c.n, 0.0);
-        // Drop window-mode settle lanes wholesale: the union list that
-        // tracked their non-zero entries is reset below, so the next
-        // `load_window` re-zeroes them via `resize`.
-        self.settle_w.clear();
-        self.batch_base = usize::MAX;
-        self.batch_dense = false;
         self.changed_mark.clear();
         self.changed_mark.resize(c.n, u32::MAX);
         self.changed_list.clear();
@@ -514,10 +385,6 @@ impl<const W: usize> ArrivalKernel<W> {
     pub fn advance(&mut self, c: &CompiledNetlist, new_inputs: &[bool]) {
         assert_eq!(new_inputs.len(), c.inputs.len(), "input width");
         assert_eq!(self.val.len(), c.n, "kernel not reset for this design");
-        assert!(
-            !self.window_mode,
-            "per-pair advance requires a reset after window processing"
-        );
         let dense = self.changed_len * DENSE_TOGGLE_DIVISOR >= c.n;
         if dense {
             self.advance_dense(c, new_inputs);
@@ -527,45 +394,18 @@ impl<const W: usize> ArrivalKernel<W> {
     }
 
     /// Sanitizer: every settle time computed for the last transition
-    /// (or, in window mode, any lane of the last batch) must respect the
-    /// compiled static arrival bound. A violation means the kernel's
-    /// settle fold (or the bound computation) is wrong.
+    /// must respect the compiled static arrival bound. A violation means
+    /// the kernel's settle fold (or the bound computation) is wrong.
     #[cfg(feature = "sanitize-arrivals")]
     fn sanitize_settles(&self, c: &CompiledNetlist) {
-        // A dense batch writes every net and leaves `changed_list`
-        // empty; check the whole array instead.
-        if self.window_mode && self.batch_dense {
-            for i in 0..c.n {
-                for (j, &s) in self.settle_w[i].iter().enumerate() {
-                    assert!(
-                        s <= c.bounds[i] + 1e-9,
-                        "sanitize-arrivals: net n{i} settled at {s} past its static bound {} \
-                         (batch lane {j})",
-                        c.bounds[i]
-                    );
-                }
-            }
-            return;
-        }
         for &i in &self.changed_list[..self.changed_len] {
             let i = i as usize;
-            if self.window_mode {
-                for (j, &s) in self.settle_w[i].iter().enumerate() {
-                    assert!(
-                        s <= c.bounds[i] + 1e-9,
-                        "sanitize-arrivals: net n{i} settled at {s} past its static bound {} \
-                         (batch lane {j})",
-                        c.bounds[i]
-                    );
-                }
-            } else {
-                assert!(
-                    self.settle[i] <= c.bounds[i] + 1e-9,
-                    "sanitize-arrivals: net n{i} settled at {} past its static bound {}",
-                    self.settle[i],
-                    c.bounds[i]
-                );
-            }
+            assert!(
+                self.settle[i] <= c.bounds[i] + 1e-9,
+                "sanitize-arrivals: net n{i} settled at {} past its static bound {}",
+                self.settle[i],
+                c.bounds[i]
+            );
         }
     }
 
@@ -758,436 +598,28 @@ impl<const W: usize> ArrivalKernel<W> {
         self.sanitize_settles(c);
     }
 
-    /// Keep only the given transitions of the *next* loaded window: bit
-    /// `t` of `keep[t / 64]` retains transition `t`'s diff lanes, a
-    /// cleared bit zeroes them (words past `keep.len()` keep nothing).
-    /// Callers packing unrelated vector runs into one window mask off
-    /// the seam transitions between runs so their (dense, meaningless)
-    /// toggle activity never reaches a settle batch's dirty union.
-    /// This is purely an optimization hint: masked transitions must not
-    /// be selected, and kept transitions settle bit-identically to an
-    /// unmasked window. Consumed by the next
-    /// [`load_window`](Self::load_window); an empty mask keeps all.
-    pub fn set_window_keep_mask(&mut self, keep: &[u64]) {
-        self.win_mask.clear();
-        self.win_mask.extend_from_slice(keep);
-    }
-
-    /// Load a bit-sliced window of up to [`Self::WINDOW_VECTORS`] input
-    /// vectors (`flat` holds `count` concatenated vectors of the
-    /// design's input width) and evaluate every vector's steady state
-    /// in one pass: each net's `W * 64` window values live in the bit
-    /// lanes of a `W`-word [`Lanes`] array, so the whole-circuit
-    /// evaluation is amortized `~W * 64`× versus per-pair propagation
-    /// (and the array ops vectorize to one AVX2/AVX-512 instruction per
-    /// gate input at `W = 4` / `W = 8`). Follow with
-    /// [`select_transition`](ArrivalKernel::select_transition) for each
-    /// of the `count - 1` transitions; windows are independent (steady
-    /// states are pure functions of each vector), so callers chain them
-    /// by overlapping one vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or exceeds [`Self::WINDOW_VECTORS`], or
-    /// if `flat.len() != count * input_count`.
-    pub fn load_window(&mut self, c: &CompiledNetlist, flat: &[bool], count: usize) {
-        let width = c.inputs.len();
-        assert!((1..=Self::WINDOW_VECTORS).contains(&count), "window size");
-        assert_eq!(flat.len(), count * width, "window buffer size");
-        if self.val.len() != c.n {
-            // Size per-pair scratch too: the settle machinery
-            // (`settle`, `changed_list`) is shared with that path.
-            self.reset(c, &vec![false; width]);
-        }
-        self.window_mode = true;
-        self.win_count = count;
-        self.view_t = 0;
-        let n = c.n;
-        let words = self.dirty.len();
-        self.plane.resize(n, [0; W]);
-        self.diffs.resize(n, [0; W]);
-        self.diff_t.resize(words * Self::WINDOW_VECTORS, 0);
-        // One sentinel entry past the end: the dense sweep redirects
-        // self-pins there, and it stays permanently zero (the sweep
-        // writes `[..n]`, the sparse full clear likewise).
-        self.settle_w.resize(n + 1, [0.0; W]);
-        // The old window's diffs are gone; force the first
-        // `select_transition` to compute a fresh settle batch.
-        self.batch_base = usize::MAX;
-        // Pin table for the dense settle sweep: self/forward pins
-        // (inputs and constants — anything not strictly below its gate
-        // in topological order) redirect to the zero sentinel at `n`.
-        // Rebuilt per window because the kernel may be reused across
-        // netlists of equal size; the cost is noise next to the
-        // window's gate evaluation.
-        self.dense_pins.clear();
-        self.dense_pins.extend((0..3 * n).map(|k| {
-            let p = c.pins[k];
-            if (p as usize) < k / 3 {
-                p
-            } else {
-                n as u32
-            }
-        }));
-        // Per-batch lane-mask table for the settle passes: entry `m` has
-        // lane `j` all-ones iff bit `j` of `m` is set, turning the
-        // per-gate keep-mask computation into one table load. Only
-        // practical at the widths we dispatch (2^W entries).
-        if W <= 8 && self.lane_masks.is_empty() {
-            self.lane_masks.extend(
-                (0..1usize << W)
-                    .map(|m| std::array::from_fn(|j| ((m as u64 >> j) & 1).wrapping_neg())),
-            );
-        }
-
-        // Pack each input's window values into its bit lane.
-        for (k, &net) in c.inputs.iter().enumerate() {
-            let mut lane = [0u64; W];
-            for (v, chunk) in flat.chunks_exact(width).enumerate() {
-                lane[v >> 6] |= u64::from(chunk[k]) << (v & 63);
-            }
-            self.plane[net as usize] = lane;
-        }
-
-        // Bit-sliced steady-state evaluation, all vectors at once. The
-        // per-arm `from_fn` loops are over a compile-time-fixed W, so
-        // they lower to straight-line vector code, not a runtime loop.
-        use std::array::from_fn;
-        for i in 0..n {
-            let p = &c.pins[i * 3..i * 3 + 3];
-            let v0 = self.plane[p[0] as usize];
-            let v1 = self.plane[p[1] as usize];
-            let v2 = self.plane[p[2] as usize];
-            self.plane[i] = match c.kinds[i] {
-                // Inputs self-pin, so v0 is already their packed lane.
-                K_INPUT | K_BUF => v0,
-                K_CONST0 => [0; W],
-                K_CONST1 => [!0; W],
-                K_NOT => from_fn(|w| !v0[w]),
-                K_AND2 => from_fn(|w| v0[w] & v1[w]),
-                K_OR2 => from_fn(|w| v0[w] | v1[w]),
-                K_NAND2 => from_fn(|w| !(v0[w] & v1[w])),
-                K_NOR2 => from_fn(|w| !(v0[w] | v1[w])),
-                K_XOR2 => from_fn(|w| v0[w] ^ v1[w]),
-                K_XNOR2 => from_fn(|w| !(v0[w] ^ v1[w])),
-                // pins [sel, a, b]: b when sel is high
-                K_MUX2 => from_fn(|w| (v0[w] & v2[w]) | (!v0[w] & v1[w])),
-                K_MAJ3 => from_fn(|w| (v0[w] & v1[w]) | (v0[w] & v2[w]) | (v1[w] & v2[w])),
-                _ => unreachable!("invalid opcode"),
-            };
-        }
-
-        // Transition lanes: bit t set iff vectors t and t+1 disagree —
-        // a W*64-bit-wide `plane ^ (plane >> 1)` whose right shift
-        // borrows the low bit of the next word; lanes beyond the last
-        // valid transition are masked off.
-        let valid = count - 1; // number of transitions
-        let tmask: Lanes<W> = from_fn(|w| {
-            let lo = w * 64;
-            let base = if valid >= lo + 64 {
-                !0
-            } else if valid > lo {
-                (1u64 << (valid - lo)) - 1
-            } else {
-                0
-            };
-            let keep = if self.win_mask.is_empty() {
-                !0
-            } else {
-                self.win_mask.get(w).copied().unwrap_or(0)
-            };
-            base & keep
-        });
-        self.win_mask.clear();
-        for i in 0..n {
-            let p = self.plane[i];
-            self.diffs[i] = from_fn(|w| {
-                let hi = if w + 1 < W { p[w + 1] } else { 0 };
-                (p[w] ^ ((p[w] >> 1) | (hi << 63))) & tmask[w]
-            });
-        }
-
-        // Transpose per-net transition lanes into per-transition gate
-        // bitmasks, one 64×64 block per (gate word, lane word) pair.
-        let mut block = [0u64; 64];
-        for wi in 0..words {
-            let base = wi << 6;
-            let take = (n - base).min(64);
-            for w in 0..W {
-                for (g, b) in block[..take].iter_mut().enumerate() {
-                    *b = self.diffs[base + g][w];
-                }
-                block[take..].fill(0);
-                transpose64(&mut block);
-                // Rows past the last valid transition of this lane word
-                // stay unwritten (select_transition never reads them).
-                let rows = valid.saturating_sub(w * 64).min(64);
-                for (tl, &row) in block.iter().enumerate().take(rows) {
-                    self.diff_t[(w * 64 + tl) * words + wi] = row;
-                }
-            }
-        }
-    }
-
-    /// Number of transitions available in the loaded window.
-    pub fn window_transitions(&self) -> usize {
-        self.win_count.saturating_sub(1)
-    }
-
-    /// Focus the kernel on window transition `t` (vectors `t → t+1`);
-    /// afterwards the accessors (`prev`/`cur`/`settle_of`/`latched`/…)
-    /// report that transition exactly as a per-pair `advance` would.
-    ///
-    /// Settle times are computed one *batch* of `W` consecutive
-    /// transitions at a time, as `[f64; W]` lane arrays masked by each
-    /// gate's transition bits: the per-gate walk (pin loads, bit
-    /// iteration, store) is amortized over `W` transitions and the
-    /// max/add arithmetic autovectorizes, which is where the lane-width
-    /// throughput gain actually comes from — the per-lane fold order is
-    /// identical to the scalar pass, so settle times stay bit-exact.
-    /// Selecting within the computed batch is free; campaign loops walk
-    /// `t` in order, computing each batch exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window is loaded or `t` is out of range.
-    pub fn select_transition(&mut self, c: &CompiledNetlist, t: usize) {
-        assert!(self.window_mode, "no window loaded");
-        assert!(t + 1 < self.win_count, "transition out of range");
-        self.view_t = t;
-        let base = t - (t % W);
-        if self.batch_base == base {
-            return;
-        }
-        self.batch_base = base;
-
-        // Union of the batch's per-transition gate masks into the
-        // `dirty` scratch, which window mode otherwise leaves idle
-        // (rows past the last valid transition are unwritten — skip
-        // them). The population count picks the walk strategy below.
-        let valid = self.win_count - 1;
-        let lanes = (valid - base).min(W);
-        let words = self.dirty.len();
-        let mut union_count = 0usize;
-        for wi in 0..words {
-            let mut word = 0u64;
-            for j in 0..lanes {
-                word |= self.diff_t[(base + j) * words + wi];
-            }
-            self.dirty[wi] = word;
-            union_count += word.count_ones() as usize;
-        }
-
-        // `base` is a multiple of `W` and `W` divides 64, so a gate's
-        // batch bits live in one word of its `diffs` lane.
-        let lw = base >> 6;
-        let ls = base & 63;
-        if union_count * DENSE_BATCH_DIVISOR >= c.n {
-            self.dense_settle_batch(c, lw, ls);
-        } else {
-            self.sparse_settle_batch(c, lw, ls);
-        }
-        #[cfg(feature = "sanitize-arrivals")]
-        self.sanitize_settles(c);
-    }
-
-    /// Sparse settle batch: walk only the union of nets changed in any
-    /// of the batch's transitions (set bits of the `dirty` scratch), in
-    /// ascending (topological) index order. Inputs participate
-    /// uniformly: their pins self-reference a permanently-zero settle
-    /// entry and their compiled delay is zero, so they settle at t = 0.
-    fn sparse_settle_batch(&mut self, c: &CompiledNetlist, lw: usize, ls: usize) {
-        // Restore the all-zero settle invariant before this batch: a
-        // preceding dense batch wrote every lane, so clear wholesale;
-        // otherwise only the previous batch's union is non-zero.
-        if self.batch_dense {
-            self.settle_w[..c.n].fill([0.0; W]);
-            self.batch_dense = false;
-        } else {
-            for &i in &self.changed_list[..self.changed_len] {
-                self.settle_w[i as usize] = [0.0; W];
-            }
-        }
-        self.changed_len = 0;
-        use std::array::from_fn;
-        for wi in 0..self.dirty.len() {
-            let mut word = self.dirty[wi];
-            while word != 0 {
-                let i = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                // SAFETY: `i < n` (one mask bit per gate), pin indices
-                // are `< n` by construction in `compile`, and
-                // `changed_len < n` because each net enters the list at
-                // most once per batch.
-                unsafe {
-                    let p0 = *c.pins.get_unchecked(i * 3) as usize;
-                    let p1 = *c.pins.get_unchecked(i * 3 + 1) as usize;
-                    let p2 = *c.pins.get_unchecked(i * 3 + 2) as usize;
-                    // Per-lane changed bits; `diffs` is masked to valid
-                    // transitions, so dead lanes select 0.0.
-                    let bits = *self.diffs.get_unchecked(i).get_unchecked(lw) >> ls;
-                    let s0 = *self.settle_w.get_unchecked(p0);
-                    let s1 = *self.settle_w.get_unchecked(p1);
-                    let s2 = *self.settle_w.get_unchecked(p2);
-                    let d = *c.delays.get_unchecked(i);
-                    // Unchanged fanins hold 0.0, so the plain fold
-                    // equals ArrivalSim's changed-only fold; settle
-                    // times are never NaN, so the comparison chain is
-                    // exactly `f64::max`. Dead lanes are zeroed by an
-                    // all-ones/all-zeros bitmask instead of a branch —
-                    // the lane bits are data-random, and a per-lane
-                    // branch would mispredict its way through the whole
-                    // batch (masking `latest + d` to +0.0 is bit-exact
-                    // with the scalar invariant's 0.0).
-                    let keep = self.batch_keep(bits);
-                    *self.settle_w.get_unchecked_mut(i) = from_fn(|j| {
-                        let m = if s0[j] > s1[j] { s0[j] } else { s1[j] };
-                        let latest = if m > s2[j] { m } else { s2[j] };
-                        f64::from_bits((latest + d).to_bits() & keep[j])
-                    });
-                    *self.changed_list.get_unchecked_mut(self.changed_len) = i as u32;
-                }
-                self.changed_len += 1;
-            }
-        }
-    }
-
-    /// Dense settle batch: one branch-free sweep over *every* gate in
-    /// topological order, writing all `W` lanes of every net (masked to
-    /// 0.0 where the net does not toggle). Above the
-    /// [`DENSE_BATCH_DIVISOR`] density the sweep beats the bitmask walk:
-    /// stores stream sequentially, the hardware prefetcher covers the
-    /// pin/delay/diff reads, and there is no trailing-zeros scan or
-    /// changed-list traffic. Fanins always read fresh values — every
-    /// lower-indexed net was rewritten earlier in this same sweep — so
-    /// the fold matches the sparse batch bit for bit; self-pinned nets
-    /// (inputs, constants) read 0.0 instead of their own stale entry.
-    fn dense_settle_batch(&mut self, c: &CompiledNetlist, lw: usize, ls: usize) {
-        self.batch_dense = true;
-        self.changed_len = 0;
-        use std::array::from_fn;
-        for i in 0..c.n {
-            // SAFETY: `dense_pins` entries are `< n` by construction in
-            // `compile` or redirected to the sentinel at `n`, and
-            // `settle_w` holds `n + 1` entries; the lane-mask index is
-            // `< 2^W` by the `&`.
-            unsafe {
-                let p0 = *self.dense_pins.get_unchecked(i * 3) as usize;
-                let p1 = *self.dense_pins.get_unchecked(i * 3 + 1) as usize;
-                let p2 = *self.dense_pins.get_unchecked(i * 3 + 2) as usize;
-                let bits = *self.diffs.get_unchecked(i).get_unchecked(lw) >> ls;
-                // Self/forward pins (inputs and constants only) read
-                // the permanently-zero sentinel — their own entry still
-                // holds the previous batch.
-                let s0 = *self.settle_w.get_unchecked(p0);
-                let s1 = *self.settle_w.get_unchecked(p1);
-                let s2 = *self.settle_w.get_unchecked(p2);
-                let d = *c.delays.get_unchecked(i);
-                let keep = self.batch_keep(bits);
-                *self.settle_w.get_unchecked_mut(i) = from_fn(|j| {
-                    let m = if s0[j] > s1[j] { s0[j] } else { s1[j] };
-                    let latest = if m > s2[j] { m } else { s2[j] };
-                    f64::from_bits((latest + d).to_bits() & keep[j])
-                });
-            }
-        }
-    }
-
-    /// Per-lane keep masks for a gate's batch bits: all-ones where the
-    /// gate toggles in that lane, all-zeros otherwise — one table load
-    /// at the dispatched widths instead of a broadcast/shift/compare
-    /// chain per gate.
-    #[inline(always)]
-    fn batch_keep(&self, bits: u64) -> Lanes<W> {
-        if W <= 8 {
-            // SAFETY: the table holds `2^W` entries and the index is
-            // masked to `W` bits.
-            unsafe {
-                *self
-                    .lane_masks
-                    .get_unchecked((bits & ((1u64 << W) - 1)) as usize)
-            }
-        } else {
-            std::array::from_fn(|j| ((bits >> j) & 1).wrapping_neg())
-        }
-    }
-
     /// Steady-state value of `net` under the current input vector.
     #[inline]
     pub fn cur(&self, net: NetId) -> bool {
-        let i = net.index();
-        if self.window_mode {
-            lane_bit(&self.plane[i], self.view_t + 1)
-        } else {
-            self.val[i] != 0
-        }
+        self.val[net.index()] != 0
     }
 
     /// Steady-state value of `net` under the previous input vector.
     #[inline]
     pub fn prev(&self, net: NetId) -> bool {
-        let i = net.index();
-        if self.window_mode {
-            lane_bit(&self.plane[i], self.view_t)
-        } else {
-            (self.val[i] != 0) ^ (self.changed_mark[i] == self.epoch)
-        }
+        self.cur(net) ^ self.changed(net)
     }
 
     /// Whether `net` changed value in the last transition.
     #[inline]
     pub fn changed(&self, net: NetId) -> bool {
-        let i = net.index();
-        if self.window_mode {
-            lane_bit(&self.diffs[i], self.view_t)
-        } else {
-            self.changed_mark[i] == self.epoch
-        }
-    }
-
-    /// Profiling helper: toggle counts for the loaded window. Returns,
-    /// per transition, the number of nets that change value, plus the
-    /// union count over each W-aligned batch (the set the batched
-    /// settle pass actually walks).
-    pub fn toggle_profile(&self) -> (Vec<usize>, Vec<usize>) {
-        assert!(self.window_mode, "no window loaded");
-        let valid = self.win_count - 1;
-        let words = self.dirty.len();
-        let per_t: Vec<usize> = (0..valid)
-            .map(|t| {
-                self.diff_t[t * words..(t + 1) * words]
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum()
-            })
-            .collect();
-        let unions: Vec<usize> = (0..valid)
-            .step_by(W)
-            .map(|base| {
-                let lanes = (valid - base).min(W);
-                (0..words)
-                    .map(|wi| {
-                        let mut word = 0u64;
-                        for j in 0..lanes {
-                            word |= self.diff_t[(base + j) * words + wi];
-                        }
-                        word.count_ones() as usize
-                    })
-                    .sum()
-            })
-            .collect();
-        (per_t, unions)
+        self.changed_mark[net.index()] == self.epoch
     }
 
     /// Settle time of `net` for the last transition (0 if unchanged).
     #[inline]
     pub fn settle_of(&self, net: NetId) -> f64 {
-        let i = net.index();
-        if self.window_mode {
-            self.settle_w[i][self.view_t - self.batch_base]
-        } else {
-            self.settle[i]
-        }
+        self.settle[net.index()]
     }
 
     /// Latched value of `net` when the capturing edge arrives at `clk`
@@ -1223,27 +655,13 @@ impl<const W: usize> ArrivalKernel<W> {
         out.prev.clear();
         out.cur.clear();
         out.settle.clear();
-        if self.window_mode {
-            let lane = self.view_t - self.batch_base;
-            // `take(n)` skips the dense sweep's zero sentinel at `n`.
-            out.settle
-                .extend(self.settle_w.iter().take(n).map(|s| s[lane]));
-        } else {
-            out.settle.extend_from_slice(&self.settle);
-        }
+        out.settle.extend_from_slice(&self.settle);
         out.prev.reserve(n);
         out.cur.reserve(n);
-        if self.window_mode {
-            for i in 0..n {
-                out.cur.push(lane_bit(&self.plane[i], self.view_t + 1));
-                out.prev.push(lane_bit(&self.plane[i], self.view_t));
-            }
-        } else {
-            for i in 0..n {
-                let cur = self.val[i] != 0;
-                out.cur.push(cur);
-                out.prev.push(cur ^ (self.changed_mark[i] == self.epoch));
-            }
+        for i in 0..n {
+            let cur = self.val[i] != 0;
+            out.cur.push(cur);
+            out.prev.push(cur ^ (self.changed_mark[i] == self.epoch));
         }
     }
 
@@ -1271,18 +689,6 @@ mod tests {
     use super::*;
     use crate::sim::ArrivalSim;
     use tei_netlist::CellLibrary;
-
-    #[test]
-    fn arity_table_matches_gate_kinds() {
-        for &kind in GateKind::all_logic() {
-            assert_eq!(
-                ARITY[kind as u8 as usize] as usize,
-                kind.arity(),
-                "{kind:?} arity"
-            );
-        }
-        assert_eq!(ARITY[GateKind::Input as u8 as usize], 0);
-    }
 
     /// Every truth-table byte must reproduce the reference gate
     /// evaluation on all pin combinations, including the replication
@@ -1467,197 +873,6 @@ mod tests {
                 (k.max_settle(&[cout]) - reference.max_settle(&[cout])).abs() < 1e-15,
                 "cout max_settle"
             );
-        }
-    }
-
-    #[test]
-    fn transpose64_matches_naive() {
-        // Deterministic pseudo-random matrix (xorshift).
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut m = [0u64; 64];
-        for row in m.iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *row = x;
-        }
-        let mut t = m;
-        transpose64(&mut t);
-        for (r, &row) in t.iter().enumerate() {
-            for (c, &col) in m.iter().enumerate() {
-                assert_eq!(
-                    (row >> c) & 1,
-                    (col >> r) & 1,
-                    "transpose mismatch at ({r},{c})"
-                );
-            }
-        }
-    }
-
-    /// The bit-sliced window path must reproduce the reference
-    /// simulator transition by transition, across window boundaries.
-    #[test]
-    fn window_transitions_match_sim() {
-        let mut nl = Netlist::new("t", CellLibrary::nangate45_like());
-        let a = nl.add_input_bus("a", 8);
-        let b = nl.add_input_bus("b", 8);
-        let zero = nl.const_bit(false);
-        let (sum, cout) = nl.ripple_add(&a, &b, zero);
-        nl.mark_output_bus("sum", &sum);
-        nl.mark_output_bus("cout", &[cout]);
-        let c = CompiledNetlist::compile(&nl);
-
-        // 11 vectors split into windows of 5/5/3 with one-vector
-        // overlap (4 + 4 + 2 = 10 transitions).
-        let mut x = 0x1234_5678u64;
-        let vectors: Vec<Vec<bool>> = (0..11)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (0..16).map(|i| (x >> (i + 20)) & 1 == 1).collect()
-            })
-            .collect();
-
-        let mut k = ArrivalKernel::new();
-        let mut snap = TwoVectorResult::default();
-        let mut start = 0usize;
-        let mut seen = 0usize;
-        while start + 1 < vectors.len() {
-            let count = (vectors.len() - start).min(5);
-            let flat: Vec<bool> = vectors[start..start + count]
-                .iter()
-                .flat_map(|v| v.iter().copied())
-                .collect();
-            k.load_window(&c, &flat, count);
-            assert_eq!(k.window_transitions(), count - 1);
-            for t in 0..count - 1 {
-                k.select_transition(&c, t);
-                k.snapshot_into(&mut snap);
-                let reference = ArrivalSim::run(&nl, &vectors[start + t], &vectors[start + t + 1]);
-                assert_eq!(snap.prev, reference.prev, "prev at transition {seen}");
-                assert_eq!(snap.cur, reference.cur, "cur at transition {seen}");
-                for i in 0..nl.len() {
-                    assert_eq!(
-                        snap.settle[i].to_bits(),
-                        reference.settle[i].to_bits(),
-                        "settle[{i}] at transition {seen}"
-                    );
-                }
-                seen += 1;
-            }
-            start += count - 1;
-        }
-        assert_eq!(seen, 10);
-
-        // A reset returns the kernel to per-pair mode.
-        k.reset(&c, &vectors[0]);
-        k.advance(&c, &vectors[1]);
-        let reference = ArrivalSim::run(&nl, &vectors[0], &vectors[1]);
-        assert!((k.max_settle(&[cout]) - reference.max_settle(&[cout])).abs() < 1e-15);
-    }
-
-    /// Drive the same vector stream through windows of every supported
-    /// lane width; all widths must reproduce the reference simulator
-    /// transition by transition, including windows that straddle the
-    /// 64-vector word boundary of the multi-word lanes.
-    fn window_width_matches_sim<const W: usize>() {
-        let mut nl = Netlist::new("t", CellLibrary::nangate45_like());
-        let a = nl.add_input_bus("a", 8);
-        let b = nl.add_input_bus("b", 8);
-        let zero = nl.const_bit(false);
-        let (sum, cout) = nl.ripple_add(&a, &b, zero);
-        nl.mark_output_bus("sum", &sum);
-        nl.mark_output_bus("cout", &[cout]);
-        let c = CompiledNetlist::compile(&nl);
-
-        let total = ArrivalKernel::<W>::WINDOW_VECTORS + 7;
-        let mut x = 0x5eed_0123u64;
-        let vectors: Vec<Vec<bool>> = (0..total)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (0..16).map(|i| (x >> (i + 20)) & 1 == 1).collect()
-            })
-            .collect();
-
-        let mut k = ArrivalKernel::<W>::default();
-        let mut snap = TwoVectorResult::default();
-        let mut start = 0usize;
-        let mut seen = 0usize;
-        while start + 1 < vectors.len() {
-            let count = (vectors.len() - start).min(ArrivalKernel::<W>::WINDOW_VECTORS);
-            let flat: Vec<bool> = vectors[start..start + count]
-                .iter()
-                .flat_map(|v| v.iter().copied())
-                .collect();
-            k.load_window(&c, &flat, count);
-            assert_eq!(k.window_transitions(), count - 1);
-            for t in 0..count - 1 {
-                k.select_transition(&c, t);
-                k.snapshot_into(&mut snap);
-                let reference = ArrivalSim::run(&nl, &vectors[start + t], &vectors[start + t + 1]);
-                assert_eq!(snap.prev, reference.prev, "W={W} prev at transition {seen}");
-                assert_eq!(snap.cur, reference.cur, "W={W} cur at transition {seen}");
-                for i in 0..nl.len() {
-                    assert_eq!(
-                        snap.settle[i].to_bits(),
-                        reference.settle[i].to_bits(),
-                        "W={W} settle[{i}] at transition {seen}"
-                    );
-                }
-                seen += 1;
-            }
-            start += count - 1;
-        }
-        assert_eq!(seen, total - 1);
-    }
-
-    #[test]
-    fn multi_word_windows_match_sim() {
-        window_width_matches_sim::<1>();
-        window_width_matches_sim::<4>();
-        window_width_matches_sim::<8>();
-    }
-
-    /// Partial windows at every count around the lane word boundaries
-    /// (the `>> 1` diff borrow and the transpose row cutoff) must stay
-    /// exact — these are the off-by-one hot spots of the W-word layout.
-    #[test]
-    fn word_boundary_window_counts_match_sim() {
-        let mut nl = Netlist::new("t", CellLibrary::nangate45_like());
-        let a = nl.add_input_bus("a", 6);
-        let b = nl.add_input_bus("b", 6);
-        let zero = nl.const_bit(false);
-        let (sum, _) = nl.ripple_add(&a, &b, zero);
-        nl.mark_output_bus("sum", &sum);
-        let c = CompiledNetlist::compile(&nl);
-        let mut x = 0xabcd_ef01u64;
-        let vectors: Vec<Vec<bool>> = (0..195)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (0..12).map(|i| (x >> (i + 20)) & 1 == 1).collect()
-            })
-            .collect();
-        let mut k = ArrivalKernel::<4>::default();
-        let mut snap = TwoVectorResult::default();
-        for count in [2usize, 63, 64, 65, 127, 128, 129, 192, 193, 195] {
-            let flat: Vec<bool> = vectors[..count]
-                .iter()
-                .flat_map(|v| v.iter().copied())
-                .collect();
-            k.load_window(&c, &flat, count);
-            for t in 0..count - 1 {
-                k.select_transition(&c, t);
-                k.snapshot_into(&mut snap);
-                let reference = ArrivalSim::run(&nl, &vectors[t], &vectors[t + 1]);
-                assert_eq!(snap.prev, reference.prev, "count {count} prev at {t}");
-                assert_eq!(snap.cur, reference.cur, "count {count} cur at {t}");
-                for i in 0..nl.len() {
-                    assert_eq!(
-                        snap.settle[i].to_bits(),
-                        reference.settle[i].to_bits(),
-                        "count {count} settle[{i}] at {t}"
-                    );
-                }
-            }
         }
     }
 

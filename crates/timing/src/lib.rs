@@ -16,9 +16,12 @@
 //!   transition-propagation arrival times (glitch-free approximation; the
 //!   Razor-style "latch keeps the old value" error model).
 //! * [`CompiledNetlist`] / [`ArrivalKernel`] — the same model compiled to
-//!   structure-of-arrays tables with a changed-net frontier and bit-sliced
-//!   multi-word window lanes (`W * 64` vectors per pass, autovectorized):
-//!   bit-identical results, built for million-pair campaign throughput.
+//!   structure-of-arrays tables with a changed-net frontier, advanced one
+//!   input vector at a time: bit-identical results.
+//! * [`SpecializedKernel`] over a [`DynProgram`] — the DTA campaign
+//!   engine: bit-sliced multi-word window lanes (`W * 64` vectors per
+//!   pass, autovectorized) over liveness-compacted settle tables, behind
+//!   the [`ArrivalEngine`] window protocol.
 //! * [`EventSim`] — exact event-driven timed simulation with transport
 //!   delays (models glitches); the reference engine the fast one is
 //!   validated against.
@@ -57,15 +60,15 @@ mod sta;
 pub mod surrogate;
 mod vcd;
 
-pub use codegen::{DynProgram, NetlistProgram, SettlePlan, SpecializedKernel};
+pub use codegen::{DynProgram, Lanes, SettlePlan, SpecializedKernel};
 pub use derating::{
     overclock_factor, AgingModel, AlphaPowerLaw, DeratingModel, InterpolatedDerating,
     OperatingPoint, TemperatureModel, VoltageReduction,
 };
 pub use dta::{DtaEngine, DtaOutcome, TimingEngine};
-pub use engine::{interpreted_engine, ArrivalEngine, InterpretedEngine};
+pub use engine::ArrivalEngine;
 pub use event::{EventSim, EventSimResult, FanoutTable};
-pub use kernel::{ArrivalKernel, CompiledNetlist, Lanes, WINDOW_VECTORS};
+pub use kernel::{ArrivalKernel, CompiledNetlist};
 pub use oracle::{SafeBitSet, SlackOracle};
 pub use sim::{ArrivalSim, TwoVectorResult};
 pub use sta::{PathCensus, PathInfo, Sta};

@@ -1,22 +1,21 @@
-//! Property-based equivalence of the compiled [`ArrivalKernel`] against
-//! the reference [`ArrivalSim`]: identical steady-state values and
-//! bit-identical settle times on random DAGs, both for isolated
-//! two-vector runs and for chained `advance` streams (the DTA campaign
-//! access pattern, where each pair reuses the previous circuit state).
+//! Property-based equivalence of the arrival engines against the
+//! reference [`ArrivalSim`]: identical steady-state values and
+//! bit-identical settle times on random DAGs.
 //!
-//! The final property widens this into the 3-way engine matrix: the
-//! interpreted engine and the table-driven runtime (a
+//! The per-pair [`ArrivalKernel`] is checked for isolated two-vector
+//! runs and for chained `advance` streams. The table kernel — a
 //! [`SpecializedKernel`] over [`DynProgram`], the pipeline every
-//! shipped unit's DTA runs) against `ArrivalSim`, at every supported
-//! lane width.
+//! shipped unit's DTA runs — is checked over full and compacted plans
+//! at every supported lane width, on maximal and short windows, and at
+//! window counts on and around every 64-vector lane word boundary.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tei_netlist::{CellLibrary, GateKind, NetId, Netlist};
 use tei_timing::{
-    ArrivalEngine, ArrivalKernel, ArrivalSim, CompiledNetlist, DynProgram, InterpretedEngine,
-    SpecializedKernel, TwoVectorResult,
+    ArrivalEngine, ArrivalKernel, ArrivalSim, CompiledNetlist, DynProgram, SpecializedKernel,
+    TwoVectorResult,
 };
 
 /// Build a random topologically-ordered DAG over `n_inputs` inputs.
@@ -108,162 +107,110 @@ proptest! {
         }
     }
 
-    #[test]
-    fn prop_window_transitions_match_sim(
-        seed in any::<u64>(),
-        n_inputs in 1usize..10,
-        n_gates in 1usize..160,
-        stream_len in 2usize..40,
-        window in 2usize..9,
-    ) {
-        let nl = random_netlist(seed, n_inputs, n_gates);
-        let c = CompiledNetlist::compile(&nl);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(3));
-        let stream: Vec<Vec<bool>> =
-            (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-
-        let mut kernel = ArrivalKernel::new();
-        let mut snap = TwoVectorResult::default();
-        let mut start = 0usize;
-        while start + 1 < stream.len() {
-            let count = (stream.len() - start).min(window);
-            let flat: Vec<bool> = stream[start..start + count]
-                .iter()
-                .flat_map(|v| v.iter().copied())
-                .collect();
-            kernel.load_window(&c, &flat, count);
-            for t in 0..kernel.window_transitions() {
-                kernel.select_transition(&c, t);
-                kernel.snapshot_into(&mut snap);
-                let reference = ArrivalSim::run(&nl, &stream[start + t], &stream[start + t + 1]);
-                assert_same(&reference, &snap)?;
-            }
-            start += count - 1;
-        }
-    }
-
-    /// Multi-word lanes (W = 4 and W = 8) must match the reference
-    /// simulator transition for transition, with window sizes chosen to
-    /// land on, before, and past the 64-vector lane word boundaries.
-    #[test]
-    fn prop_multi_word_windows_match_sim(
-        seed in any::<u64>(),
-        n_inputs in 1usize..10,
-        n_gates in 1usize..120,
-        stream_len in 2usize..150,
-    ) {
-        let nl = random_netlist(seed, n_inputs, n_gates);
-        let c = CompiledNetlist::compile(&nl);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(4));
-        let stream: Vec<Vec<bool>> =
-            (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-        window_width_matches::<4>(&nl, &c, &stream)?;
-        window_width_matches::<8>(&nl, &c, &stream)?;
-    }
-
-    /// 3-way engine matrix: at every lane width, the interpreted engine
-    /// and the codegen runtime must both reproduce `ArrivalSim` — and
-    /// each other — transition for transition: identical values, toggle
-    /// flags, and bit-exact settle times on every net.
+    /// The table kernel over full and compacted plans must reproduce
+    /// `ArrivalSim` transition for transition at every lane width —
+    /// identical values, toggle flags, and bit-exact settle times — on
+    /// maximal windows and on short ones chained by one vector.
     #[test]
     fn prop_engine_matrix_matches_sim(
         seed in any::<u64>(),
         n_inputs in 1usize..10,
         n_gates in 1usize..120,
         stream_len in 2usize..150,
+        window in prop_oneof![2usize..9, Just(usize::MAX)],
     ) {
         let nl = random_netlist(seed, n_inputs, n_gates);
         let c = CompiledNetlist::compile(&nl);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(5));
         let stream: Vec<Vec<bool>> =
             (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-        engine_matrix_matches::<1>(&nl, &c, &stream)?;
-        engine_matrix_matches::<4>(&nl, &c, &stream)?;
-        engine_matrix_matches::<8>(&nl, &c, &stream)?;
+        engine_matrix_matches::<1>(&nl, &c, &stream, window)?;
+        engine_matrix_matches::<4>(&nl, &c, &stream, window)?;
+        engine_matrix_matches::<8>(&nl, &c, &stream, window)?;
     }
 }
 
-/// Drive `stream` through maximal windows of both [`ArrivalEngine`]
-/// implementations at width `W` and pin each transition to the
-/// `ArrivalSim` reference (snapshot plus per-net point queries).
+/// Compare one selected transition of a table kernel against the
+/// `ArrivalSim` reference: the snapshot, and point queries on every net
+/// (settle times only where the plan keeps them exposed).
+fn assert_engine_matches(
+    engine: &dyn ArrivalEngine,
+    reference: &TwoVectorResult,
+    full: bool,
+) -> Result<(), TestCaseError> {
+    let mut snap = TwoVectorResult::default();
+    engine.snapshot_into(&mut snap);
+    if full {
+        assert_same(reference, &snap)?;
+    }
+    for net in 0..reference.cur.len() {
+        let id = NetId::from_index(net);
+        prop_assert_eq!(engine.cur(id), reference.cur[net], "cur net {}", net);
+        prop_assert_eq!(engine.prev(id), reference.prev[net], "prev net {}", net);
+        prop_assert_eq!(
+            engine.changed(id),
+            reference.cur[net] != reference.prev[net],
+            "changed net {}",
+            net
+        );
+        prop_assert!(
+            !full || engine.settle_exposed(id),
+            "full plan hides net {}",
+            net
+        );
+        if engine.settle_exposed(id) {
+            prop_assert_eq!(
+                engine.settle_of(id).to_bits(),
+                reference.settle[net].to_bits(),
+                "settle net {}: kernel {} vs sim {}",
+                net,
+                engine.settle_of(id),
+                reference.settle[net]
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The compacted plan the shipped units run on, keeping an arbitrary
+/// subset (every third net plus the sink) exposed.
+fn compacted_keep(c: &CompiledNetlist) -> Vec<u32> {
+    (0..c.len() as u32)
+        .filter(|&i| i % 3 == 0 || i as usize == c.len() - 1)
+        .collect()
+}
+
+/// Drive `stream` through windows of at most `window` vectors (capped
+/// at `W * 64`) of the table kernel over a full and a compacted plan at
+/// width `W`, and pin each transition to the `ArrivalSim` reference.
 fn engine_matrix_matches<const W: usize>(
     nl: &Netlist,
     c: &CompiledNetlist,
     stream: &[Vec<bool>],
+    window: usize,
 ) -> Result<(), TestCaseError> {
-    let n_inputs = stream[0].len();
-    let mut interp = InterpretedEngine::<W>::new(c);
-    let mut codegen = SpecializedKernel::<_, W>::new(DynProgram::new(c));
-    // The liveness-compacted plan the emitter bakes into shipped
-    // kernels, keeping an arbitrary subset (every third net plus the
-    // sink) exposed.
-    let keep: Vec<u32> = (0..c.len() as u32)
-        .filter(|&i| i % 3 == 0 || i as usize == c.len() - 1)
-        .collect();
-    let mut compact = SpecializedKernel::<_, W>::new(DynProgram::compacted(c, &keep));
-    prop_assert_eq!(interp.lanes(), W);
-    prop_assert_eq!(codegen.lanes(), W);
-    let mut snap_i = TwoVectorResult::default();
-    let mut snap_c = TwoVectorResult::default();
+    let keep = compacted_keep(c);
+    let full_program = DynProgram::new(c);
+    let compact_program = DynProgram::compacted(c, &keep);
+    let mut full = SpecializedKernel::<W>::new(&full_program);
+    let mut compact = SpecializedKernel::<W>::new(&compact_program);
+    prop_assert_eq!(full.lanes(), W);
     let mut start = 0usize;
     while start + 1 < stream.len() {
-        let count = (stream.len() - start).min(W * 64);
+        let count = (stream.len() - start).min(window).min(W * 64);
         let flat: Vec<bool> = stream[start..start + count]
             .iter()
             .flat_map(|v| v.iter().copied())
             .collect();
-        interp.load_window(&flat, count);
-        codegen.load_window(&flat[..count * n_inputs], count);
-        compact.load_window(&flat[..count * n_inputs], count);
-        prop_assert_eq!(interp.window_transitions(), count - 1);
-        prop_assert_eq!(codegen.window_transitions(), count - 1);
+        full.load_window(&flat, count);
+        compact.load_window(&flat, count);
+        prop_assert_eq!(full.window_transitions(), count - 1);
         for t in 0..count - 1 {
-            interp.select_transition(t);
-            codegen.select_transition(t);
+            full.select_transition(t);
             compact.select_transition(t);
             let reference = ArrivalSim::run(nl, &stream[start + t], &stream[start + t + 1]);
-            interp.snapshot_into(&mut snap_i);
-            codegen.snapshot_into(&mut snap_c);
-            assert_same(&reference, &snap_i)?;
-            assert_same(&reference, &snap_c)?;
-            for net in 0..c.len() {
-                let id = NetId::from_index(net);
-                prop_assert_eq!(interp.cur(id), codegen.cur(id), "cur net {}", net);
-                prop_assert_eq!(interp.prev(id), codegen.prev(id), "prev net {}", net);
-                prop_assert_eq!(
-                    interp.changed(id),
-                    codegen.changed(id),
-                    "changed net {}",
-                    net
-                );
-                prop_assert_eq!(
-                    interp.settle_of(id).to_bits(),
-                    codegen.settle_of(id).to_bits(),
-                    "settle net {}: interp {} vs codegen {}",
-                    net,
-                    interp.settle_of(id),
-                    codegen.settle_of(id)
-                );
-                // Compacted plan: values and toggles on every net;
-                // settle only where the plan kept the slot alive.
-                prop_assert_eq!(interp.cur(id), compact.cur(id), "compact cur net {}", net);
-                prop_assert_eq!(
-                    interp.changed(id),
-                    compact.changed(id),
-                    "compact changed net {}",
-                    net
-                );
-                if compact.settle_exposed(id) {
-                    prop_assert_eq!(
-                        interp.settle_of(id).to_bits(),
-                        compact.settle_of(id).to_bits(),
-                        "compact settle net {}: interp {} vs compact {}",
-                        net,
-                        interp.settle_of(id),
-                        compact.settle_of(id)
-                    );
-                }
-            }
+            assert_engine_matches(&full, &reference, true)?;
+            assert_engine_matches(&compact, &reference, false)?;
             for &k in &keep {
                 prop_assert!(
                     compact.settle_exposed(NetId::from_index(k as usize)),
@@ -277,31 +224,69 @@ fn engine_matrix_matches<const W: usize>(
     Ok(())
 }
 
-/// Drive `stream` through maximal windows of an `ArrivalKernel<W>` and
-/// compare every transition against `ArrivalSim`.
-fn window_width_matches<const W: usize>(
-    nl: &Netlist,
-    c: &CompiledNetlist,
-    stream: &[Vec<bool>],
-) -> Result<(), TestCaseError> {
-    let mut kernel = ArrivalKernel::<W>::default();
-    let mut snap = TwoVectorResult::default();
-    let mut start = 0usize;
-    while start + 1 < stream.len() {
-        let count = (stream.len() - start).min(ArrivalKernel::<W>::WINDOW_VECTORS);
-        let flat: Vec<bool> = stream[start..start + count]
+/// Partial windows at every count on and around the lane word
+/// boundaries (the `>> 1` diff borrow across words, the valid-transition
+/// mask, the word-major toggle transpose) must stay exact at every lane
+/// width, over full and compacted plans.
+#[test]
+fn word_boundary_window_counts_match_sim() {
+    let mut nl = Netlist::new("t", CellLibrary::nangate45_like());
+    let a = nl.add_input_bus("a", 6);
+    let b = nl.add_input_bus("b", 6);
+    let zero = nl.const_bit(false);
+    let (sum, _) = nl.ripple_add(&a, &b, zero);
+    nl.mark_output_bus("sum", &sum);
+    let c = CompiledNetlist::compile(&nl);
+    let mut x = 0xabcd_ef01u64;
+    let vectors: Vec<Vec<bool>> = (0..512)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (0..12).map(|i| (x >> (i + 20)) & 1 == 1).collect()
+        })
+        .collect();
+    let keep: Vec<u32> = sum.iter().map(|n| n.index() as u32).collect();
+    let programs = [DynProgram::new(&c), DynProgram::compacted(&c, &keep)];
+    for program in &programs {
+        word_boundary_counts::<1>(&nl, program, &vectors);
+        word_boundary_counts::<4>(&nl, program, &vectors);
+        word_boundary_counts::<8>(&nl, program, &vectors);
+    }
+}
+
+fn word_boundary_counts<const W: usize>(nl: &Netlist, program: &DynProgram, vectors: &[Vec<bool>]) {
+    const COUNTS: [usize; 14] = [
+        2, 63, 64, 65, 127, 128, 129, 192, 193, 255, 256, 257, 511, 512,
+    ];
+    let mut k = SpecializedKernel::<W>::new(program);
+    for count in COUNTS.into_iter().filter(|&n| n <= W * 64) {
+        let flat: Vec<bool> = vectors[..count]
             .iter()
             .flat_map(|v| v.iter().copied())
             .collect();
-        kernel.load_window(c, &flat, count);
-        prop_assert_eq!(kernel.window_transitions(), count - 1);
+        k.load_window(&flat, count);
         for t in 0..count - 1 {
-            kernel.select_transition(c, t);
-            kernel.snapshot_into(&mut snap);
-            let reference = ArrivalSim::run(nl, &stream[start + t], &stream[start + t + 1]);
-            assert_same(&reference, &snap)?;
+            k.select_transition(t);
+            let reference = ArrivalSim::run(nl, &vectors[t], &vectors[t + 1]);
+            for net in 0..nl.len() {
+                let id = NetId::from_index(net);
+                assert_eq!(
+                    k.cur(id),
+                    reference.cur[net],
+                    "W={W} count {count} cur[{net}] at {t}"
+                );
+                assert_eq!(
+                    k.prev(id),
+                    reference.prev[net],
+                    "W={W} count {count} prev[{net}] at {t}"
+                );
+                if k.settle_exposed(id) {
+                    assert_eq!(
+                        k.settle_of(id).to_bits(),
+                        reference.settle[net].to_bits(),
+                        "W={W} count {count} settle[{net}] at {t}"
+                    );
+                }
+            }
         }
-        start += count - 1;
     }
-    Ok(())
 }
