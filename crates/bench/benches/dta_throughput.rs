@@ -1,10 +1,12 @@
 //! DTA throughput on the double-precision multiplier (the unit that
-//! dominates model-development wall-clock): the table kernel every
-//! campaign runs, at every supported lane width (W = 1/4/8 words,
+//! dominates model-development wall-clock): the table kernel's window
+//! protocol every campaign runs (pack lanes, load the window, get error
+//! masks out) at every supported lane width (W = 1/4/8 words,
 //! 64/256/512 vectors per window), against two per-pair baselines —
 //! the `ArrivalSim` netlist walk and chained `ArrivalKernel::advance`
-//! calls (the path γ calibration runs) — plus a campaign
-//! thread-scaling curve and the forced-pruning ablation. Under
+//! calls (the path γ calibration runs) — plus the protocol's phase
+//! split at the default width (pack, plane, settle, threshold) and a
+//! campaign thread-scaling curve. Under
 //! `cargo bench` the measured pairs/sec are also written to
 //! `BENCH_dta.json` at the workspace root so the perf trajectory is
 //! tracked across changes; under `cargo test` (quick smoke mode)
@@ -21,7 +23,7 @@ use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
     dta_campaign_tuned, dta_engine, random_operand_pairs, resolve_lanes, resolve_prune,
-    safe_bit_counts, DtaTuning, PrunePolicy, PRUNE_MIN_SAFE_FRACTION,
+    safe_bit_counts, DtaTuning, CODEGEN_LANES, PRUNE_MIN_SAFE_FRACTION,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -105,41 +107,108 @@ fn advance_batch(unit: &FpuUnit, pairs: &[(u64, u64)]) -> usize {
     pairs.len() - 1
 }
 
-/// One batch through the table kernel at its lane width: bit-sliced
+/// Buffers of one window-protocol walk at one lane width.
+struct WindowBuffers {
+    lanes: usize,
+    packed: Vec<u64>,
+    masks: Vec<u64>,
+}
+
+impl WindowBuffers {
+    fn new(unit: &FpuUnit, lanes: usize) -> Self {
+        WindowBuffers {
+            lanes,
+            packed: vec![0; unit.input_width() * lanes],
+            masks: vec![0; lanes * 64 * LEVELS.len()],
+        }
+    }
+}
+
+/// One batch through the table kernel's window protocol: bit-sliced
 /// windows of up to `W * 64` vectors, consecutive windows overlapping
-/// by one vector (the same walk a campaign chunk runs).
-fn table_batch(
+/// by one vector (the walk a campaign chunk runs): pack the operands
+/// into lanes, load the window, get the error masks out.
+fn window_batch(
     engine: &mut dyn ArrivalEngine,
     unit: &FpuUnit,
-    flat: &mut [bool],
+    buf: &mut WindowBuffers,
     pairs: &[(u64, u64)],
+    clk: f64,
 ) -> usize {
-    let width = unit.input_width();
-    let window_vectors = engine.window_vectors();
+    let factors = LEVELS.map(VoltageReduction::derating_factor);
+    let window_vectors = buf.lanes * 64;
     let mut start = 0usize;
     while start + 1 < pairs.len() {
         let count = (pairs.len() - start).min(window_vectors);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        engine.load_window(&flat[..count * width], count);
-        for t in 0..count - 1 {
-            engine.select_transition(t);
-            criterion::black_box(&engine);
-        }
+        unit.pack_lanes(&pairs[start..start + count], buf.lanes, &mut buf.packed);
+        engine.load_window(&buf.packed, count);
+        engine.window_masks(clk, &factors, &mut buf.masks);
+        criterion::black_box(&buf.masks);
         start += count - 1;
     }
     pairs.len() - 1
 }
 
-/// Best-of-three pairs/sec of the table kernel at one lane width.
-fn table_rate(unit: &FpuUnit, pairs: &[(u64, u64)], lanes: usize, min_secs: f64) -> f64 {
+/// Best-of-three pairs/sec of the window protocol at one lane width.
+fn window_rate(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64, lanes: usize, min_secs: f64) -> f64 {
     let mut engine = dta_engine(unit, lanes).expect("supported lane width");
-    let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
+    let mut buf = WindowBuffers::new(unit, lanes);
     pairs_per_sec(
-        || table_batch(engine.as_mut(), unit, &mut flat, pairs),
+        || window_batch(engine.as_mut(), unit, &mut buf, pairs, clk),
         min_secs,
     )
+}
+
+/// Where a window's time goes at one lane width, in ns per transition:
+/// `pack_lanes`, `load_window` (the plane pass), the settle sweeps (one
+/// `select_transition` per transition) and the thresholds
+/// (`window_masks`, which re-runs the sweeps, minus the sweeps). Every
+/// window times all four back to back, so host noise hits them alike;
+/// each phase keeps its fastest of `passes` passes.
+fn phase_split(
+    unit: &FpuUnit,
+    pairs: &[(u64, u64)],
+    clk: f64,
+    lanes: usize,
+    passes: usize,
+) -> [(&'static str, f64); 4] {
+    let factors = LEVELS.map(VoltageReduction::derating_factor);
+    let mut engine = dta_engine(unit, lanes).expect("supported lane width");
+    let mut buf = WindowBuffers::new(unit, lanes);
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..passes {
+        let mut spent = [0.0f64; 4];
+        let mut start = 0usize;
+        while start + 1 < pairs.len() {
+            let count = (pairs.len() - start).min(lanes * 64);
+            let t0 = Instant::now();
+            unit.pack_lanes(&pairs[start..start + count], lanes, &mut buf.packed);
+            let t1 = Instant::now();
+            engine.load_window(&buf.packed, count);
+            let t2 = Instant::now();
+            for t in 0..count - 1 {
+                engine.select_transition(t);
+            }
+            let t3 = Instant::now();
+            engine.window_masks(clk, &factors, &mut buf.masks);
+            let t4 = Instant::now();
+            criterion::black_box(&buf.masks);
+            for (s, d) in spent.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
+                *s += d.as_secs_f64();
+            }
+            start += count - 1;
+        }
+        for (b, s) in best.iter_mut().zip(spent) {
+            *b = b.min(s);
+        }
+    }
+    let ns = |s: f64| s * 1e9 / (pairs.len() - 1) as f64;
+    [
+        ("pack", ns(best[0])),
+        ("plane", ns(best[1])),
+        ("settle", ns(best[2])),
+        ("threshold", ns(best[3] - best[2])),
+    ]
 }
 
 fn campaign_rate(
@@ -198,8 +267,8 @@ fn bench_dta_throughput(c: &mut Criterion) {
     for lanes in [1usize, 4, 8] {
         group.bench_function(BenchmarkId::new("table_kernel_w", lanes), |b| {
             let mut engine = dta_engine(&unit, lanes).expect("supported lane width");
-            let mut flat = vec![false; engine.window_vectors() * unit.input_width()];
-            b.iter(|| table_batch(engine.as_mut(), &unit, &mut flat, &pairs));
+            let mut buf = WindowBuffers::new(&unit, lanes);
+            b.iter(|| window_batch(engine.as_mut(), &unit, &mut buf, &pairs, spec.clk));
         });
     }
     for threads in scaling_threads.iter().copied() {
@@ -210,22 +279,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
             });
         });
     }
-    group.bench_function(BenchmarkId::from_parameter("campaign_1_unpruned"), |b| {
-        b.iter(|| {
-            dta_campaign_tuned(
-                &unit,
-                &pairs,
-                spec.clk,
-                &LEVELS,
-                1,
-                DtaTuning {
-                    prune: PrunePolicy::ForceOff,
-                    ..campaign_tuning
-                },
-            )
-            .expect("DTA campaign")
-        });
-    });
     group.finish();
 
     // Machine-readable summary (measured mode only, so `cargo test`
@@ -234,8 +287,15 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let advance_rate = pairs_per_sec(|| advance_batch(&unit, &pairs), min_secs);
     let table: Vec<(usize, f64)> = [1usize, 4, 8]
         .into_iter()
-        .map(|lanes| (lanes, table_rate(&unit, &pairs, lanes, min_secs)))
+        .map(|lanes| (lanes, window_rate(&unit, &pairs, spec.clk, lanes, min_secs)))
         .collect();
+    let phases = phase_split(
+        &unit,
+        &pairs,
+        spec.clk,
+        CODEGEN_LANES,
+        if measured { 30 } else { 1 },
+    );
     // Campaign scaling curve over the honest thread counts: each point
     // records the thread count it actually ran with.
     let scaling_curve: Vec<(usize, f64)> = scaling_threads
@@ -245,38 +305,12 @@ fn bench_dta_throughput(c: &mut Criterion) {
             (t, rate)
         })
         .collect();
-    // Pruning ablation: the same serial campaign with the slack-oracle
-    // safe-bit pruning *forced* on and off (the default campaign runs
-    // the auto decision recorded below, which refuses pruning when the
-    // oracle proves too few bits safe to pay for the bookkeeping).
-    let tuned_rate = |tuning: DtaTuning| {
-        pairs_per_sec(
-            || {
-                criterion::black_box(
-                    dta_campaign_tuned(&unit, &pairs, spec.clk, &LEVELS, 1, tuning)
-                        .expect("DTA campaign"),
-                );
-                pairs.len() - 1
-            },
-            min_secs,
-        )
-    };
-    let campaign_unpruned = tuned_rate(DtaTuning {
-        prune: PrunePolicy::ForceOff,
-        ..campaign_tuning
-    });
-    let campaign_pruned = tuned_rate(DtaTuning {
-        prune: PrunePolicy::ForceOn,
-        ..campaign_tuning
-    });
-    let pruning_speedup = campaign_pruned / campaign_unpruned;
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
     println!(
         "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, advance \
          {advance_rate:.0} ({:.1}x of sim), table {:?}, campaign lanes={campaign_lanes} \
-         (auto={}) scaling {:?}, forced-prune x1 {campaign_pruned:.0} vs unpruned \
-         {campaign_unpruned:.0} pairs/s ({pruning_speedup:.2}x, safe bits {safe_bits:?}, \
-         auto prune {})",
+         (auto={}) scaling {:?}, safe bits {safe_bits:?} (auto prune {}), \
+         w{CODEGEN_LANES} ns/transition {:?}",
         advance_rate / sim_rate,
         table
             .iter()
@@ -292,6 +326,10 @@ fn bench_dta_throughput(c: &mut Criterion) {
             .map(|&(t, r)| format!("x{t}: {r:.0}"))
             .collect::<Vec<_>>(),
         if prune_decision.enabled { "on" } else { "off" },
+        phases
+            .iter()
+            .map(|&(phase, ns)| format!("{phase}: {ns:.0}"))
+            .collect::<Vec<_>>(),
     );
     if measured {
         let table_json = serde_json::Value::Object(
@@ -317,6 +355,13 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "arrival_kernel_advance_pairs_per_sec": advance_rate,
             "advance_speedup_over_sim": advance_rate / sim_rate,
             "table_kernel": table_json,
+            "phase_split_lanes": CODEGEN_LANES,
+            "phase_split_ns_per_transition": serde_json::Value::Object(
+                phases
+                    .iter()
+                    .map(|&(phase, ns)| (phase.to_string(), serde_json::Value::Float(ns)))
+                    .collect(),
+            ),
             "campaign_lanes": campaign_lanes,
             "campaign_lanes_auto": campaign_tuning.lanes.is_none(),
             "thread_scaling": scaling_curve
@@ -329,9 +374,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "thread_scaling_degraded": scaling_plan.degraded(),
             "thread_scaling_degraded_reason": scaling_plan.degraded_reason(),
             "pruning": serde_json::json!({
-                "campaign_1_thread_pruned_pairs_per_sec": campaign_pruned,
-                "campaign_1_thread_unpruned_pairs_per_sec": campaign_unpruned,
-                "forced_pruning_speedup": pruning_speedup,
                 "safe_bits_per_level": safe_bits,
                 "safe_fraction": prune_decision.safe_fraction,
                 "auto_threshold": PRUNE_MIN_SAFE_FRACTION,

@@ -12,9 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_isa::Program;
-use tei_netlist::NetId;
 use tei_softfloat::{FpOp, FpOpKind};
-use tei_timing::{ArrivalEngine, CompiledNetlist, SpecializedKernel, VoltageReduction};
+use tei_timing::{ArrivalEngine, SpecializedKernel, VoltageReduction};
 use tei_uarch::FuncCore;
 
 /// Per-operation operand trace: consecutive `(a, b)` raw-bit pairs in
@@ -216,56 +215,54 @@ pub enum KernelBackend {
     Auto,
 }
 
-/// Policy for the static-slack safe-bit skip of the DTA inner loop.
+/// Policy for the static-slack whole-unit skip.
 ///
-/// The skip is exact, not approximate: dynamic settle times never
-/// exceed the static bound (the `sanitize-arrivals` feature asserts
-/// this), and the campaign's nominal clamp only lowers them further, so
-/// a statically-safe bit can never contribute to an error mask. Whether
-/// it *pays* is a different question: when the oracle proves almost
-/// nothing safe (the shipped FPU adders at VR15/VR20 prove 2 of 128
-/// result bits), the filtered live-bit lists are nearly full-length and
-/// the skip saves little: forced pruning measures 1.00x–1.03x on d-mul
-/// (see [`PRUNE_MIN_SAFE_FRACTION`]). [`PrunePolicy::Auto`] prunes only
-/// past that fraction.
+/// A campaign skips a unit outright when the static slack oracle proves
+/// every result bit safe at every requested level: the walk could only
+/// count error-free transitions, so the skipped unit reports
+/// `samples = transitions` and nothing else. The skip is exact, not
+/// approximate: dynamic settle times never exceed the static bound (the
+/// `sanitize-arrivals` feature asserts this, and under it the unit is
+/// walked anyway and every mask asserted zero), and the campaign's
+/// nominal clamp only lowers them further. On the shipped bank it skips
+/// f2i-d, f2i-s, fp-sub-s and i2f-s at VR15, and f2i-d and f2i-s at
+/// VR20. There is no per-bit skip: the window kernel thresholds every
+/// kept bit in one pass, so proving some bits safe saves nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrunePolicy {
-    /// Prune only when the oracle proves at least
-    /// [`PRUNE_MIN_SAFE_FRACTION`] of the thresholded bits safe.
+    /// Skip when the oracle proves at least
+    /// [`PRUNE_MIN_SAFE_FRACTION`] of the (bit, level) pairs safe —
+    /// and, for the skip itself, all of them.
     #[default]
     Auto,
-    /// Always prune (the pre-decision behavior; ablation use).
+    /// Skip whenever every bit is proven safe.
     ForceOn,
-    /// Never prune (ablation use).
+    /// Never skip: walk every unit (the byte-identity control).
     ForceOff,
 }
 
-/// Minimum fraction of (bit, corner) threshold work the static oracle
-/// must eliminate for [`PrunePolicy::Auto`] to enable pruning.
-/// One-sixteenth was picked when forced pruning measured 0.995x on
-/// d-mul at 1.6 % safe. `BENCH_dta.json` now measures forced pruning on
-/// the same unit and fraction at 1.00x, 1.03x and 1.01x over three
-/// runs: never a loss, and a gain inside run-to-run noise. The
-/// threshold is an open question (ROADMAP item 5), not a measured
-/// break-even.
+/// Minimum fraction of (bit, level) pairs the static oracle must prove
+/// safe for [`PrunePolicy::Auto`] to enable pruning. The whole-unit
+/// skip needs every pair safe, which passes any threshold, so the value
+/// only shapes what [`resolve_prune`] reports for partly-safe units.
 pub const PRUNE_MIN_SAFE_FRACTION: f64 = 1.0 / 16.0;
 
 /// The resolved pruning choice for one campaign, recorded so benches
 /// and logs report what actually ran instead of what was requested.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruneDecision {
-    /// Whether the inner loop skips statically-safe bits.
+    /// Whether the campaign may skip a unit the oracle proves safe.
     pub enabled: bool,
-    /// Fraction of (bit, corner) pairs the oracle proves safe.
+    /// Fraction of (bit, level) pairs the oracle proves safe.
     pub safe_fraction: f64,
     /// The policy the decision was resolved from.
     pub policy: PrunePolicy,
 }
 
 /// Resolve a [`PrunePolicy`] against the static slack oracle for `unit`
-/// at clock `clk` over the campaign's corners. Pruning is exact at any
+/// at clock `clk` over the campaign's levels. Pruning is exact at any
 /// setting, so the decision can never change statistics — only whether
-/// the inner loop carries the filtered-list bookkeeping.
+/// a fully safe unit is walked.
 pub fn resolve_prune(
     unit: &FpuUnit,
     clk: f64,
@@ -314,9 +311,8 @@ pub fn resolve_lanes(
 /// caller that wants another value sets the field.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DtaTuning {
-    /// Safe-bit pruning policy (see [`PrunePolicy`]; the default
-    /// [`PrunePolicy::Auto`] prunes only past the measured break-even
-    /// fraction).
+    /// Whole-unit skip policy (see [`PrunePolicy`]; the default
+    /// [`PrunePolicy::Auto`] skips units the oracle proves safe).
     pub prune: PrunePolicy,
     /// Window lane words of the bit-sliced kernel: 1, 4, or 8 `u64`s
     /// per net, i.e. 64 / 256 / 512 input vectors per whole-circuit
@@ -363,42 +359,22 @@ pub fn dta_engine(unit: &FpuUnit, lanes: usize) -> Result<Box<dyn ArrivalEngine 
         1 => Box::new(SpecializedKernel::<1>::new(program)),
         4 => Box::new(SpecializedKernel::<4>::new(program)),
         8 => Box::new(SpecializedKernel::<8>::new(program)),
-        _ => {
-            return Err(TeiError::Config {
-                knob: "lanes".to_string(),
-                reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
-            })
-        }
+        _ => return Err(unsupported_lanes(lanes)),
     })
 }
 
-/// Per-corner live output bits: the `(bit, net)` pairs the inner loop
-/// must actually threshold. With pruning on, bits whose static arrival
-/// bound keeps them inside the clock period at that corner are dropped.
-fn live_bits(
-    compiled: &CompiledNetlist,
-    outputs: &[NetId],
-    factors: &[f64],
-    clk: f64,
-    prune: bool,
-) -> Vec<Vec<(usize, NetId)>> {
-    factors
-        .iter()
-        .map(|&k| {
-            outputs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| !prune || compiled.static_bound(net) * k > clk)
-                .map(|(bit, &net)| (bit, net))
-                .collect()
-        })
-        .collect()
+/// The [`TeiError::Config`] for a lane width outside
+/// [`config::SUPPORTED_LANES`].
+fn unsupported_lanes(lanes: usize) -> TeiError {
+    TeiError::Config {
+        knob: "lanes".to_string(),
+        reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
+    }
 }
 
-/// Output bits per VR level that the static slack oracle proves safe for
-/// `unit` at clock period `clk` — the work [`DtaTuning::prune`]
-/// removes from every transition of a campaign.
-pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<usize> {
+/// Per level, the result bits the static slack oracle proves safe for
+/// `unit` at clock period `clk` (bit `j` = result bit `j`).
+fn safe_bit_masks(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<u64> {
     let compiled = unit.dta_compiled();
     let outputs = unit.result_port();
     levels
@@ -407,69 +383,40 @@ pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) ->
             let k = vr.derating_factor();
             outputs
                 .iter()
-                .filter(|&&net| compiled.static_bound(net) * k <= clk)
-                .count()
+                .enumerate()
+                .filter(|&(_, &net)| compiled.static_bound(net) * k <= clk)
+                .fold(0, |mask, (bit, _)| mask | 1 << bit)
         })
         .collect()
 }
 
-/// Per-transition stats accumulation of the exact-DTA walker: threshold
-/// the settle time of each live output bit at every requested corner and
-/// update counts, the mask library, and the flip histogram.
-///
-/// At the nominal corner the fabricated design meets timing by
-/// construction, so settle times beyond the clock (γ-calibration tail
-/// noise) are clamped to the clock period: they fail under any voltage
-/// reduction but never at nominal. Masks accumulate uncapped here;
+/// Output bits per VR level that the static slack oracle proves safe for
+/// `unit` at clock period `clk`; a unit with every bit safe at every
+/// level is skipped (see [`PrunePolicy`]).
+pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<usize> {
+    safe_bit_masks(unit, clk, levels)
+        .iter()
+        .map(|m| m.count_ones() as usize)
+        .collect()
+}
+
+/// Fold one transition's error mask at one level into its statistics:
+/// the sample, and for a non-zero mask the per-bit counts, the mask
+/// library and the flip histogram. Masks accumulate uncapped here;
 /// [`finalize_masks`] applies the reservoir cap after shards merge.
-///
-/// Returns the OR of the per-corner error masks — zero iff the
-/// transition was error-free at every requested corner (the signal the
-/// predictive pipeline's audit check consumes).
-fn accumulate_transition(
-    stats: &mut [OpErrorStats],
-    factors: &[f64],
-    live: &[Vec<(usize, NetId)>],
-    outputs: &[NetId],
-    clk: f64,
-    engine: &dyn ArrivalEngine,
-) -> u64 {
-    #[cfg(not(feature = "sanitize-arrivals"))]
-    let _ = outputs;
-    let mut any = 0u64;
-    for ((s, &k), bits) in stats.iter_mut().zip(factors).zip(live) {
-        s.samples += 1;
-        let mut mask = 0u64;
-        for &(bit, net) in bits {
-            let settle = engine.settle_of(net).min(clk); // nominal clamp
-            if settle * k > clk {
-                mask |= 1 << bit;
-                s.bit_errors[bit] += 1;
-            }
-        }
-        // Cross-check the pruned mask against the full bit scan: the
-        // static oracle must never have removed an erring bit.
-        #[cfg(feature = "sanitize-arrivals")]
-        {
-            let mut full = 0u64;
-            for (bit, &net) in outputs.iter().enumerate() {
-                if engine.settle_of(net).min(clk) * k > clk {
-                    full |= 1 << bit;
-                }
-            }
-            assert_eq!(
-                full, mask,
-                "sanitize-arrivals: safe-bit pruning changed an error mask"
-            );
-        }
-        if mask != 0 {
-            s.faulty += 1;
-            *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
-            s.masks.push(mask);
-        }
-        any |= mask;
+fn record_mask(s: &mut OpErrorStats, mask: u64) {
+    s.samples += 1;
+    if mask == 0 {
+        return;
     }
-    any
+    let mut bits = mask;
+    while bits != 0 {
+        s.bit_errors[bits.trailing_zeros() as usize] += 1;
+        bits &= bits - 1;
+    }
+    s.faulty += 1;
+    *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
+    s.masks.push(mask);
 }
 
 /// Reduce oversized mask libraries to `cap` entries with in-place
@@ -518,12 +465,17 @@ const CHUNK_WINDOWS: usize = 4;
 const DTA_POOL: &str = "DTA campaign";
 
 /// Per-worker scratch reused across every chunk a worker claims: the
-/// arrival engine (lane planes, settle arrays, transposed transition
-/// masks) and the flat encode buffer are allocated once per worker
-/// thread, never per window or per chunk.
+/// arrival engine (lane planes, settle arrays, toggle words) and the
+/// window buffers are allocated once per worker thread, never per
+/// window or per chunk.
 struct EngineScratch<'u> {
     engine: Box<dyn ArrivalEngine + 'u>,
-    flat: Vec<bool>,
+    /// The current window's operand pairs, in window-vector order.
+    vectors: Vec<(u64, u64)>,
+    /// `vectors` packed into input lanes ([`FpuUnit::pack_lanes`]).
+    lanes: Vec<u64>,
+    /// The window's error masks, transition-major, one word per level.
+    masks: Vec<u64>,
     /// The current window's segments (see [`pack_window`]).
     segs: Vec<Segment>,
     /// The current window's keep mask, one bit per local transition.
@@ -681,11 +633,16 @@ fn pack_window(
 ///
 /// Runs pack into bit-sliced windows (see [`pack_window`]) and every
 /// [`CHUNK_WINDOWS`] windows form one chunk of work for the
-/// `threads`-worker pool. Chunks merge in chunk order, so the statistics
-/// — mask library order included — are byte-identical to a serial walk
-/// at any thread count or lane width. Returns the finalized
-/// statistics and the number of `audit` transitions that came back
-/// erroneous.
+/// `threads`-worker pool. Per window the walk speaks the engine's
+/// window protocol: operand pairs in ([`FpuUnit::pack_lanes`], then
+/// [`ArrivalEngine::load_window`]), error masks out
+/// ([`ArrivalEngine::window_masks`]), which it folds into the
+/// statistics. Chunks merge in chunk order, so the statistics — mask
+/// library order included — are byte-identical to a serial walk at any
+/// thread count or lane width. A unit the slack oracle proves safe at
+/// every level is not walked at all (see [`PrunePolicy`]). Returns the
+/// finalized statistics and the number of `audit` transitions that
+/// came back erroneous.
 ///
 /// # Errors
 ///
@@ -701,16 +658,30 @@ fn walk_runs(
     threads: usize,
     tuning: DtaTuning,
 ) -> Result<(Vec<OpErrorStats>, u64), TeiError> {
-    // Resolve the tuning into an engine once up front so config errors
-    // surface before any worker threads spawn; workers then build their
-    // own engine from the validated tuning.
+    // Validate the lane width up front so config errors surface before
+    // any worker threads spawn; workers then build their own engine.
     let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
-    drop(dta_engine(unit, lanes)?);
-    let outputs = unit.result_port().to_vec();
+    if !config::SUPPORTED_LANES.contains(&lanes) {
+        return Err(unsupported_lanes(lanes));
+    }
+    let width = unit.result_width();
     let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(unit.dta_compiled(), &outputs, &factors, clk, prune.enabled);
-    let width = unit.input_width();
+    let safe = safe_bit_masks(unit, clk, levels);
+    let all_bits = if width == 64 { !0 } else { (1u64 << width) - 1 };
+    let all_safe = safe.iter().all(|&m| m == all_bits);
+    if all_safe
+        && resolve_prune(unit, clk, levels, tuning.prune).enabled
+        && !cfg!(feature = "sanitize-arrivals")
+    {
+        // Every transition is provably error-free at every level.
+        let transitions: usize = runs.iter().map(|r| r.hi - r.lo).sum();
+        let mut stats = empty_stats(unit, levels, width);
+        for s in &mut stats {
+            s.samples = transitions as u64;
+        }
+        return Ok((stats, 0));
+    }
+    let input_width = unit.input_width();
     let window_vectors = lanes * 64;
 
     // Chunk plan: where each chunk's first window starts. Packing is
@@ -729,47 +700,69 @@ fn walk_runs(
     let audit_errors = std::sync::atomic::AtomicU64::new(0);
     let make_scratch = || EngineScratch {
         engine: dta_engine(unit, lanes).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
+        vectors: Vec::with_capacity(window_vectors),
+        lanes: vec![0; input_width * lanes],
+        masks: vec![0; window_vectors * levels.len()],
         segs: Vec::new(),
         keep: vec![0; lanes],
     };
     let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
         let EngineScratch {
             engine,
-            flat,
+            vectors,
+            lanes: packed,
+            masks,
             segs,
             keep,
         } = scratch;
-        let mut stats = empty_stats(unit, levels, outputs.len());
+        let mut stats = empty_stats(unit, levels, width);
         let mut at = starts[ci];
         for _ in 0..CHUNK_WINDOWS {
             at = pack_window(runs, at, window_vectors, segs);
-            let Some(last) = segs.last() else { break };
-            let count = last.first + last.n + 1;
+            if segs.is_empty() {
+                break;
+            }
+            vectors.clear();
             keep.fill(0);
             for s in segs.iter() {
-                for (v, &(a, b)) in (s.first..).zip(&states[s.t..=s.t + s.n]) {
-                    unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-                }
+                // A segment starts right after the previous one's last
+                // vector, or on it when it continues that run's state
+                // (see `pack_window`).
+                vectors.truncate(s.first);
+                vectors.extend_from_slice(&states[s.t..=s.t + s.n]);
                 for local in s.first..s.first + s.n {
                     keep[local >> 6] |= 1 << (local & 63);
                 }
             }
+            unit.pack_lanes(vectors, lanes, packed);
             // Seam transitions between segments are dense garbage
-            // toggles; the keep mask drops them from the settle batches.
+            // toggles; the keep mask drops them from the settle sweeps.
             engine.set_window_keep_mask(keep);
-            engine.load_window(&flat[..count * width], count);
+            engine.load_window(packed, vectors.len());
+            // The engine clamps settle times to the clock before
+            // derating: at nominal the fabricated design meets timing by
+            // construction, so settle times past the clock (γ-calibration
+            // tail noise) fail under any voltage reduction but never at
+            // nominal.
+            engine.window_masks(clk, &factors, masks);
             for s in segs.iter() {
                 for local in s.first..s.first + s.n {
-                    engine.select_transition(local);
-                    let any = accumulate_transition(
-                        &mut stats,
-                        &factors,
-                        &live,
-                        &outputs,
-                        clk,
-                        engine.as_ref(),
-                    );
+                    let row = &masks[local * levels.len()..(local + 1) * levels.len()];
+                    let mut any = 0u64;
+                    for ((st, &mask), &safe) in stats.iter_mut().zip(row).zip(&safe) {
+                        // The static oracle's soundness, checked on
+                        // every mask: no statically-safe bit may err.
+                        if cfg!(feature = "sanitize-arrivals") {
+                            assert_eq!(
+                                mask & safe,
+                                0,
+                                "sanitize-arrivals: {} mask {mask:#x} touches statically-safe bits",
+                                unit.tag()
+                            );
+                        }
+                        record_mask(st, mask);
+                        any |= mask;
+                    }
                     if s.audit && any != 0 {
                         audit_errors.fetch_add(1, Ordering::Relaxed);
                     }
@@ -783,7 +776,7 @@ fn walk_runs(
         starts.len(),
         threads,
         make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
+        || empty_stats(unit, levels, width),
         run_chunk,
     )?;
     finalize_masks(&mut stats);
@@ -1014,18 +1007,15 @@ pub fn fit_surrogate(
     if pairs.len() < 2 {
         return Ok(fitter.finish());
     }
-    let width = unit.input_width();
     let window_vectors = lanes * 64;
-    let mut flat = vec![false; window_vectors * width];
+    let mut packed = vec![0; unit.input_width() * lanes];
     let mut settles = vec![0.0f64; outputs.len()];
     let transitions = pairs.len() - 1;
     let mut start = 0usize;
     while start < transitions {
         let count = (transitions - start + 1).min(window_vectors);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        engine.load_window(&flat[..count * width], count);
+        unit.pack_lanes(&pairs[start..start + count], lanes, &mut packed);
+        engine.load_window(&packed, count);
         for t in 0..count - 1 {
             engine.select_transition(t);
             for (i, &net) in outputs.iter().enumerate() {

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tei_netlist::{CellLibrary, NetId, Netlist};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{CompiledNetlist, DynProgram, Sta};
+use tei_timing::{transpose64, CompiledNetlist, DynProgram, Sta};
 
 /// Calibration targets: the nominal critical delay of each FPU datapath,
 /// in nanoseconds, plus the core clock period.
@@ -293,6 +293,40 @@ impl FpuUnit {
         }
         for (i, slot) in out[self.a_width..].iter_mut().enumerate() {
             *slot = (b >> i) & 1 == 1;
+        }
+    }
+
+    /// Pack a window of operand pairs straight into the input lanes
+    /// [`ArrivalEngine::load_window`](tei_timing::ArrivalEngine::load_window)
+    /// takes at `lanes` words per input: bit `v % 64` of
+    /// `out[k * lanes + v / 64]` is bit `k` of
+    /// [`encode_inputs`](FpuUnit::encode_inputs)`(vectors[v])`. Each
+    /// 64-vector block of an operand is one 64×64 bit transpose; bits
+    /// past `vectors.len()` are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vectors` holds more than `lanes * 64` pairs or
+    /// `out.len() != input_width() * lanes`.
+    pub fn pack_lanes(&self, vectors: &[(u64, u64)], lanes: usize, out: &mut [u64]) {
+        assert!(
+            vectors.len() <= lanes * 64,
+            "window holds lanes * 64 vectors"
+        );
+        assert_eq!(out.len(), self.input_width() * lanes, "lane buffer size");
+        out.fill(0);
+        for (w, chunk) in vectors.chunks(64).enumerate() {
+            let (mut a, mut b) = ([0u64; 64], [0u64; 64]);
+            for (v, &(x, y)) in chunk.iter().enumerate() {
+                a[v] = x;
+                b[v] = y;
+            }
+            transpose64(&mut a);
+            transpose64(&mut b);
+            let bits = a[..self.a_width].iter().chain(&b[..self.b_width]);
+            for (k, &lane) in bits.enumerate() {
+                out[k * lanes + w] = lane;
+            }
         }
     }
 

@@ -14,9 +14,26 @@
 //! **Bit-sliced windows.** Each net carries a [`Lanes`] array of `W`
 //! `u64` words, so one whole-circuit pass evaluates the steady state of
 //! `W * 64` input vectors; the fixed-size-array lane ops autovectorize
-//! to AVX2 (`W = 4`) and AVX-512 (`W = 8`) bitwise instructions. Settle
-//! times are then computed `W` transitions per batch as `[f64; W]` lane
-//! arrays, masked to `+0.0` in lanes where a gate does not toggle.
+//! to AVX2 (`W = 4`) and AVX-512 (`W = 8`) bitwise instructions. The
+//! caller hands the window in already packed into input lanes (the FPU
+//! units pack operand words with 64×64 bit transposes, [`transpose64`]),
+//! and the plane pass writes each net's transition bits word-major, so
+//! a settle sweep reads 8 bytes of toggle bits per gate instead of
+//! `8 * W`. Settle times are then computed `W` transitions per batch as
+//! `[f64; W]` lane arrays, masked to `+0.0` in lanes where a gate does
+//! not toggle.
+//!
+//! **Masks out.** The campaign never reads a settle time:
+//! [`window_masks`](ArrivalEngine::window_masks) runs every sweep of
+//! the window and thresholds the program's keep set (the unit's result
+//! port) at every voltage level right after each sweep, in blocks of
+//! eight lanes, then turns the per-bit transition masks of each
+//! 64-transition word into per-transition error masks with one
+//! [`transpose64`] per level. Words in which nothing errs skip the
+//! transpose. The per-transition view
+//! ([`select_transition`](ArrivalEngine::select_transition) and
+//! [`settle_of`](ArrivalEngine::settle_of)) stays for the surrogate fit
+//! and the equivalence suites.
 //!
 //! **What the settle plan buys.** The settle pass dominates DTA
 //! throughput and is cache-bandwidth bound: a net-indexed `[f64; W]`
@@ -26,21 +43,20 @@
 //! net's slot is freed at its last fanout reader and reused (LIFO, so
 //! the hottest line is reused first), while nets in the `keep` set —
 //! the unit's observable outputs — hold dedicated slots for the
-//! campaign's [`settle_of`](ArrivalEngine::settle_of) queries. The
-//! scratch footprint drops from `N` nets to the netlist's cut width,
-//! and the harness transposes diff lanes word-major once per window so
-//! each settle batch reads 8 bytes of toggle bits per gate instead of
-//! `8 * W`.
+//! thresholds. The scratch footprint drops from `N` nets to the
+//! netlist's cut width.
 //!
 //! **How the settle loop is driven.** Table validation happens once,
 //! in [`SpecializedKernel::new`]; each batch then runs an unchecked
 //! loop over a packed 16-byte `GateRec` per gate (re-validating per
 //! batch measurably costs as much as the settle arithmetic itself). On
-//! x86-64 CPUs with AVX-512F, `W = 8` sweeps *two* adjacent batches at
-//! once (the `zmm` module): one ZMM register per batch per net, the
+//! x86-64 CPUs with AVX-512F, `W = 8` sweeps *four* adjacent batches
+//! at once (the `zmm` module): one ZMM register per batch per net, the
 //! toggle byte used directly as the `maskz` write mask, and one record
-//! load and one diff-word load amortized across both batches. Other
-//! CPUs run the generic pass; a unit test holds the two bit-identical.
+//! load and one diff-word load amortized across the group. Four beat
+//! eight, two and one on d-mul (the eight-batch scratch outgrows L2).
+//! Other CPUs run the generic pass; a unit test holds the two
+//! bit-identical.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
@@ -61,9 +77,9 @@
 //! `keep`, plus any net whose slot happened not to be reused. The
 //! plan's `exposed` table holds `u32::MAX` for the rest, and the
 //! engine's [`settle_exposed`](ArrivalEngine::settle_exposed) surfaces
-//! that. The DTA campaign only reads output-port settles (see
-//! `accumulate_transition` in `tei-core`), which are always kept;
-//! full-fidelity programs ([`DynProgram::new`]) expose every net.
+//! that. The DTA campaign only thresholds output-port settles, which
+//! are always kept; full-fidelity programs ([`DynProgram::new`]) expose
+//! every net and threshold none.
 //!
 //! **Determinism and equivalence.** Gates run in compiled
 //! (topological) index order and the slot allocator is deterministic
@@ -71,9 +87,10 @@
 //! always yields the same plan. Equivalence is enforced three ways: the
 //! `kernel_equiv` proptests drive this harness over [`DynProgram`]
 //! (full and compacted plans) on random DAGs against the reference
-//! simulator, [`SettlePlan`] self-verifies every allocation by replay,
-//! and `tei-fpu`'s `dta_program_equiv` suite checks every shipped
-//! unit's program transition-for-transition against chained
+//! simulator and pin the window masks to per-transition thresholds,
+//! [`SettlePlan`] self-verifies every allocation by replay, and
+//! `tei-fpu`'s `dta_program_equiv` suite checks every shipped unit's
+//! program and lane packing transition-for-transition against chained
 //! [`ArrivalKernel::advance`](crate::ArrivalKernel::advance) calls.
 
 use crate::engine::ArrivalEngine;
@@ -94,6 +111,26 @@ fn lane_bit<const W: usize>(lane: &Lanes<W>, v: usize) -> bool {
     (lane[v >> 6] >> (v & 63)) & 1 == 1
 }
 
+/// Transpose a 64×64 bit matrix in place: afterwards, bit `c` of
+/// `a[r]` is what bit `r` of `a[c]` was (LSB-first rows both ways).
+/// Packs 64 operand words into 64 per-bit lanes and turns 64
+/// per-bit transition masks into 64 per-transition bit masks.
+pub fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut m = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
 /// Inlined lane/settle primitives used by the table passes. Kept tiny
 /// and `#[inline(always)]` so the passes lower to straight-line vector
 /// code with no calls.
@@ -110,19 +147,6 @@ pub mod ops {
             let hi = if w + 1 < W { v[w + 1] } else { 0 };
             (v[w] ^ ((v[w] >> 1) | (hi << 63))) & tm[w]
         })
-    }
-
-    /// Fused store: `p[i] = v; d[i] = dif(v, tm)`.
-    #[inline(always)]
-    pub fn st<const W: usize>(
-        v: Lanes<W>,
-        tm: Lanes<W>,
-        p: &mut [Lanes<W>],
-        d: &mut [Lanes<W>],
-        i: usize,
-    ) {
-        p[i] = v;
-        d[i] = dif(v, tm);
     }
 
     /// All-zero lanes (Const0).
@@ -205,6 +229,31 @@ pub mod ops {
         })
     }
 
+    /// The campaign's error test over up to 64 settle lanes: bit `i`
+    /// is set iff `lanes[i].min(clk) * k > clk` (the settle time
+    /// clamped to the clock at nominal, then derated by `k`). Written
+    /// eight lanes at a time: a per-lane fold over the whole slice
+    /// measured about 1,400 ns per d-mul transition at two levels,
+    /// against about 20 for this form.
+    #[inline(always)]
+    pub fn errs(lanes: &[f64], clk: f64, k: f64) -> u64 {
+        let mut bits = 0u64;
+        let blocks = lanes.chunks_exact(8);
+        let tail = blocks.remainder();
+        for (b, block) in blocks.enumerate() {
+            let mut byte = 0u64;
+            for (i, &s) in block.iter().enumerate() {
+                byte |= u64::from(s.min(clk) * k > clk) << i;
+            }
+            bits |= byte << (8 * b);
+        }
+        let done = lanes.len() - tail.len();
+        for (i, &s) in tail.iter().enumerate() {
+            bits |= u64::from(s.min(clk) * k > clk) << (done + i);
+        }
+        bits
+    }
+
     /// Per-lane keep masks for a gate's batch toggle bits `d >> ls`,
     /// loaded from the harness's [`lane_lut`](super::lane_lut):
     /// all-ones lanes where the gate toggles, all-zeros elsewhere.
@@ -251,18 +300,20 @@ pub fn lane_lut<const W: usize>() -> Box<[Lanes<W>]> {
 
 /// Steady-state pass over opcode/pin tables: evaluate every gate's
 /// window lanes in topological order and write each net's transition
-/// lanes (`plane ^ plane >> 1`, masked by `tmask`) into `diffs`.
-/// Primary-input lanes must already be packed into `plane`.
+/// lanes (`plane ^ plane >> 1`, masked by `tmask`) word-major into
+/// `diffs_t`: word `w` of net `i` lands at `diffs_t[w * n + i]`, so a
+/// settle sweep reads one contiguous `u64` per gate. Primary-input
+/// lanes must already be packed into `plane`.
 pub fn table_plane_pass<const W: usize>(
     kinds: &[u8],
     pins: &[u32],
     plane: &mut [Lanes<W>],
-    diffs: &mut [Lanes<W>],
+    diffs_t: &mut [u64],
     tmask: Lanes<W>,
 ) {
     let n = kinds.len();
     assert_eq!(pins.len(), 3 * n, "pin table stride");
-    assert!(plane.len() >= n && diffs.len() >= n, "plane buffers");
+    assert!(plane.len() >= n && diffs_t.len() >= W * n, "plane buffers");
     for i in 0..n {
         let p = &pins[i * 3..i * 3 + 3];
         let v0 = plane[p[0] as usize];
@@ -283,7 +334,10 @@ pub fn table_plane_pass<const W: usize>(
             k if k == GateKind::Maj3 as u8 => ops::maj3(v0, v1, v2),
             _ => unreachable!("invalid opcode"),
         };
-        ops::st(v, tmask, plane, diffs, i);
+        plane[i] = v;
+        for (w, d) in ops::dif(v, tmask).into_iter().enumerate() {
+            diffs_t[w * n + i] = d;
+        }
     }
 }
 
@@ -292,8 +346,8 @@ pub fn table_plane_pass<const W: usize>(
 /// masked to `+0.0` in lanes where the net does not toggle. Slot 0 is
 /// the constant-zero sentinel read by self/forward padding pins
 /// (re-zeroed here, so a poisoned scratch cannot leak). `dw` holds each
-/// gate's toggle word for the batch's lane word (the harness's
-/// word-major transpose); `ls` is the batch's bit offset within it.
+/// gate's toggle word for the batch's lane word (the plane pass's
+/// word-major output); `ls` is the batch's bit offset within it.
 ///
 /// A gate may legally write the slot one of its own fanins just
 /// vacated (the allocator frees at last use *before* reassigning):
@@ -441,7 +495,7 @@ unsafe fn packed_settle_unchecked<const W: usize>(
     }
 }
 
-/// AVX-512 settle pass at W = 8: one ZMM register per net's lane
+/// AVX-512 settle passes at W = 8: one ZMM register per net's lane
 /// array, and the batch's toggle byte used directly as the `maskz`
 /// write mask — no keep-mask table load at all.
 ///
@@ -495,28 +549,32 @@ mod zmm {
         }
     }
 
-    /// Batch-pair settle: two adjacent W = 8 batches in one sweep over
-    /// an interleaved scratch where slot `s` holds batch 0's lanes at
-    /// `[f64; 8]` entry `2s` and batch 1's at `2s + 1`. One record
-    /// load and one diff-word load then serve both batches, cutting
-    /// scalar load traffic ~40% in a loop bound on the two load ports;
-    /// both batches' masks sit in the same diff word because the pair
-    /// base is a multiple of 16 and 16 divides 64.
+    /// Group settle: `G` adjacent W = 8 batches in one sweep over a
+    /// grouped scratch where slot `s` holds batch `g`'s lanes at
+    /// `[f64; 8]` entry `G * s + g`. One record load and one diff-word
+    /// load then serve all `G` batches, which cuts the scalar load
+    /// traffic of a loop bound on the two load ports; every batch's
+    /// mask sits in the same diff word because the group base is a
+    /// multiple of `8 * G` and `8 * G` divides 64.
+    ///
+    /// Each batch loads its three fanins before it stores, and batches
+    /// touch disjoint entries, so a gate may write the slot a fanin just
+    /// vacated (see [`super::SettlePlan::compacted`]).
     ///
     /// # Safety
     ///
     /// Same table contract as [`super::packed_settle_unchecked`], with
-    /// `scratch.len() >= 2 * slot_count` (interleaved pair layout) and
-    /// `ls <= 48`, plus AVX-512F support ([`available`]).
+    /// `scratch.len() >= G * slot_count` (grouped layout), `8 * G`
+    /// dividing 64 and `ls` a multiple of `8 * G` below 64, plus
+    /// AVX-512F support ([`available`]).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn settle_w8_pair_packed(
+    pub unsafe fn settle_w8_group<const G: usize>(
         recs: &[super::GateRec],
         scratch: &mut [[f64; 8]],
         dw: &[u64],
         ls: usize,
     ) {
-        scratch[0] = [0.0; 8];
-        scratch[1] = [0.0; 8];
+        scratch[..G].fill([0.0; 8]);
         let base = scratch.as_mut_ptr() as *mut f64;
         for i in 0..recs.len() {
             // SAFETY: record indices in range per the caller's
@@ -524,28 +582,25 @@ mod zmm {
             unsafe {
                 let r = recs.get_unchecked(i);
                 let (s0, s1, s2) = (
-                    r.sp[0] as usize * 16,
-                    r.sp[1] as usize * 16,
-                    r.sp[2] as usize * 16,
+                    r.sp[0] as usize * 8 * G,
+                    r.sp[1] as usize * 8 * G,
+                    r.sp[2] as usize * 8 * G,
                 );
-                let l0 = _mm512_max_pd(
-                    _mm512_max_pd(_mm512_loadu_pd(base.add(s0)), _mm512_loadu_pd(base.add(s1))),
-                    _mm512_loadu_pd(base.add(s2)),
-                );
-                let l1 = _mm512_max_pd(
-                    _mm512_max_pd(
-                        _mm512_loadu_pd(base.add(s0 + 8)),
-                        _mm512_loadu_pd(base.add(s1 + 8)),
-                    ),
-                    _mm512_loadu_pd(base.add(s2 + 8)),
-                );
+                let out = r.slot as usize * 8 * G;
                 let d = _mm512_set1_pd(f64::from_bits(r.delay_bits));
                 let w = *dw.get_unchecked(i) >> ls;
-                let o0 = _mm512_maskz_add_pd((w & 0xff) as __mmask8, l0, d);
-                let o1 = _mm512_maskz_add_pd(((w >> 8) & 0xff) as __mmask8, l1, d);
-                let out = r.slot as usize * 16;
-                _mm512_storeu_pd(base.add(out), o0);
-                _mm512_storeu_pd(base.add(out + 8), o1);
+                for g in 0..G {
+                    let o = 8 * g;
+                    let latest = _mm512_max_pd(
+                        _mm512_max_pd(
+                            _mm512_loadu_pd(base.add(s0 + o)),
+                            _mm512_loadu_pd(base.add(s1 + o)),
+                        ),
+                        _mm512_loadu_pd(base.add(s2 + o)),
+                    );
+                    let k = ((w >> o) & 0xff) as __mmask8;
+                    _mm512_storeu_pd(base.add(out + o), _mm512_maskz_add_pd(k, latest, d));
+                }
             }
         }
     }
@@ -722,12 +777,18 @@ impl SettlePlan {
     }
 }
 
+/// Batches of `W = 8` transitions one AVX-512 group sweep settles per
+/// gate-record load (`zmm::settle_w8_group`). On d-mul, 4 beat 8 by
+/// 2–10 % (the 8-batch scratch, 1.45 MB, outgrows L2), 2 by 13–20 %
+/// and 1 by 40–72 % (see DESIGN.md §6).
+const SWEEP_BATCHES: usize = 4;
+
 /// The window-protocol harness over a borrowed [`DynProgram`]: owns the
-/// lane planes, the word-major toggle transpose, and the slot-allocated
-/// settle scratch; packs input windows and drives the table passes.
-/// Implements [`ArrivalEngine`] bit-identically to the per-pair
-/// [`ArrivalKernel`](crate::ArrivalKernel) on every exposed net (see
-/// the module docs for the exposure contract).
+/// lane planes, the word-major toggle words, and the slot-allocated
+/// settle scratch; drives the table passes over packed input windows
+/// and thresholds them. Implements [`ArrivalEngine`] bit-identically to
+/// the per-pair [`ArrivalKernel`](crate::ArrivalKernel) on every exposed
+/// net (see the module docs for the exposure contract).
 pub struct SpecializedKernel<'p, const W: usize> {
     /// The program's tables, validated once in
     /// [`SpecializedKernel::new`]. The per-batch hot loop runs
@@ -735,10 +796,9 @@ pub struct SpecializedKernel<'p, const W: usize> {
     /// kernel's lifetime.
     program: &'p DynProgram,
     plane: Vec<Lanes<W>>,
-    diffs: Vec<Lanes<W>>,
-    /// Word-major toggle transpose: `diffs_t[w * n + i]` is net `i`'s
-    /// diff word `w`, so one settle batch reads 8 contiguous bytes per
-    /// gate instead of a strided `[u64; W]`.
+    /// Word-major toggle words, written by the plane pass:
+    /// `diffs_t[w * n + i]` is net `i`'s diff word `w`, so one settle
+    /// sweep reads 8 contiguous bytes per gate.
     diffs_t: Vec<u64>,
     scratch: AlignedLanes<W>,
     /// [`GateRec`] packing of the program's settle tables, when every
@@ -750,11 +810,17 @@ pub struct SpecializedKernel<'p, const W: usize> {
     /// construction.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     zmm: bool,
-    /// Batch-pair mode (see `zmm::settle_w8_pair_packed`): the settle
-    /// pass covers `2 * W` transitions per sweep and `scratch` holds
-    /// `2 * slot_count` lane arrays in the interleaved pair layout.
-    /// Decided once at construction.
-    pair: bool,
+    /// Group mode (see `zmm::settle_w8_group`): the settle pass covers
+    /// [`SWEEP_BATCHES`]` * W` transitions per sweep and `scratch` holds
+    /// that many lane arrays per slot. Decided once at construction.
+    group: bool,
+    /// Exposed slot of each net in the program's keep set, in keep
+    /// order: bit `j` of a window mask thresholds `keep_slots[j]`.
+    keep_slots: Vec<usize>,
+    /// Per-level error rows of the current 64-transition word, reused
+    /// across windows: bit `t % 64` of `rows[l][j]` is set when kept net
+    /// `j` errs at level `l` in transition `t`.
+    rows: Vec<[u64; 64]>,
     /// One-shot per-transition keep mask for the next `load_window`
     /// (empty = keep everything); see
     /// [`ArrivalEngine::set_window_keep_mask`].
@@ -808,17 +874,22 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
         );
         let packed = pack_records(&plan.slots, &plan.spins, &program.delay_bits);
         let zmm = W == 8 && avx512;
-        let pair = zmm && packed.is_some();
+        let group = zmm && packed.is_some();
         SpecializedKernel {
             program,
             plane: vec![[0; W]; n],
-            diffs: vec![[0; W]; n],
             diffs_t: vec![0; W * n],
-            scratch: AlignedLanes::zeroed(if pair { 2 * m } else { m }),
+            scratch: AlignedLanes::zeroed(if group { SWEEP_BATCHES * m } else { m }),
             packed,
             lut: lane_lut::<W>(),
             zmm,
-            pair,
+            group,
+            keep_slots: program
+                .keep
+                .iter()
+                .map(|&k| plan.exposed[k as usize] as usize)
+                .collect(),
+            rows: Vec::new(),
             win_mask: Vec::new(),
             win_count: 0,
             view_t: 0,
@@ -826,17 +897,47 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
         }
     }
 
-    /// Settle value of `slot` at `lane` transitions past `batch_base`,
-    /// layout-aware: paired scratch interleaves the two batches of a
-    /// sweep (slot `s` at entries `2s` and `2s + 1`), single-batch
-    /// scratch indexes slots directly.
-    #[inline]
-    fn settle_at(&self, slot: usize, lane: usize) -> f64 {
-        let s = self.scratch.as_ref();
-        if self.pair {
-            s[2 * slot + lane / W][lane % W]
+    /// Transitions one settle sweep covers: a whole group in group
+    /// mode, one batch of `W` otherwise. Always divides 64.
+    fn sweep_width(&self) -> usize {
+        if self.group {
+            SWEEP_BATCHES * W
         } else {
-            s[slot][lane]
+            W
+        }
+    }
+
+    /// Settle values of `slot` for every transition of the current
+    /// sweep, in transition order: the grouped scratch keeps a slot's
+    /// batches adjacent, so this is one contiguous run either way.
+    #[inline]
+    fn sweep_lanes(&self, slot: usize) -> &[f64] {
+        let per = if self.group { SWEEP_BATCHES } else { 1 };
+        self.scratch.as_ref()[per * slot..per * (slot + 1)].as_flattened()
+    }
+
+    /// Run the settle sweep starting at transition `base` unless it is
+    /// already the current one.
+    fn ensure_sweep(&mut self, base: usize) {
+        if self.batch_base == base {
+            return;
+        }
+        self.batch_base = base;
+        self.settle_pass(base);
+        #[cfg(feature = "sanitize-arrivals")]
+        for (net, &slot) in self.program.plan.exposed.iter().enumerate() {
+            if slot == u32::MAX {
+                continue;
+            }
+            let bound = self.program.bounds[net];
+            for (lane, &s) in self.sweep_lanes(slot as usize).iter().enumerate() {
+                assert!(
+                    s <= bound + 1e-9,
+                    "sanitize-arrivals: net n{net} settled at {s} past its static bound \
+                     {bound} (transition {})",
+                    base + lane
+                );
+            }
         }
     }
 }
@@ -851,21 +952,18 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         self.win_mask.extend_from_slice(keep);
     }
 
-    fn load_window(&mut self, flat: &[bool], count: usize) {
-        let width = self.program.inputs.len();
+    fn load_window(&mut self, lanes: &[u64], count: usize) {
         assert!((1..=Self::WINDOW_VECTORS).contains(&count), "window size");
-        assert_eq!(flat.len(), count * width, "window buffer size");
+        assert_eq!(
+            lanes.len(),
+            self.program.inputs.len() * W,
+            "window lane buffer size"
+        );
         self.win_count = count;
         self.view_t = 0;
         self.batch_base = usize::MAX;
-
-        // Pack each input's window values into its bit lane.
-        for (k, &net) in self.program.inputs.iter().enumerate() {
-            let mut lane = [0u64; W];
-            for (v, chunk) in flat.chunks_exact(width).enumerate() {
-                lane[v >> 6] |= u64::from(chunk[k]) << (v & 63);
-            }
-            self.plane[net as usize] = lane;
+        for (&net, lane) in self.program.inputs.iter().zip(lanes.chunks_exact(W)) {
+            self.plane[net as usize] = lane.try_into().expect("chunk of W words");
         }
 
         // Mask off diff lanes beyond the last valid transition, plus
@@ -892,52 +990,66 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
             &self.program.kinds,
             &self.program.pins,
             &mut self.plane,
-            &mut self.diffs,
+            &mut self.diffs_t,
             tmask,
         );
-
-        // Word-major transpose, once per window (settle batches then
-        // stream one u64 per gate instead of the whole lane array).
-        let n = self.diffs.len();
-        for w in 0..W {
-            let dst = &mut self.diffs_t[w * n..(w + 1) * n];
-            for (d, t) in self.diffs.iter().zip(dst.iter_mut()) {
-                *t = d[w];
-            }
-        }
     }
 
     fn window_transitions(&self) -> usize {
         self.win_count.saturating_sub(1)
     }
 
+    fn window_masks(&mut self, clk: f64, factors: &[f64], out: &mut [u64]) {
+        assert!(self.win_count > 0, "no window loaded");
+        assert!(
+            self.keep_slots.len() <= 64,
+            "window masks cover at most 64 kept nets, the program keeps {}",
+            self.keep_slots.len()
+        );
+        let levels = factors.len();
+        let transitions = self.win_count - 1;
+        let out = &mut out[..transitions * levels];
+        out.fill(0);
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.clear();
+        rows.resize(levels, [0; 64]);
+        let sweep = self.sweep_width();
+        let mut base = 0;
+        while base < transitions {
+            self.ensure_sweep(base);
+            let shift = base & 63;
+            for (j, &slot) in self.keep_slots.iter().enumerate() {
+                let lanes = self.sweep_lanes(slot);
+                for (row, &k) in rows.iter_mut().zip(factors) {
+                    row[j] |= ops::errs(lanes, clk, k) << shift;
+                }
+            }
+            base += sweep;
+            if base & 63 == 0 || base >= transitions {
+                // A 64-transition word is complete: transpose its rows
+                // into per-transition masks.
+                let lo = (base - 1) & !63;
+                for (l, row) in rows.iter_mut().enumerate() {
+                    if row.iter().all(|&r| r == 0) {
+                        continue;
+                    }
+                    transpose64(row);
+                    for (t, &mask) in (lo..transitions.min(lo + 64)).zip(row.iter()) {
+                        out[t * levels + l] = mask;
+                    }
+                    *row = [0; 64];
+                }
+            }
+        }
+        self.rows = rows;
+    }
+
     fn select_transition(&mut self, t: usize) {
         assert!(self.win_count > 0, "no window loaded");
         assert!(t + 1 < self.win_count, "transition out of range");
         self.view_t = t;
-        let sweep = if self.pair { 2 * W } else { W };
-        let base = t - (t % sweep);
-        if self.batch_base == base {
-            return;
-        }
-        self.batch_base = base;
-        self.settle_pass(base);
-        #[cfg(feature = "sanitize-arrivals")]
-        for (net, &slot) in self.program.plan.exposed.iter().enumerate() {
-            if slot == u32::MAX {
-                continue;
-            }
-            let bound = self.program.bounds[net];
-            for lane in 0..sweep {
-                let s = self.settle_at(slot as usize, lane);
-                assert!(
-                    s <= bound + 1e-9,
-                    "sanitize-arrivals: net n{net} settled at {s} past its static bound \
-                     {bound} (transition {})",
-                    base + lane
-                );
-            }
-        }
+        let sweep = self.sweep_width();
+        self.ensure_sweep(t - t % sweep);
     }
 
     fn cur(&self, net: NetId) -> bool {
@@ -949,7 +1061,8 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
     }
 
     fn changed(&self, net: NetId) -> bool {
-        lane_bit(&self.diffs[net.index()], self.view_t)
+        let t = self.view_t;
+        (self.diffs_t[(t >> 6) * self.plane.len() + net.index()] >> (t & 63)) & 1 == 1
     }
 
     fn settle_exposed(&self, net: NetId) -> bool {
@@ -963,7 +1076,7 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
             "settle of net {} was recycled (not in this program's keep set)",
             net.index()
         );
-        self.settle_at(slot as usize, self.view_t - self.batch_base)
+        self.sweep_lanes(slot as usize)[self.view_t - self.batch_base]
     }
 
     fn snapshot_into(&self, out: &mut TwoVectorResult) {
@@ -977,7 +1090,7 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
                 if slot == u32::MAX {
                     0.0
                 } else {
-                    self.settle_at(slot as usize, lane)
+                    self.sweep_lanes(slot as usize)[lane]
                 }
             }));
         out.prev.clear();
@@ -1005,9 +1118,10 @@ impl<const W: usize> SpecializedKernel<'_, W> {
         let plan = &program.plan;
         // SAFETY: the program's tables (and their `packed` form) were
         // validated at construction (strides, non-zero slots, every
-        // index below the slot count; paired scratch holds twice that)
-        // and stay fixed while borrowed; `dw` is one word per gate and
-        // `lut` holds `1 << W` entries by construction.
+        // index below the slot count; grouped scratch holds
+        // `SWEEP_BATCHES` times that) and stay fixed while borrowed;
+        // `dw` is one word per gate and `lut` holds `1 << W` entries by
+        // construction.
         #[cfg(target_arch = "x86_64")]
         if self.zmm {
             // SAFETY (cast): `W == 8` here, so `[[f64; W]]` and
@@ -1020,11 +1134,11 @@ impl<const W: usize> SpecializedKernel<'_, W> {
             };
             unsafe {
                 match &self.packed {
-                    // `pair` is true whenever `zmm` is and records
+                    // `group` is true whenever `zmm` is and records
                     // packed (see `with_avx512`), so the packed arm is
-                    // always the pair sweep and `ls` is a multiple of
-                    // 16 (<= 48).
-                    Some(recs) => zmm::settle_w8_pair_packed(recs, scratch8, dw, ls),
+                    // always the group sweep and `ls` is a multiple of
+                    // its width.
+                    Some(recs) => zmm::settle_w8_group::<SWEEP_BATCHES>(recs, scratch8, dw, ls),
                     None => zmm::settle_w8(
                         &plan.slots,
                         &plan.spins,
@@ -1074,6 +1188,9 @@ pub struct DynProgram {
     delay_bits: Vec<u64>,
     /// Primary input nets in declaration order.
     inputs: Vec<u32>,
+    /// The nets window masks threshold, in mask-bit order (empty for a
+    /// full-fidelity program).
+    keep: Vec<u32>,
     plan: SettlePlan,
     /// Static arrival bound per net, asserted against every exposed
     /// settle time under `sanitize-arrivals`.
@@ -1083,23 +1200,31 @@ pub struct DynProgram {
 
 impl DynProgram {
     /// A full-fidelity dynamic program over `compiled` (every net
-    /// exposed).
+    /// exposed, none thresholded by
+    /// [`window_masks`](ArrivalEngine::window_masks)).
     pub fn new(compiled: &CompiledNetlist) -> Self {
-        Self::with_plan(compiled, SettlePlan::full(compiled))
+        Self::with_plan(compiled, SettlePlan::full(compiled), Vec::new())
     }
 
     /// A slot-compacted dynamic program over `compiled`, keeping the
-    /// nets in `keep` exposed (see [`SettlePlan::compacted`]).
+    /// nets in `keep` exposed (see [`SettlePlan::compacted`]). Bit `j`
+    /// of a [`window_masks`](ArrivalEngine::window_masks) mask
+    /// thresholds `keep[j]`.
     pub fn compacted(compiled: &CompiledNetlist, keep: &[u32]) -> Self {
-        Self::with_plan(compiled, SettlePlan::compacted(compiled, keep))
+        Self::with_plan(
+            compiled,
+            SettlePlan::compacted(compiled, keep),
+            keep.to_vec(),
+        )
     }
 
-    fn with_plan(compiled: &CompiledNetlist, plan: SettlePlan) -> Self {
+    fn with_plan(compiled: &CompiledNetlist, plan: SettlePlan, keep: Vec<u32>) -> Self {
         DynProgram {
             kinds: compiled.kinds().to_vec(),
             pins: compiled.pins().to_vec(),
             delay_bits: compiled.delays().iter().map(|d| d.to_bits()).collect(),
             inputs: compiled.input_nets().to_vec(),
+            keep,
             plan,
             #[cfg(feature = "sanitize-arrivals")]
             bounds: compiled.static_bounds().to_vec(),
@@ -1202,38 +1327,92 @@ mod tests {
         nl
     }
 
-    /// The AVX-512 pair pass and the generic W = 8 pass must produce
-    /// bit-identical settle times on every exposed net, over full and
-    /// partial windows, for both the full and the compacted plan.
+    /// Pack `count` concatenated `width`-input bool vectors into the
+    /// `W`-word input lanes `load_window` takes.
+    fn pack(flat: &[bool], width: usize, count: usize, w: usize) -> Vec<u64> {
+        let mut lanes = vec![0u64; width * w];
+        for v in 0..count {
+            for k in 0..width {
+                lanes[k * w + v / 64] |= u64::from(flat[v * width + k]) << (v % 64);
+            }
+        }
+        lanes
+    }
+
     #[test]
-    fn zmm_pair_pass_matches_generic_w8_pass() {
+    fn transpose64_matches_naive() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut m = [0u64; 64];
+        for row in m.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *row = x;
+        }
+        let mut t = m;
+        transpose64(&mut t);
+        for (r, &row) in t.iter().enumerate() {
+            for (c, &col) in m.iter().enumerate() {
+                assert_eq!((row >> c) & 1, (col >> r) & 1, "transpose at ({r},{c})");
+            }
+        }
+    }
+
+    /// The AVX-512 group sweep and the generic W = 8 pass must produce
+    /// bit-identical settle times on every exposed net and identical
+    /// window masks, over full and partial windows, for both the full
+    /// and the compacted plan.
+    #[test]
+    fn zmm_group_pass_matches_generic_w8_pass() {
         #[cfg(target_arch = "x86_64")]
         let avx512 = zmm::available();
         #[cfg(not(target_arch = "x86_64"))]
         let avx512 = false;
         if !avx512 {
-            eprintln!("zmm_pair_pass_matches_generic_w8_pass: no avx512f on this CPU, skipped");
+            eprintln!("zmm_group_pass_matches_generic_w8_pass: no avx512f on this CPU, skipped");
             return;
         }
         let nl = random_dag(24, 600, 0x9e37_79b9_7f4a_7c15);
         let c = CompiledNetlist::compile(&nl);
         let keep: Vec<u32> = (c.len() as u32 - 16..c.len() as u32).collect();
         let width = c.input_nets().len();
+        // A clock inside the kept nets' settle range, so masks are mixed.
+        let clk = 0.6
+            * keep
+                .iter()
+                .map(|&k| c.static_bounds()[k as usize])
+                .fold(0.0, f64::max);
+        let factors = [0.9, 1.0, 1.25, 1.6];
+        let mut erring = 0;
         for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
             let mut zmm = SpecializedKernel::<8>::with_avx512(&program, true);
             let mut generic = SpecializedKernel::<8>::with_avx512(&program, false);
-            assert!(zmm.pair && !generic.zmm, "one pair pass, one generic pass");
+            assert!(
+                zmm.group && !generic.zmm,
+                "one group pass, one generic pass"
+            );
             let mut rng = 0x0dd_ba11u64;
             let mut flat = vec![false; 512 * width];
-            for count in [512usize, 301] {
+            let (mut zmm_masks, mut generic_masks) = (vec![0; 2048], vec![0; 2048]);
+            for count in [512usize, 301, 65, 2] {
                 for bit in flat.iter_mut() {
                     rng ^= rng << 13;
                     rng ^= rng >> 7;
                     rng ^= rng << 17;
                     *bit = rng & 1 == 1;
                 }
-                zmm.load_window(&flat[..count * width], count);
-                generic.load_window(&flat[..count * width], count);
+                let lanes = pack(&flat, width, count, 8);
+                zmm.load_window(&lanes, count);
+                generic.load_window(&lanes, count);
+                zmm.window_masks(clk, &factors, &mut zmm_masks);
+                generic.window_masks(clk, &factors, &mut generic_masks);
+                let used = (count - 1) * factors.len();
+                assert_eq!(
+                    zmm_masks[..used],
+                    generic_masks[..used],
+                    "window of {count}"
+                );
+                erring += zmm_masks[..used].iter().filter(|&&m| m != 0).count();
                 for t in 0..count - 1 {
                     zmm.select_transition(t);
                     generic.select_transition(t);
@@ -1250,6 +1429,7 @@ mod tests {
                 }
             }
         }
+        assert!(erring > 0, "the clock must make some transitions err");
     }
 
     #[test]

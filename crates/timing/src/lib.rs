@@ -60,7 +60,7 @@ mod sta;
 pub mod surrogate;
 mod vcd;
 
-pub use codegen::{DynProgram, Lanes, SettlePlan, SpecializedKernel};
+pub use codegen::{transpose64, DynProgram, Lanes, SettlePlan, SpecializedKernel};
 pub use derating::{
     overclock_factor, AgingModel, AlphaPowerLaw, DeratingModel, InterpolatedDerating,
     OperatingPoint, TemperatureModel, VoltageReduction,

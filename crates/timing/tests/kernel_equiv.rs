@@ -43,6 +43,19 @@ fn random_inputs(rng: &mut StdRng, n: usize) -> Vec<bool> {
     (0..n).map(|_| rng.gen()).collect()
 }
 
+/// Pack input vectors into the `W`-word lanes `load_window` takes:
+/// bit `v % 64` of word `k * W + v / 64` is input `k` of vector `v`.
+fn pack(vectors: &[Vec<bool>], w: usize) -> Vec<u64> {
+    let width = vectors.first().map_or(0, Vec::len);
+    let mut lanes = vec![0u64; width * w];
+    for (v, vector) in vectors.iter().enumerate() {
+        for (k, &bit) in vector.iter().enumerate() {
+            lanes[k * w + v / 64] |= u64::from(bit) << (v % 64);
+        }
+    }
+    lanes
+}
+
 fn assert_same(reference: &TwoVectorResult, got: &TwoVectorResult) -> Result<(), TestCaseError> {
     prop_assert_eq!(&got.prev, &reference.prev, "prev values");
     prop_assert_eq!(&got.cur, &reference.cur, "cur values");
@@ -130,6 +143,87 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `window_masks` must equal thresholding each selected
+    /// transition's kept settle times by hand, at every lane width and
+    /// at levels with derating factor at most 1 (which never err) and
+    /// above it, with random seam transitions masked off.
+    #[test]
+    fn prop_window_masks_match_selected_thresholds(
+        seed in any::<u64>(),
+        n_inputs in 1usize..10,
+        n_gates in 1usize..120,
+        stream_len in 2usize..700,
+        keep_stride in 1usize..4,
+        clk_pct in 10u32..100,
+    ) {
+        let nl = random_netlist(seed, n_inputs, n_gates);
+        let c = CompiledNetlist::compile(&nl);
+        let keep: Vec<u32> = (0..c.len() as u32).rev().step_by(keep_stride).take(64).collect();
+        let program = DynProgram::compacted(&c, &keep);
+        let bound = keep.iter().map(|&k| c.static_bounds()[k as usize]).fold(0.0, f64::max);
+        let clk = if bound > 0.0 { f64::from(clk_pct) / 100.0 * bound } else { 1.0 };
+        let factors = [0.5, 1.0, 1.0 + f64::EPSILON, 1.3, 2.0];
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(9));
+        let stream: Vec<Vec<bool>> =
+            (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
+        window_masks_match::<1>(&program, &keep, &stream, clk, &factors, &mut rng)?;
+        window_masks_match::<4>(&program, &keep, &stream, clk, &factors, &mut rng)?;
+        window_masks_match::<8>(&program, &keep, &stream, clk, &factors, &mut rng)?;
+    }
+}
+
+/// Walk `stream` in maximal windows of a `W`-lane kernel over
+/// `program`, dropping about one transition in eight as a seam, and
+/// check every window's masks against `select_transition` +
+/// `settle_of` thresholding of the kept nets.
+fn window_masks_match<const W: usize>(
+    program: &DynProgram,
+    keep: &[u32],
+    stream: &[Vec<bool>],
+    clk: f64,
+    factors: &[f64],
+    rng: &mut StdRng,
+) -> Result<(), TestCaseError> {
+    let mut engine = SpecializedKernel::<W>::new(program);
+    let mut masks = vec![0u64; W * 64 * factors.len()];
+    let mut start = 0usize;
+    while start + 1 < stream.len() {
+        let count = (stream.len() - start).min(W * 64);
+        let seams: Vec<u64> = (0..W)
+            .map(|_| rng.gen::<u64>() | rng.gen::<u64>() | rng.gen::<u64>())
+            .collect();
+        engine.set_window_keep_mask(&seams);
+        engine.load_window(&pack(&stream[start..start + count], W), count);
+        engine.window_masks(clk, factors, &mut masks);
+        for t in 0..count - 1 {
+            let row = &masks[t * factors.len()..(t + 1) * factors.len()];
+            if (seams[t / 64] >> (t % 64)) & 1 == 0 {
+                prop_assert!(row.iter().all(|&m| m == 0), "W={} seam {} erred", W, t);
+                continue;
+            }
+            engine.select_transition(t);
+            for (&k, &mask) in factors.iter().zip(row) {
+                let want = keep
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &net)| {
+                        engine.settle_of(NetId::from_index(net as usize)).min(clk) * k > clk
+                    })
+                    .fold(0u64, |m, (j, _)| m | 1 << j);
+                prop_assert_eq!(mask, want, "W={} t={} factor {}", W, t, k);
+                if k <= 1.0 {
+                    prop_assert_eq!(mask, 0, "factor {} cannot err", k);
+                }
+            }
+        }
+        start += count - 1;
+    }
+    Ok(())
+}
+
 /// Compare one selected transition of a table kernel against the
 /// `ArrivalSim` reference: the snapshot, and point queries on every net
 /// (settle times only where the plan keeps them exposed).
@@ -198,12 +292,9 @@ fn engine_matrix_matches<const W: usize>(
     let mut start = 0usize;
     while start + 1 < stream.len() {
         let count = (stream.len() - start).min(window).min(W * 64);
-        let flat: Vec<bool> = stream[start..start + count]
-            .iter()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        full.load_window(&flat, count);
-        compact.load_window(&flat, count);
+        let lanes = pack(&stream[start..start + count], W);
+        full.load_window(&lanes, count);
+        compact.load_window(&lanes, count);
         prop_assert_eq!(full.window_transitions(), count - 1);
         for t in 0..count - 1 {
             full.select_transition(t);
@@ -259,11 +350,7 @@ fn word_boundary_counts<const W: usize>(nl: &Netlist, program: &DynProgram, vect
     ];
     let mut k = SpecializedKernel::<W>::new(program);
     for count in COUNTS.into_iter().filter(|&n| n <= W * 64) {
-        let flat: Vec<bool> = vectors[..count]
-            .iter()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        k.load_window(&flat, count);
+        k.load_window(&pack(&vectors[..count], W), count);
         for t in 0..count - 1 {
             k.select_transition(t);
             let reference = ArrivalSim::run(nl, &vectors[t], &vectors[t + 1]);
