@@ -72,7 +72,7 @@ pub struct FpOp {
 
 impl FpOp {
     /// Construct an operation.
-    pub fn new(kind: FpOpKind, precision: Precision) -> Self {
+    pub const fn new(kind: FpOpKind, precision: Precision) -> Self {
         FpOp { kind, precision }
     }
 

@@ -2,9 +2,9 @@
 
 use crate::arch::{ArchState, ExitReason, FpEvent, RunResult, Trap};
 use crate::mem::Memory;
-use crate::sem;
-use tei_isa::{Instr, Program, Reg, Syscall, DEFAULT_MEM_BYTES};
-use tei_softfloat::FpuConfig;
+use crate::sem::{self, AluOp, Cond};
+use tei_isa::{FReg, Instr, Program, Reg, Syscall, DEFAULT_MEM_BYTES};
+use tei_softfloat::{FpOp, FpOpKind, FpuConfig, Precision};
 
 /// Instruction-accurate simulator: executes the program at maximum speed
 /// with no timing model. Used for golden runs, for the fast-forward
@@ -57,25 +57,19 @@ impl FuncCore {
 
     /// Execute one instruction. `fp_hook` observes every modeled FP
     /// operation and returns the (possibly corrupted) result bits to write
-    /// back — identity for fault-free runs.
+    /// back — identity for fault-free runs. Hot loops pass a closure and
+    /// get a monomorphic step; `&mut dyn FnMut` works as well.
+    ///
+    /// Every opcode has its own arm, so widths, signedness, ALU
+    /// operations and FPU operations are constants inside it.
     ///
     /// Returns `Ok(None)` to continue, `Ok(Some(exit))` on termination.
     ///
     /// # Errors
     ///
     /// Returns the trap on architectural exceptions.
-    pub fn step(
-        &mut self,
-        fp_hook: &mut dyn FnMut(&FpEvent) -> u64,
-    ) -> Result<Option<ExitReason>, Trap> {
-        self.step_with(fp_hook)
-    }
-
-    /// Monomorphic variant of [`FuncCore::step`]: hot loops (golden
-    /// fast-forward, checkpoint replay) instantiate it with an inline
-    /// closure, eliminating the per-FP-event dynamic dispatch.
     #[inline]
-    pub(crate) fn step_with<F: FnMut(&FpEvent) -> u64 + ?Sized>(
+    pub fn step<F: FnMut(&FpEvent) -> u64 + ?Sized>(
         &mut self,
         fp_hook: &mut F,
     ) -> Result<Option<ExitReason>, Trap> {
@@ -87,80 +81,69 @@ impl FuncCore {
         self.instructions += 1;
         let mut next = pc + 1;
         match i {
-            Add { rd, rs1, rs2 }
-            | Sub { rd, rs1, rs2 }
-            | And { rd, rs1, rs2 }
-            | Or { rd, rs1, rs2 }
-            | Xor { rd, rs1, rs2 }
-            | Sll { rd, rs1, rs2 }
-            | Srl { rd, rs1, rs2 }
-            | Sra { rd, rs1, rs2 }
-            | Slt { rd, rs1, rs2 }
-            | Sltu { rd, rs1, rs2 }
-            | Mul { rd, rs1, rs2 }
-            | Div { rd, rs1, rs2 }
-            | Rem { rd, rs1, rs2 } => {
-                let v = sem::int_op(&i, self.state.x(rs1), self.state.x(rs2));
+            Add { rd, rs1, rs2 } => self.alu_rr(AluOp::Add, rd, rs1, rs2),
+            Sub { rd, rs1, rs2 } => self.alu_rr(AluOp::Sub, rd, rs1, rs2),
+            And { rd, rs1, rs2 } => self.alu_rr(AluOp::And, rd, rs1, rs2),
+            Or { rd, rs1, rs2 } => self.alu_rr(AluOp::Or, rd, rs1, rs2),
+            Xor { rd, rs1, rs2 } => self.alu_rr(AluOp::Xor, rd, rs1, rs2),
+            Sll { rd, rs1, rs2 } => self.alu_rr(AluOp::Sll, rd, rs1, rs2),
+            Srl { rd, rs1, rs2 } => self.alu_rr(AluOp::Srl, rd, rs1, rs2),
+            Sra { rd, rs1, rs2 } => self.alu_rr(AluOp::Sra, rd, rs1, rs2),
+            Slt { rd, rs1, rs2 } => self.alu_rr(AluOp::Slt, rd, rs1, rs2),
+            Sltu { rd, rs1, rs2 } => self.alu_rr(AluOp::Sltu, rd, rs1, rs2),
+            Mul { rd, rs1, rs2 } => self.alu_rr(AluOp::Mul, rd, rs1, rs2),
+            Div { rd, rs1, rs2 } => self.alu_rr(AluOp::Div, rd, rs1, rs2),
+            Rem { rd, rs1, rs2 } => self.alu_rr(AluOp::Rem, rd, rs1, rs2),
+            // Arithmetic immediates sign-extend; logical immediates are
+            // zero-extended (OpenRISC convention).
+            Addi { rd, rs1, imm } => self.alu_ri(AluOp::Add, rd, rs1, imm as i64 as u64),
+            Slti { rd, rs1, imm } => self.alu_ri(AluOp::Slt, rd, rs1, imm as i64 as u64),
+            Andi { rd, rs1, imm } => self.alu_ri(AluOp::And, rd, rs1, imm as u16 as u64),
+            Ori { rd, rs1, imm } => self.alu_ri(AluOp::Or, rd, rs1, imm as u16 as u64),
+            Xori { rd, rs1, imm } => self.alu_ri(AluOp::Xor, rd, rs1, imm as u16 as u64),
+            Slli { rd, rs1, shamt } => self.alu_ri(AluOp::Sll, rd, rs1, shamt as u64),
+            Srli { rd, rs1, shamt } => self.alu_ri(AluOp::Srl, rd, rs1, shamt as u64),
+            Srai { rd, rs1, shamt } => self.alu_ri(AluOp::Sra, rd, rs1, shamt as u64),
+            Movhi { rd, imm } => self.state.set_x(rd, sem::movhi(imm)),
+            Ld { rd, rs1, off } => {
+                let v = self.load::<8>(rs1, off, false)?;
                 self.state.set_x(rd, v);
             }
-            Addi { rd, rs1, imm }
-            | Andi { rd, rs1, imm }
-            | Ori { rd, rs1, imm }
-            | Xori { rd, rs1, imm }
-            | Slti { rd, rs1, imm } => {
-                let b = match i {
-                    // Logical immediates are zero-extended; arithmetic
-                    // immediates sign-extend (OpenRISC convention).
-                    Andi { .. } | Ori { .. } | Xori { .. } => imm as u16 as u64,
-                    _ => imm as i64 as u64,
-                };
-                let v = sem::int_op(&i, self.state.x(rs1), b);
+            Lw { rd, rs1, off } => {
+                let v = self.load::<4>(rs1, off, true)?;
                 self.state.set_x(rd, v);
             }
-            Slli { rd, rs1, .. } | Srli { rd, rs1, .. } | Srai { rd, rs1, .. } => {
-                let v = sem::int_op(&i, self.state.x(rs1), 0);
+            Lwu { rd, rs1, off } => {
+                let v = self.load::<4>(rs1, off, false)?;
                 self.state.set_x(rd, v);
             }
-            Movhi { rd, .. } => {
-                let v = sem::int_op(&i, 0, 0);
+            Lb { rd, rs1, off } => {
+                let v = self.load::<1>(rs1, off, true)?;
                 self.state.set_x(rd, v);
             }
-            Ld { rd, rs1, off }
-            | Lw { rd, rs1, off }
-            | Lwu { rd, rs1, off }
-            | Lb { rd, rs1, off }
-            | Lbu { rd, rs1, off } => {
-                let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
-                let (w, _) = sem::mem_width(&i);
-                let raw = self.mem.load(addr, w)?;
-                self.state.set_x(rd, sem::extend_load(&i, raw));
+            Lbu { rd, rs1, off } => {
+                let v = self.load::<1>(rs1, off, false)?;
+                self.state.set_x(rd, v);
             }
-            Sd { rs2, rs1, off } | Sw { rs2, rs1, off } | Sb { rs2, rs1, off } => {
-                let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
-                let (w, _) = sem::mem_width(&i);
-                self.mem.store(addr, w, self.state.x(rs2))?;
+            Sd { rs2, rs1, off } => self.store::<8>(rs1, off, self.state.x(rs2))?,
+            Sw { rs2, rs1, off } => self.store::<4>(rs1, off, self.state.x(rs2))?,
+            Sb { rs2, rs1, off } => self.store::<1>(rs1, off, self.state.x(rs2))?,
+            Fld { fd, rs1, off } => {
+                let v = self.load::<8>(rs1, off, false)?;
+                self.state.set_f(fd, v);
             }
-            Fld { fd, rs1, off } | Flw { fd, rs1, off } => {
-                let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
-                let (w, _) = sem::mem_width(&i);
-                let raw = self.mem.load(addr, w)?;
-                self.state.set_f(fd, raw);
+            Flw { fd, rs1, off } => {
+                let v = self.load::<4>(rs1, off, false)?;
+                self.state.set_f(fd, v);
             }
-            Fsd { fs, rs1, off } | Fsw { fs, rs1, off } => {
-                let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
-                let (w, _) = sem::mem_width(&i);
-                self.mem.store(addr, w, self.state.f(fs))?;
-            }
-            Beq { rs1, rs2, off }
-            | Bne { rs1, rs2, off }
-            | Blt { rs1, rs2, off }
-            | Bge { rs1, rs2, off }
-            | Bltu { rs1, rs2, off }
-            | Bgeu { rs1, rs2, off } => {
-                if sem::branch_taken(&i, self.state.x(rs1), self.state.x(rs2)) {
-                    next = pc.wrapping_add(off as i64 as usize);
-                }
-            }
+            Fsd { fs, rs1, off } => self.store::<8>(rs1, off, self.state.f(fs))?,
+            Fsw { fs, rs1, off } => self.store::<4>(rs1, off, self.state.f(fs))?,
+            Beq { rs1, rs2, off } => next = self.branch(Cond::Eq, rs1, rs2, pc, off),
+            Bne { rs1, rs2, off } => next = self.branch(Cond::Ne, rs1, rs2, pc, off),
+            Blt { rs1, rs2, off } => next = self.branch(Cond::Lt, rs1, rs2, pc, off),
+            Bge { rs1, rs2, off } => next = self.branch(Cond::Ge, rs1, rs2, pc, off),
+            Bltu { rs1, rs2, off } => next = self.branch(Cond::Ltu, rs1, rs2, pc, off),
+            Bgeu { rs1, rs2, off } => next = self.branch(Cond::Geu, rs1, rs2, pc, off),
             Jal { rd, off } => {
                 self.state.set_x(rd, (pc + 1) as u64);
                 next = pc.wrapping_add(off as i64 as usize);
@@ -170,64 +153,52 @@ impl FuncCore {
                 self.state.set_x(rd, (pc + 1) as u64);
                 next = target as usize;
             }
-            FaddD { .. }
-            | FsubD { .. }
-            | FmulD { .. }
-            | FdivD { .. }
-            | FaddS { .. }
-            | FsubS { .. }
-            | FmulS { .. }
-            | FdivS { .. }
-            | FcvtDL { .. }
-            | FcvtSW { .. }
-            | FcvtLD { .. }
-            | FcvtWS { .. }
-            | FmvD { .. }
-            | FnegD { .. }
-            | FabsD { .. }
-            | FmvXD { .. }
-            | FmvDX { .. }
-            | FeqD { .. }
-            | FltD { .. }
-            | FleD { .. } => {
-                let (fa, fb, xa) = fp_sources(&self.state, &i);
-                let out = sem::fp_op(self.fpu_cfg, &i, fa, fb, xa);
-                if out.trap {
-                    // A trapping operation never writes back, so it is
-                    // neither counted nor visible to the injector.
-                    return Err(Trap::FpException);
-                }
-                let mut bits = out.bits;
-                if let Some(op) = out.modeled {
-                    let ev = FpEvent {
-                        index: self.fp_ops,
-                        op,
-                        a: out.operands.0,
-                        b: out.operands.1,
-                        result: bits,
-                    };
-                    self.fp_ops += 1;
-                    bits = fp_hook(&ev);
-                }
-                write_fp_dest(&mut self.state, &i, bits);
+            FaddD { fd, fs1, fs2 } => self.fp_rr(ADD_D, fd, fs1, fs2, fp_hook)?,
+            FsubD { fd, fs1, fs2 } => self.fp_rr(SUB_D, fd, fs1, fs2, fp_hook)?,
+            FmulD { fd, fs1, fs2 } => self.fp_rr(MUL_D, fd, fs1, fs2, fp_hook)?,
+            FdivD { fd, fs1, fs2 } => self.fp_rr(DIV_D, fd, fs1, fs2, fp_hook)?,
+            FaddS { fd, fs1, fs2 } => self.fp_rr(ADD_S, fd, fs1, fs2, fp_hook)?,
+            FsubS { fd, fs1, fs2 } => self.fp_rr(SUB_S, fd, fs1, fs2, fp_hook)?,
+            FmulS { fd, fs1, fs2 } => self.fp_rr(MUL_S, fd, fs1, fs2, fp_hook)?,
+            FdivS { fd, fs1, fs2 } => self.fp_rr(DIV_S, fd, fs1, fs2, fp_hook)?,
+            FcvtDL { fd, rs1 } => {
+                let v = self.fp_modeled(ITOF_D, self.state.x(rs1), 0, fp_hook)?;
+                self.state.set_f(fd, v);
             }
-            Ecall => match Syscall::from_u64(self.state.x(Reg::A7)) {
-                Some(Syscall::Exit) => {
-                    return Ok(Some(ExitReason::Exited(self.state.x(Reg::A0) as i64)))
+            FcvtSW { fd, rs1 } => {
+                let v = self.fp_modeled(ITOF_S, self.state.x(rs1), 0, fp_hook)?;
+                self.state.set_f(fd, v);
+            }
+            FcvtLD { rd, fs1 } => {
+                let v = self.fp_modeled(FTOI_D, self.state.f(fs1), 0, fp_hook)?;
+                self.state.set_x(rd, v);
+            }
+            FcvtWS { rd, fs1 } => {
+                let v = self.fp_modeled(FTOI_S, self.state.f(fs1) & LOW32, 0, fp_hook)?;
+                self.state.set_x(rd, v);
+            }
+            FmvD { fd, fs1 } => self.state.set_f(fd, self.state.f(fs1)),
+            FnegD { fd, fs1 } => self.state.set_f(fd, sem::fneg(self.state.f(fs1))),
+            FabsD { fd, fs1 } => self.state.set_f(fd, sem::fabs(self.state.f(fs1))),
+            FmvXD { rd, fs1 } => self.state.set_x(rd, self.state.f(fs1)),
+            FmvDX { fd, rs1 } => self.state.set_f(fd, self.state.x(rs1)),
+            FeqD { rd, fs1, fs2 } => {
+                let v = sem::feq(self.state.f(fs1), self.state.f(fs2));
+                self.state.set_x(rd, v);
+            }
+            FltD { rd, fs1, fs2 } => {
+                let v = sem::flt(self.state.f(fs1), self.state.f(fs2));
+                self.state.set_x(rd, v);
+            }
+            FleD { rd, fs1, fs2 } => {
+                let v = sem::fle(self.state.f(fs1), self.state.f(fs2));
+                self.state.set_x(rd, v);
+            }
+            Ecall => {
+                if let Some(exit) = self.ecall()? {
+                    return Ok(Some(exit));
                 }
-                Some(Syscall::PutByte) => {
-                    self.output.push(self.state.x(Reg::A0) as u8);
-                }
-                Some(Syscall::PutInt) => {
-                    let v = self.state.x(Reg::A0) as i64;
-                    self.output.extend_from_slice(v.to_string().as_bytes());
-                }
-                Some(Syscall::PutF64) => {
-                    let bits = self.state.f(tei_isa::FReg::F10);
-                    self.output.extend_from_slice(&bits.to_le_bytes());
-                }
-                None => return Err(Trap::BadSyscall(self.state.x(Reg::A7))),
-            },
+            }
             Halt => return Ok(Some(ExitReason::Halted)),
         }
         // Out-of-range targets (including falling off the end) trap at the
@@ -236,23 +207,130 @@ impl FuncCore {
         Ok(None)
     }
 
+    #[inline(always)]
+    fn alu_rr(&mut self, op: AluOp, rd: Reg, rs1: Reg, rs2: Reg) {
+        self.alu_ri(op, rd, rs1, self.state.x(rs2));
+    }
+
+    #[inline(always)]
+    fn alu_ri(&mut self, op: AluOp, rd: Reg, rs1: Reg, b: u64) {
+        let v = sem::alu(op, self.state.x(rs1), b);
+        self.state.set_x(rd, v);
+    }
+
+    /// Load `W` bytes from `rs1 + off`, extended per `signed`.
+    #[inline(always)]
+    fn load<const W: usize>(&self, rs1: Reg, off: i16, signed: bool) -> Result<u64, Trap> {
+        let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
+        Ok(sem::extend(self.mem.load_n::<W>(addr)?, W, signed))
+    }
+
+    /// Store the low `W` bytes of `value` at `rs1 + off`.
+    #[inline(always)]
+    fn store<const W: usize>(&mut self, rs1: Reg, off: i16, value: u64) -> Result<(), Trap> {
+        let addr = self.state.x(rs1).wrapping_add(off as i64 as u64);
+        Ok(self.mem.store_n::<W>(addr, value)?)
+    }
+
+    /// The next PC of a conditional branch at `pc`.
+    #[inline(always)]
+    fn branch(&self, c: Cond, rs1: Reg, rs2: Reg, pc: usize, off: i16) -> usize {
+        if sem::cond(c, self.state.x(rs1), self.state.x(rs2)) {
+            pc.wrapping_add(off as i64 as usize)
+        } else {
+            pc + 1
+        }
+    }
+
+    /// A two-source modeled FP operation; single precision reads the low
+    /// 32 bits of each source.
+    #[inline(always)]
+    fn fp_rr<F: FnMut(&FpEvent) -> u64 + ?Sized>(
+        &mut self,
+        op: FpOp,
+        fd: FReg,
+        fs1: FReg,
+        fs2: FReg,
+        fp_hook: &mut F,
+    ) -> Result<(), Trap> {
+        let mask = match op.precision {
+            Precision::Single => LOW32,
+            Precision::Double => u64::MAX,
+        };
+        let (a, b) = (self.state.f(fs1) & mask, self.state.f(fs2) & mask);
+        let v = self.fp_modeled(op, a, b, fp_hook)?;
+        self.state.set_f(fd, v);
+        Ok(())
+    }
+
+    /// Execute a modeled FP operation and pass its result through
+    /// `fp_hook`, returning the bits to write back.
+    #[inline(always)]
+    fn fp_modeled<F: FnMut(&FpEvent) -> u64 + ?Sized>(
+        &mut self,
+        op: FpOp,
+        a: u64,
+        b: u64,
+        fp_hook: &mut F,
+    ) -> Result<u64, Trap> {
+        let (result, trap) = sem::fp_modeled(self.fpu_cfg, op, a, b);
+        if trap {
+            // A trapping operation never writes back, so it is neither
+            // counted nor visible to the injector.
+            return Err(Trap::FpException);
+        }
+        let ev = FpEvent {
+            index: self.fp_ops,
+            op,
+            a,
+            b,
+            result,
+        };
+        self.fp_ops += 1;
+        Ok(fp_hook(&ev))
+    }
+
+    /// The environment services; `Ok(None)` continues.
+    #[inline(never)]
+    fn ecall(&mut self) -> Result<Option<ExitReason>, Trap> {
+        match Syscall::from_u64(self.state.x(Reg::A7)) {
+            Some(Syscall::Exit) => {
+                return Ok(Some(ExitReason::Exited(self.state.x(Reg::A0) as i64)))
+            }
+            Some(Syscall::PutByte) => {
+                self.output.push(self.state.x(Reg::A0) as u8);
+            }
+            Some(Syscall::PutInt) => {
+                let v = self.state.x(Reg::A0) as i64;
+                self.output.extend_from_slice(v.to_string().as_bytes());
+            }
+            Some(Syscall::PutF64) => {
+                let bits = self.state.f(FReg::F10);
+                self.output.extend_from_slice(&bits.to_le_bytes());
+            }
+            None => return Err(Trap::BadSyscall(self.state.x(Reg::A7))),
+        }
+        Ok(None)
+    }
+
     /// Run until termination or `max_steps`.
     pub fn run(&mut self, max_steps: u64) -> RunResult {
         self.run_with_hook(max_steps, &mut |ev: &FpEvent| ev.result)
     }
 
-    /// Run with an FP writeback hook (injection / tracing).
-    pub fn run_with_hook(
+    /// Run with an FP writeback hook (injection / tracing); see
+    /// [`FuncCore::step`].
+    pub fn run_with_hook<F: FnMut(&FpEvent) -> u64 + ?Sized>(
         &mut self,
         max_steps: u64,
-        fp_hook: &mut dyn FnMut(&FpEvent) -> u64,
+        fp_hook: &mut F,
     ) -> RunResult {
         let start = self.instructions;
         let exit = loop {
             if self.instructions - start >= max_steps {
                 break ExitReason::Limit;
             }
-            match self.step_with(fp_hook) {
+            match self.step(fp_hook) {
                 Ok(None) => {}
                 Ok(Some(exit)) => break exit,
                 Err(trap) => break ExitReason::Trapped(trap),
@@ -266,66 +344,26 @@ impl FuncCore {
     }
 }
 
-/// FP source register bits + integer source for an FP-domain instruction.
-#[inline(always)]
-pub(crate) fn fp_sources(state: &ArchState, i: &Instr) -> (u64, u64, u64) {
-    use Instr::*;
-    match *i {
-        FaddD { fs1, fs2, .. }
-        | FsubD { fs1, fs2, .. }
-        | FmulD { fs1, fs2, .. }
-        | FdivD { fs1, fs2, .. }
-        | FeqD { fs1, fs2, .. }
-        | FltD { fs1, fs2, .. }
-        | FleD { fs1, fs2, .. } => (state.f(fs1), state.f(fs2), 0),
-        FaddS { fs1, fs2, .. }
-        | FsubS { fs1, fs2, .. }
-        | FmulS { fs1, fs2, .. }
-        | FdivS { fs1, fs2, .. } => (state.f(fs1) & 0xffff_ffff, state.f(fs2) & 0xffff_ffff, 0),
-        FcvtLD { fs1, .. }
-        | FmvD { fs1, .. }
-        | FnegD { fs1, .. }
-        | FabsD { fs1, .. }
-        | FmvXD { fs1, .. } => (state.f(fs1), 0, 0),
-        FcvtWS { fs1, .. } => (state.f(fs1) & 0xffff_ffff, 0, 0),
-        FcvtDL { rs1, .. } | FcvtSW { rs1, .. } | FmvDX { rs1, .. } => (0, 0, state.x(rs1)),
-        ref other => panic!("fp_sources on {other}"),
-    }
-}
+/// Low-half mask: single-precision operands live in the low 32 bits.
+const LOW32: u64 = 0xffff_ffff;
 
-/// Write an FP-domain instruction's result to its destination register.
-#[inline(always)]
-pub(crate) fn write_fp_dest(state: &mut ArchState, i: &Instr, bits: u64) {
-    use Instr::*;
-    match *i {
-        FaddD { fd, .. }
-        | FsubD { fd, .. }
-        | FmulD { fd, .. }
-        | FdivD { fd, .. }
-        | FaddS { fd, .. }
-        | FsubS { fd, .. }
-        | FmulS { fd, .. }
-        | FdivS { fd, .. }
-        | FcvtDL { fd, .. }
-        | FcvtSW { fd, .. }
-        | FmvD { fd, .. }
-        | FnegD { fd, .. }
-        | FabsD { fd, .. }
-        | FmvDX { fd, .. } => state.set_f(fd, bits),
-        FcvtLD { rd, .. }
-        | FcvtWS { rd, .. }
-        | FmvXD { rd, .. }
-        | FeqD { rd, .. }
-        | FltD { rd, .. }
-        | FleD { rd, .. } => state.set_x(rd, bits),
-        ref other => panic!("write_fp_dest on {other}"),
-    }
-}
+const ADD_D: FpOp = FpOp::new(FpOpKind::Add, Precision::Double);
+const SUB_D: FpOp = FpOp::new(FpOpKind::Sub, Precision::Double);
+const MUL_D: FpOp = FpOp::new(FpOpKind::Mul, Precision::Double);
+const DIV_D: FpOp = FpOp::new(FpOpKind::Div, Precision::Double);
+const ITOF_D: FpOp = FpOp::new(FpOpKind::ItoF, Precision::Double);
+const FTOI_D: FpOp = FpOp::new(FpOpKind::FtoI, Precision::Double);
+const ADD_S: FpOp = FpOp::new(FpOpKind::Add, Precision::Single);
+const SUB_S: FpOp = FpOp::new(FpOpKind::Sub, Precision::Single);
+const MUL_S: FpOp = FpOp::new(FpOpKind::Mul, Precision::Single);
+const DIV_S: FpOp = FpOp::new(FpOpKind::Div, Precision::Single);
+const ITOF_S: FpOp = FpOp::new(FpOpKind::ItoF, Precision::Single);
+const FTOI_S: FpOp = FpOp::new(FpOpKind::FtoI, Precision::Single);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tei_isa::{FReg, ProgramBuilder};
+    use tei_isa::ProgramBuilder;
 
     #[test]
     fn computes_a_sum_loop() {

@@ -83,34 +83,77 @@ impl Memory {
         Ok(off as usize)
     }
 
-    /// Load `WIDTH` bytes little-endian.
+    /// Load `W` bytes little-endian (`W` ≤ 8), zero-extended.
     ///
     /// # Errors
     ///
     /// Faults when the access leaves the mapped range.
-    #[inline]
-    pub fn load(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
-        let off = self.offset(addr, width, false)?;
-        let mut v = 0u64;
-        for i in 0..width {
-            v |= (self.bytes[off + i] as u64) << (8 * i);
-        }
-        Ok(v)
+    #[inline(always)]
+    pub fn load_n<const W: usize>(&self, addr: u64) -> Result<u64, MemFault> {
+        let fault = MemFault { addr, store: false };
+        let off = usize::try_from(addr.wrapping_sub(DATA_BASE)).map_err(|_| fault)?;
+        // One range check: an `off + W` that wraps makes the range empty.
+        let src = self.bytes.get(off..off.wrapping_add(W)).ok_or(fault)?;
+        let mut le = [0u8; 8];
+        le[..W].copy_from_slice(src);
+        Ok(u64::from_le_bytes(le))
     }
 
-    /// Store the low `width` bytes of `value` little-endian.
+    /// Store the low `W` bytes of `value` little-endian (`W` ≤ 8).
     ///
     /// # Errors
     ///
     /// Faults when the access leaves the mapped range.
+    #[inline(always)]
+    pub fn store_n<const W: usize>(&mut self, addr: u64, value: u64) -> Result<(), MemFault> {
+        let fault = MemFault { addr, store: true };
+        let off = usize::try_from(addr.wrapping_sub(DATA_BASE)).map_err(|_| fault)?;
+        let dst = self.bytes.get_mut(off..off.wrapping_add(W)).ok_or(fault)?;
+        dst.copy_from_slice(&value.to_le_bytes()[..W]);
+        self.mark_dirty(off, W);
+        Ok(())
+    }
+
+    /// Load `width` bytes little-endian: [`Memory::load_n`] at a runtime
+    /// width of 1, 2, 4 or 8.
+    ///
+    /// # Errors
+    ///
+    /// Faults when the access leaves the mapped range.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other width.
+    #[inline]
+    pub fn load(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
+        match width {
+            1 => self.load_n::<1>(addr),
+            2 => self.load_n::<2>(addr),
+            4 => self.load_n::<4>(addr),
+            8 => self.load_n::<8>(addr),
+            _ => panic!("unsupported access width {width}"),
+        }
+    }
+
+    /// Store the low `width` bytes of `value` little-endian:
+    /// [`Memory::store_n`] at a runtime width of 1, 2, 4 or 8.
+    ///
+    /// # Errors
+    ///
+    /// Faults when the access leaves the mapped range.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other width.
     #[inline]
     pub fn store(&mut self, addr: u64, width: usize, value: u64) -> Result<(), MemFault> {
-        let off = self.offset(addr, width, true)?;
-        for i in 0..width {
-            self.bytes[off + i] = (value >> (8 * i)) as u8;
+        match width {
+            1 => self.store_n::<1>(addr, value),
+            2 => self.store_n::<2>(addr, value),
+            4 => self.store_n::<4>(addr, value),
+            8 => self.store_n::<8>(addr, value),
+            _ => panic!("unsupported access width {width}"),
         }
-        self.mark_dirty(off, width);
-        Ok(())
     }
 
     #[inline]

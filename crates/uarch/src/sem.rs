@@ -90,6 +90,65 @@ pub fn write_kind(i: &Instr) -> DestKind {
     }
 }
 
+/// An integer ALU operation: the semantics behind every integer
+/// register-register and register-immediate instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AluOp {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Sll,
+    Srl,
+    Sra,
+    Slt,
+    Sltu,
+    Mul,
+    Div,
+    Rem,
+}
+
+/// Integer ALU semantics. `a` is `rs1`; `b` is `rs2`, the
+/// already-extended immediate, or the shift amount.
+#[inline(always)]
+pub fn alu(op: AluOp, a: u64, b: u64) -> u64 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::And => a & b,
+        AluOp::Or => a | b,
+        AluOp::Xor => a ^ b,
+        AluOp::Sll => a.wrapping_shl((b & 63) as u32),
+        AluOp::Srl => a.wrapping_shr((b & 63) as u32),
+        AluOp::Sra => ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
+        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
+        AluOp::Sltu => (a < b) as u64,
+        AluOp::Mul => a.wrapping_mul(b),
+        // RISC-V semantics: division by zero yields all-ones / dividend.
+        AluOp::Div => {
+            if b == 0 {
+                u64::MAX
+            } else {
+                ((a as i64).wrapping_div(b as i64)) as u64
+            }
+        }
+        AluOp::Rem => {
+            if b == 0 {
+                a
+            } else {
+                ((a as i64).wrapping_rem(b as i64)) as u64
+            }
+        }
+    }
+}
+
+/// `movhi`: the zero-extended immediate in bits 16..32.
+#[inline(always)]
+pub fn movhi(imm: u16) -> u64 {
+    (imm as u64) << 16
+}
+
 /// Integer ALU semantics for register-register and immediate forms.
 /// `a` is `rs1`; `b` is `rs2` or the already-extended immediate.
 ///
@@ -99,38 +158,50 @@ pub fn write_kind(i: &Instr) -> DestKind {
 #[inline(always)]
 pub fn int_op(i: &Instr, a: u64, b: u64) -> u64 {
     use Instr::*;
-    match i {
-        Add { .. } | Addi { .. } => a.wrapping_add(b),
-        Sub { .. } => a.wrapping_sub(b),
-        And { .. } | Andi { .. } => a & b,
-        Or { .. } | Ori { .. } => a | b,
-        Xor { .. } | Xori { .. } => a ^ b,
-        Sll { .. } => a.wrapping_shl((b & 63) as u32),
-        Srl { .. } => a.wrapping_shr((b & 63) as u32),
-        Sra { .. } => ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
-        Slli { shamt, .. } => a.wrapping_shl(*shamt as u32),
-        Srli { shamt, .. } => a.wrapping_shr(*shamt as u32),
-        Srai { shamt, .. } => ((a as i64).wrapping_shr(*shamt as u32)) as u64,
-        Slt { .. } | Slti { .. } => ((a as i64) < (b as i64)) as u64,
-        Sltu { .. } => (a < b) as u64,
-        Mul { .. } => a.wrapping_mul(b),
-        // RISC-V semantics: division by zero yields all-ones / dividend.
-        Div { .. } => {
-            if b == 0 {
-                u64::MAX
-            } else {
-                ((a as i64).wrapping_div(b as i64)) as u64
-            }
-        }
-        Rem { .. } => {
-            if b == 0 {
-                a
-            } else {
-                ((a as i64).wrapping_rem(b as i64)) as u64
-            }
-        }
-        Movhi { imm, .. } => (*imm as u64) << 16,
+    let op = match *i {
+        Add { .. } | Addi { .. } => AluOp::Add,
+        Sub { .. } => AluOp::Sub,
+        And { .. } | Andi { .. } => AluOp::And,
+        Or { .. } | Ori { .. } => AluOp::Or,
+        Xor { .. } | Xori { .. } => AluOp::Xor,
+        Sll { .. } => AluOp::Sll,
+        Srl { .. } => AluOp::Srl,
+        Sra { .. } => AluOp::Sra,
+        Slli { shamt, .. } => return alu(AluOp::Sll, a, shamt as u64),
+        Srli { shamt, .. } => return alu(AluOp::Srl, a, shamt as u64),
+        Srai { shamt, .. } => return alu(AluOp::Sra, a, shamt as u64),
+        Slt { .. } | Slti { .. } => AluOp::Slt,
+        Sltu { .. } => AluOp::Sltu,
+        Mul { .. } => AluOp::Mul,
+        Div { .. } => AluOp::Div,
+        Rem { .. } => AluOp::Rem,
+        Movhi { imm, .. } => return movhi(imm),
         other => panic!("int_op on non-ALU instruction {other}"),
+    };
+    alu(op, a, b)
+}
+
+/// A branch condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cond {
+    Eq,
+    Ne,
+    Lt,
+    Ge,
+    Ltu,
+    Geu,
+}
+
+/// Branch condition semantics, given `rs1` and `rs2` values.
+#[inline(always)]
+pub fn cond(c: Cond, a: u64, b: u64) -> bool {
+    match c {
+        Cond::Eq => a == b,
+        Cond::Ne => a != b,
+        Cond::Lt => (a as i64) < (b as i64),
+        Cond::Ge => (a as i64) >= (b as i64),
+        Cond::Ltu => a < b,
+        Cond::Geu => a >= b,
     }
 }
 
@@ -142,15 +213,16 @@ pub fn int_op(i: &Instr, a: u64, b: u64) -> u64 {
 #[inline(always)]
 pub fn branch_taken(i: &Instr, a: u64, b: u64) -> bool {
     use Instr::*;
-    match i {
-        Beq { .. } => a == b,
-        Bne { .. } => a != b,
-        Blt { .. } => (a as i64) < (b as i64),
-        Bge { .. } => (a as i64) >= (b as i64),
-        Bltu { .. } => a < b,
-        Bgeu { .. } => a >= b,
+    let c = match i {
+        Beq { .. } => Cond::Eq,
+        Bne { .. } => Cond::Ne,
+        Blt { .. } => Cond::Lt,
+        Bge { .. } => Cond::Ge,
+        Bltu { .. } => Cond::Ltu,
+        Bgeu { .. } => Cond::Geu,
         other => panic!("branch_taken on {other}"),
-    }
+    };
+    cond(c, a, b)
 }
 
 /// Width in bytes and signedness of a load, or width of a store.
@@ -171,18 +243,21 @@ pub fn mem_width(i: &Instr) -> (usize, bool) {
     }
 }
 
+/// Sign- or zero-extend a `width`-byte loaded value.
+#[inline(always)]
+pub fn extend(raw: u64, width: usize, signed: bool) -> u64 {
+    match (signed, width) {
+        (true, 4) => raw as u32 as i32 as i64 as u64,
+        (true, 1) => raw as u8 as i8 as i64 as u64,
+        _ => raw,
+    }
+}
+
 /// Sign/zero-extend a loaded value per the load instruction.
 #[inline(always)]
 pub fn extend_load(i: &Instr, raw: u64) -> u64 {
     let (w, signed) = mem_width(i);
-    if !signed {
-        return raw;
-    }
-    match w {
-        4 => raw as u32 as i32 as i64 as u64,
-        1 => raw as u8 as i8 as i64 as u64,
-        _ => raw,
-    }
+    extend(raw, w, signed)
 }
 
 /// Result of a floating-point-domain instruction.
@@ -190,21 +265,70 @@ pub fn extend_load(i: &Instr, raw: u64) -> u64 {
 pub struct FpOutcome {
     /// Raw result bits (destination register value).
     pub bits: u64,
-    /// The modeled FPU operation, if this was one of the twelve.
-    pub modeled: Option<FpOp>,
-    /// Raw operand bits as seen by the FPU (`a`, `b`).
-    pub operands: (u64, u64),
     /// True if the operation raised invalid/div-by-zero (traps enabled).
     pub trap: bool,
 }
 
+/// One modeled FPU operation on raw operand bits: the result bits and
+/// whether it raised invalid or div-by-zero (traps enabled).
+///
+/// The host FPU answers through [`apply_fast`] when its guard proves the
+/// result bit-identical to softfloat; softfloat answers otherwise, out
+/// of line, so a constant `op` folds the fast path into its caller.
+#[inline(always)]
+pub fn fp_modeled(cfg: FpuConfig, op: FpOp, a: u64, b: u64) -> (u64, bool) {
+    match apply_fast(op, a, b) {
+        Some(bits) => (bits, false),
+        None => fp_softfloat(cfg, op, a, b),
+    }
+}
+
+/// The softfloat path of [`fp_modeled`]: special operands, tiny or huge
+/// results, and every trap.
+#[cold]
+#[inline(never)]
+fn fp_softfloat(cfg: FpuConfig, op: FpOp, a: u64, b: u64) -> (u64, bool) {
+    let mut flags = Flags::default();
+    let bits = apply_op(op, a, b, cfg, &mut flags);
+    (bits, flags.invalid || flags.div_by_zero)
+}
+
+const SIGN: u64 = 1 << 63;
+
+/// `fneg.d`: flip the sign bit.
+#[inline(always)]
+pub fn fneg(a: u64) -> u64 {
+    a ^ SIGN
+}
+
+/// `fabs.d`: clear the sign bit.
+#[inline(always)]
+pub fn fabs(a: u64) -> u64 {
+    a & !SIGN
+}
+
+/// `feq.d` (quiet: NaN compares unequal and never traps).
+#[inline(always)]
+pub fn feq(a: u64, b: u64) -> u64 {
+    (f64::from_bits(a) == f64::from_bits(b)) as u64
+}
+
+/// `flt.d` (false on NaN, no trap).
+#[inline(always)]
+pub fn flt(a: u64, b: u64) -> u64 {
+    (f64::from_bits(a) < f64::from_bits(b)) as u64
+}
+
+/// `fle.d` (false on NaN, no trap).
+#[inline(always)]
+pub fn fle(a: u64, b: u64) -> u64 {
+    (f64::from_bits(a) <= f64::from_bits(b)) as u64
+}
+
 /// Execute an FP-domain instruction (arithmetic, conversion, move,
 /// compare). `fa`/`fb` are the FP source register bits; `xa` is the integer
-/// source value (conversions and `fmv.d.x`).
-///
-/// Modeled operations take the host FPU through [`apply_fast`] when its
-/// guard proves the result bit-identical to softfloat, and softfloat
-/// otherwise.
+/// source value (conversions and `fmv.d.x`). Modeled operations go
+/// through [`fp_modeled`].
 ///
 /// # Panics
 ///
@@ -212,8 +336,7 @@ pub struct FpOutcome {
 #[inline(always)]
 pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome {
     use Instr::*;
-    let modeled = i.fp_op();
-    if let Some(op) = modeled {
+    if let Some(op) = i.fp_op() {
         // Operand mapping: conversions take the integer or float operand
         // in `a`; binaries take (fa, fb). Single precision uses low bits.
         let (a, b) = match i {
@@ -221,38 +344,20 @@ pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome 
             FcvtLD { .. } | FcvtWS { .. } => (fa, 0),
             _ => (fa, fb),
         };
-        let (bits, trap) = match apply_fast(op, a, b) {
-            Some(bits) => (bits, false),
-            None => {
-                let mut flags = Flags::default();
-                let bits = apply_op(op, a, b, cfg, &mut flags);
-                (bits, flags.invalid || flags.div_by_zero)
-            }
-        };
-        return FpOutcome {
-            bits,
-            modeled,
-            operands: (a, b),
-            trap,
-        };
+        let (bits, trap) = fp_modeled(cfg, op, a, b);
+        return FpOutcome { bits, trap };
     }
     let bits = match i {
-        FmvD { .. } => fa,
-        FnegD { .. } => fa ^ (1u64 << 63),
-        FabsD { .. } => fa & !(1u64 << 63),
-        FmvXD { .. } => fa,
+        FmvD { .. } | FmvXD { .. } => fa,
+        FnegD { .. } => fneg(fa),
+        FabsD { .. } => fabs(fa),
         FmvDX { .. } => xa,
-        FeqD { .. } => (f64::from_bits(fa) == f64::from_bits(fb)) as u64,
-        FltD { .. } => (f64::from_bits(fa) < f64::from_bits(fb)) as u64,
-        FleD { .. } => (f64::from_bits(fa) <= f64::from_bits(fb)) as u64,
+        FeqD { .. } => feq(fa, fb),
+        FltD { .. } => flt(fa, fb),
+        FleD { .. } => fle(fa, fb),
         other => panic!("fp_op on {other}"),
     };
-    FpOutcome {
-        bits,
-        modeled: None,
-        operands: (fa, fb),
-        trap: false,
-    }
+    FpOutcome { bits, trap: false }
 }
 
 #[cfg(test)]
@@ -326,7 +431,6 @@ mod tests {
         };
         let out = fp_op(cfg, &mul, 2.5f64.to_bits(), 4.0f64.to_bits(), 0);
         assert_eq!(f64::from_bits(out.bits), 10.0);
-        assert!(out.modeled.is_some());
         assert!(!out.trap);
         // 0/0 raises invalid → trap.
         let div = Instr::FdivD {
@@ -344,7 +448,7 @@ mod tests {
         };
         let out = fp_op(cfg, &feq, f64::NAN.to_bits(), 1.0f64.to_bits(), 0);
         assert_eq!(out.bits, 0);
-        assert!(out.modeled.is_none());
+        assert!(!out.trap);
     }
 
     #[test]

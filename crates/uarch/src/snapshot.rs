@@ -311,15 +311,8 @@ impl CheckpointPool {
         };
 
         // Phase 1: hook-free fast-forward to the target FP index.
-        while core.fp_ops < target_fp {
-            if core.instructions >= step_budget {
-                return finish(core, ExitReason::Limit, false);
-            }
-            match core.step_with(&mut |ev: &FpEvent| ev.result) {
-                Ok(None) => {}
-                Ok(Some(exit)) => return finish(core, exit, false),
-                Err(trap) => return finish(core, ExitReason::Trapped(trap), false),
-            }
+        if let Err(exit) = run_to_fp(core, target_fp, step_budget) {
+            return finish(core, exit, false);
         }
 
         // Phase 2: step until the target event fires and corrupt it.
@@ -328,7 +321,7 @@ impl CheckpointPool {
             if core.instructions >= step_budget {
                 return finish(core, ExitReason::Limit, false);
             }
-            let step = core.step_with(&mut |ev: &FpEvent| {
+            let step = core.step(&mut |ev: &FpEvent| {
                 debug_assert_eq!(ev.index, target_fp, "fast-forward overshot the target");
                 fired = true;
                 ev.result ^ mask
@@ -340,36 +333,56 @@ impl CheckpointPool {
             }
         }
 
-        // Phase 3: run on, watching for re-convergence with the golden
-        // checkpoints downstream of the injection.
-        let mut cursor = snaps.partition_point(|s| s.fp_ops <= target_fp);
-        loop {
+        // Phase 3: run on from checkpoint to checkpoint downstream of the
+        // injection, testing for re-convergence at the first instruction
+        // boundary at each one's FP count (FP counts rise by at most one
+        // per instruction, so none is skipped).
+        let downstream = snaps.partition_point(|s| s.fp_ops <= target_fp);
+        for s in &snaps[downstream..] {
+            if let Err(exit) = run_to_fp(core, s.fp_ops, step_budget) {
+                return finish(core, exit, true);
+            }
             if core.instructions >= step_budget {
                 return finish(core, ExitReason::Limit, true);
             }
-            if cursor < snaps.len() && core.fp_ops == snaps[cursor].fp_ops {
-                let s = &snaps[cursor];
-                cursor += 1;
-                if core.state == s.state
-                    && core.mem.pages_match(&s.dirty, &s.pages, &self.inner.base)
-                {
-                    return InjectedRun {
-                        exit: InjectedExit::Converged {
-                            output_matches: core.output == s.output,
-                            instructions: core.instructions,
-                            checkpoint_instructions: s.instructions,
-                        },
-                        fired: true,
-                    };
-                }
-            }
-            match core.step_with(&mut |ev: &FpEvent| ev.result) {
-                Ok(None) => {}
-                Ok(Some(exit)) => return finish(core, exit, true),
-                Err(trap) => return finish(core, ExitReason::Trapped(trap), true),
+            if core.state == s.state && core.mem.pages_match(&s.dirty, &s.pages, &self.inner.base) {
+                return InjectedRun {
+                    exit: InjectedExit::Converged {
+                        output_matches: core.output == s.output,
+                        instructions: core.instructions,
+                        checkpoint_instructions: s.instructions,
+                    },
+                    fired: true,
+                };
             }
         }
+        let Err(exit) = run_to_fp(core, u64::MAX, step_budget) else {
+            unreachable!("the FP count cannot reach u64::MAX");
+        };
+        finish(core, exit, true)
     }
+}
+
+/// Step `core` hook-free until it has retired `fp_stop` FP operations;
+/// `Err` carries the exit if the run ends (or spends `step_budget`)
+/// first.
+///
+/// Out of line on purpose: one copy, with the step inlined into its
+/// loop, serves all three call sites. Inlined at each of them, the step
+/// itself stopped being inlined and replays ran about 15 % slower.
+#[inline(never)]
+fn run_to_fp(core: &mut FuncCore, fp_stop: u64, step_budget: u64) -> Result<(), ExitReason> {
+    while core.fp_ops < fp_stop {
+        if core.instructions >= step_budget {
+            return Err(ExitReason::Limit);
+        }
+        match core.step(&mut |ev: &FpEvent| ev.result) {
+            Ok(None) => {}
+            Ok(Some(exit)) => return Err(exit),
+            Err(trap) => return Err(ExitReason::Trapped(trap)),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

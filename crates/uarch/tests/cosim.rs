@@ -3,40 +3,199 @@
 
 mod support;
 
-use support::{random_program, sweep_configs};
+use std::collections::HashSet;
+use support::{random_program, random_program_every_op, sweep_configs};
 use tei_isa::{FReg, Program, ProgramBuilder, Reg, Syscall, DATA_BASE};
-use tei_uarch::{ExitReason, FuncCore, OooConfig, OooCore};
+use tei_uarch::{ArchState, ExitReason, FuncCore, Memory, OooConfig, OooCore, RunResult, Trap};
 
-fn cosim(seed: u64) {
-    let prog = random_program(seed, 40, 30);
-    let mut func = FuncCore::with_memory(&prog, 1 << 20);
+/// Run `prog` on both cores and require identical architectural results.
+fn cosim(prog: &Program, what: &str) -> ExitReason {
+    let mut func = FuncCore::with_memory(prog, 1 << 20);
     let fr = func.run(2_000_000);
-    let mut ooo = OooCore::with_memory(&prog, OooConfig::default(), 1 << 20);
+    let mut ooo = OooCore::with_memory(prog, OooConfig::default(), 1 << 20);
     let or = ooo.run(20_000_000);
-    assert_eq!(fr.exit, or.exit, "seed {seed}: exit reasons differ");
+    assert_eq!(fr.exit, or.exit, "{what}: exit reasons differ");
     assert_eq!(
         fr.instructions, or.instructions,
-        "seed {seed}: committed instruction counts differ"
+        "{what}: committed instruction counts differ"
     );
-    assert_eq!(fr.fp_ops, or.fp_ops, "seed {seed}: fp op counts differ");
-    assert_eq!(func.output, ooo.output, "seed {seed}: outputs differ");
+    assert_eq!(fr.fp_ops, or.fp_ops, "{what}: fp op counts differ");
+    assert_eq!(func.output, ooo.output, "{what}: outputs differ");
     // Full register-file comparison.
     for i in 0..32 {
         let r = Reg::new(i);
-        assert_eq!(func.state.x(r), ooo.state.x(r), "seed {seed}: x{i}");
+        assert_eq!(func.state.x(r), ooo.state.x(r), "{what}: x{i}");
         let f = FReg::new(i);
-        assert_eq!(func.state.f(f), ooo.state.f(f), "seed {seed}: f{i}");
+        assert_eq!(func.state.f(f), ooo.state.f(f), "{what}: f{i}");
     }
     // Scratch memory comparison.
     let a = func.mem.read_block(DATA_BASE, 512).unwrap();
     let b = ooo.mem.read_block(DATA_BASE, 512).unwrap();
-    assert_eq!(a, b, "seed {seed}: memory differs");
+    assert_eq!(a, b, "{what}: memory differs");
+    fr.exit
 }
 
 #[test]
 fn cosim_many_random_programs() {
     for seed in 0..25 {
-        cosim(seed);
+        cosim(&random_program(seed, 40, 30), &format!("seed {seed}"));
+    }
+}
+
+/// Number of `Instr` variants; the every-op generator must emit each.
+const INSTR_VARIANTS: usize = 64;
+
+#[test]
+fn cosim_every_instruction_kind() {
+    let mut kinds = HashSet::new();
+    let mut finished = 0;
+    let seeds = 0..40u64;
+    for seed in seeds.clone() {
+        let prog = random_program_every_op(seed, 60, 25);
+        kinds.extend(prog.text.iter().map(std::mem::discriminant));
+        let exit = cosim(&prog, &format!("every-op seed {seed}"));
+        finished += matches!(exit, ExitReason::Halted | ExitReason::Exited(_)) as usize;
+    }
+    assert_eq!(
+        kinds.len(),
+        INSTR_VARIANTS,
+        "some Instr variant is never emitted"
+    );
+    assert!(
+        finished * 10 >= seeds.count() * 9,
+        "only {finished} every-op programs ran to their end"
+    );
+}
+
+/// Both cores' run result, last eight memory bytes and final state.
+fn run_both(prog: &Program, mem: usize) -> [(RunResult, Vec<u8>, ArchState); 2] {
+    let tail = |m: &Memory| {
+        m.read_block(DATA_BASE + mem as u64 - 8, 8)
+            .unwrap()
+            .to_vec()
+    };
+    let mut func = FuncCore::with_memory(prog, mem);
+    let fr = func.run(10_000);
+    let mut ooo = OooCore::with_memory(prog, OooConfig::default(), mem);
+    let or = ooo.run(1_000_000);
+    [
+        (fr, tail(&func.mem), func.state),
+        (or, tail(&ooo.mem), ooo.state),
+    ]
+}
+
+#[test]
+fn accesses_straddling_the_memory_edges_fault_identically() {
+    const MEM: usize = 1 << 16;
+    let end = DATA_BASE + MEM as u64;
+    type Access = fn(&mut ProgramBuilder);
+    // (access at 0(t0), width, is a store)
+    let cases: [(Access, u64, bool); 14] = [
+        (|p| p.lb(Reg::T1, 0, Reg::T0), 1, false),
+        (|p| p.lbu(Reg::T1, 0, Reg::T0), 1, false),
+        (|p| p.sb(Reg::T2, 0, Reg::T0), 1, true),
+        (|p| p.lw(Reg::T1, 0, Reg::T0), 4, false),
+        (|p| p.lwu(Reg::T1, 0, Reg::T0), 4, false),
+        (|p| p.sw(Reg::T2, 0, Reg::T0), 4, true),
+        (|p| p.flw(FReg::F1, 0, Reg::T0), 4, false),
+        (|p| p.fsw(FReg::F2, 0, Reg::T0), 4, true),
+        (|p| p.ld(Reg::T1, 0, Reg::T0), 8, false),
+        (|p| p.sd(Reg::T2, 0, Reg::T0), 8, true),
+        (|p| p.fld(FReg::F1, 0, Reg::T0), 8, false),
+        (|p| p.fsd(FReg::F2, 0, Reg::T0), 8, true),
+        // A wide access starting below the base wraps, and faults too.
+        (|p| p.ld(Reg::T1, 0, Reg::T0), 0, false),
+        (|p| p.sw(Reg::T2, 0, Reg::T0), 0, true),
+    ];
+    for (access, width, store) in cases {
+        // Half the access lies past the end (a 1-byte one starts just
+        // past it); width 0 marks the below-base cases.
+        let addr = match width {
+            0 => DATA_BASE - 2,
+            1 => end,
+            w => end - w / 2,
+        };
+        let mut p = ProgramBuilder::new();
+        p.li(Reg::T2, -1);
+        p.fmv_d_x(FReg::F2, Reg::T2);
+        p.li(Reg::T1, 0x5a);
+        p.fmv_d_x(FReg::F1, Reg::T1);
+        p.li(Reg::T0, (end - 8) as i64);
+        p.li(Reg::T3, 0x0102_0304_0506_0708);
+        p.sd(Reg::T3, 0, Reg::T0);
+        p.li(Reg::T0, addr as i64);
+        access(&mut p);
+        p.halt();
+        let prog = p.finish();
+        let what = format!("width {width} store {store} at {addr:#x}");
+        let expected = ExitReason::Trapped(Trap::Mem { addr, store });
+        let runs = run_both(&prog, MEM);
+        assert_eq!(runs[0].0, runs[1].0, "{what}: run results differ");
+        for (core, (r, tail, state)) in ["functional", "detailed"].iter().zip(runs) {
+            assert_eq!(r.exit, expected, "{core}: {what}");
+            assert_eq!(
+                tail,
+                0x0102_0304_0506_0708u64.to_le_bytes(),
+                "{core}: {what} wrote part of the access"
+            );
+            assert_eq!(
+                state.x(Reg::T1),
+                0x5a,
+                "{core}: {what} wrote its destination"
+            );
+            assert_eq!(
+                state.f(FReg::F1),
+                0x5a,
+                "{core}: {what} wrote its destination"
+            );
+        }
+    }
+}
+
+#[test]
+fn fp_zero_by_zero_traps_before_writeback_in_both_precisions() {
+    type Div = fn(&mut ProgramBuilder);
+    let divs: [(&str, Div); 2] = [
+        ("fdiv.d", |p| p.fdiv_d(FReg::F3, FReg::F1, FReg::F1)),
+        ("fdiv.s", |p| p.fdiv_s(FReg::F3, FReg::F1, FReg::F1)),
+    ];
+    for (name, div) in divs {
+        let mut p = ProgramBuilder::new();
+        p.fli(FReg::F1, 0.0, Reg::T0);
+        p.fli(FReg::F2, 1.5, Reg::T0);
+        p.fli(FReg::F3, 7.0, Reg::T0);
+        p.fadd_d(FReg::F4, FReg::F2, FReg::F2);
+        div(&mut p);
+        p.halt();
+        let prog = p.finish();
+        let trap = ExitReason::Trapped(Trap::FpException);
+
+        let mut func = FuncCore::with_memory(&prog, 1 << 16);
+        let mut seen = Vec::new();
+        let fr = func.run_with_hook(1000, &mut |ev| {
+            seen.push(ev.op);
+            ev.result
+        });
+        assert_eq!(fr.exit, trap, "{name}: functional");
+        assert_eq!(fr.fp_ops, 1, "{name}: the trapping op is not counted");
+        assert_eq!(seen.len(), 1, "{name}: the injector never sees it");
+        assert_eq!(
+            func.state.f(FReg::F3),
+            7.0f64.to_bits(),
+            "{name}: written back"
+        );
+
+        let mut ooo = OooCore::with_memory(&prog, OooConfig::default(), 1 << 16);
+        let or = ooo.run_with_hook(100_000, &mut |ev| ev.result);
+        assert_eq!(or.exit, trap, "{name}: detailed");
+        assert_eq!(or.fp_ops, 1, "{name}: detailed counts it");
+        assert_eq!(
+            ooo.state.f(FReg::F3),
+            7.0f64.to_bits(),
+            "{name}: detailed wrote back"
+        );
+        let committed = ooo.fp_timeline.iter().filter(|e| e.arch_index.is_some());
+        assert_eq!(committed.count(), 1, "{name}: detailed timeline");
     }
 }
 
@@ -168,19 +327,23 @@ fn cosim_across_microarchitectural_configs() {
     let configs = sweep_configs();
     for (ci, cfg) in configs.into_iter().enumerate() {
         for seed in [3u64, 14] {
-            let prog = random_program(seed, 30, 20);
-            let mut func = FuncCore::with_memory(&prog, 1 << 20);
-            let fr = func.run(2_000_000);
-            let mut ooo = OooCore::with_memory(&prog, cfg.clone(), 1 << 20);
-            let or = ooo.run(50_000_000);
-            assert_eq!(fr.exit, or.exit, "config {ci} seed {seed}");
-            assert_eq!(func.output, ooo.output, "config {ci} seed {seed}");
-            for i in 0..32 {
-                assert_eq!(
-                    func.state.x(Reg::new(i)),
-                    ooo.state.x(Reg::new(i)),
-                    "config {ci} seed {seed} x{i}"
-                );
+            for prog in [
+                random_program(seed, 30, 20),
+                random_program_every_op(seed, 50, 15),
+            ] {
+                let mut func = FuncCore::with_memory(&prog, 1 << 20);
+                let fr = func.run(2_000_000);
+                let mut ooo = OooCore::with_memory(&prog, cfg.clone(), 1 << 20);
+                let or = ooo.run(50_000_000);
+                assert_eq!(fr.exit, or.exit, "config {ci} seed {seed}");
+                assert_eq!(func.output, ooo.output, "config {ci} seed {seed}");
+                for i in 0..32 {
+                    assert_eq!(
+                        func.state.x(Reg::new(i)),
+                        ooo.state.x(Reg::new(i)),
+                        "config {ci} seed {seed} x{i}"
+                    );
+                }
             }
         }
     }
