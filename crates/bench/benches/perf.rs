@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tei_fpu::{FpuTimingSpec, FpuUnit};
+use tei_fpu::{short_tag, FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
 use tei_timing::{ArrivalSim, EventSim, FanoutTable, TwoVectorResult, VoltageReduction};
 use tei_uarch::{FuncCore, OooConfig, OooCore};
@@ -122,14 +122,20 @@ fn bench_ooo_core(c: &mut Criterion) {
     group.finish();
 }
 
-/// FPU unit generation + calibration cost.
+/// FPU unit generation + calibration cost: the two costliest double
+/// units alone, then the whole twelve-unit bank as the toolflow builds
+/// it (`dev::default_bank`, ops on `TEI_THREADS` workers).
 fn bench_unit_generation(c: &mut Criterion) {
     let spec = FpuTimingSpec::paper_calibrated();
     let mut group = c.benchmark_group("generation");
     group.sample_size(10);
-    group.bench_function("generate_fp_add_d", |b| {
-        b.iter(|| FpuUnit::generate(FpOp::new(FpOpKind::Add, Precision::Double), &spec));
-    });
+    for kind in [FpOpKind::Mul, FpOpKind::Div] {
+        let op = FpOp::new(kind, Precision::Double);
+        group.bench_function(CritId::from_parameter(short_tag(op)), |b| {
+            b.iter(|| FpuUnit::generate(op, &spec));
+        });
+    }
+    group.bench_function("default_bank", |b| b.iter(tei_core::dev::default_bank));
     group.finish();
 }
 

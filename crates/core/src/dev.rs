@@ -1245,14 +1245,15 @@ pub struct DaCalibration {
 
 /// Map `f` over all twelve operation types, distributing ops to up to
 /// `TEI_THREADS` scoped worker threads through a shared work queue.
-/// Results come back in op order regardless of completion order, so
-/// callers folding them stay deterministic. Workers run their campaigns
-/// serially (pass `threads = 1` down) to avoid oversubscription.
+/// Results come back in op order regardless of completion order. Only
+/// bank generation ([`default_bank`]) uses it: unit generation is serial
+/// per op, so ops are the one level of parallelism there. DTA campaigns
+/// parallelize inside each op instead (chunk workers), so model
+/// development walks the ops in order.
 ///
 /// A worker that panics (or a slot left unfilled) surfaces as
-/// [`TeiError::WorkerPool`] instead of tearing the process down, so model
-/// development failures are reportable by the campaign orchestrator.
-pub(crate) fn per_op_parallel<T, F>(f: F) -> Result<Vec<T>, TeiError>
+/// [`TeiError::WorkerPool`] instead of tearing the process down.
+fn per_op_parallel<T, F>(f: F) -> Result<Vec<T>, TeiError>
 where
     T: Send,
     F: Fn(FpOp) -> T + Sync,
@@ -1294,11 +1295,11 @@ where
 
 /// Calibrate the DA model's fixed ER from pooled traces: the average
 /// instruction error ratio over the mixed stream. Per-op campaigns run
-/// on parallel worker threads; totals fold in op order.
+/// in op order, each on `TEI_THREADS` chunk workers.
 ///
 /// # Errors
 ///
-/// [`TeiError::WorkerPool`] when the per-op worker pool fails.
+/// [`TeiError::WorkerPool`] when a campaign worker fails.
 pub fn calibrate_da(
     bank: &FpuBank,
     spec: &FpuTimingSpec,
@@ -1306,25 +1307,23 @@ pub fn calibrate_da(
     levels: &[VoltageReduction],
     per_op_cap: usize,
 ) -> Result<DaCalibration, TeiError> {
-    let per_op: Vec<Result<Option<Vec<OpErrorStats>>, TeiError>> = per_op_parallel(|op| {
+    let threads = config::default_threads();
+    let mut totals = vec![(0u64, 0u64); levels.len()]; // (faulty, samples)
+    for op in FpOp::all() {
         let trace = pooled.of(op);
         if trace.len() < 2 {
-            return Ok(None);
+            continue;
         }
         let take = trace.len().min(per_op_cap);
-        dta_campaign_tuned(
+        let stats = dta_campaign_tuned(
             bank.unit(op),
             &trace[..take],
             spec.clk,
             levels,
-            1,
+            threads,
             DtaTuning::default(),
-        )
-        .map(Some)
-    })?;
-    let mut totals = vec![(0u64, 0u64); levels.len()]; // (faulty, samples)
-    for stats in per_op {
-        for (t, s) in totals.iter_mut().zip(&stats?.unwrap_or_default()) {
+        )?;
+        for (t, s) in totals.iter_mut().zip(&stats) {
             t.0 += s.faulty;
             t.1 += s.samples;
         }

@@ -6,9 +6,9 @@
 // (clippy.toml bans the panicking extractors here).
 #![deny(clippy::disallowed_methods)]
 
+use crate::config;
 use crate::dev::{
-    dta_campaign_tuned, per_op_parallel, random_operand_pairs, DaCalibration, DtaTuning,
-    OpErrorStats, TraceSet,
+    dta_campaign_tuned, random_operand_pairs, DaCalibration, DtaTuning, OpErrorStats, TraceSet,
 };
 use crate::error::TeiError;
 use rand::Rng;
@@ -235,15 +235,16 @@ impl StatModel {
     }
 
     /// Build the instruction-aware model: DTA over uniformly random
-    /// operands per instruction type (paper Section IV.C.2). Per-op
-    /// campaigns are distributed over worker threads; the stats come
-    /// back in op order, so the model is thread-count independent.
+    /// operands per instruction type (paper Section IV.C.2). The ops run
+    /// one after another in [`FpOp::all`] order, each campaign split
+    /// across `TEI_THREADS` chunk workers, so the model is
+    /// thread-count independent.
     ///
     /// # Errors
     ///
     /// [`TeiError::EmptyDta`] when a per-op campaign yields no stats for
-    /// the requested VR level, [`TeiError::WorkerPool`] if the worker
-    /// pool fails.
+    /// the requested VR level, [`TeiError::WorkerPool`] if a campaign
+    /// worker fails.
     pub fn instruction_aware(
         bank: &FpuBank,
         spec: &FpuTimingSpec,
@@ -251,24 +252,9 @@ impl StatModel {
         samples_per_op: usize,
         seed: u64,
     ) -> Result<Self, TeiError> {
-        let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
-            let pairs = random_operand_pairs(op, samples_per_op, seed);
-            dta_campaign_tuned(
-                bank.unit(op),
-                &pairs,
-                spec.clk,
-                &[vr],
-                1,
-                DtaTuning::default(),
-            )?
-            .pop()
-            .ok_or_else(|| TeiError::EmptyDta {
-                op: op.to_string(),
-                vr: vr.label(),
-            })
-        })?
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        let stats = Self::per_op_stats(bank, spec, vr, |op| {
+            random_operand_pairs(op, samples_per_op, seed)
+        })?;
         #[cfg(feature = "sanitize-arrivals")]
         Self::sanitize_masks_against_oracle(bank, spec, &stats);
         Ok(Self::from_stats(
@@ -277,6 +263,36 @@ impl StatModel {
             MaskSampling::default(),
             &stats,
         ))
+    }
+
+    /// One DTA campaign per op at `vr` over the pairs `pairs(op)`
+    /// yields, in [`FpOp::all`] order, each on `TEI_THREADS` chunk
+    /// workers.
+    fn per_op_stats<P: AsRef<[(u64, u64)]>>(
+        bank: &FpuBank,
+        spec: &FpuTimingSpec,
+        vr: VoltageReduction,
+        pairs: impl Fn(FpOp) -> P,
+    ) -> Result<Vec<OpErrorStats>, TeiError> {
+        let threads = config::default_threads();
+        FpOp::all()
+            .into_iter()
+            .map(|op| {
+                dta_campaign_tuned(
+                    bank.unit(op),
+                    pairs(op).as_ref(),
+                    spec.clk,
+                    &[vr],
+                    threads,
+                    DtaTuning::default(),
+                )?
+                .pop()
+                .ok_or_else(|| TeiError::EmptyDta {
+                    op: op.to_string(),
+                    vr: vr.label(),
+                })
+            })
+            .collect()
     }
 
     /// Cross-layer sanitizer: no error mask a campaign observed may
@@ -312,7 +328,7 @@ impl StatModel {
     }
 
     /// Build the workload-aware model: DTA over the operand trace of the
-    /// target benchmark (paper Section IV.C.3). Parallelized like
+    /// target benchmark (paper Section IV.C.3), run like
     /// [`StatModel::instruction_aware`].
     ///
     /// # Errors
@@ -325,25 +341,10 @@ impl StatModel {
         trace: &TraceSet,
         per_op_cap: usize,
     ) -> Result<Self, TeiError> {
-        let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
+        let stats = Self::per_op_stats(bank, spec, vr, |op| {
             let t = trace.of(op);
-            let take = t.len().min(per_op_cap);
-            dta_campaign_tuned(
-                bank.unit(op),
-                &t[..take],
-                spec.clk,
-                &[vr],
-                1,
-                DtaTuning::default(),
-            )?
-            .pop()
-            .ok_or_else(|| TeiError::EmptyDta {
-                op: op.to_string(),
-                vr: vr.label(),
-            })
-        })?
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+            &t[..t.len().min(per_op_cap)]
+        })?;
         #[cfg(feature = "sanitize-arrivals")]
         Self::sanitize_masks_against_oracle(bank, spec, &stats);
         Ok(Self::from_stats(

@@ -32,8 +32,10 @@
 //! [`transpose64`] per level. Words in which nothing errs skip the
 //! transpose. The per-transition view
 //! ([`select_transition`](ArrivalEngine::select_transition) and
-//! [`settle_of`](ArrivalEngine::settle_of)) stays for the surrogate fit
-//! and the equivalence suites.
+//! [`settle_of`](ArrivalEngine::settle_of)) serves the callers that need
+//! raw settle times: γ calibration (`FpuUnit::generate` folds the result
+//! port's settle maximum over its reference ensemble), the surrogate
+//! fit, and the equivalence suites.
 //!
 //! **What the settle plan buys.** The settle pass dominates DTA
 //! throughput and is cache-bandwidth bound: a net-indexed `[f64; W]`

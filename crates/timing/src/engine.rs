@@ -16,12 +16,14 @@
 //! The per-transition view —
 //! [`select_transition`](ArrivalEngine::select_transition), then the
 //! per-net accessors — stays for callers that need raw settle times
-//! (the surrogate fit) and for the equivalence suites, which pin it to
-//! the per-pair [`ArrivalKernel`](crate::ArrivalKernel) and the window
-//! masks to it. Compacted programs recycle settle storage for internal
-//! nets (see [`codegen`](crate::codegen)); every program keeps its keep
-//! set exposed — check [`settle_exposed`](ArrivalEngine::settle_exposed)
-//! before querying arbitrary internal nets.
+//! (γ calibration in `tei-fpu`, the surrogate fit) and for the
+//! equivalence suites, which pin it to the per-pair
+//! [`ArrivalKernel`](crate::ArrivalKernel), the test oracle, and the
+//! window masks to it. Compacted programs recycle settle storage for
+//! internal nets (see [`codegen`](crate::codegen)); every program keeps
+//! its keep set exposed — check
+//! [`settle_exposed`](ArrivalEngine::settle_exposed) before querying
+//! arbitrary internal nets.
 
 use crate::sim::TwoVectorResult;
 use tei_netlist::NetId;

@@ -310,10 +310,10 @@ impl CompiledNetlist {
 /// steady-state values, per-net settle times (0 for unchanged nets), and
 /// the Razor-style latched-value error test.
 ///
-/// The kernel is the per-pair reference for the table-driven window
-/// kernel ([`SpecializedKernel`](crate::SpecializedKernel)): γ
-/// calibration drives it directly, and the equivalence suites replay
-/// every window transition through it.
+/// The kernel is the per-pair test oracle for the table-driven window
+/// kernel ([`SpecializedKernel`](crate::SpecializedKernel)), which runs
+/// every production DTA, γ calibration included: the equivalence suites
+/// replay every window transition through it.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalKernel {
     /// Steady-state value (0/1) of every net under the *current* input

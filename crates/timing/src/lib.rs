@@ -17,11 +17,13 @@
 //!   Razor-style "latch keeps the old value" error model).
 //! * [`CompiledNetlist`] / [`ArrivalKernel`] — the same model compiled to
 //!   structure-of-arrays tables with a changed-net frontier, advanced one
-//!   input vector at a time: bit-identical results.
-//! * [`SpecializedKernel`] over a [`DynProgram`] — the DTA campaign
-//!   engine: bit-sliced multi-word window lanes (`W * 64` vectors per
-//!   pass, autovectorized) over liveness-compacted settle tables, behind
-//!   the [`ArrivalEngine`] window protocol.
+//!   input vector at a time: bit-identical results. The per-pair test
+//!   oracle of the table kernel.
+//! * [`SpecializedKernel`] over a [`DynProgram`] — the one DTA engine
+//!   (campaigns and γ calibration): bit-sliced multi-word window lanes
+//!   (`W * 64` vectors per pass, autovectorized) over
+//!   liveness-compacted settle tables, behind the [`ArrivalEngine`]
+//!   window protocol.
 //! * [`EventSim`] — exact event-driven timed simulation with transport
 //!   delays (models glitches); the reference engine the fast one is
 //!   validated against.
