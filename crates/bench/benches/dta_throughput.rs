@@ -5,8 +5,10 @@
 //! 64/256/512 vectors per window), against two per-pair baselines —
 //! the `ArrivalSim` netlist walk and chained `ArrivalKernel::advance`
 //! calls (the path γ calibration runs) — plus the protocol's phase
-//! split at the default width (pack, plane, settle, threshold) and a
-//! campaign thread-scaling curve. Under
+//! split at the default width (pack, plane, settle, the whole masks
+//! call, and the f64 settle sweeps for comparison), the rate at which the certified
+//! f32 sweep falls back to f64, and a campaign thread-scaling curve.
+//! Under
 //! `cargo bench` the measured pairs/sec are also written to
 //! `BENCH_dta.json` at the workspace root so the perf trajectory is
 //! tracked across changes; under `cargo test` (quick smoke mode)
@@ -27,7 +29,9 @@ use tei_core::dev::{
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{ArrivalEngine, ArrivalKernel, ArrivalSim, TwoVectorResult, VoltageReduction};
+use tei_timing::{
+    ArrivalEngine, ArrivalKernel, ArrivalSim, SpecializedKernel, TwoVectorResult, VoltageReduction,
+};
 
 const LEVELS: [VoltageReduction; 2] = [VoltageReduction::VR15, VoltageReduction::VR20];
 
@@ -160,24 +164,27 @@ fn window_rate(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64, lanes: usize, min
 }
 
 /// Where a window's time goes at one lane width, in ns per transition:
-/// `pack_lanes`, `load_window` (the plane pass), the settle sweeps (one
-/// `select_transition` per transition) and the thresholds
-/// (`window_masks`, which re-runs the sweeps, minus the sweeps). Every
-/// window times all four back to back, so host noise hits them alike;
-/// each phase keeps its fastest of `passes` passes.
+/// `pack_lanes`, `load_window` (the plane pass), the settle sweeps
+/// (`window_masks` with no levels, which runs exactly the sweeps: the
+/// certified f32 word sweep where the kernel has one), the whole
+/// `window_masks` call at the bench levels (the sweeps plus
+/// certification, f64 re-sweeps and transposes), and, for comparison,
+/// the f64 settle sweeps (one `select_transition` per transition). Every window times
+/// all five back to back, so host noise hits them alike; each phase
+/// keeps its fastest of `passes` passes.
 fn phase_split(
     unit: &FpuUnit,
     pairs: &[(u64, u64)],
     clk: f64,
     lanes: usize,
     passes: usize,
-) -> [(&'static str, f64); 4] {
+) -> [(&'static str, f64); 5] {
     let factors = LEVELS.map(VoltageReduction::derating_factor);
     let mut engine = dta_engine(unit, lanes).expect("supported lane width");
     let mut buf = WindowBuffers::new(unit, lanes);
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; 5];
     for _ in 0..passes {
-        let mut spent = [0.0f64; 4];
+        let mut spent = [0.0f64; 5];
         let mut start = 0usize;
         while start + 1 < pairs.len() {
             let count = (pairs.len() - start).min(lanes * 64);
@@ -186,14 +193,19 @@ fn phase_split(
             let t1 = Instant::now();
             engine.load_window(&buf.packed, count);
             let t2 = Instant::now();
-            for t in 0..count - 1 {
-                engine.select_transition(t);
-            }
+            engine.window_masks(clk, &[], &mut buf.masks);
             let t3 = Instant::now();
             engine.window_masks(clk, &factors, &mut buf.masks);
             let t4 = Instant::now();
             criterion::black_box(&buf.masks);
-            for (s, d) in spent.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
+            for t in 0..count - 1 {
+                engine.select_transition(t);
+            }
+            let t5 = Instant::now();
+            for (s, d) in spent
+                .iter_mut()
+                .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4])
+            {
                 *s += d.as_secs_f64();
             }
             start += count - 1;
@@ -207,8 +219,28 @@ fn phase_split(
         ("pack", ns(best[0])),
         ("plane", ns(best[1])),
         ("settle", ns(best[2])),
-        ("threshold", ns(best[3] - best[2])),
+        ("masks", ns(best[3])),
+        ("settle_f64", ns(best[4])),
     ]
+}
+
+/// Words of 64 transitions the certified f32 sweep re-swept in f64, per
+/// million transitions, over one window-protocol walk of `pairs` at
+/// `W = 8`; `None` when this CPU runs no f32 sweep.
+fn resweeps_per_million(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64) -> Option<f64> {
+    let factors = LEVELS.map(VoltageReduction::derating_factor);
+    let mut kernel = SpecializedKernel::<8>::new(unit.dta_program());
+    let mut buf = WindowBuffers::new(unit, 8);
+    let mut start = 0usize;
+    while start + 1 < pairs.len() {
+        let count = (pairs.len() - start).min(8 * 64);
+        unit.pack_lanes(&pairs[start..start + count], 8, &mut buf.packed);
+        kernel.load_window(&buf.packed, count);
+        kernel.window_masks(clk, &factors, &mut buf.masks);
+        start += count - 1;
+    }
+    let words = kernel.f64_resweeps()?;
+    Some(words as f64 * 1e6 / (pairs.len() - 1) as f64)
 }
 
 fn campaign_rate(
@@ -305,12 +337,13 @@ fn bench_dta_throughput(c: &mut Criterion) {
             (t, rate)
         })
         .collect();
+    let resweeps = resweeps_per_million(&unit, &pairs, spec.clk);
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
     println!(
         "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, advance \
          {advance_rate:.0} ({:.1}x of sim), table {:?}, campaign lanes={campaign_lanes} \
          (auto={}) scaling {:?}, safe bits {safe_bits:?} (auto prune {}), \
-         w{CODEGEN_LANES} ns/transition {:?}",
+         w{CODEGEN_LANES} ns/transition {:?}, f64 re-sweeps per M transitions {}",
         advance_rate / sim_rate,
         table
             .iter()
@@ -330,6 +363,9 @@ fn bench_dta_throughput(c: &mut Criterion) {
             .iter()
             .map(|&(phase, ns)| format!("{phase}: {ns:.0}"))
             .collect::<Vec<_>>(),
+        resweeps.map_or("n/a (no f32 sweep on this CPU)".to_string(), |r| format!(
+            "{r:.0}"
+        )),
     );
     if measured {
         let table_json = serde_json::Value::Object(
@@ -362,6 +398,8 @@ fn bench_dta_throughput(c: &mut Criterion) {
                     .map(|&(phase, ns)| (phase.to_string(), serde_json::Value::Float(ns)))
                     .collect(),
             ),
+            "f32_sweep": resweeps.is_some(),
+            "f64_resweeps_per_million_transitions": resweeps,
             "campaign_lanes": campaign_lanes,
             "campaign_lanes_auto": campaign_tuning.lanes.is_none(),
             "thread_scaling": scaling_curve

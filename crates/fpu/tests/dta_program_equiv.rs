@@ -12,7 +12,10 @@ use std::sync::OnceLock;
 
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_netlist::NetId;
+use tei_softfloat::FpOp;
 use tei_timing::{ArrivalEngine, ArrivalKernel, SpecializedKernel, VoltageReduction};
+use tei_uarch::FuncCore;
+use tei_workloads::{build, BenchmarkId, Scale};
 
 fn bank() -> &'static FpuBank {
     static BANK: OnceLock<FpuBank> = OnceLock::new();
@@ -247,4 +250,101 @@ fn seam_masked_window_masks_match_per_pair_kernel() {
         }
     }
     assert!(erring > 0, "some transition must err at the deepest factor");
+}
+
+/// The operand pairs of every `op` in `id`'s Test-scale run, in
+/// execution order.
+fn trace_pairs(id: BenchmarkId, op: FpOp) -> Vec<(u64, u64)> {
+    let bench = build(id, Scale::Test);
+    let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
+    let mut pairs = Vec::new();
+    core.run_with_hook(u64::MAX, &mut |ev| {
+        if ev.op == op {
+            pairs.push((ev.a, ev.b));
+        }
+        ev.result
+    });
+    pairs
+}
+
+/// VR15 and VR20, the 12 supply levels of a 12-point `tei sweep` grid
+/// over [VR20 Vdd, nominal], and a derating of 2.5 at which every unit
+/// errs.
+fn mask_levels() -> Vec<f64> {
+    let (lo, hi) = (
+        VoltageReduction::VR20.vdd(),
+        VoltageReduction::Nominal.vdd(),
+    );
+    [VoltageReduction::VR15, VoltageReduction::VR20]
+        .into_iter()
+        .chain((0..12).map(|i| VoltageReduction::Vdd(lo + (hi - lo) * f64::from(i) / 11.0)))
+        .map(VoltageReduction::derating_factor)
+        .chain([2.5])
+        .collect()
+}
+
+/// At `W = 8` — where AVX-512 CPUs run the certified f32 word sweep and
+/// re-sweep undecided words in f64 — every shipped unit's window masks
+/// must equal the f64 thresholds of every selected transition, on
+/// random operand windows and on the operand traces of cg, k-means, is
+/// and sobel, at VR15, VR20, a 12-level sweep grid and one deeper level.
+#[test]
+fn w8_window_masks_match_f64_thresholds_on_every_unit() {
+    let debug = cfg!(debug_assertions);
+    let spec = FpuTimingSpec::paper_calibrated();
+    let factors = mask_levels();
+    let traces = [
+        BenchmarkId::Cg,
+        BenchmarkId::Kmeans,
+        BenchmarkId::Is,
+        BenchmarkId::Sobel,
+    ];
+    let units = bank()
+        .iter()
+        .filter(|u| !debug || ["fp-add-s", "f2i-d"].contains(&u.tag()));
+    let (mut erring, mut trace_windows) = (0usize, 0usize);
+    for unit in units {
+        let mut rng = SplitMix(0xf32_0000);
+        let random: Vec<(u64, u64)> = (0..if debug { 512 } else { 1023 })
+            .map(|_| (rng.next(), rng.next()))
+            .collect();
+        let mut streams = vec![random];
+        streams.extend(traces.iter().map(|&id| trace_pairs(id, unit.op())));
+        let mut table = SpecializedKernel::<8>::new(unit.dta_program());
+        let mut packed = vec![0; unit.input_width() * 8];
+        let mut masks = vec![0; 512 * factors.len()];
+        for (s, stream) in streams.iter().enumerate() {
+            let mut start = 0;
+            while start + 1 < stream.len() {
+                let count = (stream.len() - start).min(512);
+                trace_windows += usize::from(s > 0);
+                unit.pack_lanes(&stream[start..start + count], 8, &mut packed);
+                table.load_window(&packed, count);
+                table.window_masks(spec.clk, &factors, &mut masks);
+                for t in 0..count - 1 {
+                    table.select_transition(t);
+                    let row = &masks[t * factors.len()..(t + 1) * factors.len()];
+                    for (&k, &mask) in factors.iter().zip(row) {
+                        let want = unit
+                            .result_port()
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &net)| table.settle_of(net).min(spec.clk) * k > spec.clk)
+                            .fold(0u64, |m, (bit, _)| m | 1 << bit);
+                        assert_eq!(
+                            mask,
+                            want,
+                            "{} stream {s} t={} factor {k}",
+                            unit.tag(),
+                            start + t
+                        );
+                        erring += usize::from(mask != 0);
+                    }
+                }
+                start += count - 1;
+            }
+        }
+    }
+    assert!(erring > 0, "some transition must err at the deepest factor");
+    assert!(trace_windows > 0, "the traces must reach some unit");
 }

@@ -24,23 +24,42 @@
 //! not toggle.
 //!
 //! **Masks out.** The campaign never reads a settle time:
-//! [`window_masks`](ArrivalEngine::window_masks) runs every sweep of
-//! the window and thresholds the program's keep set (the unit's result
-//! port) at every voltage level right after each sweep, in blocks of
-//! eight lanes, then turns the per-bit transition masks of each
-//! 64-transition word into per-transition error masks with one
-//! [`transpose64`] per level. Words in which nothing errs skip the
-//! transpose. The per-transition view
+//! [`window_masks`](ArrivalEngine::window_masks) settles the window one
+//! 64-transition word at a time and thresholds the program's keep set
+//! (the unit's result port) at every voltage level right after, then
+//! turns the per-bit transition masks of the word into per-transition
+//! error masks with one [`transpose64`] per level. Words in which
+//! nothing errs skip the transpose. The per-transition view
 //! ([`select_transition`](ArrivalEngine::select_transition) and
 //! [`settle_of`](ArrivalEngine::settle_of)) serves the callers that need
 //! raw settle times: γ calibration (`FpuUnit::generate` folds the result
 //! port's settle maximum over its reference ensemble), the surrogate
-//! fit, and the equivalence suites.
+//! fit, and the equivalence suites. It always runs in f64.
+//!
+//! **Certified f32 masks.** Only one thing is read from a mask sweep:
+//! whether each kept settle time `s` passes `s.min(clk) * k > clk`. That
+//! test is monotone in `s`, so per level it is `s >= tau` for one f64
+//! `tau`. On AVX-512 CPUs at `W = 8` the mask sweep therefore runs in
+//! f32, 16 transitions per ZMM, so one record load and one diff-word
+//! load serve all 64 transitions of a word (the f64 group pass serves
+//! 32). [`DynProgram`] carries a static bound `E` on `|v32 - v64|` per
+//! kept net (`f32_error_bounds`: the fanins' largest bound, the delay's
+//! f32 rounding, and the two sums' rounding at the net's static arrival
+//! bound). Per (kept net, level) the kernel turns `tau ± E` into f32
+//! cuts: below the lower cut every f64 value within `E` is safe, above
+//! the upper one every such value errs. If any lane of a word falls
+//! between the cuts, the word is re-swept with the f64 group pass and
+//! thresholded as before, so the masks are exactly the f64 ones.
+//! Under `sanitize-arrivals` every certified word is also re-swept in
+//! f64 and both claims are asserted.
 //!
 //! **What the settle plan buys.** The settle pass dominates DTA
 //! throughput and is cache-bandwidth bound: a net-indexed `[f64; W]`
 //! settle array is 411 KB for the d-mul netlist at `W = 4` and 823 KB
-//! at 8. [`SettlePlan::compacted`] instead performs a liveness analysis
+//! at 8. The f32 word sweep halves the bytes per transition again: its
+//! 64 f32 lanes per slot fill the same 256 bytes as the f64 group's 32,
+//! so it runs in the same scratch. [`SettlePlan::compacted`] instead
+//! performs a liveness analysis
 //! over the settle dataflow and allocates *recycled scratch slots*: a
 //! net's slot is freed at its last fanout reader and reused (LIFO, so
 //! the hottest line is reused first), while nets in the `keep` set —
@@ -57,8 +76,10 @@
 //! toggle byte used directly as the `maskz` write mask, and one record
 //! load and one diff-word load amortized across the group. Four beat
 //! eight, two and one on d-mul (the eight-batch scratch outgrows L2).
-//! Other CPUs run the generic pass; a unit test holds the two
-//! bit-identical.
+//! Other CPUs, other widths and programs whose slots overflow the
+//! packed records' `u16` run the generic f64 pass; a unit test holds
+//! the group pass bit-identical to it and the certified masks equal to
+//! its masks.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
@@ -93,7 +114,9 @@
 //! [`SettlePlan`] self-verifies every allocation by replay, and
 //! `tei-fpu`'s `dta_program_equiv` suite checks every shipped unit's
 //! program and lane packing transition-for-transition against chained
-//! [`ArrivalKernel::advance`](crate::ArrivalKernel::advance) calls.
+//! [`ArrivalKernel::advance`](crate::ArrivalKernel::advance) calls, and
+//! its certified `W = 8` masks against f64 thresholds on random and
+//! workload-trace windows at 15 voltage levels.
 
 use crate::engine::ArrivalEngine;
 use crate::kernel::CompiledNetlist;
@@ -424,6 +447,17 @@ impl<const W: usize> AlignedLanes<W> {
         // SAFETY: as in `as_mut`.
         unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const [f64; W], self.count) }
     }
+
+    /// The same bytes as `2 * W * count` f32 lanes (the f32 word
+    /// sweep's view: one `[f64; W]` array holds `2 * W` of them).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    fn as_mut_f32(&mut self) -> &mut [f32] {
+        // SAFETY: as in `as_mut`; any bit pattern is a valid f32 and
+        // f32 alignment 4 <= 64.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.buf.as_mut_ptr() as *mut f32, 2 * W * self.count)
+        }
+    }
 }
 
 /// Packed per-gate settle record: the three fanin slots, the writing
@@ -498,57 +532,23 @@ unsafe fn packed_settle_unchecked<const W: usize>(
 }
 
 /// AVX-512 settle passes at W = 8: one ZMM register per net's lane
-/// array, and the batch's toggle byte used directly as the `maskz`
+/// array, and the batch's toggle bits used directly as the `maskz`
 /// write mask — no keep-mask table load at all.
 ///
-/// Bit-exact with the generic pass: `_mm512_max_pd(a, b)` returns `a`
-/// iff `a > b` (else `b`), exactly the per-pair kernel's comparison chain
-/// for never-NaN settle times, and `maskz` zeroes are the same `+0.0`
-/// the keep-mask AND produces.
+/// The f64 group pass is bit-exact with the generic pass:
+/// `_mm512_max_pd(a, b)` returns `a` iff `a > b` (else `b`), exactly the
+/// per-pair kernel's comparison chain for never-NaN settle times, and
+/// `maskz` zeroes are the same `+0.0` the keep-mask AND produces. The
+/// f32 word pass is not bit-exact; `window_masks` only trusts decisions
+/// it can certify against [`DynProgram`]'s static f32 error bound.
 #[cfg(target_arch = "x86_64")]
 mod zmm {
     use core::arch::x86_64::*;
 
-    /// Whether the running CPU supports the W = 8 ZMM settle pass.
+    /// Whether the running CPU supports the W = 8 ZMM settle passes.
     #[inline]
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
-    }
-
-    /// # Safety
-    ///
-    /// Same table contract as [`super::table_settle_unchecked`] at
-    /// W = 8 (no keep-mask table), plus AVX-512F support
-    /// ([`available`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn settle_w8(
-        slots: &[u32],
-        spins: &[u32],
-        delay_bits: &[u64],
-        scratch: &mut [[f64; 8]],
-        dw: &[u64],
-        ls: usize,
-    ) {
-        scratch[0] = [0.0; 8];
-        let base = scratch.as_mut_ptr() as *mut f64;
-        for i in 0..slots.len() {
-            // SAFETY: slot/spin range and table lengths are the
-            // caller's contract; lane arrays are 8-aligned f64 runs,
-            // loaded/stored unaligned.
-            unsafe {
-                let s0 = *spins.get_unchecked(3 * i) as usize;
-                let s1 = *spins.get_unchecked(3 * i + 1) as usize;
-                let s2 = *spins.get_unchecked(3 * i + 2) as usize;
-                let a = _mm512_loadu_pd(base.add(s0 * 8));
-                let b = _mm512_loadu_pd(base.add(s1 * 8));
-                let c = _mm512_loadu_pd(base.add(s2 * 8));
-                let latest = _mm512_max_pd(_mm512_max_pd(a, b), c);
-                let d = _mm512_set1_pd(f64::from_bits(*delay_bits.get_unchecked(i)));
-                let k = ((*dw.get_unchecked(i) >> ls) & 0xff) as __mmask8;
-                let out = _mm512_maskz_add_pd(k, latest, d);
-                _mm512_storeu_pd(base.add(*slots.get_unchecked(i) as usize * 8), out);
-            }
-        }
     }
 
     /// Group settle: `G` adjacent W = 8 batches in one sweep over a
@@ -605,6 +605,92 @@ mod zmm {
                 }
             }
         }
+    }
+
+    /// f32 word settle: all 64 transitions of one diff word in one
+    /// sweep, 16 per ZMM, so one record load and one diff-word load
+    /// serve the whole word (the f64 group pass needs two sweeps for
+    /// it). Slot `s` holds the word's settle times at `f32` entries
+    /// `64 * s .. 64 * s + 64` — the same 256 bytes per slot as the
+    /// grouped f64 layout. Each gate adds `delay as f32` to the max of
+    /// its fanins, masked to `+0.0` where it does not toggle.
+    ///
+    /// # Safety
+    ///
+    /// Same table contract as [`super::packed_settle_unchecked`], with
+    /// `scratch.len() >= 64 * slot_count`, plus AVX-512F support
+    /// ([`available`]).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn settle_f32_word(recs: &[super::GateRec], scratch: &mut [f32], dw: &[u64]) {
+        scratch[..64].fill(0.0);
+        let base = scratch.as_mut_ptr();
+        for i in 0..recs.len() {
+            // SAFETY: record indices in range per the caller's
+            // contract; `i < recs.len()` bounds the `dw` read.
+            unsafe {
+                let r = recs.get_unchecked(i);
+                let (s0, s1, s2) = (
+                    r.sp[0] as usize * 64,
+                    r.sp[1] as usize * 64,
+                    r.sp[2] as usize * 64,
+                );
+                let out = r.slot as usize * 64;
+                let d = _mm512_set1_ps(f64::from_bits(r.delay_bits) as f32);
+                let w = *dw.get_unchecked(i);
+                for o in [0, 16, 32, 48] {
+                    let latest = _mm512_max_ps(
+                        _mm512_max_ps(
+                            _mm512_loadu_ps(base.add(s0 + o)),
+                            _mm512_loadu_ps(base.add(s1 + o)),
+                        ),
+                        _mm512_loadu_ps(base.add(s2 + o)),
+                    );
+                    let k = (w >> o) as __mmask16;
+                    _mm512_storeu_ps(base.add(out + o), _mm512_maskz_add_ps(k, latest, d));
+                }
+            }
+        }
+    }
+
+    /// Certified decisions over an f32 word sweep: for kept net `j`
+    /// (scratch slot `keep_slots[j]`) at a level with
+    /// `[lo, hi] = level.cuts[j]`, a lane at or above `hi` errs and a
+    /// lane at or below `lo` is safe (see [`super::f32_cuts`]). Writes
+    /// the erring lanes to `level.errs[j]` and returns `false` as soon
+    /// as any lane lies strictly between the cuts (`levels` is then
+    /// partly written).
+    ///
+    /// # Safety
+    ///
+    /// Every `keep_slots` entry is below `scratch.len() / 64`, and
+    /// AVX-512F is supported ([`available`]).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn certify_word(
+        scratch: &[f32],
+        keep_slots: &[usize],
+        levels: &mut [super::LevelWord],
+    ) -> bool {
+        for (j, &slot) in keep_slots.iter().enumerate() {
+            let mut v = [_mm512_setzero_ps(); 4];
+            for (g, x) in v.iter_mut().enumerate() {
+                // SAFETY: `slot` is in range per the caller's contract.
+                *x = unsafe { _mm512_loadu_ps(scratch.as_ptr().add(64 * slot + 16 * g)) };
+            }
+            for level in levels.iter_mut() {
+                let [lo, hi] = level.cuts[j];
+                let (lo, hi) = (_mm512_set1_ps(lo), _mm512_set1_ps(hi));
+                let (mut errs, mut above) = (0u64, 0u64);
+                for (g, &x) in v.iter().enumerate() {
+                    errs |= u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, hi)) << (16 * g);
+                    above |= u64::from(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, lo)) << (16 * g);
+                }
+                if above & !errs != 0 {
+                    return false;
+                }
+                level.errs[j] = errs;
+            }
+        }
+        true
     }
 }
 
@@ -782,8 +868,84 @@ impl SettlePlan {
 /// Batches of `W = 8` transitions one AVX-512 group sweep settles per
 /// gate-record load (`zmm::settle_w8_group`). On d-mul, 4 beat 8 by
 /// 2–10 % (the 8-batch scratch, 1.45 MB, outgrows L2), 2 by 13–20 %
-/// and 1 by 40–72 % (see DESIGN.md §6).
+/// and 1 by 40–72 % (see DESIGN.md §6). The grouped slot (4 × 8 f64)
+/// is also exactly one f32 word slot (64 f32) for `zmm::settle_f32_word`.
 const SWEEP_BATCHES: usize = 4;
+
+/// One voltage level of a `window_masks` call, for the current
+/// 64-transition word.
+#[derive(Clone, Copy)]
+struct LevelWord {
+    /// Bit `t % 64` of `errs[j]` is set when kept net `j` errs in
+    /// transition `t`.
+    errs: [u64; 64],
+    /// f32 decision cuts of kept net `j` at this level ([`f32_cuts`]),
+    /// set when the kernel runs the f32 word sweep.
+    cuts: [[f32; 2]; 64],
+}
+
+impl Default for LevelWord {
+    fn default() -> Self {
+        LevelWord {
+            errs: [0; 64],
+            cuts: [[f32::NEG_INFINITY, f32::INFINITY]; 64],
+        }
+    }
+}
+
+/// The smallest f64 settle time `s >= 0` that the campaign's error test
+/// `s.min(clk) * k > clk` marks as an error, or `+inf` if none does.
+/// The test is monotone in `s` over `[0, inf)` for every `clk` and `k`
+/// (the clamp, a rounded product and the comparison all are, and a
+/// negative `k` or `clk` makes it constant there), so this one f64 is
+/// the whole decision: `s` errs iff `s >= first_error(clk, k)`. Found
+/// by bisection over the bit patterns of `[0, clk]`, which order like
+/// the values.
+fn first_error(clk: f64, k: f64) -> f64 {
+    let errs = |s: f64| s.min(clk) * k > clk;
+    if errs(0.0) {
+        return 0.0;
+    }
+    // Every `s >= clk` clamps to `clk`; a NaN `clk` never errs.
+    if !(clk >= 0.0 && errs(clk)) {
+        return f64::INFINITY;
+    }
+    let (mut safe, mut err) = (0u64, clk.to_bits());
+    while err - safe > 1 {
+        let mid = safe + (err - safe) / 2;
+        if errs(f64::from_bits(mid)) {
+            err = mid;
+        } else {
+            safe = mid;
+        }
+    }
+    f64::from_bits(err)
+}
+
+/// f32 decision cuts `[lo, hi]` for a kept net whose f32 settle time
+/// is within `bound` of its f64 one, at a level whose first erring f64
+/// settle time is `tau` ([`first_error`]): every f32 value `v <= lo`
+/// has `v + bound < tau` (so the f64 value is safe) and every `v >= hi`
+/// has `v - bound >= tau` (so it errs), in exact arithmetic. Each cut
+/// is rounded outward to an f32 and then stepped one more f32 ulp out,
+/// which is far more than the f64 rounding of `tau ± bound` can move
+/// it. Values strictly between the cuts are undecided.
+fn f32_cuts(tau: f64, bound: f64) -> [f32; 2] {
+    if tau.is_infinite() {
+        return [f32::INFINITY; 2];
+    }
+    let t = tau - bound;
+    let lo = if t > 0.0 {
+        let x = t as f32;
+        (if f64::from(x) > t { x.next_down() } else { x }).next_down()
+    } else {
+        f32::NEG_INFINITY
+    };
+    let t = tau + bound;
+    let x = t as f32;
+    let hi = (if f64::from(x) < t { x.next_up() } else { x }).next_up();
+    [lo, hi]
+}
 
 /// The window-protocol harness over a borrowed [`DynProgram`]: owns the
 /// lane planes, the word-major toggle words, and the slot-allocated
@@ -807,22 +969,22 @@ pub struct SpecializedKernel<'p, const W: usize> {
     /// slot index fits `u16` (always, for the shipped bank).
     packed: Option<Vec<GateRec>>,
     lut: Box<[Lanes<W>]>,
-    /// Whether batches run the AVX-512 passes of the `zmm` module
-    /// (`W == 8` on a CPU with AVX-512F). Decided once at
-    /// construction.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    /// Whether sweeps run the AVX-512 passes of the `zmm` module
+    /// (`W == 8` on a CPU with AVX-512F, records packed). Then the f64
+    /// settle pass covers [`SWEEP_BATCHES`]` * W` transitions per sweep
+    /// (`zmm::settle_w8_group`), `scratch` holds that many lane arrays
+    /// per slot, and `window_masks` runs the certified f32 word sweep.
+    /// Decided once at construction.
     zmm: bool,
-    /// Group mode (see `zmm::settle_w8_group`): the settle pass covers
-    /// [`SWEEP_BATCHES`]` * W` transitions per sweep and `scratch` holds
-    /// that many lane arrays per slot. Decided once at construction.
-    group: bool,
     /// Exposed slot of each net in the program's keep set, in keep
     /// order: bit `j` of a window mask thresholds `keep_slots[j]`.
     keep_slots: Vec<usize>,
-    /// Per-level error rows of the current 64-transition word, reused
-    /// across windows: bit `t % 64` of `rows[l][j]` is set when kept net
-    /// `j` errs at level `l` in transition `t`.
-    rows: Vec<[u64; 64]>,
+    /// 64-transition words `window_masks` re-swept in f64 because an
+    /// f32 decision was undecided.
+    resweeps: u64,
+    /// Per-level state of the current 64-transition word, reused across
+    /// windows (see [`LevelWord`]).
+    rows: Vec<LevelWord>,
     /// One-shot per-transition keep mask for the next `load_window`
     /// (empty = keep everything); see
     /// [`ArrivalEngine::set_window_keep_mask`].
@@ -875,22 +1037,21 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
             "spin slot out of range"
         );
         let packed = pack_records(&plan.slots, &plan.spins, &program.delay_bits);
-        let zmm = W == 8 && avx512;
-        let group = zmm && packed.is_some();
+        let zmm = W == 8 && avx512 && packed.is_some();
         SpecializedKernel {
             program,
             plane: vec![[0; W]; n],
             diffs_t: vec![0; W * n],
-            scratch: AlignedLanes::zeroed(if group { SWEEP_BATCHES * m } else { m }),
+            scratch: AlignedLanes::zeroed(if zmm { SWEEP_BATCHES * m } else { m }),
             packed,
             lut: lane_lut::<W>(),
             zmm,
-            group,
             keep_slots: program
                 .keep
                 .iter()
                 .map(|&k| plan.exposed[k as usize] as usize)
                 .collect(),
+            resweeps: 0,
             rows: Vec::new(),
             win_mask: Vec::new(),
             win_count: 0,
@@ -902,7 +1063,7 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
     /// Transitions one settle sweep covers: a whole group in group
     /// mode, one batch of `W` otherwise. Always divides 64.
     fn sweep_width(&self) -> usize {
-        if self.group {
+        if self.zmm {
             SWEEP_BATCHES * W
         } else {
             W
@@ -914,7 +1075,7 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
     /// batches adjacent, so this is one contiguous run either way.
     #[inline]
     fn sweep_lanes(&self, slot: usize) -> &[f64] {
-        let per = if self.group { SWEEP_BATCHES } else { 1 };
+        let per = if self.zmm { SWEEP_BATCHES } else { 1 };
         self.scratch.as_ref()[per * slot..per * (slot + 1)].as_flattened()
     }
 
@@ -1014,33 +1175,34 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         out.fill(0);
         let mut rows = std::mem::take(&mut self.rows);
         rows.clear();
-        rows.resize(levels, [0; 64]);
-        let sweep = self.sweep_width();
-        let mut base = 0;
-        while base < transitions {
-            self.ensure_sweep(base);
-            let shift = base & 63;
-            for (j, &slot) in self.keep_slots.iter().enumerate() {
-                let lanes = self.sweep_lanes(slot);
-                for (row, &k) in rows.iter_mut().zip(factors) {
-                    row[j] |= ops::errs(lanes, clk, k) << shift;
+        rows.resize(levels, LevelWord::default());
+        if self.zmm {
+            for (row, &k) in rows.iter_mut().zip(factors) {
+                let tau = first_error(clk, k);
+                for (cut, &e) in row.cuts.iter_mut().zip(&self.program.keep_f32_error) {
+                    *cut = f32_cuts(tau, e);
                 }
             }
-            base += sweep;
-            if base & 63 == 0 || base >= transitions {
-                // A 64-transition word is complete: transpose its rows
-                // into per-transition masks.
-                let lo = (base - 1) & !63;
-                for (l, row) in rows.iter_mut().enumerate() {
-                    if row.iter().all(|&r| r == 0) {
-                        continue;
-                    }
-                    transpose64(row);
-                    for (t, &mask) in (lo..transitions.min(lo + 64)).zip(row.iter()) {
-                        out[t * levels + l] = mask;
-                    }
-                    *row = [0; 64];
+        }
+        for lo in (0..transitions).step_by(64) {
+            if self.certified_word(lo, &mut rows) {
+                #[cfg(feature = "sanitize-arrivals")]
+                self.sanitize_certified_word(lo, clk, factors, &rows);
+            } else {
+                self.f64_word_rows(lo, clk, factors, &mut rows);
+            }
+            // The word is complete: transpose its rows into
+            // per-transition masks.
+            for (l, row) in rows.iter_mut().enumerate() {
+                let errs = &mut row.errs;
+                if errs.iter().all(|&r| r == 0) {
+                    continue;
                 }
+                transpose64(errs);
+                for (t, &mask) in (lo..transitions.min(lo + 64)).zip(errs.iter()) {
+                    out[t * levels + l] = mask;
+                }
+                *errs = [0; 64];
             }
         }
         self.rows = rows;
@@ -1107,6 +1269,116 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
 }
 
 impl<const W: usize> SpecializedKernel<'_, W> {
+    /// Words of 64 transitions that [`window_masks`] re-swept in f64
+    /// because an f32 decision was too close to its threshold to
+    /// certify, over this kernel's lifetime; `None` when the kernel
+    /// does not run the f32 word sweep (it runs at `W = 8` on CPUs with
+    /// AVX-512F).
+    ///
+    /// [`window_masks`]: ArrivalEngine::window_masks
+    pub fn f64_resweeps(&self) -> Option<u64> {
+        self.zmm.then_some(self.resweeps)
+    }
+
+    /// Threshold the 64-transition word starting at `lo` from f64
+    /// sweeps, ORing the erring lanes into the (zeroed) rows.
+    fn f64_word_rows(&mut self, lo: usize, clk: f64, factors: &[f64], rows: &mut [LevelWord]) {
+        let end = (lo + 64).min(self.win_count - 1);
+        for base in (lo..end).step_by(self.sweep_width()) {
+            self.ensure_sweep(base);
+            let shift = base & 63;
+            for (j, &slot) in self.keep_slots.iter().enumerate() {
+                let lanes = self.sweep_lanes(slot);
+                for (row, &k) in rows.iter_mut().zip(factors) {
+                    row.errs[j] |= ops::errs(lanes, clk, k) << shift;
+                }
+            }
+        }
+    }
+
+    /// Sweep the word starting at `lo` in f32 and write its decisions
+    /// to `rows` if every one is certified against the rows' cuts;
+    /// returns `false` (with the rows' errors zeroed) when the kernel
+    /// has no f32 sweep or some lane is undecided, and the caller
+    /// thresholds the word in f64.
+    fn certified_word(&mut self, lo: usize, rows: &mut [LevelWord]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if self.zmm {
+            let n = self.plane.len();
+            let dw = &self.diffs_t[lo / 64 * n..lo / 64 * n + n];
+            let recs = self
+                .packed
+                .as_deref()
+                .expect("zmm sweeps run on packed records");
+            let scratch = self.scratch.as_mut_f32();
+            // The f32 values overwrite any f64 sweep in the scratch.
+            self.batch_base = usize::MAX;
+            // SAFETY: the packed records were validated at
+            // construction (every slot below `slot_count`) and the
+            // grouped scratch holds `64 * slot_count` f32; `dw` is one
+            // word per gate; `keep_slots` are exposed slots, below
+            // `slot_count`; `zmm` implies AVX-512F.
+            let certified = unsafe {
+                zmm::settle_f32_word(recs, scratch, dw);
+                zmm::certify_word(scratch, &self.keep_slots, rows)
+            };
+            if !certified {
+                self.resweeps += 1;
+                for row in rows.iter_mut() {
+                    row.errs = [0; 64];
+                }
+            }
+            return certified;
+        }
+        let _ = (lo, rows);
+        false
+    }
+
+    /// Under `sanitize-arrivals`: re-sweep a certified word in f64 and
+    /// assert that every certified decision equals the f64 one and that
+    /// every kept net's f32 settle time lies within its static error
+    /// bound of the f64 value.
+    #[cfg(feature = "sanitize-arrivals")]
+    fn sanitize_certified_word(
+        &mut self,
+        lo: usize,
+        clk: f64,
+        factors: &[f64],
+        rows: &[LevelWord],
+    ) {
+        let scratch = self.scratch.as_mut_f32();
+        let f32_lanes: Vec<f32> = self
+            .keep_slots
+            .iter()
+            .flat_map(|&slot| scratch[64 * slot..64 * slot + 64].to_vec())
+            .collect();
+        let mut f64_rows = vec![LevelWord::default(); rows.len()];
+        self.f64_word_rows(lo, clk, factors, &mut f64_rows);
+        let end = (lo + 64).min(self.win_count - 1);
+        for base in (lo..end).step_by(self.sweep_width()) {
+            self.ensure_sweep(base);
+            for (j, &slot) in self.keep_slots.iter().enumerate() {
+                let bound = self.program.keep_f32_error[j];
+                for (i, &v64) in self.sweep_lanes(slot).iter().enumerate() {
+                    let v32 = f64::from(f32_lanes[64 * j + (base - lo) + i]);
+                    assert!(
+                        (v32 - v64).abs() <= bound,
+                        "sanitize-arrivals: kept net {j} settled at {v32} in f32 and {v64} \
+                         in f64, past the f32 error bound {bound} (transition {})",
+                        base + i
+                    );
+                }
+            }
+        }
+        for (l, (f32_row, f64_row)) in rows.iter().zip(&f64_rows).enumerate() {
+            assert_eq!(
+                f32_row.errs, f64_row.errs,
+                "sanitize-arrivals: certified f32 decisions differ from f64 (word at {lo}, \
+                 level {l})"
+            );
+        }
+    }
+
     /// Compute the settle lanes of the sweep starting at transition
     /// `base` (a multiple of the sweep width, so the sweep's bits live
     /// in one word of each net's diff lanes, because the sweep width
@@ -1134,23 +1406,13 @@ impl<const W: usize> SpecializedKernel<'_, W> {
                     self.scratch.count,
                 )
             };
-            unsafe {
-                match &self.packed {
-                    // `group` is true whenever `zmm` is and records
-                    // packed (see `with_avx512`), so the packed arm is
-                    // always the group sweep and `ls` is a multiple of
-                    // its width.
-                    Some(recs) => zmm::settle_w8_group::<SWEEP_BATCHES>(recs, scratch8, dw, ls),
-                    None => zmm::settle_w8(
-                        &plan.slots,
-                        &plan.spins,
-                        &program.delay_bits,
-                        scratch8,
-                        dw,
-                        ls,
-                    ),
-                }
-            };
+            // `zmm` implies packed records (see `with_avx512`), and
+            // `ls` is a multiple of the group sweep's width.
+            let recs = self
+                .packed
+                .as_deref()
+                .expect("zmm sweeps run on packed records");
+            unsafe { zmm::settle_w8_group::<SWEEP_BATCHES>(recs, scratch8, dw, ls) };
             return;
         }
         unsafe {
@@ -1170,6 +1432,45 @@ impl<const W: usize> SpecializedKernel<'_, W> {
             }
         };
     }
+}
+
+/// Static bound on `|v32 - v64|`, the distance between the settle time
+/// the f32 word sweep computes and the f64 one, per slot of `plan`
+/// after its pass: entry `plan.exposed[net]` bounds every exposed net.
+/// The recurrence runs over the plan's own slot dataflow, so it needs
+/// `slot_count` entries rather than one per net.
+///
+/// A gate's f64 settle time is `fl64(m64 + d)` where `m64` is the max of
+/// its fanins' settle times; the f32 sweep computes
+/// `fl32(m32 + fl32(d))`. `max` is 1-Lipschitz, so `|m32 - m64|` is at
+/// most the largest fanin bound; `fl32(d)` moves the delay by
+/// `|fl32(d) - d|`; and the two roundings add at most `2^-24` of the f32
+/// sum and `2^-53` of the f64 one. Both sums are bounded through the
+/// net's static arrival bound `B` (`m64 + d <= B`, and the f32 sum is
+/// at most `B` plus the incoming error), so
+///
+/// `E = E_in + |fl32(d) - d| + 2^-24 (B + E_in + |fl32(d) - d|) + 2^-53 B`,
+///
+/// scaled up by `1 + 2^-50` to absorb the f64 rounding of this very
+/// recurrence. Lanes where a gate does not toggle are `+0.0` in both
+/// precisions. Inputs and constants have zero delay, so `E = 0` there.
+fn f32_error_bounds(c: &CompiledNetlist, plan: &SettlePlan) -> Vec<f64> {
+    const U32: f64 = f32::EPSILON as f64 / 2.0;
+    const U64: f64 = f64::EPSILON / 2.0;
+    let (delays, bounds) = (c.delays(), c.static_bounds());
+    // Slot 0, the zero sentinel, is never written and bounds nothing.
+    let mut err = vec![0.0f64; plan.slot_count];
+    for i in 0..c.len() {
+        let e_in = plan.spins[3 * i..3 * i + 3]
+            .iter()
+            .fold(0.0f64, |e, &s| e.max(err[s as usize]));
+        let d = delays[i];
+        let dd = (f64::from(d as f32) - d).abs();
+        let b = bounds[i];
+        err[plan.slots[i] as usize] =
+            (e_in + dd + U32 * (b + e_in + dd) + U64 * b) * (1.0 + 8.0 * U64);
+    }
+    err
 }
 
 /// A table program built at runtime from a [`CompiledNetlist`]: the
@@ -1193,6 +1494,10 @@ pub struct DynProgram {
     /// The nets window masks threshold, in mask-bit order (empty for a
     /// full-fidelity program).
     keep: Vec<u32>,
+    /// Static bound on `|v32 - v64|` per kept net, in keep order: how far
+    /// the f32 word sweep's settle time can sit from the f64 one (see
+    /// [`f32_error_bounds`]).
+    keep_f32_error: Vec<f64>,
     plan: SettlePlan,
     /// Static arrival bound per net, asserted against every exposed
     /// settle time under `sanitize-arrivals`.
@@ -1221,7 +1526,12 @@ impl DynProgram {
     }
 
     fn with_plan(compiled: &CompiledNetlist, plan: SettlePlan, keep: Vec<u32>) -> Self {
+        let f32_error = f32_error_bounds(compiled, &plan);
         DynProgram {
+            keep_f32_error: keep
+                .iter()
+                .map(|&k| f32_error[plan.exposed[k as usize] as usize])
+                .collect(),
             kinds: compiled.kinds().to_vec(),
             pins: compiled.pins().to_vec(),
             delay_bits: compiled.delays().iter().map(|d| d.to_bits()).collect(),
@@ -1360,18 +1670,28 @@ mod tests {
         }
     }
 
-    /// The AVX-512 group sweep and the generic W = 8 pass must produce
-    /// bit-identical settle times on every exposed net and identical
-    /// window masks, over full and partial windows, for both the full
-    /// and the compacted plan.
-    #[test]
-    fn zmm_group_pass_matches_generic_w8_pass() {
+    /// Whether this CPU runs the `zmm` passes (tests of them skip
+    /// elsewhere).
+    fn zmm_available(test: &str) -> bool {
         #[cfg(target_arch = "x86_64")]
         let avx512 = zmm::available();
         #[cfg(not(target_arch = "x86_64"))]
         let avx512 = false;
         if !avx512 {
-            eprintln!("zmm_group_pass_matches_generic_w8_pass: no avx512f on this CPU, skipped");
+            eprintln!("{test}: no avx512f on this CPU, skipped");
+        }
+        avx512
+    }
+
+    /// The AVX-512 passes and the generic W = 8 pass must produce
+    /// bit-identical settle times on every exposed net (the f64 group
+    /// sweep) and identical window masks (the certified f32 word sweep
+    /// and its f64 re-sweeps), over full and partial windows, for both
+    /// the full and the compacted plan. A level whose threshold sits
+    /// exactly on an observed settle time must force the f64 re-sweep.
+    #[test]
+    fn zmm_group_pass_matches_generic_w8_pass() {
+        if !zmm_available("zmm_group_pass_matches_generic_w8_pass") {
             return;
         }
         let nl = random_dag(24, 600, 0x9e37_79b9_7f4a_7c15);
@@ -1384,18 +1704,25 @@ mod tests {
                 .iter()
                 .map(|&k| c.static_bounds()[k as usize])
                 .fold(0.0, f64::max);
-        let factors = [0.9, 1.0, 1.25, 1.6];
         let mut erring = 0;
+        let (mut words, mut resweeps) = (0, 0);
         for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
+            let kept: Vec<NetId> = program
+                .keep
+                .iter()
+                .map(|&k| NetId::from_index(k as usize))
+                .collect();
             let mut zmm = SpecializedKernel::<8>::with_avx512(&program, true);
             let mut generic = SpecializedKernel::<8>::with_avx512(&program, false);
-            assert!(
-                zmm.group && !generic.zmm,
-                "one group pass, one generic pass"
+            assert!(zmm.zmm && !generic.zmm, "one zmm kernel, one generic");
+            assert_eq!(
+                generic.f64_resweeps(),
+                None,
+                "the generic pass has no f32 sweep"
             );
             let mut rng = 0x0dd_ba11u64;
             let mut flat = vec![false; 512 * width];
-            let (mut zmm_masks, mut generic_masks) = (vec![0; 2048], vec![0; 2048]);
+            let (mut zmm_masks, mut generic_masks) = (vec![0; 2560], vec![0; 2560]);
             for count in [512usize, 301, 65, 2] {
                 for bit in flat.iter_mut() {
                     rng ^= rng << 13;
@@ -1406,15 +1733,40 @@ mod tests {
                 let lanes = pack(&flat, width, count, 8);
                 zmm.load_window(&lanes, count);
                 generic.load_window(&lanes, count);
-                zmm.window_masks(clk, &factors, &mut zmm_masks);
-                generic.window_masks(clk, &factors, &mut generic_masks);
-                let used = (count - 1) * factors.len();
-                assert_eq!(
-                    zmm_masks[..used],
-                    generic_masks[..used],
-                    "window of {count}"
-                );
-                erring += zmm_masks[..used].iter().filter(|&&m| m != 0).count();
+                // The largest kept settle time at or below the clock.
+                let mut on_threshold = 0.0f64;
+                for t in 0..count - 1 {
+                    generic.select_transition(t);
+                    for &net in &kept {
+                        let s = generic.settle_of(net);
+                        if s <= clk {
+                            on_threshold = on_threshold.max(s);
+                        }
+                    }
+                }
+                let mut levels = vec![vec![0.9, 1.0, 1.25, 1.6]];
+                if on_threshold > 0.0 {
+                    levels.push(vec![1.25, clk / on_threshold]);
+                }
+                for (i, factors) in levels.iter().enumerate() {
+                    let before = zmm.f64_resweeps().expect("zmm kernel runs the f32 sweep");
+                    zmm.window_masks(clk, factors, &mut zmm_masks);
+                    generic.window_masks(clk, factors, &mut generic_masks);
+                    let used = (count - 1) * factors.len();
+                    assert_eq!(
+                        zmm_masks[..used],
+                        generic_masks[..used],
+                        "window of {count}, factors {factors:?}"
+                    );
+                    erring += zmm_masks[..used].iter().filter(|&&m| m != 0).count();
+                    let swept = zmm.f64_resweeps().unwrap() - before;
+                    if i == 0 {
+                        words += (count - 1).div_ceil(64);
+                        resweeps += swept;
+                    } else {
+                        assert!(swept > 0, "a threshold on a settle time must re-sweep");
+                    }
+                }
                 for t in 0..count - 1 {
                     zmm.select_transition(t);
                     generic.select_transition(t);
@@ -1432,6 +1784,128 @@ mod tests {
             }
         }
         assert!(erring > 0, "the clock must make some transitions err");
+        assert!(
+            (resweeps as usize) < words,
+            "the f32 sweep must certify some words ({resweeps} of {words} re-swept)"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The static f32 error bound dominates `|v32 - v64|` on every
+        /// net the plan exposes, in every lane of every word sweep, on
+        /// random DAGs with delays scaled off their library values.
+        #[test]
+        fn f32_error_bound_dominates_word_sweep(
+            seed in proptest::prelude::any::<u64>(),
+            n_inputs in 1usize..24,
+            n_gates in 16usize..400,
+            count in 2usize..=512,
+            scale_milli in 50u32..20_000,
+        ) {
+            if !zmm_available("f32_error_bound_dominates_word_sweep") {
+                return Ok(());
+            }
+            let mut nl = random_dag(n_inputs, n_gates, seed | 1);
+            nl.scale_all_delays(f64::from(scale_milli) / 1e3 * 1.000_137);
+            let c = CompiledNetlist::compile(&nl);
+
+            let keep: Vec<u32> = (c.len() as u32 - 16..c.len() as u32).collect();
+            let mut rng = seed | 1;
+            let flat: Vec<bool> = (0..count * n_inputs)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng & 1 == 1
+                })
+                .collect();
+            let lanes = pack(&flat, n_inputs, count, 8);
+            for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
+                let bound = f32_error_bounds(&c, &program.plan);
+                let exposed: Vec<(usize, usize)> = program
+                    .plan
+                    .exposed
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &slot)| slot != u32::MAX)
+                    .map(|(net, &slot)| (net, slot as usize))
+                    .collect();
+                let mut k = SpecializedKernel::<8>::with_avx512(&program, true);
+                k.load_window(&lanes, count);
+                let n = c.len();
+                let recs = k.packed.clone().expect("packed records");
+                for lo in (0..count - 1).step_by(64) {
+                    let dw = k.diffs_t[lo / 64 * n..lo / 64 * n + n].to_vec();
+                    // SAFETY: as in `certified_word`.
+                    #[cfg(target_arch = "x86_64")]
+                    unsafe { zmm::settle_f32_word(&recs, k.scratch.as_mut_f32(), &dw) };
+                    let f32_lanes: Vec<Vec<f32>> = exposed
+                        .iter()
+                        .map(|&(_, slot)| k.scratch.as_mut_f32()[64 * slot..64 * slot + 64].to_vec())
+                        .collect();
+                    k.batch_base = usize::MAX;
+                    for base in (lo..(lo + 64).min(count - 1)).step_by(k.sweep_width()) {
+                        k.ensure_sweep(base);
+                        for (&(net, slot), v32) in exposed.iter().zip(&f32_lanes) {
+                            for (i, &v64) in k.sweep_lanes(slot).iter().enumerate() {
+                                let v = f64::from(v32[base - lo + i]);
+                                proptest::prop_assert!(
+                                    (v - v64).abs() <= bound[slot],
+                                    "net {} t={}: f32 {} vs f64 {} past bound {}",
+                                    net, base + i, v, v64, bound[slot]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cuts decide exactly like the f64 test wherever they decide:
+    /// on a grid of settle times around each level's first error, a
+    /// value certified safe (or erring) by the f32 cuts is safe (or
+    /// errs) for every f64 value within the bound of it.
+    #[test]
+    fn f32_cuts_bracket_the_first_error() {
+        let clk = 1.3;
+        for k in [0.5, 1.0, 1.0 + f64::EPSILON, 1.15, 1.25, 2.0, 7.5] {
+            let tau = first_error(clk, k);
+            let errs = |s: f64| s.min(clk) * k > clk;
+            if tau.is_finite() {
+                assert!(errs(tau) && !errs(tau.next_down()), "k={k}: tau {tau}");
+            } else {
+                assert!(!errs(clk) && !errs(f64::MAX), "k={k}: nothing errs");
+            }
+            for bound in [0.0, 1e-9, 3e-5, 0.01] {
+                let [lo, hi] = f32_cuts(tau, bound);
+                assert!(lo < hi || tau.is_infinite(), "k={k} bound={bound}");
+                let centre = if tau.is_finite() { tau } else { clk };
+                for step in -200i32..=200 {
+                    let v = (centre + f64::from(step) * (bound + 1e-7) / 50.0) as f32;
+                    let v64 = f64::from(v);
+                    for s in [v64 - bound, v64, v64 + bound].map(|s| s.max(0.0)) {
+                        if v <= lo {
+                            assert!(
+                                !errs(s),
+                                "k={k} bound={bound}: {v} certified safe, {s} errs"
+                            );
+                        }
+                        if v >= hi {
+                            assert!(
+                                errs(s),
+                                "k={k} bound={bound}: {v} certified error, {s} safe"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(first_error(0.0, 2.0), f64::INFINITY);
+        assert_eq!(first_error(f64::NAN, 2.0), f64::INFINITY);
+        assert_eq!(first_error(-1.0, 0.5), 0.0);
     }
 
     #[test]

@@ -77,9 +77,12 @@ pub trait ArrivalEngine: Send {
     /// factor `factors[l]`, i.e. `settle.min(clk) * factors[l] > clk`
     /// (the settle time clamped to the clock at nominal, then derated).
     /// Writes exactly the first `window_transitions() * factors.len()`
-    /// words of `out`. Settle sweeps run as they would under
-    /// [`select_transition`](Self::select_transition), sanitizer
-    /// assertions included.
+    /// words of `out`. The masks equal thresholding the f64 settle
+    /// times [`select_transition`](Self::select_transition) reports,
+    /// though the sweeps behind them may run in f32 where every
+    /// decision is certified by a static error bound (see
+    /// [`codegen`](crate::codegen)); sanitizer assertions run either
+    /// way.
     ///
     /// # Panics
     ///

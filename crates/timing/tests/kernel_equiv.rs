@@ -7,7 +7,9 @@
 //! [`SpecializedKernel`] over [`DynProgram`], the pipeline every
 //! shipped unit's DTA runs — is checked over full and compacted plans
 //! at every supported lane width, on maximal and short windows, and at
-//! window counts on and around every 64-vector lane word boundary.
+//! window counts on and around every 64-vector lane word boundary. Its
+//! window masks are pinned to per-transition f64 thresholds, including
+//! at levels that force the certified f32 sweep back to f64.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,7 +151,10 @@ proptest! {
     /// `window_masks` must equal thresholding each selected
     /// transition's kept settle times by hand, at every lane width and
     /// at levels with derating factor at most 1 (which never err) and
-    /// above it, with random seam transitions masked off.
+    /// above it, with random seam transitions masked off — and at a
+    /// level whose threshold sits exactly on an observed settle time,
+    /// which the certified f32 sweep cannot decide and must re-sweep in
+    /// f64.
     #[test]
     fn prop_window_masks_match_selected_thresholds(
         seed in any::<u64>(),
@@ -178,7 +183,10 @@ proptest! {
 /// Walk `stream` in maximal windows of a `W`-lane kernel over
 /// `program`, dropping about one transition in eight as a seam, and
 /// check every window's masks against `select_transition` +
-/// `settle_of` thresholding of the kept nets.
+/// `settle_of` thresholding of the kept nets. Each window adds a level
+/// `k = clk / s` for the largest kept settle time `s <= clk` it
+/// contains, so `clk / k` lands on `s`; where the kernel runs the f32
+/// sweep, that window must count an f64 re-sweep.
 fn window_masks_match<const W: usize>(
     program: &DynProgram,
     keep: &[u32],
@@ -188,24 +196,51 @@ fn window_masks_match<const W: usize>(
     rng: &mut StdRng,
 ) -> Result<(), TestCaseError> {
     let mut engine = SpecializedKernel::<W>::new(program);
-    let mut masks = vec![0u64; W * 64 * factors.len()];
+    let mut masks = vec![0u64; W * 64 * (factors.len() + 1)];
     let mut start = 0usize;
     while start + 1 < stream.len() {
         let count = (stream.len() - start).min(W * 64);
         let seams: Vec<u64> = (0..W)
             .map(|_| rng.gen::<u64>() | rng.gen::<u64>() | rng.gen::<u64>())
             .collect();
+        let kept = |t: usize| (seams[t / 64] >> (t % 64)) & 1 == 1;
         engine.set_window_keep_mask(&seams);
         engine.load_window(&pack(&stream[start..start + count], W), count);
-        engine.window_masks(clk, factors, &mut masks);
+        let mut on_threshold = 0.0f64;
+        for t in (0..count - 1).filter(|&t| kept(t)) {
+            engine.select_transition(t);
+            for &net in keep {
+                let s = engine.settle_of(NetId::from_index(net as usize));
+                if s <= clk {
+                    on_threshold = on_threshold.max(s);
+                }
+            }
+        }
+        let mut levels = factors.to_vec();
+        if on_threshold > 0.0 {
+            levels.push(clk / on_threshold);
+        }
+        let before = engine.f64_resweeps();
+        engine.window_masks(clk, &levels, &mut masks);
+        if let (Some(before), Some(after), true) =
+            (before, engine.f64_resweeps(), on_threshold > 0.0)
+        {
+            prop_assert!(
+                after > before,
+                "W={} window at {}: a threshold on settle time {} was certified",
+                W,
+                start,
+                on_threshold
+            );
+        }
         for t in 0..count - 1 {
-            let row = &masks[t * factors.len()..(t + 1) * factors.len()];
-            if (seams[t / 64] >> (t % 64)) & 1 == 0 {
+            let row = &masks[t * levels.len()..(t + 1) * levels.len()];
+            if !kept(t) {
                 prop_assert!(row.iter().all(|&m| m == 0), "W={} seam {} erred", W, t);
                 continue;
             }
             engine.select_transition(t);
-            for (&k, &mask) in factors.iter().zip(row) {
+            for (&k, &mask) in levels.iter().zip(row) {
                 let want = keep
                     .iter()
                     .enumerate()
