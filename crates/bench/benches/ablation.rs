@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tei_core::{campaign, dev, models::MaskSampling, DaModel, InjectionModel, StatModel};
 use tei_netlist::{CellLibrary, Netlist};
-use tei_timing::{DeratingModel, DtaEngine, OperatingPoint, TimingEngine, VoltageReduction};
+use tei_timing::{ArrivalSim, EventSim, FanoutTable, TwoVectorResult, VoltageReduction};
 use tei_uarch::{FuncCore, OooConfig, OooCore};
 use tei_workloads::{build, BenchmarkId, Scale};
 
@@ -24,31 +24,42 @@ fn bench_engine_ablation(c: &mut Criterion) {
     let sta = tei_timing::Sta::analyze(&nl);
     nl.scale_all_delays(4.2 / sta.max_delay());
 
-    let arrival = DtaEngine::new(nl.clone(), TimingEngine::Arrival, DeratingModel::default());
-    let event = DtaEngine::new(
-        nl.clone(),
-        TimingEngine::EventDriven,
-        DeratingModel::default(),
-    );
-    let op = OperatingPoint {
-        vdd: VoltageReduction::VR20.vdd(),
-        clk: 4.5,
+    let outputs = nl.output_nets();
+    let fanouts = FanoutTable::build(&nl);
+    let (clk, k) = (4.5, VoltageReduction::VR20.derating_factor());
+    let delays = EventSim::derated_delays(&nl, k);
+    // Per-bit error masks of one transition from each engine.
+    let arrival = |prev: &[bool], cur: &[bool], buf: &mut TwoVectorResult| -> Vec<bool> {
+        ArrivalSim::run_into(&nl, prev, cur, buf);
+        outputs.iter().map(|&n| buf.is_error(n, clk, k)).collect()
+    };
+    let event = |prev: &[bool], cur: &[bool]| {
+        let r = EventSim::run(&nl, &fanouts, prev, cur, &delays, clk);
+        let mask: Vec<bool> = outputs.iter().map(|n| r.is_error(n.index())).collect();
+        (mask, r.final_values)
     };
     let mut rng = StdRng::seed_from_u64(5);
     let vecs: Vec<Vec<bool>> = (0..32)
         .map(|_| (0..32).map(|_| rng.gen()).collect())
         .collect();
+    let mut buf = TwoVectorResult::default();
     // Sanity: golden outputs agree between engines.
     for w in vecs.windows(2) {
-        let x = arrival.analyze(&w[0], &w[1], op);
-        let y = event.analyze(&w[0], &w[1], op);
-        assert_eq!(x.golden, y.golden, "engines disagree on settled values");
+        ArrivalSim::run_into(&nl, &w[0], &w[1], &mut buf);
+        let (_, golden) = event(&w[0], &w[1]);
+        for &n in &outputs {
+            assert_eq!(
+                buf.cur[n.index()],
+                golden[n.index()],
+                "engines disagree on settled values"
+            );
+        }
     }
     let mut group = c.benchmark_group("engine_ablation");
     group.bench_function("arrival", |bch| {
         bch.iter(|| {
             for w in vecs.windows(2) {
-                criterion::black_box(arrival.analyze(&w[0], &w[1], op));
+                criterion::black_box(arrival(&w[0], &w[1], &mut buf));
             }
         });
     });
@@ -56,7 +67,7 @@ fn bench_engine_ablation(c: &mut Criterion) {
     group.bench_function("event_driven", |bch| {
         bch.iter(|| {
             for w in vecs.windows(2) {
-                criterion::black_box(event.analyze(&w[0], &w[1], op));
+                criterion::black_box(event(&w[0], &w[1]));
             }
         });
     });

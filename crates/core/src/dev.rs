@@ -903,17 +903,8 @@ impl SurrogateRun {
         // 53-bit threshold comparison against a SplitMix64 draw keeps
         // the decision exact in f64 and chunk/thread-independent.
         let threshold = (self.audit_fraction.clamp(0.0, 1.0) * (1u64 << 53) as f64) as u64;
-        (splitmix64(self.audit_seed ^ (t as u64 >> 6)) >> 11) < threshold
+        (crate::failpoint::splitmix64(self.audit_seed ^ (t as u64 >> 6)) >> 11) < threshold
     }
-}
-
-/// SplitMix64 mixer (the same finalizer the derating jitter and chaos
-/// schedules use) — a stateless, high-quality hash of one `u64`.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// What the predictive campaign actually did, alongside its statistics:
@@ -1520,6 +1511,29 @@ mod tests {
             assert_eq!(engine.lanes(), lanes);
             assert_eq!(engine.window_vectors(), lanes * 64);
         }
+    }
+
+    /// A lower supply can only shrink the statically safe set (the
+    /// γ-scaled bounds may exceed the clock even at nominal); d-mul, the
+    /// most critical unit, has unsafe bits at VR20.
+    #[test]
+    fn safe_bits_shrink_as_voltage_falls() {
+        let (bank, spec) = default_bank();
+        let levels = [
+            VoltageReduction::Nominal,
+            VoltageReduction::VR15,
+            VoltageReduction::VR20,
+        ];
+        for unit in bank.iter() {
+            let safe = safe_bit_counts(unit, spec.clk, &levels);
+            assert!(
+                safe[0] >= safe[1] && safe[1] >= safe[2],
+                "{}: {safe:?}",
+                unit.tag()
+            );
+        }
+        let dmul = bank.unit(FpOp::new(FpOpKind::Mul, Precision::Double));
+        assert!(safe_bit_counts(dmul, spec.clk, &levels)[2] < dmul.result_width());
     }
 
     #[test]

@@ -262,12 +262,6 @@ impl FpuUnit {
         &self.netlist
     }
 
-    /// Consume the unit, returning the netlist (e.g. to build a
-    /// [`DtaEngine`](tei_timing::DtaEngine)).
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// The result port nets.
     pub fn result_port(&self) -> &[NetId] {
         self.netlist

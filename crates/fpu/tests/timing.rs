@@ -4,10 +4,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tei_fpu::{whole_core, FpuTimingSpec, FpuUnit};
+use tei_netlist::Netlist;
 use tei_softfloat::{FpOp, FpOpKind, Precision};
 use tei_timing::{
-    ArrivalSim, DeratingModel, DtaEngine, OperatingPoint, PathCensus, Sta, TimingEngine,
-    VoltageReduction,
+    ArrivalSim, EventSim, FanoutTable, PathCensus, Sta, TwoVectorResult, VoltageReduction,
 };
 
 #[test]
@@ -68,34 +68,47 @@ fn random_normal_f64(rng: &mut StdRng) -> u64 {
     s | e | f
 }
 
+/// Whether the `prev → cur` transition latches a stale value on any
+/// output of `nl` at clock `clk` with every delay inflated by `k`.
+fn has_error(
+    nl: &Netlist,
+    prev: &[bool],
+    cur: &[bool],
+    clk: f64,
+    k: f64,
+    buf: &mut TwoVectorResult,
+) -> bool {
+    ArrivalSim::run_into(nl, prev, cur, buf);
+    nl.output_nets()
+        .into_iter()
+        .any(|n| buf.is_error(n, clk, k))
+}
+
+/// Consecutive random operand pairs, with one in eight a near repeat.
+fn operand_pair(rng: &mut StdRng) -> (u64, u64) {
+    let a = random_normal_f64(rng);
+    let b = if rng.gen_ratio(1, 8) {
+        (a ^ rng.gen_range(1u64..64)) ^ ((rng.gen::<bool>() as u64) << 63)
+    } else {
+        random_normal_f64(rng)
+    };
+    (a, b)
+}
+
 /// Measured error ratio of an operation under consecutive random operands.
 fn error_ratio(op: FpOp, vr: VoltageReduction, samples: usize) -> f64 {
     let unit = FpuUnit::generate(op, &FpuTimingSpec::paper_calibrated());
-    let clk = 4.5;
-    let engine = DtaEngine::new(
-        unit.dta_netlist(),
-        TimingEngine::Arrival,
-        DeratingModel::default(),
-    );
+    let nl = unit.dta_netlist();
+    let (clk, k) = (4.5, vr.derating_factor());
     let mut rng = StdRng::seed_from_u64(0xA11CE + op.index() as u64);
-    let pair = |rng: &mut StdRng| {
-        let a = random_normal_f64(rng);
-        let b = if rng.gen_ratio(1, 8) {
-            (a ^ rng.gen_range(1u64..64)) ^ ((rng.gen::<bool>() as u64) << 63)
-        } else {
-            random_normal_f64(rng)
-        };
-        (a, b)
-    };
-    let (a0, b0) = pair(&mut rng);
+    let (a0, b0) = operand_pair(&mut rng);
     let mut prev = unit.encode_inputs(a0, b0);
+    let mut buf = TwoVectorResult::default();
     let mut errors = 0usize;
-    let op_pt = OperatingPoint { vdd: vr.vdd(), clk };
     for _ in 0..samples {
-        let (a, b) = pair(&mut rng);
+        let (a, b) = operand_pair(&mut rng);
         let cur = unit.encode_inputs(a, b);
-        let out = engine.analyze(&prev, &cur, op_pt);
-        if out.has_error() {
+        if has_error(&nl, &prev, &cur, clk, k, &mut buf) {
             errors += 1;
         }
         prev = cur;
@@ -117,11 +130,8 @@ fn single_precision_is_error_free_at_vr20() {
     for kind in [FpOpKind::Add, FpOpKind::Mul] {
         let op = FpOp::new(kind, Precision::Single);
         let unit = FpuUnit::generate(op, &FpuTimingSpec::paper_calibrated());
-        let engine = DtaEngine::new(
-            unit.dta_netlist(),
-            TimingEngine::Arrival,
-            DeratingModel::default(),
-        );
+        let nl = unit.dta_netlist();
+        let k = VoltageReduction::VR20.derating_factor();
         let mut rng = StdRng::seed_from_u64(7);
         let mk = |rng: &mut StdRng| {
             let s = (rng.gen::<bool>() as u32) << 31;
@@ -130,16 +140,47 @@ fn single_precision_is_error_free_at_vr20() {
             (s | e | f) as u64
         };
         let mut prev = unit.encode_inputs(mk(&mut rng), mk(&mut rng));
-        let op_pt = OperatingPoint {
-            vdd: VoltageReduction::VR20.vdd(),
-            clk: 4.5,
-        };
+        let mut buf = TwoVectorResult::default();
         for _ in 0..150 {
             let cur = unit.encode_inputs(mk(&mut rng), mk(&mut rng));
-            let out = engine.analyze(&prev, &cur, op_pt);
-            assert!(!out.has_error(), "{op} erred at VR20");
+            assert!(
+                !has_error(&nl, &prev, &cur, 4.5, k, &mut buf),
+                "{op} erred at VR20"
+            );
             prev = cur;
         }
+    }
+}
+
+/// The glitch-free arrival engine and the event-driven reference settle
+/// every output of the shipped (γ-scaled) d-mul netlist to the same
+/// steady state on a fixed stream of VR20 transitions. Under
+/// `sanitize-arrivals` each `EventSim` run also asserts that no event
+/// falls past its net's derated static bound.
+#[test]
+fn dmul_engines_agree_on_steady_state() {
+    let op = FpOp::new(FpOpKind::Mul, Precision::Double);
+    let unit = FpuUnit::generate(op, &FpuTimingSpec::paper_calibrated());
+    let nl = unit.dta_netlist();
+    let fanouts = FanoutTable::build(&nl);
+    let delays = EventSim::derated_delays(&nl, VoltageReduction::VR20.derating_factor());
+    let mut rng = StdRng::seed_from_u64(0xE7E7);
+    let (a0, b0) = operand_pair(&mut rng);
+    let mut prev = unit.encode_inputs(a0, b0);
+    let mut buf = TwoVectorResult::default();
+    for t in 0..16 {
+        let (a, b) = operand_pair(&mut rng);
+        let cur = unit.encode_inputs(a, b);
+        ArrivalSim::run_into(&nl, &prev, &cur, &mut buf);
+        let ev = EventSim::run(&nl, &fanouts, &prev, &cur, &delays, 4.5);
+        for (bit, n) in nl.output_nets().into_iter().enumerate() {
+            assert_eq!(
+                buf.cur[n.index()],
+                ev.final_values[n.index()],
+                "transition {t}: engines disagree on output bit {bit}"
+            );
+        }
+        prev = cur;
     }
 }
 

@@ -182,33 +182,6 @@ impl InterpolatedDerating {
     }
 }
 
-/// An operating point: supply voltage and clock period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OperatingPoint {
-    /// Supply voltage in volts.
-    pub vdd: f64,
-    /// Clock period in nanoseconds.
-    pub clk: f64,
-}
-
-impl OperatingPoint {
-    /// The paper's design point: 1.1 V, 4.5 ns minimum clock.
-    pub fn paper_nominal() -> Self {
-        OperatingPoint {
-            vdd: V_NOMINAL,
-            clk: 4.5,
-        }
-    }
-
-    /// Same clock, reduced voltage.
-    pub fn with_reduction(self, vr: VoltageReduction) -> Self {
-        OperatingPoint {
-            vdd: V_NOMINAL * (1.0 - vr.fraction()),
-            clk: self.clk,
-        }
-    }
-}
-
 /// Alpha-power-law delay model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AlphaPowerLaw {
@@ -244,60 +217,6 @@ impl AlphaPowerLaw {
             self.vth
         );
         (vdd / self.vnom) * ((self.vnom - self.vth) / (vdd - self.vth)).powf(self.alpha)
-    }
-}
-
-/// How per-gate delays are inflated at a reduced-voltage corner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DeratingModel {
-    /// Every gate scales by the same alpha-power-law factor. Under this
-    /// model nominal arrival times scale uniformly, so dynamic timing
-    /// analysis can be performed once and re-thresholded per corner.
-    Uniform(AlphaPowerLaw),
-    /// Uniform scaling plus deterministic per-gate jitter of relative
-    /// magnitude `sigma` (a ±sigma triangular perturbation seeded by the
-    /// gate index), modeling within-die process variation. Used by the
-    /// ablation benches.
-    PerGateJitter {
-        /// The underlying uniform law.
-        law: AlphaPowerLaw,
-        /// Relative jitter magnitude (e.g. 0.05 for ±5 %).
-        sigma: f64,
-        /// Seed decorrelating different fabricated instances.
-        seed: u64,
-    },
-}
-
-impl Default for DeratingModel {
-    fn default() -> Self {
-        DeratingModel::Uniform(AlphaPowerLaw::default())
-    }
-}
-
-impl DeratingModel {
-    /// Derating factor for gate `gate_index` at supply `vdd`.
-    pub fn factor_for(&self, vdd: f64, gate_index: usize) -> f64 {
-        match self {
-            DeratingModel::Uniform(law) => law.factor(vdd),
-            DeratingModel::PerGateJitter { law, sigma, seed } => {
-                let base = law.factor(vdd);
-                // SplitMix64 over (seed, gate) → deterministic jitter in [-1, 1).
-                let mut z = seed
-                    .wrapping_add(0x9e3779b97f4a7c15)
-                    .wrapping_add((gate_index as u64).wrapping_mul(0xbf58476d1ce4e5b9));
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^= z >> 31;
-                let unit = (z as f64 / u64::MAX as f64) * 2.0 - 1.0;
-                base * (1.0 + sigma * unit)
-            }
-        }
-    }
-
-    /// True when the factor is identical for every gate, enabling the
-    /// compute-once / re-threshold-per-corner optimization.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, DeratingModel::Uniform(_))
     }
 }
 
@@ -440,29 +359,6 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn sub_threshold_supply_rejected() {
         AlphaPowerLaw::default().factor(0.4);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let model = DeratingModel::PerGateJitter {
-            law: AlphaPowerLaw::default(),
-            sigma: 0.05,
-            seed: 42,
-        };
-        let base = AlphaPowerLaw::default().factor(0.88);
-        for g in 0..1000 {
-            let f1 = model.factor_for(0.88, g);
-            let f2 = model.factor_for(0.88, g);
-            assert_eq!(f1, f2, "deterministic");
-            assert!(
-                (f1 / base - 1.0).abs() <= 0.05 + 1e-12,
-                "bounded at gate {g}"
-            );
-        }
-        // Jitter actually varies between gates.
-        let a = model.factor_for(0.88, 1);
-        let b = model.factor_for(0.88, 2);
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -319,5 +319,50 @@ mod tests {
         }
     }
 
+    /// A depth-5 inverter chain (5 ns nominal) meets a 6 ns clock at the
+    /// nominal corner and fails it at VR20 (5 × 1.52 ≈ 7.6 ns): both
+    /// engines latch the stale value on the one output bit.
+    #[test]
+    fn undervolting_induces_one_bit_error_in_both_engines() {
+        use crate::VoltageReduction;
+        let mut nl = Netlist::new("chain", CellLibrary::unit());
+        let a = nl.add_input_bit();
+        let mut cur = a;
+        for _ in 0..5 {
+            cur = nl.not(cur);
+        }
+        nl.mark_output_bus("o", &[cur]);
+        let fo = FanoutTable::build(&nl);
+        let ar = ArrivalSim::run(&nl, &[false], &[true]);
+        let clk = 6.0;
+        for (vr, erred) in [
+            (VoltageReduction::Nominal, false),
+            (VoltageReduction::VR20, true),
+        ] {
+            let k = vr.derating_factor();
+            let ev = EventSim::run(
+                &nl,
+                &fo,
+                &[false],
+                &[true],
+                &EventSim::derated_delays(&nl, k),
+                clk,
+            );
+            assert_eq!(
+                ev.is_error(cur.index()),
+                erred,
+                "event engine at {}",
+                vr.label()
+            );
+            assert_eq!(
+                ar.is_error(cur, clk, k),
+                erred,
+                "arrival engine at {}",
+                vr.label()
+            );
+            assert_eq!(ev.final_values[cur.index()], ar.cur[cur.index()]);
+        }
+    }
+
     use tei_netlist::GateKind;
 }

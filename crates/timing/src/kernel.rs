@@ -44,8 +44,8 @@
 //! ([`SpecializedKernel`](crate::SpecializedKernel), see
 //! [`codegen`](crate::codegen)) evaluates `W * 64` vectors per
 //! whole-circuit pass over tables built from the same
-//! [`CompiledNetlist`]. This kernel is the per-pair path — γ
-//! calibration in `tei-fpu` — and the reference the window kernel's
+//! [`CompiledNetlist`], and so does γ calibration in `tei-fpu`. This
+//! kernel is a test oracle only: the reference the window kernel's
 //! equivalence suites replay every transition through.
 //!
 //! The kernel is bit-for-bit and settle-time-exact against

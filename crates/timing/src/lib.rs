@@ -27,11 +27,15 @@
 //! * [`EventSim`] — exact event-driven timed simulation with transport
 //!   delays (models glitches); the reference engine the fast one is
 //!   validated against.
-//! * [`DeratingModel`] / [`VoltageReduction`] — the alpha-power-law supply
-//!   voltage derating used to model VR15/VR20 corners.
-//! * [`DtaEngine`] — the dynamic-timing-analysis driver used by the model
-//!   development phase: consecutive operand pairs in, per-output-bit error
-//!   masks out.
+//! * [`VoltageReduction`] / [`InterpolatedDerating`] — the alpha-power-law
+//!   supply-voltage derating used to model VR15/VR20 corners and
+//!   continuous-Vdd sweeps.
+//!
+//! A DTA step is one consecutive input pair: the bits a register latches
+//! at the derated corner are [`TwoVectorResult::latched`] at
+//! `(clk, vr.derating_factor())`, the error mask their XOR with the
+//! steady state. An output bit is statically safe when
+//! [`CompiledNetlist::static_bound`]`(net) * factor <= clk`.
 //!
 //! ## Example
 //!
@@ -52,27 +56,21 @@
 
 pub mod codegen;
 mod derating;
-mod dta;
 mod engine;
 mod event;
 mod kernel;
-mod oracle;
 mod sim;
 mod sta;
 pub mod surrogate;
-mod vcd;
 
 pub use codegen::{transpose64, DynProgram, Lanes, SettlePlan, SpecializedKernel};
 pub use derating::{
-    overclock_factor, AgingModel, AlphaPowerLaw, DeratingModel, InterpolatedDerating,
-    OperatingPoint, TemperatureModel, VoltageReduction,
+    overclock_factor, AgingModel, AlphaPowerLaw, InterpolatedDerating, TemperatureModel,
+    VoltageReduction,
 };
-pub use dta::{DtaEngine, DtaOutcome, TimingEngine};
 pub use engine::ArrivalEngine;
 pub use event::{EventSim, EventSimResult, FanoutTable};
 pub use kernel::{ArrivalKernel, CompiledNetlist};
-pub use oracle::{SafeBitSet, SlackOracle};
 pub use sim::{ArrivalSim, TwoVectorResult};
 pub use sta::{PathCensus, PathInfo, Sta};
 pub use surrogate::{OperandFormat, SurrogateClass, SurrogateFitter, SurrogateModel};
-pub use vcd::{dump_vcd, Change, Waveform};

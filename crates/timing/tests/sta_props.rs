@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tei_netlist::{CellLibrary, GateKind, NetId, Netlist};
-use tei_timing::{ArrivalSim, CompiledNetlist, SlackOracle, Sta};
+use tei_timing::{ArrivalSim, CompiledNetlist, Sta};
 
 /// Build a random topologically-ordered DAG: `n_inputs` primary inputs
 /// followed by `n_gates` random gates whose pins reference earlier nets.
@@ -123,7 +123,8 @@ proptest! {
 
     /// The static per-bit bounds are conservative over the dynamic
     /// engine, and the compiled kernel's bounds equal the STA arrivals
-    /// (the slack oracle's soundness assumption).
+    /// (the soundness assumption of the per-bit safe test
+    /// `static_bound(net) * factor <= clk`).
     #[test]
     fn prop_static_bounds_dominate_dynamic_settles(seed in any::<u64>(), ni in 2usize..6, ng in 1usize..40) {
         let nl = random_dag(seed, ni, ng);
@@ -132,8 +133,6 @@ proptest! {
         for (i, &bound) in compiled.static_bounds().iter().enumerate() {
             prop_assert_eq!(bound, sta.arrivals()[i], "compiled bound {} != STA arrival", i);
         }
-        let oracle = SlackOracle::analyze(&nl);
-        prop_assert_eq!(oracle.bounds(), sta.arrivals());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         for _ in 0..8 {
             let prev = random_inputs(&mut rng, ni);

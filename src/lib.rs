@@ -7,8 +7,8 @@
 //! See the individual crates for details:
 //!
 //! * [`netlist`] — gate-level circuits and datapath builders
-//! * [`timing`] — static and dynamic timing analysis (interpreted and
-//!   table-driven DTA kernels), voltage derating
+//! * [`timing`] — static timing analysis, the table-driven DTA kernel,
+//!   event-driven and arrival-time reference engines, voltage derating
 //! * [`softfloat`] — bit-accurate IEEE-754 reference arithmetic
 //! * [`fpu`] — gate-level FPU datapath generators
 //! * [`isa`] — the simulated instruction set and assembler
