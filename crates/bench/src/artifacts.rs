@@ -1,9 +1,16 @@
 //! Shared, lazily-built experiment artifacts: the calibrated FPU bank,
 //! per-benchmark golden runs and operand traces, and the error models.
+//!
+//! Each operand stream is walked once for both corners: the IA pairs in
+//! one [`dev::per_op_stats`] walk per run, each benchmark's trace in one
+//! per benchmark. Models are built from those cached statistics.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use tei_core::{campaign::GoldenRun, dev, DaCalibration, DaModel, StatModel, TeiError};
+use tei_core::{
+    campaign::GoldenRun, dev, DaCalibration, DaModel, MaskSampling, ModelKind, OpErrorStats,
+    StatModel, TeiError,
+};
 use tei_fpu::{FpuBank, FpuTimingSpec};
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, Benchmark, BenchmarkId, Scale};
@@ -21,9 +28,29 @@ pub struct Artifacts {
     benches: Mutex<BTreeMap<BenchmarkId, Benchmark>>,
     goldens: Mutex<BTreeMap<BenchmarkId, GoldenRun>>,
     traces: Mutex<BTreeMap<BenchmarkId, dev::TraceSet>>,
-    ia: Mutex<BTreeMap<String, StatModel>>,
-    wa: Mutex<BTreeMap<(BenchmarkId, String), StatModel>>,
+    ia: Mutex<Option<CornerStats>>,
+    wa: Mutex<BTreeMap<BenchmarkId, CornerStats>>,
     da_cal: Mutex<Option<DaCalibration>>,
+}
+
+/// Per-op DTA statistics at every corner of [`LEVELS`], level-major.
+type CornerStats = Vec<Vec<OpErrorStats>>;
+
+/// A statistical model at corner `vr`, read off statistics cached for
+/// every corner of [`LEVELS`].
+fn model_at(
+    kind: ModelKind,
+    stats: &CornerStats,
+    vr: VoltageReduction,
+) -> Result<StatModel, TeiError> {
+    let level = LEVELS
+        .iter()
+        .position(|&l| l == vr)
+        .ok_or_else(|| TeiError::MissingVrLevel {
+            vr: vr.label(),
+            context: "model development corners",
+        })?;
+    StatModel::from_campaign_stats(kind, vr, MaskSampling::default(), &stats[level])
 }
 
 impl Artifacts {
@@ -36,7 +63,7 @@ impl Artifacts {
             benches: Mutex::new(BTreeMap::new()),
             goldens: Mutex::new(BTreeMap::new()),
             traces: Mutex::new(BTreeMap::new()),
-            ia: Mutex::new(BTreeMap::new()),
+            ia: Mutex::new(None),
             wa: Mutex::new(BTreeMap::new()),
             da_cal: Mutex::new(None),
         }
@@ -101,39 +128,60 @@ impl Artifacts {
         t
     }
 
-    /// The instruction-aware model at a corner (cached).
+    /// The instruction-aware model at a corner of [`LEVELS`], from IA
+    /// statistics walked once for both corners (cached).
     ///
     /// # Errors
     ///
-    /// Propagates model-development failures.
+    /// Propagates model-development failures;
+    /// [`TeiError::MissingVrLevel`] for a corner outside [`LEVELS`].
     pub fn ia(&self, vr: VoltageReduction) -> Result<StatModel, TeiError> {
-        let key = vr.label();
-        if let Some(m) = self.ia.lock().expect("ia lock").get(&key) {
-            return Ok(m.clone());
-        }
-        eprintln!("[artifacts] IA-model DTA at {key} ...");
-        let (bank, spec) = self.bank();
-        let m = StatModel::instruction_aware(bank, spec, vr, self.dta_samples(), 0x1A)?;
-        self.ia.lock().expect("ia lock").insert(key, m.clone());
-        Ok(m)
+        model_at(ModelKind::Ia, &self.ia_stats()?, vr)
     }
 
-    /// The workload-aware model of a benchmark at a corner (cached).
+    /// The IA statistics at every corner of [`LEVELS`]: one walk over
+    /// random operand pairs (cached).
+    fn ia_stats(&self) -> Result<CornerStats, TeiError> {
+        if let Some(s) = self.ia.lock().expect("ia lock").as_ref() {
+            return Ok(s.clone());
+        }
+        eprintln!("[artifacts] IA-model DTA at VR15 and VR20 ...");
+        let (bank, spec) = self.bank();
+        let n = self.dta_samples();
+        let s = dev::per_op_stats(bank, spec, &LEVELS, |op| {
+            dev::random_operand_pairs(op, n, 0x1A)
+        })?;
+        *self.ia.lock().expect("ia lock") = Some(s.clone());
+        Ok(s)
+    }
+
+    /// The workload-aware statistics of a benchmark at every corner of
+    /// [`LEVELS`], level-major: one walk over its operand trace (cached).
     ///
     /// # Errors
     ///
     /// Propagates model-development failures.
-    pub fn wa(&self, id: BenchmarkId, vr: VoltageReduction) -> Result<StatModel, TeiError> {
-        let key = (id, vr.label());
-        if let Some(m) = self.wa.lock().expect("wa lock").get(&key) {
-            return Ok(m.clone());
+    pub fn wa_stats(&self, id: BenchmarkId) -> Result<CornerStats, TeiError> {
+        if let Some(s) = self.wa.lock().expect("wa lock").get(&id) {
+            return Ok(s.clone());
         }
-        eprintln!("[artifacts] WA-model DTA for {id} at {} ...", vr.label());
         let trace = self.trace(id);
+        eprintln!("[artifacts] WA-model DTA for {id} at VR15 and VR20 ...");
         let (bank, spec) = self.bank();
-        let m = StatModel::workload_aware(bank, spec, vr, &trace, self.dta_samples())?;
-        self.wa.lock().expect("wa lock").insert(key, m.clone());
-        Ok(m)
+        let s = dev::per_op_stats(bank, spec, &LEVELS, |op| trace.of(op))?;
+        self.wa.lock().expect("wa lock").insert(id, s.clone());
+        Ok(s)
+    }
+
+    /// The workload-aware model of a benchmark at a corner of
+    /// [`LEVELS`], built from [`Artifacts::wa_stats`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates model-development failures;
+    /// [`TeiError::MissingVrLevel`] for a corner outside [`LEVELS`].
+    pub fn wa(&self, id: BenchmarkId, vr: VoltageReduction) -> Result<StatModel, TeiError> {
+        model_at(ModelKind::Wa, &self.wa_stats(id)?, vr)
     }
 
     /// The DA calibration over the pooled benchmark mix (cached):
@@ -148,12 +196,10 @@ impl Artifacts {
         }
         eprintln!("[artifacts] DA-model calibration over the benchmark mix ...");
         let mut pooled = dev::TraceSet::default();
-        // Pool a slice of every benchmark's trace.
+        // Pool a prefix of every benchmark's cached trace.
         let per_bench = (self.dta_samples() / BenchmarkId::all().len()).max(500);
         for id in BenchmarkId::all() {
-            let bench = self.bench(id);
-            let t = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, per_bench);
-            pooled.merge(&t);
+            pooled.merge_prefix(&self.trace(id), per_bench);
         }
         let (bank, spec) = self.bank();
         let cal = dev::calibrate_da(bank, spec, &pooled, &LEVELS, self.dta_samples())?;

@@ -18,11 +18,7 @@ use crate::USAGE;
 use std::path::PathBuf;
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::power::min_vdd_meeting;
-use tei_core::{
-    dev, CampaignConfig, DtaTuning, GoldenRun, MaskSampling, ModelKind, OpErrorStats, StatModel,
-    TeiError,
-};
-use tei_softfloat::FpOp;
+use tei_core::{dev, CampaignConfig, GoldenRun, MaskSampling, ModelKind, StatModel, TeiError};
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, BenchmarkId, Scale};
 
@@ -158,24 +154,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
     // single walk, so the sweep's circuit cost is independent of the
     // grid resolution.
     let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, sa.dta_cap);
-    let mut per_level: Vec<Vec<OpErrorStats>> = vec![Vec::new(); levels.len()];
-    for op in FpOp::all() {
-        let pairs = trace.of(op);
-        if pairs.len() < 2 {
-            continue;
-        }
-        let stats = dev::dta_campaign_tuned(
-            bank.unit(op),
-            pairs,
-            spec.clk,
-            &levels,
-            threads,
-            DtaTuning::default(),
-        )?;
-        for (slot, s) in per_level.iter_mut().zip(stats) {
-            slot.push(s);
-        }
-    }
+    let per_level = dev::per_op_stats(&bank, &spec, &levels, |op| trace.of(op))?;
 
     // Grid campaigns: a workload-aware model per voltage, every
     // injection campaign deterministic under (runs, seed, threads).

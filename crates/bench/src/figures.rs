@@ -124,37 +124,22 @@ pub fn fig4(arts: &Artifacts) -> Report {
 // ---------------------------------------------------------------------
 
 /// Figure 5: distribution of the number of bit flips at faulty instruction
-/// outputs under VR15 and VR20 (benchmark-mix operands).
+/// outputs under VR15 and VR20 (benchmark-mix operands), read off the
+/// cached WA statistics.
 pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
-    let (bank, spec) = arts.bank();
+    let mut hists = [[0u64; 5]; LEVELS.len()]; // per corner: 1,2,3,4+, total
+    for id in BenchmarkId::all() {
+        for (hist, stats) in hists.iter_mut().zip(arts.wa_stats(id)?) {
+            for (&k, &v) in stats.iter().flat_map(|s| &s.flip_hist) {
+                hist[k.min(4) - 1] += v;
+                hist[4] += v;
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut text = String::from("VR     1-bit   2-bit   3-bit   4+bit   multi-bit%\n");
     let mut multi_sum = 0.0;
-    for vr in LEVELS {
-        let mut hist: [u64; 5] = [0; 5]; // 1,2,3,4+, total
-        for id in BenchmarkId::all() {
-            let trace = arts.trace(id);
-            for op in FpOp::all() {
-                let t = trace.of(op);
-                if t.len() < 2 {
-                    continue;
-                }
-                let threads = config::default_threads();
-                let tuning = DtaTuning::default();
-                let s =
-                    dev::dta_campaign_tuned(bank.unit(op), t, spec.clk, &[vr], threads, tuning)?
-                        .pop()
-                        .ok_or_else(|| TeiError::EmptyDta {
-                            op: op.to_string(),
-                            vr: vr.label(),
-                        })?;
-                for (&k, &v) in &s.flip_hist {
-                    let slot = k.min(4) - 1;
-                    hist[slot] += v;
-                    hist[4] += v;
-                }
-            }
-        }
+    for (vr, hist) in LEVELS.into_iter().zip(hists) {
         let total = hist[4].max(1) as f64;
         let pct = |i: usize| 100.0 * hist[i] as f64 / total;
         let multi = pct(1) + pct(2) + pct(3);

@@ -20,7 +20,7 @@
 //! second panic **quarantines** the run (recording its `(seed, target,
 //! mask)` repro triple) instead of tearing down the worker pool.
 //! [`run_campaign_durable`] additionally write-ahead-logs every completed
-//! run to a [`Journal`](crate::journal::Journal) in group commits of
+//! run to a [`Journal`] in group commits of
 //! [`JOURNAL_BATCH`] runs (one fsync per batch; a run counts once its
 //! batch is fsync'd), drains workers on SIGINT/SIGTERM, and resumes
 //! interrupted sweeps with final [`OutcomeCounts`] byte-identical to an

@@ -65,11 +65,12 @@ impl TraceSet {
         self.len() == 0
     }
 
-    /// Merge another trace set into this one (same caps not enforced).
-    pub fn merge(&mut self, other: &TraceSet) {
-        assert_eq!(self.per_op.len(), other.per_op.len(), "trace arity");
+    /// Append the first `cap` pairs per operation of another trace set.
+    /// A capture's prefix is the capture at the smaller cap, so pooling
+    /// prefixes of cached traces equals pooling fresh smaller captures.
+    pub fn merge_prefix(&mut self, other: &TraceSet, cap: usize) {
         for (dst, src) in self.per_op.iter_mut().zip(&other.per_op) {
-            dst.extend_from_slice(src);
+            dst.extend_from_slice(&src[..src.len().min(cap)]);
         }
     }
 }
@@ -1284,9 +1285,61 @@ where
         .collect()
 }
 
+/// The model-development walk: one DTA campaign per op over the pairs
+/// `pairs(op)` yields, thresholded at every level of `levels` in that
+/// one pass. Ops run in [`FpOp::all`] order, each campaign on
+/// `TEI_THREADS` chunk workers with [`DtaTuning::default`], so the
+/// result is thread-count independent. Statistics come back level-major
+/// (`[level][op]`), and each level equals a walk at that level alone.
+/// An op with fewer than two pairs yields empty statistics.
+///
+/// Under `sanitize-arrivals` every observed mask is also checked
+/// against the static slack oracle: no mask may touch an output bit the
+/// oracle proves safe at its level (see DESIGN.md, "Static
+/// verification").
+///
+/// # Errors
+///
+/// [`TeiError::WorkerPool`] when a campaign worker fails.
+pub fn per_op_stats<P: AsRef<[(u64, u64)]>>(
+    bank: &FpuBank,
+    spec: &FpuTimingSpec,
+    levels: &[VoltageReduction],
+    pairs: impl Fn(FpOp) -> P,
+) -> Result<Vec<Vec<OpErrorStats>>, TeiError> {
+    let threads = config::default_threads();
+    let mut per_level = vec![Vec::with_capacity(FpOp::all().len()); levels.len()];
+    for op in FpOp::all() {
+        let unit = bank.unit(op);
+        let stats = dta_campaign_tuned(
+            unit,
+            pairs(op).as_ref(),
+            spec.clk,
+            levels,
+            threads,
+            DtaTuning::default(),
+        )?;
+        #[cfg(feature = "sanitize-arrivals")]
+        for (s, safe) in stats.iter().zip(safe_bit_masks(unit, spec.clk, levels)) {
+            for &m in &s.masks {
+                assert_eq!(
+                    m & safe,
+                    0,
+                    "sanitize-arrivals: {} mask {m:#x} touches statically-safe bits",
+                    s.op
+                );
+            }
+        }
+        for (slot, s) in per_level.iter_mut().zip(stats) {
+            slot.push(s);
+        }
+    }
+    Ok(per_level)
+}
+
 /// Calibrate the DA model's fixed ER from pooled traces: the average
-/// instruction error ratio over the mixed stream. Per-op campaigns run
-/// in op order, each on `TEI_THREADS` chunk workers.
+/// instruction error ratio over the mixed stream, from one
+/// [`per_op_stats`] walk over every level.
 ///
 /// # Errors
 ///
@@ -1298,32 +1351,24 @@ pub fn calibrate_da(
     levels: &[VoltageReduction],
     per_op_cap: usize,
 ) -> Result<DaCalibration, TeiError> {
-    let threads = config::default_threads();
-    let mut totals = vec![(0u64, 0u64); levels.len()]; // (faulty, samples)
-    for op in FpOp::all() {
-        let trace = pooled.of(op);
-        if trace.len() < 2 {
-            continue;
-        }
-        let take = trace.len().min(per_op_cap);
-        let stats = dta_campaign_tuned(
-            bank.unit(op),
-            &trace[..take],
-            spec.clk,
-            levels,
-            threads,
-            DtaTuning::default(),
-        )?;
-        for (t, s) in totals.iter_mut().zip(&stats) {
-            t.0 += s.faulty;
-            t.1 += s.samples;
-        }
-    }
+    let per_level = per_op_stats(bank, spec, levels, |op| {
+        let t = pooled.of(op);
+        &t[..t.len().min(per_op_cap)]
+    })?;
     Ok(DaCalibration {
         er: levels
             .iter()
-            .zip(&totals)
-            .map(|(&vr, &(f, n))| (vr, if n == 0 { 0.0 } else { f as f64 / n as f64 }))
+            .zip(&per_level)
+            .map(|(&vr, stats)| {
+                let faulty: u64 = stats.iter().map(|s| s.faulty).sum();
+                let samples: u64 = stats.iter().map(|s| s.samples).sum();
+                let er = if samples == 0 {
+                    0.0
+                } else {
+                    faulty as f64 / samples as f64
+                };
+                (vr, er)
+            })
             .collect(),
     })
 }

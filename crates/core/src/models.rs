@@ -6,10 +6,7 @@
 // (clippy.toml bans the panicking extractors here).
 #![deny(clippy::disallowed_methods)]
 
-use crate::config;
-use crate::dev::{
-    dta_campaign_tuned, random_operand_pairs, DaCalibration, DtaTuning, OpErrorStats, TraceSet,
-};
+use crate::dev::{self, random_operand_pairs, DaCalibration, OpErrorStats, TraceSet};
 use crate::error::TeiError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -160,54 +157,10 @@ struct OpStats {
 }
 
 impl StatModel {
-    // Documented invariant: the public constructors above pass a single
-    // VR level down to every per-op campaign, so mixed-VR stats here are
-    // a caller bug inside this module, not an operational failure.
-    fn from_stats(
-        kind: ModelKind,
-        vr: VoltageReduction,
-        sampling: MaskSampling,
-        stats: &[OpErrorStats],
-    ) -> Self {
-        let mut per_op: Vec<OpStats> = FpOp::all()
-            .iter()
-            .map(|op| OpStats {
-                error_ratio: 0.0,
-                cond_bits: vec![0.0; op.result_bits() as usize],
-                masks: Vec::new(),
-                ber: vec![0.0; op.result_bits() as usize],
-            })
-            .collect();
-        for s in stats {
-            assert_eq!(s.vr, vr, "mixed VR levels in model construction");
-            let slot = &mut per_op[s.op.index()];
-            slot.error_ratio = s.error_ratio();
-            slot.ber = s.ber();
-            slot.cond_bits = s
-                .bit_errors
-                .iter()
-                .map(|&c| {
-                    if s.faulty == 0 {
-                        0.0
-                    } else {
-                        c as f64 / s.faulty as f64
-                    }
-                })
-                .collect();
-            slot.masks = s.masks.clone();
-        }
-        StatModel {
-            kind,
-            vr,
-            sampling,
-            per_op,
-        }
-    }
-
-    /// Build a model directly from single-level campaign statistics the
-    /// caller gathered itself — the continuous-Vdd sweep (`tei sweep`)
-    /// uses this to turn one re-thresholded DTA pass per interpolated
-    /// voltage into an injectable model without re-running the circuit.
+    /// Build a model from single-level statistics, one record per op
+    /// (missing ops stay error-free) — what [`dev::per_op_stats`] yields
+    /// for one of its levels. `tei sweep` turns one multi-level walk into
+    /// a model per grid voltage this way, without re-running the circuit.
     ///
     /// # Errors
     ///
@@ -225,26 +178,67 @@ impl StatModel {
                 vr: vr.label(),
             });
         }
-        if let Some(bad) = stats.iter().find(|s| s.vr != vr) {
-            return Err(TeiError::EmptyDta {
-                op: bad.op.to_string(),
-                vr: vr.label(),
-            });
+        let mut per_op: Vec<OpStats> = FpOp::all()
+            .iter()
+            .map(|op| OpStats {
+                error_ratio: 0.0,
+                cond_bits: vec![0.0; op.result_bits() as usize],
+                masks: Vec::new(),
+                ber: vec![0.0; op.result_bits() as usize],
+            })
+            .collect();
+        for s in stats {
+            if s.vr != vr {
+                return Err(TeiError::EmptyDta {
+                    op: s.op.to_string(),
+                    vr: vr.label(),
+                });
+            }
+            let slot = &mut per_op[s.op.index()];
+            slot.error_ratio = s.error_ratio();
+            slot.ber = s.ber();
+            slot.cond_bits = s
+                .bit_errors
+                .iter()
+                .map(|&c| {
+                    if s.faulty == 0 {
+                        0.0
+                    } else {
+                        c as f64 / s.faulty as f64
+                    }
+                })
+                .collect();
+            slot.masks = s.masks.clone();
         }
-        Ok(Self::from_stats(kind, vr, sampling, stats))
+        Ok(StatModel {
+            kind,
+            vr,
+            sampling,
+            per_op,
+        })
+    }
+
+    /// One single-level [`dev::per_op_stats`] walk, made a model.
+    fn develop<P: AsRef<[(u64, u64)]>>(
+        kind: ModelKind,
+        bank: &FpuBank,
+        spec: &FpuTimingSpec,
+        vr: VoltageReduction,
+        pairs: impl Fn(FpOp) -> P,
+    ) -> Result<Self, TeiError> {
+        let stats = dev::per_op_stats(bank, spec, &[vr], pairs)?
+            .pop()
+            .unwrap_or_default();
+        Self::from_campaign_stats(kind, vr, MaskSampling::default(), &stats)
     }
 
     /// Build the instruction-aware model: DTA over uniformly random
-    /// operands per instruction type (paper Section IV.C.2). The ops run
-    /// one after another in [`FpOp::all`] order, each campaign split
-    /// across `TEI_THREADS` chunk workers, so the model is
-    /// thread-count independent.
+    /// operands per instruction type (paper Section IV.C.2), one
+    /// [`dev::per_op_stats`] walk at `vr`.
     ///
     /// # Errors
     ///
-    /// [`TeiError::EmptyDta`] when a per-op campaign yields no stats for
-    /// the requested VR level, [`TeiError::WorkerPool`] if a campaign
-    /// worker fails.
+    /// [`TeiError::WorkerPool`] if a campaign worker fails.
     pub fn instruction_aware(
         bank: &FpuBank,
         spec: &FpuTimingSpec,
@@ -252,79 +246,14 @@ impl StatModel {
         samples_per_op: usize,
         seed: u64,
     ) -> Result<Self, TeiError> {
-        let stats = Self::per_op_stats(bank, spec, vr, |op| {
+        Self::develop(ModelKind::Ia, bank, spec, vr, |op| {
             random_operand_pairs(op, samples_per_op, seed)
-        })?;
-        #[cfg(feature = "sanitize-arrivals")]
-        Self::sanitize_masks_against_oracle(bank, spec, &stats);
-        Ok(Self::from_stats(
-            ModelKind::Ia,
-            vr,
-            MaskSampling::default(),
-            &stats,
-        ))
+        })
     }
 
-    /// One DTA campaign per op at `vr` over the pairs `pairs(op)`
-    /// yields, in [`FpOp::all`] order, each on `TEI_THREADS` chunk
-    /// workers.
-    fn per_op_stats<P: AsRef<[(u64, u64)]>>(
-        bank: &FpuBank,
-        spec: &FpuTimingSpec,
-        vr: VoltageReduction,
-        pairs: impl Fn(FpOp) -> P,
-    ) -> Result<Vec<OpErrorStats>, TeiError> {
-        let threads = config::default_threads();
-        FpOp::all()
-            .into_iter()
-            .map(|op| {
-                dta_campaign_tuned(
-                    bank.unit(op),
-                    pairs(op).as_ref(),
-                    spec.clk,
-                    &[vr],
-                    threads,
-                    DtaTuning::default(),
-                )?
-                .pop()
-                .ok_or_else(|| TeiError::EmptyDta {
-                    op: op.to_string(),
-                    vr: vr.label(),
-                })
-            })
-            .collect()
-    }
-
-    /// Cross-layer sanitizer: no error mask a campaign observed may
-    /// touch an output bit the static slack oracle proves safe — the
-    /// model layer's independent restatement of the pruning soundness
-    /// argument (see DESIGN.md, "Static verification").
-    #[cfg(feature = "sanitize-arrivals")]
-    fn sanitize_masks_against_oracle(bank: &FpuBank, spec: &FpuTimingSpec, stats: &[OpErrorStats]) {
-        for s in stats {
-            let unit = bank.unit(s.op);
-            let compiled = unit.dta_compiled();
-            let k = s.vr.derating_factor();
-            let safe_mask = unit
-                .result_port()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| compiled.static_bound(net) * k <= spec.clk)
-                .fold(0u64, |mask, (bit, _)| mask | 1 << bit);
-            for &m in &s.masks {
-                assert_eq!(
-                    m & safe_mask,
-                    0,
-                    "sanitize-arrivals: {} mask {m:#x} touches statically-safe bits",
-                    s.op
-                );
-            }
-        }
-    }
-
-    /// Build the workload-aware model: DTA over the operand trace of the
-    /// target benchmark (paper Section IV.C.3), run like
-    /// [`StatModel::instruction_aware`].
+    /// Build the workload-aware model: DTA over the first `per_op_cap`
+    /// pairs per op of the target benchmark's operand trace (paper
+    /// Section IV.C.3), run like [`StatModel::instruction_aware`].
     ///
     /// # Errors
     ///
@@ -336,18 +265,10 @@ impl StatModel {
         trace: &TraceSet,
         per_op_cap: usize,
     ) -> Result<Self, TeiError> {
-        let stats = Self::per_op_stats(bank, spec, vr, |op| {
+        Self::develop(ModelKind::Wa, bank, spec, vr, |op| {
             let t = trace.of(op);
             &t[..t.len().min(per_op_cap)]
-        })?;
-        #[cfg(feature = "sanitize-arrivals")]
-        Self::sanitize_masks_against_oracle(bank, spec, &stats);
-        Ok(Self::from_stats(
-            ModelKind::Wa,
-            vr,
-            MaskSampling::default(),
-            &stats,
-        ))
+        })
     }
 
     /// Switch the mask-sampling strategy (ablation).

@@ -9,7 +9,9 @@
 //! Three workloads are pinned: IA statistics for all twelve ops at
 //! VR15+VR20, a Test-scale WA model, and a twelve-level campaign over a
 //! Test-scale sobel trace (levels from nominal, where the derating
-//! factor is 1, down to VR20).
+//! factor is 1, down to VR20). A last test holds the model-development
+//! walk to its level contract: each level of a multi-level
+//! `dev::per_op_stats` walk equals a walk at that level alone.
 
 use std::sync::OnceLock;
 use tei_core::dev::{self, DtaTuning};
@@ -203,4 +205,59 @@ fn twelve_level_dmul_campaigns_are_pinned() {
         got, DMUL_LEVEL_HASHES,
         "d-mul level campaigns changed: {got:#x?}"
     );
+}
+
+/// Each level of `per_op_stats(levels)` against `per_op_stats(&[level])`,
+/// compared as serialized JSON for all twelve ops.
+fn assert_levels_match_single_walks<P: AsRef<[(u64, u64)]>>(
+    what: &str,
+    levels: &[VoltageReduction],
+    pairs: impl Fn(FpOp) -> P,
+) {
+    let (bank, spec) = bank();
+    let joint = dev::per_op_stats(bank, spec, levels, &pairs).expect("walk");
+    assert_eq!(joint.len(), levels.len());
+    for (stats, &vr) in joint.iter().zip(levels) {
+        let alone = dev::per_op_stats(bank, spec, &[vr], &pairs)
+            .expect("walk")
+            .pop()
+            .expect("one level");
+        assert_eq!(stats.len(), 12);
+        for (j, a) in stats.iter().zip(&alone) {
+            assert_eq!(
+                serde_json::to_string(j).expect("serializes"),
+                serde_json::to_string(a).expect("serializes"),
+                "{what}: {} at {} differs between the {}-level walk and its own",
+                j.op,
+                vr.label(),
+                levels.len()
+            );
+        }
+    }
+}
+
+/// A multi-level walk must equal separate walks at every level, even
+/// for a unit the whole-unit skip drops at one level but walks when
+/// another level is present (fp-sub-s and i2f-s at VR15 alone).
+#[test]
+fn multi_level_walk_equals_single_level_walks() {
+    // Debug builds (the sanitizer job) walk 32 times per thread count,
+    // so they take short streams.
+    let (n, cap) = pin((4096, 1500), (128, 128));
+    let bench = build(BenchmarkId::Is, Scale::Test);
+    let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, cap);
+    let corners = [VoltageReduction::VR15, VoltageReduction::VR20];
+    let twelve = twelve_levels();
+    // The walk reads its chunk-worker count from `TEI_THREADS`; results
+    // of the other tests here do not depend on it.
+    for threads in ["1", "3"] {
+        std::env::set_var("TEI_THREADS", threads);
+        for levels in [&corners[..], &twelve] {
+            assert_levels_match_single_walks("random pairs", levels, |op| {
+                dev::random_operand_pairs(op, n, 1)
+            });
+            assert_levels_match_single_walks("is trace", levels, |op| trace.of(op));
+        }
+    }
+    std::env::remove_var("TEI_THREADS");
 }

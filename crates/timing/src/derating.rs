@@ -220,115 +220,6 @@ impl AlphaPowerLaw {
     }
 }
 
-// ---------------------------------------------------------------------
-// Additional delay-increase sources (the paper's future-work extensions:
-// temperature variation, transistor aging, overclocking).
-// ---------------------------------------------------------------------
-
-/// Temperature-dependent delay model for a low-voltage 45 nm-class corner.
-///
-/// Two competing effects: carrier mobility degrades with temperature
-/// (slower), while the threshold voltage drops (faster at low supply).
-/// Near and below the nominal supply this model is mobility-dominated,
-/// with the threshold shift folded into the alpha-power law:
-/// `Vth(T) = Vth(T0) − kt·(T − T0)`, `μ(T) ∝ (T/T0)^−m`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TemperatureModel {
-    /// The base alpha-power law (characterized at `t0`).
-    pub law: AlphaPowerLaw,
-    /// Characterization temperature in °C (the paper's 25 °C).
-    pub t0: f64,
-    /// Threshold-voltage temperature coefficient (V/°C), typically ~1 mV/°C.
-    pub vth_slope: f64,
-    /// Mobility exponent `m` (typically 1.2–1.5).
-    pub mobility_exp: f64,
-}
-
-impl Default for TemperatureModel {
-    fn default() -> Self {
-        TemperatureModel {
-            law: AlphaPowerLaw::default(),
-            t0: 25.0,
-            vth_slope: 1.0e-3,
-            mobility_exp: 1.3,
-        }
-    }
-}
-
-impl TemperatureModel {
-    /// Delay inflation factor at supply `vdd` and temperature `celsius`,
-    /// relative to the nominal supply at the characterization temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the effective supply falls to the shifted threshold.
-    pub fn factor(&self, vdd: f64, celsius: f64) -> f64 {
-        let vth = self.law.vth - self.vth_slope * (celsius - self.t0);
-        assert!(vdd > vth, "supply at or below the shifted threshold");
-        // Delay relative to (vnom, t0, vth(t0)) reference conditions.
-        let ref_drive = (self.law.vnom - self.law.vth).powf(self.law.alpha);
-        let drive = (vdd - vth).powf(self.law.alpha);
-        let kelvin0 = self.t0 + 273.15;
-        let kelvin = celsius + 273.15;
-        let mobility = (kelvin / kelvin0).powf(self.mobility_exp);
-        (vdd / self.law.vnom) * (ref_drive / drive) * mobility
-    }
-}
-
-/// NBTI-style transistor aging: threshold voltage drifts upward with a
-/// fractional-power law of operational time,
-/// `ΔVth(t) = a · (t/1yr)^n` (n ≈ 0.16–0.25).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AgingModel {
-    /// The fresh-silicon alpha-power law.
-    pub law: AlphaPowerLaw,
-    /// Threshold shift after one year of stress (V), typically 10–30 mV.
-    pub dvth_1y: f64,
-    /// Time exponent `n`.
-    pub exponent: f64,
-}
-
-impl Default for AgingModel {
-    fn default() -> Self {
-        AgingModel {
-            law: AlphaPowerLaw::default(),
-            dvth_1y: 0.02,
-            exponent: 0.2,
-        }
-    }
-}
-
-impl AgingModel {
-    /// Delay inflation factor at supply `vdd` after `years` of operation,
-    /// relative to fresh silicon at the nominal supply.
-    pub fn factor(&self, vdd: f64, years: f64) -> f64 {
-        assert!(years >= 0.0, "negative age");
-        let dvth = if years == 0.0 {
-            0.0
-        } else {
-            self.dvth_1y * years.powf(self.exponent)
-        };
-        let vth = self.law.vth + dvth;
-        assert!(vdd > vth, "supply at or below the aged threshold");
-        // Delay relative to fresh silicon at the nominal supply.
-        let ref_drive = (self.law.vnom - self.law.vth).powf(self.law.alpha);
-        let drive = (vdd - vth).powf(self.law.alpha);
-        (vdd / self.law.vnom) * (ref_drive / drive)
-    }
-}
-
-/// Overclocking expressed in the same "delay-vs-period" frame the rest of
-/// the toolflow uses: raising the frequency by `fraction` is equivalent to
-/// shrinking the clock period, i.e. inflating every relative delay by
-/// `1 / (1 − fraction)` at an unchanged supply.
-pub fn overclock_factor(fraction: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&fraction),
-        "overclock fraction out of range"
-    );
-    1.0 / (1.0 - fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,54 +256,6 @@ mod tests {
     fn custom_reduction_label() {
         assert_eq!(VoltageReduction::Custom(0.10).label(), "VR10");
         assert_eq!(VoltageReduction::VR15.label(), "VR15");
-    }
-
-    #[test]
-    fn temperature_slows_low_voltage_circuits() {
-        let m = TemperatureModel::default();
-        let base = m.factor(0.88, 25.0);
-        assert!((base - AlphaPowerLaw::default().factor(0.88)).abs() < 1e-12);
-        // Hotter silicon at low voltage: mobility loss dominates but the
-        // threshold drop pulls the other way; both effects are modeled.
-        let hot = m.factor(0.88, 85.0);
-        assert!(hot != base);
-        // Mobility-only comparison: disable the threshold shift.
-        let mobility_only = TemperatureModel {
-            vth_slope: 0.0,
-            ..m
-        };
-        assert!(mobility_only.factor(0.88, 85.0) > base, "hotter ⇒ slower");
-    }
-
-    #[test]
-    fn aging_monotonically_slows_the_core() {
-        let m = AgingModel::default();
-        let fresh = m.factor(1.1, 0.0);
-        assert!((fresh - 1.0).abs() < 1e-12);
-        let y1 = m.factor(1.1, 1.0);
-        let y5 = m.factor(1.1, 5.0);
-        let y10 = m.factor(1.1, 10.0);
-        assert!(y1 > fresh && y5 > y1 && y10 > y5);
-        // Aging bites harder at reduced voltage (smaller overdrive).
-        let low_y5 = m.factor(0.88, 5.0) / m.factor(0.88, 0.0);
-        let nom_y5 = y5 / fresh;
-        assert!(
-            low_y5 > nom_y5,
-            "low-voltage aging penalty {low_y5} vs {nom_y5}"
-        );
-    }
-
-    #[test]
-    fn overclocking_maps_to_delay_inflation() {
-        assert!((overclock_factor(0.0) - 1.0).abs() < 1e-12);
-        assert!((overclock_factor(0.10) - 1.0 / 0.9).abs() < 1e-12);
-        assert!(overclock_factor(0.25) > overclock_factor(0.10));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn silly_overclock_rejected() {
-        overclock_factor(1.0);
     }
 
     #[test]

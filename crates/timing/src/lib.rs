@@ -64,10 +64,7 @@ mod sta;
 pub mod surrogate;
 
 pub use codegen::{transpose64, DynProgram, Lanes, SettlePlan, SpecializedKernel};
-pub use derating::{
-    overclock_factor, AgingModel, AlphaPowerLaw, InterpolatedDerating, TemperatureModel,
-    VoltageReduction,
-};
+pub use derating::{AlphaPowerLaw, InterpolatedDerating, VoltageReduction};
 pub use engine::ArrivalEngine;
 pub use event::{EventSim, EventSimResult, FanoutTable};
 pub use kernel::{ArrivalKernel, CompiledNetlist};

@@ -176,7 +176,7 @@ pub fn bucket_key(fmt: &OperandFormat, prev: (u64, u64), cur: (u64, u64)) -> u32
 }
 
 /// Fine-tier feature key of a `(prev, cur)` operand-pair transition:
-/// the [`OperandFormat::signature`] of each current operand and the
+/// the `OperandFormat::signature` of each current operand and the
 /// hamming band to the previous state. 51 bits — safely inside the
 /// 53-bit integer range every JSON number round-trips exactly.
 #[must_use]

@@ -105,7 +105,7 @@ impl std::fmt::Display for StaleCoreError {
 impl std::error::Error for StaleCoreError {}
 
 /// Records golden-run checkpoints every `interval` dynamic FP operations,
-/// thinning adaptively so the pool never exceeds [`MAX_SNAPSHOTS`].
+/// thinning adaptively so the pool never exceeds `MAX_SNAPSHOTS` (64).
 #[derive(Debug)]
 pub struct CheckpointRecorder {
     base: Vec<u8>,
