@@ -1,37 +1,31 @@
 //! DTA throughput on the double-precision multiplier (the unit that
 //! dominates model-development wall-clock): the table kernel's window
 //! protocol every campaign runs (pack lanes, load the window, get error
-//! masks out) at every supported lane width (W = 1/4/8 words,
-//! 64/256/512 vectors per window), against two per-pair baselines —
-//! the `ArrivalSim` netlist walk and chained `ArrivalKernel::advance`
-//! calls (the path γ calibration runs) — plus the protocol's phase
-//! split at the default width (pack, plane, settle, the whole masks
-//! call, and the f64 settle sweeps for comparison), the rate at which the certified
-//! f32 sweep falls back to f64, and a campaign thread-scaling curve.
-//! Under
+//! masks out; 512 vectors per window) against the per-pair
+//! `ArrivalSim` netlist walk, its test oracle — plus the protocol's
+//! phase split (pack, plane, settle, the whole masks call, and the f64
+//! settle sweeps for comparison), the rate at which the certified f32
+//! sweep falls back to f64, and a campaign thread-scaling curve. Under
 //! `cargo bench` the measured pairs/sec are also written to
 //! `BENCH_dta.json` at the workspace root so the perf trajectory is
 //! tracked across changes; under `cargo test` (quick smoke mode)
 //! nothing is written.
 //!
-//! Setting `TEI_SCALING_SMOKE=1` additionally asserts that the
-//! campaign at `TEI_THREADS` workers and lane width 4 beats the
-//! single-thread campaign by at least 1.3x (skipped, with a message, on
-//! machines with fewer than two cores — the CI runners this smoke
-//! targets have more).
+//! Setting `TEI_SCALING_SMOKE=1` additionally asserts that the default
+//! campaign at `TEI_THREADS` workers beats the single-thread campaign
+//! by at least 1.3x (skipped, with a message, on machines with fewer
+//! than two cores — the CI runners this smoke targets have more).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
-    dta_campaign_tuned, dta_engine, random_operand_pairs, resolve_lanes, resolve_prune,
-    safe_bit_counts, DtaTuning, CODEGEN_LANES, PRUNE_MIN_SAFE_FRACTION,
+    dta_campaign_tuned, random_operand_pairs, resolve_lanes, resolve_prune, safe_bit_counts,
+    DtaTuning, PRUNE_MIN_SAFE_FRACTION,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{
-    ArrivalEngine, ArrivalKernel, ArrivalSim, SpecializedKernel, TwoVectorResult, VoltageReduction,
-};
+use tei_timing::{ArrivalSim, SpecializedKernel, TwoVectorResult, VoltageReduction};
 
 const LEVELS: [VoltageReduction; 2] = [VoltageReduction::VR15, VoltageReduction::VR20];
 
@@ -81,8 +75,9 @@ fn pairs_per_sec(mut run_batch: impl FnMut() -> usize, min_secs: f64) -> f64 {
     best
 }
 
-/// The pre-kernel per-pair loop: interpreted netlist walk with a fresh
-/// `Vec<bool>` encode per pair (the campaign loop before the kernel).
+/// The per-pair baseline: interpreted netlist walk with a fresh
+/// `Vec<bool>` encode per pair (the campaign loop before the kernel,
+/// and the table kernel's test oracle).
 fn sim_batch(unit: &FpuUnit, dta: &tei_netlist::Netlist, pairs: &[(u64, u64)]) -> usize {
     let mut buf = TwoVectorResult::default();
     let mut prev = unit.encode_inputs(pairs[0].0, pairs[0].1);
@@ -95,75 +90,56 @@ fn sim_batch(unit: &FpuUnit, dta: &tei_netlist::Netlist, pairs: &[(u64, u64)]) -
     pairs.len() - 1
 }
 
-/// The per-pair kernel: cached SoA netlist, allocation-free encode,
-/// one `reset` and then one chained `advance` per pair.
-fn advance_batch(unit: &FpuUnit, pairs: &[(u64, u64)]) -> usize {
-    let compiled = unit.dta_compiled();
-    let mut kernel = ArrivalKernel::new();
-    let mut cur = vec![false; unit.input_width()];
-    unit.encode_inputs_into(pairs[0].0, pairs[0].1, &mut cur);
-    kernel.reset(compiled, &cur);
-    for &(a, b) in &pairs[1..] {
-        unit.encode_inputs_into(a, b, &mut cur);
-        kernel.advance(compiled, &cur);
-        criterion::black_box(&kernel);
-    }
-    pairs.len() - 1
-}
-
-/// Buffers of one window-protocol walk at one lane width.
+/// Buffers of one window-protocol walk.
 struct WindowBuffers {
-    lanes: usize,
     packed: Vec<u64>,
     masks: Vec<u64>,
 }
 
 impl WindowBuffers {
-    fn new(unit: &FpuUnit, lanes: usize) -> Self {
+    fn new(unit: &FpuUnit) -> Self {
         WindowBuffers {
-            lanes,
-            packed: vec![0; unit.input_width() * lanes],
-            masks: vec![0; lanes * 64 * LEVELS.len()],
+            packed: vec![0; unit.input_width() * SpecializedKernel::LANES],
+            masks: vec![0; SpecializedKernel::WINDOW_VECTORS * LEVELS.len()],
         }
     }
 }
 
 /// One batch through the table kernel's window protocol: bit-sliced
-/// windows of up to `W * 64` vectors, consecutive windows overlapping
-/// by one vector (the walk a campaign chunk runs): pack the operands
-/// into lanes, load the window, get the error masks out.
+/// windows of up to 512 vectors, consecutive windows overlapping by one
+/// vector (the walk a campaign chunk runs): pack the operands into
+/// lanes, load the window, get the error masks out.
 fn window_batch(
-    engine: &mut dyn ArrivalEngine,
+    kernel: &mut SpecializedKernel<'_>,
     unit: &FpuUnit,
     buf: &mut WindowBuffers,
     pairs: &[(u64, u64)],
     clk: f64,
 ) -> usize {
     let factors = LEVELS.map(VoltageReduction::derating_factor);
-    let window_vectors = buf.lanes * 64;
     let mut start = 0usize;
     while start + 1 < pairs.len() {
-        let count = (pairs.len() - start).min(window_vectors);
-        unit.pack_lanes(&pairs[start..start + count], buf.lanes, &mut buf.packed);
-        engine.load_window(&buf.packed, count);
-        engine.window_masks(clk, &factors, &mut buf.masks);
+        let count = (pairs.len() - start).min(SpecializedKernel::WINDOW_VECTORS);
+        unit.pack_lanes(&pairs[start..start + count], &mut buf.packed);
+        kernel.load_window(&buf.packed, count);
+        kernel.window_masks(clk, &factors, &mut buf.masks);
         criterion::black_box(&buf.masks);
         start += count - 1;
     }
     pairs.len() - 1
 }
 
-/// Best-of-three pairs/sec of the window protocol at one lane width.
-fn window_rate(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64, lanes: usize, min_secs: f64) -> f64 {
-    let mut engine = dta_engine(unit, lanes).expect("supported lane width");
-    let mut buf = WindowBuffers::new(unit, lanes);
+/// Best-of-three pairs/sec of the window protocol.
+fn window_rate(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64, min_secs: f64) -> f64 {
+    let mut kernel = SpecializedKernel::new(unit.dta_program());
+    let mut buf = WindowBuffers::new(unit);
     pairs_per_sec(
-        || window_batch(engine.as_mut(), unit, &mut buf, pairs, clk),
+        || window_batch(&mut kernel, unit, &mut buf, pairs, clk),
         min_secs,
     )
 }
 
-/// Where a window's time goes at one lane width, in ns per transition:
+/// Where a window's time goes, in ns per transition:
 /// `pack_lanes`, `load_window` (the plane pass), the settle sweeps
 /// (`window_masks` with no levels, which runs exactly the sweeps: the
 /// certified f32 word sweep where the kernel has one), the whole
@@ -176,20 +152,19 @@ fn phase_split(
     unit: &FpuUnit,
     pairs: &[(u64, u64)],
     clk: f64,
-    lanes: usize,
     passes: usize,
 ) -> [(&'static str, f64); 5] {
     let factors = LEVELS.map(VoltageReduction::derating_factor);
-    let mut engine = dta_engine(unit, lanes).expect("supported lane width");
-    let mut buf = WindowBuffers::new(unit, lanes);
+    let mut engine = SpecializedKernel::new(unit.dta_program());
+    let mut buf = WindowBuffers::new(unit);
     let mut best = [f64::INFINITY; 5];
     for _ in 0..passes {
         let mut spent = [0.0f64; 5];
         let mut start = 0usize;
         while start + 1 < pairs.len() {
-            let count = (pairs.len() - start).min(lanes * 64);
+            let count = (pairs.len() - start).min(SpecializedKernel::WINDOW_VECTORS);
             let t0 = Instant::now();
-            unit.pack_lanes(&pairs[start..start + count], lanes, &mut buf.packed);
+            unit.pack_lanes(&pairs[start..start + count], &mut buf.packed);
             let t1 = Instant::now();
             engine.load_window(&buf.packed, count);
             let t2 = Instant::now();
@@ -225,20 +200,12 @@ fn phase_split(
 }
 
 /// Words of 64 transitions the certified f32 sweep re-swept in f64, per
-/// million transitions, over one window-protocol walk of `pairs` at
-/// `W = 8`; `None` when this CPU runs no f32 sweep.
+/// million transitions, over one window-protocol walk of `pairs`;
+/// `None` when this CPU runs no f32 sweep.
 fn resweeps_per_million(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64) -> Option<f64> {
-    let factors = LEVELS.map(VoltageReduction::derating_factor);
-    let mut kernel = SpecializedKernel::<8>::new(unit.dta_program());
-    let mut buf = WindowBuffers::new(unit, 8);
-    let mut start = 0usize;
-    while start + 1 < pairs.len() {
-        let count = (pairs.len() - start).min(8 * 64);
-        unit.pack_lanes(&pairs[start..start + count], 8, &mut buf.packed);
-        kernel.load_window(&buf.packed, count);
-        kernel.window_masks(clk, &factors, &mut buf.masks);
-        start += count - 1;
-    }
+    let mut kernel = SpecializedKernel::new(unit.dta_program());
+    let mut buf = WindowBuffers::new(unit);
+    window_batch(&mut kernel, unit, &mut buf, pairs, clk);
     let words = kernel.f64_resweeps()?;
     Some(words as f64 * 1e6 / (pairs.len() - 1) as f64)
 }
@@ -273,9 +240,9 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let dta = unit.dta_netlist();
     let cores = detected_cores();
     let campaign_tuning = DtaTuning::default();
-    // What the default tuning actually resolves to: the auto lane
-    // width, and the prune auto-decision from the slack oracle's
-    // measured safe fraction.
+    // What the default tuning actually resolves to: the lane width, and
+    // the prune decision from the slack oracle's measured safe
+    // fraction.
     let campaign_lanes = resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, true);
     let prune_decision = resolve_prune(&unit, spec.clk, &LEVELS, campaign_tuning.prune);
     // An honest scaling curve never oversubscribes; the shared plan
@@ -293,16 +260,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("arrival_sim"), |b| {
         b.iter(|| sim_batch(&unit, &dta, &pairs));
     });
-    group.bench_function(BenchmarkId::from_parameter("arrival_kernel_advance"), |b| {
-        b.iter(|| advance_batch(&unit, &pairs));
+    group.bench_function(BenchmarkId::from_parameter("table_kernel"), |b| {
+        let mut kernel = SpecializedKernel::new(unit.dta_program());
+        let mut buf = WindowBuffers::new(&unit);
+        b.iter(|| window_batch(&mut kernel, &unit, &mut buf, &pairs, spec.clk));
     });
-    for lanes in [1usize, 4, 8] {
-        group.bench_function(BenchmarkId::new("table_kernel_w", lanes), |b| {
-            let mut engine = dta_engine(&unit, lanes).expect("supported lane width");
-            let mut buf = WindowBuffers::new(&unit, lanes);
-            b.iter(|| window_batch(engine.as_mut(), &unit, &mut buf, &pairs, spec.clk));
-        });
-    }
     for threads in scaling_threads.iter().copied() {
         group.bench_function(BenchmarkId::new("campaign_threads", threads), |b| {
             b.iter(|| {
@@ -316,18 +278,8 @@ fn bench_dta_throughput(c: &mut Criterion) {
     // Machine-readable summary (measured mode only, so `cargo test`
     // smoke runs never overwrite real numbers).
     let sim_rate = pairs_per_sec(|| sim_batch(&unit, &dta, &pairs), min_secs);
-    let advance_rate = pairs_per_sec(|| advance_batch(&unit, &pairs), min_secs);
-    let table: Vec<(usize, f64)> = [1usize, 4, 8]
-        .into_iter()
-        .map(|lanes| (lanes, window_rate(&unit, &pairs, spec.clk, lanes, min_secs)))
-        .collect();
-    let phases = phase_split(
-        &unit,
-        &pairs,
-        spec.clk,
-        CODEGEN_LANES,
-        if measured { 30 } else { 1 },
-    );
+    let table_rate = window_rate(&unit, &pairs, spec.clk, min_secs);
+    let phases = phase_split(&unit, &pairs, spec.clk, if measured { 30 } else { 1 });
     // Campaign scaling curve over the honest thread counts: each point
     // records the thread count it actually ran with.
     let scaling_curve: Vec<(usize, f64)> = scaling_threads
@@ -340,19 +292,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let resweeps = resweeps_per_million(&unit, &pairs, spec.clk);
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
     println!(
-        "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, advance \
-         {advance_rate:.0} ({:.1}x of sim), table {:?}, campaign lanes={campaign_lanes} \
-         (auto={}) scaling {:?}, safe bits {safe_bits:?} (auto prune {}), \
-         w{CODEGEN_LANES} ns/transition {:?}, f64 re-sweeps per M transitions {}",
-        advance_rate / sim_rate,
-        table
-            .iter()
-            .map(|&(w, r)| format!(
-                "w{w}: {r:.0} ({:.1}x sim, {:.2}x advance)",
-                r / sim_rate,
-                r / advance_rate
-            ))
-            .collect::<Vec<_>>(),
+        "dta_throughput summary ({cores} cores): sim {sim_rate:.0} pairs/s, table kernel \
+         {table_rate:.0} ({:.1}x sim), campaign lanes={campaign_lanes} (auto={}) scaling \
+         {:?}, safe bits {safe_bits:?} (auto prune {}), ns/transition {:?}, f64 re-sweeps \
+         per M transitions {}",
+        table_rate / sim_rate,
         campaign_tuning.lanes.is_none(),
         scaling_curve
             .iter()
@@ -368,19 +312,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
         )),
     );
     if measured {
-        let table_json = serde_json::Value::Object(
-            table
-                .iter()
-                .flat_map(|&(w, r)| {
-                    [
-                        (format!("w{w}_pairs_per_sec"), r),
-                        (format!("w{w}_speedup_over_sim"), r / sim_rate),
-                        (format!("w{w}_speedup_over_advance"), r / advance_rate),
-                    ]
-                })
-                .map(|(k, v)| (k, serde_json::Value::Float(v)))
-                .collect(),
-        );
         let report = serde_json::json!({
             "bench": "dta_throughput",
             "unit": "d-mul",
@@ -388,10 +319,11 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "vr_levels": LEVELS.len(),
             "detected_cores": cores,
             "arrival_sim_pairs_per_sec": sim_rate,
-            "arrival_kernel_advance_pairs_per_sec": advance_rate,
-            "advance_speedup_over_sim": advance_rate / sim_rate,
-            "table_kernel": table_json,
-            "phase_split_lanes": CODEGEN_LANES,
+            "table_kernel": serde_json::json!({
+                "lanes": SpecializedKernel::LANES,
+                "pairs_per_sec": table_rate,
+                "speedup_over_sim": table_rate / sim_rate,
+            }),
             "phase_split_ns_per_transition": serde_json::Value::Object(
                 phases
                     .iter()
@@ -441,12 +373,16 @@ fn bench_dta_throughput(c: &mut Criterion) {
             // one campaign chunk, which only one worker can run.
             let smoke_secs = min_secs.max(0.5);
             let smoke_pairs = random_operand_pairs(unit.op(), MEASURED_PAIRS, PAIR_SEED);
-            let tuning = DtaTuning {
-                lanes: Some(4),
-                ..DtaTuning::default()
+            let rate = |threads| {
+                campaign_rate(
+                    &unit,
+                    &smoke_pairs,
+                    spec.clk,
+                    threads,
+                    campaign_tuning,
+                    smoke_secs,
+                )
             };
-            let rate =
-                |threads| campaign_rate(&unit, &smoke_pairs, spec.clk, threads, tuning, smoke_secs);
             let serial = rate(1);
             let parallel = rate(threads);
             let scaling = parallel / serial;

@@ -79,10 +79,6 @@ pub fn default_threads() -> usize {
     env_usize("TEI_THREADS", fallback).max(1)
 }
 
-/// Supported window lane widths (`u64` words per net) of the bit-sliced
-/// DTA kernel — each word carries 64 input vectors.
-pub const SUPPORTED_LANES: [usize; 3] = [1, 4, 8];
-
 /// Directory for durable campaign journals. Override with
 /// `TEI_JOURNAL_DIR`; defaults to `journal/`.
 pub fn default_journal_dir() -> std::path::PathBuf {

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_isa::Program;
 use tei_softfloat::{FpOp, FpOpKind};
-use tei_timing::{ArrivalEngine, SpecializedKernel, VoltageReduction};
+use tei_timing::{SpecializedKernel, VoltageReduction};
 use tei_uarch::FuncCore;
 
 /// Per-operation operand trace: consecutive `(a, b)` raw-bit pairs in
@@ -206,9 +206,9 @@ const MASK_CAP: usize = 50_000;
 
 /// The arrival-engine backend of a campaign. There is one: the
 /// table-driven [`SpecializedKernel`] over the unit's
-/// [`FpuUnit::dta_program`] (see [`dta_engine`]). The type stays only
-/// because the end-to-end benchmark package reads
-/// [`DtaTuning::backend`]; it goes with that package's next change.
+/// [`FpuUnit::dta_program`]. The type stays only because the end-to-end
+/// benchmark package reads [`DtaTuning::backend`]; it goes with that
+/// package's next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
     /// The table-driven kernel.
@@ -229,23 +229,23 @@ pub enum KernelBackend {
 /// f2i-d, f2i-s, fp-sub-s and i2f-s at VR15, and f2i-d and f2i-s at
 /// VR20. There is no per-bit skip: the window kernel thresholds every
 /// kept bit in one pass, so proving some bits safe saves nothing.
+///
+/// The policy is the skip's on/off switch. The on value keeps the name
+/// `Auto` only because the end-to-end benchmark package names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrunePolicy {
-    /// Skip when the oracle proves at least
-    /// [`PRUNE_MIN_SAFE_FRACTION`] of the (bit, level) pairs safe —
-    /// and, for the skip itself, all of them.
+    /// Skip a unit the oracle proves safe at every level.
     #[default]
     Auto,
-    /// Skip whenever every bit is proven safe.
-    ForceOn,
     /// Never skip: walk every unit (the byte-identity control).
     ForceOff,
 }
 
 /// Minimum fraction of (bit, level) pairs the static oracle must prove
-/// safe for [`PrunePolicy::Auto`] to enable pruning. The whole-unit
-/// skip needs every pair safe, which passes any threshold, so the value
-/// only shapes what [`resolve_prune`] reports for partly-safe units.
+/// safe for [`resolve_prune`] to report pruning enabled under
+/// [`PrunePolicy::Auto`]. The whole-unit skip needs every pair safe,
+/// which passes any threshold, so the value only shapes what
+/// [`resolve_prune`] reports for partly-safe units.
 pub const PRUNE_MIN_SAFE_FRACTION: f64 = 1.0 / 16.0;
 
 /// The resolved pruning choice for one campaign, recorded so benches
@@ -261,9 +261,12 @@ pub struct PruneDecision {
 }
 
 /// Resolve a [`PrunePolicy`] against the static slack oracle for `unit`
-/// at clock `clk` over the campaign's levels. Pruning is exact at any
-/// setting, so the decision can never change statistics — only whether
-/// a fully safe unit is walked.
+/// at clock `clk` over the campaign's levels, for reports: the campaign
+/// itself only asks whether the policy is `Auto` and every bit is safe.
+/// Pruning is exact at any setting, so the decision can never change
+/// statistics — only whether a fully safe unit is walked. Kept for the
+/// end-to-end benchmark package and the `dta_throughput` bench, which
+/// record it.
 pub fn resolve_prune(
     unit: &FpuUnit,
     clk: f64,
@@ -278,7 +281,6 @@ pub fn resolve_prune(
         safe as f64 / total as f64
     };
     let enabled = match policy {
-        PrunePolicy::ForceOn => true,
         PrunePolicy::ForceOff => false,
         PrunePolicy::Auto => safe_fraction >= PRUNE_MIN_SAFE_FRACTION,
     };
@@ -289,37 +291,35 @@ pub fn resolve_prune(
     }
 }
 
-/// Auto lane width of the table kernel: its fastest width in the
-/// `BENCH_dta.json` `table_kernel` rows.
-pub const CODEGEN_LANES: usize = 8;
-
-/// Resolve a requested lane width (`None` = auto, [`CODEGEN_LANES`]).
+/// Resolve a requested lane width: `None` is the table kernel's one
+/// width, [`SpecializedKernel::LANES`]; any other request is returned
+/// as is, for the campaign to refuse unless it is that width.
 ///
-/// The last two parameters affect nothing. They stay for the
-/// end-to-end benchmark package, which calls this signature.
+/// Kept, with a signature whose last two parameters affect nothing,
+/// only because the end-to-end benchmark package calls it.
 pub fn resolve_lanes(
     requested: Option<usize>,
     _backend: KernelBackend,
     _fresh_kernel: bool,
 ) -> usize {
-    requested.unwrap_or(CODEGEN_LANES)
+    requested.unwrap_or(SpecializedKernel::LANES)
 }
 
 /// Tuning knobs of the DTA campaign inner loop. Tuning never changes
-/// the produced statistics — only how much work the inner loop performs
-/// and how wide its windows are. The default is what every shipped flow
-/// runs: auto pruning, auto lane width, no surrogate; a
-/// caller that wants another value sets the field.
+/// the produced statistics — only how much work the inner loop
+/// performs. The default is what every shipped flow runs: the
+/// safe-unit skip on, no surrogate; a caller that wants another value
+/// sets the field.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DtaTuning {
     /// Whole-unit skip policy (see [`PrunePolicy`]; the default
     /// [`PrunePolicy::Auto`] skips units the oracle proves safe).
     pub prune: PrunePolicy,
-    /// Window lane words of the bit-sliced kernel: 1, 4, or 8 `u64`s
-    /// per net, i.e. 64 / 256 / 512 input vectors per whole-circuit
-    /// evaluation pass (see [`SpecializedKernel`]). `None` (the
-    /// default) picks the measured-best width — see [`resolve_lanes`].
-    /// Campaign statistics are bit-identical at every width.
+    /// Window lane words of the bit-sliced kernel. The kernel has one
+    /// width, [`SpecializedKernel::LANES`] = 8 (512 input vectors per
+    /// pass), so only `None` (the default) and `Some(8)` are accepted;
+    /// any other value is a [`TeiError::Config`]. The field stays only
+    /// because the end-to-end benchmark package reads it.
     pub lanes: Option<usize>,
     /// Arrival-engine backend; [`KernelBackend`] has one variant.
     pub backend: KernelBackend,
@@ -346,31 +346,24 @@ pub enum SurrogateMode {
     Filter,
 }
 
-/// The table kernel over `unit`'s [`FpuUnit::dta_program`] at `lanes`
-/// lane words — the one engine every DTA campaign runs, and the single
-/// place the lane width turns into a type.
+/// Check a [`DtaTuning::lanes`] request against the table kernel's one
+/// width.
 ///
 /// # Errors
 ///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`].
-pub fn dta_engine(unit: &FpuUnit, lanes: usize) -> Result<Box<dyn ArrivalEngine + '_>, TeiError> {
-    let program = unit.dta_program();
-    Ok(match lanes {
-        1 => Box::new(SpecializedKernel::<1>::new(program)),
-        4 => Box::new(SpecializedKernel::<4>::new(program)),
-        8 => Box::new(SpecializedKernel::<8>::new(program)),
-        _ => return Err(unsupported_lanes(lanes)),
-    })
-}
-
-/// The [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`].
-fn unsupported_lanes(lanes: usize) -> TeiError {
-    TeiError::Config {
-        knob: "lanes".to_string(),
-        reason: format!("unsupported lane width {lanes} (supported: 1, 4, 8)"),
+/// [`TeiError::Config`] for any width but [`SpecializedKernel::LANES`].
+fn check_lanes(tuning: DtaTuning) -> Result<(), TeiError> {
+    let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
+    if lanes == SpecializedKernel::LANES {
+        return Ok(());
     }
+    Err(TeiError::Config {
+        knob: "lanes".to_string(),
+        reason: format!(
+            "unsupported lane width {lanes} (supported: {})",
+            SpecializedKernel::LANES
+        ),
+    })
 }
 
 /// Per level, the result bits the static slack oracle proves safe for
@@ -470,7 +463,7 @@ const DTA_POOL: &str = "DTA campaign";
 /// window buffers are allocated once per worker thread, never per
 /// window or per chunk.
 struct EngineScratch<'u> {
-    engine: Box<dyn ArrivalEngine + 'u>,
+    engine: SpecializedKernel<'u>,
     /// The current window's operand pairs, in window-vector order.
     vectors: Vec<(u64, u64)>,
     /// `vectors` packed into input lanes ([`FpuUnit::pack_lanes`]).
@@ -636,19 +629,19 @@ fn pack_window(
 /// [`CHUNK_WINDOWS`] windows form one chunk of work for the
 /// `threads`-worker pool. Per window the walk speaks the engine's
 /// window protocol: operand pairs in ([`FpuUnit::pack_lanes`], then
-/// [`ArrivalEngine::load_window`]), error masks out
-/// ([`ArrivalEngine::window_masks`]), which it folds into the
+/// [`SpecializedKernel::load_window`]), error masks out
+/// ([`SpecializedKernel::window_masks`]), which it folds into the
 /// statistics. Chunks merge in chunk order, so the statistics — mask
 /// library order included — are byte-identical to a serial walk at any
-/// thread count or lane width. A unit the slack oracle proves safe at
+/// thread count. A unit the slack oracle proves safe at
 /// every level is not walked at all (see [`PrunePolicy`]). Returns the
 /// finalized statistics and the number of `audit` transitions that
 /// came back erroneous.
 ///
 /// # Errors
 ///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`];
+/// [`TeiError::Config`] for a lane width other than
+/// [`SpecializedKernel::LANES`];
 /// [`TeiError::WorkerPool`] when a campaign worker panics.
 fn walk_runs(
     unit: &FpuUnit,
@@ -660,20 +653,14 @@ fn walk_runs(
     tuning: DtaTuning,
 ) -> Result<(Vec<OpErrorStats>, u64), TeiError> {
     // Validate the lane width up front so config errors surface before
-    // any worker threads spawn; workers then build their own engine.
-    let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
-    if !config::SUPPORTED_LANES.contains(&lanes) {
-        return Err(unsupported_lanes(lanes));
-    }
+    // any worker threads spawn; workers then build their own kernel.
+    check_lanes(tuning)?;
     let width = unit.result_width();
     let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
     let safe = safe_bit_masks(unit, clk, levels);
     let all_bits = if width == 64 { !0 } else { (1u64 << width) - 1 };
     let all_safe = safe.iter().all(|&m| m == all_bits);
-    if all_safe
-        && resolve_prune(unit, clk, levels, tuning.prune).enabled
-        && !cfg!(feature = "sanitize-arrivals")
-    {
+    if all_safe && tuning.prune == PrunePolicy::Auto && !cfg!(feature = "sanitize-arrivals") {
         // Every transition is provably error-free at every level.
         let transitions: usize = runs.iter().map(|r| r.hi - r.lo).sum();
         let mut stats = empty_stats(unit, levels, width);
@@ -683,7 +670,7 @@ fn walk_runs(
         return Ok((stats, 0));
     }
     let input_width = unit.input_width();
-    let window_vectors = lanes * 64;
+    let (lanes, window_vectors) = (SpecializedKernel::LANES, SpecializedKernel::WINDOW_VECTORS);
 
     // Chunk plan: where each chunk's first window starts. Packing is
     // arithmetic per run, so a contiguous campaign (one run) plans in
@@ -700,7 +687,7 @@ fn walk_runs(
 
     let audit_errors = std::sync::atomic::AtomicU64::new(0);
     let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes).expect("tuning validated above"),
+        engine: SpecializedKernel::new(unit.dta_program()),
         vectors: Vec::with_capacity(window_vectors),
         lanes: vec![0; input_width * lanes],
         masks: vec![0; window_vectors * levels.len()],
@@ -735,7 +722,7 @@ fn walk_runs(
                     keep[local >> 6] |= 1 << (local & 63);
                 }
             }
-            unit.pack_lanes(vectors, lanes, packed);
+            unit.pack_lanes(vectors, packed);
             // Seam transitions between segments are dense garbage
             // toggles; the keep mask drops them from the settle sweeps.
             engine.set_window_keep_mask(keep);
@@ -789,19 +776,20 @@ fn walk_runs(
 /// single settle computation be re-thresholded per corner).
 ///
 /// The first pair only establishes circuit state; transition `k` is
-/// `pairs[k] → pairs[k+1]`. The table kernel ([`dta_engine`])
-/// evaluates the stream in bit-sliced windows of `lanes * 64` vectors,
+/// `pairs[k] → pairs[k+1]`. The table kernel ([`SpecializedKernel`]
+/// over [`FpuUnit::dta_program`]) evaluates the stream in bit-sliced
+/// windows of [`SpecializedKernel::WINDOW_VECTORS`] vectors,
 /// consecutive windows overlapping by one vector. Work is distributed
 /// in chunks across `threads` worker threads; the output is
 /// byte-identical to the single-threaded one. Tuning never changes the
-/// produced statistics — only how much work the inner loop performs
-/// and how wide its lane words are; callers without a preference pass
-/// `DtaTuning::default()` (every setting auto, no surrogate).
+/// produced statistics — only how much work the inner loop performs;
+/// callers without a preference pass `DtaTuning::default()` (the
+/// safe-unit skip on, no surrogate).
 ///
 /// # Errors
 ///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`];
+/// [`TeiError::Config`] for a lane width other than
+/// [`SpecializedKernel::LANES`];
 /// [`TeiError::WorkerPool`] when a campaign worker panics.
 pub fn dta_campaign_tuned(
     unit: &FpuUnit,
@@ -873,7 +861,7 @@ pub const DEFAULT_AUDIT_FRACTION: f64 = 1.0 / 32.0;
 /// Audit policy of the predictive campaign: which safe-classified
 /// transitions are *also* exact-evaluated to cross-check the model.
 /// The draw is a pure function of `(audit_seed, transition index)`, so
-/// it is independent of lane width, thread count, and chunk boundaries.
+/// it is independent of thread count and chunk boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateRun {
     /// Fraction of safe-classified transitions audited (0 disables
@@ -979,15 +967,16 @@ pub fn operand_format_of(op: FpOp) -> tei_timing::OperandFormat {
 ///
 /// # Errors
 ///
-/// [`TeiError::Config`] for an unsupported lane width.
+/// [`TeiError::Config`] for a lane width other than
+/// [`SpecializedKernel::LANES`].
 pub fn fit_surrogate(
     unit: &FpuUnit,
     pairs: &[(u64, u64)],
     clk: f64,
     tuning: DtaTuning,
 ) -> Result<tei_timing::SurrogateModel, TeiError> {
-    let lanes = resolve_lanes(tuning.lanes, tuning.backend, true);
-    let mut engine = dta_engine(unit, lanes)?;
+    check_lanes(tuning)?;
+    let mut engine = SpecializedKernel::new(unit.dta_program());
     let outputs = unit.result_port().to_vec();
     let mut fitter = tei_timing::SurrogateFitter::new(
         unit.tag(),
@@ -999,14 +988,14 @@ pub fn fit_surrogate(
     if pairs.len() < 2 {
         return Ok(fitter.finish());
     }
-    let window_vectors = lanes * 64;
-    let mut packed = vec![0; unit.input_width() * lanes];
+    let window_vectors = SpecializedKernel::WINDOW_VECTORS;
+    let mut packed = vec![0; unit.input_width() * SpecializedKernel::LANES];
     let mut settles = vec![0.0f64; outputs.len()];
     let transitions = pairs.len() - 1;
     let mut start = 0usize;
     while start < transitions {
         let count = (transitions - start + 1).min(window_vectors);
-        unit.pack_lanes(&pairs[start..start + count], lanes, &mut packed);
+        unit.pack_lanes(&pairs[start..start + count], &mut packed);
         engine.load_window(&packed, count);
         for t in 0..count - 1 {
             engine.select_transition(t);
@@ -1505,57 +1494,54 @@ mod tests {
         );
     }
 
+    /// The table kernel has one width: `None` resolves to it, `Some(8)`
+    /// runs, and every other width is refused before any work.
     #[test]
-    fn bad_lane_width_is_a_config_error() {
+    fn lane_width_other_than_eight_is_a_config_error() {
         let (bank, spec) = default_bank();
         let op = FpOp::new(FpOpKind::Add, Precision::Single);
         let pairs = random_operand_pairs(op, 8, 7);
-        let tuning = DtaTuning {
-            lanes: Some(3),
-            ..DtaTuning::default()
+        assert_eq!(
+            resolve_lanes(None, KernelBackend::Auto, true),
+            SpecializedKernel::LANES
+        );
+        let campaign = |lanes| {
+            let tuning = DtaTuning {
+                lanes,
+                ..DtaTuning::default()
+            };
+            dta_campaign_tuned(
+                bank.unit(op),
+                &pairs,
+                spec.clk,
+                &[VoltageReduction::VR20],
+                1,
+                tuning,
+            )
         };
-        let err = dta_campaign_tuned(
+        let default = campaign(None).expect("the default width runs");
+        let eight = campaign(Some(8)).expect("width 8 runs");
+        assert_eq!(
+            serde_json::to_string(&default).expect("stats serialize"),
+            serde_json::to_string(&eight).expect("stats serialize")
+        );
+        for lanes in [0usize, 1, 3, 4, 16] {
+            let err = campaign(Some(lanes)).expect_err("only width 8 is accepted");
+            assert!(
+                matches!(err, TeiError::Config { .. }),
+                "lane width {lanes} must be a config error, got {err}"
+            );
+        }
+        let fit = fit_surrogate(
             bank.unit(op),
             &pairs,
             spec.clk,
-            &[VoltageReduction::VR20],
-            1,
-            tuning,
-        )
-        .expect_err("lane width 3 must be rejected");
-        assert!(
-            matches!(err, TeiError::Config { .. }),
-            "unsupported lanes must be a config error, got {err}"
+            DtaTuning {
+                lanes: Some(4),
+                ..DtaTuning::default()
+            },
         );
-    }
-
-    #[test]
-    fn lane_auto_pick_is_the_table_kernel_width() {
-        for fresh in [false, true] {
-            for lanes in [1usize, 4, 8] {
-                assert_eq!(
-                    resolve_lanes(Some(lanes), KernelBackend::Auto, fresh),
-                    lanes
-                );
-            }
-            assert_eq!(
-                resolve_lanes(None, KernelBackend::Auto, fresh),
-                CODEGEN_LANES
-            );
-        }
-        // A typo here would silently break auto.
-        assert!(config::SUPPORTED_LANES.contains(&CODEGEN_LANES));
-    }
-
-    #[test]
-    fn dta_engine_builds_every_supported_width() {
-        let (bank, _) = default_bank();
-        let unit = bank.unit(FpOp::new(FpOpKind::Add, Precision::Single));
-        for lanes in config::SUPPORTED_LANES {
-            let engine = dta_engine(unit, lanes).expect("engine");
-            assert_eq!(engine.lanes(), lanes);
-            assert_eq!(engine.window_vectors(), lanes * 64);
-        }
+        assert!(matches!(fit, Err(TeiError::Config { .. })));
     }
 
     /// A lower supply can only shrink the statically safe set (the
@@ -1587,20 +1573,19 @@ mod tests {
         let unit = bank.unit(FpOp::new(FpOpKind::Add, Precision::Single));
         let levels = [VoltageReduction::VR15, VoltageReduction::VR20];
         let auto = resolve_prune(unit, spec.clk, &levels, PrunePolicy::Auto);
-        let on = resolve_prune(unit, spec.clk, &levels, PrunePolicy::ForceOn);
         let off = resolve_prune(unit, spec.clk, &levels, PrunePolicy::ForceOff);
-        assert!(on.enabled && !off.enabled);
-        assert_eq!(auto.safe_fraction, on.safe_fraction);
+        assert!(!off.enabled);
+        assert_eq!(auto.safe_fraction, off.safe_fraction);
         assert_eq!(
             auto.enabled,
             auto.safe_fraction >= PRUNE_MIN_SAFE_FRACTION,
             "auto must be exactly the threshold comparison, measured fraction {}",
             auto.safe_fraction
         );
-        // The decision is a pure perf knob: forcing pruning on and off
-        // must produce byte-identical statistics either way.
+        // The decision is a pure perf knob: pruning on and off must
+        // produce byte-identical statistics either way.
         let pairs = random_operand_pairs(FpOp::new(FpOpKind::Add, Precision::Single), 120, 23);
-        let stats: Vec<String> = [PrunePolicy::ForceOn, PrunePolicy::ForceOff]
+        let stats: Vec<String> = [PrunePolicy::Auto, PrunePolicy::ForceOff]
             .into_iter()
             .map(|prune| {
                 let tuning = DtaTuning {

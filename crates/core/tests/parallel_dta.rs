@@ -1,26 +1,32 @@
 //! Chunked DTA campaigns must be byte-identical to the serial walk —
 //! same counts, same mask-library order, same histograms — regardless
-//! of thread count, lane width, or the safe-unit skip. Chunk results
-//! merge in chunk-index (= transition) order and the mask reservoir is
-//! seeded per `(op, vr)` cell, so the JSON encodings compare equal
-//! exactly; a reference campaign driven by the per-pair
-//! [`ArrivalSim`] pins all of them to the ground-truth engine.
+//! of thread count or the safe-unit skip. Chunk results merge in
+//! chunk-index (= transition) order and the mask reservoir is seeded
+//! per `(op, vr)` cell, so the JSON encodings compare equal exactly; a
+//! reference campaign driven by the per-pair [`ArrivalSim`] pins all
+//! of them to the ground-truth engine. Short streams fit one window;
+//! the long stream spans four chunks, so three chunk boundaries.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use tei_core::dev::{
     default_bank, dta_campaign_sampled_tuned, dta_campaign_tuned, random_operand_pairs,
     resolve_prune, safe_bit_counts, DtaTuning, OpErrorStats, PrunePolicy,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{ArrivalSim, VoltageReduction};
+use tei_timing::{ArrivalSim, TwoVectorResult, VoltageReduction};
 
 const LEVELS: [VoltageReduction; 2] = [VoltageReduction::VR15, VoltageReduction::VR20];
+
+/// Operand pairs of the long stream: 6,199 transitions are four chunks
+/// of `CHUNK_WINDOWS` = 4 windows of 511 transitions (the last one
+/// partial), so a walk crosses three chunk boundaries.
+const LONG_PAIRS: usize = 6_200;
 
 /// The d-mul unit has the thick error tail, so campaigns actually fill
 /// mask libraries; generate it once for the whole test binary.
 fn test_unit() -> (&'static FpuUnit, FpuTimingSpec) {
-    use std::sync::OnceLock;
     static UNIT: OnceLock<FpuUnit> = OnceLock::new();
     let spec = FpuTimingSpec::paper_calibrated();
     let unit =
@@ -28,20 +34,41 @@ fn test_unit() -> (&'static FpuUnit, FpuTimingSpec) {
     (unit, spec)
 }
 
-/// Ground-truth mini-campaign: evaluate every `(prev, cur)` transition
-/// with the interpreted [`ArrivalSim`] and accumulate the same
-/// per-corner statistics the kernel campaigns produce (nominal clamp
-/// included). No reservoir cap is applied — callers keep the transition
-/// count under it.
-fn sim_reference(
+/// Per-transition error masks, one per level, of every `(prev, cur)`
+/// transition under the interpreted [`ArrivalSim`], thresholded the
+/// way the kernel campaigns threshold (nominal clamp included).
+fn sim_masks(
     unit: &FpuUnit,
     transitions: impl Iterator<Item = ((u64, u64), (u64, u64))>,
     clk: f64,
-    levels: &[VoltageReduction],
-) -> Vec<OpErrorStats> {
+) -> Vec<[u64; 2]> {
     let nl = unit.dta_netlist();
     let outputs = unit.result_port();
-    let mut stats: Vec<OpErrorStats> = levels
+    let mut r = TwoVectorResult::default();
+    transitions
+        .map(|(prev, cur)| {
+            let prev = unit.encode_inputs(prev.0, prev.1);
+            let cur = unit.encode_inputs(cur.0, cur.1);
+            ArrivalSim::run_into(&nl, &prev, &cur, &mut r);
+            LEVELS.map(|vr| {
+                let k = vr.derating_factor();
+                outputs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &net)| r.settle[net.index()].min(clk) * k > clk)
+                    .fold(0, |mask, (bit, _)| mask | 1 << bit)
+            })
+        })
+        .collect()
+}
+
+/// Ground-truth statistics: fold per-transition masks (see
+/// [`sim_masks`]) into the per-corner statistics the kernel campaigns
+/// produce, serialized. No reservoir cap is applied — callers keep the
+/// transition count under it.
+fn reference_json<'a>(unit: &FpuUnit, masks: impl Iterator<Item = &'a [u64; 2]>) -> String {
+    let outputs = unit.result_port();
+    let mut stats: Vec<OpErrorStats> = LEVELS
         .iter()
         .map(|&vr| OpErrorStats {
             op: unit.op(),
@@ -53,28 +80,21 @@ fn sim_reference(
             flip_hist: BTreeMap::new(),
         })
         .collect();
-    for (prev, cur) in transitions {
-        let prev = unit.encode_inputs(prev.0, prev.1);
-        let cur = unit.encode_inputs(cur.0, cur.1);
-        let r = ArrivalSim::run(&nl, &prev, &cur);
-        for (s, vr) in stats.iter_mut().zip(levels) {
-            let k = vr.derating_factor();
+    for row in masks {
+        for (s, &mask) in stats.iter_mut().zip(row) {
             s.samples += 1;
-            let mut mask = 0u64;
-            for (bit, &net) in outputs.iter().enumerate() {
-                if r.settle[net.index()].min(clk) * k > clk {
-                    mask |= 1 << bit;
-                    s.bit_errors[bit] += 1;
-                }
+            if mask == 0 {
+                continue;
             }
-            if mask != 0 {
-                s.faulty += 1;
-                *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
-                s.masks.push(mask);
+            for (bit, count) in s.bit_errors.iter_mut().enumerate() {
+                *count += (mask >> bit) & 1;
             }
+            s.faulty += 1;
+            *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
+            s.masks.push(mask);
         }
     }
-    stats
+    serde_json::to_string(&stats).expect("serialize reference")
 }
 
 /// The contiguous transitions `pairs[t] → pairs[t + 1]`.
@@ -82,20 +102,44 @@ fn chained(pairs: &[(u64, u64)]) -> impl Iterator<Item = ((u64, u64), (u64, u64)
     pairs.windows(2).map(|w| (w[0], w[1]))
 }
 
+/// Operand pairs and the `ArrivalSim` masks of their transitions.
+type Stream = (Vec<(u64, u64)>, Vec<[u64; 2]>);
+
+/// The long stream, computed once for every test that walks it.
+fn long_stream() -> &'static Stream {
+    static LONG: OnceLock<Stream> = OnceLock::new();
+    LONG.get_or_init(|| {
+        let (unit, spec) = test_unit();
+        let pairs = random_operand_pairs(unit.op(), LONG_PAIRS, 0x10_9057);
+        let masks = sim_masks(unit, chained(&pairs), spec.clk);
+        (pairs, masks)
+    })
+}
+
+fn json(stats: &[OpErrorStats]) -> String {
+    serde_json::to_string(stats).expect("serialize campaign")
+}
+
 #[test]
 fn parallel_campaign_equals_serial_byte_for_byte() {
     let (unit, spec) = test_unit();
-    let pairs = random_operand_pairs(unit.op(), 403, 0xd7a_cafe);
-    let serial = dta_campaign_tuned(unit, &pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
+    let (pairs, masks) = long_stream();
+    let reference = reference_json(unit, masks.iter());
+    let serial = dta_campaign_tuned(unit, pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
         .expect("serial campaign");
     assert!(
         serial.iter().any(|s| s.faulty > 0),
         "campaign should observe errors for the comparison to be meaningful"
     );
+    assert_eq!(
+        json(&serial),
+        reference,
+        "serial campaign diverged from ArrivalSim"
+    );
     for threads in [2usize, 3, 8] {
         let parallel = dta_campaign_tuned(
             unit,
-            &pairs,
+            pairs,
             spec.clk,
             &LEVELS,
             threads,
@@ -103,47 +147,65 @@ fn parallel_campaign_equals_serial_byte_for_byte() {
         )
         .expect("parallel campaign");
         assert_eq!(
-            serde_json::to_string(&serial).expect("serialize serial"),
-            serde_json::to_string(&parallel).expect("serialize parallel"),
-            "{threads}-thread campaign diverged from serial"
+            json(&parallel),
+            reference,
+            "{threads}-thread campaign diverged from ArrivalSim"
         );
     }
 }
 
-/// The equivalence matrix: every supported lane width of the table
-/// kernel, serial and parallel, under every prune policy, must
-/// reproduce the `ArrivalSim` reference byte for byte. Under the
+/// The equivalence matrix: the table kernel at its default and its
+/// explicit lane width, serial and parallel, with the safe-unit skip on
+/// and off, must reproduce the `ArrivalSim` reference byte for byte on
+/// two single-window streams and on the long stream (its matrix
+/// diagonal in debug builds). Under the
 /// `sanitize-arrivals` feature the campaign additionally asserts that
 /// no mask touches a statically-safe bit.
 #[test]
-fn lane_widths_match_arrival_sim_byte_for_byte() {
+fn tuning_matrix_matches_arrival_sim_byte_for_byte() {
     let (unit, spec) = test_unit();
-    for seed in [0xd7a_cafeu64, 0x51ced] {
-        let pairs = random_operand_pairs(unit.op(), 403, seed);
-        let reference =
-            serde_json::to_string(&sim_reference(unit, chained(&pairs), spec.clk, &LEVELS))
-                .expect("serialize reference");
-        for lanes in [1usize, 4, 8] {
+    let mut streams: Vec<(Vec<(u64, u64)>, String)> = [0xd7a_cafeu64, 0x51ced]
+        .into_iter()
+        .map(|seed| {
+            let pairs = random_operand_pairs(unit.op(), 403, seed);
+            let masks = sim_masks(unit, chained(&pairs), spec.clk);
+            let reference = reference_json(unit, masks.iter());
+            (pairs, reference)
+        })
+        .collect();
+    let (pairs, masks) = long_stream();
+    streams.push((pairs.clone(), reference_json(unit, masks.iter())));
+    let long = streams.len() - 1;
+    for (s, (pairs, reference)) in streams.iter().enumerate() {
+        for lanes in [None, Some(8)] {
             for threads in [1usize, 3] {
-                for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
+                for prune in [PrunePolicy::Auto, PrunePolicy::ForceOff] {
+                    // Debug builds walk the long stream on the diagonal
+                    // of the matrix only: every value, not every mix.
+                    let diagonal = (lanes.is_none(), threads == 1)
+                        == (prune == PrunePolicy::Auto, prune == PrunePolicy::Auto);
+                    if cfg!(debug_assertions) && s == long && !diagonal {
+                        continue;
+                    }
                     let got = dta_campaign_tuned(
                         unit,
-                        &pairs,
+                        pairs,
                         spec.clk,
                         &LEVELS,
                         threads,
                         DtaTuning {
                             prune,
-                            lanes: Some(lanes),
+                            lanes,
                             ..DtaTuning::default()
                         },
                     )
                     .expect("campaign");
                     assert_eq!(
-                        serde_json::to_string(&got).expect("serialize campaign"),
+                        &json(&got),
                         reference,
-                        "lanes={lanes} threads={threads} prune={prune:?} seed={seed:#x} \
-                         diverged from ArrivalSim"
+                        "{} pairs, lanes={lanes:?} threads={threads} prune={prune:?} \
+                         diverged from ArrivalSim",
+                        pairs.len()
                     );
                 }
             }
@@ -154,13 +216,16 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
 #[test]
 fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
     let (unit, spec) = test_unit();
-    let trace = random_operand_pairs(unit.op(), 300, 0x5a5a);
-    // An arbitrary non-monotonic sample pattern over valid indices.
+    let (trace, masks) = long_stream();
+    // An arbitrary non-monotonic sample pattern over valid indices:
+    // runs of two transitions with a seam between them, packing about
+    // 1.5 vectors per transition, so the walk still crosses chunks.
     let indices: Vec<usize> = (1..trace.len()).filter(|i| i % 3 != 0).collect();
+    let reference = reference_json(unit, indices.iter().map(|&i| &masks[i - 1]));
     let sampled = |threads: usize| {
         dta_campaign_sampled_tuned(
             unit,
-            &trace,
+            trace,
             &indices,
             spec.clk,
             &LEVELS,
@@ -169,20 +234,25 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
         )
     };
     let serial = sampled(1).expect("serial sampled campaign");
+    assert_eq!(
+        json(&serial),
+        reference,
+        "sampled campaign diverged from ArrivalSim"
+    );
     for threads in [2usize, 5] {
         let parallel = sampled(threads).expect("parallel sampled campaign");
         assert_eq!(
-            serde_json::to_string(&serial).expect("serialize serial"),
-            serde_json::to_string(&parallel).expect("serialize parallel"),
-            "{threads}-thread sampled campaign diverged from serial"
+            json(&parallel),
+            reference,
+            "{threads}-thread sampled campaign diverged from ArrivalSim"
         );
     }
 }
 
 /// The sampled walk against the ground truth: isolated indices, a run
-/// of more than 64 consecutive indices (it crosses a `W = 1` window and
-/// packs as one contiguous segment) and a repeated index, at every lane
-/// width, serial and parallel.
+/// of more than 64 consecutive indices (it crosses a lane word and
+/// packs as one contiguous segment) and a repeated index, at the
+/// default and the explicit lane width, serial and parallel.
 #[test]
 fn sampled_walk_matches_arrival_sim() {
     let (unit, spec) = test_unit();
@@ -190,17 +260,16 @@ fn sampled_walk_matches_arrival_sim() {
     let mut indices: Vec<usize> = vec![250, 3, 17];
     indices.extend(40..150);
     indices.extend([200, 200, 9, 299, 151]);
-    let reference = serde_json::to_string(&sim_reference(
+    let masks = sim_masks(
         unit,
         indices.iter().map(|&i| (trace[i - 1], trace[i])),
         spec.clk,
-        &LEVELS,
-    ))
-    .expect("serialize reference");
-    for lanes in [1usize, 4, 8] {
+    );
+    let reference = reference_json(unit, masks.iter());
+    for lanes in [None, Some(8)] {
         for threads in [1usize, 3] {
             let tuning = DtaTuning {
-                lanes: Some(lanes),
+                lanes,
                 ..DtaTuning::default()
             };
             let got = dta_campaign_sampled_tuned(
@@ -208,9 +277,9 @@ fn sampled_walk_matches_arrival_sim() {
             )
             .expect("sampled campaign");
             assert_eq!(
-                serde_json::to_string(&got).expect("serialize sampled"),
+                json(&got),
                 reference,
-                "lanes={lanes} threads={threads} diverged from ArrivalSim"
+                "lanes={lanes:?} threads={threads} diverged from ArrivalSim"
             );
         }
     }
@@ -221,10 +290,7 @@ fn sampled_walk_matches_arrival_sim() {
         .expect("sampled campaign");
     let contiguous =
         dta_campaign_tuned(unit, &trace, spec.clk, &LEVELS, 2, tuning).expect("campaign");
-    assert_eq!(
-        serde_json::to_string(&sampled).expect("serialize sampled"),
-        serde_json::to_string(&contiguous).expect("serialize contiguous"),
-    );
+    assert_eq!(json(&sampled), json(&contiguous));
 }
 
 /// A unit the slack oracle proves safe at every level is skipped, not
@@ -233,7 +299,6 @@ fn sampled_walk_matches_arrival_sim() {
 #[test]
 fn safe_unit_skip_is_byte_identical_to_forced_walk() {
     let (bank, spec) = default_bank();
-    let json = |stats: &[OpErrorStats]| serde_json::to_string(stats).expect("serialize");
     let mut skipped = Vec::new();
     for vr in LEVELS {
         for unit in bank.iter() {

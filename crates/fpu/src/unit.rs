@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tei_netlist::{CellLibrary, NetId, Netlist};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
-use tei_timing::{transpose64, ArrivalEngine, CompiledNetlist, DynProgram, SpecializedKernel, Sta};
+use tei_timing::{transpose64, CompiledNetlist, DynProgram, SpecializedKernel, Sta};
 
 /// Calibration targets: the nominal critical delay of each FPU datapath,
 /// in nanoseconds, plus the core clock period.
@@ -143,11 +143,11 @@ const GAMMA_SAMPLES: usize = if cfg!(debug_assertions) { 128 } else { 1024 };
 impl FpuUnit {
     /// Generate and calibrate the unit for `op`. The dynamic
     /// calibration runs the reference ensemble through the table kernel
-    /// ([`SpecializedKernel`] at `W = 8` over a [`DynProgram`] compacted
-    /// around the result port); the per-pair
-    /// [`ArrivalKernel`](tei_timing::ArrivalKernel) is only its test
-    /// oracle. d-mul, the largest unit, generates in about 5 ms on a
-    /// 2-vCPU AVX-512 host.
+    /// ([`SpecializedKernel`] over a [`DynProgram`] compacted around the
+    /// result port); the per-pair
+    /// [`ArrivalSim`](tei_timing::ArrivalSim) is its test oracle.
+    /// d-mul, the largest unit, generates in about 5 ms on a 2-vCPU
+    /// AVX-512 host.
     pub fn generate(op: FpOp, spec: &FpuTimingSpec) -> Self {
         let tag = short_tag(op);
         let mut nl = Netlist::new(&tag, CellLibrary::nangate45_like());
@@ -188,17 +188,16 @@ impl FpuUnit {
     /// in windows of 512 vectors that overlap by one, so every
     /// transition is analyzed exactly as a chained per-pair walk would.
     fn reference_dynamic_max(&self) -> f64 {
-        const W: usize = 8;
         let vectors = reference_vectors(self.op);
         let compiled = CompiledNetlist::compile(&self.netlist);
         let program = DynProgram::compacted(&compiled, &self.result_keep());
-        let mut kernel = SpecializedKernel::<W>::new(&program);
-        let window = SpecializedKernel::<W>::WINDOW_VECTORS;
-        let mut lanes = vec![0; self.input_width() * W];
+        let mut kernel = SpecializedKernel::new(&program);
+        let window = SpecializedKernel::WINDOW_VECTORS;
+        let mut lanes = vec![0; self.input_width() * SpecializedKernel::LANES];
         let mut max = 0.0f64;
         for start in (0..vectors.len() - 1).step_by(window - 1) {
             let chunk = &vectors[start..vectors.len().min(start + window)];
-            self.pack_lanes(chunk, W, &mut lanes);
+            self.pack_lanes(chunk, &mut lanes);
             kernel.load_window(&lanes, chunk.len());
             for t in 0..kernel.window_transitions() {
                 kernel.select_transition(t);
@@ -305,21 +304,23 @@ impl FpuUnit {
     }
 
     /// Pack a window of operand pairs straight into the input lanes
-    /// [`ArrivalEngine::load_window`](tei_timing::ArrivalEngine::load_window)
-    /// takes at `lanes` words per input: bit `v % 64` of
-    /// `out[k * lanes + v / 64]` is bit `k` of
+    /// [`SpecializedKernel::load_window`] takes, `L` =
+    /// [`SpecializedKernel::LANES`] words per input: bit `v % 64` of
+    /// `out[k * L + v / 64]` is bit `k` of
     /// [`encode_inputs`](FpuUnit::encode_inputs)`(vectors[v])`. Each
     /// 64-vector block of an operand is one 64×64 bit transpose; bits
     /// past `vectors.len()` are zero.
     ///
     /// # Panics
     ///
-    /// Panics when `vectors` holds more than `lanes * 64` pairs or
-    /// `out.len() != input_width() * lanes`.
-    pub fn pack_lanes(&self, vectors: &[(u64, u64)], lanes: usize, out: &mut [u64]) {
+    /// Panics when `vectors` holds more than
+    /// [`SpecializedKernel::WINDOW_VECTORS`] pairs or
+    /// `out.len() != input_width() * L`.
+    pub fn pack_lanes(&self, vectors: &[(u64, u64)], out: &mut [u64]) {
+        let lanes = SpecializedKernel::LANES;
         assert!(
-            vectors.len() <= lanes * 64,
-            "window holds lanes * 64 vectors"
+            vectors.len() <= SpecializedKernel::WINDOW_VECTORS,
+            "window holds WINDOW_VECTORS vectors"
         );
         assert_eq!(out.len(), self.input_width() * lanes, "lane buffer size");
         out.fill(0);
@@ -486,7 +487,7 @@ impl FpuBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tei_timing::ArrivalKernel;
+    use tei_timing::{ArrivalSim, TwoVectorResult};
 
     /// `gamma().to_bits()` of every unit in [`FpOp::all`] order, as
     /// calibrated on the released 1,024-pair ensemble.
@@ -521,20 +522,20 @@ mod tests {
         0x3ff0b4d8ded272e9, // F2I (s)
     ];
 
-    /// The per-pair oracle of [`FpuUnit::reference_dynamic_max`]: the
-    /// reference ensemble folded through chained
-    /// [`ArrivalKernel::advance`] calls.
+    /// The per-pair oracle of [`FpuUnit::reference_dynamic_max`]: every
+    /// consecutive pair of the reference ensemble run through
+    /// [`ArrivalSim`] on the unscaled netlist, folded to the result
+    /// port's settle maximum.
     fn per_pair_dynamic_max(unit: &FpuUnit) -> f64 {
         let vectors = reference_vectors(unit.op());
-        let compiled = CompiledNetlist::compile(unit.netlist());
-        let mut kernel = ArrivalKernel::new();
         let port = unit.result_port();
-        let (a, b) = vectors[0];
-        kernel.reset(&compiled, &unit.encode_inputs(a, b));
+        let mut res = TwoVectorResult::default();
         let mut max = 0.0f64;
-        for &(a, b) in &vectors[1..] {
-            kernel.advance(&compiled, &unit.encode_inputs(a, b));
-            max = max.max(kernel.max_settle(port));
+        for w in vectors.windows(2) {
+            let prev = unit.encode_inputs(w[0].0, w[0].1);
+            let cur = unit.encode_inputs(w[1].0, w[1].1);
+            ArrivalSim::run_into(unit.netlist(), &prev, &cur, &mut res);
+            max = max.max(res.max_settle(port));
         }
         max
     }

@@ -4,47 +4,53 @@
 //! [`DynProgram::compacted`] compiles a [`CompiledNetlist`] at runtime
 //! into flat opcode/pin/delay tables plus a liveness-compacted settle
 //! plan; [`SpecializedKernel`] drives a borrowed program through the
-//! window protocol of [`ArrivalEngine`] with two table-driven passes
-//! ([`table_plane_pass`] and the settle pass) that are bit-identical to
-//! the per-pair [`ArrivalKernel`](crate::ArrivalKernel). Building the
-//! tables is cheap: the plans for all twelve shipped FPU units take
-//! about 3 ms, so each unit builds its program once on first use
-//! (`FpuUnit::dta_program` in `tei-fpu`).
+//! window protocol (pack, [`load_window`](SpecializedKernel::load_window),
+//! [`window_masks`](SpecializedKernel::window_masks)) with two
+//! table-driven passes (the plane pass and the settle pass) that are
+//! bit-identical to the per-pair [`ArrivalSim`](crate::ArrivalSim), the
+//! kernel's test oracle. Building the tables is cheap: the plans for all
+//! twelve shipped FPU units take about 3 ms, so each unit builds its
+//! program once on first use (`FpuUnit::dta_program` in `tei-fpu`).
 //!
-//! **Bit-sliced windows.** Each net carries a [`Lanes`] array of `W`
+//! **Bit-sliced windows.** Each net carries a [`Lanes`] array of 8
 //! `u64` words, so one whole-circuit pass evaluates the steady state of
-//! `W * 64` input vectors; the fixed-size-array lane ops autovectorize
-//! to AVX2 (`W = 4`) and AVX-512 (`W = 8`) bitwise instructions. The
-//! caller hands the window in already packed into input lanes (the FPU
-//! units pack operand words with 64×64 bit transposes, [`transpose64`]),
-//! and the plane pass writes each net's transition bits word-major, so
-//! a settle sweep reads 8 bytes of toggle bits per gate instead of
-//! `8 * W`. Settle times are then computed `W` transitions per batch as
-//! `[f64; W]` lane arrays, masked to `+0.0` in lanes where a gate does
-//! not toggle.
+//! 512 input vectors; the fixed-size-array lane ops autovectorize to
+//! AVX-512 (or two AVX2) bitwise instructions. The caller hands the
+//! window in already packed into input lanes (the FPU units pack
+//! operand words with 64×64 bit transposes, [`transpose64`]), and the
+//! plane pass writes each net's transition bits word-major, so a settle
+//! sweep reads 8 bytes of toggle bits per gate instead of 64. Settle
+//! times are then computed 8 transitions per batch as `[f64; 8]` lane
+//! arrays, masked to `+0.0` in lanes where a gate does not toggle.
+//!
+//! **One lane width.** Earlier versions made the width a const
+//! parameter (`W` = 1, 4 or 8 words) picked at runtime behind an
+//! object-safe trait. On d-mul the window protocol ran about 24,000
+//! pairs/s at `W = 1`, 79,000 at `W = 4` and 431,000 at `W = 8`, and no
+//! shipped flow ran anything but 8, so the kernel is fixed at 8 words.
 //!
 //! **Masks out.** The campaign never reads a settle time:
-//! [`window_masks`](ArrivalEngine::window_masks) settles the window one
-//! 64-transition word at a time and thresholds the program's keep set
-//! (the unit's result port) at every voltage level right after, then
-//! turns the per-bit transition masks of the word into per-transition
-//! error masks with one [`transpose64`] per level. Words in which
-//! nothing errs skip the transpose. The per-transition view
-//! ([`select_transition`](ArrivalEngine::select_transition) and
-//! [`settle_of`](ArrivalEngine::settle_of)) serves the callers that need
-//! raw settle times: γ calibration (`FpuUnit::generate` folds the result
-//! port's settle maximum over its reference ensemble), the surrogate
-//! fit, and the equivalence suites. It always runs in f64.
+//! [`window_masks`](SpecializedKernel::window_masks) settles the window
+//! one 64-transition word at a time and thresholds the program's keep
+//! set (the unit's result port) at every voltage level right after,
+//! then turns the per-bit transition masks of the word into
+//! per-transition error masks with one [`transpose64`] per level. Words
+//! in which nothing errs skip the transpose. The per-transition view
+//! ([`select_transition`](SpecializedKernel::select_transition) and
+//! [`settle_of`](SpecializedKernel::settle_of)) serves the callers that
+//! need raw settle times: γ calibration (`FpuUnit::generate` folds the
+//! result port's settle maximum over its reference ensemble), the
+//! surrogate fit, and the equivalence suites. It always runs in f64.
 //!
 //! **Certified f32 masks.** Only one thing is read from a mask sweep:
 //! whether each kept settle time `s` passes `s.min(clk) * k > clk`. That
 //! test is monotone in `s`, so per level it is `s >= tau` for one f64
-//! `tau`. On AVX-512 CPUs at `W = 8` the mask sweep therefore runs in
-//! f32, 16 transitions per ZMM, so one record load and one diff-word
-//! load serve all 64 transitions of a word (the f64 group pass serves
-//! 32). [`DynProgram`] carries a static bound `E` on `|v32 - v64|` per
-//! kept net (`f32_error_bounds`: the fanins' largest bound, the delay's
-//! f32 rounding, and the two sums' rounding at the net's static arrival
+//! `tau`. On AVX-512 CPUs the mask sweep therefore runs in f32, 16
+//! transitions per ZMM, so one record load and one diff-word load serve
+//! all 64 transitions of a word (the f64 group pass serves 32).
+//! [`DynProgram`] carries a static bound `E` on `|v32 - v64|` per kept
+//! net (`f32_error_bounds`: the fanins' largest bound, the delay's f32
+//! rounding, and the two sums' rounding at the net's static arrival
 //! bound). Per (kept net, level) the kernel turns `tau ± E` into f32
 //! cuts: below the lower cut every f64 value within `E` is safe, above
 //! the upper one every such value errs. If any lane of a word falls
@@ -54,85 +60,84 @@
 //! f64 and both claims are asserted.
 //!
 //! **What the settle plan buys.** The settle pass dominates DTA
-//! throughput and is cache-bandwidth bound: a net-indexed `[f64; W]`
-//! settle array is 411 KB for the d-mul netlist at `W = 4` and 823 KB
-//! at 8. The f32 word sweep halves the bytes per transition again: its
-//! 64 f32 lanes per slot fill the same 256 bytes as the f64 group's 32,
-//! so it runs in the same scratch. [`SettlePlan::compacted`] instead
-//! performs a liveness analysis
-//! over the settle dataflow and allocates *recycled scratch slots*: a
-//! net's slot is freed at its last fanout reader and reused (LIFO, so
-//! the hottest line is reused first), while nets in the `keep` set —
-//! the unit's observable outputs — hold dedicated slots for the
-//! thresholds. The scratch footprint drops from `N` nets to the
+//! throughput and is cache-bandwidth bound: a net-indexed `[f64; 8]`
+//! settle array is 823 KB for the d-mul netlist. The f32 word sweep
+//! halves the bytes per transition again: its 64 f32 lanes per slot
+//! fill the same 256 bytes as the f64 group's 32, so it runs in the
+//! same scratch. [`SettlePlan::compacted`] instead performs a liveness
+//! analysis over the settle dataflow and allocates *recycled scratch
+//! slots*: a net's slot is freed at its last fanout reader and reused
+//! (LIFO, so the hottest line is reused first), while nets in the
+//! `keep` set — the unit's observable outputs — hold dedicated slots
+//! for the thresholds. The scratch footprint drops from `N` nets to the
 //! netlist's cut width.
 //!
 //! **How the settle loop is driven.** Table validation happens once,
 //! in [`SpecializedKernel::new`]; each batch then runs an unchecked
 //! loop over a packed 16-byte `GateRec` per gate (re-validating per
 //! batch measurably costs as much as the settle arithmetic itself). On
-//! x86-64 CPUs with AVX-512F, `W = 8` sweeps *four* adjacent batches
+//! x86-64 CPUs with AVX-512F the kernel sweeps *four* adjacent batches
 //! at once (the `zmm` module): one ZMM register per batch per net, the
 //! toggle byte used directly as the `maskz` write mask, and one record
 //! load and one diff-word load amortized across the group. Four beat
 //! eight, two and one on d-mul (the eight-batch scratch outgrows L2).
-//! Other CPUs, other widths and programs whose slots overflow the
-//! packed records' `u16` run the generic f64 pass; a unit test holds
-//! the group pass bit-identical to it and the certified masks equal to
-//! its masks.
+//! Other CPUs and programs whose slots overflow the packed records'
+//! `u16` run the generic f64 pass; a unit test holds the group pass
+//! bit-identical to it and the certified masks equal to its masks.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
-//! inline constants, levels unrolled). Measured on d-mul at `W = 4` it
-//! ran 6.5× *slower* than the then-interpreted window kernel: ~1 MB of
-//! instructions per settle batch streams through the i-cache, which
-//! loses decisively to a resident loop over compact tables — and cost
-//! half an hour of LLVM time per build. A later version emitted the
-//! same tables as static Rust source at build time; it measured no
-//! faster than tables built at runtime (0.95–1.07× on d-div and d-mul
-//! at `W = 8`), so it was retired. The shipped design keeps the
-//! specialization where it pays (the slot allocation, packed records,
-//! pins resolved to slots) and executes it with the same few hundred
-//! bytes of loop code for every unit.
+//! inline constants, levels unrolled). Measured on d-mul at 4 lane
+//! words it ran 6.5× *slower* than the then-interpreted window kernel:
+//! ~1 MB of instructions per settle batch streams through the i-cache,
+//! which loses decisively to a resident loop over compact tables — and
+//! cost half an hour of LLVM time per build. A later version emitted
+//! the same tables as static Rust source at build time; it measured no
+//! faster than tables built at runtime (0.95–1.07× on d-div and d-mul),
+//! so it was retired. The shipped design keeps the specialization where
+//! it pays (the slot allocation, packed records, pins resolved to
+//! slots) and executes it with the same few hundred bytes of loop code
+//! for every unit.
 //!
 //! **Exposure contract.** After a settle pass, only nets whose slot
 //! was never recycled still hold their settle time: every net in
 //! `keep`, plus any net whose slot happened not to be reused. The
-//! plan's `exposed` table holds `u32::MAX` for the rest, and the
-//! engine's [`settle_exposed`](ArrivalEngine::settle_exposed) surfaces
-//! that. The DTA campaign only thresholds output-port settles, which
-//! are always kept; full-fidelity programs ([`DynProgram::new`]) expose
+//! plan's `exposed` table holds `u32::MAX` for the rest, and
+//! [`settle_exposed`](SpecializedKernel::settle_exposed) surfaces that.
+//! The DTA campaign only thresholds output-port settles, which are
+//! always kept; full-fidelity programs ([`DynProgram::new`]) expose
 //! every net and threshold none.
 //!
 //! **Determinism and equivalence.** Gates run in compiled
 //! (topological) index order and the slot allocator is deterministic
 //! (LIFO free list, one linear scan), so a given `(netlist, keep)` pair
 //! always yields the same plan. Equivalence is enforced three ways: the
-//! `kernel_equiv` proptests drive this harness over [`DynProgram`]
-//! (full and compacted plans) on random DAGs against the reference
-//! simulator and pin the window masks to per-transition thresholds,
-//! [`SettlePlan`] self-verifies every allocation by replay, and
-//! `tei-fpu`'s `dta_program_equiv` suite checks every shipped unit's
-//! program and lane packing transition-for-transition against chained
-//! [`ArrivalKernel::advance`](crate::ArrivalKernel::advance) calls, and
-//! its certified `W = 8` masks against f64 thresholds on random and
-//! workload-trace windows at 15 voltage levels.
+//! `kernel_equiv` proptests drive this kernel over [`DynProgram`] (full
+//! and compacted plans) on random DAGs against
+//! [`ArrivalSim`](crate::ArrivalSim) and pin the window masks to
+//! per-transition thresholds, [`SettlePlan`] self-verifies every
+//! allocation by replay, and `tei-fpu`'s `dta_program_equiv` suite
+//! checks every shipped unit's program and lane packing
+//! transition-for-transition against `ArrivalSim` on the unit's DTA
+//! netlist, and its certified masks against f64 thresholds on random
+//! and workload-trace windows at 15 voltage levels.
 
-use crate::engine::ArrivalEngine;
-use crate::kernel::CompiledNetlist;
+use crate::compiled::CompiledNetlist;
 use crate::sim::TwoVectorResult;
 use tei_netlist::{GateKind, NetId};
+
+/// Lane words per net: a window holds `W * 64` = 512 input vectors.
+const W: usize = 8;
 
 /// The multi-word window lane of one net: bit `v` of word `v / 64`
 /// holds the net's steady-state value under the window's `v`-th input
 /// vector. Written as fixed-size-array ops so the compiler
-/// autovectorizes `W = 4` to AVX2-width and `W = 8` to AVX-512-width
-/// bitwise instructions.
-pub type Lanes<const W: usize> = [u64; W];
+/// autovectorizes them to AVX2- or AVX-512-width bitwise instructions.
+pub type Lanes = [u64; W];
 
 /// Bit `v` of a multi-word lane.
 #[inline(always)]
-fn lane_bit<const W: usize>(lane: &Lanes<W>, v: usize) -> bool {
+fn lane_bit(lane: &Lanes, v: usize) -> bool {
     (lane[v >> 6] >> (v & 63)) & 1 == 1
 }
 
@@ -159,15 +164,15 @@ pub fn transpose64(a: &mut [u64; 64]) {
 /// Inlined lane/settle primitives used by the table passes. Kept tiny
 /// and `#[inline(always)]` so the passes lower to straight-line vector
 /// code with no calls.
-pub mod ops {
-    use super::Lanes;
+mod ops {
+    use super::{Lanes, W};
     use std::array::from_fn;
 
     /// Transition lanes of a value plane: `v ^ (v >> 1)` as a
     /// `W * 64`-bit-wide shift (borrowing the low bit of the next
     /// word), masked to the window's valid transitions.
     #[inline(always)]
-    pub fn dif<const W: usize>(v: Lanes<W>, tm: Lanes<W>) -> Lanes<W> {
+    pub fn dif(v: Lanes, tm: Lanes) -> Lanes {
         from_fn(|w| {
             let hi = if w + 1 < W { v[w + 1] } else { 0 };
             (v[w] ^ ((v[w] >> 1) | (hi << 63))) & tm[w]
@@ -176,74 +181,74 @@ pub mod ops {
 
     /// All-zero lanes (Const0).
     #[inline(always)]
-    pub fn c0<const W: usize>() -> Lanes<W> {
+    pub fn c0() -> Lanes {
         [0; W]
     }
 
     /// All-one lanes (Const1).
     #[inline(always)]
-    pub fn c1<const W: usize>() -> Lanes<W> {
+    pub fn c1() -> Lanes {
         [!0; W]
     }
 
     /// Lane NOT.
     #[inline(always)]
-    pub fn inv<const W: usize>(a: Lanes<W>) -> Lanes<W> {
+    pub fn inv(a: Lanes) -> Lanes {
         from_fn(|w| !a[w])
     }
 
     /// Lane AND.
     #[inline(always)]
-    pub fn and2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn and2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| a[w] & b[w])
     }
 
     /// Lane OR.
     #[inline(always)]
-    pub fn or2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn or2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| a[w] | b[w])
     }
 
     /// Lane NAND.
     #[inline(always)]
-    pub fn nand2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn nand2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| !(a[w] & b[w]))
     }
 
     /// Lane NOR.
     #[inline(always)]
-    pub fn nor2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn nor2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| !(a[w] | b[w]))
     }
 
     /// Lane XOR.
     #[inline(always)]
-    pub fn xor2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn xor2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| a[w] ^ b[w])
     }
 
     /// Lane XNOR.
     #[inline(always)]
-    pub fn xnor2<const W: usize>(a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn xnor2(a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| !(a[w] ^ b[w]))
     }
 
     /// Lane 2:1 mux, pin order `[sel, a, b]`: `b` when `sel` is high.
     #[inline(always)]
-    pub fn mux2<const W: usize>(sel: Lanes<W>, a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
+    pub fn mux2(sel: Lanes, a: Lanes, b: Lanes) -> Lanes {
         from_fn(|w| (sel[w] & b[w]) | (!sel[w] & a[w]))
     }
 
     /// Lane 3-input majority.
     #[inline(always)]
-    pub fn maj3<const W: usize>(a: Lanes<W>, b: Lanes<W>, c: Lanes<W>) -> Lanes<W> {
+    pub fn maj3(a: Lanes, b: Lanes, c: Lanes) -> Lanes {
         from_fn(|w| (a[w] & b[w]) | (a[w] & c[w]) | (b[w] & c[w]))
     }
 
-    /// Three-operand settle fold in the per-pair kernel's order (never
-    /// NaN, so this is exactly `f64::max`).
+    /// Three-operand settle fold (never NaN, so this is exactly
+    /// `f64::max`, the fold of the per-pair `ArrivalSim`).
     #[inline(always)]
-    pub fn m3<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+    pub fn m3(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
         from_fn(|j| {
             let m = if a[j] > b[j] { a[j] } else { b[j] };
             if m > c[j] {
@@ -280,7 +285,7 @@ pub mod ops {
     }
 
     /// Per-lane keep masks for a gate's batch toggle bits `d >> ls`,
-    /// loaded from the harness's [`lane_lut`](super::lane_lut):
+    /// loaded from the kernel's [`lane_lut`](super::lane_lut):
     /// all-ones lanes where the gate toggles, all-zeros elsewhere.
     ///
     /// The table load is what keeps the settle pass branch-free: the
@@ -291,8 +296,8 @@ pub mod ops {
     /// the pass and mispredicts at the toggle rate. A load from a
     /// table LLVM cannot see through stays an AND and vectorizes.
     #[inline(always)]
-    pub fn kp<const W: usize>(lut: &[Lanes<W>], d: u64, ls: usize) -> Lanes<W> {
-        // The table holds a power-of-two entry count covering the `W`
+    pub fn kp(lut: &[Lanes], d: u64, ls: usize) -> Lanes {
+        // The table holds a power-of-two entry count covering the
         // index bits that matter (see `lane_lut`), so masking by
         // `len - 1` both selects the right entry and keeps the bounds
         // check trivially elidable.
@@ -301,23 +306,20 @@ pub mod ops {
 
     /// Masked settle lanes: `latest + delay` in lanes where `keep` is
     /// all-ones (the gate toggles), bit-exact `+0.0` elsewhere — the
-    /// identity the per-pair kernel's unchanged nets hold.
+    /// settle time `ArrivalSim` gives unchanged nets.
     #[inline(always)]
-    pub fn stl<const W: usize>(latest: [f64; W], delay: f64, keep: Lanes<W>) -> [f64; W] {
+    pub fn stl(latest: [f64; W], delay: f64, keep: Lanes) -> [f64; W] {
         from_fn(|j| f64::from_bits((latest[j] + delay).to_bits() & keep[j]))
     }
 }
 
 /// Keep-mask table for [`ops::kp`]: entry `b` holds, per lane `j < W`,
-/// all-ones iff bit `j` of `b` is set. Sized `2^W` — only the low `W`
-/// bits of a gate's batch toggle word influence the entry, so at
-/// W = 4 the table is 16 entries (512 B, L1-resident alongside the
-/// scratch) instead of a fixed 256-entry 8 KiB of randomly-indexed L1
-/// pressure, and the power-of-two length lets the index mask in
-/// [`ops::kp`] elide the bounds check.
-pub fn lane_lut<const W: usize>() -> Box<[Lanes<W>]> {
-    assert!(W <= 8, "lane LUT supports widths up to 8");
-    let lut: Vec<Lanes<W>> = (0..1u64 << W)
+/// all-ones iff bit `j` of `b` is set. Sized `2^W` = 256 entries — only
+/// the low `W` bits of a gate's batch toggle word influence the entry —
+/// and the power-of-two length lets the index mask in [`ops::kp`] elide
+/// the bounds check.
+fn lane_lut() -> Box<[Lanes]> {
+    let lut: Vec<Lanes> = (0..1u64 << W)
         .map(|b| std::array::from_fn(|j| ((b >> j) & 1).wrapping_neg()))
         .collect();
     lut.into_boxed_slice()
@@ -329,12 +331,12 @@ pub fn lane_lut<const W: usize>() -> Box<[Lanes<W>]> {
 /// `diffs_t`: word `w` of net `i` lands at `diffs_t[w * n + i]`, so a
 /// settle sweep reads one contiguous `u64` per gate. Primary-input
 /// lanes must already be packed into `plane`.
-pub fn table_plane_pass<const W: usize>(
+fn table_plane_pass(
     kinds: &[u8],
     pins: &[u32],
-    plane: &mut [Lanes<W>],
+    plane: &mut [Lanes],
     diffs_t: &mut [u64],
-    tmask: Lanes<W>,
+    tmask: Lanes,
 ) {
     let n = kinds.len();
     assert_eq!(pins.len(), 3 * n, "pin table stride");
@@ -385,13 +387,13 @@ pub fn table_plane_pass<const W: usize>(
 /// `dw.len() >= slots.len()`, `lut.len() == 1 << W`, every element of
 /// `slots` is non-zero and `< scratch.len()`, and every element of
 /// `spins` is `< scratch.len()`.
-unsafe fn table_settle_unchecked<const W: usize>(
+unsafe fn table_settle_unchecked(
     slots: &[u32],
     spins: &[u32],
     delay_bits: &[u64],
     scratch: &mut [[f64; W]],
     dw: &[u64],
-    lut: &[Lanes<W>],
+    lut: &[Lanes],
     ls: usize,
 ) {
     scratch[0] = [0.0; W];
@@ -420,12 +422,12 @@ unsafe fn table_settle_unchecked<const W: usize>(
 struct CacheLine([u8; 64]);
 
 /// `count` zeroed `[f64; W]` lane arrays on a 64-byte-aligned base.
-struct AlignedLanes<const W: usize> {
+struct AlignedLanes {
     buf: Vec<CacheLine>,
     count: usize,
 }
 
-impl<const W: usize> AlignedLanes<W> {
+impl AlignedLanes {
     fn zeroed(count: usize) -> Self {
         let bytes = count * W * 8;
         AlignedLanes {
@@ -501,17 +503,17 @@ fn pack_records(slots: &[u32], spins: &[u32], delay_bits: &[u64]) -> Option<Vec<
     )
 }
 
-/// Packed-record settle pass, any lane width.
+/// Packed-record settle pass (the generic f64 pass).
 ///
 /// # Safety
 ///
 /// Every `sp`/`slot` index in `recs` is `< scratch.len()`,
 /// `dw.len() >= recs.len()`, and `lut.len() == 1 << W`.
-unsafe fn packed_settle_unchecked<const W: usize>(
+unsafe fn packed_settle_unchecked(
     recs: &[GateRec],
     scratch: &mut [[f64; W]],
     dw: &[u64],
-    lut: &[Lanes<W>],
+    lut: &[Lanes],
     ls: usize,
 ) {
     scratch[0] = [0.0; W];
@@ -531,13 +533,13 @@ unsafe fn packed_settle_unchecked<const W: usize>(
     }
 }
 
-/// AVX-512 settle passes at W = 8: one ZMM register per net's lane
+/// AVX-512 settle passes: one ZMM register per net's lane
 /// array, and the batch's toggle bits used directly as the `maskz`
 /// write mask — no keep-mask table load at all.
 ///
 /// The f64 group pass is bit-exact with the generic pass:
 /// `_mm512_max_pd(a, b)` returns `a` iff `a > b` (else `b`), exactly the
-/// per-pair kernel's comparison chain for never-NaN settle times, and
+/// generic pass's comparison chain for never-NaN settle times, and
 /// `maskz` zeroes are the same `+0.0` the keep-mask AND produces. The
 /// f32 word pass is not bit-exact; `window_masks` only trusts decisions
 /// it can certify against [`DynProgram`]'s static f32 error bound.
@@ -545,13 +547,13 @@ unsafe fn packed_settle_unchecked<const W: usize>(
 mod zmm {
     use core::arch::x86_64::*;
 
-    /// Whether the running CPU supports the W = 8 ZMM settle passes.
+    /// Whether the running CPU supports the ZMM settle passes.
     #[inline]
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// Group settle: `G` adjacent W = 8 batches in one sweep over a
+    /// Group settle: `G` adjacent 8-transition batches in one sweep over a
     /// grouped scratch where slot `s` holds batch `g`'s lanes at
     /// `[f64; 8]` entry `G * s + g`. One record load and one diff-word
     /// load then serve all `G` batches, which cuts the scalar load
@@ -713,7 +715,7 @@ pub struct SettlePlan {
 
 impl SettlePlan {
     /// The trivial full-fidelity plan: gate `i` owns slot `i + 1`
-    /// forever, so every net stays exposed. Matches the per-pair kernel's
+    /// forever, so every net stays exposed. Matches `ArrivalSim`'s
     /// net-indexed settle array with one extra zero slot.
     pub fn full(c: &CompiledNetlist) -> Self {
         let n = c.len();
@@ -865,7 +867,7 @@ impl SettlePlan {
     }
 }
 
-/// Batches of `W = 8` transitions one AVX-512 group sweep settles per
+/// Batches of `W` = 8 transitions one AVX-512 group sweep settles per
 /// gate-record load (`zmm::settle_w8_group`). On d-mul, 4 beat 8 by
 /// 2–10 % (the 8-batch scratch, 1.45 MB, outgrows L2), 2 by 13–20 %
 /// and 1 by 40–72 % (see DESIGN.md §6). The grouped slot (4 × 8 f64)
@@ -950,27 +952,39 @@ fn f32_cuts(tau: f64, bound: f64) -> [f32; 2] {
 /// The window-protocol harness over a borrowed [`DynProgram`]: owns the
 /// lane planes, the word-major toggle words, and the slot-allocated
 /// settle scratch; drives the table passes over packed input windows
-/// and thresholds them. Implements [`ArrivalEngine`] bit-identically to
-/// the per-pair [`ArrivalKernel`](crate::ArrivalKernel) on every exposed
-/// net (see the module docs for the exposure contract).
-pub struct SpecializedKernel<'p, const W: usize> {
+/// and thresholds them, bit-identically to the per-pair
+/// [`ArrivalSim`](crate::ArrivalSim) on every exposed net (see the
+/// module docs for the exposure contract).
+///
+/// The window protocol: pack a window of input vectors into lanes,
+/// optionally [`set_window_keep_mask`](Self::set_window_keep_mask),
+/// [`load_window`](Self::load_window), then either
+/// [`window_masks`](Self::window_masks) (every transition's error mask
+/// at every voltage level, what the campaign reads) or
+/// [`select_transition`](Self::select_transition) and the per-net
+/// accessors (raw settle times, for γ calibration, the surrogate fit
+/// and the equivalence suites). Compacted programs recycle settle
+/// storage for internal nets; check
+/// [`settle_exposed`](Self::settle_exposed) before querying arbitrary
+/// internal nets.
+pub struct SpecializedKernel<'p> {
     /// The program's tables, validated once in
     /// [`SpecializedKernel::new`]. The per-batch hot loop runs
     /// unchecked over them; the shared borrow keeps them fixed for the
     /// kernel's lifetime.
     program: &'p DynProgram,
-    plane: Vec<Lanes<W>>,
+    plane: Vec<Lanes>,
     /// Word-major toggle words, written by the plane pass:
     /// `diffs_t[w * n + i]` is net `i`'s diff word `w`, so one settle
     /// sweep reads 8 contiguous bytes per gate.
     diffs_t: Vec<u64>,
-    scratch: AlignedLanes<W>,
+    scratch: AlignedLanes,
     /// [`GateRec`] packing of the program's settle tables, when every
     /// slot index fits `u16` (always, for the shipped bank).
     packed: Option<Vec<GateRec>>,
-    lut: Box<[Lanes<W>]>,
+    lut: Box<[Lanes]>,
     /// Whether sweeps run the AVX-512 passes of the `zmm` module
-    /// (`W == 8` on a CPU with AVX-512F, records packed). Then the f64
+    /// (a CPU with AVX-512F, records packed). Then the f64
     /// settle pass covers [`SWEEP_BATCHES`]` * W` transitions per sweep
     /// (`zmm::settle_w8_group`), `scratch` holds that many lane arrays
     /// per slot, and `window_masks` runs the certified f32 word sweep.
@@ -987,15 +1001,19 @@ pub struct SpecializedKernel<'p, const W: usize> {
     rows: Vec<LevelWord>,
     /// One-shot per-transition keep mask for the next `load_window`
     /// (empty = keep everything); see
-    /// [`ArrivalEngine::set_window_keep_mask`].
+    /// [`set_window_keep_mask`](Self::set_window_keep_mask).
     win_mask: Vec<u64>,
     win_count: usize,
     view_t: usize,
     batch_base: usize,
 }
 
-impl<'p, const W: usize> SpecializedKernel<'p, W> {
-    /// Vectors per bit-sliced window at this lane width.
+impl<'p> SpecializedKernel<'p> {
+    /// Lane words per net: [`load_window`](Self::load_window) takes
+    /// `LANES` words per primary input.
+    pub const LANES: usize = W;
+
+    /// Input vectors per bit-sliced window.
     pub const WINDOW_VECTORS: usize = W * 64;
 
     /// A kernel over `program` with all buffers pre-sized.
@@ -1037,14 +1055,14 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
             "spin slot out of range"
         );
         let packed = pack_records(&plan.slots, &plan.spins, &program.delay_bits);
-        let zmm = W == 8 && avx512 && packed.is_some();
+        let zmm = avx512 && packed.is_some();
         SpecializedKernel {
             program,
             plane: vec![[0; W]; n],
             diffs_t: vec![0; W * n],
             scratch: AlignedLanes::zeroed(if zmm { SWEEP_BATCHES * m } else { m }),
             packed,
-            lut: lane_lut::<W>(),
+            lut: lane_lut(),
             zmm,
             keep_slots: program
                 .keep
@@ -1105,17 +1123,37 @@ impl<'p, const W: usize> SpecializedKernel<'p, W> {
     }
 }
 
-impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
-    fn lanes(&self) -> usize {
-        W
-    }
-
-    fn set_window_keep_mask(&mut self, keep: &[u64]) {
+impl SpecializedKernel<'_> {
+    /// Keep only the given transitions of the *next* loaded window: bit
+    /// `t` of `keep[t / 64]` retains transition `t`'s diff lanes, a
+    /// cleared bit zeroes them (words past `keep.len()` keep nothing).
+    /// Callers packing unrelated vector runs into one window mask off
+    /// the seam transitions between runs. A masked transition settles
+    /// nowhere (its window masks are zero) and must not be selected;
+    /// kept transitions settle bit-identically to an unmasked window.
+    /// Consumed by the next [`load_window`](Self::load_window); an
+    /// empty mask keeps all.
+    pub fn set_window_keep_mask(&mut self, keep: &[u64]) {
         self.win_mask.clear();
         self.win_mask.extend_from_slice(keep);
     }
 
-    fn load_window(&mut self, lanes: &[u64], count: usize) {
+    /// Load a window of `count` input vectors, packed into lanes —
+    /// `lanes[k * LANES + w]` holds bit `v % 64` = input `k` under
+    /// vector `64 * w + v % 64`, inputs in declaration order — and
+    /// evaluate every vector's steady state in one bit-sliced pass.
+    /// Bits past `count` are ignored. Follow with
+    /// [`window_masks`](Self::window_masks), or with
+    /// [`select_transition`](Self::select_transition) for each of the
+    /// `count - 1` transitions; windows are independent, so callers
+    /// chain them by overlapping one vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is 0 or exceeds
+    /// [`WINDOW_VECTORS`](Self::WINDOW_VECTORS), or if
+    /// `lanes.len() != input_count * LANES`.
+    pub fn load_window(&mut self, lanes: &[u64], count: usize) {
         assert!((1..=Self::WINDOW_VECTORS).contains(&count), "window size");
         assert_eq!(
             lanes.len(),
@@ -1126,13 +1164,13 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         self.view_t = 0;
         self.batch_base = usize::MAX;
         for (&net, lane) in self.program.inputs.iter().zip(lanes.chunks_exact(W)) {
-            self.plane[net as usize] = lane.try_into().expect("chunk of W words");
+            self.plane[net as usize] = lane.try_into().expect("chunk of LANES words");
         }
 
         // Mask off diff lanes beyond the last valid transition, plus
         // any the caller masked out (seams between packed runs).
         let valid = count - 1;
-        let tmask: Lanes<W> = std::array::from_fn(|w| {
+        let tmask: Lanes = std::array::from_fn(|w| {
             let lo = w * 64;
             let base = if valid >= lo + 64 {
                 !0
@@ -1158,11 +1196,28 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         );
     }
 
-    fn window_transitions(&self) -> usize {
+    /// Transitions available in the loaded window (`count - 1`).
+    pub fn window_transitions(&self) -> usize {
         self.win_count.saturating_sub(1)
     }
 
-    fn window_masks(&mut self, clk: f64, factors: &[f64], out: &mut [u64]) {
+    /// Threshold every transition of the loaded window at every level:
+    /// afterwards bit `j` of `out[t * factors.len() + l]` is set iff
+    /// the program's `j`-th kept net errs in transition `t` at derating
+    /// factor `factors[l]`, i.e. `settle.min(clk) * factors[l] > clk`
+    /// (the settle time clamped to the clock at nominal, then derated).
+    /// Writes exactly the first `window_transitions() * factors.len()`
+    /// words of `out`. The masks equal thresholding the f64 settle
+    /// times [`select_transition`](Self::select_transition) reports,
+    /// though the sweeps behind them may run in f32 where every
+    /// decision is certified by a static error bound (see the module
+    /// docs); sanitizer assertions run either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window is loaded, if `out` is shorter than that, or
+    /// if the program keeps more than 64 nets.
+    pub fn window_masks(&mut self, clk: f64, factors: &[f64], out: &mut [u64]) {
         assert!(self.win_count > 0, "no window loaded");
         assert!(
             self.keep_slots.len() <= 64,
@@ -1208,7 +1263,16 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         self.rows = rows;
     }
 
-    fn select_transition(&mut self, t: usize) {
+    /// Focus the kernel on window transition `t` (vectors `t → t+1`);
+    /// afterwards the accessors report that transition exactly as
+    /// [`ArrivalSim::run`](crate::ArrivalSim::run) would for that pair.
+    /// Settle times are computed one sweep of consecutive transitions
+    /// at a time, so walking `t` in order computes each sweep once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window is loaded or `t` is out of range.
+    pub fn select_transition(&mut self, t: usize) {
         assert!(self.win_count > 0, "no window loaded");
         assert!(t + 1 < self.win_count, "transition out of range");
         self.view_t = t;
@@ -1216,24 +1280,34 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         self.ensure_sweep(t - t % sweep);
     }
 
-    fn cur(&self, net: NetId) -> bool {
+    /// Steady-state value of `net` under the current vector.
+    pub fn cur(&self, net: NetId) -> bool {
         lane_bit(&self.plane[net.index()], self.view_t + 1)
     }
 
-    fn prev(&self, net: NetId) -> bool {
+    /// Steady-state value of `net` under the previous vector.
+    pub fn prev(&self, net: NetId) -> bool {
         lane_bit(&self.plane[net.index()], self.view_t)
     }
 
-    fn changed(&self, net: NetId) -> bool {
+    /// Whether `net` changed value in the selected transition.
+    pub fn changed(&self, net: NetId) -> bool {
         let t = self.view_t;
         (self.diffs_t[(t >> 6) * self.plane.len() + net.index()] >> (t & 63)) & 1 == 1
     }
 
-    fn settle_exposed(&self, net: NetId) -> bool {
+    /// Whether [`settle_of`](Self::settle_of) is valid for `net`.
+    /// Programs over slot-compacted plans expose at least their keep set
+    /// (the unit's observable outputs); full plans expose every net.
+    pub fn settle_exposed(&self, net: NetId) -> bool {
         self.program.plan.exposed[net.index()] != u32::MAX
     }
 
-    fn settle_of(&self, net: NetId) -> f64 {
+    /// Settle time of `net` for the selected transition (0 if
+    /// unchanged). Only valid for exposed nets (see
+    /// [`settle_exposed`](Self::settle_exposed)); panics on recycled
+    /// nets rather than return stale storage.
+    pub fn settle_of(&self, net: NetId) -> f64 {
         let slot = self.program.plan.exposed[net.index()];
         assert!(
             slot != u32::MAX,
@@ -1243,7 +1317,10 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
         self.sweep_lanes(slot as usize)[self.view_t - self.batch_base]
     }
 
-    fn snapshot_into(&self, out: &mut TwoVectorResult) {
+    /// Dump the selected transition into `out`, matching
+    /// [`ArrivalSim::run_into`](crate::ArrivalSim::run_into) for that
+    /// pair on every exposed net (recycled nets report 0).
+    pub fn snapshot_into(&self, out: &mut TwoVectorResult) {
         let n = self.plane.len();
         let lane = self.view_t - self.batch_base;
         out.settle.clear();
@@ -1266,16 +1343,12 @@ impl<const W: usize> ArrivalEngine for SpecializedKernel<'_, W> {
             out.prev.push(lane_bit(&self.plane[i], self.view_t));
         }
     }
-}
 
-impl<const W: usize> SpecializedKernel<'_, W> {
-    /// Words of 64 transitions that [`window_masks`] re-swept in f64
-    /// because an f32 decision was too close to its threshold to
-    /// certify, over this kernel's lifetime; `None` when the kernel
-    /// does not run the f32 word sweep (it runs at `W = 8` on CPUs with
+    /// Words of 64 transitions that [`window_masks`](Self::window_masks)
+    /// re-swept in f64 because an f32 decision was too close to its
+    /// threshold to certify, over this kernel's lifetime; `None` when
+    /// the kernel does not run the f32 word sweep (it runs on CPUs with
     /// AVX-512F).
-    ///
-    /// [`window_masks`]: ArrivalEngine::window_masks
     pub fn f64_resweeps(&self) -> Option<u64> {
         self.zmm.then_some(self.resweeps)
     }
@@ -1398,21 +1471,13 @@ impl<const W: usize> SpecializedKernel<'_, W> {
         // construction.
         #[cfg(target_arch = "x86_64")]
         if self.zmm {
-            // SAFETY (cast): `W == 8` here, so `[[f64; W]]` and
-            // `[[f64; 8]]` are the same layout.
-            let scratch8 = unsafe {
-                std::slice::from_raw_parts_mut(
-                    self.scratch.as_mut().as_mut_ptr() as *mut [f64; 8],
-                    self.scratch.count,
-                )
-            };
             // `zmm` implies packed records (see `with_avx512`), and
             // `ls` is a multiple of the group sweep's width.
             let recs = self
                 .packed
                 .as_deref()
                 .expect("zmm sweeps run on packed records");
-            unsafe { zmm::settle_w8_group::<SWEEP_BATCHES>(recs, scratch8, dw, ls) };
+            unsafe { zmm::settle_w8_group::<SWEEP_BATCHES>(recs, self.scratch.as_mut(), dw, ls) };
             return;
         }
         unsafe {
@@ -1508,14 +1573,14 @@ pub struct DynProgram {
 impl DynProgram {
     /// A full-fidelity dynamic program over `compiled` (every net
     /// exposed, none thresholded by
-    /// [`window_masks`](ArrivalEngine::window_masks)).
+    /// [`window_masks`](SpecializedKernel::window_masks)).
     pub fn new(compiled: &CompiledNetlist) -> Self {
         Self::with_plan(compiled, SettlePlan::full(compiled), Vec::new())
     }
 
     /// A slot-compacted dynamic program over `compiled`, keeping the
     /// nets in `keep` exposed (see [`SettlePlan::compacted`]). Bit `j`
-    /// of a [`window_masks`](ArrivalEngine::window_masks) mask
+    /// of a [`window_masks`](SpecializedKernel::window_masks) mask
     /// thresholds `keep[j]`.
     pub fn compacted(compiled: &CompiledNetlist, keep: &[u32]) -> Self {
         Self::with_plan(
@@ -1641,11 +1706,11 @@ mod tests {
 
     /// Pack `count` concatenated `width`-input bool vectors into the
     /// `W`-word input lanes `load_window` takes.
-    fn pack(flat: &[bool], width: usize, count: usize, w: usize) -> Vec<u64> {
-        let mut lanes = vec![0u64; width * w];
+    fn pack(flat: &[bool], width: usize, count: usize) -> Vec<u64> {
+        let mut lanes = vec![0u64; width * W];
         for v in 0..count {
             for k in 0..width {
-                lanes[k * w + v / 64] |= u64::from(flat[v * width + k]) << (v % 64);
+                lanes[k * W + v / 64] |= u64::from(flat[v * width + k]) << (v % 64);
             }
         }
         lanes
@@ -1683,7 +1748,7 @@ mod tests {
         avx512
     }
 
-    /// The AVX-512 passes and the generic W = 8 pass must produce
+    /// The AVX-512 passes and the generic pass must produce
     /// bit-identical settle times on every exposed net (the f64 group
     /// sweep) and identical window masks (the certified f32 word sweep
     /// and its f64 re-sweeps), over full and partial windows, for both
@@ -1712,8 +1777,8 @@ mod tests {
                 .iter()
                 .map(|&k| NetId::from_index(k as usize))
                 .collect();
-            let mut zmm = SpecializedKernel::<8>::with_avx512(&program, true);
-            let mut generic = SpecializedKernel::<8>::with_avx512(&program, false);
+            let mut zmm = SpecializedKernel::with_avx512(&program, true);
+            let mut generic = SpecializedKernel::with_avx512(&program, false);
             assert!(zmm.zmm && !generic.zmm, "one zmm kernel, one generic");
             assert_eq!(
                 generic.f64_resweeps(),
@@ -1730,7 +1795,7 @@ mod tests {
                     rng ^= rng << 17;
                     *bit = rng & 1 == 1;
                 }
-                let lanes = pack(&flat, width, count, 8);
+                let lanes = pack(&flat, width, count);
                 zmm.load_window(&lanes, count);
                 generic.load_window(&lanes, count);
                 // The largest kept settle time at or below the clock.
@@ -1821,7 +1886,7 @@ mod tests {
                     rng & 1 == 1
                 })
                 .collect();
-            let lanes = pack(&flat, n_inputs, count, 8);
+            let lanes = pack(&flat, n_inputs, count);
             for program in [DynProgram::new(&c), DynProgram::compacted(&c, &keep)] {
                 let bound = f32_error_bounds(&c, &program.plan);
                 let exposed: Vec<(usize, usize)> = program
@@ -1832,7 +1897,7 @@ mod tests {
                     .filter(|&(_, &slot)| slot != u32::MAX)
                     .map(|(net, &slot)| (net, slot as usize))
                     .collect();
-                let mut k = SpecializedKernel::<8>::with_avx512(&program, true);
+                let mut k = SpecializedKernel::with_avx512(&program, true);
                 k.load_window(&lanes, count);
                 let n = c.len();
                 let recs = k.packed.clone().expect("packed records");

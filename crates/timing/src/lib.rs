@@ -14,16 +14,13 @@
 //!   paper's Figure 4.
 //! * [`ArrivalSim`] — fast two-vector *dynamic* timing simulation using
 //!   transition-propagation arrival times (glitch-free approximation; the
-//!   Razor-style "latch keeps the old value" error model).
-//! * [`CompiledNetlist`] / [`ArrivalKernel`] — the same model compiled to
-//!   structure-of-arrays tables with a changed-net frontier, advanced one
-//!   input vector at a time: bit-identical results. The per-pair test
-//!   oracle of the table kernel.
-//! * [`SpecializedKernel`] over a [`DynProgram`] — the one DTA engine
-//!   (campaigns and γ calibration): bit-sliced multi-word window lanes
-//!   (`W * 64` vectors per pass, autovectorized) over
-//!   liveness-compacted settle tables, behind the [`ArrivalEngine`]
-//!   window protocol.
+//!   Razor-style "latch keeps the old value" error model). The per-pair
+//!   test oracle of the table kernel.
+//! * [`SpecializedKernel`] over a [`DynProgram`] built from a
+//!   [`CompiledNetlist`] — the one DTA engine (campaigns and γ
+//!   calibration): the same arrival model over bit-sliced 8-word window
+//!   lanes (512 vectors per pass) and liveness-compacted settle tables,
+//!   bit-identical to `ArrivalSim`.
 //! * [`EventSim`] — exact event-driven timed simulation with transport
 //!   delays (models glitches); the reference engine the fast one is
 //!   validated against.
@@ -55,19 +52,17 @@
 //! ```
 
 pub mod codegen;
+mod compiled;
 mod derating;
-mod engine;
 mod event;
-mod kernel;
 mod sim;
 mod sta;
 pub mod surrogate;
 
-pub use codegen::{transpose64, DynProgram, Lanes, SettlePlan, SpecializedKernel};
+pub use codegen::{transpose64, DynProgram, SettlePlan, SpecializedKernel};
+pub use compiled::CompiledNetlist;
 pub use derating::{AlphaPowerLaw, InterpolatedDerating, VoltageReduction};
-pub use engine::ArrivalEngine;
 pub use event::{EventSim, EventSimResult, FanoutTable};
-pub use kernel::{ArrivalKernel, CompiledNetlist};
 pub use sim::{ArrivalSim, TwoVectorResult};
 pub use sta::{PathCensus, PathInfo, Sta};
 pub use surrogate::{OperandFormat, SurrogateClass, SurrogateFitter, SurrogateModel};

@@ -1,24 +1,23 @@
-//! Property-based equivalence of the arrival engines against the
-//! reference [`ArrivalSim`]: identical steady-state values and
+//! Property-based equivalence of the table kernel against its per-pair
+//! oracle [`ArrivalSim`]: identical steady-state values and
 //! bit-identical settle times on random DAGs.
 //!
-//! The per-pair [`ArrivalKernel`] is checked for isolated two-vector
-//! runs and for chained `advance` streams. The table kernel — a
-//! [`SpecializedKernel`] over [`DynProgram`], the pipeline every
-//! shipped unit's DTA runs — is checked over full and compacted plans
-//! at every supported lane width, on maximal and short windows, and at
-//! window counts on and around every 64-vector lane word boundary. Its
-//! window masks are pinned to per-transition f64 thresholds, including
-//! at levels that force the certified f32 sweep back to f64.
+//! The table kernel — a [`SpecializedKernel`] over [`DynProgram`], the
+//! pipeline every shipped unit's DTA runs — is checked over full and
+//! compacted plans, on maximal windows (streams long enough to chain
+//! two or three of them) and short ones, and at window counts on and
+//! around every 64-vector lane word boundary. Its window masks are
+//! pinned to per-transition f64 thresholds, including at levels that
+//! force the certified f32 sweep back to f64.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tei_netlist::{CellLibrary, GateKind, NetId, Netlist};
-use tei_timing::{
-    ArrivalEngine, ArrivalKernel, ArrivalSim, CompiledNetlist, DynProgram, SpecializedKernel,
-    TwoVectorResult,
-};
+use tei_timing::{ArrivalSim, CompiledNetlist, DynProgram, SpecializedKernel, TwoVectorResult};
+
+/// Lane words per net of the table kernel.
+const W: usize = SpecializedKernel::LANES;
 
 /// Build a random topologically-ordered DAG over `n_inputs` inputs.
 fn random_netlist(seed: u64, n_inputs: usize, n_gates: usize) -> Netlist {
@@ -47,12 +46,12 @@ fn random_inputs(rng: &mut StdRng, n: usize) -> Vec<bool> {
 
 /// Pack input vectors into the `W`-word lanes `load_window` takes:
 /// bit `v % 64` of word `k * W + v / 64` is input `k` of vector `v`.
-fn pack(vectors: &[Vec<bool>], w: usize) -> Vec<u64> {
+fn pack(vectors: &[Vec<bool>]) -> Vec<u64> {
     let width = vectors.first().map_or(0, Vec::len);
-    let mut lanes = vec![0u64; width * w];
+    let mut lanes = vec![0u64; width * W];
     for (v, vector) in vectors.iter().enumerate() {
         for (k, &bit) in vector.iter().enumerate() {
-            lanes[k * w + v / 64] |= u64::from(bit) << (v % 64);
+            lanes[k * W + v / 64] |= u64::from(bit) << (v % 64);
         }
     }
     lanes
@@ -78,60 +77,17 @@ fn assert_same(reference: &TwoVectorResult, got: &TwoVectorResult) -> Result<(),
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    #[test]
-    fn prop_kernel_matches_sim_two_vector(
-        seed in any::<u64>(),
-        n_inputs in 1usize..10,
-        n_gates in 1usize..160,
-    ) {
-        let nl = random_netlist(seed, n_inputs, n_gates);
-        let c = CompiledNetlist::compile(&nl);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mut kernel = ArrivalKernel::new();
-        let mut got = TwoVectorResult::default();
-        for _ in 0..4 {
-            let prev = random_inputs(&mut rng, n_inputs);
-            let cur = random_inputs(&mut rng, n_inputs);
-            let reference = ArrivalSim::run(&nl, &prev, &cur);
-            kernel.run_into(&c, &prev, &cur, &mut got);
-            assert_same(&reference, &got)?;
-        }
-    }
-
-    #[test]
-    fn prop_chained_advances_match_sim(
-        seed in any::<u64>(),
-        n_inputs in 1usize..10,
-        n_gates in 1usize..160,
-        stream_len in 2usize..12,
-    ) {
-        let nl = random_netlist(seed, n_inputs, n_gates);
-        let c = CompiledNetlist::compile(&nl);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
-        let stream: Vec<Vec<bool>> =
-            (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-
-        let mut kernel = ArrivalKernel::new();
-        let mut snap = TwoVectorResult::default();
-        kernel.reset(&c, &stream[0]);
-        for w in stream.windows(2) {
-            kernel.advance(&c, &w[1]);
-            kernel.snapshot_into(&mut snap);
-            let reference = ArrivalSim::run(&nl, &w[0], &w[1]);
-            assert_same(&reference, &snap)?;
-        }
-    }
-
     /// The table kernel over full and compacted plans must reproduce
-    /// `ArrivalSim` transition for transition at every lane width —
-    /// identical values, toggle flags, and bit-exact settle times — on
-    /// maximal windows and on short ones chained by one vector.
+    /// `ArrivalSim` transition for transition — identical values,
+    /// toggle flags, and bit-exact settle times — on maximal windows
+    /// and on short ones chained by one vector. Streams run up to
+    /// 1,100 vectors, so maximal windows chain across up to three.
     #[test]
     fn prop_engine_matrix_matches_sim(
         seed in any::<u64>(),
         n_inputs in 1usize..10,
         n_gates in 1usize..120,
-        stream_len in 2usize..150,
+        stream_len in 2usize..1100,
         window in prop_oneof![2usize..9, Just(usize::MAX)],
     ) {
         let nl = random_netlist(seed, n_inputs, n_gates);
@@ -139,9 +95,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(5));
         let stream: Vec<Vec<bool>> =
             (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-        engine_matrix_matches::<1>(&nl, &c, &stream, window)?;
-        engine_matrix_matches::<4>(&nl, &c, &stream, window)?;
-        engine_matrix_matches::<8>(&nl, &c, &stream, window)?;
+        engine_matrix_matches(&nl, &c, &stream, window)?;
     }
 }
 
@@ -149,8 +103,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `window_masks` must equal thresholding each selected
-    /// transition's kept settle times by hand, at every lane width and
-    /// at levels with derating factor at most 1 (which never err) and
+    /// transition's kept settle times by hand, over one to three
+    /// windows, at levels with derating factor at most 1 (which never err) and
     /// above it, with random seam transitions masked off — and at a
     /// level whose threshold sits exactly on an observed settle time,
     /// which the certified f32 sweep cannot decide and must re-sweep in
@@ -160,7 +114,7 @@ proptest! {
         seed in any::<u64>(),
         n_inputs in 1usize..10,
         n_gates in 1usize..120,
-        stream_len in 2usize..700,
+        stream_len in 2usize..1100,
         keep_stride in 1usize..4,
         clk_pct in 10u32..100,
     ) {
@@ -174,20 +128,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(9));
         let stream: Vec<Vec<bool>> =
             (0..stream_len).map(|_| random_inputs(&mut rng, n_inputs)).collect();
-        window_masks_match::<1>(&program, &keep, &stream, clk, &factors, &mut rng)?;
-        window_masks_match::<4>(&program, &keep, &stream, clk, &factors, &mut rng)?;
-        window_masks_match::<8>(&program, &keep, &stream, clk, &factors, &mut rng)?;
+        window_masks_match(&program, &keep, &stream, clk, &factors, &mut rng)?;
     }
 }
 
-/// Walk `stream` in maximal windows of a `W`-lane kernel over
+/// Walk `stream` in maximal windows of the table kernel over
 /// `program`, dropping about one transition in eight as a seam, and
 /// check every window's masks against `select_transition` +
 /// `settle_of` thresholding of the kept nets. Each window adds a level
 /// `k = clk / s` for the largest kept settle time `s <= clk` it
 /// contains, so `clk / k` lands on `s`; where the kernel runs the f32
 /// sweep, that window must count an f64 re-sweep.
-fn window_masks_match<const W: usize>(
+fn window_masks_match(
     program: &DynProgram,
     keep: &[u32],
     stream: &[Vec<bool>],
@@ -195,7 +147,7 @@ fn window_masks_match<const W: usize>(
     factors: &[f64],
     rng: &mut StdRng,
 ) -> Result<(), TestCaseError> {
-    let mut engine = SpecializedKernel::<W>::new(program);
+    let mut engine = SpecializedKernel::new(program);
     let mut masks = vec![0u64; W * 64 * (factors.len() + 1)];
     let mut start = 0usize;
     while start + 1 < stream.len() {
@@ -205,7 +157,7 @@ fn window_masks_match<const W: usize>(
             .collect();
         let kept = |t: usize| (seams[t / 64] >> (t % 64)) & 1 == 1;
         engine.set_window_keep_mask(&seams);
-        engine.load_window(&pack(&stream[start..start + count], W), count);
+        engine.load_window(&pack(&stream[start..start + count]), count);
         let mut on_threshold = 0.0f64;
         for t in (0..count - 1).filter(|&t| kept(t)) {
             engine.select_transition(t);
@@ -227,8 +179,7 @@ fn window_masks_match<const W: usize>(
         {
             prop_assert!(
                 after > before,
-                "W={} window at {}: a threshold on settle time {} was certified",
-                W,
+                "window at {}: a threshold on settle time {} was certified",
                 start,
                 on_threshold
             );
@@ -236,7 +187,7 @@ fn window_masks_match<const W: usize>(
         for t in 0..count - 1 {
             let row = &masks[t * levels.len()..(t + 1) * levels.len()];
             if !kept(t) {
-                prop_assert!(row.iter().all(|&m| m == 0), "W={} seam {} erred", W, t);
+                prop_assert!(row.iter().all(|&m| m == 0), "seam {} erred", t);
                 continue;
             }
             engine.select_transition(t);
@@ -248,7 +199,7 @@ fn window_masks_match<const W: usize>(
                         engine.settle_of(NetId::from_index(net as usize)).min(clk) * k > clk
                     })
                     .fold(0u64, |m, (j, _)| m | 1 << j);
-                prop_assert_eq!(mask, want, "W={} t={} factor {}", W, t, k);
+                prop_assert_eq!(mask, want, "t={} factor {}", start + t, k);
                 if k <= 1.0 {
                     prop_assert_eq!(mask, 0, "factor {} cannot err", k);
                 }
@@ -263,7 +214,7 @@ fn window_masks_match<const W: usize>(
 /// `ArrivalSim` reference: the snapshot, and point queries on every net
 /// (settle times only where the plan keeps them exposed).
 fn assert_engine_matches(
-    engine: &dyn ArrivalEngine,
+    engine: &SpecializedKernel<'_>,
     reference: &TwoVectorResult,
     full: bool,
 ) -> Result<(), TestCaseError> {
@@ -310,9 +261,9 @@ fn compacted_keep(c: &CompiledNetlist) -> Vec<u32> {
 }
 
 /// Drive `stream` through windows of at most `window` vectors (capped
-/// at `W * 64`) of the table kernel over a full and a compacted plan at
-/// width `W`, and pin each transition to the `ArrivalSim` reference.
-fn engine_matrix_matches<const W: usize>(
+/// at `W * 64`) of the table kernel over a full and a compacted plan,
+/// and pin each transition to the `ArrivalSim` reference.
+fn engine_matrix_matches(
     nl: &Netlist,
     c: &CompiledNetlist,
     stream: &[Vec<bool>],
@@ -321,13 +272,12 @@ fn engine_matrix_matches<const W: usize>(
     let keep = compacted_keep(c);
     let full_program = DynProgram::new(c);
     let compact_program = DynProgram::compacted(c, &keep);
-    let mut full = SpecializedKernel::<W>::new(&full_program);
-    let mut compact = SpecializedKernel::<W>::new(&compact_program);
-    prop_assert_eq!(full.lanes(), W);
+    let mut full = SpecializedKernel::new(&full_program);
+    let mut compact = SpecializedKernel::new(&compact_program);
     let mut start = 0usize;
     while start + 1 < stream.len() {
         let count = (stream.len() - start).min(window).min(W * 64);
-        let lanes = pack(&stream[start..start + count], W);
+        let lanes = pack(&stream[start..start + count]);
         full.load_window(&lanes, count);
         compact.load_window(&lanes, count);
         prop_assert_eq!(full.window_transitions(), count - 1);
@@ -352,8 +302,8 @@ fn engine_matrix_matches<const W: usize>(
 
 /// Partial windows at every count on and around the lane word
 /// boundaries (the `>> 1` diff borrow across words, the valid-transition
-/// mask, the word-major toggle transpose) must stay exact at every lane
-/// width, over full and compacted plans.
+/// mask, the word-major toggle transpose) must stay exact over full and
+/// compacted plans.
 #[test]
 fn word_boundary_window_counts_match_sim() {
     let mut nl = Netlist::new("t", CellLibrary::nangate45_like());
@@ -373,19 +323,17 @@ fn word_boundary_window_counts_match_sim() {
     let keep: Vec<u32> = sum.iter().map(|n| n.index() as u32).collect();
     let programs = [DynProgram::new(&c), DynProgram::compacted(&c, &keep)];
     for program in &programs {
-        word_boundary_counts::<1>(&nl, program, &vectors);
-        word_boundary_counts::<4>(&nl, program, &vectors);
-        word_boundary_counts::<8>(&nl, program, &vectors);
+        word_boundary_counts(&nl, program, &vectors);
     }
 }
 
-fn word_boundary_counts<const W: usize>(nl: &Netlist, program: &DynProgram, vectors: &[Vec<bool>]) {
+fn word_boundary_counts(nl: &Netlist, program: &DynProgram, vectors: &[Vec<bool>]) {
     const COUNTS: [usize; 14] = [
         2, 63, 64, 65, 127, 128, 129, 192, 193, 255, 256, 257, 511, 512,
     ];
-    let mut k = SpecializedKernel::<W>::new(program);
-    for count in COUNTS.into_iter().filter(|&n| n <= W * 64) {
-        k.load_window(&pack(&vectors[..count], W), count);
+    let mut k = SpecializedKernel::new(program);
+    for count in COUNTS {
+        k.load_window(&pack(&vectors[..count]), count);
         for t in 0..count - 1 {
             k.select_transition(t);
             let reference = ArrivalSim::run(nl, &vectors[t], &vectors[t + 1]);
@@ -394,18 +342,18 @@ fn word_boundary_counts<const W: usize>(nl: &Netlist, program: &DynProgram, vect
                 assert_eq!(
                     k.cur(id),
                     reference.cur[net],
-                    "W={W} count {count} cur[{net}] at {t}"
+                    "count {count} cur[{net}] at {t}"
                 );
                 assert_eq!(
                     k.prev(id),
                     reference.prev[net],
-                    "W={W} count {count} prev[{net}] at {t}"
+                    "count {count} prev[{net}] at {t}"
                 );
                 if k.settle_exposed(id) {
                     assert_eq!(
                         k.settle_of(id).to_bits(),
                         reference.settle[net].to_bits(),
-                        "W={W} count {count} settle[{net}] at {t}"
+                        "count {count} settle[{net}] at {t}"
                     );
                 }
             }
