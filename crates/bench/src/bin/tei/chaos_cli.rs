@@ -23,7 +23,7 @@
 use crate::{fabric_cli, USAGE};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use tei_core::campaign::JOURNAL_BATCH;
+use tei_core::campaign::JOURNAL_BATCH_RUNS;
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::{failpoint, CampaignResult, CampaignSpec, FabricConfig, TeiError};
 
@@ -133,12 +133,14 @@ fn run_once(
 /// Journal traffic of one chaos worker, for sizing seeded journal faults:
 /// `(batch commits, runs per batch)`. The fleet splits the runs into
 /// `workers × leases_per_worker` leases; a worker's fair share of them,
-/// each committed in batches of up to [`JOURNAL_BATCH`] runs on its one
-/// campaign thread.
+/// each committed on its one campaign thread in batches of up to
+/// [`JOURNAL_BATCH_RUNS`] runs. Batches close earlier on replayed work,
+/// so an expensive program makes more commits than this counts; the
+/// count is a floor, which keeps every seeded `hit` inside the campaign.
 fn worker_journal_traffic(runs: u64, workers: usize) -> (u64, u64) {
     let per_worker = FabricConfig::new(Vec::new(), PathBuf::new()).leases_per_worker as u64;
     let lease_runs = runs.div_ceil((workers as u64 * per_worker).max(1)).max(1);
-    let batch = JOURNAL_BATCH as u64;
+    let batch = JOURNAL_BATCH_RUNS as u64;
     (
         per_worker * lease_runs.div_ceil(batch),
         lease_runs.min(batch),

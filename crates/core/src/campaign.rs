@@ -20,11 +20,13 @@
 //! second panic **quarantines** the run (recording its `(seed, target,
 //! mask)` repro triple) instead of tearing down the worker pool.
 //! [`run_campaign_durable`] additionally write-ahead-logs every completed
-//! run to a [`Journal`] in group commits of
-//! [`JOURNAL_BATCH`] runs (one fsync per batch; a run counts once its
-//! batch is fsync'd), drains workers on SIGINT/SIGTERM, and resumes
-//! interrupted sweeps with final [`OutcomeCounts`] byte-identical to an
-//! uninterrupted campaign.
+//! run to a [`Journal`] in group commits sized by replayed work: each
+//! thread fsyncs its batch once the batch's charged work reaches
+//! [`JOURNAL_BATCH_WORK`] instructions, each run charged at least
+//! [`JOURNAL_RUN_FLOOR`] (so at most [`JOURNAL_BATCH_RUNS`] runs per
+//! batch). A run counts once its batch is fsync'd. The runner drains
+//! workers on SIGINT/SIGTERM and resumes interrupted sweeps with final
+//! [`OutcomeCounts`] byte-identical to an uninterrupted campaign.
 
 // Orchestration must degrade to typed errors, never panic mid-sweep
 // (clippy.toml bans the panicking extractors here).
@@ -467,6 +469,9 @@ struct RunTally {
     mistargeted: bool,
     target: Option<u64>,
     mask: u64,
+    /// The replay core's retired instruction count when the run ended (0
+    /// for draws that replay nothing); the journal's batch sizing reads it.
+    retired: u64,
 }
 
 /// Per-worker replay context: the cell plan plus the reusable fork core
@@ -548,6 +553,7 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
                     mistargeted: false,
                     target: None,
                     mask: 0,
+                    retired: 0,
                 }
             }
             Draw::WrongPath => {
@@ -558,12 +564,13 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
                     mistargeted: false,
                     target: None,
                     mask: 0,
+                    retired: 0,
                 }
             }
             Draw::Inject { target, mask } => (target, mask),
         };
 
-        let (outcome, fired) = self.replay(target, mask);
+        let (outcome, fired, retired) = self.replay(target, mask);
         debug_assert!(fired, "target FP event {target} never fired");
         RunTally {
             outcome,
@@ -572,11 +579,13 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
             mistargeted: !fired,
             target: Some(target),
             mask,
+            retired,
         }
     }
 
-    /// Replay the corrupted execution and classify it.
-    fn replay(&mut self, target: u64, mask: u64) -> (Outcome, bool) {
+    /// Replay the corrupted execution and classify it. Also returns
+    /// whether the target fired and the core's final retired count.
+    fn replay(&mut self, target: u64, mask: u64) -> (Outcome, bool, u64) {
         let golden = self.golden;
         if !self.checkpointed {
             // Reference engine: full functional replay from instruction 0.
@@ -590,7 +599,11 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
                     ev.result
                 }
             });
-            return (classify(r.exit, &core.output, &golden.output), injected);
+            return (
+                classify(r.exit, &core.output, &golden.output),
+                injected,
+                core.instructions(),
+            );
         }
         // Checkpointed fork-replay with early-convergence cutoff.
         let core = self
@@ -619,7 +632,7 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
             }
             InjectedExit::Finished(r) => classify(r.exit, &core.output, &golden.output),
         };
-        (outcome, inj.fired)
+        (outcome, inj.fired, core.instructions())
     }
 }
 
@@ -811,11 +824,94 @@ pub(crate) fn absorb_record(
     }
 }
 
-/// Runs per journal group commit: each campaign thread fsyncs its
-/// completed runs once per this many (and at the end of its run range or
-/// on a stop), so a crash loses at most this many uncommitted runs per
-/// thread. Count-only, so failpoint hit ordering stays deterministic.
-pub const JOURNAL_BATCH: usize = 32;
+/// Work budget of one journal group commit, in charged replay
+/// instructions: a campaign thread fsyncs its pending batch once the
+/// batch's charged work reaches this (and at the end of its run range or
+/// before a stop). 2^22 instructions are about 20-30 ms of replay, so a
+/// cheap cell no longer pays one fsync per few microseconds of work, and
+/// a crash loses at most one batch per thread: under this budget plus
+/// one run's charge, and at most [`JOURNAL_BATCH_RUNS`] runs.
+pub const JOURNAL_BATCH_WORK: u64 = 1 << 22;
+
+/// Least charge of one run toward [`JOURNAL_BATCH_WORK`]. A run is
+/// charged the instructions its replay retired past the restored
+/// checkpoint (from instruction 0 under [`ReplayMode::FromZero`]), or
+/// this floor if that is less; wrong-path, no-error and quarantined runs
+/// replay nothing and pay the floor. A run's replay is a pure function
+/// of (cell seed, run index), so commit points, and with them failpoint
+/// hit order, are a pure function of the cell and the thread count.
+pub const JOURNAL_RUN_FLOOR: u64 = 1 << 10;
+
+/// Most runs one journal batch holds: the work budget over the per-run
+/// floor (4,096).
+pub const JOURNAL_BATCH_RUNS: usize = (JOURNAL_BATCH_WORK / JOURNAL_RUN_FLOOR) as usize;
+
+/// The instructions run `isolated`'s replay retired past its starting
+/// point: the restored checkpoint, or instruction 0 under
+/// [`ReplayMode::FromZero`]. 0 for runs that replayed nothing.
+fn replayed_instructions(golden: &GoldenRun, mode: ReplayMode, isolated: &IsolatedRun) -> u64 {
+    let IsolatedRun::Tally(tally, ..) = isolated else {
+        return 0;
+    };
+    match (tally.target, mode) {
+        (None, _) => 0,
+        (Some(_), ReplayMode::FromZero) => tally.retired,
+        (Some(target), ReplayMode::Checkpointed) => tally
+            .retired
+            .saturating_sub(golden.checkpoints.nearest(target).instructions()),
+    }
+}
+
+/// One campaign thread's uncommitted journal batch: its records, the sum
+/// of their tallies, and their charged work.
+#[derive(Default)]
+struct Batch {
+    records: Vec<RunRecord>,
+    counts: OutcomeCounts,
+    work: u64,
+}
+
+impl Batch {
+    /// Queue one run that replayed `replayed` instructions; true once the
+    /// batch's charged work has reached [`JOURNAL_BATCH_WORK`].
+    fn push(&mut self, record: RunRecord, counts: &OutcomeCounts, replayed: u64) -> bool {
+        self.records.push(record);
+        self.counts.merge(counts);
+        self.work += replayed.max(JOURNAL_RUN_FLOOR);
+        self.work >= JOURNAL_BATCH_WORK
+    }
+}
+
+/// One campaign thread's journaled sweep over `runs`: `execute` each run
+/// (its record, tally and replayed instructions), queue it, and hand the
+/// batch to `commit` once it is due, at the end of the range, and before
+/// a stop. `commit` returns `Ok(false)` when it dropped the batch (disk
+/// full), which ends the sweep. Returns whether a stop or a dropped
+/// batch cut the sweep short.
+fn journal_runs(
+    runs: impl Iterator<Item = usize>,
+    stop_requested: impl Fn() -> bool,
+    mut execute: impl FnMut(usize) -> (RunRecord, OutcomeCounts, u64),
+    mut commit: impl FnMut(Batch) -> Result<bool, TeiError>,
+) -> Result<bool, TeiError> {
+    let mut batch = Batch::default();
+    let mut interrupted = false;
+    for r in runs {
+        if stop_requested() {
+            interrupted = true;
+            break;
+        }
+        let (record, counts, replayed) = execute(r);
+        if batch.push(record, &counts, replayed) && !commit(std::mem::take(&mut batch))? {
+            return Ok(true);
+        }
+    }
+    // The range ended or a stop drained it: commit the partial batch.
+    if !batch.records.is_empty() && !commit(batch)? {
+        interrupted = true;
+    }
+    Ok(interrupted)
+}
 
 /// Everything a cell execution produces: merged tallies, quarantine
 /// reports, and whether a cooperative stop cut the sweep short.
@@ -848,8 +944,8 @@ pub struct LeaseOutcome {
 /// [`run_campaign_durable`], and the fabric's [`execute_lease`]: shard
 /// `span` across workers, skip runs already journaled, isolate panics,
 /// and (when a journal is present) write-ahead-log every completed run
-/// before tallying it, one group commit per [`JOURNAL_BATCH`] runs per
-/// thread.
+/// before tallying it, one group commit per [`JOURNAL_BATCH_WORK`]
+/// charged instructions per thread.
 fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     golden: &GoldenRun,
     model: &M,
@@ -888,20 +984,16 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     // drains every worker. `Ok(false)` reports that drop; anything else
     // stays fatal.
     let commit = |journal: &Mutex<Journal>,
-                  pending: &mut Vec<RunRecord>,
-                  pending_counts: &mut OutcomeCounts,
+                  batch: Batch,
                   local: &mut OutcomeCounts|
      -> Result<bool, TeiError> {
-        let batch = std::mem::take(pending_counts);
         let mut j = match journal.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let result = j.append_batch(pending);
-        pending.clear();
-        match result {
+        match j.append_batch(&batch.records) {
             Ok(()) => {
-                local.merge(&batch);
+                local.merge(&batch.counts);
                 Ok(true)
             }
             Err(TeiError::Io { source, .. }) if crate::failpoint::is_enospc(&source) => {
@@ -921,53 +1013,39 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     let worker = |lo: usize, hi: usize| -> WorkerResult {
         let mut local = OutcomeCounts::default();
         let mut quarantined = Vec::new();
-        let mut interrupted = false;
-        // This thread's uncommitted batch and the sum of its tallies.
-        let mut pending: Vec<RunRecord> = Vec::new();
-        let mut pending_counts = OutcomeCounts::default();
         let mut runner = Runner::new(golden, model, &plan, timeout_steps, cfg.mode);
-        for r in lo..hi {
-            if skip.contains(&(r as u64)) {
-                continue;
-            }
-            if journal.is_some() && stop_requested() {
-                interrupted = true;
-                break;
-            }
+        let runs = (lo..hi).filter(|&r| !skip.contains(&(r as u64)));
+        let mut execute = |r: usize| {
             if chaos.throttle_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(chaos.throttle_ms));
             }
-            let rs = run_seed(seed, r);
-            let isolated = run_isolated(&mut runner, chaos, r, rs);
+            let isolated = run_isolated(&mut runner, chaos, r, run_seed(seed, r));
             if let IsolatedRun::Quarantined(q) = &isolated {
                 quarantined.push(q.clone());
             }
-            let (record, tally_counts) = record_of(isolated, golden.instructions);
-            // WAL discipline: the run only counts once its batch is
-            // durably on disk, so a crash can at worst lose uncommitted
-            // runs, never double-count.
-            let Some(journal) = journal else {
-                local.merge(&tally_counts);
-                continue;
-            };
-            pending.push(record);
-            pending_counts.merge(&tally_counts);
-            appends.fetch_add(1, Ordering::Relaxed);
-            if pending.len() >= JOURNAL_BATCH
-                && !commit(journal, &mut pending, &mut pending_counts, &mut local)?
-            {
-                interrupted = true;
-                break;
+            isolated
+        };
+        let Some(journal) = journal else {
+            for r in runs {
+                local.merge(&record_of(execute(r), golden.instructions).1);
             }
-        }
-        // The range ended or a stop drained it: commit the partial batch.
-        if let Some(journal) = journal {
-            if !pending.is_empty()
-                && !commit(journal, &mut pending, &mut pending_counts, &mut local)?
-            {
-                interrupted = true;
-            }
-        }
+            return Ok((local, quarantined, false));
+        };
+        // WAL discipline: a run only counts once its batch is durably on
+        // disk, so a crash can at worst lose uncommitted runs, never
+        // double-count.
+        let interrupted = journal_runs(
+            runs,
+            stop_requested,
+            |r| {
+                let isolated = execute(r);
+                let replayed = replayed_instructions(golden, cfg.mode, &isolated);
+                let (record, counts) = record_of(isolated, golden.instructions);
+                appends.fetch_add(1, Ordering::Relaxed);
+                (record, counts, replayed)
+            },
+            |batch| commit(journal, batch, &mut local),
+        )?;
         Ok((local, quarantined, interrupted))
     };
 
@@ -1134,12 +1212,13 @@ pub fn campaign_manifest<M: InjectionModel + ?Sized>(
 }
 
 /// [`run_campaign`] with durability: every completed run is write-ahead-
-/// logged to a journal under `journal_dir` before it counts (group
-/// commits of [`JOURNAL_BATCH`] runs per thread), an existing journal for
-/// the same manifest resumes the sweep (skipping completed runs), and
-/// SIGINT/SIGTERM drain the workers and commit their pending batches
-/// instead of losing progress. The final [`OutcomeCounts`] of a resumed
-/// campaign are byte-identical to an uninterrupted one.
+/// logged to a journal under `journal_dir` before it counts (one group
+/// commit per [`JOURNAL_BATCH_WORK`] charged instructions per thread), an
+/// existing journal for the same manifest resumes the sweep (skipping
+/// completed runs), and SIGINT/SIGTERM drain the workers and commit their
+/// pending batches instead of losing progress. The final
+/// [`OutcomeCounts`] of a resumed campaign are byte-identical to an
+/// uninterrupted one.
 ///
 /// # Errors
 ///
@@ -1236,4 +1315,176 @@ pub fn run_campaign_durable<M: InjectionModel + Sync + ?Sized>(
         error_ratio: model_error_ratio(model, golden),
         quarantined,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    // Tests should panic loudly, not thread errors.
+    #![allow(clippy::disallowed_methods)]
+
+    use super::*;
+    use crate::journal::RecordedOutcome;
+    use crate::DaModel;
+    use std::cell::Cell;
+    use tei_workloads::{build, BenchmarkId, Scale};
+
+    fn record(run: usize) -> RunRecord {
+        RunRecord {
+            run: run as u64,
+            seed: 0,
+            target: None,
+            mask: 0,
+            outcome: RecordedOutcome::Classified(Outcome::Masked),
+            wrong_path: false,
+            no_error: false,
+            mistargeted: false,
+            retried: false,
+            instructions: 0,
+        }
+    }
+
+    /// Drive `journal_runs` over `charges` (run `r` replays `charges[r]`
+    /// instructions), stopping once `stop_after` runs executed. Returns
+    /// each commit's (runs, charged work) and whether the sweep was cut
+    /// short.
+    fn batches(charges: &[u64], stop_after: Option<usize>) -> (Vec<(usize, u64)>, bool) {
+        let executed = Cell::new(0usize);
+        let mut commits = Vec::new();
+        let interrupted = journal_runs(
+            0..charges.len(),
+            || stop_after.is_some_and(|n| executed.get() >= n),
+            |r| {
+                executed.set(executed.get() + 1);
+                let mut counts = OutcomeCounts::default();
+                counts.add(Outcome::Masked);
+                (record(r), counts, charges[r])
+            },
+            |batch| {
+                assert_eq!(batch.counts.total(), batch.records.len() as u64);
+                commits.push((batch.records.len(), batch.work));
+                Ok(true)
+            },
+        )
+        .expect("synthetic sweep");
+        (commits, interrupted)
+    }
+
+    #[test]
+    fn batch_closes_once_its_work_reaches_the_budget() {
+        // Four quarter-budget runs fill a batch exactly; a run that
+        // crosses the budget closes the batch it lands in.
+        let quarter = JOURNAL_BATCH_WORK / 4;
+        let charges = [quarter, quarter, quarter, quarter, 3 << 20, 2 << 20, 7];
+        let (commits, interrupted) = batches(&charges, None);
+        assert!(!interrupted);
+        assert_eq!(
+            commits,
+            vec![
+                (4, JOURNAL_BATCH_WORK),
+                (2, 5 << 20),
+                (1, JOURNAL_RUN_FLOOR)
+            ]
+        );
+    }
+
+    #[test]
+    fn cheap_runs_close_batches_at_the_run_cap_and_range_end() {
+        // Runs under the floor are charged the floor, so a batch of them
+        // closes at the run cap; the range end commits the remainder.
+        let charges = vec![17u64; 2 * JOURNAL_BATCH_RUNS + 5];
+        let (commits, interrupted) = batches(&charges, None);
+        assert!(!interrupted);
+        let full = (JOURNAL_BATCH_RUNS, JOURNAL_BATCH_WORK);
+        assert_eq!(commits, vec![full, full, (5, 5 * JOURNAL_RUN_FLOOR)]);
+    }
+
+    #[test]
+    fn stop_commits_the_partial_batch() {
+        let charges = vec![1u64 << 20; 20];
+        let (commits, interrupted) = batches(&charges, Some(6));
+        assert!(interrupted);
+        assert_eq!(commits, vec![(4, JOURNAL_BATCH_WORK), (2, 2 << 20)]);
+    }
+
+    #[test]
+    fn dropped_batch_ends_the_sweep() {
+        let executed = Cell::new(0usize);
+        let interrupted = journal_runs(
+            0..10,
+            || false,
+            |r| {
+                executed.set(executed.get() + 1);
+                (record(r), OutcomeCounts::default(), JOURNAL_BATCH_WORK)
+            },
+            |_| Ok(false),
+        )
+        .expect("synthetic sweep");
+        assert!(interrupted);
+        assert_eq!(executed.get(), 1, "no run after the dropped batch");
+    }
+
+    /// cg at Small scale replays ~10^5 instructions per checkpointed run,
+    /// so its batches close on the work budget, long before the run cap.
+    /// The per-run charges come from a runner of the test's own; the
+    /// journaled sweep must make exactly the commits they imply.
+    #[test]
+    fn expensive_runs_close_batches_on_the_work_budget() {
+        let bench = build(BenchmarkId::Cg, Scale::Small);
+        let golden = GoldenRun::capture(&bench, 8 << 20, u64::MAX).expect("golden run");
+        let model = DaModel::from_fixed(VoltageReduction::VR20, 1e-2);
+        let cfg = CampaignConfig {
+            runs: 1068,
+            seed: 7,
+            threads: 1,
+            ..Default::default()
+        };
+        let plan = CellPlan::new(&golden, &model);
+        let timeout_steps = (golden.instructions as f64 * cfg.timeout_factor).ceil() as u64;
+        let mut runner = Runner::new(&golden, &model, &plan, timeout_steps, cfg.mode);
+        let seed = cell_seed(&cfg, &model);
+        let mut memory = OutcomeCounts::default();
+        // (runs, charged work, last run's charge) of each batch.
+        let mut expected: Vec<(usize, u64, u64)> = vec![(0, 0, 0)];
+        for r in 0..cfg.runs {
+            let isolated = run_isolated(&mut runner, &cfg.chaos, r, run_seed(seed, r));
+            let charge = replayed_instructions(&golden, cfg.mode, &isolated).max(JOURNAL_RUN_FLOOR);
+            memory.merge(&record_of(isolated, golden.instructions).1);
+            let last = expected.last_mut().expect("open batch");
+            if last.1 >= JOURNAL_BATCH_WORK {
+                expected.push((1, charge, charge));
+            } else {
+                *last = (last.0 + 1, last.1 + charge, charge);
+            }
+        }
+        let (closed, open) = expected.split_at(expected.len() - 1);
+        assert!(closed.len() > 1, "batches: {expected:?}");
+        for &(runs, work, last) in closed {
+            assert!(runs < JOURNAL_BATCH_RUNS, "batch closed at the run cap");
+            assert!((JOURNAL_BATCH_WORK..JOURNAL_BATCH_WORK + last).contains(&work));
+        }
+        assert!(open[0].1 < JOURNAL_BATCH_WORK + open[0].2);
+
+        let dir = std::env::temp_dir().join(format!("tei-campaign-cg-{}", std::process::id()));
+        let manifest = campaign_manifest("cg", &golden, &model, &cfg);
+        let journal = Mutex::new(
+            Journal::open_or_create(&dir, &manifest)
+                .expect("create journal")
+                .journal,
+        );
+        let cell = execute_cell(
+            &golden,
+            &model,
+            &cfg,
+            0..cfg.runs,
+            &HashSet::new(),
+            Some(&journal),
+        )
+        .expect("durable sweep");
+        let journal = journal.into_inner().expect("journal lock");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(journal.commits(), expected.len() as u64);
+        assert_eq!(cell.counts, memory);
+        let in_memory = run_campaign_checked("cg", &golden, &model, &cfg).expect("campaign");
+        assert_eq!(cell.counts, in_memory.counts);
+    }
 }

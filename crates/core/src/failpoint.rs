@@ -603,9 +603,12 @@ const CATALOG: &[&str] = &[
 
 /// Derive schedule `seed` of the chaos matrix: pick a catalog entry and
 /// instantiate its trigger parameters deterministically from the seed
-/// and the journal traffic of one chaos worker, which makes `commits`
-/// batch commits of `batch_runs` run records each. Same seed + same
-/// sizing ⇒ same schedule.
+/// and the journal traffic of one chaos worker, which makes at least
+/// `commits` batch commits of up to `batch_runs` run records each. A
+/// batch closes on replayed work or at
+/// [`JOURNAL_BATCH_RUNS`](crate::campaign::JOURNAL_BATCH_RUNS) runs,
+/// whichever comes first, so callers size both from the run cap. Same
+/// seed + same sizing ⇒ same schedule.
 pub fn seeded_schedule(seed: u64, commits: u64, batch_runs: u64) -> String {
     let pick = |salt: u64| splitmix64(seed.wrapping_mul(0x9e37).wrapping_add(salt));
     let entry = CATALOG[(pick(0) % CATALOG.len() as u64) as usize];

@@ -14,13 +14,19 @@
 //! ```
 //!
 //! Records are **group-committed**: [`Journal::append_batch`] frames a
-//! batch of runs into one buffer, writes it once and fsyncs once. A run
-//! counts only after its batch's fsync returned, so a crash can lose the
-//! one batch each campaign thread was filling or committing (at most
-//! [`JOURNAL_BATCH`](crate::campaign::JOURNAL_BATCH) = 32 runs per
-//! thread), never a run that was tallied. Resume re-executes the lost
-//! runs, which are a pure function of `(cell seed, run index)`, so the
-//! final tally is unchanged.
+//! batch of runs into one buffer, writes it once and fsyncs once. A
+//! campaign thread closes its batch on replayed work, once the batch's
+//! charged instructions reach
+//! [`JOURNAL_BATCH_WORK`](crate::campaign::JOURNAL_BATCH_WORK) = 2^22
+//! (each run charged at least
+//! [`JOURNAL_RUN_FLOOR`](crate::campaign::JOURNAL_RUN_FLOOR) = 1,024). A
+//! run counts only after its batch's fsync returned, so a crash can lose
+//! the one batch each campaign thread was filling or committing (under
+//! 2^22 instructions plus one run, and at most
+//! [`JOURNAL_BATCH_RUNS`](crate::campaign::JOURNAL_BATCH_RUNS) = 4,096
+//! runs per thread), never a run that was tallied. Resume re-executes the
+//! lost runs, which are a pure function of `(cell seed, run index)`, so
+//! the final tally is unchanged.
 //!
 //! The first record is the campaign **manifest** — a canonical JSON
 //! identity of (benchmark, model fingerprint, VR, run count, seed,
@@ -387,6 +393,7 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     appended: u64,
+    commits: u64,
 }
 
 /// Result of opening a journal: the handle plus every run already
@@ -552,6 +559,7 @@ impl Journal {
                 file,
                 path: path.to_path_buf(),
                 appended: 0,
+                commits: 0,
             },
             completed: Vec::new(),
             truncated_bytes: 0,
@@ -583,6 +591,7 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             appended: 0,
+            commits: 0,
         };
         use std::io::Seek;
         journal
@@ -620,12 +629,18 @@ impl Journal {
             .and_then(|()| self.file.sync_data())
             .map_err(|e| TeiError::io("sync journal records", &self.path, e))?;
         self.appended += recs.len() as u64;
+        self.commits += 1;
         Ok(())
     }
 
     /// Records committed through this handle (excludes replayed ones).
     pub fn appended(&self) -> u64 {
         self.appended
+    }
+
+    /// Batch commits (fsyncs) made through this handle.
+    pub fn commits(&self) -> u64 {
+        self.commits
     }
 
     /// The journal file path.

@@ -7,8 +7,11 @@
 //! ctrl-C therefore still kills the process the ordinary way — the
 //! journal's group-commit contract (a run counts once its batch is
 //! fsync'd) makes even that safe: it loses at most the uncommitted batch
-//! of each campaign thread, [`JOURNAL_BATCH`](crate::campaign::JOURNAL_BATCH)
-//! runs at most, which resume re-executes.
+//! of each campaign thread, under
+//! [`JOURNAL_BATCH_WORK`](crate::campaign::JOURNAL_BATCH_WORK) replayed
+//! instructions plus one run and at most
+//! [`JOURNAL_BATCH_RUNS`](crate::campaign::JOURNAL_BATCH_RUNS) runs,
+//! which resume re-executes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

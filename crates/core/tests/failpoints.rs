@@ -4,15 +4,20 @@
 //! must be byte-identical to a clean run.
 //!
 //! A `hit:N` trigger on `journal.append.write` / `journal.append.sync`
-//! counts batch commits, not runs: at one thread the campaign makes
-//! `RUNS / JOURNAL_BATCH` commits, and every schedule below fires inside
-//! that range.
+//! counts batch commits, not runs. Batches close on replayed work, but no
+//! sobel run at Test scale that ends short of a timeout replays more than
+//! the per-run floor (the longest replays 274 instructions against 1,024),
+//! so every batch here is exactly `JOURNAL_BATCH_RUNS` runs: at one thread
+//! the campaign makes `RUNS / JOURNAL_BATCH_RUNS` commits, and every
+//! schedule below fires inside that range. The clean campaign asserts
+//! that no run timed out: a timeout can replay up to the whole 2x budget
+//! (10,762 instructions), which would close its batch early.
 #![cfg(feature = "failpoints")]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use tei_core::campaign::JOURNAL_BATCH;
+use tei_core::campaign::JOURNAL_BATCH_RUNS;
 use tei_core::journal::{Journal, RUN_FRAME_LEN};
 use tei_core::{campaign, failpoint, DaModel, TeiError};
 use tei_timing::VoltageReduction;
@@ -20,7 +25,7 @@ use tei_workloads::{build, BenchmarkId, Scale};
 
 const MEM: usize = 8 << 20;
 /// Eight batch commits at one thread.
-const RUNS: usize = 8 * JOURNAL_BATCH;
+const RUNS: usize = 8 * JOURNAL_BATCH_RUNS;
 
 /// The failpoint registry is process-global; tests that arm it must not
 /// interleave. Poison is irrelevant — the guard holds no data.
@@ -75,6 +80,9 @@ fn clean_counts() -> String {
             let counts = campaign::run_campaign_checked("sobel", golden(), &model(), &cfg())
                 .expect("clean campaign")
                 .counts;
+            // A timeout run would replay past the per-run floor and close
+            // its batch early, moving every exact count below.
+            assert_eq!(counts.timeout, 0, "a run timed out: {counts:?}");
             counts_json(&counts)
         })
         .clone()
@@ -99,7 +107,7 @@ fn enospc_then_resume(tag: &str, schedule: &str, hit: u64) -> u64 {
             ..
         } => {
             // Exactly the batches committed before the faulted one count.
-            assert_eq!(*completed, (hit - 1) * JOURNAL_BATCH as u64);
+            assert_eq!(*completed, (hit - 1) * JOURNAL_BATCH_RUNS as u64);
             assert_eq!(*requested, RUNS as u64);
         }
         other => panic!("expected DiskFull, got {other}"),
@@ -123,7 +131,7 @@ fn torn_journal_frame_on_enospc_recovers_byte_identical() {
     // fails with ENOSPC: the classic mid-frame crash. Recovery must
     // truncate the torn tail and re-execute only what never committed.
     let on_disk = enospc_then_resume("torn-frame", "journal.append.write=torn:20@hit:5", 5);
-    assert_eq!(on_disk, 4 * JOURNAL_BATCH as u64);
+    assert_eq!(on_disk, 4 * JOURNAL_BATCH_RUNS as u64);
 }
 
 #[test]
@@ -134,13 +142,13 @@ fn torn_batch_keeps_whole_frames_and_recovers_byte_identical() {
     let k = 3 * RUN_FRAME_LEN + 20;
     let schedule = format!("journal.append.write=torn:{k}@hit:3");
     let on_disk = enospc_then_resume("torn-batch", &schedule, 3);
-    assert_eq!(on_disk, 2 * JOURNAL_BATCH as u64 + 3);
+    assert_eq!(on_disk, 2 * JOURNAL_BATCH_RUNS as u64 + 3);
 }
 
 #[test]
 fn clean_append_enospc_recovers_byte_identical() {
     let on_disk = enospc_then_resume("append-enospc", "journal.append.write=enospc@hit:6", 6);
-    assert_eq!(on_disk, 5 * JOURNAL_BATCH as u64);
+    assert_eq!(on_disk, 5 * JOURNAL_BATCH_RUNS as u64);
 }
 
 #[test]
@@ -148,7 +156,7 @@ fn fsync_enospc_recovers_byte_identical() {
     // The batch hit the page cache but fsync failed: its records may or
     // may not survive; either way resume must converge.
     let on_disk = enospc_then_resume("sync-enospc", "journal.append.sync=enospc@hit:3", 3);
-    assert!((2 * JOURNAL_BATCH as u64..=3 * JOURNAL_BATCH as u64).contains(&on_disk));
+    assert!((2 * JOURNAL_BATCH_RUNS as u64..=3 * JOURNAL_BATCH_RUNS as u64).contains(&on_disk));
 }
 
 #[test]

@@ -351,3 +351,47 @@ proptest! {
         prop_assert_eq!(counts_json(&resumed), counts_json(&clean_counts(2)));
     }
 }
+
+/// Work-sized group commits: a sobel run at Test scale replays a few
+/// hundred instructions, under the per-run floor, so each thread's batch
+/// closes at the run cap. 16,384 runs on 2 threads are 8,192 runs per
+/// thread, two full batches each: 4 fsyncs in all.
+/// `execute_lease` over the whole range is the cell loop
+/// `run_campaign_durable` runs, on a journal the test can inspect.
+#[test]
+fn cheap_runs_commit_in_run_capped_batches() {
+    const BIG: usize = 16_384;
+    let c = campaign::CampaignConfig {
+        runs: BIG,
+        ..cfg(2)
+    };
+    let dir = scratch_dir("work-sized");
+    let manifest = campaign::campaign_manifest("sobel", golden(), &model(), &c);
+    let journal = std::sync::Mutex::new(
+        Journal::open_or_create(&dir, &manifest)
+            .expect("create journal")
+            .journal,
+    );
+    let lease = campaign::execute_lease(
+        golden(),
+        &model(),
+        &c,
+        0,
+        BIG as u64,
+        &Default::default(),
+        &journal,
+    )
+    .expect("durable sweep");
+    let journal = journal.into_inner().expect("journal lock");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!lease.interrupted);
+    assert_eq!(journal.appended(), BIG as u64);
+    assert!(
+        journal.commits() <= 4,
+        "{} commits for {BIG} runs on 2 threads",
+        journal.commits()
+    );
+    let memory = campaign::run_campaign_checked("sobel", golden(), &model(), &c)
+        .expect("in-memory campaign");
+    assert_eq!(counts_json(&lease.counts), counts_json(&memory.counts));
+}

@@ -86,6 +86,14 @@ impl ArrivalSim {
         out.settle.clear();
         out.settle.resize(n, 0.0);
 
+        // Sanitizer: each net's static arrival bound, folded in the same
+        // topological pass (STA's recurrence: the max of the fanin bounds
+        // plus the gate delay, inputs and constants at 0; `sta_props`
+        // pins it to `Sta::arrivals`). Dynamic settle times fold a max
+        // over *changed* fanins, a subset of the fanins the bound folds
+        // over, so every settle time must respect the bound.
+        #[cfg(feature = "sanitize-arrivals")]
+        let mut bound = vec![0.0f64; n];
         let mut next_input = 0usize;
         for (i, g) in nl.gates().iter().enumerate() {
             match g.kind {
@@ -120,22 +128,22 @@ impl ArrivalSim {
                         }
                         out.settle[i] = latest + g.delay;
                     }
+                    #[cfg(feature = "sanitize-arrivals")]
+                    {
+                        let worst = g
+                            .fanin()
+                            .iter()
+                            .map(|p| bound[p.index()])
+                            .fold(0.0f64, f64::max);
+                        bound[i] = worst + g.delay;
+                        assert!(
+                            out.settle[i] <= bound[i] + 1e-9,
+                            "sanitize-arrivals: net n{i} settled at {} past its static bound {}",
+                            out.settle[i],
+                            bound[i]
+                        );
+                    }
                 }
-            }
-        }
-        // Sanitizer: dynamic settle times fold a max over *changed*
-        // fanins — a subset of the fanins STA folds over — so every
-        // settle time must respect the static arrival bound.
-        #[cfg(feature = "sanitize-arrivals")]
-        {
-            let sta = crate::sta::Sta::analyze(nl);
-            for i in 0..n {
-                assert!(
-                    out.settle[i] <= sta.arrivals()[i] + 1e-9,
-                    "sanitize-arrivals: net n{i} settled at {} past its static bound {}",
-                    out.settle[i],
-                    sta.arrivals()[i]
-                );
             }
         }
     }
