@@ -1,19 +1,14 @@
-//! The fabric subcommands: one-shot multi-process campaigns
-//! (`tei campaign`), the resident coordinator (`tei serve`), the
-//! submission client (`tei submit`), and the worker process body the
-//! coordinator spawns (`tei fabric-worker`).
+//! The fabric subcommands: multi-process campaigns (`tei campaign`)
+//! and the worker process body the coordinator spawns
+//! (`tei fabric-worker`).
 
 use crate::USAGE;
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use tei_core::fabric::coordinator::{DEFAULT_LEASE_TIMEOUT, DEFAULT_TICK};
-use tei_core::fabric::{wire, ChaosKill, Message};
+use tei_core::fabric::ChaosKill;
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::{CampaignResult, CampaignSpec, FabricConfig, FabricEvent, TeiError};
-
-/// Default `tei serve` address (0x7e1, like the default campaign seed).
-const DEFAULT_LISTEN: &str = "127.0.0.1:2017";
 
 /// Map a fabric run's outcome to the process exit code convention.
 pub(crate) fn exit_code(run: Result<(), TeiError>) -> i32 {
@@ -45,7 +40,7 @@ fn parse_or_exit<T: std::str::FromStr>(cmd: &str, flag: &str, value: &str) -> T 
     })
 }
 
-/// Flags shared by the fabric subcommands. Spec fields not given stay at
+/// The `tei campaign` flags. Spec fields not given stay at
 /// the [`CampaignSpec::new`] defaults; string-typed spec fields are
 /// validated by `spec.parse()` before anything spawns.
 struct FabricArgs {
@@ -57,8 +52,6 @@ struct FabricArgs {
     heartbeat_timeout: Duration,
     journal_dir: PathBuf,
     out: Option<PathBuf>,
-    listen: String,
-    connect: Option<String>,
     chaos: Option<ChaosKill>,
     chaos_stop: Option<ChaosKill>,
 }
@@ -73,8 +66,6 @@ fn parse_args(cmd: &str, args: &[String]) -> FabricArgs {
         heartbeat_timeout: Duration::from_secs(5),
         journal_dir: tei_core::config::default_journal_dir(),
         out: None,
-        listen: DEFAULT_LISTEN.to_string(),
-        connect: None,
         chaos: None,
         chaos_stop: None,
     };
@@ -111,8 +102,6 @@ fn parse_args(cmd: &str, args: &[String]) -> FabricArgs {
             }
             "--journal-dir" => fa.journal_dir = PathBuf::from(val()),
             "--out" => fa.out = Some(PathBuf::from(val())),
-            "--listen" => fa.listen = val(),
-            "--connect" => fa.connect = Some(val()),
             "--chaos-kill-worker" => fa.chaos = Some(parse_chaos(cmd, flag, &val())),
             "--chaos-stop-worker" => fa.chaos_stop = Some(parse_chaos(cmd, flag, &val())),
             other => {
@@ -188,22 +177,12 @@ pub(crate) fn print_event(ev: &FabricEvent) {
         FabricEvent::WorkerDied { worker, reassigned } => {
             eprintln!("[fabric] worker {worker} died; {reassigned} lease(s) back to pending")
         }
-        FabricEvent::LeaseGranted {
-            campaign,
-            worker,
-            lo,
-            hi,
-        } => eprintln!("[fabric] campaign {campaign}: runs [{lo}, {hi}) -> worker {worker}"),
-        FabricEvent::Progress {
-            campaign,
-            completed,
-            total,
-        } => eprintln!("[fabric] campaign {campaign}: {completed}/{total} runs durable"),
-        FabricEvent::Queued {
-            campaign,
-            benchmark,
-        } => eprintln!("[fabric] campaign {campaign} queued ({benchmark})"),
-        FabricEvent::Finished { campaign } => eprintln!("[fabric] campaign {campaign} finished"),
+        FabricEvent::LeaseGranted { worker, lo, hi } => {
+            eprintln!("[fabric] runs [{lo}, {hi}) -> worker {worker}")
+        }
+        FabricEvent::Progress { completed, total } => {
+            eprintln!("[fabric] {completed}/{total} runs durable")
+        }
         FabricEvent::ChaosKilled { worker } => eprintln!("[fabric] chaos: killed worker {worker}"),
         FabricEvent::ChaosStopped { worker } => {
             eprintln!("[fabric] chaos: stopped worker {worker} (SIGSTOP)")
@@ -273,105 +252,6 @@ pub(crate) fn campaign(args: &[String]) -> Result<(), TeiError> {
     let result = tei_core::run_fabric_campaign(&fa.spec, &cfg, &mut print_event)?;
     print_result(&result);
     write_result(&result, fa.out.as_deref(), &fa.spec.benchmark)
-}
-
-/// `tei serve`: resident coordinator + worker fleet; returns on signal.
-pub(crate) fn serve(args: &[String]) -> Result<(), TeiError> {
-    let fa = parse_args("serve", args);
-    let cfg = fleet_config("serve", &fa)?;
-    tei_core::serve(&fa.listen, &cfg, &mut print_event)
-}
-
-/// `tei submit`: queue a campaign on a running server, stream progress,
-/// and print + persist the merged result.
-pub(crate) fn submit(args: &[String]) -> Result<(), TeiError> {
-    let fa = parse_args("submit", args);
-    require_spec("submit", &fa.spec);
-    let Some(addr) = fa.connect else {
-        eprintln!("tei submit: --connect <addr> is required\n{USAGE}");
-        std::process::exit(2);
-    };
-    let stream = TcpStream::connect(&addr).map_err(|e| TeiError::Fabric {
-        detail: format!("connect to server {addr}: {e}"),
-    })?;
-    stream.set_nodelay(true).ok();
-    // Bounded reads: a dead server is detected instead of blocking the
-    // client forever. The idle cap is one lease timeout plus margin —
-    // the server reports progress at least once per lease.
-    let _ = wire::set_timeouts(
-        &stream,
-        Some(Duration::from_millis(500)),
-        Some(Duration::from_secs(10)),
-    );
-    let idle_cap = fa.lease_timeout + Duration::from_secs(60);
-    let reader_half = stream.try_clone().map_err(|e| TeiError::Fabric {
-        detail: format!("clone stream to {addr}: {e}"),
-    })?;
-    let mut writer = stream;
-    let peer = format!("server {addr}");
-    wire::send(
-        &mut writer,
-        &peer,
-        &Message::Submit {
-            spec: fa.spec.clone(),
-        },
-    )?;
-    let mut reader = wire::FrameReader::new(reader_half);
-    let mut last_frame = std::time::Instant::now();
-    loop {
-        let step = reader.step().map_err(|e| TeiError::Fabric {
-            detail: format!("receive from {peer}: {e}"),
-        })?;
-        let msg = match step {
-            wire::FrameStep::Frame(payload) => {
-                last_frame = std::time::Instant::now();
-                Some(wire::decode(&payload, &peer)?)
-            }
-            wire::FrameStep::Idle => {
-                if last_frame.elapsed() > idle_cap {
-                    return Err(TeiError::Fabric {
-                        detail: format!(
-                            "{peer} sent nothing for {:.0}s; giving up",
-                            idle_cap.as_secs_f64()
-                        ),
-                    });
-                }
-                continue;
-            }
-            wire::FrameStep::Eof => None,
-        };
-        match msg {
-            None => {
-                return Err(TeiError::Fabric {
-                    detail: format!("{peer} closed the connection before the result"),
-                })
-            }
-            Some(Message::Accepted { campaign }) => {
-                eprintln!("[submit] accepted as campaign {campaign}");
-            }
-            Some(Message::Refused { detail }) => {
-                return Err(TeiError::Fabric {
-                    detail: format!("{peer} refused the campaign: {detail}"),
-                })
-            }
-            Some(Message::Progress {
-                completed, total, ..
-            }) => eprintln!("[submit] {completed}/{total} runs durable"),
-            Some(Message::Finished { result, .. }) => {
-                match serde_json::from_str::<CampaignResult>(&result) {
-                    Ok(parsed) => {
-                        print_result(&parsed);
-                        write_result(&parsed, fa.out.as_deref(), &fa.spec.benchmark)?;
-                    }
-                    // Schema drift between client and server build:
-                    // still deliver the payload.
-                    Err(_) => println!("{result}"),
-                }
-                return Ok(());
-            }
-            Some(other) => eprintln!("[submit] ignoring unexpected message: {other:?}"),
-        }
-    }
 }
 
 /// `tei fabric-worker`: the process body the coordinator spawns.

@@ -7,14 +7,10 @@
 //!
 //! Campaign fabric (see DESIGN.md, "Campaign fabric"):
 //!
-//! * `tei campaign --workers N` — one-shot lease-partitioned
-//!   multi-process injection campaign; byte-identical to the
+//! * `tei campaign --workers N` — one lease-partitioned multi-process
+//!   injection campaign per coordinator; byte-identical to the
 //!   single-process run (`--workers 0`, in process) and resumable
 //!   after any crash.
-//! * `tei serve` — resident coordinator: keeps one worker fleet and its
-//!   golden/checkpoint caches warm across queued campaigns.
-//! * `tei submit` — queue a campaign on a running server and stream its
-//!   progress until the merged result arrives.
 //! * `tei fabric-worker` — the worker process body the coordinator
 //!   spawns (internal; documented for completeness).
 //! * `tei chaos` — seeded failpoint-schedule matrix over the fabric
@@ -37,12 +33,8 @@ static verification:
 
 campaign fabric:
   tei campaign --benchmark <name> [--workers <n>] [options]
-                                        one-shot multi-process campaign
+                                        multi-process campaign
                                         (--workers 0: in process)
-  tei serve [--listen <addr>] [--workers <n>] [options]
-                                        resident coordinator + worker fleet
-  tei submit --connect <addr> --benchmark <name> [options]
-                                        queue a campaign on a running server
   tei fabric-worker --connect <addr> --token <t> --index <i> --journal-dir <d>
                                         internal: fleet worker process
   tei chaos --benchmark <name> [--seeds <a,b,..>] [options]
@@ -69,7 +61,6 @@ fleet options:
   --tick-ms <n>            scheduler timer period, 10..=60000 (default 200)
   --heartbeat-timeout-s <n>  silent-worker dead-peer detection, >= 1 (default 5)
   --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
-  --listen <addr>          serve address (default 127.0.0.1:2017)
   --chaos-kill-worker <w>:<n>  test hook: SIGKILL worker w after n leases
   --chaos-stop-worker <w>:<n>  test hook: SIGSTOP worker w after n leases
 
@@ -113,8 +104,6 @@ fn main() {
             }
         }
         "campaign" => fabric_cli::exit_code(fabric_cli::campaign(rest)),
-        "serve" => fabric_cli::exit_code(fabric_cli::serve(rest)),
-        "submit" => fabric_cli::exit_code(fabric_cli::submit(rest)),
         "fabric-worker" => fabric_cli::exit_code(fabric_cli::worker(rest)),
         "chaos" => fabric_cli::exit_code(chaos_cli::chaos(rest)),
         "sweep" => fabric_cli::exit_code(sweep_cli::sweep(rest)),

@@ -1,11 +1,10 @@
 //! The committed measurement artifacts must match their `.fnv`
-//! checksum sidecars: every repo-root `BENCH_*.json` (each of which
-//! must have a sidecar) and every `results/*.json` that has one. A
-//! hand edit or a partial regeneration then fails here, not in a later
-//! reader.
+//! checksum sidecars: every repo-root `BENCH_*.json` and every
+//! `results/*.json`, each of which must have a sidecar. A hand edit or
+//! a partial regeneration then fails here, not in a later reader.
 
 use std::path::{Path, PathBuf};
-use tei_core::journal::{sidecar_path, verify_checksummed};
+use tei_core::journal::verify_checksummed;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -44,17 +43,10 @@ fn every_bench_artifact_has_a_matching_sidecar() {
 }
 
 #[test]
-fn every_checksummed_result_matches_its_sidecar() {
+fn every_result_artifact_has_a_matching_sidecar() {
     let results = json_files(&repo_root().join("results"), |_| true);
-    let checksummed: Vec<&PathBuf> = results
-        .iter()
-        .filter(|p| sidecar_path(p).exists())
-        .collect();
-    assert!(
-        !checksummed.is_empty(),
-        "no checksummed artifact under results/"
-    );
-    for path in checksummed {
+    assert!(!results.is_empty(), "no JSON artifact under results/");
+    for path in &results {
         assert_verified(path);
     }
 }

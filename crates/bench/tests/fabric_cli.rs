@@ -2,16 +2,13 @@
 //! campaign with a chaos SIGKILL mid-lease must reassign the dead
 //! worker's leases and still merge to the exact serial result, the
 //! in-process campaign (`--workers 0`) must write the same result file
-//! as a 2-worker fleet, invalid fleet timing must be refused as a usage
-//! error, and a
-//! `tei serve` + `tei submit` round trip must stream that same result
-//! (twice — the second submission answers from the journals without
-//! re-executing). These are the CI smoke tests of DESIGN.md's
-//! "Campaign fabric" section.
+//! as a 2-worker fleet, a re-run over a complete journal directory must
+//! answer from the merge without spawning a worker, and invalid fleet
+//! timing must be refused as a usage error. These are the CI smoke
+//! tests of DESIGN.md's "Campaign fabric" section.
 
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::sync::OnceLock;
 use tei_core::campaign::{self, GoldenRun};
 use tei_core::{CampaignResult, DaModel};
@@ -111,9 +108,10 @@ fn two_worker_campaign_with_chaos_kill_matches_serial() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Run `tei campaign` over the test spec with extra flags; return its
-/// result file verbatim.
-fn campaign_result_file(dir: &Path, tag: &str, extra: &[&str]) -> String {
+/// Run `tei campaign` over the test spec with extra flags, journaling
+/// to `dir/journal-<journal>`; return its result file verbatim and its
+/// stderr.
+fn campaign_result_file(dir: &Path, journal: &str, tag: &str, extra: &[&str]) -> (String, String) {
     let out = dir.join(format!("{tag}.json"));
     let output = Command::new(tei_bin())
         .args([
@@ -127,28 +125,30 @@ fn campaign_result_file(dir: &Path, tag: &str, extra: &[&str]) -> String {
         ])
         .args(extra)
         .arg("--journal-dir")
-        .arg(dir.join(format!("journal-{tag}")))
+        .arg(dir.join(format!("journal-{journal}")))
         .arg("--out")
         .arg(&out)
         .output()
         .expect("run tei campaign");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
     assert!(
         output.status.success(),
-        "tei campaign {extra:?} failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
+        "tei campaign {extra:?} failed:\n{stderr}"
     );
-    std::fs::read_to_string(&out).expect("result file")
+    let file = std::fs::read_to_string(&out).expect("result file");
+    (file, stderr)
 }
 
 #[test]
 fn in_process_campaign_matches_two_worker_fleet_byte_for_byte() {
     let dir = scratch_dir("inproc");
-    let in_process = campaign_result_file(
+    let (in_process, _) = campaign_result_file(
         &dir,
+        "in-process",
         "in-process",
         &["--workers", "0", "--threads-per-worker", "2"],
     );
-    let fleet = campaign_result_file(&dir, "fleet", &["--workers", "2"]);
+    let (fleet, _) = campaign_result_file(&dir, "fleet", "fleet", &["--workers", "2"]);
     assert_eq!(
         in_process, fleet,
         "--workers 0 and --workers 2 wrote different result files"
@@ -158,6 +158,31 @@ fn in_process_campaign_matches_two_worker_fleet_byte_for_byte() {
         serde_json::to_string(&parsed).expect("re-serialize result"),
         reference_json(),
         "in-process campaign diverged from the serial reference"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rerun_over_a_complete_journal_merges_without_spawning_workers() {
+    let dir = scratch_dir("rerun");
+    let fleet = ["--workers", "2"];
+    let (first, first_err) = campaign_result_file(&dir, "fleet", "first", &fleet);
+    assert!(
+        first_err.contains("worker 0 spawned"),
+        "the first run spawned no fleet:\n{first_err}"
+    );
+    // Every run is journaled now, so the answer must come from the merge
+    // without re-executing anything.
+    let (again, again_err) = campaign_result_file(&dir, "fleet", "again", &fleet);
+    assert!(
+        !again_err.contains("spawned"),
+        "the re-run spawned workers:\n{again_err}"
+    );
+    assert_eq!(again, first, "the re-run wrote a different result file");
+    assert_eq!(
+        read_result(&dir.join("again.json")),
+        reference_json(),
+        "the re-run diverged from the serial reference"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -248,89 +273,5 @@ fn sigstopped_worker_is_detected_by_heartbeat_not_lease_expiry() {
         reference_json(),
         "freeze-and-reassign changed the merged result"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn serve_submit_round_trip_matches_serial() {
-    let dir = scratch_dir("serve");
-    let mut serve = Command::new(tei_bin())
-        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
-        .arg("--journal-dir")
-        .arg(dir.join("journal"))
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn tei serve");
-    let stderr = serve.stderr.take().expect("serve stderr");
-    let mut lines = std::io::BufReader::new(stderr).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("serve exited before announcing its address")
-            .expect("read serve stderr");
-        if let Some(rest) = line.strip_prefix("[fabric] serving on ") {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("address on the serving line")
-                .to_string();
-        }
-    };
-    // Keep draining stderr so the server never blocks on a full pipe.
-    let drain = std::thread::spawn(move || for _ in lines {});
-
-    let submit = |out: &Path| {
-        Command::new(tei_bin())
-            .args([
-                "submit",
-                "--connect",
-                &addr,
-                "--benchmark",
-                "sobel",
-                "--runs",
-                "64",
-                "--seed",
-                "1",
-                "--out",
-            ])
-            .arg(out)
-            .output()
-            .expect("run tei submit")
-    };
-
-    let first_out = dir.join("first.json");
-    let first = submit(&first_out);
-    let first_err = String::from_utf8_lossy(&first.stderr);
-    assert!(first.status.success(), "tei submit failed:\n{first_err}");
-    assert!(
-        first_err.contains("accepted as campaign"),
-        "no acceptance streamed:\n{first_err}"
-    );
-    assert_eq!(
-        read_result(&first_out),
-        reference_json(),
-        "served campaign diverged from the serial reference"
-    );
-
-    // Same spec again: every run is journaled, so the server must answer
-    // from the merge without re-executing anything.
-    let again_out = dir.join("again.json");
-    let again = submit(&again_out);
-    assert!(
-        again.status.success(),
-        "re-submit failed:\n{}",
-        String::from_utf8_lossy(&again.stderr)
-    );
-    assert_eq!(
-        read_result(&again_out),
-        reference_json(),
-        "replayed submission diverged"
-    );
-
-    serve.kill().ok();
-    serve.wait().ok();
-    drain.join().ok();
     std::fs::remove_dir_all(&dir).ok();
 }

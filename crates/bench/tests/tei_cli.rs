@@ -4,21 +4,23 @@
 use std::process::Command;
 
 #[test]
-fn codegen_is_an_unknown_subcommand() {
-    let out = Command::new(env!("CARGO_BIN_EXE_tei"))
-        .args(["codegen", "--check"])
-        .output()
-        .expect("spawn tei");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown subcommand \"codegen\""),
-        "stderr: {stderr}"
-    );
+fn retired_subcommands_are_unknown() {
+    for args in [&["codegen", "--check"][..], &["serve"], &["submit"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tei"))
+            .args(args)
+            .output()
+            .expect("spawn tei");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown subcommand {:?}", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
-fn usage_does_not_list_codegen() {
+fn usage_lists_no_retired_subcommand_or_flag() {
     let out = Command::new(env!("CARGO_BIN_EXE_tei"))
         .arg("--help")
         .output()
@@ -26,8 +28,10 @@ fn usage_does_not_list_codegen() {
     assert!(out.status.success(), "{out:?}");
     let usage = String::from_utf8_lossy(&out.stdout);
     assert!(usage.contains("tei lint"), "usage: {usage}");
-    assert!(
-        !usage.contains("codegen"),
-        "usage still lists codegen: {usage}"
-    );
+    for retired in ["codegen", "tei serve", "tei submit", "--listen"] {
+        assert!(
+            !usage.contains(retired),
+            "usage still lists {retired}: {usage}"
+        );
+    }
 }

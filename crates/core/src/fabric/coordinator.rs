@@ -1,5 +1,5 @@
-//! The fabric coordinator: spawns workers, grants leases, survives
-//! worker death, and merges the final result.
+//! The fabric coordinator: runs one campaign — spawns workers, grants
+//! leases, survives worker death, and merges the final result.
 //!
 //! One scheduler thread owns all state; per-connection reader threads
 //! and a timer thread feed it events over a channel, so there is no
@@ -26,7 +26,7 @@ use crate::fabric::lease::LeaseTable;
 use crate::fabric::wire::{self, Message};
 use crate::fabric::{merge, CampaignSpec, ResolvedCampaign};
 use crate::journal::{fnv64, CampaignManifest};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -202,8 +202,6 @@ pub enum FabricEvent {
     },
     /// A lease was granted.
     LeaseGranted {
-        /// Campaign id.
-        campaign: u64,
         /// Worker index.
         worker: u32,
         /// Lease range start.
@@ -213,24 +211,10 @@ pub enum FabricEvent {
     },
     /// Durable progress after a lease completed.
     Progress {
-        /// Campaign id.
-        campaign: u64,
         /// Runs durably journaled.
         completed: u64,
         /// Total runs.
         total: u64,
-    },
-    /// A campaign was queued.
-    Queued {
-        /// Campaign id.
-        campaign: u64,
-        /// Benchmark name.
-        benchmark: String,
-    },
-    /// A campaign merged and finished.
-    Finished {
-        /// Campaign id.
-        campaign: u64,
     },
     /// The chaos hook killed a worker.
     ChaosKilled {
@@ -268,38 +252,27 @@ enum Event {
     Tick,
 }
 
-enum ConnKind {
-    Unknown,
-    Worker(u32),
-    Client,
-}
-
 struct Conn {
     stream: TcpStream,
     peer: String,
-    kind: ConnKind,
+    /// Worker index, once a Hello passed the token check.
+    worker: Option<u32>,
 }
 
 struct WorkerState {
     conn: u64,
-    busy: Option<(u64, u64, Instant)>, // (job, lease, granted at)
-    ready: HashSet<u64>,
+    busy: Option<(u64, Instant)>, // (lease, granted at)
+    /// Answered the campaign's Launch with a matching manifest.
+    ready: bool,
     last_seen: Instant,
 }
 
+/// The one campaign a coordinator runs.
 struct Job {
     spec: CampaignSpec,
     resolved: ResolvedCampaign,
     manifest: CampaignManifest,
     table: LeaseTable,
-    client: Option<u64>,
-}
-
-/// What queuing a campaign produced: either it was already complete on
-/// disk (merged immediately) or it is now active under an id.
-enum Queued {
-    AlreadyComplete(Box<CampaignResult>),
-    Active(u64),
 }
 
 struct Coordinator<'a> {
@@ -314,10 +287,8 @@ struct Coordinator<'a> {
     conns: HashMap<u64, Conn>,
     workers: HashMap<u32, WorkerState>,
     children: HashMap<u32, Child>,
-    jobs: BTreeMap<u64, Job>,
-    next_job: u64,
-    golden_cache: HashMap<(String, String), std::sync::Arc<crate::campaign::GoldenRun>>,
-    finished: Vec<(u64, CampaignResult)>,
+    job: Job,
+    result: Option<CampaignResult>,
     total_lease_done: u64,
     chaos_fired: bool,
     chaos_stop_fired: bool,
@@ -327,9 +298,9 @@ struct Coordinator<'a> {
 }
 
 impl<'a> Coordinator<'a> {
-    fn bind(cfg: &'a FabricConfig, listen: &str) -> Result<Coordinator<'a>, TeiError> {
-        let listener = TcpListener::bind(listen).map_err(|e| TeiError::Fabric {
-            detail: format!("bind coordinator socket {listen}: {e}"),
+    fn bind(cfg: &'a FabricConfig, job: Job) -> Result<Coordinator<'a>, TeiError> {
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| TeiError::Fabric {
+            detail: format!("bind coordinator socket: {e}"),
         })?;
         let addr = listener
             .local_addr()
@@ -360,10 +331,8 @@ impl<'a> Coordinator<'a> {
             conns: HashMap::new(),
             workers: HashMap::new(),
             children: HashMap::new(),
-            jobs: BTreeMap::new(),
-            next_job: 1,
-            golden_cache: HashMap::new(),
-            finished: Vec::new(),
+            job,
+            result: None,
             total_lease_done: 0,
             chaos_fired: false,
             chaos_stop_fired: false,
@@ -501,84 +470,6 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Queue one campaign: resolve it, reconcile journals + lease
-    /// table, and either finish immediately (nothing missing) or
-    /// launch it to every connected worker.
-    fn queue_job(
-        &mut self,
-        spec: CampaignSpec,
-        client: Option<u64>,
-        on_event: &mut dyn FnMut(&FabricEvent),
-    ) -> Result<Queued, TeiError> {
-        let parsed = spec.parse()?;
-        let bench = tei_workloads::build(parsed.id, parsed.scale);
-        let golden = match self.golden_cache.get(&spec.golden_key()) {
-            Some(g) => std::sync::Arc::clone(g),
-            None => {
-                let g = std::sync::Arc::new(crate::campaign::GoldenRun::capture(
-                    &bench,
-                    crate::fabric::GOLDEN_MEM_BYTES,
-                    u64::MAX,
-                )?);
-                self.golden_cache
-                    .insert(spec.golden_key(), std::sync::Arc::clone(&g));
-                g
-            }
-        };
-        let resolved = spec.resolve_with_golden(parsed, bench, golden);
-        let manifest = resolved.manifest();
-        std::fs::create_dir_all(&self.cfg.journal_dir)
-            .map_err(|e| TeiError::io("create journal dir", &self.cfg.journal_dir, e))?;
-        let merged = merge::scan_journals(&self.cfg.journal_dir, &manifest)?;
-        // A persisted lease table must agree with the journals (and be
-        // ours at all — load refuses foreign manifest hashes).
-        if let Some(prev) = LeaseTable::load(&self.cfg.journal_dir, &manifest)? {
-            let journaled: HashSet<u64> = merged.records.keys().copied().collect();
-            prev.verify_against(&journaled)?;
-        }
-        let missing = merged.missing(manifest.runs);
-        if missing.is_empty() {
-            let result = merge::merged_result(
-                &resolved.bench.id.to_string(),
-                &resolved.golden,
-                &resolved.model,
-                &manifest,
-                &self.cfg.journal_dir,
-            )?;
-            return Ok(Queued::AlreadyComplete(Box::new(result)));
-        }
-        let target = (self.cfg.workers * self.cfg.leases_per_worker).max(1);
-        let table = LeaseTable::partition(&manifest, &missing, target);
-        table.save(&self.cfg.journal_dir, &manifest)?;
-        let id = self.next_job;
-        self.next_job += 1;
-        on_event(&FabricEvent::Queued {
-            campaign: id,
-            benchmark: spec.benchmark.clone(),
-        });
-        let launch = Message::Launch {
-            campaign: id,
-            spec: spec.clone(),
-        };
-        self.jobs.insert(
-            id,
-            Job {
-                spec,
-                resolved,
-                manifest,
-                table,
-                client,
-            },
-        );
-        // Launch to every already-connected worker; workers that
-        // connect later get launched in the Hello handler.
-        let worker_conns: Vec<u64> = self.workers.values().map(|w| w.conn).collect();
-        for conn in worker_conns {
-            self.send_to(conn, &launch);
-        }
-        Ok(Queued::Active(id))
-    }
-
     /// Best-effort send; a failed write is handled when the reader
     /// thread reports the connection closed.
     fn send_to(&mut self, conn_id: u64, msg: &Message) {
@@ -594,37 +485,26 @@ impl<'a> Coordinator<'a> {
             let Some(w) = self.workers.get(&windex) else {
                 continue;
             };
-            if w.busy.is_some() {
+            if w.busy.is_some() || !w.ready {
                 continue;
             }
-            let ready = w.ready.clone();
             let conn = w.conn;
-            // Lowest job id first: queued campaigns drain in order while
-            // later ones still overlap once workers free up.
-            let grant = self.jobs.iter_mut().find_map(|(&jid, job)| {
-                if !ready.contains(&jid) {
-                    return None;
-                }
-                job.table.next_pending().map(|lease| {
-                    job.table.grant(lease.id, windex);
-                    (jid, lease)
-                })
-            });
-            let Some((jid, lease)) = grant else { continue };
+            let Some(lease) = self.job.table.next_pending() else {
+                return;
+            };
+            self.job.table.grant(lease.id, windex);
             if let Some(w) = self.workers.get_mut(&windex) {
-                w.busy = Some((jid, lease.id, Instant::now()));
+                w.busy = Some((lease.id, Instant::now()));
             }
             self.send_to(
                 conn,
                 &Message::Grant {
-                    campaign: jid,
                     lease: lease.id,
                     lo: lease.lo,
                     hi: lease.hi,
                 },
             );
             on_event(&FabricEvent::LeaseGranted {
-                campaign: jid,
                 worker: windex,
                 lo: lease.lo,
                 hi: lease.hi,
@@ -657,10 +537,7 @@ impl<'a> Coordinator<'a> {
         if !had_state {
             return;
         }
-        let mut reassigned = 0;
-        for job in self.jobs.values_mut() {
-            reassigned += job.table.demote_worker(windex);
-        }
+        let reassigned = self.job.table.demote_worker(windex);
         on_event(&FabricEvent::WorkerDied {
             worker: windex,
             reassigned,
@@ -729,42 +606,17 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Finish one campaign: merge, notify, retire.
-    fn finalize(
-        &mut self,
-        jid: u64,
-        on_event: &mut dyn FnMut(&FabricEvent),
-    ) -> Result<(), TeiError> {
-        let Some(job) = self.jobs.remove(&jid) else {
-            return Ok(());
-        };
+    /// Finish the campaign: persist the lease table and merge.
+    fn finalize(&mut self) -> Result<(), TeiError> {
+        let job = &self.job;
         job.table.save(&self.cfg.journal_dir, &job.manifest)?;
-        let result = merge::merged_result(
+        self.result = Some(merge::merged_result(
             &job.resolved.bench.id.to_string(),
             &job.resolved.golden,
             &job.resolved.model,
             &job.manifest,
             &self.cfg.journal_dir,
-        )?;
-        if let Some(client) = job.client {
-            let body = serde_json::to_string(&result).unwrap_or_default();
-            self.send_to(
-                client,
-                &Message::Finished {
-                    campaign: jid,
-                    result: body,
-                },
-            );
-        }
-        let worker_conns: Vec<u64> = self.workers.values().map(|w| w.conn).collect();
-        for conn in worker_conns {
-            self.send_to(conn, &Message::Retire { campaign: jid });
-        }
-        for w in self.workers.values_mut() {
-            w.ready.remove(&jid);
-        }
-        on_event(&FabricEvent::Finished { campaign: jid });
-        self.finished.push((jid, result));
+        )?);
         Ok(())
     }
 
@@ -790,7 +642,7 @@ impl<'a> Coordinator<'a> {
                     return Ok(());
                 }
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.kind = ConnKind::Worker(worker);
+                    conn.worker = Some(worker);
                 }
                 // A reconnect: retire the stale state. The old
                 // connection's leases are demoted (the worker rebuilt
@@ -801,10 +653,7 @@ impl<'a> Coordinator<'a> {
                     if old.conn != conn_id {
                         self.conns.remove(&old.conn);
                     }
-                    let mut demoted = 0;
-                    for job in self.jobs.values_mut() {
-                        demoted += job.table.demote_worker(worker);
-                    }
+                    let demoted = self.job.table.demote_worker(worker);
                     if demoted > 0 {
                         eprintln!(
                             "[fabric] worker {worker} reconnected; \
@@ -818,34 +667,21 @@ impl<'a> Coordinator<'a> {
                     WorkerState {
                         conn: conn_id,
                         busy: None,
-                        ready: HashSet::new(),
+                        ready: false,
                         last_seen: Instant::now(),
                     },
                 );
                 on_event(&FabricEvent::WorkerConnected { worker });
-                let launches: Vec<Message> = self
-                    .jobs
-                    .iter()
-                    .map(|(&jid, job)| Message::Launch {
-                        campaign: jid,
-                        spec: job.spec.clone(),
-                    })
-                    .collect();
-                for launch in launches {
-                    self.send_to(conn_id, &launch);
-                }
+                let launch = Message::Launch {
+                    spec: self.job.spec.clone(),
+                };
+                self.send_to(conn_id, &launch);
             }
-            Message::Ready {
-                campaign,
-                manifest_hash,
-            } => {
+            Message::Ready { manifest_hash } => {
                 let Some(windex) = self.worker_of(conn_id) else {
                     return Ok(());
                 };
-                let Some(job) = self.jobs.get(&campaign) else {
-                    return Ok(()); // already finished; worker will be retired
-                };
-                let expected = job.manifest.hash();
+                let expected = self.job.manifest.hash();
                 if manifest_hash != expected {
                     // The worker binary resolves the same spec to a
                     // different campaign identity — merging its journal
@@ -859,13 +695,11 @@ impl<'a> Coordinator<'a> {
                     });
                 }
                 if let Some(w) = self.workers.get_mut(&windex) {
-                    w.ready.insert(campaign);
+                    w.ready = true;
                 }
                 self.pump(on_event);
             }
-            Message::LeaseDone {
-                campaign, lease, ..
-            } => {
+            Message::LeaseDone { lease } => {
                 let Some(windex) = self.worker_of(conn_id) else {
                     return Ok(());
                 };
@@ -873,36 +707,17 @@ impl<'a> Coordinator<'a> {
                     w.busy = None;
                 }
                 self.total_lease_done += 1;
-                let mut done_job = None;
-                if let Some(job) = self.jobs.get_mut(&campaign) {
-                    job.table.complete(lease);
-                    job.table.save(&self.cfg.journal_dir, &job.manifest)?;
-                    let completed = job.table.completed_runs();
-                    let total = job.manifest.runs;
-                    let client = job.client;
-                    on_event(&FabricEvent::Progress {
-                        campaign,
-                        completed,
-                        total,
-                    });
-                    if let Some(client) = client {
-                        self.send_to(
-                            client,
-                            &Message::Progress {
-                                campaign,
-                                completed,
-                                total,
-                            },
-                        );
-                    }
-                    if self.jobs.get(&campaign).is_some_and(|j| j.table.all_done()) {
-                        done_job = Some(campaign);
-                    }
-                }
+                let job = &mut self.job;
+                job.table.complete(lease);
+                job.table.save(&self.cfg.journal_dir, &job.manifest)?;
+                on_event(&FabricEvent::Progress {
+                    completed: job.table.completed_runs(),
+                    total: job.manifest.runs,
+                });
                 self.chaos_check(on_event);
                 self.chaos_stop_check(on_event);
-                if let Some(jid) = done_job {
-                    self.finalize(jid, on_event)?;
+                if self.job.table.all_done() {
+                    self.finalize()?;
                 }
                 self.pump(on_event);
             }
@@ -915,41 +730,6 @@ impl<'a> Coordinator<'a> {
                     // Poisoned, not disconnected: kill it for real.
                     self.on_worker_dead(windex, true, on_event);
                     self.pump(on_event);
-                }
-            }
-            Message::Submit { spec } => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.kind = ConnKind::Client;
-                }
-                match self.queue_job(spec, Some(conn_id), on_event) {
-                    Ok(Queued::Active(id)) => {
-                        self.send_to(conn_id, &Message::Accepted { campaign: id });
-                        self.pump(on_event);
-                    }
-                    Ok(Queued::AlreadyComplete(result)) => {
-                        // Assign an id anyway so the client sees the
-                        // normal accepted → finished sequence.
-                        let id = self.next_job;
-                        self.next_job += 1;
-                        self.send_to(conn_id, &Message::Accepted { campaign: id });
-                        let body = serde_json::to_string(&*result).unwrap_or_default();
-                        self.send_to(
-                            conn_id,
-                            &Message::Finished {
-                                campaign: id,
-                                result: body,
-                            },
-                        );
-                        self.finished.push((id, *result));
-                    }
-                    Err(e) => {
-                        self.send_to(
-                            conn_id,
-                            &Message::Refused {
-                                detail: e.to_string(),
-                            },
-                        );
-                    }
                 }
             }
             other => {
@@ -965,30 +745,23 @@ impl<'a> Coordinator<'a> {
     }
 
     fn worker_of(&self, conn_id: u64) -> Option<u32> {
-        match self.conns.get(&conn_id).map(|c| &c.kind) {
-            Some(&ConnKind::Worker(w)) => Some(w),
-            _ => None,
-        }
+        self.conns.get(&conn_id).and_then(|c| c.worker)
     }
 
     /// Demote leases whose grant outlived the timeout (hung worker).
     fn expire_leases(&mut self, on_event: &mut dyn FnMut(&FabricEvent)) {
         let timeout = self.cfg.lease_timeout;
-        let mut expired: Vec<(u32, u64, u64)> = Vec::new();
+        let mut expired: Vec<(u32, u64)> = Vec::new();
         for (&windex, w) in &self.workers {
-            if let Some((jid, lease, granted)) = w.busy {
+            if let Some((lease, granted)) = w.busy {
                 if granted.elapsed() > timeout {
-                    expired.push((windex, jid, lease));
+                    expired.push((windex, lease));
                 }
             }
         }
-        for (windex, jid, lease) in expired {
-            eprintln!(
-                "[fabric] lease {lease} of campaign {jid} on worker {windex} expired; reassigning"
-            );
-            if let Some(job) = self.jobs.get_mut(&jid) {
-                job.table.demote(lease);
-            }
+        for (windex, lease) in expired {
+            eprintln!("[fabric] lease {lease} on worker {windex} expired; reassigning");
+            self.job.table.demote(lease);
             if let Some(w) = self.workers.get_mut(&windex) {
                 w.busy = None;
             }
@@ -996,9 +769,9 @@ impl<'a> Coordinator<'a> {
         self.pump(on_event);
     }
 
-    /// Any job still holding unfinished leases?
+    /// Does the campaign still hold unfinished leases?
     fn unfinished(&self) -> bool {
-        self.jobs.values().any(|j| !j.table.all_done())
+        !self.job.table.all_done()
     }
 
     /// Graceful teardown: ask workers to exit, give them a moment, then
@@ -1030,19 +803,15 @@ impl<'a> Coordinator<'a> {
         self.children.clear();
     }
 
-    /// The scheduler loop. With `until_job` set (one-shot mode) it
-    /// returns when that campaign finishes; otherwise it serves until a
-    /// shutdown signal.
+    /// The scheduler loop: returns the merged result once the campaign
+    /// finishes.
     fn run_loop(
         &mut self,
-        until_job: Option<u64>,
         on_event: &mut dyn FnMut(&FabricEvent),
-    ) -> Result<(), TeiError> {
+    ) -> Result<CampaignResult, TeiError> {
         loop {
-            if let Some(target) = until_job {
-                if self.finished.iter().any(|(id, _)| *id == target) {
-                    return Ok(());
-                }
+            if let Some(result) = self.result.take() {
+                return Ok(result);
             }
             let event = self.rx.recv().map_err(|_| TeiError::Fabric {
                 detail: "coordinator event channel closed".to_string(),
@@ -1054,7 +823,7 @@ impl<'a> Coordinator<'a> {
                         Conn {
                             stream,
                             peer,
-                            kind: ConnKind::Unknown,
+                            worker: None,
                         },
                     );
                 }
@@ -1067,13 +836,7 @@ impl<'a> Coordinator<'a> {
                         self.on_worker_dead(windex, false, on_event);
                         self.pump(on_event);
                     } else {
-                        // A client (or a pre-handshake stranger) left:
-                        // detach it from any job it was watching.
-                        for job in self.jobs.values_mut() {
-                            if job.client == Some(id) {
-                                job.client = None;
-                            }
-                        }
+                        // A pre-handshake stranger left.
                         self.conns.remove(&id);
                     }
                     if self.workers.is_empty() && self.children.is_empty() && self.unfinished() {
@@ -1086,12 +849,9 @@ impl<'a> Coordinator<'a> {
                 }
                 Event::Tick => {
                     if crate::shutdown::requested() {
-                        let completed: u64 =
-                            self.jobs.values().map(|j| j.table.completed_runs()).sum();
-                        let requested: u64 = self.jobs.values().map(|j| j.manifest.runs).sum();
                         return Err(TeiError::Interrupted {
-                            completed,
-                            requested,
+                            completed: self.job.table.completed_runs(),
+                            requested: self.job.manifest.runs,
                         });
                     }
                     self.expire_leases(on_event);
@@ -1181,7 +941,7 @@ pub fn run_fabric_campaign(
 ) -> Result<CampaignResult, TeiError> {
     cfg.validate()?;
     if cfg.workers == 0 {
-        let resolved = spec.resolve()?;
+        let resolved = spec.resolve(None)?;
         return crate::campaign::run_campaign_durable(
             &resolved.bench.id.to_string(),
             &resolved.golden,
@@ -1194,61 +954,43 @@ pub fn run_fabric_campaign(
     crate::failpoint::set_role("coord");
     crate::failpoint::configure_from_env()?;
     crate::shutdown::install_handlers();
-    let mut coord = Coordinator::bind(cfg, "127.0.0.1:0")?;
-    let queued = coord.queue_job(spec.clone(), None, on_event)?;
-    let target = match queued {
-        Queued::AlreadyComplete(result) => return Ok(*result),
-        Queued::Active(id) => id,
-    };
-    coord.start_io()?;
-    coord.spawn_workers(on_event)?;
-    let run = coord.run_loop(Some(target), on_event);
-    coord.shutdown_fleet();
-    run?;
-    coord
-        .finished
-        .into_iter()
-        .find_map(|(id, r)| (id == target).then_some(r))
-        .ok_or_else(|| TeiError::Fabric {
-            detail: "campaign loop exited without a result".to_string(),
-        })
-}
-
-/// Long-running fabric server (`tei serve`): listens on `listen` for
-/// client submissions and worker handshakes, keeps one worker fleet
-/// and its golden/checkpoint caches warm across queued campaigns, and
-/// streams progress + final results to each submitting client. Returns
-/// on SIGINT/SIGTERM.
-///
-/// # Errors
-///
-/// [`TeiError::Config`] for an invalid `cfg` (see
-/// [`FabricConfig::validate`]), [`TeiError::Fabric`] when the fleet
-/// collapses; [`TeiError::Interrupted`] is the *normal* signal-driven
-/// exit.
-pub fn serve(
-    listen: &str,
-    cfg: &FabricConfig,
-    on_event: &mut dyn FnMut(&FabricEvent),
-) -> Result<(), TeiError> {
-    cfg.validate()?;
-    crate::config::validate_env()?;
-    crate::failpoint::set_role("coord");
-    crate::failpoint::configure_from_env()?;
-    crate::shutdown::install_handlers();
-    let mut coord = Coordinator::bind(cfg, listen)?;
-    eprintln!(
-        "[fabric] serving on {} ({} workers)",
-        coord.addr, cfg.workers
-    );
-    coord.start_io()?;
-    coord.spawn_workers(on_event)?;
-    let run = coord.run_loop(None, on_event);
-    coord.shutdown_fleet();
-    match run {
-        Err(e) if e.is_interrupted() => Ok(()),
-        other => other,
+    let resolved = spec.resolve(None)?;
+    let manifest = resolved.manifest();
+    std::fs::create_dir_all(&cfg.journal_dir)
+        .map_err(|e| TeiError::io("create journal dir", &cfg.journal_dir, e))?;
+    let merged = merge::scan_journals(&cfg.journal_dir, &manifest)?;
+    // A persisted lease table must agree with the journals (and be ours
+    // at all — load refuses foreign manifest hashes).
+    if let Some(prev) = LeaseTable::load(&cfg.journal_dir, &manifest)? {
+        let journaled: HashSet<u64> = merged.records.keys().copied().collect();
+        prev.verify_against(&journaled)?;
     }
+    let missing = merged.missing(manifest.runs);
+    if missing.is_empty() {
+        // Already complete on disk: merge without spawning anything.
+        return merge::merged_result(
+            &resolved.bench.id.to_string(),
+            &resolved.golden,
+            &resolved.model,
+            &manifest,
+            &cfg.journal_dir,
+        );
+    }
+    let target = (cfg.workers * cfg.leases_per_worker).max(1);
+    let table = LeaseTable::partition(&manifest, &missing, target);
+    table.save(&cfg.journal_dir, &manifest)?;
+    let job = Job {
+        spec: spec.clone(),
+        resolved,
+        manifest,
+        table,
+    };
+    let mut coord = Coordinator::bind(cfg, job)?;
+    coord.start_io()?;
+    coord.spawn_workers(on_event)?;
+    let run = coord.run_loop(on_event);
+    coord.shutdown_fleet();
+    run
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! allocator. The fabric turns the durable journal substrate into a
 //! coordinator/worker architecture:
 //!
-//! * The **coordinator** ([`run_fabric_campaign`], [`serve`]) partitions
-//!   a campaign's run-index space into **leases** ([`lease::LeaseTable`],
+//! * The **coordinator** ([`run_fabric_campaign`]) runs exactly one
+//!   campaign: it partitions the campaign's run-index space into **leases** ([`lease::LeaseTable`],
 //!   persisted next to the journals and fingerprint-checked against the
 //!   campaign manifest), spawns N worker processes, grants leases over a
 //!   localhost TCP socket with simple length-prefixed frames
@@ -30,10 +30,6 @@
 //!   over run indices, so identical duplicate records (from a killed
 //!   worker whose lease was re-executed) deduplicate exactly and any
 //!   *conflicting* duplicate is a hard error, never a silent merge.
-//!
-//! `tei serve` keeps the same coordinator resident: queued campaign
-//! requests from clients multiplex over one shared worker pool, and the
-//! workers' golden-run/checkpoint caches stay warm across campaigns.
 
 // Orchestration must degrade to typed errors, never panic mid-sweep
 // (clippy.toml bans the panicking extractors here).
@@ -45,7 +41,7 @@ pub mod merge;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{run_fabric_campaign, serve, ChaosKill, FabricConfig, FabricEvent};
+pub use coordinator::{run_fabric_campaign, ChaosKill, FabricConfig, FabricEvent};
 pub use lease::{Lease, LeaseState, LeaseTable};
 pub use merge::{merged_result, scan_journals};
 pub use wire::Message;
@@ -65,7 +61,7 @@ use tei_workloads::{build, Benchmark, BenchmarkId, Scale};
 /// so coordinator and workers must agree).
 pub const GOLDEN_MEM_BYTES: usize = 8 << 20;
 
-/// A queued campaign request: everything a worker needs to rebuild the
+/// A campaign request: everything a worker needs to rebuild the
 /// exact campaign context (golden run, model, config) independently.
 /// The coordinator and every worker derive the campaign manifest from
 /// their own resolution of this spec and cross-check the hashes at
@@ -157,29 +153,22 @@ impl CampaignSpec {
     }
 
     /// Resolve the spec into a full campaign context: build the
-    /// benchmark, capture the golden run, and construct model + config.
-    /// Deterministic, so every process resolving the same spec derives
-    /// the same campaign manifest.
+    /// benchmark, capture the golden run (unless `golden` holds the one
+    /// an earlier resolution of this same spec captured), and construct
+    /// model + config. Deterministic, so every process resolving the
+    /// same spec derives the same campaign manifest.
     ///
     /// # Errors
     ///
     /// [`TeiError::Config`] for malformed fields and
     /// [`TeiError::GoldenRun`] when the golden run fails.
-    pub fn resolve(&self) -> Result<ResolvedCampaign, TeiError> {
+    pub fn resolve(&self, golden: Option<Arc<GoldenRun>>) -> Result<ResolvedCampaign, TeiError> {
         let parsed = self.parse()?;
         let bench = build(parsed.id, parsed.scale);
-        let golden = Arc::new(GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX)?);
-        Ok(self.resolve_with_golden(parsed, bench, golden))
-    }
-
-    /// [`CampaignSpec::resolve`] with an already-captured golden run
-    /// (the coordinator's and workers' golden cache path).
-    pub fn resolve_with_golden(
-        &self,
-        parsed: ParsedSpec,
-        bench: Benchmark,
-        golden: Arc<GoldenRun>,
-    ) -> ResolvedCampaign {
+        let golden = match golden {
+            Some(g) => g,
+            None => Arc::new(GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX)?),
+        };
         let model = DaModel::from_fixed(parsed.vr, parsed.er);
         let mut cfg = CampaignConfig {
             runs: self.runs as usize,
@@ -189,19 +178,12 @@ impl CampaignSpec {
             ..CampaignConfig::default()
         };
         cfg.chaos.throttle_ms = self.throttle_ms;
-        ResolvedCampaign {
+        Ok(ResolvedCampaign {
             bench,
             golden,
             model,
             cfg,
-        }
-    }
-
-    /// The `(benchmark, scale)` key workers and the coordinator cache
-    /// golden runs under, shared across campaigns that differ only in
-    /// model, VR, seed, or run count.
-    pub fn golden_key(&self) -> (String, String) {
-        (self.benchmark.clone(), self.scale.clone())
+        })
     }
 }
 
@@ -223,8 +205,8 @@ pub struct ParsedSpec {
 pub struct ResolvedCampaign {
     /// The built benchmark.
     pub bench: Benchmark,
-    /// The captured golden run (with its checkpoint pool), shared with
-    /// the golden cache.
+    /// The captured golden run (with its checkpoint pool), shared so a
+    /// reconnecting worker can resolve again without recapturing it.
     pub golden: Arc<GoldenRun>,
     /// The injection model.
     pub model: DaModel,

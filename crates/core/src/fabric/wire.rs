@@ -35,11 +35,9 @@ pub enum Message {
         /// Worker index (stable across the fleet; names the journal).
         worker: u32,
     },
-    /// Coordinator → worker: establish a campaign context. The worker
+    /// Coordinator → worker: establish the campaign context. The worker
     /// resolves the spec independently and answers with [`Message::Ready`].
     Launch {
-        /// Coordinator-assigned campaign id.
-        campaign: u64,
         /// The campaign to prepare for.
         spec: CampaignSpec,
     },
@@ -47,15 +45,11 @@ pub enum Message {
     /// worker's own derivation, cross-checked against the coordinator's
     /// to refuse binary/netlist drift between processes.
     Ready {
-        /// Campaign id from [`Message::Launch`].
-        campaign: u64,
         /// Hash of the worker's independently derived manifest.
         manifest_hash: u64,
     },
     /// Coordinator → worker: execute runs `[lo, hi)` of the campaign.
     Grant {
-        /// Campaign id.
-        campaign: u64,
         /// Lease id (echoed back in [`Message::LeaseDone`]).
         lease: u64,
         /// First run index of the lease.
@@ -65,12 +59,8 @@ pub enum Message {
     },
     /// Worker → coordinator: the leased range is durably journaled.
     LeaseDone {
-        /// Campaign id.
-        campaign: u64,
         /// Lease id.
         lease: u64,
-        /// Runs newly executed under this lease.
-        completed: u64,
     },
     /// Worker → coordinator: a lease failed in a way the worker could
     /// type (config drift, journal refusal). The coordinator treats the
@@ -78,12 +68,6 @@ pub enum Message {
     WorkerError {
         /// What failed.
         detail: String,
-    },
-    /// Coordinator → worker: drop the per-campaign context (journal
-    /// handle, skip set); the campaign is merged and finished.
-    Retire {
-        /// Campaign id.
-        campaign: u64,
     },
     /// Worker → coordinator: periodic liveness beacon. Any message
     /// refreshes the coordinator's `last_seen` for the worker; heartbeats
@@ -96,38 +80,6 @@ pub enum Message {
     },
     /// Coordinator → worker: exit cleanly.
     Shutdown,
-    /// Client → server: queue a campaign.
-    Submit {
-        /// The campaign to run.
-        spec: CampaignSpec,
-    },
-    /// Server → client: the campaign is queued under this id.
-    Accepted {
-        /// Server-assigned campaign id.
-        campaign: u64,
-    },
-    /// Server → client: the submission was rejected.
-    Refused {
-        /// Why.
-        detail: String,
-    },
-    /// Server → client: progress stream (sent after every lease).
-    Progress {
-        /// Campaign id.
-        campaign: u64,
-        /// Runs durably recorded so far.
-        completed: u64,
-        /// Total runs requested.
-        total: u64,
-    },
-    /// Server → client: the campaign finished; `result` is the
-    /// serialized [`CampaignResult`](crate::campaign::CampaignResult).
-    Finished {
-        /// Campaign id.
-        campaign: u64,
-        /// `serde_json`-encoded campaign result.
-        result: String,
-    },
 }
 
 /// Write one frame. The caller flushes (TCP streams are unbuffered
@@ -464,14 +416,13 @@ mod tests {
                 token: 7,
                 worker: 2,
             },
+            Message::Launch {
+                spec: CampaignSpec::new("sobel"),
+            },
             Message::Grant {
-                campaign: 1,
                 lease: 3,
                 lo: 100,
                 hi: 250,
-            },
-            Message::Submit {
-                spec: CampaignSpec::new("sobel"),
             },
             Message::Heartbeat { worker: 1 },
             Message::Shutdown,

@@ -3,20 +3,19 @@
 //! A worker connects to its coordinator, introduces itself with the
 //! spawn token, and then executes whatever leases it is granted,
 //! committing every completed run to its own per-worker journal (in
-//! fsync'd batches) before acknowledging the lease. Campaign contexts
-//! (golden run, checkpoint pool, model, journal handle) are cached per
-//! campaign, and golden runs are additionally cached per `(benchmark,
-//! scale)` so a `tei serve` fleet keeps its checkpoints warm across
-//! queued campaigns.
+//! fsync'd batches) before acknowledging the lease. A worker serves
+//! its coordinator's one campaign; it captures that campaign's golden
+//! run (with its checkpoint pool) once per process and keeps it across
+//! reconnects.
 //!
 //! Robustness posture:
 //!
 //! * **Reconnect, don't die.** A transport failure (coordinator socket
 //!   reset, injected wire fault) tears down the connection state and
 //!   re-dials with capped exponential backoff plus seeded jitter. The
-//!   per-connection campaign contexts are rebuilt from the Launch
-//!   replay the coordinator sends on Hello, and the reopened journal's
-//!   skip set makes any re-granted lease idempotent.
+//!   per-connection campaign context is rebuilt from the Launch the
+//!   coordinator sends on Hello, and the reopened journal's skip set
+//!   makes any re-granted lease idempotent.
 //! * **Beacon while busy.** A heartbeat thread sends
 //!   [`Message::Heartbeat`] every ~500 ms over the shared writer, so
 //!   the coordinator can tell a worker grinding through a long lease
@@ -32,13 +31,12 @@ use crate::fabric::wire::{self, FrameStep, Message};
 use crate::fabric::CampaignSpec;
 use crate::journal::{CampaignManifest, Journal};
 use crate::models::DaModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tei_workloads::build;
 
 /// Re-dial attempts before giving up on the coordinator.
 const MAX_CONNECT_ATTEMPTS: u32 = 7;
@@ -55,7 +53,7 @@ const READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// send (and triggers a reconnect) instead of wedging the worker.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One prepared campaign context.
+/// The prepared campaign context.
 struct WorkerJob {
     golden: Arc<GoldenRun>,
     model: DaModel,
@@ -79,7 +77,7 @@ struct WorkerJob {
 pub fn worker_main(addr: &str, token: u64, index: u32, journal_dir: &Path) -> Result<(), TeiError> {
     crate::failpoint::set_role(&format!("w{index}"));
     crate::failpoint::configure_from_env()?;
-    let mut golden_cache: HashMap<(String, String), Arc<GoldenRun>> = HashMap::new();
+    let mut golden: Option<Arc<GoldenRun>> = None;
     let mut attempt: u32 = 0;
     loop {
         let stream = match connect(addr, index, attempt) {
@@ -92,7 +90,7 @@ pub fn worker_main(addr: &str, token: u64, index: u32, journal_dir: &Path) -> Re
                 continue;
             }
         };
-        match serve_connection(stream, addr, token, index, journal_dir, &mut golden_cache) {
+        match serve_connection(stream, addr, token, index, journal_dir, &mut golden) {
             Ok(()) => return Ok(()),
             // Transport-level loss: the coordinator may still be alive
             // (our socket broke, or a fault was injected). Re-dial with
@@ -144,7 +142,7 @@ fn serve_connection(
     token: u64,
     index: u32,
     journal_dir: &Path,
-    golden_cache: &mut HashMap<(String, String), Arc<GoldenRun>>,
+    golden: &mut Option<Arc<GoldenRun>>,
 ) -> Result<(), TeiError> {
     stream.set_nodelay(true).ok();
     let _ = wire::set_timeouts(&stream, Some(READ_TIMEOUT), Some(WRITE_TIMEOUT));
@@ -192,14 +190,7 @@ fn serve_connection(
         })
     };
 
-    let result = connection_loop(
-        reader_half,
-        &writer,
-        &peer,
-        index,
-        journal_dir,
-        golden_cache,
-    );
+    let result = connection_loop(reader_half, &writer, &peer, index, journal_dir, golden);
     drop(hb_stop);
     let _ = hb.join();
     result
@@ -211,10 +202,10 @@ fn connection_loop(
     peer: &str,
     index: u32,
     journal_dir: &Path,
-    golden_cache: &mut HashMap<(String, String), Arc<GoldenRun>>,
+    golden: &mut Option<Arc<GoldenRun>>,
 ) -> Result<(), TeiError> {
     let mut reader = wire::FrameReader::new(reader_half);
-    let mut jobs: HashMap<u64, WorkerJob> = HashMap::new();
+    let mut job: Option<WorkerJob> = None;
     loop {
         let msg = loop {
             match reader.step() {
@@ -241,44 +232,28 @@ fn connection_loop(
             }
         };
         match msg {
-            Message::Launch { campaign, spec } => {
-                match prepare(&spec, index, journal_dir, golden_cache) {
-                    Ok((job, manifest_hash)) => {
-                        jobs.insert(campaign, job);
-                        send_shared(
-                            writer,
-                            peer,
-                            &Message::Ready {
-                                campaign,
-                                manifest_hash,
-                            },
-                        )?;
-                    }
-                    Err(e) => {
-                        send_shared(
-                            writer,
-                            peer,
-                            &Message::WorkerError {
-                                detail: format!("worker {index}: launch failed: {e}"),
-                            },
-                        )?;
-                    }
+            Message::Launch { spec } => match prepare(&spec, index, journal_dir, golden) {
+                Ok((prepared, manifest_hash)) => {
+                    job = Some(prepared);
+                    send_shared(writer, peer, &Message::Ready { manifest_hash })?;
                 }
-            }
-            Message::Grant {
-                campaign,
-                lease,
-                lo,
-                hi,
-            } => {
-                let Some(job) = jobs.get_mut(&campaign) else {
+                Err(e) => {
                     send_shared(
                         writer,
                         peer,
                         &Message::WorkerError {
-                            detail: format!(
-                                "worker {index}: grant for unknown campaign {campaign}"
-                            ),
+                            detail: format!("worker {index}: launch failed: {e}"),
+                        },
+                    )?;
+                }
+            },
+            Message::Grant { lease, lo, hi } => {
+                let Some(job) = job.as_mut() else {
+                    send_shared(
+                        writer,
+                        peer,
+                        &Message::WorkerError {
+                            detail: format!("worker {index}: grant before launch"),
                         },
                     )?;
                     continue;
@@ -328,18 +303,7 @@ fn connection_loop(
                     });
                 }
                 job.done.extend(lo..hi);
-                send_shared(
-                    writer,
-                    peer,
-                    &Message::LeaseDone {
-                        campaign,
-                        lease,
-                        completed: hi - lo,
-                    },
-                )?;
-            }
-            Message::Retire { campaign } => {
-                jobs.remove(&campaign);
+                send_shared(writer, peer, &Message::LeaseDone { lease })?;
             }
             Message::Shutdown => return Ok(()),
             other => {
@@ -352,30 +316,17 @@ fn connection_loop(
     }
 }
 
-/// Build one campaign context: resolve the spec (golden from cache when
-/// the `(benchmark, scale)` pair is warm), open this worker's journal,
-/// and replay its own completed runs.
+/// Build the campaign context: resolve the spec (reusing the golden run
+/// an earlier connection captured), open this worker's journal, and
+/// replay its own completed runs.
 fn prepare(
     spec: &CampaignSpec,
     index: u32,
     journal_dir: &Path,
-    golden_cache: &mut HashMap<(String, String), Arc<GoldenRun>>,
+    golden: &mut Option<Arc<GoldenRun>>,
 ) -> Result<(WorkerJob, u64), TeiError> {
-    let parsed = spec.parse()?;
-    let bench = build(parsed.id, parsed.scale);
-    let golden = match golden_cache.get(&spec.golden_key()) {
-        Some(g) => Arc::clone(g),
-        None => {
-            let g = Arc::new(GoldenRun::capture(
-                &bench,
-                crate::fabric::GOLDEN_MEM_BYTES,
-                u64::MAX,
-            )?);
-            golden_cache.insert(spec.golden_key(), Arc::clone(&g));
-            g
-        }
-    };
-    let resolved = spec.resolve_with_golden(parsed, bench, Arc::clone(&golden));
+    let resolved = spec.resolve(golden.clone())?;
+    *golden = Some(Arc::clone(&resolved.golden));
     let manifest = resolved.manifest();
     let path = journal_path(journal_dir, &manifest, index);
     std::fs::create_dir_all(journal_dir)
@@ -392,7 +343,7 @@ fn prepare(
     let manifest_hash = manifest.hash();
     Ok((
         WorkerJob {
-            golden,
+            golden: resolved.golden,
             model: resolved.model,
             cfg: resolved.cfg,
             journal: Mutex::new(resume.journal),

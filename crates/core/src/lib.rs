@@ -22,9 +22,9 @@
 //!   signal-drained shutdown, so multi-hour sweeps survive crashes,
 //!   poisoned runs, and ctrl-C without losing completed work.
 //! * **Campaign fabric** ([`fabric`]) — lease-partitioned multi-process
-//!   campaigns over the journal layer (coordinator + worker fleet over a
-//!   localhost framed socket, with a resident `tei serve` front end);
-//!   the merged result is byte-identical to the single-process run.
+//!   campaigns over the journal layer (one campaign per coordinator,
+//!   with its worker fleet on a localhost framed socket); the merged
+//!   result is byte-identical to the single-process run.
 //!
 //! ## Example
 //!
@@ -73,6 +73,6 @@ pub use dev::{
     SurrogateMode, SurrogateReport, SurrogateRun, TraceSet,
 };
 pub use error::TeiError;
-pub use fabric::{run_fabric_campaign, serve, CampaignSpec, FabricConfig, FabricEvent};
+pub use fabric::{run_fabric_campaign, CampaignSpec, FabricConfig, FabricEvent};
 pub use journal::{atomic_write, atomic_write_checksummed, fnv64, CampaignManifest, Journal};
 pub use models::{DaModel, InjectionModel, MaskSampling, ModelKind, StatModel};
