@@ -11,12 +11,13 @@
 //! fast path hands back to softfloat.
 
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tei_core::{
     campaign::{self, CampaignConfig, GoldenRun, ReplayMode},
     models::InjectionModel,
     DaModel,
 };
-use tei_softfloat::FpOp;
+use tei_softfloat::{FpOp, FpOpKind};
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, BenchmarkId, Scale};
 
@@ -47,6 +48,34 @@ impl InjectionModel for MultiBitModel {
         let a = rng.gen_range(0..bits);
         let b = rng.gen_range(0..bits);
         (1u64 << a) | (1u64 << b) | 1
+    }
+}
+
+/// Corrupts only float-to-integer conversions, flipping one bit from 9 to
+/// 19. A flipped `is` key makes `counts[key]++` write a page 4 KiB to
+/// 4 MiB past the data image, which no checkpoint base holds; a flipped
+/// `randlc` split scrambles the keys after it (the crashes).
+struct DeepStoreModel;
+
+impl InjectionModel for DeepStoreModel {
+    fn name(&self) -> &'static str {
+        "test-deep-store"
+    }
+
+    fn vr(&self) -> VoltageReduction {
+        VoltageReduction::VR20
+    }
+
+    fn error_ratio(&self, op: FpOp) -> f64 {
+        if op.kind == FpOpKind::FtoI {
+            0.05
+        } else {
+            0.0
+        }
+    }
+
+    fn sample_mask(&self, _op: FpOp, rng: &mut dyn rand::RngCore) -> u64 {
+        1u64 << rng.gen_range(9..20)
     }
 }
 
@@ -127,6 +156,42 @@ fn checkpointed_replay_matches_from_zero_multibit() {
     assert_all_modes_equivalent(&golden, &MultiBitModel, tally(38, 6, 4, 0, 0));
     let da = DaModel::from_fixed(VoltageReduction::VR20, 5e-3);
     assert_all_modes_equivalent(&golden, &da, tally(41, 6, 1, 0, 0));
+}
+
+#[test]
+fn restores_after_stores_past_the_image_match_from_zero() {
+    // Each fork core serves many runs in turn, so a run restores its
+    // checkpoint over the pages the previous run wrote past the image.
+    // With a spacing of 2^30 the initial checkpoint is the only one, so
+    // every restore rewinds to it.
+    //
+    // A run that panics once is retried on a fresh core and tallied as if
+    // nothing happened, so count panics as well: there must be none (no
+    // other test in this binary panics when it passes).
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::Relaxed);
+        previous(info);
+    }));
+    let bench = build(BenchmarkId::Is, Scale::Test);
+    for interval in [0u64, 1 << 30] {
+        let golden = GoldenRun::capture_with_checkpoints(&bench, MEM, u64::MAX, interval).unwrap();
+        assert_all_modes_equivalent(&golden, &DeepStoreModel, tally(0, 25, 23, 0, 0));
+    }
+    assert_eq!(PANICS.load(Ordering::Relaxed), 0, "a replay panicked");
+}
+
+#[test]
+fn checkpoint_pool_holds_only_touched_pages() {
+    // The base holds the data image's pages, not the 8 MiB memory.
+    let golden =
+        GoldenRun::capture(&build(BenchmarkId::Sobel, Scale::Test), MEM, u64::MAX).unwrap();
+    let bytes = golden.checkpoints.footprint_bytes();
+    assert!(
+        bytes < 64 << 10,
+        "sobel's checkpoint pool holds {bytes} bytes"
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@ use tei_softfloat::{FpOp, FpOpKind, FpuConfig, Precision};
 /// with no timing model. Used for golden runs, for the fast-forward
 /// injection replay, and as the value oracle the detailed core is
 /// cross-checked against.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FuncCore {
     /// Architectural registers and PC.
     pub state: ArchState,

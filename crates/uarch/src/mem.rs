@@ -28,6 +28,127 @@ impl std::error::Error for MemFault {}
 /// snapshots (see `tei_uarch::snapshot`).
 pub const PAGE_BYTES: usize = 4096;
 
+/// Zero-initialised bytes in a private anonymous mapping: the kernel
+/// supplies a zero page on first touch, so a memory costs the pages a
+/// program touches rather than a zero fill of its whole size. Elsewhere
+/// than Linux on x86-64 or AArch64, whose `mmap` ABI and flag values
+/// this module spells out, a zeroed `Vec`.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod zeroed {
+    use std::ffi::c_void;
+    use std::ptr::NonNull;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    pub(super) struct ZeroedBytes {
+        ptr: NonNull<u8>,
+        len: usize,
+    }
+
+    pub(super) fn zeroed(len: usize) -> ZeroedBytes {
+        const PROT_READ: i32 = 1;
+        const PROT_WRITE: i32 = 2;
+        const MAP_PRIVATE: i32 = 2;
+        const MAP_ANONYMOUS: i32 = 0x20;
+        const MAP_FAILED: isize = -1;
+        if len == 0 {
+            // mmap(2) refuses a zero length; an empty slice needs no pages.
+            return ZeroedBytes {
+                ptr: NonNull::dangling(),
+                len,
+            };
+        }
+        // SAFETY: an anonymous mapping at an address the kernel picks
+        // aliases nothing; on success it is `len` zeroed, writable bytes.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        match NonNull::new(raw.cast::<u8>()) {
+            Some(ptr) if raw as isize != MAP_FAILED => ZeroedBytes { ptr, len },
+            _ => panic!(
+                "cannot map {len} bytes of core memory: {}",
+                std::io::Error::last_os_error()
+            ),
+        }
+    }
+
+    impl Drop for ZeroedBytes {
+        fn drop(&mut self) {
+            if self.len != 0 {
+                // SAFETY: `ptr` and `len` are the mapping `zeroed` made,
+                // which this value owns and nothing borrows any more.
+                unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+            }
+        }
+    }
+
+    impl std::ops::Deref for ZeroedBytes {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            // SAFETY: `ptr` is valid for `len` initialised bytes (a live
+            // mapping, or dangling with `len == 0`) while `self` lives.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl std::ops::DerefMut for ZeroedBytes {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    // SAFETY: `ptr` is a mapping this value owns alone, as a `Vec<u8>`
+    // owns its buffer, and `len` is a plain integer; moving the value to
+    // another thread moves that ownership, and `munmap` may run anywhere.
+    unsafe impl Send for ZeroedBytes {}
+    // SAFETY: through `&ZeroedBytes` the fields are only read, and the
+    // bytes only as `&[u8]`; writes need `&mut`.
+    unsafe impl Sync for ZeroedBytes {}
+
+    impl std::fmt::Debug for ZeroedBytes {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("ZeroedBytes")
+                .field("len", &self.len)
+                .finish()
+        }
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod zeroed {
+    pub(super) type ZeroedBytes = Vec<u8>;
+
+    pub(super) fn zeroed(len: usize) -> ZeroedBytes {
+        vec![0u8; len]
+    }
+}
+
+use zeroed::{zeroed, ZeroedBytes};
+
 /// Byte-addressed little-endian memory mapped at [`DATA_BASE`].
 ///
 /// Accesses below the base or beyond the end fault — the mechanism by which
@@ -36,27 +157,36 @@ pub const PAGE_BYTES: usize = 4096;
 /// Every store also marks its page in a dirty bitmap (pages of
 /// [`PAGE_BYTES`]), so checkpoints can snapshot and restore only the pages
 /// that diverged from the initial image instead of the whole array.
-#[derive(Debug, Clone)]
+///
+/// On x86-64 and AArch64 Linux the bytes live in a lazily-zeroed
+/// anonymous mapping, so a memory costs the pages its program touches,
+/// not its size. There is no `Clone`: a copy would touch every page.
+#[derive(Debug)]
 pub struct Memory {
-    bytes: Vec<u8>,
+    bytes: ZeroedBytes,
+    /// Length of the data image loaded at the base; every byte past it
+    /// starts zero.
+    image_len: usize,
     /// One bit per [`PAGE_BYTES`] page, set on the first store since the
     /// initial image (or since the last snapshot restore).
     dirty: Vec<u64>,
 }
 
 impl Memory {
-    /// Allocate `size` bytes and load `image` at the base address.
+    /// Allocate `size` bytes and load `image` at the base address. Only
+    /// the image is copied; the rest reads zero without being written.
     ///
     /// # Panics
     ///
     /// Panics if the image exceeds the memory size.
     pub fn with_image(size: usize, image: &[u8]) -> Self {
         assert!(image.len() <= size, "data image larger than memory");
-        let mut bytes = vec![0u8; size];
+        let mut bytes = zeroed(size);
         bytes[..image.len()].copy_from_slice(image);
         let pages = size.div_ceil(PAGE_BYTES);
         Memory {
             bytes,
+            image_len: image.len(),
             dirty: vec![0u64; pages.div_ceil(64)],
         }
     }
@@ -194,24 +324,37 @@ impl Memory {
         iter_bits(&self.dirty).collect()
     }
 
-    /// The full backing array (initial-image capture for checkpoint bases).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The pages that hold the data image, as they read now: on a fresh
+    /// memory, the whole initial content that is not zero (the checkpoint
+    /// base image).
+    pub fn image_pages(&self) -> &[u8] {
+        let end = self.image_len.div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        &self.bytes[..end.min(self.bytes.len())]
+    }
+
+    /// The part of `base` that covers page `p` (empty past its end); the
+    /// rest of the page reads zero in `base`.
+    fn base_part<'b>(&self, p: usize, base: &'b [u8]) -> &'b [u8] {
+        let start = p * PAGE_BYTES;
+        let rest = base.get(start..).unwrap_or_default();
+        &rest[..rest.len().min(self.page_len(p))]
     }
 
     /// Rewind memory to `base` overlaid with the snapshot pages: every page
     /// flagged in `snap_dirty` is copied from `snap_pages` (packed at
     /// [`PAGE_BYTES`] stride, in ascending page order), every page dirty in
     /// `self` but not in the snapshot is copied back from `base`, and the
-    /// dirty bitmap becomes `snap_dirty`. Untouched pages already equal
-    /// `base` and are skipped, which is what makes restores cheap.
+    /// dirty bitmap becomes `snap_dirty`. `base` may be shorter than the
+    /// memory: every byte past its end is zero. Untouched pages already
+    /// equal `base` and are skipped, which is what makes restores cheap.
     ///
     /// # Panics
     ///
-    /// Panics if `base` or the bitmap length disagree with this memory's
-    /// geometry (snapshots are only valid for the arena they were taken in).
+    /// Panics if `base` is longer than this memory or the bitmap length
+    /// disagrees with its geometry (snapshots are only valid for the arena
+    /// they were taken in).
     pub fn restore_pages(&mut self, snap_dirty: &[u64], snap_pages: &[u8], base: &[u8]) {
-        assert_eq!(base.len(), self.bytes.len(), "snapshot arena mismatch");
+        assert!(base.len() <= self.bytes.len(), "snapshot arena mismatch");
         assert_eq!(
             snap_dirty.len(),
             self.dirty.len(),
@@ -226,33 +369,38 @@ impl Memory {
             let stale = cur & !snap;
             for p in iter_bits(&[stale]) {
                 let p = w * 64 + p;
+                let from = self.base_part(p, base);
                 let (start, len) = (p * PAGE_BYTES, self.page_len(p));
-                self.bytes[start..start + len].copy_from_slice(&base[start..start + len]);
+                let page = &mut self.bytes[start..start + len];
+                page[..from.len()].copy_from_slice(from);
+                page[from.len()..].fill(0);
             }
         }
         self.dirty.copy_from_slice(snap_dirty);
     }
 
-    /// True when this memory's content equals `base` overlaid with the
-    /// snapshot pages (the convergence-cutoff comparison). Only pages dirty
-    /// on either side are inspected.
+    /// True when this memory's content equals `base` (zero past its end)
+    /// overlaid with the snapshot pages (the convergence-cutoff
+    /// comparison). Only pages dirty on either side are inspected.
     pub fn pages_match(&self, snap_dirty: &[u64], snap_pages: &[u8], base: &[u8]) -> bool {
-        debug_assert_eq!(base.len(), self.bytes.len());
+        debug_assert!(base.len() <= self.bytes.len());
         let mut k = 0usize;
         for (w, (cur, snap)) in self.dirty.iter().zip(snap_dirty).enumerate() {
             for p in iter_bits(&[cur | snap]) {
                 let in_snap = snap >> p & 1 == 1;
                 let p = w * 64 + p;
                 let (start, len) = (p * PAGE_BYTES, self.page_len(p));
-                let want: &[u8] = if in_snap {
+                let page = &self.bytes[start..start + len];
+                let same = if in_snap {
                     // `snap_pages` is packed in ascending page order, so the
                     // running count of snapshot bits indexes it directly.
-                    &snap_pages[k * PAGE_BYTES..k * PAGE_BYTES + len]
+                    *page == snap_pages[k * PAGE_BYTES..k * PAGE_BYTES + len]
                 } else {
-                    &base[start..start + len]
+                    let from = self.base_part(p, base);
+                    page[..from.len()] == *from && page[from.len()..].iter().all(|&b| b == 0)
                 };
                 k += in_snap as usize;
-                if self.bytes[start..start + len] != *want {
+                if !same {
                     return false;
                 }
             }
@@ -331,16 +479,20 @@ mod tests {
         assert_eq!(m.dirty_pages(), vec![0, 1, 2]);
     }
 
+    fn contents(m: &Memory) -> Vec<u8> {
+        m.read_block(DATA_BASE, m.len()).unwrap().to_vec()
+    }
+
     #[test]
     fn restore_pages_rewinds_to_snapshot() {
         let mut m = Memory::with_image(2 * PAGE_BYTES + 100, &[1, 2, 3]);
-        let base = m.as_bytes().to_vec();
+        let base = contents(&m);
         m.store(DATA_BASE + 8, 8, 0xaaaa).unwrap();
         // Snapshot: page 0 modified.
         let snap_dirty = m.dirty_words().to_vec();
         let mut snap_pages = m.page_bytes(0).to_vec();
         snap_pages.resize(PAGE_BYTES, 0);
-        let at_snapshot = m.as_bytes().to_vec();
+        let at_snapshot = contents(&m);
         assert!(m.pages_match(&snap_dirty, &snap_pages, &base));
         // Diverge: touch the partial trailing page and overwrite page 0.
         m.store(DATA_BASE + 2 * PAGE_BYTES as u64 + 90, 8, 0xbbbb)
@@ -348,9 +500,47 @@ mod tests {
         m.store(DATA_BASE + 8, 8, 0xcccc).unwrap();
         assert!(!m.pages_match(&snap_dirty, &snap_pages, &base));
         m.restore_pages(&snap_dirty, &snap_pages, &base);
-        assert_eq!(m.as_bytes(), &at_snapshot[..]);
+        assert_eq!(contents(&m), at_snapshot);
         assert_eq!(m.dirty_pages(), vec![0]);
         assert!(m.pages_match(&snap_dirty, &snap_pages, &base));
+    }
+
+    #[test]
+    fn base_shorter_than_memory_reads_zero_past_its_end() {
+        // A 4-page memory whose base image ends 100 bytes into page 1.
+        let image: Vec<u8> = (1..=PAGE_BYTES as u32 + 100).map(|i| i as u8 | 1).collect();
+        let mut m = Memory::with_image(4 * PAGE_BYTES, &image);
+        let fresh = contents(&m);
+        let base = &image[..];
+        assert!(base.len() < m.len());
+        assert_eq!(m.image_pages().len(), 2 * PAGE_BYTES);
+        let clean = vec![0u64; m.dirty_words().len()];
+        // Page 1 straddles the base's end; page 3 lies wholly past it.
+        m.store(DATA_BASE + PAGE_BYTES as u64 + 50, 8, u64::MAX)
+            .unwrap();
+        m.store(DATA_BASE + PAGE_BYTES as u64 + 500, 8, u64::MAX)
+            .unwrap();
+        m.store(DATA_BASE + 3 * PAGE_BYTES as u64 + 8, 8, 7)
+            .unwrap();
+        assert!(!m.pages_match(&clean, &[], base));
+        m.restore_pages(&clean, &[], base);
+        assert_eq!(contents(&m), fresh, "stale pages reset to base, then zero");
+        assert!(m.dirty_pages().is_empty());
+        assert!(m.pages_match(&clean, &[], base));
+        // A nonzero byte past the base fails the match even when the page
+        // holds nothing else.
+        m.store(DATA_BASE + 3 * PAGE_BYTES as u64 + 4095, 1, 1)
+            .unwrap();
+        assert!(!m.pages_match(&clean, &[], base));
+        m.store(DATA_BASE + 3 * PAGE_BYTES as u64 + 4095, 1, 0)
+            .unwrap();
+        assert!(
+            m.pages_match(&clean, &[], base),
+            "a zeroed page equals the base"
+        );
+        // An empty base: the whole memory reads zero.
+        m.store(DATA_BASE, 1, 9).unwrap();
+        assert!(!m.pages_match(&clean, &[], &[]));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! golden run. This module removes that redundancy ZOFI-style: the golden
 //! functional run records cheap [`Snapshot`]s every K dynamic FP
 //! operations (architectural registers, dirty-page deltas over a shared
-//! base image, output watermark), and each injection run *forks* from the
-//! nearest checkpoint at or before its target FP index instead of
-//! re-executing from instruction zero.
+//! base image of the data image's pages, output watermark), and each
+//! injection run *forks* from the nearest checkpoint at or before its
+//! target FP index instead of re-executing from instruction zero.
 //!
 //! After the corruption is applied, [`CheckpointPool::run_injected`] keeps
 //! comparing the corrupted core against golden checkpoints at matching FP
@@ -115,8 +115,10 @@ pub struct CheckpointRecorder {
 }
 
 impl CheckpointRecorder {
-    /// Start recording on a fresh core (captures the base memory image and
-    /// the initial checkpoint). `interval` of 0 selects the auto policy.
+    /// Start recording on a fresh core (captures the base memory image —
+    /// the data image's pages only, since every byte past them starts
+    /// zero — and the initial checkpoint). `interval` of 0 selects the
+    /// auto policy.
     ///
     /// # Errors
     ///
@@ -136,7 +138,7 @@ impl CheckpointRecorder {
             interval
         };
         Ok(CheckpointRecorder {
-            base: core.mem.as_bytes().to_vec(),
+            base: core.mem.image_pages().to_vec(),
             snaps: vec![Snapshot::capture(core)],
             interval,
             next_mark: interval,
@@ -522,6 +524,54 @@ mod tests {
             }
             other => panic!("expected early convergence, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn restore_resets_pages_past_the_image() {
+        // Spill every product to the stack page at the top of memory,
+        // far past the one-page data image the base holds.
+        let mut p = ProgramBuilder::new();
+        let addr = p.doubles(&[1.25, 2.5]);
+        p.li(Reg::T0, 30);
+        p.la(Reg::S0, addr);
+        let head = p.here();
+        p.fld(FReg::F1, 0, Reg::S0);
+        p.fld(FReg::F2, 8, Reg::S0);
+        p.fmul_d(FReg::F3, FReg::F1, FReg::F2);
+        p.fsd(FReg::F3, -8, Reg::SP);
+        p.addi(Reg::T0, Reg::T0, -1);
+        p.bne(Reg::T0, Reg::ZERO, head);
+        p.halt();
+        let prog = p.finish();
+        let (pool, _) = record_golden(&prog, 16);
+        // The base and one snapshot page, not the 16-page memory.
+        assert_eq!(pool.len(), 2);
+        assert!(
+            pool.footprint_bytes() < 3 * PAGE_BYTES,
+            "base is image-only"
+        );
+
+        let mut fork = FuncCore::with_memory(&prog, 1 << 16);
+        assert_eq!(fork.run(100_000).exit, ExitReason::Halted);
+        let top = fork.mem.num_pages() - 1;
+        assert_eq!(
+            fork.mem.dirty_pages(),
+            vec![top],
+            "only the stack page is written"
+        );
+        pool.restore(&mut fork, pool.nearest(0));
+
+        let fresh = FuncCore::with_memory(&prog, 1 << 16);
+        let all = |c: &FuncCore| {
+            c.mem
+                .read_block(tei_isa::DATA_BASE, c.mem.len())
+                .unwrap()
+                .to_vec()
+        };
+        assert_eq!(all(&fork), all(&fresh));
+        assert_eq!(fork.state, fresh.state);
+        assert_eq!(fork.instructions(), 0);
+        assert!(fork.mem.dirty_pages().is_empty());
     }
 
     #[test]
