@@ -53,6 +53,42 @@ mod zeroed {
         fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 
+    #[cfg(target_env = "gnu")]
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+
+    /// Fix glibc's mmap and trim thresholds at their 128 KiB defaults,
+    /// once per process. By default glibc raises both to the size of the
+    /// largest mmapped block freed so far (up to 32 MiB), so a golden
+    /// run's multi-MiB buffers push later blocks into per-thread arenas,
+    /// which keep their pages after a free. Which arena serves which
+    /// block depends on thread timing, so the peak resident set of a
+    /// flow that runs golden runs, DTA and campaigns varied by 15 MiB
+    /// from run to run. Fixed, every block over 128 KiB is a mapping of
+    /// its own, returned on free. A process that builds no core (model
+    /// development) keeps the dynamic thresholds, under which its DTA
+    /// kernel scratch is reused instead of faulted in on every walk.
+    fn fix_malloc_thresholds() {
+        #[cfg(target_env = "gnu")]
+        {
+            static ONCE: std::sync::Once = std::sync::Once::new();
+            ONCE.call_once(|| {
+                const M_TRIM_THRESHOLD: i32 = -1;
+                const M_MMAP_THRESHOLD: i32 = -3;
+                const THRESHOLD: i32 = 128 * 1024;
+                // SAFETY: mallopt takes no pointers; it sets two integer
+                // allocator parameters under the main arena's lock, and
+                // an allocation on another thread at most reads the old
+                // value once more.
+                unsafe {
+                    mallopt(M_MMAP_THRESHOLD, THRESHOLD);
+                    mallopt(M_TRIM_THRESHOLD, THRESHOLD);
+                }
+            });
+        }
+    }
+
     pub(super) struct ZeroedBytes {
         ptr: NonNull<u8>,
         len: usize,
@@ -64,6 +100,7 @@ mod zeroed {
         const MAP_PRIVATE: i32 = 2;
         const MAP_ANONYMOUS: i32 = 0x20;
         const MAP_FAILED: isize = -1;
+        fix_malloc_thresholds();
         if len == 0 {
             // mmap(2) refuses a zero length; an empty slice needs no pages.
             return ZeroedBytes {
