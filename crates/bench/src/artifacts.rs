@@ -53,6 +53,16 @@ fn model_at(
     StatModel::from_campaign_stats(kind, vr, MaskSampling::default(), &stats[level])
 }
 
+/// Benchmark scale of the paper flow (`figures`, `models`): paper scale
+/// under `TEI_FULL=1`, [`Scale::Small`] otherwise.
+pub fn experiment_scale() -> Scale {
+    if tei_core::config::full_scale() {
+        Scale::Full
+    } else {
+        Scale::Small
+    }
+}
+
 impl Artifacts {
     /// Build (generating the FPU bank eagerly — everything else lazily).
     pub fn new(scale: Scale) -> Self {
@@ -81,7 +91,7 @@ impl Artifacts {
 
     /// DTA sample budget per instruction type.
     pub fn dta_samples(&self) -> usize {
-        dev::dta_samples()
+        tei_core::config::default_dta_samples()
     }
 
     /// A built benchmark (cached).

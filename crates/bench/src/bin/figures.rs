@@ -10,7 +10,6 @@
 
 use tei_bench::figures::{self, Report};
 use tei_bench::Artifacts;
-use tei_workloads::Scale;
 
 const USAGE: &str = "usage: figures [fig4|fig5|fig6|fig7|fig8|fig9|fig10|table2|avm|mitigation|da-calibration|all]...";
 
@@ -27,11 +26,6 @@ fn run() -> Result<(), tei_core::TeiError> {
         eprintln!("{USAGE}");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let scale = if tei_core::config::full_scale() {
-        Scale::Full
-    } else {
-        Scale::Small
-    };
     let mut wanted: Vec<&str> = args.iter().map(String::as_str).collect();
     if wanted.contains(&"all") {
         wanted = vec![
@@ -48,7 +42,7 @@ fn run() -> Result<(), tei_core::TeiError> {
             "mitigation",
         ];
     }
-    let arts = Artifacts::new(scale);
+    let arts = Artifacts::new(tei_bench::experiment_scale());
     let out_dir = std::path::Path::new("results");
 
     // The campaign sweep backs fig9/fig10/avm/mitigation; run it at most

@@ -15,7 +15,7 @@ use tei_core::journal::{atomic_write_checksummed, verify_checksummed};
 use tei_core::{InjectionModel, StatModel, TeiError};
 use tei_softfloat::FpOp;
 use tei_timing::VoltageReduction;
-use tei_workloads::{BenchmarkId, Scale};
+use tei_workloads::BenchmarkId;
 
 const USAGE: &str = "usage: models develop <dir> | models show <file.json>";
 
@@ -48,7 +48,7 @@ fn main() {
 
 fn develop(dir: &std::path::Path) -> Result<(), TeiError> {
     std::fs::create_dir_all(dir).map_err(|e| TeiError::io("create output directory", dir, e))?;
-    let arts = Artifacts::new(Scale::Small);
+    let arts = Artifacts::new(tei_bench::experiment_scale());
     let mut written = 0usize;
     for vr in [VoltageReduction::VR15, VoltageReduction::VR20] {
         let da = arts.da(vr)?;

@@ -64,7 +64,7 @@ fn parse_args(cmd: &str, args: &[String]) -> FabricArgs {
         lease_timeout: DEFAULT_LEASE_TIMEOUT,
         tick: DEFAULT_TICK,
         heartbeat_timeout: Duration::from_secs(5),
-        journal_dir: tei_core::config::default_journal_dir(),
+        journal_dir: PathBuf::from("journal"),
         out: None,
         chaos: None,
         chaos_stop: None,

@@ -60,7 +60,7 @@ fleet options:
   --lease-timeout-s <n>    hung-worker lease expiry backstop, >= 1 (default 600)
   --tick-ms <n>            scheduler timer period, 10..=60000 (default 200)
   --heartbeat-timeout-s <n>  silent-worker dead-peer detection, >= 1 (default 5)
-  --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
+  --journal-dir <dir>      journal directory (default journal/)
   --chaos-kill-worker <w>:<n>  test hook: SIGKILL worker w after n leases
   --chaos-stop-worker <w>:<n>  test hook: SIGSTOP worker w after n leases
 
@@ -71,14 +71,16 @@ chaos options (tei chaos):
 voltage sweep:
   tei sweep --benchmark <name> [--grid <n>] [options]
                                         continuous-Vdd AVM sweep: exact DTA
-                                        at an interpolated derating per grid
-                                        point, then AVM per point and the
-                                        minimum Vdd meeting --avm-target
+                                        at the alpha-power-law derating per
+                                        grid point, then AVM per point and
+                                        the minimum Vdd meeting --avm-target
 
 sweep options:
   --grid <n>               Vdd grid points (default 12, min 2)
-  --vdd-min <v>            lowest Vdd, volts (default the VR20 corner)
-  --vdd-max <v>            highest Vdd, volts (default nominal)
+  --vdd-min <v>            lowest Vdd, volts, above the 0.5 V threshold
+                           (default the VR20 corner)
+  --vdd-max <v>            highest Vdd, volts, at most nominal 1.1 V
+                           (default nominal)
   --avm-target <x>         AVM threshold for min-Vdd (default 0.01)
   --dta-cap <n>            per-op transition cap for DTA (default 4000)
   --out <file>             result JSON (default results/sweep-<bench>.json)

@@ -3,9 +3,9 @@
 //! The paper characterizes two discrete undervolting corners (VR15,
 //! VR20). The sweep treats Vdd as a continuous knob instead: it runs
 //! *one* DTA campaign per FPU op whose settle passes are re-thresholded
-//! at every grid voltage (delay derating interpolated between the
-//! characterized corners, bit-exact at the corners themselves), builds
-//! a workload-aware error model per grid point, and injects a full
+//! at every grid voltage (delay derated by the same alpha-power law as
+//! the corners, anywhere between the threshold and nominal), builds a
+//! workload-aware error model per grid point, and injects a full
 //! campaign at each — reporting AVM(Vdd) and the minimum voltage that
 //! still meets an AVM target.
 //!
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::power::min_vdd_meeting;
 use tei_core::{dev, CampaignConfig, GoldenRun, MaskSampling, ModelKind, StatModel, TeiError};
-use tei_timing::VoltageReduction;
+use tei_timing::{VoltageReduction, V_NOMINAL, V_THRESHOLD};
 use tei_workloads::{build, BenchmarkId, Scale};
 
 /// Memory given to golden runs and trace capture (matches the fabric).
@@ -91,14 +91,10 @@ fn parse_args(args: &[String]) -> SweepArgs {
         eprintln!("tei sweep: --grid must be at least 2\n{USAGE}");
         std::process::exit(2);
     }
-    let (lo, hi) = (
-        VoltageReduction::VR20.vdd(),
-        VoltageReduction::Nominal.vdd(),
-    );
-    if !(sa.vdd_min < sa.vdd_max && sa.vdd_min >= lo && sa.vdd_max <= hi) {
+    if !(V_THRESHOLD < sa.vdd_min && sa.vdd_min < sa.vdd_max && sa.vdd_max <= V_NOMINAL) {
         eprintln!(
-            "tei sweep: Vdd range [{}, {}] must be increasing and within the \
-             characterized corners [{lo}, {hi}]\n{USAGE}",
+            "tei sweep: Vdd range [{}, {}] must satisfy \
+             {V_THRESHOLD} V < --vdd-min < --vdd-max <= {V_NOMINAL} V\n{USAGE}",
             sa.vdd_min, sa.vdd_max
         );
         std::process::exit(2);
@@ -127,7 +123,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         }
     };
 
-    // Refuse a malformed TEI_THREADS/TEI_RUNS before minutes of work,
+    // Refuse a malformed TEI_THREADS before minutes of work,
     // as `tei campaign` does.
     tei_core::config::validate_env()?;
     let bench = build(id, scale);

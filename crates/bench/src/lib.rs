@@ -5,11 +5,12 @@
 //! toolflow. The `figures` binary drives them from the command line and
 //! writes machine-readable JSON next to the pretty-printed tables.
 //!
-//! Experiment sizing honors `TEI_RUNS`, `TEI_DTA_SAMPLES`, and `TEI_FULL=1`
-//! (paper-scale); see EXPERIMENTS.md.
+//! Experiment sizing (benchmark scale, injection runs, DTA samples) is
+//! scaled down by default and paper-scale under `TEI_FULL=1`; see
+//! EXPERIMENTS.md.
 
 pub mod artifacts;
 pub mod figures;
 pub mod scaling;
 
-pub use artifacts::Artifacts;
+pub use artifacts::{experiment_scale, Artifacts};

@@ -1,7 +1,8 @@
 //! `tei sweep` over the real binary: every sweep runs exact DTA, so its
 //! result depends only on its own flags. An `is` sweep that follows a
 //! `sobel` sweep in the same working directory must match an `is` sweep
-//! run alone, and the removed surrogate flags are usage errors.
+//! run alone, and the removed surrogate flags are usage errors. The grid
+//! may reach anywhere above the threshold voltage up to nominal.
 
 use serde::Deserialize;
 use std::path::{Path, PathBuf};
@@ -73,8 +74,11 @@ fn sweep_result_does_not_depend_on_an_earlier_sweep() {
         assert_eq!(result.grid.len(), 12);
     }
     assert_eq!(after_sobel.grid, is_alone.grid);
-    assert_eq!(after_sobel.min_vdd_at_target, Some(1.0));
-    assert_eq!(is_alone.min_vdd_at_target, Some(1.0));
+    // The minimum is the sixth grid point, 0.88 + 5 * 0.02 V.
+    let min = is_alone.grid[5].vdd;
+    assert!((min - 0.98).abs() < 1e-12, "{min}");
+    assert_eq!(after_sobel.min_vdd_at_target, Some(min));
+    assert_eq!(is_alone.min_vdd_at_target, Some(min));
     // Nothing besides the result file is left behind for a later sweep
     // to pick up.
     for dir in [&chained, &alone] {
@@ -100,6 +104,51 @@ fn removed_surrogate_flags_are_usage_errors() {
         assert!(stderr.contains("unknown flag"), "{flag:?}: {stderr}");
     }
     // Refused before any work: nothing was written.
+    assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn grid_reaches_below_the_vr20_corner() {
+    let dir = scratch_dir("below-vr20");
+    let out = tei(
+        &dir,
+        &[
+            "sweep",
+            "--benchmark",
+            "sobel",
+            "--vdd-min",
+            "0.80",
+            "--grid",
+            "3",
+            "--runs",
+            "4",
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("results/sweep-sobel.json")).expect("result");
+    let result: Sweep = serde_json::from_str(&text).expect("sweep JSON");
+    assert_eq!(result.grid.len(), 3);
+    assert_eq!(result.grid[0].vdd, 0.80);
+    assert!(result.grid[0].derating_factor > result.grid[1].derating_factor);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn vdd_range_outside_threshold_to_nominal_is_a_usage_error() {
+    let dir = scratch_dir("range");
+    for flag in [["--vdd-min", "0.5"], ["--vdd-max", "1.2"]] {
+        let mut args = vec!["sweep", "--benchmark", "sobel"];
+        args.extend(flag);
+        let out = tei(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(stderr.contains("0.5 V < --vdd-min"), "{flag:?}: {stderr}");
+    }
     assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

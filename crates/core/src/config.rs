@@ -57,18 +57,23 @@ pub fn full_scale() -> bool {
 }
 
 /// Injection runs per (benchmark, model, VR) cell. Paper: 1068 (3 % margin,
-/// 95 % confidence); default scaled down for laptop runtimes. Override with
-/// `TEI_RUNS`.
+/// 95 % confidence); default scaled down for laptop runtimes.
 pub fn default_runs() -> usize {
-    let fallback = if full_scale() { 1068 } else { 120 };
-    env_usize("TEI_RUNS", fallback)
+    if full_scale() {
+        1068
+    } else {
+        120
+    }
 }
 
 /// Operand pairs per instruction type for model development DTA. Paper: 1 M
-/// per type; default scaled down. Override with `TEI_DTA_SAMPLES`.
+/// per type; default scaled down.
 pub fn default_dta_samples() -> usize {
-    let fallback = if full_scale() { 1_000_000 } else { 20_000 };
-    env_usize("TEI_DTA_SAMPLES", fallback)
+    if full_scale() {
+        1_000_000
+    } else {
+        20_000
+    }
 }
 
 /// Worker threads for sharded DTA campaigns and per-op model building.
@@ -77,14 +82,6 @@ pub fn default_dta_samples() -> usize {
 pub fn default_threads() -> usize {
     let fallback = std::thread::available_parallelism().map_or(4, |n| n.get());
     env_usize("TEI_THREADS", fallback).max(1)
-}
-
-/// Directory for durable campaign journals. Override with
-/// `TEI_JOURNAL_DIR`; defaults to `journal/`.
-pub fn default_journal_dir() -> std::path::PathBuf {
-    std::env::var_os("TEI_JOURNAL_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("journal"))
 }
 
 /// Upper sanity bound for `TEI_THREADS`: beyond this the value is a typo,
@@ -106,9 +103,9 @@ fn validate_knob(name: &str, check: impl Fn(usize) -> Result<(), String>) -> Res
     })
 }
 
-/// Validate the campaign-relevant env knobs **at campaign start**: a
-/// durable sweep refuses to launch on a malformed `TEI_THREADS` or
-/// `TEI_RUNS` rather than silently running with defaults for hours.
+/// Validate the campaign-relevant env knob **at campaign start**: a
+/// durable sweep refuses to launch on a malformed `TEI_THREADS` rather
+/// than silently running with defaults for hours.
 ///
 /// # Errors
 ///
@@ -119,13 +116,6 @@ pub fn validate_env() -> Result<(), TeiError> {
             Err("must be at least 1".into())
         } else if n > MAX_THREADS {
             Err(format!("{n} exceeds the sanity cap of {MAX_THREADS}"))
-        } else {
-            Ok(())
-        }
-    })?;
-    validate_knob("TEI_RUNS", |n| {
-        if n == 0 {
-            Err("must be at least 1".into())
         } else {
             Ok(())
         }
@@ -174,6 +164,9 @@ mod tests {
             (["TEI_", "SURROGATE"].concat(), "filter"),
             (["TEI_", "FABRIC_TICK"].concat(), "50"),
             (["TEI_", "LEASE_TIMEOUT"].concat(), "5"),
+            (["TEI_", "RUNS"].concat(), "0"),
+            (["TEI_", "DTA_SAMPLES"].concat(), "96"),
+            (["TEI_", "JOURNAL_DIR"].concat(), "elsewhere"),
         ];
         for (name, value) in &retired {
             std::env::set_var(name, value);
@@ -189,6 +182,8 @@ mod tests {
             fabric.lease_timeout,
             crate::fabric::coordinator::DEFAULT_LEASE_TIMEOUT
         );
+        assert_eq!(crate::CampaignConfig::default().runs, 120);
+        assert_eq!(default_dta_samples(), 20_000);
         assert!(validate_env().is_ok());
         for (name, _) in &retired {
             std::env::remove_var(name);

@@ -1394,11 +1394,6 @@ pub fn default_bank() -> (FpuBank, FpuTimingSpec) {
     (bank, spec)
 }
 
-/// The default DTA sample budget (see [`config::default_dta_samples`]).
-pub fn dta_samples() -> usize {
-    config::default_dta_samples()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -167,7 +167,7 @@ impl fmt::Display for TeiError {
                 f,
                 "journal {} belongs to a different campaign \
                  (manifest {found:#018x}, expected {expected:#018x}); \
-                 delete it or point TEI_JOURNAL_DIR elsewhere",
+                 delete it or pass another --journal-dir",
                 path.display()
             ),
             TeiError::DiskFull {
@@ -267,7 +267,7 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("different campaign"));
-        assert!(msg.contains("TEI_JOURNAL_DIR"));
+        assert!(msg.contains("--journal-dir"));
         assert!(TeiError::Interrupted {
             completed: 3,
             requested: 10

@@ -46,7 +46,7 @@
 //! let golden = campaign::GoldenRun::capture(&bench, 8 << 20, u64::MAX)?;
 //! let cfg = campaign::CampaignConfig::default();
 //! let result = campaign::run_campaign_durable(
-//!     "sobel", &golden, &wa, &cfg, &tei_core::config::default_journal_dir())?;
+//!     "sobel", &golden, &wa, &cfg, std::path::Path::new("journal"))?;
 //! println!("AVM = {:.3}", result.avm());
 //! # Ok(())
 //! # }

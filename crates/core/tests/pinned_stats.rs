@@ -178,8 +178,8 @@ fn twelve_level_sobel_campaign_is_pinned() {
 /// campaign over 4,096 pairs (seed 1), then a sampled campaign over
 /// every third transition of the same stream (one seam per sample).
 const DMUL_LEVEL_HASHES: [u64; 2] = pin(
-    [0xda00_a6d1_48dd_2432, 0xc1f9_7b22_dd7c_2925],
-    [0x7100_2ca9_c057_c64b, 0xdec4_99d5_839b_11fe],
+    [0x692b_2418_a112_9feb, 0xc62a_2ff1_8320_4d5d],
+    [0xa8ee_9525_e2ee_2a9f, 0x23d8_316f_b2ee_5b90],
 );
 
 #[test]

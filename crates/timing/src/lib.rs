@@ -24,9 +24,8 @@
 //! * [`EventSim`] — exact event-driven timed simulation with transport
 //!   delays (models glitches); the reference engine the fast one is
 //!   validated against.
-//! * [`VoltageReduction`] / [`InterpolatedDerating`] — the alpha-power-law
-//!   supply-voltage derating used to model VR15/VR20 corners and
-//!   continuous-Vdd sweeps.
+//! * [`VoltageReduction`] — the alpha-power-law supply-voltage derating,
+//!   one law for the VR15/VR20 corners and continuous-Vdd sweeps alike.
 //!
 //! A DTA step is one consecutive input pair: the bits a register latches
 //! at the derated corner are [`TwoVectorResult::latched`] at
@@ -61,7 +60,7 @@ pub mod surrogate;
 
 pub use codegen::{transpose64, DynProgram, SettlePlan, SpecializedKernel};
 pub use compiled::CompiledNetlist;
-pub use derating::{AlphaPowerLaw, InterpolatedDerating, VoltageReduction};
+pub use derating::{VoltageReduction, V_NOMINAL, V_THRESHOLD};
 pub use event::{EventSim, EventSimResult, FanoutTable};
 pub use sim::{ArrivalSim, TwoVectorResult};
 pub use sta::{PathCensus, PathInfo, Sta};

@@ -58,7 +58,7 @@ fn main() {
         VoltageReduction::Nominal,
         VoltageReduction::VR15,
         VoltageReduction::VR20,
-        VoltageReduction::Custom(0.25),
+        VoltageReduction::Vdd(0.825),
     ] {
         // Bit i of the mask: result bit i latches a stale value.
         let k = vr.derating_factor();

@@ -6,7 +6,7 @@
 //! ```
 
 use tei::core::{campaign, dev, power, StatModel, TeiError};
-use tei::timing::VoltageReduction;
+use tei::timing::{VoltageReduction, V_NOMINAL};
 use tei::workloads::{build, BenchmarkId, Scale};
 
 fn main() -> Result<(), TeiError> {
@@ -40,13 +40,13 @@ fn main() -> Result<(), TeiError> {
     };
     let mut avm_points = Vec::new();
     for pct in [5usize, 10, 12, 15, 18, 20, 22] {
-        let vr = VoltageReduction::Custom(pct as f64 / 100.0);
+        let vr = VoltageReduction::Vdd(V_NOMINAL * (1.0 - pct as f64 / 100.0));
         let wa = StatModel::workload_aware(&bank, &spec, vr, &trace, samples)?;
         let er = campaign::model_error_ratio(&wa, &golden);
         let r = campaign::run_campaign(id.name(), &golden, &wa, &cfg);
         println!(
             "{:>6} {:>7.3}V {:>10.2e} {:>8.3} {:>13.1}%",
-            vr.label(),
+            format!("VR{pct:02}"),
             vr.vdd(),
             er,
             r.avm(),

@@ -1,0 +1,97 @@
+//! Guard against knob creep: every `TEI_*` environment name the code
+//! spells as a string literal is one of a fixed, documented set. A new
+//! name has to be added here on purpose, next to the reason it earns
+//! its place.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+
+/// The environment names the workspace reads.
+const KNOBS: [&str; 5] = [
+    // Worker threads for DTA, model building and campaigns.
+    "TEI_THREADS",
+    // Paper-scale experiment sizing.
+    "TEI_FULL",
+    // Seeded failpoint schedules (the `failpoints` feature).
+    "TEI_FAILPOINTS",
+    // The CI thread-scaling gate in the `dta_throughput` bench.
+    "TEI_SCALING_SMOKE",
+    // Runs per cell of the `fabric` bench.
+    "TEI_FABRIC_BENCH_RUNS",
+];
+
+/// Names that only tests spell, for knobs no code reads.
+const TEST_ONLY: [&str; 2] = ["TEI_TEST_BAD_KNOB", "TEI_SURELY_UNSET_VAR_12345"];
+
+/// Directories under the scanned roots that hold no workspace code of
+/// their own (the benchmark package has its own manifest and build).
+const SKIPPED: [&str; 3] = ["vendor", "target", "crates/bench/examples/benchmark"];
+
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        let rel = path.strip_prefix(root).expect("path under the root");
+        if SKIPPED
+            .iter()
+            .any(|s| rel == Path::new(s) || rel.file_name() == Some(s.as_ref()))
+        {
+            continue;
+        }
+        if path.is_dir() {
+            rust_files(root, &path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `"TEI_[A-Z0-9_]+"` string literal in `src`.
+fn knob_literals(src: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut rest = src;
+    while let Some(at) = rest.find("\"TEI_") {
+        let tail = &rest[at + 1..];
+        let len = tail
+            .bytes()
+            .take_while(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || *b == b'_')
+            .count();
+        if len > "TEI_".len() && tail.as_bytes().get(len) == Some(&b'"') {
+            found.push(tail[..len].to_string());
+        }
+        rest = &tail[len..];
+    }
+    found
+}
+
+#[test]
+fn only_the_known_tei_names_are_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let this_file = root.join(file!());
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_files(root, &root.join(dir), &mut files);
+    }
+    let mut seen = BTreeSet::new();
+    for path in files.iter().filter(|p| **p != this_file) {
+        let src = std::fs::read_to_string(path).expect("readable source");
+        for name in knob_literals(&src) {
+            seen.insert(name);
+        }
+    }
+    let expected: BTreeSet<String> = KNOBS
+        .iter()
+        .chain(&TEST_ONLY)
+        .map(|s| s.to_string())
+        .collect();
+    assert_eq!(
+        seen, expected,
+        "the set of TEI_* names changed: retire the new name or list it here"
+    );
+}
+
+#[test]
+fn literal_scan_finds_whole_names_only() {
+    let src = r#"env("TEI_THREADS"); ["TEI_", "RUNS"]; "TEI_lower"; "XTEI_A""#;
+    assert_eq!(knob_literals(src), ["TEI_THREADS"]);
+}
