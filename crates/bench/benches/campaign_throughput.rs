@@ -85,12 +85,18 @@ struct ReplayProfile {
 
 impl ReplayProfile {
     fn measure(bench: &Benchmark, golden: &GoldenRun, model: &DaModel, runs: usize) -> Self {
-        let mut op_of = vec![FpOp::all()[0]; golden.fp_ops as usize];
-        for op in FpOp::all() {
-            for &i in &golden.arch_by_op[op.index()] {
-                op_of[i as usize] = op;
-            }
-        }
+        // The op of an architectural FP index: the one whose sorted index
+        // list holds it.
+        let op_at = |target: u64| {
+            FpOp::all()
+                .into_iter()
+                .find(|op| {
+                    golden.arch_by_op[op.index()]
+                        .binary_search(&(target as u32))
+                        .is_ok()
+                })
+                .expect("every architectural index belongs to one op")
+        };
         let squashed: u64 = golden.squashed_by_op.iter().sum();
         let budget = (golden.instructions as f64 * cfg_for(0, ReplayMode::default()).timeout_factor)
             .ceil() as u64;
@@ -104,7 +110,7 @@ impl ReplayProfile {
                 p.wrong_path += 1;
                 continue;
             }
-            let mask = model.sample_mask(op_of[target as usize], &mut rng);
+            let mask = model.sample_mask(op_at(target), &mut rng);
             let start = pool.nearest(target).instructions();
             let end = match pool.run_injected(&mut core, budget, target, mask).exit {
                 InjectedExit::Converged { instructions, .. } => {

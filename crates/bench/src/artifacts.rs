@@ -4,9 +4,12 @@
 //! Each operand stream is walked once for both corners: the IA pairs in
 //! one [`dev::per_op_stats`] walk per run, each benchmark's trace in one
 //! per benchmark. Models are built from those cached statistics.
+//!
+//! Cached values are lent out as shared [`Arc`] handles, never deep-copied:
+//! a paper-scale trace holds up to a million pairs per op.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tei_core::{
     campaign::GoldenRun, dev, DaCalibration, DaModel, MaskSampling, ModelKind, OpErrorStats,
     StatModel, TeiError,
@@ -26,10 +29,10 @@ pub struct Artifacts {
     scale: Scale,
     bank: (FpuBank, FpuTimingSpec),
     benches: Mutex<BTreeMap<BenchmarkId, Benchmark>>,
-    goldens: Mutex<BTreeMap<BenchmarkId, GoldenRun>>,
-    traces: Mutex<BTreeMap<BenchmarkId, dev::TraceSet>>,
-    ia: Mutex<Option<CornerStats>>,
-    wa: Mutex<BTreeMap<BenchmarkId, CornerStats>>,
+    goldens: Mutex<BTreeMap<BenchmarkId, Arc<GoldenRun>>>,
+    traces: Mutex<BTreeMap<BenchmarkId, Arc<dev::TraceSet>>>,
+    ia: Mutex<Option<Arc<CornerStats>>>,
+    wa: Mutex<BTreeMap<BenchmarkId, Arc<CornerStats>>>,
     da_cal: Mutex<Option<DaCalibration>>,
 }
 
@@ -109,32 +112,37 @@ impl Artifacts {
     /// # Errors
     ///
     /// Propagates [`GoldenRun::capture`] failures.
-    pub fn golden(&self, id: BenchmarkId) -> Result<GoldenRun, TeiError> {
+    pub fn golden(&self, id: BenchmarkId) -> Result<Arc<GoldenRun>, TeiError> {
         if let Some(g) = self.goldens.lock().expect("goldens lock").get(&id) {
-            return Ok(g.clone());
+            return Ok(Arc::clone(g));
         }
         eprintln!("[artifacts] golden run of {id} ...");
         let bench = self.bench(id);
-        let g = GoldenRun::capture(&bench, MEM, u64::MAX)?;
+        let g = Arc::new(GoldenRun::capture(&bench, MEM, u64::MAX)?);
         self.goldens
             .lock()
             .expect("goldens lock")
-            .insert(id, g.clone());
+            .insert(id, Arc::clone(&g));
         Ok(g)
     }
 
     /// The operand trace of a benchmark (cached; capped at the DTA budget).
-    pub fn trace(&self, id: BenchmarkId) -> dev::TraceSet {
+    pub fn trace(&self, id: BenchmarkId) -> Arc<dev::TraceSet> {
         if let Some(t) = self.traces.lock().expect("traces lock").get(&id) {
-            return t.clone();
+            return Arc::clone(t);
         }
         eprintln!("[artifacts] operand trace of {id} ...");
         let bench = self.bench(id);
-        let t = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, self.dta_samples());
+        let t = Arc::new(dev::TraceSet::capture(
+            &bench.program,
+            MEM,
+            u64::MAX,
+            self.dta_samples(),
+        ));
         self.traces
             .lock()
             .expect("traces lock")
-            .insert(id, t.clone());
+            .insert(id, Arc::clone(&t));
         t
     }
 
@@ -146,22 +154,23 @@ impl Artifacts {
     /// Propagates model-development failures;
     /// [`TeiError::MissingVrLevel`] for a corner outside [`LEVELS`].
     pub fn ia(&self, vr: VoltageReduction) -> Result<StatModel, TeiError> {
-        model_at(ModelKind::Ia, &self.ia_stats()?, vr)
+        let stats = self.ia_stats()?;
+        model_at(ModelKind::Ia, &stats, vr)
     }
 
     /// The IA statistics at every corner of [`LEVELS`]: one walk over
     /// random operand pairs (cached).
-    fn ia_stats(&self) -> Result<CornerStats, TeiError> {
+    fn ia_stats(&self) -> Result<Arc<CornerStats>, TeiError> {
         if let Some(s) = self.ia.lock().expect("ia lock").as_ref() {
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
         eprintln!("[artifacts] IA-model DTA at VR15 and VR20 ...");
         let (bank, spec) = self.bank();
         let n = self.dta_samples();
-        let s = dev::per_op_stats(bank, spec, &LEVELS, |op| {
+        let s = Arc::new(dev::per_op_stats(bank, spec, &LEVELS, |op| {
             dev::random_operand_pairs(op, n, 0x1A)
-        })?;
-        *self.ia.lock().expect("ia lock") = Some(s.clone());
+        })?);
+        *self.ia.lock().expect("ia lock") = Some(Arc::clone(&s));
         Ok(s)
     }
 
@@ -171,15 +180,15 @@ impl Artifacts {
     /// # Errors
     ///
     /// Propagates model-development failures.
-    pub fn wa_stats(&self, id: BenchmarkId) -> Result<CornerStats, TeiError> {
+    pub fn wa_stats(&self, id: BenchmarkId) -> Result<Arc<CornerStats>, TeiError> {
         if let Some(s) = self.wa.lock().expect("wa lock").get(&id) {
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
         let trace = self.trace(id);
         eprintln!("[artifacts] WA-model DTA for {id} at VR15 and VR20 ...");
         let (bank, spec) = self.bank();
-        let s = dev::per_op_stats(bank, spec, &LEVELS, |op| trace.of(op))?;
-        self.wa.lock().expect("wa lock").insert(id, s.clone());
+        let s = Arc::new(dev::per_op_stats(bank, spec, &LEVELS, |op| trace.of(op))?);
+        self.wa.lock().expect("wa lock").insert(id, Arc::clone(&s));
         Ok(s)
     }
 
@@ -191,7 +200,8 @@ impl Artifacts {
     /// Propagates model-development failures;
     /// [`TeiError::MissingVrLevel`] for a corner outside [`LEVELS`].
     pub fn wa(&self, id: BenchmarkId, vr: VoltageReduction) -> Result<StatModel, TeiError> {
-        model_at(ModelKind::Wa, &self.wa_stats(id)?, vr)
+        let stats = self.wa_stats(id)?;
+        model_at(ModelKind::Wa, &stats, vr)
     }
 
     /// The DA calibration over the pooled benchmark mix (cached):

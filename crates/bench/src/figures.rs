@@ -129,7 +129,7 @@ pub fn fig4(arts: &Artifacts) -> Report {
 pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
     let mut hists = [[0u64; 5]; LEVELS.len()]; // per corner: 1,2,3,4+, total
     for id in BenchmarkId::all() {
-        for (hist, stats) in hists.iter_mut().zip(arts.wa_stats(id)?) {
+        for (hist, stats) in hists.iter_mut().zip(arts.wa_stats(id)?.iter()) {
             for (&k, &v) in stats.iter().flat_map(|s| &s.flip_hist) {
                 hist[k.min(4) - 1] += v;
                 hist[4] += v;

@@ -2,14 +2,16 @@
 //! campaigns (paper Section III.B and V).
 //!
 //! Each campaign cell runs the target benchmark once on the detailed
-//! out-of-order core (golden run, recording the cycle-stamped FP writeback
-//! timeline including wrong-path events) and once functionally (golden
-//! output). Every injection run then draws one FP writeback event from the
-//! timeline weighted by the model's per-instruction error probability;
-//! events on the wrong path classify as microarchitecturally masked, and
-//! architectural events are corrupted in a fast functional replay whose
-//! outcome is classified as Masked / SDC / Crash / Timeout against the
-//! golden output (Section IV.A), with the paper's 2× timeout criterion.
+//! out-of-order core (golden run, counting per operation the FP writebacks
+//! and the commits, whose difference is the wrong-path writebacks) and once
+//! functionally (golden output and the dynamic FP index of every committed
+//! op, by operation). Every injection run then draws an operation weighted
+//! by the model's per-instruction error probability times its writebacks,
+//! then the wrong path with the op's squashed share; a wrong-path draw
+//! classifies as microarchitecturally masked, and otherwise a committed
+//! index of that op is corrupted in a fast functional replay whose outcome
+//! is classified as Masked / SDC / Crash / Timeout against the golden
+//! output (Section IV.A), with the paper's 2× timeout criterion.
 //!
 //! ## Fault tolerance and durability
 //!
@@ -98,9 +100,10 @@ pub struct GoldenRun {
     pub fp_ops: u64,
     /// Error-free detailed-core cycle count.
     pub cycles: u64,
-    /// Committed arch FP indices per operation type.
-    pub arch_by_op: Vec<Vec<u64>>,
-    /// Wrong-path (squashed) FP writebacks per operation type.
+    /// Committed arch FP indices per operation type, in program order.
+    pub arch_by_op: Vec<Vec<u32>>,
+    /// Wrong-path (squashed) FP writebacks per operation type: writebacks
+    /// that reached the detailed core's hook and never committed.
     pub squashed_by_op: Vec<u64>,
     /// Detailed-core statistics of the golden run.
     pub ooo_stats: tei_uarch::OooStats,
@@ -117,7 +120,9 @@ impl GoldenRun {
     /// # Errors
     ///
     /// [`TeiError::GoldenRun`] if the error-free benchmark does not
-    /// complete successfully or the two cores disagree.
+    /// complete successfully, the two cores disagree on the output or on
+    /// the committed FP ops of any operation type, or the run has more FP
+    /// ops than a `u32` index holds.
     pub fn capture(bench: &Benchmark, mem_bytes: usize, max_cycles: u64) -> Result<Self, TeiError> {
         Self::capture_with_checkpoints(bench, mem_bytes, max_cycles, 0)
     }
@@ -147,13 +152,14 @@ impl GoldenRun {
         let mut func = FuncCore::with_memory(&bench.program, mem_bytes);
         let mut recorder = CheckpointRecorder::try_new(&func, checkpoint_interval)
             .map_err(|e| fail(e.to_string()))?;
-        let mut op_of: Vec<FpOp> = Vec::new();
+        let mut arch_by_op: Vec<Vec<u32>> = vec![Vec::new(); 12];
+        let mut next_index = Some(0u32);
         // Manual run loop so checkpoints are captured at instruction
         // boundaries whenever the FP-op counter crosses the next mark.
         let exit = loop {
             recorder.observe(&func);
             match func.step(&mut |ev| {
-                op_of.push(ev.op);
+                push_arch_index(&mut arch_by_op, &mut next_index, ev.op);
                 ev.result
             }) {
                 Ok(None) => {}
@@ -164,19 +170,24 @@ impl GoldenRun {
         if !matches!(exit, ExitReason::Halted | ExitReason::Exited(0)) {
             return Err(fail(format!("functional run exited with {exit:?}")));
         }
-        if func.output != ooo.output {
+        if next_index.is_none() {
+            return Err(fail(format!(
+                "{} FP ops exceed the u32 index range",
+                func.fp_ops()
+            )));
+        }
+        let stats = &ooo.stats;
+        let same_fp_mix = arch_by_op
+            .iter()
+            .zip(stats.fp_committed_by_op)
+            .all(|(arch, committed)| arch.len() as u64 == committed);
+        if func.output != ooo.output || !same_fp_mix {
             return Err(fail("core disagreement in golden run".to_string()));
         }
-        let mut arch_by_op: Vec<Vec<u64>> = vec![Vec::new(); 12];
-        for (i, op) in op_of.iter().enumerate() {
-            arch_by_op[op.index()].push(i as u64);
-        }
-        let mut squashed_by_op = vec![0u64; 12];
-        for ev in &ooo.fp_timeline {
-            if ev.arch_index.is_none() {
-                squashed_by_op[ev.op.index()] += 1;
-            }
-        }
+        let squashed_by_op = (stats.fp_written_back_by_op.iter())
+            .zip(stats.fp_committed_by_op)
+            .map(|(&written_back, committed)| written_back - committed)
+            .collect();
         Ok(GoldenRun {
             program: bench.program.clone(),
             mem_bytes,
@@ -189,6 +200,15 @@ impl GoldenRun {
             ooo_stats: ooo.stats.clone(),
             checkpoints: recorder.finish(),
         })
+    }
+}
+
+/// Append the next dynamic FP index to `op`'s list. `next` turns `None`
+/// once the indices leave the `u32` range, and nothing is appended after.
+fn push_arch_index(arch_by_op: &mut [Vec<u32>], next: &mut Option<u32>, op: FpOp) {
+    if let Some(i) = *next {
+        arch_by_op[op.index()].push(i);
+        *next = i.checked_add(1);
     }
 }
 
@@ -536,7 +556,7 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
         if rng.gen_range(0..arch_count + squashed) >= arch_count {
             return Draw::WrongPath;
         }
-        let target = golden.arch_by_op[op_idx][rng.gen_range(0..arch_count as usize)];
+        let target = u64::from(golden.arch_by_op[op_idx][rng.gen_range(0..arch_count as usize)]);
         let mask = self.model.sample_mask(op, &mut rng);
         debug_assert_ne!(mask, 0, "models must produce non-empty masks");
         Draw::Inject { target, mask }
@@ -1421,6 +1441,23 @@ mod tests {
         .expect("synthetic sweep");
         assert!(interrupted);
         assert_eq!(executed.get(), 1, "no run after the dropped batch");
+    }
+
+    #[test]
+    fn arch_indices_stop_at_the_u32_range() {
+        let [a, b] = [FpOp::all()[0], FpOp::all()[1]];
+        let mut by_op = vec![Vec::new(); 12];
+        let mut next = Some(u32::MAX - 1);
+        for op in [a, b, a, b] {
+            push_arch_index(&mut by_op, &mut next, op);
+        }
+        assert_eq!(next, None, "the index range is used up");
+        assert_eq!(by_op[a.index()], vec![u32::MAX - 1]);
+        assert_eq!(
+            by_op[b.index()],
+            vec![u32::MAX],
+            "nothing after the last index"
+        );
     }
 
     /// cg at Small scale replays ~10^5 instructions per checkpointed run,

@@ -229,6 +229,64 @@ fn golden_run_records_microarchitectural_events() {
     );
 }
 
+/// Per benchmark at Test scale: the golden run's committed FP ops per
+/// operation (the lengths of `arch_by_op`) and its wrong-path writebacks
+/// per operation (`squashed_by_op`).
+const GOLDEN_FP_MIX: [(BenchmarkId, [u64; 12], [u64; 12]); 7] = [
+    (
+        BenchmarkId::Sobel,
+        [560, 0, 640, 480, 160, 80, 0, 0, 0, 0, 0, 0],
+        [0; 12],
+    ),
+    (
+        BenchmarkId::Cg,
+        [1173, 96, 1264, 29, 1, 2, 0, 0, 0, 0, 0, 0],
+        [0; 12],
+    ),
+    (
+        BenchmarkId::Kmeans,
+        [1000, 1200, 1200, 30, 15, 0, 0, 0, 0, 0, 0, 0],
+        [221, 440, 370, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        BenchmarkId::SradV1,
+        [2352, 867, 2115, 729, 3, 80, 0, 0, 0, 0, 0, 0],
+        [155, 108, 139, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        BenchmarkId::Hotspot,
+        [1536, 384, 656, 0, 0, 80, 0, 0, 0, 0, 0, 0],
+        [0; 12],
+    ),
+    (
+        BenchmarkId::Is,
+        [1280, 2048, 7168, 0, 2048, 2304, 0, 0, 0, 0, 0, 0],
+        [0; 12],
+    ),
+    (
+        BenchmarkId::Mg,
+        [4738, 684, 623, 5, 0, 1, 0, 0, 0, 0, 0, 0],
+        [0; 12],
+    ),
+];
+
+#[test]
+fn golden_run_fp_mix_is_pinned() {
+    for (id, committed, squashed) in GOLDEN_FP_MIX {
+        let bench = build(id, Scale::Test);
+        let golden = campaign::GoldenRun::capture(&bench, MEM, u64::MAX).unwrap();
+        let lens: Vec<u64> = golden.arch_by_op.iter().map(|v| v.len() as u64).collect();
+        assert_eq!(lens, committed, "{id}: arch_by_op lengths");
+        assert_eq!(golden.squashed_by_op, squashed, "{id}: squashed_by_op");
+        // The capture cross-checked the detailed core's per-op commits.
+        assert_eq!(golden.ooo_stats.fp_committed_by_op, committed, "{id}");
+        // Indices are the functional pass's dynamic FP order.
+        let mut all: Vec<u32> = golden.arch_by_op.concat();
+        all.sort_unstable();
+        assert!(all.iter().copied().eq(0..golden.fp_ops as u32), "{id}");
+    }
+}
+
 #[test]
 fn models_serialize_roundtrip() {
     let (bank, spec) = bank();

@@ -5,9 +5,9 @@
 //! sharing one set of instruction semantics so they can never diverge.
 //!
 //! The detailed core exposes the paper's injection surface: a hook at every
-//! FP-unit writeback (destination-register `ORd` values), a cycle-stamped
-//! FP writeback timeline with wrong-path (squashed) markers, and precise
-//! Crash/Timeout detection.
+//! FP-unit writeback (destination-register `ORd` values), per-operation
+//! counts of FP writebacks and commits (their difference is the wrong-path,
+//! squashed, writebacks), and precise Crash/Timeout detection.
 //!
 //! ## Example
 //!
@@ -36,7 +36,7 @@ mod snapshot;
 pub use arch::{ArchState, ExitReason, FpEvent, RunResult, Trap};
 pub use func::FuncCore;
 pub use mem::{MemFault, Memory, PAGE_BYTES};
-pub use ooo::{FpTimelineEvent, OooConfig, OooCore, OooStats};
+pub use ooo::{OooConfig, OooCore, OooStats};
 pub use sem::{write_kind, DestKind};
 pub use snapshot::{
     CheckpointPool, CheckpointRecorder, InjectedExit, InjectedRun, Snapshot, StaleCoreError,

@@ -173,26 +173,10 @@ struct RobEntry {
     actual_next: Option<usize>,
     /// Speculative FP dynamic index (program order at dispatch).
     fp_index: Option<u64>,
-    /// Position of this entry's writeback event on the FP timeline.
-    timeline_pos: usize,
     /// Sources still waiting on an in-flight producer.
     pending: u8,
     /// Saved rename-map entry for squash recovery.
     prev_map: Option<(DestKind, Option<Tag>)>,
-}
-
-/// One FP writeback recorded on the run's timeline; the golden run counts
-/// the wrong-path (squashed) ones per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FpTimelineEvent {
-    /// Cycle of the FP unit writeback.
-    pub cycle: u64,
-    /// Speculative (dispatch-order) FP index.
-    pub spec_index: u64,
-    /// The operation.
-    pub op: tei_softfloat::FpOp,
-    /// Architectural FP index, `None` if the op was squashed (wrong path).
-    pub arch_index: Option<u64>,
 }
 
 /// Run statistics of the detailed core.
@@ -212,6 +196,19 @@ pub struct OooStats {
     pub fp_committed: u64,
     /// FP writebacks that happened on the wrong path (squashed).
     pub fp_squashed: u64,
+    /// FP writebacks that reached the hook, per [`FpOp::index`]: every
+    /// modeled FP op that wrote back without an exception, on either
+    /// path.
+    ///
+    /// [`FpOp::index`]: tei_softfloat::FpOp::index
+    pub fp_written_back_by_op: [u64; 12],
+    /// Committed FP operations per [`FpOp::index`]. Written back minus
+    /// committed is the op's wrong-path writebacks, counting any still in
+    /// flight when the run ended (unlike [`OooStats::fp_squashed`], which
+    /// also counts squashed ops that trapped and never reached the hook).
+    ///
+    /// [`FpOp::index`]: tei_softfloat::FpOp::index
+    pub fp_committed_by_op: [u64; 12],
 }
 
 /// The detailed out-of-order core.
@@ -263,8 +260,6 @@ pub struct OooCore {
     // Data cache tags (direct mapped, 64-byte lines).
     cache_tags: Vec<Option<u64>>,
 
-    /// Per-run FP writeback timeline.
-    pub fp_timeline: Vec<FpTimelineEvent>,
     /// Statistics.
     pub stats: OooStats,
     exit: Option<ExitReason>,
@@ -306,7 +301,6 @@ impl OooCore {
             fpu_busy_until: 0,
             int_div_busy_until: 0,
             cache_tags: vec![None; cfg.cache_lines],
-            fp_timeline: Vec::new(),
             stats: OooStats::default(),
             exit: None,
             cfg,
@@ -442,13 +436,10 @@ impl OooCore {
             if let Some(n) = e.actual_next {
                 self.state.pc = n;
             }
-            if e.fp_index.is_some() {
-                // Mark the timeline event architectural.
-                if let Some(ev) = self.fp_timeline.get_mut(e.timeline_pos) {
-                    ev.arch_index = Some(self.fp_commit_count);
-                }
+            if let Some(op) = e.instr.fp_op() {
                 self.fp_commit_count += 1;
                 self.stats.fp_committed += 1;
+                self.stats.fp_committed_by_op[op.index()] += 1;
             }
             if e.actual_next.is_none() {
                 self.state.pc = e.pc + 1;
@@ -516,13 +507,7 @@ impl OooCore {
                     b,
                     result: value,
                 };
-                self.entry_mut(tag).timeline_pos = self.fp_timeline.len();
-                self.fp_timeline.push(FpTimelineEvent {
-                    cycle,
-                    spec_index: spec,
-                    op,
-                    arch_index: None,
-                });
+                self.stats.fp_written_back_by_op[op.index()] += 1;
                 value = fp_hook(&ev);
             }
             let done = self.entry_mut(tag);
@@ -604,9 +589,9 @@ impl OooCore {
             }
             if let Some(fi) = e.fp_index {
                 min_fp = Some(min_fp.map_or(fi, |m: u64| m.min(fi)));
-                // Events already written back on the wrong path stay on the
-                // timeline with arch_index = None (microarchitectural
-                // masking); entries squashed before writeback logged nothing.
+                // Ops already written back on the wrong path stay counted in
+                // `fp_written_back_by_op` but never commit (microarchitectural
+                // masking); entries squashed before writeback counted nothing.
                 if e.stage == Stage::Done {
                     self.stats.fp_squashed += 1;
                 }
@@ -952,7 +937,6 @@ impl OooCore {
             done_at: self.cycle,
             actual_next: None,
             fp_index,
-            timeline_pos: 0,
             pending,
             prev_map: prev,
         };

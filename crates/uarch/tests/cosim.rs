@@ -194,8 +194,6 @@ fn fp_zero_by_zero_traps_before_writeback_in_both_precisions() {
             7.0f64.to_bits(),
             "{name}: detailed wrote back"
         );
-        let committed = ooo.fp_timeline.iter().filter(|e| e.arch_index.is_some());
-        assert_eq!(committed.count(), 1, "{name}: detailed timeline");
     }
 }
 
@@ -254,8 +252,28 @@ fn mispredicts_squash_and_recover() {
     assert_eq!(func.state.x(Reg::T1), ooo.state.x(Reg::T1));
 }
 
+/// Run `prog` on both cores and return the detailed core's per-op FP
+/// writebacks minus commits, after requiring its per-op commits to equal
+/// the functional core's per-op FP counts.
+fn wrong_path_fp_writebacks(prog: &Program) -> [u64; 12] {
+    let mut func = FuncCore::with_memory(prog, 1 << 16);
+    let mut by_op = [0u64; 12];
+    let fr = func.run_with_hook(1_000_000, &mut |ev| {
+        by_op[ev.op.index()] += 1;
+        ev.result
+    });
+    assert_eq!(fr.exit, ExitReason::Halted);
+    let mut ooo = OooCore::with_memory(prog, OooConfig::default(), 1 << 16);
+    assert_eq!(ooo.run(10_000_000).exit, ExitReason::Halted);
+    let s = &ooo.stats;
+    assert_eq!(s.fp_committed_by_op, by_op, "committed FP ops per op");
+    assert_eq!(s.fp_committed, fr.fp_ops);
+    std::array::from_fn(|i| s.fp_written_back_by_op[i] - s.fp_committed_by_op[i])
+}
+
 #[test]
-fn fp_timeline_records_committed_ops_in_order() {
+fn fp_writebacks_and_commits_are_counted_per_op() {
+    // Straight-line FP code: every writeback commits.
     let mut p = ProgramBuilder::new();
     p.fli(FReg::F1, 1.5, Reg::T0);
     p.fli(FReg::F2, 2.5, Reg::T0);
@@ -264,21 +282,28 @@ fn fp_timeline_records_committed_ops_in_order() {
         p.fadd_d(FReg::F1, FReg::F3, FReg::F2);
     }
     p.halt();
-    let prog = p.finish();
-    let mut ooo = OooCore::with_memory(&prog, OooConfig::default(), 1 << 16);
-    let r = ooo.run(100_000);
-    assert_eq!(r.exit, ExitReason::Halted);
-    let committed: Vec<u64> = ooo
-        .fp_timeline
-        .iter()
-        .filter_map(|e| e.arch_index)
-        .collect();
-    assert_eq!(committed.len(), 10);
-    let mut sorted = committed.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, (0..10).collect::<Vec<_>>(), "each arch index once");
-    // Cycles are monotome per arch order after sorting by arch index.
-    assert!(ooo.fp_timeline.iter().all(|e| e.cycle < ooo.stats.cycles));
+    assert_eq!(wrong_path_fp_writebacks(&p.finish()), [0; 12]);
+
+    // An alternating branch that resolves behind a slow remainder, with
+    // independent FP ops on its fall-through side: mispredicted
+    // iterations write them back on the wrong path before the squash.
+    let mut p = ProgramBuilder::new();
+    p.li(Reg::S2, 200);
+    p.li(Reg::S3, 2);
+    p.fli(FReg::F1, 1.5, Reg::T0);
+    p.fli(FReg::F2, 2.5, Reg::T0);
+    let head = p.here();
+    p.rem(Reg::T2, Reg::S2, Reg::S3);
+    let odd = p.label();
+    p.bne(Reg::T2, Reg::ZERO, odd);
+    p.fadd_d(FReg::F3, FReg::F1, FReg::F2);
+    p.fmul_d(FReg::F4, FReg::F1, FReg::F2);
+    p.bind(odd);
+    p.addi(Reg::S2, Reg::S2, -1);
+    p.bne(Reg::S2, Reg::ZERO, head);
+    p.halt();
+    let squashed = wrong_path_fp_writebacks(&p.finish());
+    assert!(squashed.iter().sum::<u64>() > 0, "{squashed:?}");
 }
 
 #[test]
@@ -417,6 +442,19 @@ fn stall_program() -> Program {
     p.finish()
 }
 
+/// Run `core` up to `max_cycles`, appending each FP writeback hook call's
+/// (speculative index, op index, result bits) to `stream`.
+fn run_recording(
+    core: &mut OooCore,
+    max_cycles: u64,
+    stream: &mut Vec<(u64, usize, u64)>,
+) -> RunResult {
+    core.run_with_hook(max_cycles, &mut |ev| {
+        stream.push((ev.index, ev.op.index(), ev.result));
+        ev.result
+    })
+}
+
 #[test]
 fn run_limits_inside_stalls_are_exact_and_resumable() {
     let cfg = OooConfig {
@@ -425,7 +463,10 @@ fn run_limits_inside_stalls_are_exact_and_resumable() {
     };
     let prog = stall_program();
     let mut whole = OooCore::with_memory(&prog, cfg.clone(), 1 << 16);
-    assert_eq!(whole.run(u64::MAX).exit, ExitReason::Halted);
+    let mut whole_stream = Vec::new();
+    let r = run_recording(&mut whole, u64::MAX, &mut whole_stream);
+    assert_eq!(r.exit, ExitReason::Halted);
+    assert!(!whole_stream.is_empty());
     let total = whole.stats.cycles;
     assert!(
         total > 4 * 20 + 4 * 200,
@@ -433,17 +474,15 @@ fn run_limits_inside_stalls_are_exact_and_resumable() {
     );
     for max in 1..total {
         let mut core = OooCore::with_memory(&prog, cfg.clone(), 1 << 16);
-        let r = core.run(max);
+        let mut stream = Vec::new();
+        let r = run_recording(&mut core, max, &mut stream);
         assert_eq!(r.exit, ExitReason::Limit, "run({max})");
         assert_eq!(core.stats.cycles, max, "run({max}) stops at its limit");
         assert_eq!(core.cycle(), max);
-        let r = core.run(u64::MAX);
+        let r = run_recording(&mut core, u64::MAX, &mut stream);
         assert_eq!(r.exit, ExitReason::Halted, "run({max}) then run(MAX)");
         assert_eq!(core.stats, whole.stats, "stats after run({max})");
         assert_eq!(core.output, whole.output, "output after run({max})");
-        assert_eq!(
-            core.fp_timeline, whole.fp_timeline,
-            "timeline after run({max})"
-        );
+        assert_eq!(stream, whole_stream, "hook stream after run({max})");
     }
 }

@@ -5,7 +5,7 @@
 #[path = "../../uarch/tests/support/mod.rs"]
 mod support;
 
-use tei_uarch::{FpTimelineEvent, FuncCore, OooConfig, OooCore, OooStats};
+use tei_uarch::{FuncCore, OooConfig, OooCore, OooStats};
 use tei_workloads::{build, native_output, BenchmarkId, Scale};
 
 fn check(id: BenchmarkId, scale: Scale) {
@@ -116,24 +116,10 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// FNV-1a over every timeline event's (cycle, spec index, op index, arch
-/// index), arch index `None` hashed as `u64::MAX`.
-fn timeline_hash(timeline: &[FpTimelineEvent]) -> u64 {
-    fnv1a(timeline.iter().flat_map(|e| {
-        [
-            e.cycle,
-            e.spec_index,
-            e.op.index() as u64,
-            e.arch_index.unwrap_or(u64::MAX),
-        ]
-        .into_iter()
-        .flat_map(u64::to_le_bytes)
-    }))
-}
-
 /// Expected detailed-core signature of one benchmark at Test scale: the
 /// full run statistics, then FNV-1a hashes of the output bytes and of the
-/// FP writeback timeline.
+/// FP writeback hook stream: each call's (speculative index, op index,
+/// result bits) as little-endian `u64`s, in call order.
 const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
     (
         BenchmarkId::Sobel,
@@ -145,9 +131,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 2,
             fp_committed: 1920,
             fp_squashed: 0,
+            fp_written_back_by_op: [560, 0, 640, 480, 160, 80, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [560, 0, 640, 480, 160, 80, 0, 0, 0, 0, 0, 0],
         },
         0x4a65103fd9f79de2,
-        0x64bcf1d89092023a,
+        0x97842191b8e77dc5,
     ),
     (
         BenchmarkId::Cg,
@@ -159,9 +147,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 10,
             fp_committed: 2565,
             fp_squashed: 0,
+            fp_written_back_by_op: [1173, 96, 1264, 29, 1, 2, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [1173, 96, 1264, 29, 1, 2, 0, 0, 0, 0, 0, 0],
         },
         0x49b9ef82a22073ca,
-        0x2ad94338a71758b2,
+        0x00825a15cd9ab8d6,
     ),
     (
         BenchmarkId::Kmeans,
@@ -173,9 +163,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 11,
             fp_committed: 3445,
             fp_squashed: 1031,
+            fp_written_back_by_op: [1221, 1640, 1570, 30, 15, 0, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [1000, 1200, 1200, 30, 15, 0, 0, 0, 0, 0, 0, 0],
         },
         0x31d96cc34215019c,
-        0x190b89b70336f3f5,
+        0x4ca5f1f1674343e5,
     ),
     (
         BenchmarkId::SradV1,
@@ -187,9 +179,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 10,
             fp_committed: 6146,
             fp_squashed: 402,
+            fp_written_back_by_op: [2507, 975, 2254, 729, 3, 80, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [2352, 867, 2115, 729, 3, 80, 0, 0, 0, 0, 0, 0],
         },
         0x9fcaf8868754282f,
-        0x091002db9e64b41c,
+        0xfa1161bc2fde4de4,
     ),
     (
         BenchmarkId::Hotspot,
@@ -201,9 +195,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 20,
             fp_committed: 2656,
             fp_squashed: 0,
+            fp_written_back_by_op: [1536, 384, 656, 0, 0, 80, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [1536, 384, 656, 0, 0, 80, 0, 0, 0, 0, 0, 0],
         },
         0xdbc2618006179a5b,
-        0x5522729481b6e123,
+        0xcb815577baec5f34,
     ),
     (
         BenchmarkId::Is,
@@ -215,9 +211,11 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 32,
             fp_committed: 14848,
             fp_squashed: 0,
+            fp_written_back_by_op: [1280, 2048, 7168, 0, 2048, 2304, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [1280, 2048, 7168, 0, 2048, 2304, 0, 0, 0, 0, 0, 0],
         },
         0x8be5712a975277cc,
-        0xe584a88ee70f8dcf,
+        0x0020d62422aa49cc,
     ),
     (
         BenchmarkId::Mg,
@@ -229,18 +227,26 @@ const BENCH_SIGNATURES: [(BenchmarkId, OooStats, u64, u64); 7] = [
             cache_misses: 19,
             fp_committed: 6051,
             fp_squashed: 0,
+            fp_written_back_by_op: [4738, 684, 623, 5, 0, 1, 0, 0, 0, 0, 0, 0],
+            fp_committed_by_op: [4738, 684, 623, 5, 0, 1, 0, 0, 0, 0, 0, 0],
         },
         0xefbed8c04753298e,
-        0xc1760fd3c739df24,
+        0x9f4f812b74de668b,
     ),
 ];
 
 #[test]
 fn detailed_core_signatures_are_pinned() {
-    for (id, stats, output_hash, timeline_hash_expected) in BENCH_SIGNATURES {
+    for (id, stats, output_hash, hook_hash) in BENCH_SIGNATURES {
         let bench = build(id, Scale::Test);
         let mut core = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
-        let r = core.run(u64::MAX);
+        let mut stream = Vec::new();
+        let r = core.run_with_hook(u64::MAX, &mut |ev| {
+            for word in [ev.index, ev.op.index() as u64, ev.result] {
+                stream.extend_from_slice(&word.to_le_bytes());
+            }
+            ev.result
+        });
         assert!(r.exit.is_success(), "{id}: {:?}", r.exit);
         assert_eq!(core.stats, stats, "{id}: stats");
         assert_eq!(
@@ -248,11 +254,7 @@ fn detailed_core_signatures_are_pinned() {
             output_hash,
             "{id}: output"
         );
-        assert_eq!(
-            timeline_hash(&core.fp_timeline),
-            timeline_hash_expected,
-            "{id}: fp timeline"
-        );
+        assert_eq!(fnv1a(stream), hook_hash, "{id}: fp writeback hook stream");
     }
 }
 
