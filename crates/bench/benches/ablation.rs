@@ -161,7 +161,7 @@ fn bench_campaign_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     group.bench_function("da_20_runs_sobel_test", |b| {
-        b.iter(|| campaign::run_campaign("sobel", &golden, &da, &cfg));
+        b.iter(|| campaign::run_campaign_checked("sobel", &golden, &da, &cfg).expect("campaign"));
     });
     group.finish();
 }

@@ -63,7 +63,9 @@ fn runs_per_sec(
     let start = Instant::now();
     let mut total = 0usize;
     loop {
-        criterion::black_box(campaign::run_campaign("bench", golden, model, &cfg));
+        criterion::black_box(
+            campaign::run_campaign_checked("bench", golden, model, &cfg).expect("campaign"),
+        );
         total += runs;
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed >= min_secs {
@@ -150,7 +152,9 @@ fn bench_campaign_throughput(c: &mut Criterion) {
         let tallies: Vec<OutcomeCounts> = MODES
             .iter()
             .map(|&(_, mode)| {
-                campaign::run_campaign("bench", &golden, &da, &cfg_for(runs, mode)).counts
+                campaign::run_campaign_checked("bench", &golden, &da, &cfg_for(runs, mode))
+                    .expect("campaign")
+                    .counts
             })
             .collect();
         for (name, t) in MODES.iter().map(|m| m.0).zip(&tallies) {
@@ -168,12 +172,10 @@ fn bench_campaign_throughput(c: &mut Criterion) {
         for (name, mode) in MODES {
             group.bench_function(CritId::new(id.name(), name), |b| {
                 b.iter(|| {
-                    criterion::black_box(campaign::run_campaign(
-                        "bench",
-                        &golden,
-                        &da,
-                        &cfg_for(runs, mode),
-                    ))
+                    criterion::black_box(
+                        campaign::run_campaign_checked("bench", &golden, &da, &cfg_for(runs, mode))
+                            .expect("campaign"),
+                    )
                 });
             });
         }

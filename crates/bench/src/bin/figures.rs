@@ -9,7 +9,7 @@
 //! JSON copies of every artifact land in `results/`.
 
 use tei_bench::figures::{self, Report};
-use tei_bench::Artifacts;
+use tei_bench::{Artifacts, Sizing, CORNERS};
 
 const USAGE: &str = "usage: figures [fig4|fig5|fig6|fig7|fig8|fig9|fig10|table2|avm|mitigation|da-calibration|all]...";
 
@@ -42,7 +42,7 @@ fn run() -> Result<(), tei_core::TeiError> {
             "mitigation",
         ];
     }
-    let arts = Artifacts::new(tei_bench::experiment_scale());
+    let arts = Artifacts::new(Sizing::from_env(), &CORNERS);
     let out_dir = std::path::Path::new("results");
 
     // The campaign sweep backs fig9/fig10/avm/mitigation; run it at most
@@ -65,7 +65,7 @@ fn run() -> Result<(), tei_core::TeiError> {
             "fig7" => figures::fig7(&arts)?,
             "fig8" => figures::fig8(&arts)?,
             "fig9" => figures::fig9(&campaign_results),
-            "fig10" => figures::fig10(&campaign_results),
+            "fig10" => figures::fig10(&arts, &campaign_results),
             "table2" => figures::table2(&arts)?,
             "avm" => figures::avm_analysis(&campaign_results),
             "mitigation" => figures::mitigation(&arts, &campaign_results)?,

@@ -10,11 +10,11 @@
 //! cargo run --release -p tei-bench --bin models -- show models/wa-sobel-VR20.json
 //! ```
 
-use tei_bench::Artifacts;
+use tei_bench::figures::region_means;
+use tei_bench::{Artifacts, Sizing, CORNERS};
 use tei_core::journal::{atomic_write_checksummed, verify_checksummed};
 use tei_core::{InjectionModel, StatModel, TeiError};
 use tei_softfloat::FpOp;
-use tei_timing::VoltageReduction;
 use tei_workloads::BenchmarkId;
 
 const USAGE: &str = "usage: models develop <dir> | models show <file.json>";
@@ -48,9 +48,9 @@ fn main() {
 
 fn develop(dir: &std::path::Path) -> Result<(), TeiError> {
     std::fs::create_dir_all(dir).map_err(|e| TeiError::io("create output directory", dir, e))?;
-    let arts = Artifacts::new(tei_bench::experiment_scale());
+    let arts = Artifacts::new(Sizing::from_env(), &CORNERS);
     let mut written = 0usize;
-    for vr in [VoltageReduction::VR15, VoltageReduction::VR20] {
+    for &vr in arts.levels() {
         let da = arts.da(vr)?;
         save(dir, &format!("da-{}", vr.label()), &da)?;
         written += 1;
@@ -87,31 +87,11 @@ fn show(path: &std::path::Path) -> Result<(), TeiError> {
         println!("{} at {}", m.name(), m.vr().label());
         println!("{:14} {:>10}  S/E/M mean BER", "op", "ER");
         for op in FpOp::all() {
-            let ber = m.ber(op);
-            let bits = op.result_bits() as usize;
-            let (mut s, mut e, mut mm) = (0.0, 0.0, 0.0);
-            let (mut cs, mut ce, mut cm) = (0, 0, 0);
-            for (b, &v) in ber.iter().enumerate() {
-                let frac = if bits == 64 { 52 } else { 23 };
-                let expo = if bits == 64 { 63 } else { 31 };
-                if b >= expo {
-                    s += v;
-                    cs += 1;
-                } else if b >= frac {
-                    e += v;
-                    ce += 1;
-                } else {
-                    mm += v;
-                    cm += 1;
-                }
-            }
+            let [sign, expo, mant] = region_means(m.ber(op), op.result_bits() as usize);
             println!(
-                "{:14} {:10.2e}  {:.2e} / {:.2e} / {:.2e}",
+                "{:14} {:10.2e}  {sign:.2e} / {expo:.2e} / {mant:.2e}",
                 op.to_string(),
-                m.error_ratio(op),
-                s / cs.max(1) as f64,
-                e / ce.max(1) as f64,
-                mm / cm.max(1) as f64
+                m.error_ratio(op)
             );
         }
     } else if let Ok(m) = serde_json::from_str::<tei_core::DaModel>(&text) {

@@ -16,25 +16,22 @@
 
 use crate::USAGE;
 use std::path::PathBuf;
+use tei_bench::{Artifacts, Sizing};
 use tei_core::journal::atomic_write_checksummed;
 use tei_core::power::min_vdd_meeting;
-use tei_core::{dev, CampaignConfig, GoldenRun, MaskSampling, ModelKind, StatModel, TeiError};
+use tei_core::{ModelKind, TeiError};
 use tei_timing::{VoltageReduction, V_NOMINAL, V_THRESHOLD};
-use tei_workloads::{build, BenchmarkId, Scale};
-
-/// Memory given to golden runs and trace capture (matches the fabric).
-const MEM: usize = 8 << 20;
+use tei_workloads::{BenchmarkId, Scale};
 
 struct SweepArgs {
-    benchmark: String,
-    scale: String,
+    benchmark: Option<BenchmarkId>,
+    /// `--scale`, `--runs` and `--dta-cap`.
+    sizing: Sizing,
     grid: usize,
     vdd_min: f64,
     vdd_max: f64,
     avm_target: f64,
-    runs: usize,
     seed: u64,
-    dta_cap: usize,
     out: Option<PathBuf>,
 }
 
@@ -45,17 +42,26 @@ fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     })
 }
 
-fn parse_args(args: &[String]) -> SweepArgs {
+fn parse_name<T>(flag: &str, value: &str, from_name: fn(&str) -> Option<T>) -> T {
+    from_name(value).unwrap_or_else(|| {
+        eprintln!("tei sweep: unknown {} {value:?}\n{USAGE}", &flag[2..]);
+        std::process::exit(2);
+    })
+}
+
+fn parse_args(args: &[String]) -> (BenchmarkId, SweepArgs) {
     let mut sa = SweepArgs {
-        benchmark: String::new(),
-        scale: "test".to_string(),
+        benchmark: None,
+        sizing: Sizing {
+            scale: Scale::Test,
+            runs: 120,
+            dta_pairs: 4000,
+        },
         grid: 12,
         vdd_min: VoltageReduction::VR20.vdd(),
         vdd_max: VoltageReduction::Nominal.vdd(),
         avm_target: 0.01,
-        runs: 120,
         seed: 1,
-        dta_cap: 4000,
         out: None,
     };
     let mut it = args.iter();
@@ -67,15 +73,17 @@ fn parse_args(args: &[String]) -> SweepArgs {
             })
         };
         match flag.as_str() {
-            "--benchmark" => sa.benchmark = val(),
-            "--scale" => sa.scale = val().to_ascii_lowercase(),
+            "--benchmark" => sa.benchmark = Some(parse_name(flag, &val(), BenchmarkId::from_name)),
+            "--scale" => {
+                sa.sizing.scale = parse_name(flag, &val().to_ascii_lowercase(), Scale::from_name)
+            }
             "--grid" => sa.grid = parse_or_exit(flag, &val()),
             "--vdd-min" => sa.vdd_min = parse_or_exit(flag, &val()),
             "--vdd-max" => sa.vdd_max = parse_or_exit(flag, &val()),
             "--avm-target" => sa.avm_target = parse_or_exit(flag, &val()),
-            "--runs" => sa.runs = parse_or_exit(flag, &val()),
+            "--runs" => sa.sizing.runs = parse_or_exit(flag, &val()),
             "--seed" => sa.seed = parse_or_exit(flag, &val()),
-            "--dta-cap" => sa.dta_cap = parse_or_exit(flag, &val()),
+            "--dta-cap" => sa.sizing.dta_pairs = parse_or_exit(flag, &val()),
             "--out" => sa.out = Some(PathBuf::from(val())),
             other => {
                 eprintln!("tei sweep: unknown flag {other:?}\n{USAGE}");
@@ -83,10 +91,10 @@ fn parse_args(args: &[String]) -> SweepArgs {
             }
         }
     }
-    if sa.benchmark.is_empty() {
+    let Some(id) = sa.benchmark else {
         eprintln!("tei sweep: --benchmark is required\n{USAGE}");
         std::process::exit(2);
-    }
+    };
     if sa.grid < 2 {
         eprintln!("tei sweep: --grid must be at least 2\n{USAGE}");
         std::process::exit(2);
@@ -99,79 +107,45 @@ fn parse_args(args: &[String]) -> SweepArgs {
         );
         std::process::exit(2);
     }
-    sa
+    (id, sa)
 }
 
 /// The sweep body: one multi-level DTA pass per op, then one injection
 /// campaign per grid voltage off the shared statistics.
 pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
-    let sa = parse_args(args);
-    let id = BenchmarkId::all()
-        .into_iter()
-        .find(|b| b.name() == sa.benchmark)
-        .unwrap_or_else(|| {
-            eprintln!("tei sweep: unknown benchmark {:?}\n{USAGE}", sa.benchmark);
-            std::process::exit(2);
-        });
-    let scale = match sa.scale.as_str() {
-        "test" => Scale::Test,
-        "small" => Scale::Small,
-        "full" => Scale::Full,
-        other => {
-            eprintln!("tei sweep: unknown scale {other:?}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let (id, sa) = parse_args(args);
 
     // Refuse a malformed TEI_THREADS before minutes of work,
     // as `tei campaign` does.
     tei_core::config::validate_env()?;
-    let bench = build(id, scale);
-    let (bank, spec) = dev::default_bank();
-    let threads = tei_core::config::default_threads();
     let grid: Vec<f64> = (0..sa.grid)
         .map(|i| sa.vdd_min + (sa.vdd_max - sa.vdd_min) * i as f64 / (sa.grid - 1) as f64)
         .collect();
     let levels: Vec<VoltageReduction> = grid.iter().map(|&v| VoltageReduction::Vdd(v)).collect();
+    let arts = Artifacts::new(sa.sizing, &levels);
 
     eprintln!(
         "tei sweep: {} ({}), {} grid points over Vdd [{:.3}, {:.3}] V, \
          {} runs/point",
         id.name(),
-        sa.scale,
+        sa.sizing.scale.name(),
         sa.grid,
         sa.vdd_min,
         sa.vdd_max,
-        sa.runs,
+        sa.sizing.runs,
     );
 
-    // One settle pass per op covers every grid voltage: the DTA engine
-    // re-thresholds each transition's settle times at all `levels` in a
-    // single walk, so the sweep's circuit cost is independent of the
-    // grid resolution.
-    let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, sa.dta_cap);
-    let per_level = dev::per_op_stats(&bank, &spec, &levels, |op| trace.of(op))?;
-
     // Grid campaigns: a workload-aware model per voltage, every
-    // injection campaign deterministic under (runs, seed, threads).
-    let golden = GoldenRun::capture(&bench, MEM, u64::MAX)?;
-    let cfg = CampaignConfig {
-        runs: sa.runs,
-        seed: sa.seed,
-        threads,
-        ..CampaignConfig::default()
-    };
+    // injection campaign deterministic under (runs, seed, threads). The
+    // runner walks each op's trace once for every grid voltage: the DTA
+    // engine re-thresholds each transition's settle times at all levels
+    // in a single walk, so the sweep's circuit cost is independent of
+    // the grid resolution.
     let mut rows = Vec::new();
     let mut points = Vec::new();
     println!("      Vdd    factor       AVM   masked      sdc    crash  timeout");
-    for (i, (&vdd, level)) in grid.iter().zip(&levels).enumerate() {
-        let model = StatModel::from_campaign_stats(
-            ModelKind::Wa,
-            *level,
-            MaskSampling::Empirical,
-            &per_level[i],
-        )?;
-        let result = tei_core::campaign::run_campaign_checked(id.name(), &golden, &model, &cfg)?;
+    for (&vdd, &level) in grid.iter().zip(&levels) {
+        let result = arts.campaign(id, ModelKind::Wa, level, sa.seed)?;
         let avm = result.avm();
         let c = &result.counts;
         println!(
@@ -217,11 +191,11 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
          \"clk_ns\": {},\n  \"runs\": {},\n  \"seed\": {},\n  \"dta_pairs_cap\": {},\n  \
          \"avm_target\": {},\n  \"min_vdd_at_target\": {},\n  \"grid\": [\n    {}\n  ]\n}}\n",
         id.name(),
-        sa.scale,
-        spec.clk,
-        sa.runs,
+        sa.sizing.scale.name(),
+        arts.bank().1.clk,
+        sa.sizing.runs,
         sa.seed,
-        sa.dta_cap,
+        sa.sizing.dta_pairs,
         sa.avm_target,
         min_vdd.map_or("null".to_string(), |v| v.to_string()),
         rows.join(",\n    ")

@@ -1,12 +1,11 @@
 //! One function per table/figure of the paper's evaluation.
 
-use crate::artifacts::{Artifacts, LEVELS, MEM};
+use crate::artifacts::Artifacts;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
+use tei_core::campaign::{self, CampaignConfig, GOLDEN_MEM_BYTES};
 use tei_core::journal::atomic_write_checksummed;
-use tei_core::{
-    campaign, config, dev, power, stats, DtaTuning, InjectionModel, ModelKind, StatModel, TeiError,
-};
+use tei_core::{config, dev, power, stats, DtaTuning, InjectionModel, ModelKind, TeiError};
 use tei_softfloat::{FpOp, Precision};
 use tei_timing::{PathCensus, VoltageReduction};
 use tei_workloads::BenchmarkId;
@@ -41,28 +40,24 @@ impl Report {
     }
 }
 
-fn region_of(bit: usize, op_bits: usize) -> &'static str {
-    // LSB-first: mantissa, then exponent, then sign.
-    match op_bits {
-        64 => {
-            if bit < 52 {
-                "M"
-            } else if bit < 63 {
-                "E"
-            } else {
-                "S"
-            }
-        }
-        _ => {
-            if bit < 23 {
-                "M"
-            } else if bit < 31 {
-                "E"
-            } else {
-                "S"
-            }
-        }
+/// Mean per-bit value over the sign, exponent and mantissa fields of an
+/// `op_bits`-wide result (LSB-first bits), in that order.
+pub fn region_means(ber: &[f64], op_bits: usize) -> [f64; 3] {
+    let (frac, sign) = if op_bits == 64 { (52, 63) } else { (23, 31) };
+    let mut sums = [0.0; 3];
+    let mut counts = [0usize; 3];
+    for (b, &v) in ber.iter().enumerate() {
+        let i = if b >= sign {
+            0
+        } else if b >= frac {
+            1
+        } else {
+            2
+        };
+        sums[i] += v;
+        counts[i] += 1;
     }
+    [0, 1, 2].map(|i| sums[i] / counts[i].max(1) as f64)
 }
 
 // ---------------------------------------------------------------------
@@ -127,7 +122,8 @@ pub fn fig4(arts: &Artifacts) -> Report {
 /// outputs under VR15 and VR20 (benchmark-mix operands), read off the
 /// cached WA statistics.
 pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
-    let mut hists = [[0u64; 5]; LEVELS.len()]; // per corner: 1,2,3,4+, total
+    let levels = arts.levels();
+    let mut hists = vec![[0u64; 5]; levels.len()]; // per level: 1,2,3,4+, total
     for id in BenchmarkId::all() {
         for (hist, stats) in hists.iter_mut().zip(arts.wa_stats(id)?.iter()) {
             for (&k, &v) in stats.iter().flat_map(|s| &s.flip_hist) {
@@ -139,7 +135,7 @@ pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
     let mut rows = Vec::new();
     let mut text = String::from("VR     1-bit   2-bit   3-bit   4+bit   multi-bit%\n");
     let mut multi_sum = 0.0;
-    for (vr, hist) in LEVELS.into_iter().zip(hists) {
+    for (vr, hist) in levels.iter().zip(hists) {
         let total = hist[4].max(1) as f64;
         let pct = |i: usize| 100.0 * hist[i] as f64 / total;
         let multi = pct(1) + pct(2) + pct(3);
@@ -162,11 +158,11 @@ pub fn fig5(arts: &Artifacts) -> Result<Report, TeiError> {
     let _ = writeln!(
         text,
         "average multi-bit share across VR levels: {:.1}% (paper: 64.5%)",
-        multi_sum / LEVELS.len() as f64
+        multi_sum / levels.len() as f64
     );
     Ok(Report {
         id: "fig5",
-        json: json!({ "rows": rows, "avg_multi_bit_pct": multi_sum / LEVELS.len() as f64 }),
+        json: json!({ "rows": rows, "avg_multi_bit_pct": multi_sum / levels.len() as f64 }),
         text,
     })
 }
@@ -181,7 +177,7 @@ pub fn fig6(arts: &Artifacts) -> Result<Report, TeiError> {
     let (bank, spec) = arts.bank();
     let bench = arts.bench(BenchmarkId::Is);
     eprintln!("[fig6] capturing the full is fp-mul trace ...");
-    let full_trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, usize::MAX);
+    let full_trace = dev::TraceSet::capture(&bench.program, GOLDEN_MEM_BYTES, u64::MAX, usize::MAX);
     let op = FpOp::all()
         .into_iter()
         .find(|o| o.to_string() == "fp-mul (d)")
@@ -234,21 +230,10 @@ pub fn fig6(arts: &Artifacts) -> Result<Report, TeiError> {
         let _ = writeln!(text, "{k:9} {ae:9.4}");
         rows.push(json!({ "k": k, "ae": ae, "ber": ber }));
     }
-    let region = |ber: &[f64], r: &str| -> f64 {
-        let vals: Vec<f64> = ber
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| region_of(*b, 64) == r)
-            .map(|(_, &v)| v)
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
-    };
+    let [rs, re, rm] = region_means(&reference, 64);
     let _ = writeln!(
         text,
-        "full-trace BER region means: S {:.2e}  E {:.2e}  M {:.2e}",
-        region(&reference, "S"),
-        region(&reference, "E"),
-        region(&reference, "M")
+        "full-trace BER region means: S {rs:.2e}  E {re:.2e}  M {rm:.2e}"
     );
     Ok(Report {
         id: "fig6",
@@ -261,38 +246,17 @@ pub fn fig6(arts: &Artifacts) -> Result<Report, TeiError> {
 // Figures 7 and 8 — per-bit EI probabilities (IA / WA)
 // ---------------------------------------------------------------------
 
-fn ber_summary(model: &StatModel, op: FpOp) -> (f64, f64, f64, f64) {
-    let ber = model.ber(op);
-    let bits = op.result_bits() as usize;
-    let mut sums = [0.0; 3];
-    let mut counts = [0usize; 3];
-    for (b, &v) in ber.iter().enumerate() {
-        let i = match region_of(b, bits) {
-            "S" => 0,
-            "E" => 1,
-            _ => 2,
-        };
-        sums[i] += v;
-        counts[i] += 1;
-    }
-    (
-        model.error_ratio(op),
-        sums[0] / counts[0].max(1) as f64,
-        sums[1] / counts[1].max(1) as f64,
-        sums[2] / counts[2].max(1) as f64,
-    )
-}
-
 /// Figure 7: the IA model's per-bit error-injection probabilities per
 /// instruction type and VR level (region means printed; full arrays in
 /// JSON).
 pub fn fig7(arts: &Artifacts) -> Result<Report, TeiError> {
     let mut text = String::from("op             VR     ER        S-mean    E-mean    M-mean\n");
     let mut rows = Vec::new();
-    for vr in LEVELS {
+    for &vr in arts.levels() {
         let ia = arts.ia(vr)?;
         for op in FpOp::all() {
-            let (er, s, e, m) = ber_summary(&ia, op);
+            let er = ia.error_ratio(op);
+            let [s, e, m] = region_means(ia.ber(op), op.result_bits() as usize);
             let _ = writeln!(
                 text,
                 "{:14} {:5} {er:9.2e} {s:9.2e} {e:9.2e} {m:9.2e}",
@@ -319,7 +283,7 @@ pub fn fig8(arts: &Artifacts) -> Result<Report, TeiError> {
     let mut rows = Vec::new();
     for id in BenchmarkId::all() {
         let golden = arts.golden(id)?;
-        for vr in LEVELS {
+        for &vr in arts.levels() {
             let wa = arts.wa(id, vr)?;
             // Frequency-weighted per-bit aggregate over double-precision ops.
             let mut agg = vec![0f64; 64];
@@ -340,24 +304,13 @@ pub fn fig8(arts: &Artifacts) -> Result<Report, TeiError> {
             for v in &mut agg {
                 *v /= weight.max(1.0);
             }
-            let mean = |r: &str| {
-                let vals: Vec<f64> = agg
-                    .iter()
-                    .enumerate()
-                    .filter(|(b, _)| region_of(*b, 64) == r)
-                    .map(|(_, &v)| v)
-                    .collect();
-                vals.iter().sum::<f64>() / vals.len().max(1) as f64
-            };
+            let [ms, me, mm] = region_means(&agg, 64);
             let er = campaign::model_error_ratio(&wa, &golden);
             let _ = writeln!(
                 text,
-                "{:9} {:5} {er:9.2e} {:9.2e} {:9.2e} {:9.2e}",
+                "{:9} {:5} {er:9.2e} {ms:9.2e} {me:9.2e} {mm:9.2e}",
                 id.name(),
-                vr.label(),
-                mean("S"),
-                mean("E"),
-                mean("M")
+                vr.label()
             );
             rows.push(json!({
                 "benchmark": id.name(), "vr": vr.label(), "er": er, "ber": agg,
@@ -385,35 +338,35 @@ pub fn fig8(arts: &Artifacts) -> Result<Report, TeiError> {
 ///
 /// Propagates model-development and campaign failures.
 pub fn campaigns(arts: &Artifacts) -> Result<Vec<campaign::CampaignResult>, TeiError> {
-    let cfg = campaign::CampaignConfig::default();
+    let seed = CampaignConfig::default().seed;
     let mut out = Vec::new();
     for id in BenchmarkId::all() {
-        let golden = arts.golden(id)?;
-        for vr in LEVELS {
+        for &vr in arts.levels() {
             for kind in ModelKind::all() {
                 eprintln!(
                     "[campaign] {} × {} × {} ({} runs) ...",
                     id.name(),
                     kind.label(),
                     vr.label(),
-                    cfg.runs
+                    arts.sizing().runs
                 );
-                let r = match kind {
-                    ModelKind::Da => {
-                        campaign::run_campaign_checked(id.name(), &golden, &arts.da(vr)?, &cfg)?
-                    }
-                    ModelKind::Ia => {
-                        campaign::run_campaign_checked(id.name(), &golden, &arts.ia(vr)?, &cfg)?
-                    }
-                    ModelKind::Wa => {
-                        campaign::run_campaign_checked(id.name(), &golden, &arts.wa(id, vr)?, &cfg)?
-                    }
-                };
-                out.push(r);
+                out.push(arts.campaign(id, kind, vr, seed)?);
             }
         }
     }
     Ok(out)
+}
+
+/// The result of the (benchmark, model, level) campaign cell, if it ran.
+fn cell<'a>(
+    results: &'a [campaign::CampaignResult],
+    bench: BenchmarkId,
+    model: &str,
+    vr: VoltageReduction,
+) -> Option<&'a campaign::CampaignResult> {
+    results
+        .iter()
+        .find(|r| r.benchmark == bench.name() && r.model == model && r.vr == vr)
 }
 
 /// Figure 9: injection outcome distributions per benchmark × model × VR.
@@ -453,19 +406,14 @@ pub fn fig9(results: &[campaign::CampaignResult]) -> Report {
 
 /// Figure 10: injected error ratio per benchmark × model × VR, plus the
 /// DA/WA and IA/WA divergence factors.
-pub fn fig10(results: &[campaign::CampaignResult]) -> Report {
+pub fn fig10(arts: &Artifacts, results: &[campaign::CampaignResult]) -> Report {
     let mut text =
         String::from("bench     VR     DA-ER      IA-ER      WA-ER      DA/WA     IA/WA\n");
     let mut rows = Vec::new();
     let mut divergences: Vec<(f64, f64)> = Vec::new();
     for bench in BenchmarkId::all() {
-        for vr in LEVELS {
-            let er_of = |model: &str| {
-                results
-                    .iter()
-                    .find(|r| r.benchmark == bench.name() && r.model == model && r.vr == vr)
-                    .map_or(0.0, |r| r.error_ratio)
-            };
+        for &vr in arts.levels() {
+            let er_of = |model| cell(results, bench, model, vr).map_or(0.0, |r| r.error_ratio);
             let (da, ia, wa) = (er_of("DA-model"), er_of("IA-model"), er_of("WA-model"));
             let ratio = |x: f64| {
                 if wa == 0.0 && x == 0.0 {
@@ -492,37 +440,21 @@ pub fn fig10(results: &[campaign::CampaignResult]) -> Report {
             }));
         }
     }
-    let gm = |f: &dyn Fn(&(f64, f64)) -> f64| {
+    // Arithmetic and geometric means of the finite factors (NaN if none).
+    let means = |f: fn(&(f64, f64)) -> f64| {
         let finite: Vec<f64> = divergences
             .iter()
             .map(f)
             .filter(|x| x.is_finite())
             .collect();
-        if finite.is_empty() {
-            f64::NAN
-        } else {
-            (finite.iter().map(|x| x.ln()).sum::<f64>() / finite.len() as f64).exp()
-        }
+        let n = finite.len() as f64;
+        let gm = (finite.iter().map(|x| x.ln()).sum::<f64>() / n).exp();
+        (finite.iter().sum::<f64>() / n, gm)
     };
-    let am = |f: &dyn Fn(&(f64, f64)) -> f64| {
-        let finite: Vec<f64> = divergences
-            .iter()
-            .map(f)
-            .filter(|x| x.is_finite())
-            .collect();
-        if finite.is_empty() {
-            f64::NAN
-        } else {
-            finite.iter().sum::<f64>() / finite.len() as f64
-        }
-    };
+    let ((da_am, da_gm), (ia_am, ia_gm)) = (means(|d| d.0), means(|d| d.1));
     let _ = writeln!(
         text,
-        "divergence vs WA (∞ cells for error-free workloads excluded): \n  DA {:.0}× arithmetic / {:.0}× geometric mean; IA {:.0}× / {:.0}× (paper: ~250×, ~230× average)",
-        am(&|d| d.0),
-        gm(&|d| d.0),
-        am(&|d| d.1),
-        gm(&|d| d.1)
+        "divergence vs WA (∞ cells for error-free workloads excluded): \n  DA {da_am:.0}× arithmetic / {da_gm:.0}× geometric mean; IA {ia_am:.0}× / {ia_gm:.0}× (paper: ~250×, ~230× average)",
     );
     Report {
         id: "fig10",
@@ -572,12 +504,7 @@ pub fn avm_analysis(results: &[campaign::CampaignResult]) -> Report {
     let mut rows = Vec::new();
     for bench in BenchmarkId::all() {
         for kind in ModelKind::all() {
-            let avm_of = |vr: VoltageReduction| {
-                results
-                    .iter()
-                    .find(|r| r.benchmark == bench.name() && r.model == kind.label() && r.vr == vr)
-                    .map_or(f64::NAN, campaign::CampaignResult::avm)
-            };
+            let avm_of = |vr| cell(results, bench, kind.label(), vr).map_or(f64::NAN, |r| r.avm());
             let a15 = avm_of(VoltageReduction::VR15);
             let a20 = avm_of(VoltageReduction::VR20);
             let choice = power::select_operating_point(
@@ -618,19 +545,17 @@ pub fn mitigation(
     let mut rows = Vec::new();
     for bench in BenchmarkId::all() {
         let golden = arts.golden(bench)?;
-        let wa_avm = |vr: VoltageReduction| {
-            results
-                .iter()
-                .find(|r| r.benchmark == bench.name() && r.model == "WA-model" && r.vr == vr)
-                .map_or(f64::NAN, campaign::CampaignResult::avm)
-        };
-        let unprotected = power::select_operating_point(
-            &[
-                (VoltageReduction::VR15, wa_avm(VoltageReduction::VR15)),
-                (VoltageReduction::VR20, wa_avm(VoltageReduction::VR20)),
-            ],
-            0.0,
-        );
+        let wa_avms: Vec<(VoltageReduction, f64)> = arts
+            .levels()
+            .iter()
+            .map(|&vr| {
+                (
+                    vr,
+                    cell(results, bench, "WA-model", vr).map_or(f64::NAN, |r| r.avm()),
+                )
+            })
+            .collect();
+        let unprotected = power::select_operating_point(&wa_avms, 0.0);
         let base_savings = power::power_savings(unprotected);
         // Prevention: run at VR20, stretching the clock for each dynamic
         // instruction of an error-prone type (WA-model ER > 0 at VR20).

@@ -1,5 +1,6 @@
 //! Probe: WA-model error ratios per benchmark × VR (feeds Fig 10 shape).
-use tei_core::{campaign, dev, models::StatModel, InjectionModel, TeiError};
+use tei_core::campaign::{self, GOLDEN_MEM_BYTES};
+use tei_core::{dev, models::StatModel, InjectionModel, TeiError};
 use tei_softfloat::FpOp;
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, BenchmarkId, Scale};
@@ -9,8 +10,8 @@ fn main() -> Result<(), TeiError> {
     let cap = 20_000;
     for id in BenchmarkId::all() {
         let bench = build(id, Scale::Small);
-        let trace = dev::TraceSet::capture(&bench.program, 8 << 20, u64::MAX, cap);
-        let golden = campaign::GoldenRun::capture(&bench, 8 << 20, u64::MAX)?;
+        let trace = dev::TraceSet::capture(&bench.program, GOLDEN_MEM_BYTES, u64::MAX, cap);
+        let golden = campaign::GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX)?;
         let mut line = format!("{:8}", id.name());
         for vr in [VoltageReduction::VR15, VoltageReduction::VR20] {
             let wa = StatModel::workload_aware(&bank, &spec, vr, &trace, cap)?;

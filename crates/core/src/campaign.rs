@@ -87,6 +87,11 @@ impl Outcome {
     }
 }
 
+/// Data-memory size golden runs and operand traces are captured with.
+/// It is part of a campaign's identity: the fabric's coordinator and
+/// workers capture with it, so they agree on the golden run.
+pub const GOLDEN_MEM_BYTES: usize = 8 << 20;
+
 /// Golden-run record shared by all injection runs of a benchmark.
 #[derive(Debug, Clone)]
 pub struct GoldenRun {
@@ -272,10 +277,10 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            runs: crate::config::default_runs(),
+            runs: 120,
             seed: 0x7e1_c0de,
             timeout_factor: 2.0,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: crate::config::default_threads(),
             mode: ReplayMode::default(),
             chaos: Chaos::default(),
         }
@@ -960,7 +965,7 @@ pub struct LeaseOutcome {
     pub disk_full: Option<PathBuf>,
 }
 
-/// The shared worker-pool core of [`run_campaign`],
+/// The shared worker-pool core of [`run_campaign_checked`],
 /// [`run_campaign_durable`], and the fabric's [`execute_lease`]: shard
 /// `span` across workers, skip runs already journaled, isolate panics,
 /// and (when a journal is present) write-ahead-log every completed run
@@ -1181,26 +1186,6 @@ pub fn run_campaign_checked<M: InjectionModel + Sync + ?Sized>(
     })
 }
 
-/// Run a full campaign cell in parallel.
-///
-/// # Panics
-///
-/// Documented invariant: with a default-valid config and no journal, the
-/// only failure [`run_campaign_checked`] can surface is a worker-pool
-/// join error, which panic isolation makes unreachable short of a runtime
-/// bug; an invalid `cfg` is a caller bug at this non-`Result` API.
-pub fn run_campaign<M: InjectionModel + Sync + ?Sized>(
-    benchmark_name: &str,
-    golden: &GoldenRun,
-    model: &M,
-    cfg: &CampaignConfig,
-) -> CampaignResult {
-    match run_campaign_checked(benchmark_name, golden, model, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("campaign failed: {e}"),
-    }
-}
-
 /// The durable identity of a campaign cell, used to key its journal.
 pub fn campaign_manifest<M: InjectionModel + ?Sized>(
     benchmark_name: &str,
@@ -1231,7 +1216,7 @@ pub fn campaign_manifest<M: InjectionModel + ?Sized>(
     }
 }
 
-/// [`run_campaign`] with durability: every completed run is write-ahead-
+/// [`run_campaign_checked`] with durability: every completed run is write-ahead-
 /// logged to a journal under `journal_dir` before it counts (one group
 /// commit per [`JOURNAL_BATCH_WORK`] charged instructions per thread), an
 /// existing journal for the same manifest resumes the sweep (skipping
@@ -1467,7 +1452,7 @@ mod tests {
     #[test]
     fn expensive_runs_close_batches_on_the_work_budget() {
         let bench = build(BenchmarkId::Cg, Scale::Small);
-        let golden = GoldenRun::capture(&bench, 8 << 20, u64::MAX).expect("golden run");
+        let golden = GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX).expect("golden run");
         let model = DaModel::from_fixed(VoltageReduction::VR20, 1e-2);
         let cfg = CampaignConfig {
             runs: 1068,

@@ -1,4 +1,6 @@
-//! Environment-tunable experiment sizing.
+//! Environment knobs of the library: worker threads (`TEI_THREADS`).
+//! Experiment sizing is not read here; the experiment runner in
+//! `tei-bench` decides it.
 
 use crate::error::TeiError;
 use std::collections::BTreeSet;
@@ -51,34 +53,10 @@ pub fn env_usize(name: &str, default: usize) -> usize {
     }
 }
 
-/// True when `TEI_FULL=1` selects paper-scale experiment sizes.
-pub fn full_scale() -> bool {
-    std::env::var("TEI_FULL").is_ok_and(|v| v == "1")
-}
-
-/// Injection runs per (benchmark, model, VR) cell. Paper: 1068 (3 % margin,
-/// 95 % confidence); default scaled down for laptop runtimes.
-pub fn default_runs() -> usize {
-    if full_scale() {
-        1068
-    } else {
-        120
-    }
-}
-
-/// Operand pairs per instruction type for model development DTA. Paper: 1 M
-/// per type; default scaled down.
-pub fn default_dta_samples() -> usize {
-    if full_scale() {
-        1_000_000
-    } else {
-        20_000
-    }
-}
-
-/// Worker threads for sharded DTA campaigns and per-op model building.
-/// Defaults to all available cores; override with `TEI_THREADS` (set it
-/// to 1 for fully serial execution — results are identical either way).
+/// Worker threads for sharded DTA campaigns, per-op model building and
+/// injection campaigns ([`crate::CampaignConfig::default`]). Defaults to
+/// all available cores; override with `TEI_THREADS` (set it to 1 for
+/// fully serial execution — results are identical either way).
 pub fn default_threads() -> usize {
     let fallback = std::thread::available_parallelism().map_or(4, |n| n.get());
     env_usize("TEI_THREADS", fallback).max(1)
@@ -151,6 +129,10 @@ mod tests {
         assert!(err.to_string().contains("TEI_THREADS"));
         std::env::set_var("TEI_THREADS", "not-a-number");
         assert!(validate_env().is_err());
+        // Injection campaigns follow the knob like DTA does.
+        std::env::set_var("TEI_THREADS", "3");
+        assert_eq!(default_threads(), 3);
+        assert_eq!(crate::CampaignConfig::default().threads, 3);
         std::env::remove_var("TEI_THREADS");
         assert!(validate_env().is_ok());
 
@@ -183,7 +165,6 @@ mod tests {
             crate::fabric::coordinator::DEFAULT_LEASE_TIMEOUT
         );
         assert_eq!(crate::CampaignConfig::default().runs, 120);
-        assert_eq!(default_dta_samples(), 20_000);
         assert!(validate_env().is_ok());
         for (name, _) in &retired {
             std::env::remove_var(name);

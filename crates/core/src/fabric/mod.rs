@@ -47,7 +47,7 @@ pub use merge::{merged_result, scan_journals};
 pub use wire::Message;
 pub use worker::worker_main;
 
-use crate::campaign::{CampaignConfig, GoldenRun};
+use crate::campaign::{CampaignConfig, GoldenRun, GOLDEN_MEM_BYTES};
 use crate::error::TeiError;
 use crate::journal::CampaignManifest;
 use crate::models::DaModel;
@@ -55,11 +55,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, Benchmark, BenchmarkId, Scale};
-
-/// Memory image size every fabric golden run is captured with (the same
-/// 8 MiB the durable campaign CLI uses — part of the campaign identity,
-/// so coordinator and workers must agree).
-pub const GOLDEN_MEM_BYTES: usize = 8 << 20;
 
 /// A campaign request: everything a worker needs to rebuild the
 /// exact campaign context (golden run, model, config) independently.
@@ -115,21 +110,14 @@ impl CampaignSpec {
             knob: knob.to_string(),
             reason,
         };
-        let id = BenchmarkId::all()
-            .into_iter()
-            .find(|b| b.name() == self.benchmark)
-            .ok_or_else(|| {
-                bad(
-                    "benchmark",
-                    format!("unknown benchmark {:?}", self.benchmark),
-                )
-            })?;
-        let scale = match self.scale.as_str() {
-            "test" => Scale::Test,
-            "small" => Scale::Small,
-            "full" => Scale::Full,
-            other => return Err(bad("scale", format!("unknown scale {other:?}"))),
-        };
+        let id = BenchmarkId::from_name(&self.benchmark).ok_or_else(|| {
+            bad(
+                "benchmark",
+                format!("unknown benchmark {:?}", self.benchmark),
+            )
+        })?;
+        let scale = Scale::from_name(&self.scale)
+            .ok_or_else(|| bad("scale", format!("unknown scale {:?}", self.scale)))?;
         let vr = match self.vr.as_str() {
             "vr15" => VoltageReduction::VR15,
             "vr20" => VoltageReduction::VR20,

@@ -29,7 +29,8 @@
 //! ## Example
 //!
 //! ```no_run
-//! use tei_core::{campaign, dev, models, models::InjectionModel};
+//! use tei_core::campaign::{self, GOLDEN_MEM_BYTES};
+//! use tei_core::{dev, models, models::InjectionModel};
 //! use tei_timing::VoltageReduction;
 //! use tei_workloads::{build, BenchmarkId, Scale};
 //!
@@ -37,13 +38,13 @@
 //! // Model development: generate the FPU bank and a workload-aware model.
 //! let (bank, spec) = dev::default_bank();
 //! let bench = build(BenchmarkId::Sobel, Scale::Small);
-//! let trace = dev::TraceSet::capture(&bench.program, 8 << 20, u64::MAX, 20_000);
+//! let trace = dev::TraceSet::capture(&bench.program, GOLDEN_MEM_BYTES, u64::MAX, 20_000);
 //! let wa = models::StatModel::workload_aware(
 //!     &bank, &spec, VoltageReduction::VR20, &trace, 20_000)?;
 //!
 //! // Application evaluation: run the injection campaign durably — every
 //! // completed run is journaled, and an interrupted sweep resumes.
-//! let golden = campaign::GoldenRun::capture(&bench, 8 << 20, u64::MAX)?;
+//! let golden = campaign::GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX)?;
 //! let cfg = campaign::CampaignConfig::default();
 //! let result = campaign::run_campaign_durable(
 //!     "sobel", &golden, &wa, &cfg, std::path::Path::new("journal"))?;

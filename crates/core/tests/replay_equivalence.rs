@@ -92,7 +92,7 @@ fn campaign_counts(
         mode,
         ..Default::default()
     };
-    let r = campaign::run_campaign("equiv", golden, model, &cfg);
+    let r = campaign::run_campaign_checked("equiv", golden, model, &cfg).expect("campaign");
     assert_eq!(r.counts.total(), RUNS as u64);
     assert_eq!(r.counts.mistargeted, 0, "drawn targets must always fire");
     r.counts

@@ -155,7 +155,7 @@ fn da_campaign_produces_nonmasked_outcomes() {
         seed: 9,
         ..Default::default()
     };
-    let r = campaign::run_campaign("sobel", &golden, &da, &cfg);
+    let r = campaign::run_campaign_checked("sobel", &golden, &da, &cfg).expect("campaign");
     assert_eq!(r.counts.total(), 60);
     assert!(
         r.counts.sdc + r.counts.crash + r.counts.timeout > 0,
@@ -180,7 +180,7 @@ fn wa_campaign_respects_zero_error_workloads() {
         seed: 5,
         ..Default::default()
     };
-    let r = campaign::run_campaign("k-means", &golden, &wa, &cfg);
+    let r = campaign::run_campaign_checked("k-means", &golden, &wa, &cfg).expect("campaign");
     if campaign_free_error_ratio(&wa) == 0.0 {
         assert_eq!(r.counts.masked, 25, "zero-error model ⇒ all masked");
         assert_eq!(r.counts.masked_no_error, 25);

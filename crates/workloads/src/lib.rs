@@ -79,6 +79,11 @@ impl BenchmarkId {
             BenchmarkId::Mg => "mg",
         }
     }
+
+    /// The benchmark [`BenchmarkId::name`] spells as `name`, if any.
+    pub fn from_name(name: &str) -> Option<BenchmarkId> {
+        BenchmarkId::all().into_iter().find(|b| b.name() == name)
+    }
 }
 
 impl std::fmt::Display for BenchmarkId {
@@ -97,6 +102,24 @@ pub enum Scale {
     Small,
     /// Larger inputs for full experiments.
     Full,
+}
+
+impl Scale {
+    /// The scale's command-line name: `test`, `small` or `full`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale [`Scale::name`] spells as `name`, if any.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Test, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// A built benchmark: the program plus its Table II metadata.
@@ -135,5 +158,24 @@ pub fn native_output(id: BenchmarkId, scale: Scale) -> Vec<u8> {
         BenchmarkId::Hotspot => hotspot::native_output(scale),
         BenchmarkId::Is => is::native_output(scale),
         BenchmarkId::Mg => mg::native_output(scale),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_round_trip_and_unknown_names_are_rejected() {
+        for id in BenchmarkId::all() {
+            assert_eq!(BenchmarkId::from_name(id.name()), Some(id));
+        }
+        for scale in [Scale::Test, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        for unknown in ["", "kmeans", "Sobel", "medium", "Small"] {
+            assert_eq!(BenchmarkId::from_name(unknown), None, "{unknown:?}");
+            assert_eq!(Scale::from_name(unknown), None, "{unknown:?}");
+        }
     }
 }

@@ -5,19 +5,19 @@
 //! cargo run --release --example model_comparison
 //! ```
 
-use tei::core::{campaign, dev, DaModel, InjectionModel, StatModel, TeiError};
+use tei::core::campaign::{self, GOLDEN_MEM_BYTES};
+use tei::core::{dev, DaModel, InjectionModel, StatModel, TeiError};
 use tei::timing::VoltageReduction;
 use tei::workloads::{build, BenchmarkId, Scale};
 
 fn main() -> Result<(), TeiError> {
-    let mem = 8 << 20;
     let vr = VoltageReduction::VR20;
     println!("generating the calibrated FPU bank ...");
     let (bank, spec) = dev::default_bank();
 
     let bench = build(BenchmarkId::Sobel, Scale::Test);
     println!("benchmark: {} ({})", bench.id, bench.input_desc);
-    let golden = campaign::GoldenRun::capture(&bench, mem, u64::MAX)?;
+    let golden = campaign::GoldenRun::capture(&bench, GOLDEN_MEM_BYTES, u64::MAX)?;
     println!(
         "golden run: {} instructions, {} FP ops, {} cycles (detailed)",
         golden.instructions, golden.fp_ops, golden.cycles
@@ -25,7 +25,7 @@ fn main() -> Result<(), TeiError> {
 
     // Model development.
     let samples = 4000;
-    let trace = dev::TraceSet::capture(&bench.program, mem, u64::MAX, samples);
+    let trace = dev::TraceSet::capture(&bench.program, GOLDEN_MEM_BYTES, u64::MAX, samples);
     let wa = StatModel::workload_aware(&bank, &spec, vr, &trace, samples)?;
     let ia = StatModel::instruction_aware(&bank, &spec, vr, samples, 1)?;
     let da = DaModel::from_fixed(vr, 1e-2); // the paper's published VR20 ratio
@@ -44,7 +44,7 @@ fn main() -> Result<(), TeiError> {
         &ia as &(dyn InjectionModel + Sync),
         &wa as &(dyn InjectionModel + Sync),
     ] {
-        let r = campaign::run_campaign(bench.id.name(), &golden, model, &cfg);
+        let r = campaign::run_campaign_checked(bench.id.name(), &golden, model, &cfg)?;
         let f = r.fractions();
         println!(
             "{:9} {:9.2e} {:7.1}% {:5.1}% {:5.1}% {:7.1}% {:7.3}",

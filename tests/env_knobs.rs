@@ -64,17 +64,28 @@ fn knob_literals(src: &str) -> Vec<String> {
     found
 }
 
-#[test]
-fn only_the_known_tei_names_are_read() {
+/// Every workspace Rust file but this one, with its source.
+fn workspace_sources() -> Vec<(std::path::PathBuf, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let this_file = root.join(file!());
     let mut files = Vec::new();
     for dir in ["crates", "src", "examples", "tests"] {
         rust_files(root, &root.join(dir), &mut files);
     }
+    files
+        .into_iter()
+        .filter(|p| *p != this_file)
+        .map(|p| {
+            let src = std::fs::read_to_string(&p).expect("readable source");
+            (p, src)
+        })
+        .collect()
+}
+
+#[test]
+fn only_the_known_tei_names_are_read() {
     let mut seen = BTreeSet::new();
-    for path in files.iter().filter(|p| **p != this_file) {
-        let src = std::fs::read_to_string(path).expect("readable source");
+    for (_, src) in workspace_sources() {
         for name in knob_literals(&src) {
             seen.insert(name);
         }
@@ -88,6 +99,29 @@ fn only_the_known_tei_names_are_read() {
         seen, expected,
         "the set of TEI_* names changed: retire the new name or list it here"
     );
+}
+
+/// Paper-scale sizing is the experiment runner's decision alone: the
+/// knob is spelled only in `tei-bench`'s sources and read in one place,
+/// so no library default changes with it.
+#[test]
+fn paper_scale_knob_is_read_only_by_the_experiment_runner() {
+    let runner = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
+    let mut reads = 0;
+    for (path, src) in workspace_sources() {
+        if src.contains("TEI_FULL") {
+            assert!(
+                path.starts_with(&runner),
+                "{} spells TEI_FULL outside crates/bench/src",
+                path.display()
+            );
+        }
+        reads += knob_literals(&src)
+            .iter()
+            .filter(|n| *n == "TEI_FULL")
+            .count();
+    }
+    assert_eq!(reads, 1, "TEI_FULL must be read in exactly one place");
 }
 
 #[test]

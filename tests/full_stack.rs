@@ -60,8 +60,8 @@ fn end_to_end_campaign_smoke() {
         seed: 42,
         ..Default::default()
     };
-    let rw = campaign::run_campaign("is", &golden, &wa, &cfg);
-    let rd = campaign::run_campaign("is", &golden, &da, &cfg);
+    let rw = campaign::run_campaign_checked("is", &golden, &wa, &cfg).expect("campaign");
+    let rd = campaign::run_campaign_checked("is", &golden, &da, &cfg).expect("campaign");
     assert_eq!(rw.counts.total(), 30);
     assert_eq!(rd.counts.total(), 30);
     // DA injects single-bit flips at its fixed ratio; is catches many of
@@ -82,8 +82,8 @@ fn campaign_outcomes_are_deterministic() {
         threads: 3,
         ..Default::default()
     };
-    let a = campaign::run_campaign("sobel", &golden, &da, &cfg);
-    let b = campaign::run_campaign("sobel", &golden, &da, &cfg);
+    let a = campaign::run_campaign_checked("sobel", &golden, &da, &cfg).expect("campaign");
+    let b = campaign::run_campaign_checked("sobel", &golden, &da, &cfg).expect("campaign");
     assert_eq!(a.counts, b.counts, "same seed ⇒ same outcome tally");
 }
 
