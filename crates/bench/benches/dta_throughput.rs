@@ -245,9 +245,8 @@ fn bench_dta_throughput(c: &mut Criterion) {
     // fraction.
     let campaign_lanes = resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, true);
     let prune_decision = resolve_prune(&unit, spec.clk, &LEVELS, campaign_tuning.prune);
-    // An honest scaling curve never oversubscribes; the shared plan
-    // drops unmeasurable counts and words the degraded flag (the same
-    // helper the fabric bench reports through).
+    // An honest scaling curve never oversubscribes; the plan drops
+    // unmeasurable counts and words the degraded flag.
     let scaling_plan = ScalingPlan::new(&SCALING_THREADS, cores);
     let scaling_threads = scaling_plan.usable.clone();
     if let Some(reason) = scaling_plan.degraded_reason() {

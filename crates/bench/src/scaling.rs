@@ -1,12 +1,8 @@
-//! Honest-scaling helpers shared by the throughput benches.
-//!
-//! Both `dta_throughput` (thread-scaling curve) and `fabric`
-//! (worker-scaling curve) refuse to fabricate parallel speedups the
-//! host cannot exhibit: requested counts above the detected core count
-//! are dropped and the written report carries an explicit `degraded`
-//! flag with the reason. That logic used to be duplicated (and had
-//! drifted in wording) between the two benches; this module is the
-//! single source of both the plan and the phrasing.
+//! Honest-scaling helpers for the `dta_throughput` bench's
+//! thread-scaling curve, which refuses to fabricate parallel speedups
+//! the host cannot exhibit: requested counts above the detected core
+//! count are dropped and the written report carries an explicit
+//! `degraded` flag with the reason.
 
 /// Detected hardware parallelism (1 when the query fails).
 pub fn detected_cores() -> usize {
@@ -57,30 +53,6 @@ impl ScalingPlan {
     }
 }
 
-/// Degraded-flag reason for a measured parallel speedup against its
-/// floor: single-core hosts cannot exhibit one at all, and a multi-core
-/// measurement below the floor is reported as degraded rather than
-/// silently accepted.
-#[must_use]
-pub fn speedup_degraded_reason(
-    cores: usize,
-    at_workers: usize,
-    speedup: f64,
-    floor: f64,
-) -> Option<String> {
-    if cores < 2 {
-        Some(format!(
-            "host exposes {cores} core(s); multi-worker scaling is not measurable here"
-        ))
-    } else if speedup < floor {
-        Some(format!(
-            "measured {speedup:.2}x at {at_workers} workers, below the {floor}x floor"
-        ))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,16 +73,5 @@ mod tests {
         assert_eq!(plan.usable, vec![1, 2, 4]);
         assert!(!plan.degraded());
         assert_eq!(plan.degraded_reason(), None);
-    }
-
-    #[test]
-    fn speedup_reasons_cover_both_failure_modes() {
-        assert!(speedup_degraded_reason(1, 2, 2.0, 1.7)
-            .expect("1-core host")
-            .contains("1 core(s)"));
-        assert!(speedup_degraded_reason(8, 2, 1.2, 1.7)
-            .expect("below floor")
-            .contains("below the 1.7x floor"));
-        assert_eq!(speedup_degraded_reason(8, 2, 1.9, 1.7), None);
     }
 }

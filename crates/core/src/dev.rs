@@ -1362,25 +1362,6 @@ pub fn calibrate_da(
     })
 }
 
-/// Run the structural netlist lints over every unit of a bank, so a
-/// campaign can refuse to characterize a broken design up front.
-///
-/// # Errors
-///
-/// [`TeiError::NetlistLint`] naming the first unit with findings.
-pub fn lint_bank(bank: &FpuBank) -> Result<(), TeiError> {
-    for unit in bank.iter() {
-        let diagnostics = tei_netlist::lint_netlist(unit.netlist());
-        if !diagnostics.is_empty() {
-            return Err(TeiError::NetlistLint {
-                design: unit.tag().to_string(),
-                diagnostics,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Generate (or regenerate) the calibrated FPU bank used across the
 /// toolflow. The twelve units are built on the per-op worker pool
 /// (`TEI_THREADS`); the bank equals [`FpuBank::generate`]'s.

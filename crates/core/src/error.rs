@@ -126,14 +126,6 @@ pub enum TeiError {
         /// Why the model was rejected.
         reason: String,
     },
-    /// Structural lints found defects in a netlist a campaign was about
-    /// to analyze (combinational loops, floating nets, dead logic, …).
-    NetlistLint {
-        /// Design name the lints ran against.
-        design: String,
-        /// Every finding, with the nets involved.
-        diagnostics: Vec<tei_netlist::LintDiagnostic>,
-    },
 }
 
 impl fmt::Display for TeiError {
@@ -198,21 +190,6 @@ impl fmt::Display for TeiError {
                 "surrogate model unusable for {unit}: {reason}; \
                  re-fit the model or run exact DTA instead"
             ),
-            TeiError::NetlistLint {
-                design,
-                diagnostics,
-            } => {
-                write!(
-                    f,
-                    "netlist {design} failed structural lints ({} finding{}):",
-                    diagnostics.len(),
-                    if diagnostics.len() == 1 { "" } else { "s" }
-                )?;
-                for d in diagnostics {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -273,20 +250,6 @@ mod tests {
             requested: 10
         }
         .is_interrupted());
-    }
-
-    #[test]
-    fn lint_display_lists_findings() {
-        let e = TeiError::NetlistLint {
-            design: "d-add".into(),
-            diagnostics: vec![tei_netlist::LintDiagnostic {
-                kind: tei_netlist::LintKind::FloatingNet,
-                nets: vec!["n7".into()],
-            }],
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("d-add failed structural lints (1 finding)"));
-        assert!(msg.contains("floating-net: n7"));
     }
 
     #[test]

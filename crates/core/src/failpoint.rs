@@ -426,10 +426,13 @@ mod active {
             entry.hits += 1;
             if out.is_none() && entry.spec.trigger.fires(entry.hits, entry.fired) {
                 entry.fired += 1;
-                eprintln!(
-                    "[failpoint] {role}: {} fired at {site} (hit {})",
+                // One write per line, so a fleet's lines sharing one
+                // stderr pipe do not interleave mid-line.
+                let line = format!(
+                    "[failpoint] {role}: {} fired at {site} (hit {})\n",
                     entry.spec.action, entry.hits
                 );
+                eprint!("{line}");
                 out = Some(entry.spec.action);
             }
         }
@@ -571,66 +574,145 @@ pub fn is_enospc(e: &std::io::Error) -> bool {
     e.raw_os_error() == Some(ENOSPC)
 }
 
+/// The traffic every fault-free fabric campaign is guaranteed to make,
+/// which is all a seeded count trigger may rely on. Which worker wins
+/// which lease is a race, so the counts are fleet totals; heartbeats,
+/// idle reads, retries and batches closed early on replayed work only
+/// add hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FleetTraffic {
+    /// Worker processes.
+    workers: u64,
+    /// Leases the runs are split into. Each is granted, executed and
+    /// acknowledged at least once.
+    leases: u64,
+    /// Journal batch commits across the fleet.
+    commits: u64,
+    /// Run records in the fullest journal batch.
+    batch_runs: u64,
+}
+
+impl FleetTraffic {
+    /// The traffic of a fresh campaign of `runs` runs, which the
+    /// coordinator splits into leases of at most
+    /// `ceil(runs / (workers × leases_per_worker))` runs; each lease
+    /// commits its runs in batches of up to
+    /// [`JOURNAL_BATCH_RUNS`](crate::campaign::JOURNAL_BATCH_RUNS).
+    pub fn new(runs: u64, workers: u64, leases_per_worker: u64) -> FleetTraffic {
+        let lease_runs = runs.div_ceil((workers * leases_per_worker).max(1)).max(1);
+        let batch = crate::campaign::JOURNAL_BATCH_RUNS as u64;
+        let (full, rest) = (runs / lease_runs, runs % lease_runs);
+        FleetTraffic {
+            workers: workers.max(1),
+            leases: runs.div_ceil(lease_runs),
+            commits: full * lease_runs.div_ceil(batch) + rest.div_ceil(batch),
+            batch_runs: lease_runs.min(batch),
+        }
+    }
+
+    /// Hits that at least one worker must reach when the fleet makes
+    /// `total` of them (pigeonhole).
+    fn some_worker(&self, total: u64) -> u64 {
+        total.div_ceil(self.workers).max(1)
+    }
+}
+
 /// The catalog of sites the seeded-schedule generator draws from, each
 /// with the failure archetype it exercises. Kept in one place so the
 /// chaos matrix and DESIGN.md's failure-mode table stay in sync.
+///
+/// Worker entries are scoped to `worker/`, not one `w<i>`: a given
+/// worker's share of the leases is a race, while some worker must reach
+/// the fleet's share, so the fault fires in every run.
 const CATALOG: &[&str] = &[
-    // Torn journal batch write in one worker: torn-tail recovery (whole
-    // frames before the tear survive) + graceful ENOSPC drain + resume.
-    "w0/journal.append.write=torn:{K}@hit:{N}",
+    // Torn journal batch write: torn-tail recovery (whole frames before
+    // the tear survive) + graceful ENOSPC drain + resume.
+    "worker/journal.append.write=torn:{tear}@hit:{commit}",
     // Journal fsync fails with disk-full: typed DiskFull, resumable.
-    "w0/journal.append.sync=enospc@hit:{N}",
+    "worker/journal.append.sync=enospc@hit:{commit}",
     // Clean append failure: same drain path, different site.
-    "w0/journal.append.write=enospc@hit:{N}",
-    // A worker's control frame vanishes: lease expiry re-grants and the
+    "worker/journal.append.write=enospc@hit:{commit}",
+    // A lease acknowledgement vanishes: lease expiry re-grants and the
     // journal skip set makes re-execution idempotent.
-    "w0/wire.send=drop@hit:{M}",
-    // A duplicated control frame: coordinator-side idempotency.
-    "w0/wire.send=dup@hit:{M}",
+    "worker/wire.send=drop@hit:{done}",
+    // A duplicated acknowledgement: coordinator-side idempotency.
+    "worker/wire.send=dup@hit:{done}",
     // Frame latency under a seeded coin: ordering robustness.
-    "worker/wire.send=delay:{D}@prob:0.2:{S}",
+    "worker/wire.send=delay:{ms}@prob:{p}:{coin}",
     // First dial refused: connect backoff + retry.
     "worker/worker.connect=io:other@hit:1",
     // Worker transport read error: reconnect + idempotent re-execution.
-    "w0/wire.recv=io:other@hit:{M}",
+    "worker/wire.recv=io:other@hit:{recv}",
     // Process abort mid-lease: SIGKILL-equivalent death, heartbeat/EOF
     // detection, lease reassignment.
-    "w0/worker.lease=abort@hit:{A}",
+    "worker/worker.lease=abort@hit:{lease}",
     // Coordinator lease-table persistence hits disk-full: typed failure
     // with resumable journals.
-    "coord/lease.save=enospc@hit:{A}",
+    "coord/lease.save=enospc@hit:{save}",
 ];
 
+/// Firing probability of the catalog's delay entry.
+const DELAY_P: f64 = 0.2;
+
 /// Derive schedule `seed` of the chaos matrix: pick a catalog entry and
-/// instantiate its trigger parameters deterministically from the seed
-/// and the journal traffic of one chaos worker, which makes at least
-/// `commits` batch commits of up to `batch_runs` run records each. A
-/// batch closes on replayed work or at
-/// [`JOURNAL_BATCH_RUNS`](crate::campaign::JOURNAL_BATCH_RUNS) runs,
-/// whichever comes first, so callers size both from the run cap. Same
-/// seed + same sizing ⇒ same schedule.
-pub fn seeded_schedule(seed: u64, commits: u64, batch_runs: u64) -> String {
-    let pick = |salt: u64| splitmix64(seed.wrapping_mul(0x9e37).wrapping_add(salt));
-    let entry = CATALOG[(pick(0) % CATALOG.len() as u64) as usize];
-    // Parameter ranges sized so the fault lands inside the campaign:
-    // {N} within the worker's batch commits (a `hit` on the journal
-    // sites counts commits, not runs), {M}/{A} within the first few
-    // control frames / leases, {K} inside one batch, so a tear may land
-    // after some whole frames or inside the first.
-    let batch_bytes = batch_runs.max(1) * crate::journal::RUN_FRAME_LEN as u64;
-    let n = 1 + pick(1) % commits.max(1);
-    let m = 2 + pick(2) % 5;
-    let a = 1 + pick(3) % 3;
-    let k = 1 + pick(4) % (batch_bytes - 1);
-    let d = 50 + pick(5) % 350;
-    let s = pick(6);
+/// instantiate its trigger parameters deterministically from the seed,
+/// each count inside the hits that `traffic` guarantees. Same seed +
+/// same traffic ⇒ same schedule.
+pub fn seeded_schedule(seed: u64, traffic: &FleetTraffic) -> String {
+    let entry = CATALOG[(seed_pick(seed, 0) % CATALOG.len() as u64) as usize];
+    instantiate(entry, seed, traffic)
+}
+
+/// The seed's draw number `salt`.
+fn seed_pick(seed: u64, salt: u64) -> u64 {
+    splitmix64(seed.wrapping_mul(0x9e37).wrapping_add(salt))
+}
+
+/// Fill in a catalog entry's parameters from `seed`.
+fn instantiate(entry: &str, seed: u64, t: &FleetTraffic) -> String {
+    let pick = |salt: u64| seed_pick(seed, salt);
+    // A worker sends Hello, Ready, then one LeaseDone per lease, and
+    // reads Launch, then one Grant per lease. Only acknowledgements are
+    // dropped or duplicated: a lost Hello or Ready in every worker would
+    // idle the fleet with no lease out to expire.
+    let leases = t.some_worker(t.leases);
+    let sends = 2 + leases;
+    let done = 3 + pick(2) % leases;
+    let recv = 2 + pick(7) % leases;
+    let lease = 1 + pick(3) % leases;
+    // The coordinator saves its lease table once up front, once per
+    // acknowledged lease and once at the end.
+    let save = 1 + pick(8) % (t.leases + 2);
+    let commit = 1 + pick(1) % t.some_worker(t.commits);
+    // A tear lands inside one batch, after some whole frames or inside
+    // the first.
+    let batch_bytes = t.batch_runs.max(1) * crate::journal::RUN_FRAME_LEN as u64;
+    let tear = 1 + pick(4) % (batch_bytes - 1);
+    let ms = 50 + pick(5) % 350;
+    // The first coin, in salt order, that fires within the sends some
+    // worker must make.
+    let mut salt = 6;
+    let coin = loop {
+        let coin = pick(salt);
+        let trigger = Trigger::Prob {
+            p: DELAY_P,
+            seed: coin,
+        };
+        if (1..=sends).any(|hit| trigger.fires(hit, 0)) {
+            break coin;
+        }
+        salt += 0x100;
+    };
     entry
-        .replace("{N}", &n.to_string())
-        .replace("{M}", &m.to_string())
-        .replace("{A}", &a.to_string())
-        .replace("{K}", &k.to_string())
-        .replace("{D}", &d.to_string())
-        .replace("{S}", &s.to_string())
+        .replace("{commit}", &commit.to_string())
+        .replace("{done}", &done.to_string())
+        .replace("{recv}", &recv.to_string())
+        .replace("{lease}", &lease.to_string())
+        .replace("{save}", &save.to_string())
+        .replace("{tear}", &tear.to_string())
+        .replace("{ms}", &ms.to_string())
+        .replace("{p}", &DELAY_P.to_string())
+        .replace("{coin}", &coin.to_string())
 }
 
 #[cfg(test)]
@@ -711,11 +793,16 @@ mod tests {
         assert!(!fires.is_empty() && fires.len() < 64);
     }
 
+    /// The CI matrix's fleet: 48 runs on 2 workers, 4 leases each.
+    fn ci_fleet() -> FleetTraffic {
+        FleetTraffic::new(48, 2, 4)
+    }
+
     #[test]
     fn seeded_schedules_parse_and_are_stable() {
         for seed in 0..32 {
-            let s1 = seeded_schedule(seed, 4, 6);
-            let s2 = seeded_schedule(seed, 4, 6);
+            let s1 = seeded_schedule(seed, &ci_fleet());
+            let s2 = seeded_schedule(seed, &ci_fleet());
             assert_eq!(s1, s2);
             let parsed = parse_schedule(&s1).expect("catalog entry parses");
             assert_eq!(parsed.len(), 1, "schedule {s1:?}");
@@ -723,7 +810,7 @@ mod tests {
         // Seeds spread across the catalog, not one entry.
         let distinct: std::collections::HashSet<String> = (0..32)
             .map(|s| {
-                seeded_schedule(s, 4, 6)
+                seeded_schedule(s, &ci_fleet())
                     .split('=')
                     .next()
                     .unwrap_or_default()
@@ -731,6 +818,85 @@ mod tests {
             })
             .collect();
         assert!(distinct.len() >= 4, "only {distinct:?}");
+    }
+
+    #[test]
+    fn fleet_traffic_follows_the_lease_split() {
+        let t = |runs, workers| FleetTraffic::new(runs, workers, 4);
+        // 8 leases of 6 runs, one commit each.
+        assert_eq!(
+            t(48, 2),
+            FleetTraffic {
+                workers: 2,
+                leases: 8,
+                commits: 8,
+                batch_runs: 6
+            }
+        );
+        // Leases of 7 runs: 7 full ones and a 1-run tail.
+        assert_eq!((t(50, 2).leases, t(50, 2).commits), (8, 8));
+        // Fewer runs than leases: one run per lease.
+        assert_eq!(
+            (t(5, 4).leases, t(5, 4).commits, t(5, 4).batch_runs),
+            (5, 5, 1)
+        );
+        // 12,500-run leases close 4 batches each, the fullest at the cap.
+        let big = t(100_000, 2);
+        assert_eq!((big.leases, big.commits), (8, 32));
+        assert_eq!(big.batch_runs, crate::campaign::JOURNAL_BATCH_RUNS as u64);
+    }
+
+    /// The hits one fault-free run guarantees at `site`, counted in the
+    /// worker that made the most (a fleet total split by pigeonhole), or
+    /// in the coordinator.
+    fn guaranteed_hits(site: &str, t: &FleetTraffic) -> u64 {
+        let share = |total: u64| total.div_ceil(t.workers);
+        match site {
+            // Every commit writes its batch once and syncs it once.
+            "journal.append.write" | "journal.append.sync" => share(t.commits),
+            // Hello, Ready, then one LeaseDone per granted lease.
+            "wire.send" => 2 + share(t.leases),
+            // Launch, then one Grant per lease.
+            "wire.recv" => 1 + share(t.leases),
+            "worker.lease" => share(t.leases),
+            "worker.connect" => 1,
+            // Up front, per acknowledged lease, and at the end.
+            "lease.save" => t.leases + 2,
+            other => panic!("no traffic floor for site {other}"),
+        }
+    }
+
+    #[test]
+    fn seeded_faults_fire_within_guaranteed_traffic() {
+        let fleets = [
+            ci_fleet(),
+            FleetTraffic::new(5, 4, 4),
+            FleetTraffic::new(1_000, 3, 4),
+            FleetTraffic::new(100_000, 2, 4),
+        ];
+        for t in &fleets {
+            for entry in CATALOG {
+                for seed in 0..64 {
+                    let schedule = instantiate(entry, seed, t);
+                    let spec = &parse_schedule(&schedule).expect("parses")[0];
+                    // No single worker's share of the leases is guaranteed.
+                    let role = spec.role.as_deref().unwrap_or_default();
+                    assert!(role == "worker" || role == "coord", "{schedule}");
+                    assert_eq!(role == "coord", spec.site == "lease.save", "{schedule}");
+                    let bound = guaranteed_hits(&spec.site, t);
+                    let first = (1..=bound).find(|&hit| spec.trigger.fires(hit, 0));
+                    assert!(
+                        first.is_some(),
+                        "{schedule} need not fire within {bound} hits ({t:?})"
+                    );
+                    if spec.site == "wire.send" && matches!(spec.action, Action::Drop | Action::Dup)
+                    {
+                        // Acknowledgements only, never Hello or Ready.
+                        assert!(first >= Some(3), "{schedule}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,16 +52,6 @@ impl FpuTimingSpec {
     pub fn target(&self, op: FpOp) -> f64 {
         self.targets[op.index()]
     }
-
-    /// Override the target for `op`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is not finite and positive.
-    pub fn set_target(&mut self, op: FpOp, ns: f64) {
-        assert!(ns.is_finite() && ns > 0.0, "invalid target {ns}");
-        self.targets[op.index()] = ns;
-    }
 }
 
 impl Default for FpuTimingSpec {

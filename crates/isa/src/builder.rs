@@ -1,4 +1,4 @@
-//! Programmatic assembler: the API the benchmark kernels are written in.
+//! Program builder: the API the benchmark kernels are written in.
 
 use crate::instr::Instr;
 use crate::program::{Program, Syscall, DATA_BASE};

@@ -8,7 +8,6 @@
 
 use crate::reg::{FReg, Reg};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use tei_softfloat::{FpOp, FpOpKind, Precision};
 
 /// One architectural instruction.
@@ -399,78 +398,6 @@ impl Instr {
     }
 }
 
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Instr::*;
-        match *self {
-            Add { rd, rs1, rs2 } => write!(f, "add {rd}, {rs1}, {rs2}"),
-            Sub { rd, rs1, rs2 } => write!(f, "sub {rd}, {rs1}, {rs2}"),
-            And { rd, rs1, rs2 } => write!(f, "and {rd}, {rs1}, {rs2}"),
-            Or { rd, rs1, rs2 } => write!(f, "or {rd}, {rs1}, {rs2}"),
-            Xor { rd, rs1, rs2 } => write!(f, "xor {rd}, {rs1}, {rs2}"),
-            Sll { rd, rs1, rs2 } => write!(f, "sll {rd}, {rs1}, {rs2}"),
-            Srl { rd, rs1, rs2 } => write!(f, "srl {rd}, {rs1}, {rs2}"),
-            Sra { rd, rs1, rs2 } => write!(f, "sra {rd}, {rs1}, {rs2}"),
-            Slt { rd, rs1, rs2 } => write!(f, "slt {rd}, {rs1}, {rs2}"),
-            Sltu { rd, rs1, rs2 } => write!(f, "sltu {rd}, {rs1}, {rs2}"),
-            Mul { rd, rs1, rs2 } => write!(f, "mul {rd}, {rs1}, {rs2}"),
-            Div { rd, rs1, rs2 } => write!(f, "div {rd}, {rs1}, {rs2}"),
-            Rem { rd, rs1, rs2 } => write!(f, "rem {rd}, {rs1}, {rs2}"),
-            Addi { rd, rs1, imm } => write!(f, "addi {rd}, {rs1}, {imm}"),
-            Andi { rd, rs1, imm } => write!(f, "andi {rd}, {rs1}, {imm}"),
-            Ori { rd, rs1, imm } => write!(f, "ori {rd}, {rs1}, {imm}"),
-            Xori { rd, rs1, imm } => write!(f, "xori {rd}, {rs1}, {imm}"),
-            Slti { rd, rs1, imm } => write!(f, "slti {rd}, {rs1}, {imm}"),
-            Slli { rd, rs1, shamt } => write!(f, "slli {rd}, {rs1}, {shamt}"),
-            Srli { rd, rs1, shamt } => write!(f, "srli {rd}, {rs1}, {shamt}"),
-            Srai { rd, rs1, shamt } => write!(f, "srai {rd}, {rs1}, {shamt}"),
-            Movhi { rd, imm } => write!(f, "movhi {rd}, {imm:#x}"),
-            Ld { rd, rs1, off } => write!(f, "ld {rd}, {off}({rs1})"),
-            Lw { rd, rs1, off } => write!(f, "lw {rd}, {off}({rs1})"),
-            Lwu { rd, rs1, off } => write!(f, "lwu {rd}, {off}({rs1})"),
-            Lb { rd, rs1, off } => write!(f, "lb {rd}, {off}({rs1})"),
-            Lbu { rd, rs1, off } => write!(f, "lbu {rd}, {off}({rs1})"),
-            Sd { rs2, rs1, off } => write!(f, "sd {rs2}, {off}({rs1})"),
-            Sw { rs2, rs1, off } => write!(f, "sw {rs2}, {off}({rs1})"),
-            Sb { rs2, rs1, off } => write!(f, "sb {rs2}, {off}({rs1})"),
-            Fld { fd, rs1, off } => write!(f, "fld {fd}, {off}({rs1})"),
-            Flw { fd, rs1, off } => write!(f, "flw {fd}, {off}({rs1})"),
-            Fsd { fs, rs1, off } => write!(f, "fsd {fs}, {off}({rs1})"),
-            Fsw { fs, rs1, off } => write!(f, "fsw {fs}, {off}({rs1})"),
-            Beq { rs1, rs2, off } => write!(f, "beq {rs1}, {rs2}, {off}"),
-            Bne { rs1, rs2, off } => write!(f, "bne {rs1}, {rs2}, {off}"),
-            Blt { rs1, rs2, off } => write!(f, "blt {rs1}, {rs2}, {off}"),
-            Bge { rs1, rs2, off } => write!(f, "bge {rs1}, {rs2}, {off}"),
-            Bltu { rs1, rs2, off } => write!(f, "bltu {rs1}, {rs2}, {off}"),
-            Bgeu { rs1, rs2, off } => write!(f, "bgeu {rs1}, {rs2}, {off}"),
-            Jal { rd, off } => write!(f, "jal {rd}, {off}"),
-            Jalr { rd, rs1, imm } => write!(f, "jalr {rd}, {imm}({rs1})"),
-            FaddD { fd, fs1, fs2 } => write!(f, "fadd.d {fd}, {fs1}, {fs2}"),
-            FsubD { fd, fs1, fs2 } => write!(f, "fsub.d {fd}, {fs1}, {fs2}"),
-            FmulD { fd, fs1, fs2 } => write!(f, "fmul.d {fd}, {fs1}, {fs2}"),
-            FdivD { fd, fs1, fs2 } => write!(f, "fdiv.d {fd}, {fs1}, {fs2}"),
-            FcvtDL { fd, rs1 } => write!(f, "fcvt.d.l {fd}, {rs1}"),
-            FcvtLD { rd, fs1 } => write!(f, "fcvt.l.d {rd}, {fs1}"),
-            FaddS { fd, fs1, fs2 } => write!(f, "fadd.s {fd}, {fs1}, {fs2}"),
-            FsubS { fd, fs1, fs2 } => write!(f, "fsub.s {fd}, {fs1}, {fs2}"),
-            FmulS { fd, fs1, fs2 } => write!(f, "fmul.s {fd}, {fs1}, {fs2}"),
-            FdivS { fd, fs1, fs2 } => write!(f, "fdiv.s {fd}, {fs1}, {fs2}"),
-            FcvtSW { fd, rs1 } => write!(f, "fcvt.s.w {fd}, {rs1}"),
-            FcvtWS { rd, fs1 } => write!(f, "fcvt.w.s {rd}, {fs1}"),
-            FmvD { fd, fs1 } => write!(f, "fmv.d {fd}, {fs1}"),
-            FnegD { fd, fs1 } => write!(f, "fneg.d {fd}, {fs1}"),
-            FabsD { fd, fs1 } => write!(f, "fabs.d {fd}, {fs1}"),
-            FmvXD { rd, fs1 } => write!(f, "fmv.x.d {rd}, {fs1}"),
-            FmvDX { fd, rs1 } => write!(f, "fmv.d.x {fd}, {rs1}"),
-            FeqD { rd, fs1, fs2 } => write!(f, "feq.d {rd}, {fs1}, {fs2}"),
-            FltD { rd, fs1, fs2 } => write!(f, "flt.d {rd}, {fs1}, {fs2}"),
-            FleD { rd, fs1, fs2 } => write!(f, "fle.d {rd}, {fs1}, {fs2}"),
-            Ecall => write!(f, "ecall"),
-            Halt => write!(f, "halt"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,22 +474,6 @@ mod tests {
         }
         .fp_op()
         .is_none());
-    }
-
-    #[test]
-    fn display_is_assembler_like() {
-        let i = Instr::FmulD {
-            fd: FReg::new(3),
-            fs1: FReg::new(1),
-            fs2: FReg::new(2),
-        };
-        assert_eq!(i.to_string(), "fmul.d f3, f1, f2");
-        let i = Instr::Ld {
-            rd: Reg::A0,
-            rs1: Reg::SP,
-            off: -8,
-        };
-        assert_eq!(i.to_string(), "ld x10, -8(x2)");
     }
 
     #[test]

@@ -2,30 +2,29 @@
 //!
 //! The instruction set of the simulated core: a RISC-style 64-bit ISA
 //! carrying exactly the twelve floating-point operations the paper models,
-//! with a binary encoding, a text assembler, and a programmatic builder API
-//! the benchmark kernels are written in.
+//! and the programmatic builder API the benchmark kernels are written in.
+//! Programs exist only as [`Instr`] values: the cores fetch them by index,
+//! so there is no binary encoding and no text syntax.
 //!
 //! ## Example
 //!
 //! ```
-//! use tei_isa::{assemble, encode, decode};
+//! use tei_isa::{Instr, ProgramBuilder, Reg};
 //!
-//! let p = assemble("li a0, 42\nhalt").expect("valid assembly");
+//! let mut b = ProgramBuilder::new();
+//! b.li(Reg::A0, 42);
+//! b.halt();
+//! let p = b.finish();
 //! assert_eq!(p.len(), 2);
-//! let word = encode(p.text[0]);
-//! assert_eq!(decode(word).unwrap(), p.text[0]);
+//! assert_eq!(p.text[1], Instr::Halt);
 //! ```
 
-mod asm;
 mod builder;
-mod encode;
 mod instr;
 mod program;
 mod reg;
 
-pub use asm::{assemble, AsmError};
 pub use builder::{Label, ProgramBuilder};
-pub use encode::{decode, encode, DecodeError};
 pub use instr::Instr;
 pub use program::{Program, Syscall, DATA_BASE, DEFAULT_MEM_BYTES, STACK_TOP};
 pub use reg::{FReg, Reg};

@@ -35,16 +35,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.text.is_empty()
     }
-
-    /// Disassemble to a listing with one instruction per line.
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (pc, i) in self.text.iter().enumerate() {
-            writeln!(out, "{pc:6}: {i}").expect("write to string");
-        }
-        out
-    }
 }
 
 /// Environment-call service numbers (`a7` selects, `a0..` carry arguments).
@@ -77,27 +67,6 @@ impl Syscall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::Reg;
-
-    #[test]
-    fn disassembly_lists_every_instruction() {
-        let p = Program {
-            text: vec![
-                Instr::Addi {
-                    rd: Reg::A0,
-                    rs1: Reg::ZERO,
-                    imm: 7,
-                },
-                Instr::Halt,
-            ],
-            data: vec![],
-            entry: 0,
-        };
-        let d = p.disassemble();
-        assert!(d.contains("addi x10, x0, 7"));
-        assert!(d.contains("halt"));
-        assert_eq!(d.lines().count(), 2);
-    }
 
     #[test]
     fn syscall_roundtrip() {

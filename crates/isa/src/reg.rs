@@ -1,7 +1,6 @@
 //! Architectural register names.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// An integer register (`x0`–`x31`); `x0` is hardwired to zero.
 ///
@@ -90,26 +89,6 @@ impl Reg {
     pub const T5: Reg = Reg(30);
     /// Temporary 6.
     pub const T6: Reg = Reg(31);
-
-    /// Parse an assembler name (`x7`, `a0`, `sp`, ...).
-    pub fn parse(s: &str) -> Option<Reg> {
-        let names = [
-            "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
-            "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-            "t3", "t4", "t5", "t6",
-        ];
-        if let Some(pos) = names.iter().position(|&n| n == s) {
-            return Some(Reg(pos as u8));
-        }
-        let n: u8 = s.strip_prefix('x')?.parse().ok()?;
-        (n < 32).then_some(Reg(n))
-    }
-}
-
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "x{}", self.0)
-    }
 }
 
 /// A floating-point register (`f0`–`f31`), holding 64 raw bits.
@@ -130,18 +109,6 @@ impl FReg {
     /// The register number (0–31).
     pub const fn num(self) -> u8 {
         self.0
-    }
-
-    /// Parse an assembler name (`f3`).
-    pub fn parse(s: &str) -> Option<FReg> {
-        let n: u8 = s.strip_prefix('f')?.parse().ok()?;
-        (n < 32).then_some(FReg(n))
-    }
-}
-
-impl fmt::Display for FReg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "f{}", self.0)
     }
 }
 
@@ -181,17 +148,6 @@ impl FReg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_aliases_and_numbers() {
-        assert_eq!(Reg::parse("zero"), Some(Reg::ZERO));
-        assert_eq!(Reg::parse("a0"), Some(Reg::A0));
-        assert_eq!(Reg::parse("x31"), Some(Reg::T6));
-        assert_eq!(Reg::parse("x32"), None);
-        assert_eq!(Reg::parse("f1"), None);
-        assert_eq!(FReg::parse("f9"), Some(FReg::new(9)));
-        assert_eq!(FReg::parse("f32"), None);
-    }
 
     #[test]
     #[should_panic(expected = "out of range")]

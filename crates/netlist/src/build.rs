@@ -44,11 +44,6 @@ impl Netlist {
         self.add_gate(GateKind::Xnor2, &[a, b])
     }
 
-    /// 2-input NAND.
-    pub fn nand(&mut self, a: NetId, b: NetId) -> NetId {
-        self.add_gate(GateKind::Nand2, &[a, b])
-    }
-
     /// 2-input NOR.
     pub fn nor(&mut self, a: NetId, b: NetId) -> NetId {
         self.add_gate(GateKind::Nor2, &[a, b])
@@ -93,12 +88,6 @@ impl Netlist {
     pub fn and_bus(&mut self, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
         assert_eq!(a.len(), b.len(), "bus width mismatch");
         a.iter().zip(b).map(|(&x, &y)| self.and(x, y)).collect()
-    }
-
-    /// Bitwise OR of two equal-width buses.
-    pub fn or_bus(&mut self, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
-        assert_eq!(a.len(), b.len(), "bus width mismatch");
-        a.iter().zip(b).map(|(&x, &y)| self.or(x, y)).collect()
     }
 
     /// Bitwise XOR of two equal-width buses.
@@ -236,92 +225,6 @@ impl Netlist {
     /// Unsigned `a < b` for equal-width buses.
     pub fn ult(&mut self, a: &[NetId], b: &[NetId]) -> NetId {
         let (_, no_borrow) = self.ripple_sub(a, b);
-        self.not(no_borrow)
-    }
-
-    /// Inclusive prefix-OR scan (log depth): `out[i] = bits[0] | … | bits[i]`.
-    pub fn prefix_or(&mut self, bits: &[NetId]) -> Vec<NetId> {
-        self.prefix_scan(bits, GateKind::Or2)
-    }
-
-    /// Inclusive prefix-AND scan (log depth): `out[i] = bits[0] & … & bits[i]`.
-    pub fn prefix_and(&mut self, bits: &[NetId]) -> Vec<NetId> {
-        self.prefix_scan(bits, GateKind::And2)
-    }
-
-    /// Kogge-Stone-style inclusive scan with an associative 2-input gate.
-    fn prefix_scan(&mut self, bits: &[NetId], kind: GateKind) -> Vec<NetId> {
-        assert!(!bits.is_empty(), "empty prefix scan");
-        let mut cur = bits.to_vec();
-        let mut dist = 1usize;
-        while dist < cur.len() {
-            let mut next = cur.clone();
-            for i in dist..cur.len() {
-                next[i] = self.add_gate(kind, &[cur[i], cur[i - dist]]);
-            }
-            cur = next;
-            dist *= 2;
-        }
-        cur
-    }
-
-    /// Kogge-Stone carry-lookahead adder: log-depth carry network, so its
-    /// dynamically excited paths track the static critical path closely —
-    /// the structure real timing-critical datapaths use. Returns
-    /// `(sum, carry_out)`.
-    pub fn kogge_stone_add(&mut self, a: &[NetId], b: &[NetId], cin: NetId) -> (Vec<NetId>, NetId) {
-        assert_eq!(a.len(), b.len(), "bus width mismatch");
-        let n = a.len();
-        let p: Vec<NetId> = a.iter().zip(b).map(|(&x, &y)| self.xor(x, y)).collect();
-        let mut g: Vec<NetId> = a.iter().zip(b).map(|(&x, &y)| self.and(x, y)).collect();
-        let mut gp = p.clone();
-        // Parallel-prefix combine: (G, P) ∘ (G', P') = (G | P·G', P·P').
-        let mut dist = 1usize;
-        while dist < n {
-            let (g_prev, p_prev) = (g.clone(), gp.clone());
-            for i in dist..n {
-                let t = self.and(p_prev[i], g_prev[i - dist]);
-                g[i] = self.or(g_prev[i], t);
-                gp[i] = self.and(p_prev[i], p_prev[i - dist]);
-            }
-            dist *= 2;
-        }
-        // Carry into bit i: G(i-1:0) | P(i-1:0)·cin; carry into bit 0: cin.
-        let mut sum = Vec::with_capacity(n);
-        let mut carry_in = cin;
-        for i in 0..n {
-            sum.push(self.xor(p[i], carry_in));
-            let pc = self.and(gp[i], cin);
-            carry_in = self.or(g[i], pc);
-        }
-        (sum, carry_in)
-    }
-
-    /// Log-depth conditional incrementer: `bus + inc`. Returns
-    /// `(result, carry_out)`.
-    pub fn fast_increment(&mut self, bus: &[NetId], inc: NetId) -> (Vec<NetId>, NetId) {
-        // Carry into bit i = inc & AND(bus[0..i]).
-        let scans = self.prefix_and(bus);
-        let mut out = Vec::with_capacity(bus.len());
-        let mut carry = inc;
-        for (i, &b) in bus.iter().enumerate() {
-            out.push(self.xor(b, carry));
-            carry = self.and(inc, scans[i]);
-        }
-        (out, carry)
-    }
-
-    /// `a - b` with a Kogge-Stone carry network.
-    /// Returns `(difference, no_borrow)`; `no_borrow == 1` iff `a >= b`.
-    pub fn fast_sub(&mut self, a: &[NetId], b: &[NetId]) -> (Vec<NetId>, NetId) {
-        let nb = self.not_bus(b);
-        let one = self.const_bit(true);
-        self.kogge_stone_add(a, &nb, one)
-    }
-
-    /// Unsigned `a < b` with a log-depth comparator.
-    pub fn fast_ult(&mut self, a: &[NetId], b: &[NetId]) -> NetId {
-        let (_, no_borrow) = self.fast_sub(a, b);
         self.not(no_borrow)
     }
 

@@ -184,25 +184,12 @@ impl Fpu {
         Fpu::default()
     }
 
-    /// A fresh FPU in flush-to-zero mode.
-    pub fn new_ftz() -> Self {
-        Fpu {
-            cfg: FpuConfig { ftz: true },
-            flags: Flags::default(),
-        }
-    }
-
     /// Apply `op` to raw operand bits, accumulating exception flags.
     ///
     /// For conversions, integer operands/results travel as two's-complement
     /// bits in the low half of the `u64` (sign-extended for reads).
     pub fn apply(&mut self, op: FpOp, a: u64, b: u64) -> u64 {
         ops::apply(op, a, b, self.cfg, &mut self.flags)
-    }
-
-    /// Clear the sticky flags.
-    pub fn clear_flags(&mut self) {
-        self.flags = Flags::default();
     }
 }
 

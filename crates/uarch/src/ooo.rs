@@ -778,7 +778,7 @@ impl OooCore {
                 }
                 out.bits
             }
-            other => panic!("execute: unhandled {other}"),
+            other => panic!("execute: unhandled {other:?}"),
         };
         let done_at = self.cycle + lat;
         let e = self.entry_mut(tag);

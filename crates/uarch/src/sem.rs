@@ -176,7 +176,7 @@ pub fn int_op(i: &Instr, a: u64, b: u64) -> u64 {
         Div { .. } => AluOp::Div,
         Rem { .. } => AluOp::Rem,
         Movhi { imm, .. } => return movhi(imm),
-        other => panic!("int_op on non-ALU instruction {other}"),
+        other => panic!("int_op on non-ALU instruction {other:?}"),
     };
     alu(op, a, b)
 }
@@ -220,7 +220,7 @@ pub fn branch_taken(i: &Instr, a: u64, b: u64) -> bool {
         Bge { .. } => Cond::Ge,
         Bltu { .. } => Cond::Ltu,
         Bgeu { .. } => Cond::Geu,
-        other => panic!("branch_taken on {other}"),
+        other => panic!("branch_taken on {other:?}"),
     };
     cond(c, a, b)
 }
@@ -239,7 +239,7 @@ pub fn mem_width(i: &Instr) -> (usize, bool) {
         Lwu { .. } | Sw { .. } | Flw { .. } | Fsw { .. } => (4, false),
         Lb { .. } => (1, true),
         Lbu { .. } | Sb { .. } => (1, false),
-        other => panic!("mem_width on {other}"),
+        other => panic!("mem_width on {other:?}"),
     }
 }
 
@@ -355,7 +355,7 @@ pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome 
         FeqD { .. } => feq(fa, fb),
         FltD { .. } => flt(fa, fb),
         FleD { .. } => fle(fa, fb),
-        other => panic!("fp_op on {other}"),
+        other => panic!("fp_op on {other:?}"),
     };
     FpOutcome { bits, trap: false }
 }

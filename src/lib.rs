@@ -11,7 +11,7 @@
 //!   event-driven and arrival-time reference engines, voltage derating
 //! * [`softfloat`] — bit-accurate IEEE-754 reference arithmetic
 //! * [`fpu`] — gate-level FPU datapath generators
-//! * [`isa`] — the simulated instruction set and assembler
+//! * [`isa`] — the simulated instruction set and program builder
 //! * [`uarch`] — the out-of-order pipeline simulator
 //! * [`workloads`] — the seven benchmark kernels
 //! * [`core`] — error models (DA/IA/WA), injection campaigns, AVM, energy

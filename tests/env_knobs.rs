@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// The environment names the workspace reads.
-const KNOBS: [&str; 5] = [
+const KNOBS: [&str; 4] = [
     // Worker threads for DTA, model building and campaigns.
     "TEI_THREADS",
     // Paper-scale experiment sizing.
@@ -16,8 +16,6 @@ const KNOBS: [&str; 5] = [
     "TEI_FAILPOINTS",
     // The CI thread-scaling gate in the `dta_throughput` bench.
     "TEI_SCALING_SMOKE",
-    // Runs per cell of the `fabric` bench.
-    "TEI_FABRIC_BENCH_RUNS",
 ];
 
 /// Names that only tests spell, for knobs no code reads.

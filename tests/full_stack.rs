@@ -1,28 +1,28 @@
-//! Cross-crate integration: the complete flow from text assembly through
-//! gate-level model development to classified injection outcomes.
+//! Cross-crate integration: the complete flow from a built program
+//! through gate-level model development to classified injection outcomes.
 
 use tei::core::{campaign, dev, DaModel, StatModel};
-use tei::isa::assemble;
+use tei::isa::{FReg, Instr, ProgramBuilder, Reg};
 use tei::softfloat::{FpOp, FpOpKind, Precision};
 use tei::timing::VoltageReduction;
 use tei::uarch::{ExitReason, FuncCore, OooConfig, OooCore};
 use tei::workloads::{build, BenchmarkId, Scale};
 
 #[test]
-fn assembly_to_injection_outcome() {
-    // A program written in textual assembly, executed on both cores, then
+fn built_program_to_injection_outcome() {
+    // A program written through the builder, executed on both cores, then
     // corrupted at a chosen FP instruction.
-    let src = r"
-                li   t0, 4614256656552045848   # 3.14159... bits
-                fmv.d.x f1, t0
-                li   t0, 4613303445314885481   # 2.71828... bits
-                fmv.d.x f2, t0
-                fmul.d f10, f1, f2
-                li   a7, 3                     # PutF64
-                ecall
-                halt
-    ";
-    let prog = assemble(src).expect("assembles");
+    let (f1, f2, f10) = (FReg::new(1), FReg::new(2), FReg::new(10));
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::T0, 4614256656552045848); // 3.14159... bits
+    b.fmv_d_x(f1, Reg::T0);
+    b.li(Reg::T0, 4613303445314885481); // 2.71828... bits
+    b.fmv_d_x(f2, Reg::T0);
+    b.fmul_d(f10, f1, f2);
+    b.li(Reg::A7, 3); // PutF64
+    b.push(Instr::Ecall);
+    b.halt();
+    let prog = b.finish();
     let mut func = FuncCore::with_memory(&prog, 1 << 16);
     let rf = func.run(10_000);
     assert_eq!(rf.exit, ExitReason::Halted);
