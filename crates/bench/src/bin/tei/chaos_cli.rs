@@ -160,9 +160,13 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
     std::env::remove_var("TEI_FAILPOINTS");
     failpoint::reset();
 
-    eprintln!(
+    tei_core::log_line!(
         "[chaos] clean reference: {} × {} × {} ({} runs, {} workers)",
-        ca.spec.benchmark, ca.spec.model, ca.spec.vr, ca.spec.runs, ca.workers
+        ca.spec.benchmark,
+        ca.spec.model,
+        ca.spec.vr,
+        ca.spec.runs,
+        ca.workers
     );
     let clean_dir = ca.journal_base.join("clean");
     let _ = std::fs::remove_dir_all(&clean_dir);
@@ -176,7 +180,7 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
     let mut failures = 0usize;
     for &seed in &ca.seeds {
         let schedule = failpoint::seeded_schedule(seed, &traffic);
-        eprintln!("[chaos] seed {seed}: {schedule}");
+        tei_core::log_line!("[chaos] seed {seed}: {schedule}");
         let dir = ca.journal_base.join(format!("s{seed}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("TEI_FAILPOINTS", &schedule);
@@ -195,7 +199,9 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
                 }
             }
             Err(e) => {
-                eprintln!("[chaos] seed {seed}: typed failure ({e}); disarming and resuming");
+                tei_core::log_line!(
+                    "[chaos] seed {seed}: typed failure ({e}); disarming and resuming"
+                );
                 match run_once(&ca.spec, &dir, ca.workers) {
                     Ok(result) if canonical(&result) == ref_json => {
                         ("resumed-identical".to_string(), e.to_string())
@@ -212,7 +218,7 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
             }
         };
         let passed = matches!(status.as_str(), "identical" | "resumed-identical");
-        eprintln!("[chaos] seed {seed}: {status}");
+        tei_core::log_line!("[chaos] seed {seed}: {status}");
         if passed {
             let _ = std::fs::remove_dir_all(&dir);
         } else {
@@ -274,9 +280,9 @@ fn quarantine(ca: &ChaosArgs, seed: u64, schedule: &str, status: &str, detail: &
     let path = ca.results_dir.join(format!("chaos-s{seed}-repro.txt"));
     if std::fs::create_dir_all(&ca.results_dir).is_ok() {
         if let Err(e) = std::fs::write(&path, repro) {
-            eprintln!("[chaos] could not write {}: {e}", path.display());
+            tei_core::log_line!("[chaos] could not write {}: {e}", path.display());
         } else {
-            eprintln!("[chaos] repro recipe: {}", path.display());
+            tei_core::log_line!("[chaos] repro recipe: {}", path.display());
         }
     }
 }

@@ -15,19 +15,19 @@ pub(crate) fn exit_code(run: Result<(), TeiError>) -> i32 {
     match run {
         Ok(()) => 0,
         Err(e) if e.is_interrupted() => {
-            eprintln!("tei: {e}");
-            eprintln!("tei: journals and lease table retained; re-run to resume");
+            tei_core::log_line!("tei: {e}");
+            tei_core::log_line!("tei: journals and lease table retained; re-run to resume");
             130
         }
         // Typed, resumable failure (disk full): not a corruption, not a
         // bug — journals are intact and a re-run picks up the remainder.
         Err(e) if e.is_resumable() => {
-            eprintln!("tei: {e}");
-            eprintln!("tei: journals retained; free space and re-run to resume");
+            tei_core::log_line!("tei: {e}");
+            tei_core::log_line!("tei: journals retained; free space and re-run to resume");
             1
         }
         Err(e) => {
-            eprintln!("tei: {e}");
+            tei_core::log_line!("tei: {e}");
             1
         }
     }
@@ -172,22 +172,30 @@ fn fleet_config(cmd: &str, fa: &FabricArgs) -> Result<FabricConfig, TeiError> {
 /// Narrate coordinator events on stderr (stdout carries the result).
 pub(crate) fn print_event(ev: &FabricEvent) {
     match ev {
-        FabricEvent::WorkerSpawned { worker } => eprintln!("[fabric] worker {worker} spawned"),
-        FabricEvent::WorkerConnected { worker } => eprintln!("[fabric] worker {worker} connected"),
+        FabricEvent::WorkerSpawned { worker } => {
+            tei_core::log_line!("[fabric] worker {worker} spawned")
+        }
+        FabricEvent::WorkerConnected { worker } => {
+            tei_core::log_line!("[fabric] worker {worker} connected")
+        }
         FabricEvent::WorkerDied { worker, reassigned } => {
-            eprintln!("[fabric] worker {worker} died; {reassigned} lease(s) back to pending")
+            tei_core::log_line!(
+                "[fabric] worker {worker} died; {reassigned} lease(s) back to pending"
+            )
         }
         FabricEvent::LeaseGranted { worker, lo, hi } => {
-            eprintln!("[fabric] runs [{lo}, {hi}) -> worker {worker}")
+            tei_core::log_line!("[fabric] runs [{lo}, {hi}) -> worker {worker}")
         }
         FabricEvent::Progress { completed, total } => {
-            eprintln!("[fabric] {completed}/{total} runs durable")
+            tei_core::log_line!("[fabric] {completed}/{total} runs durable")
         }
-        FabricEvent::ChaosKilled { worker } => eprintln!("[fabric] chaos: killed worker {worker}"),
+        FabricEvent::ChaosKilled { worker } => {
+            tei_core::log_line!("[fabric] chaos: killed worker {worker}")
+        }
         FabricEvent::ChaosStopped { worker } => {
-            eprintln!("[fabric] chaos: stopped worker {worker} (SIGSTOP)")
+            tei_core::log_line!("[fabric] chaos: stopped worker {worker} (SIGSTOP)")
         }
-        FabricEvent::HeartbeatLost { worker, silent_for } => eprintln!(
+        FabricEvent::HeartbeatLost { worker, silent_for } => tei_core::log_line!(
             "[fabric] worker {worker} heartbeat lost after {:.1}s",
             silent_for.as_secs_f64()
         ),

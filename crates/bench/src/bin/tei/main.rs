@@ -1,10 +1,5 @@
 //! Toolflow front-end: the `tei` command.
 //!
-//! Static verification (see DESIGN.md, "Static verification"):
-//!
-//! * `tei lint` — structural netlist lints over Verilog files or the
-//!   generated FPU bank.
-//!
 //! Campaign fabric (see DESIGN.md, "Campaign fabric"):
 //!
 //! * `tei campaign --workers N` — one lease-partitioned multi-process
@@ -18,18 +13,19 @@
 //!   end in a result byte-identical to the clean run, or a typed
 //!   resumable failure whose resume then matches.
 //!
-//! Exit codes: 0 clean, 1 findings or campaign failure, 2 usage,
-//! 130 interrupted (journals retained; re-run to resume).
+//! Voltage sweep:
+//!
+//! * `tei sweep` — exact DTA at each point of a Vdd grid, then AVM per
+//!   point and the minimum Vdd meeting an AVM target.
+//!
+//! Exit codes: 0 success, 1 failed campaign, chaos schedule or sweep,
+//! 2 usage, 130 interrupted (journals retained; re-run to resume).
 
 mod chaos_cli;
-mod checks;
 mod fabric_cli;
 mod sweep_cli;
 
 const USAGE: &str = "usage: tei <subcommand> [args]
-
-static verification:
-  tei lint --fpu | <file.v> ...         structural netlist lints
 
 campaign fabric:
   tei campaign --benchmark <name> [--workers <n>] [options]
@@ -98,13 +94,6 @@ fn main() {
     };
     let rest = &args[1..];
     let code = match cmd.as_str() {
-        "lint" => {
-            if checks::lint(rest) {
-                0
-            } else {
-                1
-            }
-        }
         "campaign" => fabric_cli::exit_code(fabric_cli::campaign(rest)),
         "fabric-worker" => fabric_cli::exit_code(fabric_cli::worker(rest)),
         "chaos" => fabric_cli::exit_code(chaos_cli::chaos(rest)),

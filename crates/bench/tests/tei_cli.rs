@@ -5,7 +5,12 @@ use std::process::Command;
 
 #[test]
 fn retired_subcommands_are_unknown() {
-    for args in [&["codegen", "--check"][..], &["serve"], &["submit"]] {
+    for args in [
+        &["codegen", "--check"][..],
+        &["serve"],
+        &["submit"],
+        &["lint", "--fpu"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tei"))
             .args(args)
             .output()
@@ -27,8 +32,8 @@ fn usage_lists_no_retired_subcommand_or_flag() {
         .expect("spawn tei");
     assert!(out.status.success(), "{out:?}");
     let usage = String::from_utf8_lossy(&out.stdout);
-    assert!(usage.contains("tei lint"), "usage: {usage}");
-    for retired in ["codegen", "tei serve", "tei submit", "--listen"] {
+    assert!(usage.contains("tei campaign"), "usage: {usage}");
+    for retired in ["codegen", "tei serve", "tei submit", "--listen", "tei lint"] {
         assert!(
             !usage.contains(retired),
             "usage still lists {retired}: {usage}"

@@ -459,7 +459,7 @@ impl<'a> Coordinator<'a> {
                 Err(e) => {
                     // A degraded fleet still makes progress; only a
                     // fleet of zero is fatal.
-                    eprintln!("[fabric] {e} — continuing with a smaller fleet");
+                    crate::log_line!("[fabric] {e} — continuing with a smaller fleet");
                     first_err = Some(e);
                 }
             }
@@ -637,7 +637,10 @@ impl<'a> Coordinator<'a> {
                 if token != self.token {
                     // Stray connection: drop it, not the fabric.
                     if let Some(conn) = self.conns.remove(&conn_id) {
-                        eprintln!("[fabric] refused connection from {} (bad token)", conn.peer);
+                        crate::log_line!(
+                            "[fabric] refused connection from {} (bad token)",
+                            conn.peer
+                        );
                     }
                     return Ok(());
                 }
@@ -655,7 +658,7 @@ impl<'a> Coordinator<'a> {
                     }
                     let demoted = self.job.table.demote_worker(worker);
                     if demoted > 0 {
-                        eprintln!(
+                        crate::log_line!(
                             "[fabric] worker {worker} reconnected; \
                              {demoted} stale lease(s) demoted"
                         );
@@ -725,7 +728,7 @@ impl<'a> Coordinator<'a> {
                 // Liveness already refreshed above; nothing else to do.
             }
             Message::WorkerError { detail } => {
-                eprintln!("[fabric] {detail}");
+                crate::log_line!("[fabric] {detail}");
                 if let Some(windex) = self.worker_of(conn_id) {
                     // Poisoned, not disconnected: kill it for real.
                     self.on_worker_dead(windex, true, on_event);
@@ -738,7 +741,7 @@ impl<'a> Coordinator<'a> {
                     .get(&conn_id)
                     .map(|c| c.peer.clone())
                     .unwrap_or_else(|| "unknown".to_string());
-                eprintln!("[fabric] ignoring unexpected message from {peer}: {other:?}");
+                crate::log_line!("[fabric] ignoring unexpected message from {peer}: {other:?}");
             }
         }
         Ok(())
@@ -760,7 +763,7 @@ impl<'a> Coordinator<'a> {
             }
         }
         for (windex, lease) in expired {
-            eprintln!("[fabric] lease {lease} on worker {windex} expired; reassigning");
+            crate::log_line!("[fabric] lease {lease} on worker {windex} expired; reassigning");
             self.job.table.demote(lease);
             if let Some(w) = self.workers.get_mut(&windex) {
                 w.busy = None;
@@ -870,7 +873,7 @@ impl<'a> Coordinator<'a> {
                         })
                         .collect();
                     for (windex, silent_for) in stale {
-                        eprintln!(
+                        crate::log_line!(
                             "[fabric] worker {windex} heartbeat lost \
                              ({:.1}s silent); presumed dead",
                             silent_for.as_secs_f64()
@@ -900,7 +903,7 @@ impl<'a> Coordinator<'a> {
                         .filter_map(|(&i, &since)| (since.elapsed() > ORPHAN_GRACE).then_some(i))
                         .collect();
                     for windex in expired_orphans {
-                        eprintln!(
+                        crate::log_line!(
                             "[fabric] worker {windex} never reconnected; reaping the process"
                         );
                         self.on_worker_dead(windex, true, on_event);

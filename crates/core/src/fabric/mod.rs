@@ -35,6 +35,16 @@
 // (clippy.toml bans the panicking extractors here).
 #![deny(clippy::disallowed_methods)]
 
+/// `eprintln!` in one `write` call. `eprintln!` writes each format
+/// piece separately, so lines from a coordinator and its workers sharing
+/// one stderr pipe could otherwise split mid-line.
+#[macro_export]
+macro_rules! log_line {
+    ($($arg:tt)*) => {
+        eprint!("{}", format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod coordinator;
 pub mod lease;
 pub mod merge;

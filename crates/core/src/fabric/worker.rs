@@ -97,7 +97,7 @@ pub fn worker_main(addr: &str, token: u64, index: u32, journal_dir: &Path) -> Re
             // the backoff ladder restarted; leases re-executed after
             // reconnect are idempotent via the journal skip set.
             Err(TeiError::Fabric { detail }) => {
-                eprintln!("[worker {index}] connection lost ({detail}); reconnecting");
+                crate::log_line!("[worker {index}] connection lost ({detail}); reconnecting");
                 attempt = 1;
             }
             Err(e) => return Err(e),
@@ -333,7 +333,7 @@ fn prepare(
         .map_err(|e| TeiError::io("create journal dir", journal_dir, e))?;
     let resume = Journal::open_or_create_at(&path, &manifest)?;
     if resume.truncated_bytes > 0 {
-        eprintln!(
+        crate::log_line!(
             "[worker {index}] recovered {}: dropped {} torn byte(s)",
             path.display(),
             resume.truncated_bytes

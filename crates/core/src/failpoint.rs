@@ -426,13 +426,11 @@ mod active {
             entry.hits += 1;
             if out.is_none() && entry.spec.trigger.fires(entry.hits, entry.fired) {
                 entry.fired += 1;
-                // One write per line, so a fleet's lines sharing one
-                // stderr pipe do not interleave mid-line.
-                let line = format!(
-                    "[failpoint] {role}: {} fired at {site} (hit {})\n",
-                    entry.spec.action, entry.hits
+                crate::log_line!(
+                    "[failpoint] {role}: {} fired at {site} (hit {})",
+                    entry.spec.action,
+                    entry.hits
                 );
-                eprint!("{line}");
                 out = Some(entry.spec.action);
             }
         }

@@ -146,11 +146,6 @@ impl Netlist {
         self.reduce(bits, GateKind::And2)
     }
 
-    /// Balanced XOR-reduction tree (parity).
-    pub fn xor_reduce(&mut self, bits: &[NetId]) -> NetId {
-        self.reduce(bits, GateKind::Xor2)
-    }
-
     /// 1 iff the bus is all zeros.
     pub fn is_zero(&mut self, bits: &[NetId]) -> NetId {
         let any = self.or_reduce(bits);
@@ -264,12 +259,6 @@ impl Netlist {
             }
         }
         (cur, sticky)
-    }
-
-    /// Logical barrel shifter right (fill = 0), without sticky collection.
-    pub fn barrel_shift_right(&mut self, bus: &[NetId], amount: &[NetId]) -> Vec<NetId> {
-        let zero = self.const_bit(false);
-        self.barrel_shift_right_sticky(bus, amount, zero).0
     }
 
     /// Logical barrel shifter left by a variable amount (fill = 0).
@@ -588,7 +577,6 @@ mod tests {
         let mut nl = fresh();
         let a = nl.add_input_bus("a", 16);
         let amt = nl.add_input_bus("amt", 5);
-        let right = nl.barrel_shift_right(&a, &amt);
         let left = nl.barrel_shift_left(&a, &amt);
         for (x, s) in [
             (0xffffu64, 4u64),
@@ -606,9 +594,7 @@ mod tests {
                 bits.push((s >> i) & 1 == 1);
             }
             let v = nl.eval(&bits);
-            let expect_r = if s >= 16 { 0 } else { x >> s };
             let expect_l = if s >= 16 { 0 } else { (x << s) & 0xffff };
-            assert_eq!(bus_value_u64(&v, &right), expect_r, "{x:#x} >> {s}");
             assert_eq!(bus_value_u64(&v, &left), expect_l, "{x:#x} << {s}");
         }
     }
@@ -722,13 +708,11 @@ mod tests {
         let a = nl.add_input_bus("a", 5);
         let o = nl.or_reduce(&a);
         let an = nl.and_reduce(&a);
-        let x = nl.xor_reduce(&a);
         let z = nl.is_zero(&a);
         for v in [0u64, 1, 0b11111, 0b10101, 0b01000] {
             let vals = eval2(&nl, 5, 0, v, 0);
             assert_eq!(vals[o.index()], v != 0);
             assert_eq!(vals[an.index()], v == 0b11111);
-            assert_eq!(vals[x.index()], v.count_ones() % 2 == 1);
             assert_eq!(vals[z.index()], v == 0);
         }
     }

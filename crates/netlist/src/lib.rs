@@ -19,6 +19,8 @@
 //!   therefore single forward passes.
 //! * Gates carry a [`BlockId`] tag naming the pipeline stage / functional
 //!   block they belong to, which the paper's Figure 4 path census groups by.
+//! * [`lint_netlist`] reports what construction cannot rule out: logic
+//!   gates that reach no output and logic gates with a zero delay.
 //!
 //! ## Example
 //!
@@ -43,11 +45,9 @@ mod library;
 mod lint;
 mod netlist;
 mod stats;
-mod verilog;
 
 pub use gate::{Gate, GateKind};
 pub use library::CellLibrary;
-pub use lint::{lint_module, lint_netlist, LintDiagnostic, LintKind};
+pub use lint::{lint_netlist, LintDiagnostic, LintKind};
 pub use netlist::{bus_value_u128, bus_value_u64, BlockId, NetId, Netlist};
 pub use stats::{BlockStats, NetlistStats};
-pub use verilog::{parse_verilog, to_verilog, ParseError, RawAssign, RawModule, RawNetDecl};

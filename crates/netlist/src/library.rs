@@ -91,11 +91,6 @@ impl CellLibrary {
         CellLibrary::from_table("unit", &table)
     }
 
-    /// Library name (corner identifier).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Nominal propagation delay of `kind`, in nanoseconds.
     #[inline]
     pub fn delay(&self, kind: GateKind) -> f64 {

@@ -1,51 +1,26 @@
-//! Structural netlist lints.
+//! Structural lint over a built [`Netlist`].
 //!
-//! Two entry points share one diagnostic vocabulary:
-//!
-//! * [`lint_module`] checks a [`RawModule`](crate::RawModule) parsed from
-//!   Verilog — the pre-validation form that can still express broken
-//!   designs — for combinational loops, floating (referenced but
-//!   undriven) nets, multiply-driven nets, logic unreachable from any
-//!   output port, and cells without a usable library delay.
-//! * [`lint_netlist`] checks a constructed [`Netlist`], where loops,
-//!   floating nets and multiple drivers are impossible by construction,
-//!   so only the reachability and delay lints apply.
-//!
-//! Diagnostics are deterministic: within a run they are ordered by
-//! [`LintKind`] and then by net name, so golden tests can assert exact
-//! sets.
+//! Construction already rules out combinational loops, floating nets and
+//! multiple drivers: a gate may reference only nets that exist, and each
+//! gate drives exactly its own net. [`lint_netlist`] checks what
+//! construction cannot.
 
-use crate::gate::GateKind;
-use crate::library::CellLibrary;
-use crate::netlist::Netlist;
-use crate::verilog::RawModule;
-use std::collections::BTreeMap;
+use crate::gate::{Gate, GateKind};
+use crate::netlist::{NetId, Netlist};
 
 /// The category of a structural lint finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintKind {
-    /// A cycle through combinational cells (no netlist evaluation order
-    /// exists; hardware would oscillate or latch).
-    CombinationalLoop,
-    /// A net that is read by a gate or bound to an output port but has
-    /// no driver.
-    FloatingNet,
-    /// A net driven by more than one source (bus contention).
-    MultiDriverNet,
-    /// A logic cell whose output cannot reach any output port.
+    /// A logic gate whose output cannot reach any output port.
     UnreachableGate,
-    /// A cell with no usable delay entry: either an expression that maps
-    /// to no library cell at all, or a logic cell whose library delay is
-    /// zero (timing analysis would treat it as free).
+    /// A logic gate whose library delay is zero (timing analysis would
+    /// treat it as free).
     MissingDelay,
 }
 
 impl std::fmt::Display for LintKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            LintKind::CombinationalLoop => "combinational-loop",
-            LintKind::FloatingNet => "floating-net",
-            LintKind::MultiDriverNet => "multi-driver-net",
             LintKind::UnreachableGate => "unreachable-gate",
             LintKind::MissingDelay => "missing-delay",
         };
@@ -53,419 +28,120 @@ impl std::fmt::Display for LintKind {
     }
 }
 
-/// One structural lint finding, naming the nets involved.
-///
-/// For [`LintKind::CombinationalLoop`] the nets are every member of one
-/// strongly-connected component; for the other kinds there is exactly
-/// one net per diagnostic.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One structural lint finding: its category and the net of the gate it
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LintDiagnostic {
     /// Finding category.
     pub kind: LintKind,
-    /// Nets involved, sorted by name.
-    pub nets: Vec<String>,
+    /// The net driven by the offending gate.
+    pub net: NetId,
 }
 
 impl std::fmt::Display for LintDiagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.kind, self.nets.join(", "))
+        write!(f, "{}: {}", self.kind, self.net)
     }
 }
 
-/// Nontrivial strongly-connected components of `adj` (size > 1, or a
-/// single node with a self-edge), via iterative Tarjan.
-fn nontrivial_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let n = adj.len();
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
-    // Explicit DFS frames: (node, next child position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSET {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < adj[v].len() {
-                let w = adj[v][*child];
-                *child += 1;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let trivial = scc.len() == 1 && !adj[scc[0]].contains(&scc[0]);
-                    if !trivial {
-                        out.push(scc);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Nets reaching an output: reverse BFS over `rev` (driven → drivers)
-/// from the `seeds`.
-fn live_from(rev: &[Vec<usize>], seeds: impl Iterator<Item = usize>, n: usize) -> Vec<bool> {
-    let mut live = vec![false; n];
-    let mut work: Vec<usize> = Vec::new();
-    for s in seeds {
-        if !live[s] {
-            live[s] = true;
-            work.push(s);
-        }
-    }
-    while let Some(v) = work.pop() {
-        for &w in &rev[v] {
-            if !live[w] {
-                live[w] = true;
-                work.push(w);
-            }
-        }
-    }
-    live
-}
-
-fn sort_diags(diags: &mut Vec<LintDiagnostic>) {
-    diags.sort();
-    diags.dedup();
-}
-
-/// Lint a parsed [`RawModule`] against `lib`.
+/// Lint a constructed [`Netlist`] for logic gates whose output reaches
+/// no marked output bus, and logic gates carrying a zero delay.
 ///
-/// Checks, in [`LintKind`] order: combinational loops over the
-/// assign-graph, floating nets (read by an assign or bound to an output
-/// port, but never driven by an assign or input port), multiply-driven
-/// nets, assigns whose driven net cannot reach any output-port bit
-/// (input-port bindings are exempt, matching the [`lint_netlist`]
-/// treatment of unused primary inputs), and assigns with no usable
-/// delay (unrecognized expressions, or recognized logic cells with a
-/// zero library delay; constants are exempt).
-pub fn lint_module(m: &RawModule, lib: &CellLibrary) -> Vec<LintDiagnostic> {
-    // Net universe: declared bits plus anything an assign mentions.
-    let mut ids: BTreeMap<String, usize> = BTreeMap::new();
-    let mut names: Vec<String> = Vec::new();
-    let mut id_of = |name: &str, names: &mut Vec<String>| -> usize {
-        if let Some(&i) = ids.get(name) {
-            return i;
-        }
-        let i = names.len();
-        ids.insert(name.to_string(), i);
-        names.push(name.to_string());
-        i
-    };
-    let mut input_bits: Vec<usize> = Vec::new();
-    let mut output_bits: Vec<usize> = Vec::new();
-    for d in &m.inputs {
-        for b in d.bits() {
-            input_bits.push(id_of(&b, &mut names));
-        }
-    }
-    for d in &m.outputs {
-        for b in d.bits() {
-            output_bits.push(id_of(&b, &mut names));
-        }
-    }
-    for d in &m.wires {
-        for b in d.bits() {
-            id_of(&b, &mut names);
-        }
-    }
-    struct AssignInfo {
-        lhs: usize,
-        pins: Vec<usize>,
-        cell: Option<GateKind>,
-    }
-    let assigns: Vec<AssignInfo> = m
-        .assigns
-        .iter()
-        .map(|a| AssignInfo {
-            lhs: id_of(&a.lhs, &mut names),
-            pins: a.pins.iter().map(|p| id_of(p, &mut names)).collect(),
-            cell: a.cell,
-        })
-        .collect();
-    let n = names.len();
-
-    // Driver census: input-port bits count as drivers alongside assigns.
-    let mut driver_count = vec![0usize; n];
-    for &i in &input_bits {
-        driver_count[i] += 1;
-    }
-    for a in &assigns {
-        driver_count[a.lhs] += 1;
-    }
-    // Read census: assign pins and output-port bindings consume nets.
-    let mut read = vec![false; n];
-    for a in &assigns {
-        for &p in &a.pins {
-            read[p] = true;
-        }
-    }
-
-    // Net graph: pin → lhs per assign; reverse for liveness.
-    let mut adj = vec![Vec::new(); n];
-    let mut rev = vec![Vec::new(); n];
-    for a in &assigns {
-        for &p in &a.pins {
-            adj[p].push(a.lhs);
-            rev[a.lhs].push(p);
-        }
-    }
-
-    let mut diags = Vec::new();
-    for scc in nontrivial_sccs(&adj) {
-        let mut nets: Vec<String> = scc.iter().map(|&i| names[i].clone()).collect();
-        nets.sort();
-        diags.push(LintDiagnostic {
-            kind: LintKind::CombinationalLoop,
-            nets,
-        });
-    }
-    for i in 0..n {
-        let consumed = read[i] || output_bits.contains(&i);
-        if consumed && driver_count[i] == 0 {
-            diags.push(LintDiagnostic {
-                kind: LintKind::FloatingNet,
-                nets: vec![names[i].clone()],
-            });
-        }
-        if driver_count[i] > 1 {
-            diags.push(LintDiagnostic {
-                kind: LintKind::MultiDriverNet,
-                nets: vec![names[i].clone()],
-            });
-        }
-    }
-    let live = live_from(&rev, output_bits.iter().copied(), n);
-    for a in &assigns {
-        // Buffers straight off an input-port bit are port bindings, the
-        // module-level counterpart of `GateKind::Input` gates: an unused
-        // input bit is the caller's business, not dead logic.
-        let is_input_binding =
-            a.cell == Some(GateKind::Buf) && a.pins.len() == 1 && input_bits.contains(&a.pins[0]);
-        if !live[a.lhs] && !is_input_binding {
-            diags.push(LintDiagnostic {
-                kind: LintKind::UnreachableGate,
-                nets: vec![names[a.lhs].clone()],
-            });
-        }
-        let missing = match a.cell {
-            None => true,
-            Some(GateKind::Const0) | Some(GateKind::Const1) => false,
-            Some(kind) => lib.delay(kind) == 0.0,
-        };
-        if missing {
-            diags.push(LintDiagnostic {
-                kind: LintKind::MissingDelay,
-                nets: vec![names[a.lhs].clone()],
-            });
-        }
-    }
-    sort_diags(&mut diags);
-    diags
-}
-
-/// Lint a constructed [`Netlist`].
-///
-/// [`Netlist`] construction already rules out loops, floating nets and
-/// multiple drivers (gates reference only existing nets and each gate
-/// drives exactly its own net), so this pass checks what construction
-/// cannot: logic gates whose output reaches no marked output bus, and
-/// logic gates carrying a zero delay. Primary inputs and constants are
-/// exempt from both (unused input bits of a shared port template and
-/// shared constant nets are normal, and both are free by definition).
+/// Primary inputs and constants are exempt from both (unused input bits
+/// of a shared port template and shared constant nets are normal, and
+/// both are free by definition). Findings are ordered by [`LintKind`] and
+/// then by net, so tests can assert exact lists.
 pub fn lint_netlist(nl: &Netlist) -> Vec<LintDiagnostic> {
-    let n = nl.len();
-    let mut rev = vec![Vec::new(); n];
-    for (i, g) in nl.gates().iter().enumerate() {
-        for &p in g.fanin() {
-            rev[i].push(p.index());
+    // Gates are topologically ordered, so one reverse sweep settles
+    // liveness: every reader of a net comes after it.
+    let mut live = vec![false; nl.len()];
+    for o in nl.output_nets() {
+        live[o.index()] = true;
+    }
+    for (i, g) in nl.gates().iter().enumerate().rev() {
+        if live[i] {
+            for p in g.fanin() {
+                live[p.index()] = true;
+            }
         }
     }
-    let live = live_from(&rev, nl.output_nets().iter().map(|o| o.index()), n);
-    let mut diags = Vec::new();
-    for (i, g) in nl.gates().iter().enumerate() {
-        if matches!(
-            g.kind,
-            GateKind::Input | GateKind::Const0 | GateKind::Const1
-        ) {
-            continue;
-        }
-        if !live[i] {
-            diags.push(LintDiagnostic {
-                kind: LintKind::UnreachableGate,
-                nets: vec![format!("n{i}")],
-            });
-        }
-        if g.delay == 0.0 {
-            diags.push(LintDiagnostic {
-                kind: LintKind::MissingDelay,
-                nets: vec![format!("n{i}")],
-            });
-        }
-    }
-    sort_diags(&mut diags);
-    diags
+    let logic: Vec<(NetId, &Gate)> = nl
+        .gates()
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| {
+            !matches!(
+                g.kind,
+                GateKind::Input | GateKind::Const0 | GateKind::Const1
+            )
+        })
+        .map(|(i, g)| (NetId::from_index(i), g))
+        .collect();
+    let unreachable = logic
+        .iter()
+        .filter(|(net, _)| !live[net.index()])
+        .map(|&(net, _)| LintDiagnostic {
+            kind: LintKind::UnreachableGate,
+            net,
+        });
+    let missing = logic
+        .iter()
+        .filter(|(_, g)| g.delay == 0.0)
+        .map(|&(net, _)| LintDiagnostic {
+            kind: LintKind::MissingDelay,
+            net,
+        });
+    unreachable.chain(missing).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verilog::{parse_verilog, to_verilog};
+    use crate::CellLibrary;
 
-    fn kinds(diags: &[LintDiagnostic]) -> Vec<(LintKind, Vec<String>)> {
-        diags.iter().map(|d| (d.kind, d.nets.clone())).collect()
+    /// `y = ~(a ^ b)` with a dead `d = a & b` and an unused constant.
+    fn dead_and(lib: CellLibrary) -> (Netlist, [NetId; 3]) {
+        let mut nl = Netlist::new("dead", lib);
+        let a = nl.add_input_bus("a", 1)[0];
+        let b = nl.add_input_bus("b", 1)[0];
+        let _unused = nl.const_bit(true);
+        let d = nl.and(a, b);
+        let z = nl.xor(a, b);
+        let y = nl.not(z);
+        nl.mark_output_bus("y", &[y]);
+        (nl, [d, z, y])
     }
 
-    #[test]
-    fn clean_module_round_trip() {
-        let mut nl = Netlist::new("clean", CellLibrary::nangate45_like());
-        let a = nl.add_input_bus("a", 4);
-        let b = nl.add_input_bus("b", 4);
-        let zero = nl.const_bit(false);
-        let (sum, cout) = nl.ripple_add(&a, &b, zero);
-        nl.mark_output_bus("sum", &sum);
-        nl.mark_output_bus("cout", &[cout]);
-        assert_eq!(lint_netlist(&nl), Vec::new());
-        let m = parse_verilog(&to_verilog(&nl)).expect("round trip parses");
-        assert_eq!(lint_module(&m, &CellLibrary::nangate45_like()), Vec::new());
-    }
-
-    #[test]
-    fn detects_floating_and_multi_driver() {
-        let src = "\
-module broken (
-  input  wire a,
-  output wire y
-);
-  wire f;
-  wire u;
-  assign y = a & f; // f floats
-  assign u = a;
-  assign u = ~a;    // u is driven twice
-endmodule
-";
-        let m = parse_verilog(src).expect("parses");
-        let diags = lint_module(&m, &CellLibrary::unit());
-        assert_eq!(
-            kinds(&diags),
-            vec![
-                (LintKind::FloatingNet, vec!["f".to_string()]),
-                (LintKind::MultiDriverNet, vec!["u".to_string()]),
-                // Both drivers of `u` are dead logic; the diagnostics
-                // dedup to one finding for the net.
-                (LintKind::UnreachableGate, vec!["u".to_string()]),
-            ]
-        );
-    }
-
-    #[test]
-    fn detects_combinational_loop() {
-        let src = "\
-module looped (
-  input  wire a,
-  output wire y
-);
-  wire p;
-  wire q;
-  assign p = q & a;
-  assign q = ~p;
-  assign y = q;
-endmodule
-";
-        let m = parse_verilog(src).expect("parses");
-        let diags = lint_module(&m, &CellLibrary::unit());
-        assert_eq!(
-            diags,
-            vec![LintDiagnostic {
-                kind: LintKind::CombinationalLoop,
-                nets: vec!["p".to_string(), "q".to_string()],
-            }]
-        );
+    fn diag(kind: LintKind, net: NetId) -> LintDiagnostic {
+        LintDiagnostic { kind, net }
     }
 
     #[test]
     fn unreachable_gate_and_missing_delay() {
-        let src = "\
-module dead (
-  input  wire a,
-  input  wire b,
-  output wire y
-);
-  wire d;
-  wire z;
-  assign d = a & b;  // never reaches y
-  assign z = a ^ b;
-  assign y = ~z;
-endmodule
-";
-        let m = parse_verilog(src).expect("parses");
-        // unit() has real delays: only the dead gate fires.
-        let diags = lint_module(&m, &CellLibrary::unit());
+        // Real delays: only the dead gate fires; inputs and the unused
+        // constant are exempt.
+        let (nl, [d, _, _]) = dead_and(CellLibrary::nangate45_like());
+        assert_eq!(lint_netlist(&nl), vec![diag(LintKind::UnreachableGate, d)]);
+        // A zero-delay library also flags every logic gate, in net
+        // order after the reachability finding; inputs and constants
+        // (zero delay by definition) stay exempt.
+        let (nl, [d, z, y]) = dead_and(CellLibrary::from_table("zero", &[]));
         assert_eq!(
-            diags,
-            vec![LintDiagnostic {
-                kind: LintKind::UnreachableGate,
-                nets: vec!["d".to_string()],
-            }]
-        );
-        // A zero-delay library additionally flags every logic cell.
-        let zero = CellLibrary::from_table("zero", &[]);
-        let missing: Vec<Vec<String>> = lint_module(&m, &zero)
-            .into_iter()
-            .filter(|d| d.kind == LintKind::MissingDelay)
-            .map(|d| d.nets)
-            .collect();
-        assert_eq!(
-            missing,
+            lint_netlist(&nl),
             vec![
-                vec!["d".to_string()],
-                vec!["y".to_string()],
-                vec!["z".to_string()]
+                diag(LintKind::UnreachableGate, d),
+                diag(LintKind::MissingDelay, d),
+                diag(LintKind::MissingDelay, z),
+                diag(LintKind::MissingDelay, y),
             ]
         );
     }
 
     #[test]
     fn diagnostics_render_with_net_names() {
-        let d = LintDiagnostic {
-            kind: LintKind::CombinationalLoop,
-            nets: vec!["p".into(), "q".into()],
-        };
-        assert_eq!(d.to_string(), "combinational-loop: p, q");
+        let d = diag(LintKind::UnreachableGate, NetId::from_index(5));
+        assert_eq!(d.to_string(), "unreachable-gate: n5");
+        let d = diag(LintKind::MissingDelay, NetId::from_index(12));
+        assert_eq!(d.to_string(), "missing-delay: n12");
     }
-
-    use crate::CellLibrary;
 }

@@ -87,11 +87,6 @@ impl Netlist {
         &self.name
     }
 
-    /// The cell library delays were drawn from.
-    pub fn library(&self) -> &CellLibrary {
-        &self.library
-    }
-
     /// Number of gates (including primary inputs and constants).
     pub fn len(&self) -> usize {
         self.gates.len()
@@ -113,33 +108,9 @@ impl Netlist {
         &self.gates[net.index()]
     }
 
-    /// Per-net logic depth: inputs and constants at level 0, every
-    /// other gate one past its deepest fanin. Computed in one pass over
-    /// the (topologically ordered) gate list, so the result is a
-    /// deterministic function of the netlist structure.
-    pub fn levelize(&self) -> Vec<u32> {
-        let mut levels = vec![0u32; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            let deepest = g.fanin().iter().map(|p| levels[p.index()]).max();
-            if let Some(d) = deepest {
-                debug_assert!(
-                    g.fanin().iter().all(|p| p.index() < i),
-                    "netlist must be topologically ordered"
-                );
-                levels[i] = d + 1;
-            }
-        }
-        levels
-    }
-
     /// Primary inputs in declaration order.
     pub fn inputs(&self) -> &[NetId] {
         &self.inputs
-    }
-
-    /// Named input buses in declaration order (LSB-first bit order).
-    pub fn input_ports(&self) -> &[(String, Vec<NetId>)] {
-        &self.input_ports
     }
 
     /// Named output buses in declaration order (LSB-first bit order).
@@ -193,19 +164,9 @@ impl Netlist {
         BlockId((self.blocks.len() - 1) as u16)
     }
 
-    /// Name of a block.
-    pub fn block_name(&self, id: BlockId) -> &str {
-        &self.blocks[id.index()]
-    }
-
     /// All registered block names, indexed by [`BlockId::index`].
     pub fn block_names(&self) -> &[String] {
         &self.blocks
-    }
-
-    /// The block new gates are currently attributed to.
-    pub fn current_block(&self) -> BlockId {
-        self.current_block
     }
 
     /// Multiply the delay of every gate in `block` by `factor`.
@@ -596,25 +557,6 @@ mod tests {
         assert_eq!(swept.block_names(), nl.block_names());
         // Sweeping an already-clean netlist is the identity on size.
         assert_eq!(swept.sweep_dead().len(), swept.len());
-    }
-
-    #[test]
-    fn levelize_tracks_logic_depth() {
-        let mut nl = Netlist::new("t", CellLibrary::unit());
-        let a = nl.add_input_bit();
-        let b = nl.add_input_bit();
-        let x = nl.and(a, b); // level 1
-        let y = nl.xor(x, a); // level 2
-        let k = nl.const_bit(true); // level 0
-        let z = nl.or(y, k); // level 3
-        nl.mark_output_bus("o", &[z]);
-        let levels = nl.levelize();
-        assert_eq!(levels[a.index()], 0);
-        assert_eq!(levels[k.index()], 0);
-        assert_eq!(levels[x.index()], 1);
-        assert_eq!(levels[y.index()], 2);
-        assert_eq!(levels[z.index()], 3);
-        assert_eq!(nl.levelize(), levels, "deterministic");
     }
 
     #[test]
